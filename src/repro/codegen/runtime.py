@@ -2,12 +2,14 @@
 
 ``compiled_dhop`` / ``compiled_dhop_rank`` are drop-in peers of
 :func:`repro.perf.fused.fused_dhop` / ``fused_dhop_rank``: same
-gathers, same tiling, same stage counters — the only difference is
-that the per-(direction, sign) accumulation body is a generated,
-``exec``-compiled straight-line kernel fetched from the codegen cache
-instead of an interpreted chain of numpy calls.  Bit-identity with
-the fused (and therefore the layered reference) path is pinned by
-``tests/codegen/``.
+tiling, same stage counters, and a per-(direction, sign) accumulation
+body that is a generated, ``exec``-compiled straight-line kernel
+fetched from the codegen cache instead of an interpreted chain of
+numpy calls.  The generated kernels still run on the lattice's
+lane-major layout with full-lattice cshift gathers, which the fused
+single-rank sweep has left behind for a tensor-major, cache-blocked
+one.  Bit-identity with the fused (and therefore the layered
+reference) path is pinned by ``tests/codegen/``.
 
 Dispatch reaches here only through a resolved
 :class:`repro.engine.plan.KernelPlan` whose ``codegen`` mode is
@@ -25,8 +27,7 @@ from repro.perf.parallel import run_tiles, tiles_for
 def compiled_dhop(dirac, psi: Lattice, plan) -> Lattice:
     """The Wilson hopping term via the generated kernel.
 
-    Mirrors :func:`repro.perf.fused.fused_dhop` exactly: every
-    neighbour field is gathered first (full lattice, plan-cached
+    Every neighbour field is gathered first (full lattice, plan-cached
     cshift), then tiles of the outer-site axis run the compiled
     ``2*ndim``-hop sweep; a multi-RHS batch shares the gathers and
     loops the kernel over column views.

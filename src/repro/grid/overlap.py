@@ -27,7 +27,7 @@ rotations, same ``np.where`` blend); the wire content of each message
 is computed deterministically at post time (the latency model delays
 only availability); and interior + shells partition the outer-site
 axis, so every output site is written once, by the same
-:func:`~repro.perf.fused._accumulate_direction` sequence (mu
+:func:`~repro.perf.fused.accumulate_hop` sequence (mu
 ascending, +1 then -1) the fused ordered path runs.  Overlapped and
 ordered dhop therefore agree to the last bit at any latency, which the
 test suite asserts across VLs, rank layouts, compressed/checksummed
@@ -44,7 +44,7 @@ from repro.grid.cshift import _apply_lane_rotation
 from repro.grid.cshift import _shift_plan as _local_shift_plan
 from repro.grid.stencil import halo_dependency
 from repro.perf.counters import counters
-from repro.perf.fused import _accumulate_direction
+from repro.perf.fused import accumulate_hop
 from repro.perf.parallel import run_tiles, tiles_for
 from repro.telemetry import trace as _telemetry
 
@@ -207,11 +207,10 @@ def overlapped_dhop(op, psi, kplan=None):
                     codegen_fns[mu](a, u_f, n_f, u_b, n_b)
             elif ncols:
                 for j in range(ncols):
-                    _accumulate_direction(a[:, j], u_f, n_f[:, j], mu, +1)
-                    _accumulate_direction(a[:, j], u_b, n_b[:, j], mu, -1)
+                    accumulate_hop(a[:, j], u_f, u_b, n_f[:, j],
+                                   n_b[:, j], mu)
             else:
-                _accumulate_direction(a, u_f, n_f, mu, +1)
-                _accumulate_direction(a, u_b, n_b, mu, -1)
+                accumulate_hop(a, u_f, u_b, n_f, n_b, mu)
         acc[idx] = a
 
     interior = plan.interior

@@ -15,6 +15,8 @@ of equations".
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.grid.cartesian import GridCartesian
@@ -38,7 +40,11 @@ def propagator(dirac: WilsonDirac, coor, tol: float = 1e-8,
     """The 12 columns ``S^{s c} = M^{-1} delta^{s c}``.
 
     Returns ``(columns, results)`` where ``columns[s][c]`` is a spinor
-    lattice and ``results`` the per-solve convergence records.
+    lattice and ``results`` the per-solve convergence records.  The
+    records carry ``x=None``: the solution is the column, so a caller
+    that contracts the columns and keeps only the records (convergence
+    statistics over many sources or configurations) does not pin twelve
+    solution fields per call.
     """
     columns = [[None] * 3 for _ in range(4)]
     results: list[SolverResult] = []
@@ -52,7 +58,7 @@ def propagator(dirac: WilsonDirac, coor, tol: float = 1e-8,
                     f"converge: residual {res.residual:.2e}"
                 )
             columns[spin][colour] = res.x
-            results.append(res)
+            results.append(replace(res, x=None))
     return columns, results
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.grid.lattice import Lattice
 from repro.grid.multirhs import (
@@ -44,10 +44,12 @@ class SolverResult:
     ``breakdown`` is empty for a normal run; on a numeric breakdown
     (zero denominator, non-finite residual) it names the hazard and the
     result is returned non-converged with the last finite iterate —
-    NaNs are never propagated to the caller.
+    NaNs are never propagated to the caller.  ``x`` is ``None`` only in
+    records whose solution is handed back separately
+    (:func:`repro.grid.propagator.propagator`'s columns).
     """
 
-    x: Lattice
+    x: Optional[Lattice]
     converged: bool
     iterations: int
     residual: float

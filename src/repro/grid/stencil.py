@@ -19,10 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine.plan import register_plan_host
+from repro.engine.policy import current_policy
 from repro.grid.cartesian import GridCartesian
 from repro.grid.coordinates import indices_of
-from repro.grid.cshift import _lane_rotation_map, _shift_plan
+from repro.grid.cshift import _lane_rotation_map, _shift_plan, cshift
 from repro.grid.lattice import Lattice
+from repro.perf.counters import counters as _perf_counters
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,56 @@ class HaloStencil:
                 block = np.take(block, plan.lane_map, axis=-1)
             out[plan.permute_sel] = block
         return out
+
+
+#: Radix of the two-part index encoding in :func:`_neighbour_table`:
+#: each part stays far below 2**24, exact even in a complex64 field.
+_INDEX_RADIX = 4096
+
+
+def _neighbour_table(grid: GridCartesian, dim: int,
+                     shift: int) -> np.ndarray:
+    """Flat gather table for a ±1 shift, derived through ``cshift``.
+
+    Cshifts a scalar field whose value at flat site
+    ``f = osite * nlanes + lane`` encodes ``f`` itself; the shifted
+    field then holds, at each flat site, the flat site it sources from
+    — lane permutations at virtual-node boundaries included — so the
+    table is ``cshift``'s own plan replayed, not a second derivation.
+    """
+    n = grid.osites * grid.nlanes
+    hi, lo = np.divmod(np.arange(n), _INDEX_RADIX)
+    field = Lattice(grid, (), (hi + 1j * lo).reshape(grid.osites,
+                                                     grid.nlanes))
+    src = cshift(field, dim, shift).data.reshape(n)
+    return (src.real.astype(np.intp) * _INDEX_RADIX
+            + src.imag.astype(np.intp))
+
+
+def neighbour_table(grid: GridCartesian, dim: int,
+                    shift: int) -> np.ndarray:
+    """Flat neighbour index for ``out(x) = in(x + shift e_dim)``.
+
+    Over the flat site axis ``f = osite * nlanes + lane`` (the working
+    layout of :mod:`repro.perf.fused`), ``out[..., f] =
+    in[..., table[f]]`` is exactly :func:`repro.grid.cshift.cshift`.
+    Memoized per grid instance next to the cshift plans (an
+    engine-owned cache: :func:`repro.engine.plan.clear_plan_caches`
+    evicts it); with caches off it is recomputed and not stored.
+    """
+    if not current_policy().caches_active:
+        return _neighbour_table(grid, dim, shift)
+    tables = grid.__dict__.get("_nbr_tables")
+    if tables is None:
+        tables = grid.__dict__.setdefault("_nbr_tables", {})
+        register_plan_host(grid)
+    table = tables.get((dim, shift))
+    if table is not None:
+        _perf_counters().bump("nbr_table_hits")
+        return table
+    _perf_counters().bump("nbr_table_misses")
+    table = tables[(dim, shift)] = _neighbour_table(grid, dim, shift)
+    return table
 
 
 def stencil_cshift(stencil: HaloStencil, lat: Lattice, dim: int,

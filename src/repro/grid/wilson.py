@@ -23,16 +23,18 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
+import numpy as np
 
 from repro.engine.operators import OperatorGeometry
-from repro.engine.plan import kernel_plan
+from repro.engine.plan import fused_safe_backend, kernel_plan
 from repro.grid import gamma as g
 from repro.telemetry import trace as _telemetry
 from repro.grid.cartesian import GridCartesian
 from repro.grid.cshift import cshift
 from repro.grid.lattice import Lattice
+from repro.grid.stencil import neighbour_table
 from repro.grid.tensor import su3_dagger_mul_vec, su3_mul_vec
-from repro.perf.fused import fused_dhop
+from repro.perf.fused import adjoint, from_working, fused_dhop, to_working
 
 #: Spinor tensor shape: (spin, colour).
 SPINOR = (4, 3)
@@ -58,7 +60,9 @@ class WilsonDirac:
     cshift_fn:
         Shift implementation; the distributed layer substitutes a
         halo-exchanging variant.  Defaults to the single-rank
-        :func:`repro.grid.cshift.cshift`.
+        :func:`repro.grid.cshift.cshift`.  The fused sweep is taken
+        only with the default: it gathers through tables derived from
+        it.  Any other shift runs on the layered (or codegen) path.
     """
 
     def __init__(self, links: Sequence[Lattice], mass: float = 0.1,
@@ -71,9 +75,36 @@ class WilsonDirac:
         self._cshift = cshift_fn if cshift_fn is not None else cshift
         # U_mu(x - mu) gathered to x, needed for the backward hop; the
         # links are static so this is precomputed once (Grid does the
-        # same inside its stencil setup).
-        self._links_back = [self._cshift(u, mu, -1)
-                            for mu, u in enumerate(self.links)]
+        # same inside its stencil setup).  Where the fused sweep can
+        # run (numpy-semantics backend, the default cshift) both link
+        # sets are kept as snapshots in its tensor-major working
+        # layout; the lane-major back-links, read only by the layered
+        # and codegen paths, are then built from that snapshot on
+        # first use.
+        self._links_t = self._links_adj_t = None
+        self._links_back_lm = None
+        if fused_safe_backend(self.grid.backend) and self._cshift is cshift:
+            self._links_t = [to_working(u.data) for u in self.links]
+            # Stored as U_mu(x - mu)^dagger, the matrix the backward hop
+            # applies (conjugation is exact: see perf.fused.adjoint).
+            self._links_adj_t = [np.ascontiguousarray(adjoint(
+                np.take(w, neighbour_table(self.grid, mu, -1), axis=-1)))
+                for mu, w in enumerate(self._links_t)]
+        else:
+            self._links_back_lm = [self._cshift(u, mu, -1)
+                                   for mu, u in enumerate(self.links)]
+
+    @property
+    def _links_back(self) -> list:
+        """Lane-major back-links ``U_mu(x - mu)`` (one Lattice per mu)."""
+        if self._links_back_lm is None:
+            back = []
+            for v in self._links_adj_t:
+                lat = Lattice(self.grid, (3, 3))
+                from_working(adjoint(v), lat.data)
+                back.append(lat)
+            self._links_back_lm = back
+        return self._links_back_lm
 
     # ------------------------------------------------------------------
     def dhop(self, psi: Lattice) -> Lattice:
@@ -81,10 +112,12 @@ class WilsonDirac:
 
         Dispatch is resolved by the execution engine: the grid's
         :class:`~repro.engine.plan.KernelPlan` (cached per policy)
-        decides between the fused+tiled sweep and the layered
-        reference, and whether a multi-RHS batch (tensor
-        ``(nrhs, 4, 3)``) shares one set of neighbour gathers or is
-        swept column by column.  Every route is bit-identical.
+        decides between the fused, cache-blocked sweep and the
+        layered reference, and whether a multi-RHS batch (tensor
+        ``(nrhs, 4, 3)``) is applied as one batched sweep (the fused
+        route runs its columns through the same neighbour tables) or
+        as independent per-column calls.  Every route is
+        bit-identical.
 
         With telemetry tracing on, the sweep is wrapped in a span
         carrying the flop/byte metadata the roofline report consumes;
@@ -119,9 +152,9 @@ class WilsonDirac:
             from repro.codegen import compiled_dhop
 
             return compiled_dhop(self, psi, plan=plan)
-        if plan.fused:
-            # Fused+tiled engine sweep — bit-identical to the layered
-            # path below (see repro.perf.fused for the argument).
+        if plan.fused and self._links_t is not None:
+            # Fused, cache-blocked engine sweep — bit-identical to the
+            # layered path below (see repro.perf.fused for the argument).
             return fused_dhop(self, psi, plan=plan)
         plan.stages.bump("layered_sweeps")
         be = self.grid.backend

@@ -27,6 +27,9 @@ from repro.telemetry.metrics import registry
 #:   change invalidates and recounts as a miss.
 #: * ``cshift_plan_hits`` / ``cshift_plan_misses`` — cached gather
 #:   plans for lattice neighbour shifts.
+#: * ``nbr_table_hits`` / ``nbr_table_misses`` — cached flat neighbour
+#:   index tables (:func:`repro.grid.stencil.neighbour_table`) the
+#:   fused single-rank sweep gathers through.
 #: * ``fused_dhop_calls`` — Wilson-Dslash sweeps taken by the fused
 #:   engine path; ``tiles_dispatched`` — tile bodies executed (equal
 #:   to fused calls when running serial).
@@ -51,6 +54,8 @@ COUNTER_NAMES = (
     "trace_invalidations",
     "cshift_plan_hits",
     "cshift_plan_misses",
+    "nbr_table_hits",
+    "nbr_table_misses",
     "fused_dhop_calls",
     "tiles_dispatched",
     "overlap_dhop_calls",
@@ -116,6 +121,9 @@ class PerfCounters:
 
     def cshift_plan_hit_rate(self) -> float:
         return self._rate(self.cshift_plan_hits, self.cshift_plan_misses)
+
+    def nbr_table_hit_rate(self) -> float:
+        return self._rate(self.nbr_table_hits, self.nbr_table_misses)
 
     def plan_hit_rate(self) -> float:
         return self._rate(self.plan_hits, self.plan_misses)

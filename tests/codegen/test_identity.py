@@ -15,7 +15,7 @@ import repro.engine as engine
 import repro.perf as perf
 from repro.bench.workloads import dslash_setup
 from repro.codegen import kernel_for
-from repro.perf.fused import _accumulate_direction
+from repro.perf.fused import accumulate_hop
 
 BACKENDS = ("generic128", "generic256", "generic512")
 
@@ -122,8 +122,7 @@ class TestKernelLevel:
         p_f, p_b = carr(n, 4, 3, nl), carr(n, 4, 3, nl)
 
         ref = acc.copy()
-        _accumulate_direction(ref, u_f, p_f, mu, +1)
-        _accumulate_direction(ref, u_b, p_b, mu, -1)
+        accumulate_hop(ref, u_f, u_b, p_f, p_b, mu)
 
         got = acc.copy()
         fn = kernel_for(f"dhop-dir{mu}", 4, dtype, "memory").fn
@@ -147,8 +146,7 @@ class TestKernelLevel:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             ref = acc.copy()
-            _accumulate_direction(ref, u, p_f, 0, +1)
-            _accumulate_direction(ref, u, p_f, 0, -1)
+            accumulate_hop(ref, u, u, p_f, p_f, 0)
 
             got = acc.copy()
             fn = kernel_for("dhop-dir0", 4, np.complex64, "memory").fn

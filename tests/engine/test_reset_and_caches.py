@@ -19,6 +19,7 @@ from repro.grid.comms import DistributedLattice
 from repro.grid.cshift import cshift
 from repro.grid.dist_wilson import DistributedWilson, distribute_gauge
 from repro.grid.random import random_gauge, random_spinor
+from repro.grid.stencil import neighbour_table
 from repro.grid.wilson import SPINOR, WilsonDirac
 from repro.perf.counters import counters, reset_counters
 from repro.perf.trace_cache import cached_run_kernel, trace_cache
@@ -51,14 +52,26 @@ class TestUniformCacheKnob:
         with perf.disabled():
             cshift(psi, 0, 1)
             kernel_plan(grid, "dhop")
+            table = neighbour_table(grid, 0, 1)
             assert "_cshift_plans" not in grid.__dict__
             assert "_kernel_plans" not in grid.__dict__
+            assert "_nbr_tables" not in grid.__dict__
+        # Caches off with the engine on: recomputed, equal, not stored.
+        with engine.scope(enabled=True, caches=False):
+            assert np.array_equal(neighbour_table(grid, 0, 1), table)
+            assert "_nbr_tables" not in grid.__dict__
         # Engine on: the same calls populate them.
         with engine.scope(enabled=True, caches=True):
             cshift(psi, 0, 1)
             kernel_plan(grid, "dhop")
+            assert neighbour_table(grid, 0, 1) is \
+                neighbour_table(grid, 0, 1)
         assert grid.__dict__["_cshift_plans"]
         assert grid.__dict__["_kernel_plans"]
+        assert np.array_equal(grid.__dict__["_nbr_tables"][(0, 1)], table)
+        # ... and the engine's cache reset evicts the table again.
+        engine.reset_all()
+        assert "_nbr_tables" not in grid.__dict__
 
     def test_disabled_suppresses_comms_memos(self):
         """The latent inconsistency this PR fixes: the distributed

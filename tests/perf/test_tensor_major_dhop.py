@@ -1,0 +1,226 @@
+"""The tensor-major, cache-blocked single-rank dhop sweep.
+
+``WilsonDirac.dhop``'s default route (:func:`repro.perf.fused.
+fused_dhop`) works on a ``(4, 3, osites * nlanes)`` copy of the field,
+gathers neighbours through flat index tables and sweeps blocks of
+``BLOCK_SITES`` flat sites.  None of that may change a bit: every
+comparison here is on raw bytes (float views, so signed zeros and NaN
+payloads count), against the engine-off layered path, the generated
+``codegen="memory"`` kernel and the canonical-array oracle.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+import repro.engine as engine
+import repro.perf as perf
+from repro.grid.cartesian import GridCartesian
+from repro.grid.cshift import cshift
+from repro.grid.dhop_ref import dhop_reference
+from repro.grid.lattice import Lattice
+from repro.grid.multirhs import split_rhs, stack_rhs
+from repro.grid.random import random_gauge, random_spinor
+from repro.grid.stencil import neighbour_table
+from repro.grid.wilson import WilsonDirac
+from repro.perf import fused
+from repro.perf.counters import counters, reset_counters
+from repro.simd import get_backend
+
+BACKENDS = ("generic128", "generic256", "generic512")
+DTYPES = (np.complex128, np.complex64)
+
+
+@pytest.fixture(autouse=True)
+def _clean_engine_state():
+    engine.reset_all()
+    yield
+    engine.reset_all()
+
+
+def _operator(backend, dims, dtype=np.complex128, links_hook=None):
+    grid = GridCartesian(list(dims), get_backend(backend), dtype=dtype)
+    links = random_gauge(grid, seed=11)
+    if links_hook is not None:
+        links_hook(links)
+    return WilsonDirac(links, mass=0.1), random_spinor(grid, seed=7)
+
+
+def _floats(a: np.ndarray) -> np.ndarray:
+    return a.view(np.float64 if a.dtype == np.complex128 else np.float32)
+
+
+def _assert_bytes_equal(got: np.ndarray, want: np.ndarray) -> None:
+    g, w = _floats(got), _floats(want)
+    assert np.array_equal(g, w, equal_nan=True)
+    assert np.array_equal(np.signbit(g), np.signbit(w))
+    assert got.tobytes() == want.tobytes()
+
+
+def _layered(dirac, psi) -> np.ndarray:
+    with perf.disabled():
+        return dirac.dhop(psi).data
+
+
+def _codegen(dirac, psi) -> np.ndarray:
+    with engine.scope(codegen="memory"):
+        return dirac.dhop(psi).data
+
+
+def _default(dirac, psi) -> np.ndarray:
+    reset_counters()
+    out = dirac.dhop(psi).data
+    assert counters().fused_dhop_calls == 1  # the sweep under test ran
+    return out
+
+
+def _assert_matches_oracle(dirac, psi, got: np.ndarray) -> None:
+    grid = dirac.grid
+    ref = dhop_reference([u.to_canonical() for u in dirac.links],
+                         psi.to_canonical(), grid.gdims)
+    out = Lattice(grid, psi.tensor_shape, got).to_canonical()
+    tol = 1e-12 if grid.dtype == np.complex128 else 1e-5
+    assert np.max(np.abs(out - ref)) <= tol * np.max(np.abs(ref))
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matches_layered_codegen_and_oracle(self, backend, dtype):
+        dirac, psi = _operator(backend, (4, 4, 4, 8), dtype)
+        got = _default(dirac, psi)
+        _assert_bytes_equal(got, _layered(dirac, psi))
+        _assert_bytes_equal(got, _codegen(dirac, psi))
+        _assert_matches_oracle(dirac, psi, got)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_non_cubic_lattice(self, backend):
+        dirac, psi = _operator(backend, (2, 4, 6, 8))
+        got = _default(dirac, psi)
+        _assert_bytes_equal(got, _layered(dirac, psi))
+        _assert_matches_oracle(dirac, psi, got)
+
+    def test_ragged_last_block(self):
+        # 6 * 6 * 8 * 16 = 4608 sites: one full block and a ragged one.
+        dirac, psi = _operator("generic256", (6, 6, 8, 16))
+        n = dirac.grid.osites * dirac.grid.nlanes
+        assert n > fused.BLOCK_SITES and n % fused.BLOCK_SITES != 0
+        got = _default(dirac, psi)
+        _assert_bytes_equal(got, _layered(dirac, psi))
+        _assert_matches_oracle(dirac, psi, got)
+
+    @pytest.mark.parametrize("block", (1, 7, 100))
+    def test_block_size_never_changes_a_bit(self, block, monkeypatch):
+        dirac, psi = _operator("generic512", (4, 2, 6, 4))
+        want = _default(dirac, psi)
+        monkeypatch.setattr(fused, "BLOCK_SITES", block)
+        _assert_bytes_equal(_default(dirac, psi), want)
+
+    @pytest.mark.parametrize("workers", (2, 4))  # 4: more than cores
+    @pytest.mark.parametrize("block", (None, 50))
+    def test_tiled_matches_serial(self, block, workers, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(fused, "BLOCK_SITES", block)
+        dirac, psi = _operator("generic256", (4, 4, 6, 4))
+        with engine.scope(workers=1):
+            serial = _default(dirac, psi)
+        reset_counters()
+        with engine.scope(workers=workers, tile_min_sites=16):
+            tiled = dirac.dhop(psi).data
+        assert counters().tiles_dispatched == workers
+        _assert_bytes_equal(tiled, serial)
+        _assert_bytes_equal(serial, _layered(dirac, psi))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_batch_matches_per_column(self, dtype):
+        dirac, psi = _operator("generic256", (4, 4, 4, 4), dtype)
+        grid = dirac.grid
+        cols = [psi] + [random_spinor(grid, seed=s) for s in (8, 9)]
+        batch = stack_rhs(cols)
+        got = dirac.dhop(batch)
+        for j, col in enumerate(split_rhs(got)):
+            _assert_bytes_equal(col.data, _default(dirac, cols[j]))
+        _assert_bytes_equal(got.data, _layered(dirac, batch))
+
+
+class TestSpecialValues:
+    """IEEE special values, as in the ``tests/codegen/`` cases."""
+
+    @staticmethod
+    def _plant(psi) -> None:
+        d = psi.data
+        d[0, 0, 0, 0] = complex(-0.0, -0.0)
+        d[1, 1, 1, 0] = complex(np.inf, 0.0)
+        d[3, 3, 0, 0] = complex(0.0, -np.inf)
+        d[5, 2, 1, -1] = complex(-np.inf, -0.0)
+
+    @staticmethod
+    def _plant_links(links) -> None:
+        links[0].data[5, 1, 1, 0] = complex(-0.0, np.inf)
+        links[2].data[7, 0, 2, -1] = complex(-0.0, -0.0)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_signed_zero_and_inf_match_layered(self, backend, dtype):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            dirac, psi = _operator(backend, (4, 4, 4, 4), dtype,
+                                   links_hook=self._plant_links)
+            self._plant(psi)
+            got = _default(dirac, psi)
+            _assert_bytes_equal(got, _layered(dirac, psi))
+            _assert_bytes_equal(got, _codegen(dirac, psi))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_nan_matches_codegen_exactly_and_layered_in_value(self,
+                                                              backend):
+        # The fused body's out= contraction order has always given
+        # propagated NaNs a different sign bit from the layered path
+        # (see tests/codegen/test_identity.py); the sweep keeps it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            dirac, psi = _operator(backend, (4, 4, 4, 4))
+            psi.data[2, 2, 2, 0] = complex(np.nan, 1.0)
+            psi.data[0, 3, 1, 0] = complex(-0.0, np.nan)
+            got = _default(dirac, psi)
+            ref = _layered(dirac, psi)
+            _assert_bytes_equal(got, _codegen(dirac, psi))
+        g, r = _floats(got), _floats(ref)
+        nans = np.isnan(r)
+        assert nans.any()
+        assert np.array_equal(nans, np.isnan(g))
+        assert g[~nans].tobytes() == r[~nans].tobytes()
+
+
+class TestNeighbourTable:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_table_replays_cshift(self, backend):
+        grid = GridCartesian([4, 2, 6, 4], get_backend(backend))
+        psi = random_spinor(grid, seed=3)
+        work = fused.to_working(psi.data).reshape(12, -1)
+        for mu in range(grid.ndim):
+            for sign in (+1, -1):
+                want = fused.to_working(cshift(psi, mu, sign).data)
+                got = work[:, neighbour_table(grid, mu, sign)]
+                assert got.tobytes() == want.reshape(12, -1).tobytes()
+
+    def test_memoized_per_grid_and_counted(self):
+        dirac, psi = _operator("generic256", (4, 4, 4, 4))
+        dirac.dhop(psi)  # cold: builds the +mu tables
+        reset_counters()
+        dirac.dhop(psi)
+        c = counters()
+        assert c.nbr_table_misses == 0
+        assert c.nbr_table_hits == 2 * dirac.grid.ndim
+
+    def test_custom_shift_keeps_the_layered_path(self):
+        grid = GridCartesian([4, 4, 4, 4], get_backend("generic256"))
+        links = random_gauge(grid, seed=11)
+        psi = random_spinor(grid, seed=7)
+        want = WilsonDirac(links).dhop(psi).data
+        custom = WilsonDirac(links, cshift_fn=lambda *a: cshift(*a))
+        reset_counters()
+        got = custom.dhop(psi).data
+        assert counters().fused_dhop_calls == 0
+        _assert_bytes_equal(got, want)

@@ -131,14 +131,14 @@ class TestDisabled:
 class TestDslashSweepHitRate:
     def test_repeated_sweep_runs_entirely_from_plan_cache(self):
         """After one cold sweep, repeated Wilson-Dslash applications
-        must hit the cshift plan cache on every gather."""
+        must hit the flat neighbour-table cache on every gather."""
         setup = dslash_setup("generic256", dims=(4, 4, 4, 4))
-        setup.run()  # cold: builds the plans
+        setup.run()  # cold: builds the tables
         reset_counters()
         for _ in range(3):
             setup.run()
         c = counters()
-        assert c.cshift_plan_misses == 0
-        assert c.cshift_plan_hits > 0
-        assert c.cshift_plan_hit_rate() == 1.0
+        assert c.nbr_table_misses == 0
+        assert c.nbr_table_hits > 0
+        assert c.nbr_table_hit_rate() == 1.0
         assert c.fused_dhop_calls == 3
