@@ -206,8 +206,12 @@ def _make_clover(links, mass: float = 0.1, c_sw: float = 1.0,
 
 
 @register_operator("wilson-eo",
-                   "even-odd (Schur) preconditioned Wilson operator")
+                   "even-odd (Schur) preconditioned Wilson operator on "
+                   "half-volume fields")
 def _make_wilson_eo(links=None, mass: float = 0.1, dirac=None):
+    """``dirac`` must be exactly a ``WilsonDirac``: ``SchurWilson``
+    raises ``ValueError`` for a subclass such as ``WilsonClover``, whose
+    diagonal is not the Wilson ``4 + m`` the Schur complement uses."""
     from repro.grid.evenodd import SchurWilson
     from repro.grid.wilson import WilsonDirac
 

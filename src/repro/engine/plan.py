@@ -46,7 +46,8 @@ from repro.simd.generic import GenericBackend
 _FUSED_SAFE = (GenericBackend, FixedWidthBackend)
 
 #: Grid instances carrying engine-owned caches (kernel plans, cshift
-#: plans, flat neighbour tables, overlap halo plans), weakly held so
+#: plans, flat neighbour tables, red-black half grids and their parity
+#: tables, overlap halo plans), weakly held so
 #: :func:`clear_plan_caches` can invalidate without keeping grids
 #: alive.  Keyed by ``id`` because grids define value equality without
 #: hashability (a ``WeakSet`` needs hashable members); dead entries
@@ -55,7 +56,7 @@ _PLAN_HOSTS: dict = {}
 
 #: Attributes :func:`clear_plan_caches` evicts from registered hosts.
 _HOSTED_CACHES = ("_kernel_plans", "_cshift_plans", "_nbr_tables",
-                  "_dist_halo_plan")
+                  "_rb_grids", "_cb_tables", "_dist_halo_plan")
 
 
 def fused_safe_backend(backend) -> bool:
@@ -220,8 +221,9 @@ def kernel_plan(grid, kind: str = "dhop",
 
 def clear_plan_caches() -> int:
     """Evict every engine-owned cache from every registered host grid
-    (kernel plans, cshift gather plans, flat neighbour tables, overlap
-    halo plans).  Returns how many hosts were touched.  Part of
+    (kernel plans, cshift gather plans, flat neighbour tables, red-black
+    half grids and their parity tables, overlap halo plans).  Returns
+    how many hosts were touched.  Part of
     :func:`repro.engine.reset_all`; results are unaffected — these
     caches hold pure geometry derivations that rebuild on next use."""
     n = 0

@@ -217,3 +217,79 @@ class GridCartesian:
             f"simd={self.simd_layout}, odims={self.odims}, "
             f"backend={self.backend.name})"
         )
+
+
+#: Checkerboard parities, in the order of :meth:`GridCartesian.parity_mask`.
+PARITIES = ("even", "odd")
+
+
+class GridRedBlack:
+    """One checkerboard parity of a full grid, stored at half volume.
+
+    Grid keeps a red-black grid beside the full one so that even-odd
+    operators touch only the sites they act on
+    (``GridRedBlackCartesian``).  Here the parity's flat sites
+    ``f = osite * nlanes + lane`` of ``full`` are held in ascending
+    order (:attr:`sites`) and grouped ``nlanes`` at a time: a half
+    field is an ordinary :class:`~repro.grid.lattice.Lattice` of shape
+    ``(N/2/nlanes, *tensor, nlanes)`` whose flat site ``k`` is full
+    flat site ``sites[k]``, so lattice arithmetic, reductions and the
+    solvers run on it unchanged.  Grouping by flat site rather than by
+    outer site means the lanes of one outer site may have mixed parity
+    (the virtual-node layout interleaves parities whenever a
+    dimension's block extent is odd).
+
+    Raises :class:`ValueError` when the checkerboard does not exist at
+    half volume: an odd local extent (the periodic wrap would join two
+    sites of one parity) or ``N/2`` not a multiple of ``nlanes``.
+    """
+
+    def __init__(self, full: GridCartesian, parity: str) -> None:
+        if parity not in PARITIES:
+            raise ValueError(f"parity must be one of {PARITIES}, "
+                             f"got {parity!r}")
+        n = full.osites * full.nlanes
+        if any(d % 2 for d in full.ldims) or (n // 2) % full.nlanes:
+            raise ValueError(
+                f"no half-volume checkerboard for local dims "
+                f"{full.ldims} with {full.nlanes} lanes: every extent "
+                f"must be even and the half volume a multiple of the "
+                f"lane count"
+            )
+        self.full = full
+        self.parity = parity
+        self.backend = full.backend
+        self.dtype = full.dtype
+        self.nlanes = full.nlanes
+        self.osites = n // 2 // full.nlanes
+        # Lattice compatibility keys: equal for same-sized half grids,
+        # never equal to a full grid's.
+        self.odims = [self.osites]
+        self.simd_layout = [self.nlanes]
+        flat = full.parity_mask().reshape(n)
+        self.sites = np.flatnonzero(flat == PARITIES.index(parity))
+        self._osite, self._lane = np.divmod(self.sites, full.nlanes)
+
+    def pick(self, field):
+        """This parity's sites of a full-grid field, as a half field."""
+        from repro.grid.lattice import Lattice
+
+        vals = field.data[self._osite, ..., self._lane]  # (N/2, *tensor)
+        vals = vals.reshape((self.osites, self.nlanes) + vals.shape[1:])
+        return Lattice(self, field.tensor_shape,
+                       np.ascontiguousarray(np.moveaxis(vals, 1, -1)))
+
+    def embed(self, half, out=None):
+        """Write ``half`` onto this parity's sites of the full-grid
+        field ``out`` (default: a new field, +0 on the other parity)."""
+        from repro.grid.lattice import Lattice
+
+        if out is None:
+            out = Lattice(self.full, half.tensor_shape)
+        vals = np.moveaxis(half.data, -1, 1)
+        out.data[self._osite, ..., self._lane] = vals.reshape(
+            (-1,) + half.tensor_shape)
+        return out
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        return f"GridRedBlack({self.parity} of {self.full})"

@@ -17,83 +17,90 @@ followed by back-substitution for ``psi_e``.  ``S`` inherits
 gamma5-hermiticity, so CGNE applies; the Krylov space halves and the
 condition number improves — fewer iterations for the same physics,
 which the tests assert.
+
+The fields of the Schur system are stored at half volume, on the
+red-black grids of :class:`repro.grid.cartesian.GridRedBlack` (Grid's
+``GridRedBlackCartesian``): each off-diagonal block is one
+checkerboard hop (:meth:`repro.grid.wilson.WilsonDirac.dhop_cb`) that
+sweeps only the sites it writes, so halved iterations and halved
+sweeps compound.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.grid.lattice import Lattice
-from repro.grid.solver import SolverResult, conjugate_gradient
+from repro.grid.solver import SolverResult
+from repro.grid.stencil import red_black
 from repro.grid.wilson import SPINOR, WilsonDirac
 
 
 class SchurWilson:
-    """Schur-preconditioned Wilson solves on a checkerboarded lattice.
+    """Schur-preconditioned Wilson solves on half-volume fields.
 
-    Parity projection is implemented with site masks over the
-    (osites, lanes) geometry — the virtual-node layout interleaves
-    parities across lanes, so a mask (rather than a half-sized grid)
-    keeps the SIMD layout intact, exactly the complication a
-    vectorized checkerboard implementation has to handle.
+    :meth:`project` takes a full field to one parity's half field and
+    :meth:`embed` takes it back; the Schur operator (and with it the
+    solver protocol ``apply`` / ``apply_dagger`` / ``mdag_m``) acts on
+    odd half fields.  The diagonal blocks are taken to be
+    ``(4 + m)``, which a subclass may change (the clover term does), so
+    only an exact :class:`~repro.grid.wilson.WilsonDirac` is accepted.
+    Construction is cheap: the half grids and parity tables are
+    memoized on the grid, the parity link slices on the operator.
     """
 
     def __init__(self, dirac: WilsonDirac) -> None:
+        if type(dirac) is not WilsonDirac:
+            raise ValueError(
+                f"the Schur complement assumes the Wilson diagonal "
+                f"4 + m; got {type(dirac).__name__}"
+            )
         self.dirac = dirac
         self.grid = dirac.grid
         self.diag = 4.0 + dirac.mass
-        parity = self.grid.parity_mask()  # (osites, nlanes), 0 = even
-        shape = (self.grid.osites,) + tuple(1 for _ in SPINOR) + \
-            (self.grid.nlanes,)
-        par = parity.reshape(self.grid.osites, *(1 for _ in SPINOR),
-                             self.grid.nlanes)
-        self._even = (par == 0)
-        self._odd = (par == 1)
+        for parity in ("even", "odd"):
+            red_black(self.grid, parity)  # reject odd extents up front
 
     # ------------------------------------------------------------------
     # Parity projections
     # ------------------------------------------------------------------
     def project(self, psi: Lattice, parity: str) -> Lattice:
-        """Zero the sites of the other parity."""
-        mask = self._even if parity == "even" else self._odd
-        out = psi.new_like()
-        out.data = np.where(mask, psi.data, 0.0)
-        return out
+        """The ``parity`` sites of a full field, as a half field."""
+        return red_black(self.grid, parity).pick(psi)
+
+    @staticmethod
+    def embed(half: Lattice) -> Lattice:
+        """The full field holding ``half`` on its parity, +0 elsewhere."""
+        return half.grid.embed(half)
 
     def _hop(self, psi: Lattice) -> Lattice:
-        """The off-diagonal block action: ``-(1/2) D_h psi``.
-
-        Applied to a single-parity field this lands entirely on the
-        other parity (asserted by the tests — it is the checkerboard
-        property itself).
-        """
-        return self.dirac.dhop(psi) * (-0.5)
+        """The off-diagonal block action: ``-(1/2) D_h psi``, from one
+        parity's half field onto the other's."""
+        return self.dirac.dhop_cb(psi) * (-0.5)
 
     # ------------------------------------------------------------------
-    # The Schur operator on odd-support fields
+    # The Schur operator on odd half fields
     # ------------------------------------------------------------------
     def schur(self, psi_o: Lattice) -> Lattice:
         """``S psi_o = (4+m) psi_o - Moe Mee^-1 Meo psi_o``."""
-        meo = self.project(self._hop(psi_o), "even")
-        moe = self.project(self._hop(meo), "odd")
+        meo = self._hop(psi_o)
+        moe = self._hop(meo)
         return psi_o * self.diag - moe * (1.0 / self.diag)
 
     def schur_dagger(self, psi_o: Lattice) -> Lattice:
-        """``S^dagger`` via gamma5-hermiticity (gamma5 commutes with
-        the parity projection)."""
+        """``S^dagger`` via gamma5-hermiticity (gamma5 is site-local,
+        so it commutes with the parity restriction)."""
         from repro.grid import gamma as g
 
         be = self.grid.backend
-        tmp = Lattice(self.grid, SPINOR, g.gamma5_apply(be, psi_o.data))
+        tmp = Lattice(psi_o.grid, SPINOR, g.gamma5_apply(be, psi_o.data))
         tmp = self.schur(tmp)
-        return Lattice(self.grid, SPINOR, g.gamma5_apply(be, tmp.data))
+        return Lattice(tmp.grid, SPINOR, g.gamma5_apply(be, tmp.data))
 
     def schur_norm(self, psi_o: Lattice) -> Lattice:
         """``S^dagger S`` — hermitian positive definite on odd sites."""
         return self.schur_dagger(self.schur(psi_o))
 
     # FermionOperator protocol: the operator this object *is* for a
-    # solver is the Schur complement on odd-support fields.
+    # solver is the Schur complement on odd half fields.
     apply = schur
     apply_dagger = schur_dagger
     mdag_m = schur_norm
@@ -119,21 +126,26 @@ class SchurWilson:
     def solve(self, b: Lattice, tol: float = 1e-8,
               max_iter: int = 1000) -> SolverResult:
         """Solve ``M psi = b`` through the odd-site Schur system."""
+        from repro.engine.solve import solve_fermion
+
         b_e = self.project(b, "even")
         b_o = self.project(b, "odd")
         # RHS of the Schur system: b_o - Moe Mee^-1 b_e.
-        rhs = b_o - self.project(self._hop(b_e), "odd") * (1.0 / self.diag)
+        rhs = b_o - self._hop(b_e) * (1.0 / self.diag)
         # CGNE on S (gamma5-hermitian, like M itself).
-        rhs_n = self.schur_dagger(rhs)
-        inner = conjugate_gradient(self.schur_norm, rhs_n, tol=tol,
-                                   max_iter=max_iter)
-        psi_o = self.project(inner.x, "odd")
+        inner = solve_fermion(self, rhs, method="cg", tol=tol,
+                              max_iter=max_iter)
+        psi_o = inner.x
         # Back-substitution: psi_e = Mee^-1 (b_e - Meo psi_o).
-        psi_e = (b_e - self.project(self._hop(psi_o), "even")) \
-            * (1.0 / self.diag)
-        psi = psi_e + psi_o
-        true_res = (b - self.dirac.apply(psi)).norm2() ** 0.5 \
-            / b.norm2() ** 0.5
+        hop_o = self.dirac.dhop_cb(psi_o)
+        psi_e = (b_e - hop_o * (-0.5)) * (1.0 / self.diag)
+        # The true residual of M psi = b, parity by parity: each block
+        # is M's own expression, (4+m) psi_p - 1/2 D_h psi, on the
+        # half fields — no full-lattice sweep or field needed.
+        r_e = b_e - (psi_e * self.diag - hop_o * 0.5)
+        r_o = b_o - (psi_o * self.diag - self.dirac.dhop_cb(psi_e) * 0.5)
+        true_res = ((r_e.norm2() + r_o.norm2()) / b.norm2()) ** 0.5
+        psi = psi_o.grid.embed(psi_o, out=self.embed(psi_e))
         return SolverResult(
             x=psi,
             converged=inner.converged and true_res < 10 * tol,

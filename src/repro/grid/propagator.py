@@ -8,9 +8,9 @@ its spin-colour-summed modulus per timeslice,
     C(t) = sum_{x, s, s', c, c'} |S(x, t)^{s s'}_{c c'}|^2 ,
 
 which decays exponentially with the pion mass.  Each correlator costs
-12 Krylov solves — the reason "a significant fraction of
-time-to-solution of LQCD applications is spent in solving a linear set
-of equations".
+12 Krylov solves (even-odd preconditioned for the Wilson operator) —
+the reason "a significant fraction of time-to-solution of LQCD
+applications is spent in solving a linear set of equations".
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.grid.cartesian import GridCartesian
+from repro.grid.evenodd import SchurWilson
 from repro.grid.lattice import Lattice
 from repro.grid.solver import SolverResult, solve_wilson_cgne
 from repro.grid.wilson import SPINOR, WilsonDirac
@@ -36,8 +37,15 @@ def point_source(grid: GridCartesian, coor, spin: int, colour: int) -> Lattice:
 
 
 def propagator(dirac: WilsonDirac, coor, tol: float = 1e-8,
-               max_iter: int = 2000, solver=solve_wilson_cgne):
+               max_iter: int = 2000, solver=None):
     """The 12 columns ``S^{s c} = M^{-1} delta^{s c}``.
+
+    ``solver(dirac, b, tol=, max_iter=)`` solves one column.  By
+    default a plain :class:`~repro.grid.wilson.WilsonDirac` is solved
+    through its even-odd Schur complement on half-volume fields
+    (:meth:`repro.grid.evenodd.SchurWilson.solve`); any other operator
+    (clover, twisted boundaries, distributed) by CGNE on the full
+    matrix (:func:`repro.grid.solver.solve_wilson_cgne`).
 
     Returns ``(columns, results)`` where ``columns[s][c]`` is a spinor
     lattice and ``results`` the per-solve convergence records.  The
@@ -46,6 +54,14 @@ def propagator(dirac: WilsonDirac, coor, tol: float = 1e-8,
     statistics over many sources or configurations) does not pin twelve
     solution fields per call.
     """
+    if solver is None:
+        if type(dirac) is WilsonDirac:
+            schur = SchurWilson(dirac)
+
+            def solver(_dirac, b, tol, max_iter):
+                return schur.solve(b, tol=tol, max_iter=max_iter)
+        else:
+            solver = solve_wilson_cgne
     columns = [[None] * 3 for _ in range(4)]
     results: list[SolverResult] = []
     for spin in range(4):

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.engine.plan import register_plan_host
 from repro.engine.policy import current_policy
-from repro.grid.cartesian import GridCartesian
+from repro.grid.cartesian import PARITIES, GridCartesian, GridRedBlack
 from repro.grid.coordinates import indices_of
 from repro.grid.cshift import _lane_rotation_map, _shift_plan, cshift
 from repro.grid.lattice import Lattice
@@ -142,16 +142,70 @@ def neighbour_table(grid: GridCartesian, dim: int,
     """
     if not current_policy().caches_active:
         return _neighbour_table(grid, dim, shift)
-    tables = grid.__dict__.get("_nbr_tables")
-    if tables is None:
-        tables = grid.__dict__.setdefault("_nbr_tables", {})
-        register_plan_host(grid)
+    tables = _hosted(grid, "_nbr_tables")
     table = tables.get((dim, shift))
     if table is not None:
         _perf_counters().bump("nbr_table_hits")
         return table
     _perf_counters().bump("nbr_table_misses")
     table = tables[(dim, shift)] = _neighbour_table(grid, dim, shift)
+    return table
+
+
+def _hosted(grid: GridCartesian, attr: str) -> dict:
+    """The engine-owned memo ``attr`` on ``grid``, created and the
+    grid registered for eviction on first use."""
+    memo = grid.__dict__.get(attr)
+    if memo is None:
+        memo = grid.__dict__.setdefault(attr, {})
+        register_plan_host(grid)
+    return memo
+
+
+def red_black(grid: GridCartesian, parity: str) -> GridRedBlack:
+    """The half-volume grid of one parity of ``grid``.
+
+    Memoized per full grid (both parities, under the same cache rules
+    as :func:`neighbour_table`), so half fields made by independent
+    operators on one grid share their :class:`GridRedBlack`.
+    """
+    if not current_policy().caches_active:
+        return GridRedBlack(grid, parity)
+    memo = _hosted(grid, "_rb_grids")
+    rb = memo.get(parity)
+    if rb is None:
+        rb = memo[parity] = GridRedBlack(grid, parity)
+    return rb
+
+
+def _parity_neighbour_table(grid: GridCartesian, parity: str, dim: int,
+                            shift: int) -> np.ndarray:
+    target = red_black(grid, parity)
+    source = red_black(grid, PARITIES[1 - PARITIES.index(parity)])
+    compact = np.empty(grid.osites * grid.nlanes, dtype=np.intp)
+    compact[source.sites] = np.arange(source.sites.size)
+    return compact[neighbour_table(grid, dim, shift)[target.sites]]
+
+
+def parity_neighbour_table(grid: GridCartesian, parity: str, dim: int,
+                           shift: int) -> np.ndarray:
+    """Half-volume gather table for a ±1 shift onto ``parity``.
+
+    Entry ``i`` is the compact index, among the *other* parity's
+    sites, of the neighbour ``x + shift e_dim`` of the ``i``-th site
+    of ``parity`` — :func:`neighbour_table` restricted to the target
+    parity and re-indexed, so it cannot disagree with ``cshift``.
+    Every neighbour of a site has the other parity, which is what
+    makes a hop from one half field onto the other a plain gather.
+    Memoized like :func:`neighbour_table`.
+    """
+    if not current_policy().caches_active:
+        return _parity_neighbour_table(grid, parity, dim, shift)
+    tables = _hosted(grid, "_cb_tables")
+    table = tables.get((parity, dim, shift))
+    if table is None:
+        table = tables[(parity, dim, shift)] = _parity_neighbour_table(
+            grid, parity, dim, shift)
     return table
 
 

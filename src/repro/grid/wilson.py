@@ -29,12 +29,18 @@ from repro.engine.operators import OperatorGeometry
 from repro.engine.plan import fused_safe_backend, kernel_plan
 from repro.grid import gamma as g
 from repro.telemetry import trace as _telemetry
-from repro.grid.cartesian import GridCartesian
+from repro.grid.cartesian import GridCartesian, GridRedBlack
 from repro.grid.cshift import cshift
 from repro.grid.lattice import Lattice
-from repro.grid.stencil import neighbour_table
+from repro.grid.stencil import neighbour_table, red_black
 from repro.grid.tensor import su3_dagger_mul_vec, su3_mul_vec
-from repro.perf.fused import adjoint, from_working, fused_dhop, to_working
+from repro.perf.fused import (
+    adjoint,
+    from_working,
+    fused_dhop,
+    fused_dhop_cb,
+    to_working,
+)
 
 #: Spinor tensor shape: (spin, colour).
 SPINOR = (4, 3)
@@ -177,6 +183,47 @@ class WilsonDirac:
                 full = g.reconstruct(be, uh, mu, -1)
                 out.data[:, j] = be.add(acc2, full)
         return out
+
+    def dhop_cb(self, psi: Lattice) -> Lattice:
+        """One checkerboard hop: ``D_h`` applied to the half field
+        ``psi`` (one parity, see :class:`repro.grid.cartesian.
+        GridRedBlack`), returned as the other parity's half field.
+
+        Every neighbour of a site has the other parity, so this is
+        ``dhop`` of the embedded field restricted to the target parity
+        — and bit-identical to it.  Where the fused sweep runs, the hop
+        is that sweep over half the sites (:func:`repro.perf.fused.
+        fused_dhop_cb`); otherwise (non-numpy backends, a custom
+        ``cshift_fn``, the engine off) it is exactly that reference:
+        embed, ``dhop``, pick.  Traced as a ``dhop.cb`` span over the
+        half-volume sites.
+        """
+        if not isinstance(psi.grid, GridRedBlack) \
+                or psi.grid.full.odims != self.grid.odims \
+                or psi.tensor_shape != SPINOR:
+            raise ValueError("dhop_cb acts on half-volume spinors of "
+                             "this operator's grid")
+        target = red_black(self.grid, "even" if psi.grid.parity == "odd"
+                           else "odd")
+        if not _telemetry.tracing():
+            return self._dhop_cb_impl(psi, target)
+        with _telemetry.span(
+            "dhop.cb",
+            sites=target.osites * target.nlanes,
+            flops_per_site=self.flops_per_site(),
+            bytes_per_site=self.bytes_per_site(),
+            backend=self.grid.backend.name,
+            parity=target.parity,
+        ):
+            return self._dhop_cb_impl(psi, target)
+
+    def _dhop_cb_impl(self, psi: Lattice, target) -> Lattice:
+        plan = kernel_plan(self.grid, "dhop")
+        if plan.fused and self._links_t is not None:
+            return fused_dhop_cb(self, psi, target, plan=plan)
+        # The reference: the full sweep of the embedded field (its
+        # dispatch, not its span — the hop is traced once, above).
+        return target.pick(self._dhop_impl(psi.grid.embed(psi)))
 
     def apply(self, psi: Lattice) -> Lattice:
         """The Wilson matrix ``M psi = (4 + m) psi - 1/2 D_h psi``."""

@@ -23,7 +23,11 @@ derived by cshifting an index field, so it cannot disagree with
 sites: per block it gathers one neighbour field at a time into
 block-sized scratch and folds it into the accumulator while the block
 is still in cache, instead of materialising all eight neighbour fields
-over the whole lattice.
+over the whole lattice.  The even-odd checkerboard hop
+(:func:`fused_dhop_cb`) is the same sweep over half the sites: a half
+field's working copy is ``(4, 3, N/2)``, gathered through per-parity
+tables, and each block's links are gathered from the full link arrays
+along with its neighbours.
 
 **Bit-identity contract.**  Every expression below reproduces the
 reference accumulation element-for-element:
@@ -58,7 +62,7 @@ import numpy as np
 from repro.engine.plan import fused_safe_backend
 from repro.engine.policy import current_policy
 from repro.grid.lattice import Lattice
-from repro.grid.stencil import neighbour_table
+from repro.grid.stencil import neighbour_table, parity_neighbour_table
 from repro.perf.counters import counters
 from repro.perf.parallel import run_tiles, tiles_for
 
@@ -251,15 +255,52 @@ def fused_dhop(dirac, psi: Lattice, plan=None) -> Lattice:
     allocates its own scratch, so tiles may run on concurrent workers.
     """
     grid = dirac.grid
-    ncols = psi.tensor_shape[0] if len(psi.tensor_shape) == 3 else 0
     counters().bump("fused_dhop_calls")
-    if ncols:
+    if len(psi.tensor_shape) == 3:
         counters().bump("batched_dhop_calls")
-    nl = grid.nlanes
     hops = [(sign, neighbour_table(grid, mu, sign), links[mu], mu)
             for mu in range(grid.ndim)
             for sign, links in ((+1, dirac._links_t),
                                 (-1, dirac._links_adj_t))]
+    return _sweep(hops, psi, grid, plan)
+
+
+def fused_dhop_cb(dirac, psi: Lattice, target, plan=None) -> Lattice:
+    """One checkerboard hop: ``D_h`` from the half field ``psi`` onto
+    the half grid ``target`` of the other parity
+    (``WilsonDirac.dhop_cb``).
+
+    The same sweep as :func:`fused_dhop` over half the sites: the
+    gathers go through :func:`repro.grid.stencil.parity_neighbour_table`
+    and each block's links are gathered from the operator's full
+    working-layout links through ``target.sites``.  Every
+    neighbour of a ``target`` site lies in ``psi``'s parity, so each
+    output site accumulates the values the full sweep would — the hop
+    is bit-identical to ``dhop`` of the embedded field, restricted to
+    ``target``.
+    """
+    grid = dirac.grid
+    hops = [(sign, parity_neighbour_table(grid, target.parity, mu, sign),
+             links[mu], mu)
+            for mu in range(grid.ndim)
+            for sign, links in ((+1, dirac._links_t),
+                                (-1, dirac._links_adj_t))]
+    return _sweep(hops, psi, target, plan, link_sites=target.sites)
+
+
+def _sweep(hops, psi: Lattice, grid, plan, link_sites=None) -> Lattice:
+    """The blocked, tiled sweep shared by the full and checkerboard
+    hops.
+
+    ``hops`` lists ``(sign, table, links, mu)`` in accumulation order:
+    ``table`` maps the output's flat sites on ``grid`` (a full or half
+    grid) to ``psi``'s, and ``links`` is a full-lattice working-layout
+    link field.  Output site ``i`` reads link site ``i``, or with
+    ``link_sites`` the full-grid site ``link_sites[i]`` — gathered per
+    block, so a half-volume sweep holds no second copy of the links.
+    """
+    ncols = psi.tensor_shape[0] if len(psi.tensor_shape) == 3 else 0
+    nl = grid.nlanes
     if plan is None:
         tiles = tiles_for(grid.osites)
         workers = None
@@ -282,6 +323,8 @@ def fused_dhop(dirac, psi: Lattice, plan=None) -> Lattice:
             acc_buf, nbr_buf = (np.empty(12 * size, dtype=flat.dtype)
                                 for _ in range(2))
             bufs = [np.empty(6 * size, dtype=flat.dtype) for _ in range(3)]
+            link_buf = None if link_sites is None else \
+                np.empty(9 * size, dtype=flat.dtype)
             for b0 in range(lo, hi, step):
                 b1 = min(b0 + step, hi)
                 n = b1 - b0
@@ -294,14 +337,19 @@ def fused_dhop(dirac, psi: Lattice, plan=None) -> Lattice:
                     # skips numpy's buffered bounds-checked copy.
                     np.take(flat, table[b0:b1], axis=1, out=nbr,
                             mode="clip")
-                    _accumulate_direction(acc, links[:, :, b0:b1],
-                                          nbr.reshape(4, 3, n), mu, sign,
-                                          scratch)
+                    if link_buf is None:
+                        V = links[:, :, b0:b1]
+                    else:
+                        V = link_buf[:9 * n].reshape(3, 3, n)
+                        np.take(links, link_sites[b0:b1], axis=-1, out=V,
+                                mode="clip")
+                    _accumulate_direction(acc, V, nbr.reshape(4, 3, n), mu,
+                                          sign, scratch)
                 from_working(acc, dst[b0 // nl:b1 // nl])
 
         run_tiles(body, tiles, workers=workers)
     if plan is not None:
-        plan.stages.bump("gather", 2 * grid.ndim)
+        plan.stages.bump("gather", len(hops))
         plan.stages.bump("compute", len(tiles))
     return out
 

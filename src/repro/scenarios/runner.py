@@ -168,7 +168,8 @@ def work_product(case: Case) -> np.ndarray:
         from repro.grid.wilson import WilsonDirac
 
         schur = SchurWilson(WilsonDirac(links, mass=0.1))
-        return schur.apply(schur.project(psi, "odd")).to_canonical()
+        return schur.embed(
+            schur.apply(schur.project(psi, "odd"))).to_canonical()
     if operator == "wilson-mrhs":
         from repro.engine.operators import MultiRHSOperator
         from repro.grid.multirhs import stack_rhs

@@ -30,7 +30,7 @@ from typing import Iterable, List
 from repro.telemetry.trace import Span, span, tracing
 
 #: Span names carrying operator flop/byte metadata.
-OPERATOR_SPAN_NAMES = ("dhop", "dhop.batched", "overlap.dhop")
+OPERATOR_SPAN_NAMES = ("dhop", "dhop.batched", "dhop.cb", "overlap.dhop")
 
 #: Span names marking one solver *recursion* (one convergence row).
 #: The unified entry :func:`repro.engine.solve.solve_fermion` wraps

@@ -82,6 +82,14 @@ class TestRoundTrip:
         assert np.array_equal(op.mdag_m(psi_o).data,
                               direct.schur_norm(psi_o).data)
 
+    def test_wilson_eo_rejects_other_operators(self):
+        """The Schur complement uses the Wilson diagonal 4 + m; a
+        clover operator (a WilsonDirac subclass) must not slip in."""
+        _, links, _ = _setup("generic256")
+        clover = WilsonClover(links, mass=0.1, c_sw=1.0)
+        with pytest.raises(ValueError, match="WilsonClover"):
+            engine.get_operator("wilson-eo", dirac=clover)
+
     @pytest.mark.parametrize("backend_name", VLS)
     def test_wilson_dist(self, backend_name):
         _, links, psi = _setup(backend_name)

@@ -19,7 +19,11 @@ from repro.grid.comms import DistributedLattice
 from repro.grid.cshift import cshift
 from repro.grid.dist_wilson import DistributedWilson, distribute_gauge
 from repro.grid.random import random_gauge, random_spinor
-from repro.grid.stencil import neighbour_table
+from repro.grid.stencil import (
+    neighbour_table,
+    parity_neighbour_table,
+    red_black,
+)
 from repro.grid.wilson import SPINOR, WilsonDirac
 from repro.perf.counters import counters, reset_counters
 from repro.perf.trace_cache import cached_run_kernel, trace_cache
@@ -49,29 +53,49 @@ class TestUniformCacheKnob:
     def test_disabled_suppresses_host_caches(self):
         grid = _grid()
         psi = random_spinor(grid, seed=3)
+        red_black_caches = ("_rb_grids", "_cb_tables")
         with perf.disabled():
             cshift(psi, 0, 1)
             kernel_plan(grid, "dhop")
             table = neighbour_table(grid, 0, 1)
+            odd = red_black(grid, "odd")
+            cb_table = parity_neighbour_table(grid, "odd", 0, 1)
             assert "_cshift_plans" not in grid.__dict__
             assert "_kernel_plans" not in grid.__dict__
             assert "_nbr_tables" not in grid.__dict__
+            for attr in red_black_caches:
+                assert attr not in grid.__dict__
         # Caches off with the engine on: recomputed, equal, not stored.
         with engine.scope(enabled=True, caches=False):
             assert np.array_equal(neighbour_table(grid, 0, 1), table)
+            assert red_black(grid, "odd") is not odd
+            assert np.array_equal(red_black(grid, "odd").sites, odd.sites)
+            assert np.array_equal(
+                parity_neighbour_table(grid, "odd", 0, 1), cb_table)
             assert "_nbr_tables" not in grid.__dict__
+            for attr in red_black_caches:
+                assert attr not in grid.__dict__
         # Engine on: the same calls populate them.
         with engine.scope(enabled=True, caches=True):
             cshift(psi, 0, 1)
             kernel_plan(grid, "dhop")
             assert neighbour_table(grid, 0, 1) is \
                 neighbour_table(grid, 0, 1)
+            assert red_black(grid, "odd") is red_black(grid, "odd")
+            assert parity_neighbour_table(grid, "odd", 0, 1) is \
+                parity_neighbour_table(grid, "odd", 0, 1)
         assert grid.__dict__["_cshift_plans"]
         assert grid.__dict__["_kernel_plans"]
         assert np.array_equal(grid.__dict__["_nbr_tables"][(0, 1)], table)
-        # ... and the engine's cache reset evicts the table again.
+        assert np.array_equal(grid.__dict__["_cb_tables"][("odd", 0, 1)],
+                              cb_table)
+        assert np.array_equal(grid.__dict__["_rb_grids"]["odd"].sites,
+                              odd.sites)
+        # ... and the engine's cache reset evicts the tables again.
         engine.reset_all()
         assert "_nbr_tables" not in grid.__dict__
+        for attr in red_black_caches:
+            assert attr not in grid.__dict__
 
     def test_disabled_suppresses_comms_memos(self):
         """The latent inconsistency this PR fixes: the distributed

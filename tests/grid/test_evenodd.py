@@ -7,6 +7,7 @@ from repro.grid.cartesian import GridCartesian
 from repro.grid.evenodd import SchurWilson
 from repro.grid.random import random_gauge, random_spinor
 from repro.grid.solver import solve_wilson_cgne
+from repro.grid.stencil import red_black
 from repro.grid.wilson import WilsonDirac
 from repro.simd import get_backend
 
@@ -23,43 +24,51 @@ def setup():
 class TestParityStructure:
     def test_projections_partition(self, setup):
         _, _, schur, b = setup
-        e = schur.project(b, "even")
-        o = schur.project(b, "odd")
+        e = schur.embed(schur.project(b, "even"))
+        o = schur.embed(schur.project(b, "odd"))
         assert np.allclose((e + o).data, b.data)
         assert np.isclose(e.inner_product(o), 0.0)
 
     def test_projection_idempotent(self, setup):
         _, _, schur, b = setup
         e = schur.project(b, "even")
-        assert np.allclose(schur.project(e, "even").data, e.data)
-        assert schur.project(e, "odd").norm2() == 0.0
+        assert np.allclose(schur.project(schur.embed(e), "even").data,
+                           e.data)
+        assert schur.project(schur.embed(e), "odd").norm2() == 0.0
 
     def test_hopping_flips_parity(self, setup):
         """The checkerboard property: D_h maps odd-support fields to
         even-support fields and vice versa."""
-        _, _, schur, b = setup
-        o = schur.project(b, "odd")
-        hop = schur._hop(o)
+        _, dirac, schur, b = setup
+        o = schur.embed(schur.project(b, "odd"))
+        hop = dirac.dhop(o) * (-0.5)
         assert schur.project(hop, "odd").norm2() < 1e-24
-        e = schur.project(b, "even")
-        hop = schur._hop(e)
+        e = schur.embed(schur.project(b, "even"))
+        hop = dirac.dhop(e) * (-0.5)
         assert schur.project(hop, "even").norm2() < 1e-24
 
     def test_parity_interleaves_across_lanes(self, setup):
-        """With the virtual-node layout, both parities appear within
-        one outer site's lanes (why the mask implementation exists)."""
-        grid, _, schur, _ = setup
-        parity = grid.parity_mask()
-        if grid.nlanes > 1:
-            per_osite = parity.sum(axis=1)
-            assert per_osite.min() >= 0
+        """The half grids partition the flat sites ``osite * nlanes +
+        lane``, also where the virtual-node layout puts both parities
+        into one outer site's lanes (odd block extents)."""
+        grids = [setup[0],
+                 GridCartesian([2, 2, 2, 4], get_backend("generic512"))]
+        for grid in grids:
+            even = red_black(grid, "even").sites
+            odd = red_black(grid, "odd").sites
+            n = grid.osites * grid.nlanes
+            assert even.size == odd.size == n // 2
+            assert np.array_equal(np.sort(np.concatenate([even, odd])),
+                                  np.arange(n))
+        mixed = grids[1].parity_mask()
+        assert (mixed.min(axis=1) != mixed.max(axis=1)).any()
 
 
 class TestSchurOperator:
     def test_preserves_odd_support(self, setup):
         _, _, schur, b = setup
         o = schur.project(b, "odd")
-        s = schur.schur(o)
+        s = schur.embed(schur.schur(o))
         assert schur.project(s, "even").norm2() < 1e-24
 
     def test_gamma5_hermiticity(self, setup):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.grid.cartesian import GridCartesian
+from repro.grid.clover import WilsonClover
 from repro.grid.propagator import (
     effective_mass,
     pion_correlator,
@@ -12,6 +13,7 @@ from repro.grid.propagator import (
     timeslice_sums,
 )
 from repro.grid.random import random_gauge
+from repro.grid.solver import solve_wilson_cgne
 from repro.grid.su3 import unit_gauge
 from repro.grid.wilson import WilsonDirac
 from repro.simd import get_backend
@@ -64,6 +66,31 @@ class TestPropagator:
         back = dirac.apply(columns[1][2])
         rel = (back - src).norm2() ** 0.5
         assert rel < 1e-6
+
+    def test_wilson_default_is_schur(self, dirac):
+        """A plain Wilson operator is solved through the even-odd Schur
+        complement: half the CGNE iterations, the same columns."""
+        columns, results = propagator(dirac, (0, 0, 0, 0), tol=1e-9)
+        full, full_results = propagator(dirac, (0, 0, 0, 0), tol=1e-9,
+                                        solver=solve_wilson_cgne)
+        assert sum(r.iterations for r in results) \
+            < sum(r.iterations for r in full_results)
+        for spin in range(4):
+            for colour in range(3):
+                a, b = columns[spin][colour], full[spin][colour]
+                assert (a - b).norm2() ** 0.5 < 1e-6 * b.norm2() ** 0.5
+
+    def test_clover_still_solves_clover_matrix(self, grid):
+        clover = WilsonClover(random_gauge(grid, seed=11, spread=0.3),
+                              mass=0.8, c_sw=1.0)
+        tol = 1e-8
+        columns, _ = propagator(clover, (0, 0, 0, 0), tol=tol)
+        for spin in range(4):
+            for colour in range(3):
+                b = point_source(grid, (0, 0, 0, 0), spin, colour)
+                r = (b - clover.apply(columns[spin][colour])).norm2() \
+                    ** 0.5 / b.norm2() ** 0.5
+                assert r <= 10 * tol
 
     def test_nonconvergence_raises(self, grid):
         bad = WilsonDirac(random_gauge(grid, seed=11), mass=0.8)
