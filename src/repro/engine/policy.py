@@ -80,7 +80,7 @@ class ExecutionPolicy:
     caches:
         Consult *and populate* the engine's derived-data caches: the
         kernel trace cache, cshift gather plans, distributed
-        shift-parameter and halo-size memos, overlap halo plans, and
+        shift-parameter and halo-size memos, rank halo tables, and
         resolved kernel plans.  Only effective while ``enabled``.
         One knob governs every cache uniformly — see DESIGN §10.3;
         all of them hold pure geometry/codegen derivations, so this

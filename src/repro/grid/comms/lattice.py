@@ -463,6 +463,11 @@ class DistributedLattice:
         Shifts are normalised into ``[0, ldims[dim])`` plus whole-rank
         steps, so arbitrary shifts work; each rank then shifts locally
         with its +dim neighbour's data covering the boundary lanes.
+        Each message carries that neighbour's whole local field
+        (accounted as one boundary slab): this shift serves gauge-link
+        gathers, observables and the distributed Wilson reference
+        route, while the default Wilson sweep sends face slabs only
+        (:mod:`repro.grid.overlap`).
         """
         rank_steps, local_shift = self._dist_shift_params(dim, shift)
         out = self.clone_empty()

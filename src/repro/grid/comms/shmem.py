@@ -31,16 +31,17 @@ The parent drives every sweep as one synchronous command round:
 
 Bit-identity
 ------------
-The mailboxes carry **raw, lossless** fields — the analogue of the
-in-process path reading ``locals[src]`` directly.  The wire codec
+The mailboxes carry **raw, lossless** whole fields.  The wire codec
 (fp16 compression, CRC/retry, fault hooks —
 :func:`~repro.grid.comms.wire.exchange_field`) is applied by the
-*receiver*, to exactly the fields the in-process exchange wires: the
-+mu neighbour's field for the forward boundary and the rank's own
-field for the backward boundary.  Message and byte accounting
-therefore match the reference totals, and with a pristine link every
-boundary value is bit-identical — which the transport tests assert all
-the way through CG solves.  A :class:`~repro.grid.comms.queue.
+*receiver*, once per message, to the neighbour field whose face it
+reads: the +mu neighbour's for the forward hop, the -mu neighbour's
+for the backward hop.  The in-process sweep wires only those faces
+(:mod:`repro.grid.overlap`); the codec is elementwise, so every value
+a rank reads is the same in both, compressed or not.  Message and
+byte accounting match the reference totals, and the results are
+bit-identical — which the transport tests assert all the way through
+CG solves.  A :class:`~repro.grid.comms.queue.
 LatencyModel` never changes content, only availability, so it is
 simply ignored here: the wire is real.
 
@@ -251,12 +252,11 @@ def _worker_dhop(rank: int, cmd: dict, sems: dict, seg_cache: dict,
                                   boundary_from=wired(raw_next[mu])).data
             else:
                 pf = raw_next[mu] if steps_f else own
-            # bwd: src is my -mu neighbour; its +mu boundary is my own
-            # field, again through the wire.
+            # bwd: src is my -mu neighbour, through the wire (its face
+            # is all I read of it); its +mu boundary is my own field.
             if sb != 0:
-                src = Lattice(grid, tensor, data=raw_prev[mu])
-                pb = cshift_local(src, mu, sb,
-                                  boundary_from=wired(own)).data
+                src = Lattice(grid, tensor, data=wired(raw_prev[mu]))
+                pb = cshift_local(src, mu, sb, boundary_from=own).data
             else:
                 pb = raw_prev[mu] if steps_b else own
             for acc_c, pf_c, pb_c in _columns(acc, pf, pb, ncols):

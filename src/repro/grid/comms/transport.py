@@ -4,10 +4,11 @@ lattice.
 A transport owns the four seams the distributed operators consume —
 nothing else touches rank internals:
 
-* ``post_halo(dist, src_rank, dim) -> HaloHandle`` — start the +dim
-  neighbour-field exchange for one rank, performing every
-  deterministic wire step (accounting, compression, fault injection,
-  checksum/retry) immediately;
+* ``post_halo(dist, src_rank, dim, payload=None) -> HaloHandle`` —
+  start one +dim halo message for a rank (a face slab, or the
+  neighbour's whole field), performing every deterministic wire step
+  (accounting, compression, fault injection, checksum/retry)
+  immediately;
 * ``wait(handle)`` / ``drain()`` — completion, through the shared
   :class:`~repro.grid.comms.queue.AsyncCommsQueue` semantics;
 * ``run_dhop(op, psi, plan)`` — the whole-sweep hook: a backend that
@@ -53,11 +54,19 @@ class Transport:
         self.queue = AsyncCommsQueue(latency)
 
     # -- halo surface ---------------------------------------------------
-    def post_halo(self, dist, src_rank: int, dim: int) -> HaloHandle:
-        """Post the +dim neighbour's field exchange for ``src_rank`` to
-        the in-flight queue.  Volume is accounted as the genuine halo —
-        one boundary slab — although the simulation hands over the full
-        array for simplicity.
+    def post_halo(self, dist, src_rank: int, dim: int,
+                  payload=None) -> HaloHandle:
+        """Post one +dim halo message for ``src_rank`` to the in-flight
+        queue; every message is accounted as one boundary slab
+        (``dist._halo_sizes_for(dim)``).
+
+        ``payload`` is the message.  The distributed Wilson sweep sends
+        the face slab it gathered, so the wire image — what is
+        compressed, checksummed and exposed to faults — is exactly the
+        accounted message.  Without one, the message is the +dim
+        neighbour's whole local field, which
+        :meth:`DistributedLattice.cshift` (gauge gathers, observables)
+        exchanges: wider than its accounting.
 
         Every deterministic step of the wire path — accounting,
         compression, fault injection, checksum verification, retry —
@@ -66,13 +75,14 @@ class Transport:
         what makes the overlapped exchange bit-identical to the
         ordered one by construction.
         """
-        nbr = dist.ranks.neighbour(src_rank, dim, +1)
-        data = dist.locals[nbr].data
+        if payload is None:
+            payload = dist.locals[dist.ranks.neighbour(src_rank, dim,
+                                                       +1)].data
         grid = dist.grids[src_rank]
         n_complex, nbytes = dist._halo_sizes_for(dim)
         dist.stats.record(n_complex, dist.compress_halos, grid.dtype)
         out = exchange_field(
-            data, compress=dist.compress_halos,
+            payload, compress=dist.compress_halos,
             checksum=dist.checksum_halos, injector=dist.comms_faults,
             stats=dist.stats, max_retries=dist.max_retries,
             dtype=grid.dtype,

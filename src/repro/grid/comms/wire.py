@@ -63,11 +63,12 @@ def transmit(payload: np.ndarray, *, stats, injector, checksum: bool,
             return got[:payload.size]
         # Checksummed path: CRC over the intact payload travels in
         # the (never-corrupted) message envelope.
-        crc = zlib.crc32(payload.tobytes())
+        # CRCs read the contiguous images in place (buffer protocol).
+        crc = zlib.crc32(np.ascontiguousarray(payload))
         good = None
         for i, got in enumerate(copies):
             ok = (got.size == payload.size
-                  and zlib.crc32(got.tobytes()) == crc)
+                  and zlib.crc32(np.ascontiguousarray(got)) == crc)
             if ok and good is None:
                 good = got
             elif i > 0:

@@ -6,33 +6,44 @@ compressed), the virtual-node SIMD layout within each rank, and the
 vector backend below that.  Tests assert bit-identical agreement with
 the single-rank :class:`repro.grid.wilson.WilsonDirac`.
 
-Two engine upgrades sit on top of the ordered reference sweep:
+Routes, resolved by the engine's :class:`~repro.engine.plan.KernelPlan`:
 
-* **Overlap** — when the engine's resolved
-  :class:`~repro.engine.plan.KernelPlan` says so,
-  :func:`repro.grid.overlap.overlapped_dhop` posts every halo up front
-  and hides the simulated wire latency behind interior compute,
-  bit-identically to the ordered path.
-* **Multi-RHS batching** — a field whose tensor is ``(nrhs, 4, 3)``
-  (see :mod:`repro.grid.multirhs`) is swept column-by-column over one
-  shared set of halo exchanges and neighbour gathers, so ``nrhs``
-  right-hand sides cost exactly the halo messages of one.
+* **Block sweep** (the default on numpy-semantics backends) —
+  :func:`repro.grid.overlap.halo_dhop`: each rank's shard and the face
+  slabs it received, swept through flat halo tables by the single-rank
+  block sweep; every halo message is exactly the slab it is accounted
+  as.  Overlapped (interior sites while the halos fly, then the shell)
+  or ordered.  The operator holds its links and adjoint back-links in
+  the tensor-major working layout, stacked by rank.
+* **Lane-major reference** — ordered exchange through
+  :meth:`DistributedLattice.cshift`, then the layered ops per rank, or
+  the generated kernels under ``codegen``.
+* **Shared-memory ranks** — a transport that runs the sweep in rank
+  processes (:mod:`repro.grid.comms.shmem`).
+
+A field whose tensor is ``(nrhs, 4, 3)`` (see
+:mod:`repro.grid.multirhs`) is swept column by column over one shared
+set of halo messages, so ``nrhs`` right-hand sides cost exactly the
+halo messages of one.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
 
 from repro.engine.operators import OperatorGeometry
-from repro.engine.plan import kernel_plan
+from repro.engine.plan import fused_safe_backend, kernel_plan
 from repro.grid import gamma as g
 from repro.grid.comms import DistributedLattice, LatencyModel
-from repro.grid.overlap import overlapped_dhop
+from repro.grid.lattice import Lattice
+from repro.grid.overlap import halo_dhop
 from repro.grid.tensor import su3_dagger_mul_vec, su3_mul_vec
 from repro.grid.wilson import SPINOR, is_spinor_batch
 from repro.perf.counters import counters as _perf_counters
-from repro.perf.fused import fused_dhop_rank
+from repro.perf.fused import adjoint, from_working, fused_dhop_rank, \
+    to_working
 from repro.telemetry import trace as _telemetry
 
 
@@ -56,9 +67,42 @@ class DistributedWilson:
         self.ndim = len(links[0].gdims)
         if len(self.links) != self.ndim:
             raise ValueError("need one gauge field per direction")
-        # Backward links gathered once (they are static).
-        self.links_back = [self.links[mu].cshift(mu, -1)
-                           for mu in range(self.ndim)]
+        # Backward links gathered once across ranks (they are static).
+        # Where the block sweep can run, each rank keeps its links and
+        # the adjoint back-links in the tensor-major working layout,
+        # and the lane-major back-links are rebuilt from those only if
+        # a layered, codegen or shmem sweep asks for them.
+        back = [self.links[mu].cshift(mu, -1) for mu in range(self.ndim)]
+        self._links_t = self._links_adj_t = None
+        self._links_back_lm = back
+        if fused_safe_backend(self.links[0].grids[0].backend):
+            # Ranks side by side along the site axis (rank r's flat
+            # site f at r * N + f), as the block sweep stacks them.
+            self._links_t = [np.concatenate(
+                [to_working(lat.data) for lat in u.locals], axis=-1)
+                for u in self.links]
+            self._links_adj_t = [np.ascontiguousarray(adjoint(np.concatenate(
+                [to_working(lat.data) for lat in b.locals], axis=-1)))
+                for b in back]
+            self._links_back_lm = None
+
+    @property
+    def links_back(self) -> list:
+        """Lane-major back-links ``U_mu(x - mu)``, one
+        :class:`DistributedLattice` per mu."""
+        if self._links_back_lm is None:
+            back = []
+            for mu, u in enumerate(self.links):
+                lat = u.clone_empty()
+                v = adjoint(self._links_adj_t[mu])
+                n = v.shape[-1] // len(u.grids)
+                for r, grid in enumerate(u.grids):
+                    shard = Lattice(grid, (3, 3))
+                    from_working(v[..., r * n:(r + 1) * n], shard.data)
+                    lat.locals.append(shard)
+                back.append(lat)
+            self._links_back_lm = back
+        return self._links_back_lm
 
     def _zero_like(self, psi: DistributedLattice) -> DistributedLattice:
         out = psi.clone_empty()
@@ -81,10 +125,12 @@ class DistributedWilson:
 
         Dispatch is resolved once by the execution engine (every rank
         shares one backend object, so one :class:`~repro.engine.plan.
-        KernelPlan` covers the whole sweep): overlapped vs ordered
-        exchange, fused vs layered rank-local arithmetic, and batched
-        vs column-by-column multi-RHS handling.  Every route is
-        bit-identical.
+        KernelPlan` covers the whole sweep): block sweep (overlapped or
+        ordered) vs lane-major reference, and batched vs
+        column-by-column multi-RHS handling.  Every route is
+        bit-identical on a pristine or checksummed wire; with fp16
+        halos the reference route rounds different sites (see
+        DESIGN.md §9).
 
         With telemetry tracing on, the sweep is wrapped in a span
         carrying the flop/byte metadata the roofline report consumes
@@ -125,24 +171,24 @@ class DistributedWilson:
             hopped = psi.transport.run_dhop(self, psi, plan)
             if hopped is not None:
                 return hopped
-        if plan.overlap:
-            # Post-all-halos / interior / shells schedule — same
-            # message order and per-site arithmetic as the ordered
-            # sweep below (see repro.grid.overlap for the argument).
-            return overlapped_dhop(self, psi, kplan=plan)
+        if plan.codegen == "off" and (plan.overlap or plan.fused):
+            # The block sweep over each rank's shard and received
+            # slabs; ordered or overlapped (see repro.grid.overlap).
+            return halo_dhop(self, psi, plan)
         if ncols:
             _perf_counters().bump("batched_dhop_calls")
         out = self._zero_like(psi)
         for mu in range(self.ndim):
-            # Halo exchange stays serial and ordered (comms protocol);
-            # only the rank-local arithmetic below is fused/tiled.
+            # The lane-major reference: ordered exchange through the
+            # distributed cshift, then rank-local arithmetic — the
+            # generated kernels under codegen, else the layered ops.
             # A batched psi shares this one exchange across columns.
             fwd = psi.cshift(mu, +1)
             bwd = psi.cshift(mu, -1)
             plan.stages.bump("exchange", 2)
             for r in range(self.ranks.nranks):
                 be = psi.grids[r].backend
-                if plan.fused or plan.codegen != "off":
+                if plan.codegen != "off":
                     for acc, pf, pb in _columns(
                         out.locals[r].data, fwd.locals[r].data,
                         bwd.locals[r].data, ncols,

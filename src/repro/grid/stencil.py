@@ -22,8 +22,8 @@ import numpy as np
 from repro.engine.plan import register_plan_host
 from repro.engine.policy import current_policy
 from repro.grid.cartesian import PARITIES, GridCartesian, GridRedBlack
-from repro.grid.coordinates import indices_of
-from repro.grid.cshift import _lane_rotation_map, _shift_plan, cshift
+from repro.grid.coordinates import coordinate_table, indices_of
+from repro.grid.cshift import _lane_rotation_map, cshift
 from repro.grid.lattice import Lattice
 from repro.perf.counters import counters as _perf_counters
 
@@ -217,41 +217,151 @@ def stencil_cshift(stencil: HaloStencil, lat: Lattice, dim: int,
     return out
 
 
-def halo_dependency(grid: GridCartesian):
-    """Interior/boundary-shell split of the outer-site axis for the
-    rank-decomposed ±1 stencil.
+@dataclass(frozen=True)
+class HaloPart:
+    """One site range of the distributed sweep, over the ranks' stacked
+    sites (rank ``r``'s flat site ``f`` is stacked site ``r * N + f``):
+    the stacked ``sites``, each hop's stacked table restricted to them,
+    and ``scatter``, the ``(12, len(sites))`` flat positions of their
+    values in a ``(12, nranks * N)`` working-layout field."""
 
-    A destination outer site *depends on the dim-``d`` halo* when the
-    shift-by-±1 gather along ``d`` sources any of its lanes across the
-    local (rank) boundary — i.e. the site lands in a ``k >= 1``
-    virtual-node group of that shift.  Returns ``(interior, shells)``:
+    sites: np.ndarray
+    tables: dict
+    scatter: np.ndarray
 
-    * ``interior`` — outer sites touching no halo in any direction
-      (computable while every halo is still in flight);
-    * ``shells[d]`` — outer sites whose *highest* halo-dependent
-      dimension is ``d`` (computable once the halos for dimensions
-      ``<= d`` have landed).
 
-    Together they partition ``range(osites)``, which is what lets the
-    overlap engine (:mod:`repro.grid.overlap`) write every output site
-    exactly once — bit-identity to the ordered sweep by disjointness.
-    Dimensions whose local shift is zero (``ldims[d] == 1``: the whole
-    extent lives on other ranks and the "shift" is a rank renumbering)
-    contribute no halo dependence.
+@dataclass(frozen=True)
+class RankHalo:
+    """Flat gather tables of the rank-decomposed ±1 stencil.
+
+    Every rank has the same local geometry.  A rank's *extended*
+    working array holds its own shard's ``sites`` flat sites, then one
+    received slab per (mu, ±1) — ``width`` columns in all; the ranks'
+    arrays sit side by side, rank ``r``'s at columns ``r * width``
+    onwards, so one sweep covers every rank.  Per ``(mu, sign)``:
+
+    * ``tables`` — for each stacked site, the stacked column of its
+      ``x + sign e_mu`` neighbour: a site of the same rank's shard, or
+      a slot of that rank's slab for this hop — never another rank's
+      columns;
+    * ``faces`` — the flat sites, on the *sending* rank, whose values
+      fill the slab in slot order (the sender's gather);
+    * ``senders`` — the sending rank, per receiving rank;
+    * ``slots`` — the slab's columns in a rank's extended array;
+    * ``wired`` — whether the slab crosses the wire.  It does for every
+      local extent above one, also in a dimension with no rank split
+      (a self-message); with a single-site local extent the neighbour
+      rank's whole shard is the slab and it is handed over as a rank
+      renumbering, without a message, as in
+      :meth:`DistributedLattice.cshift`.
+
+    The face of ``(mu, sign)`` is defined by geometry: the sites whose
+    neighbour wraps the local extent (local coordinate ``ld - 1`` for
+    +mu, ``0`` for -mu), ``lsites / ld`` of them — the slab every halo
+    message is accounted as.  ``interior`` holds the sites whose eight
+    entries are all in their own shard, ``shell`` the rest
+    (:class:`HaloPart`).
     """
-    ndim = grid.ndim
-    depends = np.zeros((ndim, grid.osites), dtype=bool)
-    for dim in range(ndim):
+
+    sites: int
+    width: int
+    tables: dict
+    faces: dict
+    senders: dict
+    slots: dict
+    wired: dict
+    interior: HaloPart
+    shell: HaloPart
+
+
+def _rank_halo(dist) -> RankHalo:
+    """Derive :class:`RankHalo` by shifting an index field with
+    :meth:`DistributedLattice.cshift`, so it cannot disagree with it.
+
+    The field holds each site's global index, encoded as in
+    :func:`_neighbour_table`; after a shift every flat site of every
+    rank holds its neighbour's global index, which the unshifted field
+    maps back to (rank, flat site).
+    """
+    from repro.grid.comms.lattice import DistributedLattice
+
+    grid = dist.grids[0]
+    ranks = dist.ranks
+    n = grid.osites * grid.nlanes
+    field = DistributedLattice(dist.gdims, grid.backend, ranks.mpi_layout,
+                               (), simd_layout=grid.simd_layout,
+                               dtype=grid.dtype)
+    # A pristine in-process wire hands the neighbour's field over
+    # unchanged: take it directly, so no message, counter or queue
+    # entry is charged to the derivation.
+    field._fetch_for = lambda rank, dim: \
+        field.locals[ranks.neighbour(rank, dim, +1)].data
+    hi, lo = np.divmod(np.arange(grid.gsites), _INDEX_RADIX)
+    field.scatter(hi + 1j * lo)
+
+    def decode(f):
+        return [(v.real.astype(np.intp) * _INDEX_RADIX
+                 + v.imag.astype(np.intp)) for v in
+                (lat.data.reshape(n) for lat in f.locals)]
+
+    home = decode(field)  # global site at each rank's flat sites
+    owner = np.empty((2, grid.gsites), dtype=np.intp)
+    for r, g in enumerate(home):
+        owner[0, g] = r
+        owner[1, g] = np.arange(n)
+    coor = coordinate_table(dist.gdims)
+    tables, faces, senders, slots, wired = {}, {}, {}, {}, {}
+    width = n
+    for mu in range(grid.ndim):
+        ld = grid.ldims[mu]
         for sign in (+1, -1):
-            s = (sign % grid.gdims[dim]) % grid.ldims[dim]
-            if s == 0:
-                continue
-            for k, sel, _src, nbr_lanes in _shift_plan(grid, dim, s):
-                if k != 0 and np.any(nbr_lanes):
-                    depends[dim, sel] = True
-    interior = np.nonzero(~depends.any(axis=0))[0]
-    shells = []
-    for d in range(ndim):
-        higher = depends[d + 1:].any(axis=0)
-        shells.append(np.nonzero(depends[d] & ~higher)[0])
-    return interior, shells
+            src = decode(field.cshift(mu, sign))
+            face = coor[home[0], mu] % ld == (ld - 1 if sign > 0 else 0)
+            src_flat = owner[1, src[0]]
+            key = (mu, sign)
+            senders[key] = tuple(ranks.neighbour(r, mu, sign)
+                                 for r in range(ranks.nranks))
+            for r, sender in enumerate(senders[key]):
+                src_rank = owner[0, src[r]]
+                if (np.any(owner[1, src[r]] != src_flat)
+                        or np.any(src_rank[~face] != r)
+                        or np.any(src_rank[face] != sender)):
+                    raise RuntimeError("rank halo tables disagree with "
+                                       "the distributed cshift")
+            h = int(np.count_nonzero(face))
+            table = src_flat.copy()
+            table[face] = width + np.arange(h)
+            tables[key] = table
+            faces[key] = src_flat[face]
+            slots[key] = slice(width, width + h)
+            wired[key] = dist._dist_shift_params(mu, sign)[1] != 0
+            width += h
+    local = np.all(np.stack(list(tables.values())) < n, axis=0)
+    nranks = ranks.nranks
+    offsets = np.arange(nranks)[:, None]
+    stacked = {k: (t + offsets * width).reshape(-1)
+               for k, t in tables.items()}
+
+    def part(mask) -> HaloPart:
+        sites = (np.nonzero(mask)[0] + offsets * n).reshape(-1)
+        return HaloPart(sites, {k: t[sites] for k, t in stacked.items()},
+                        np.arange(12)[:, None] * (nranks * n) + sites)
+
+    return RankHalo(sites=n, width=width, tables=stacked, faces=faces,
+                    senders=senders, slots=slots, wired=wired,
+                    interior=part(local), shell=part(~local))
+
+
+def rank_halo(dist) -> RankHalo:
+    """The :class:`RankHalo` of ``dist``'s geometry, memoized per grid
+    instance like :func:`neighbour_table` (evicted by
+    :func:`repro.engine.plan.clear_plan_caches`; with caches off it is
+    recomputed and not stored)."""
+    grid = dist.grids[0]
+    if not current_policy().caches_active:
+        return _rank_halo(dist)
+    halo = grid.__dict__.get("_rank_halo")
+    if halo is None:
+        halo = grid.__dict__["_rank_halo"] = _rank_halo(dist)
+        register_plan_host(grid)
+    return halo

@@ -43,11 +43,13 @@ reference accumulation element-for-element:
   — the computation is elementwise in sites once the neighbour values
   are in hand, and a gather is an exact copy.
 
-The same body (:func:`_accumulate_direction`) serves the lane-major
-distributed callers (:func:`fused_dhop_rank`, the overlap shells, the
-shared-memory rank workers) through :func:`accumulate_hop`: the body
-takes the position of the spin axis, so each layout runs in its own
-memory order.
+The distributed operator's default route (:mod:`repro.grid.overlap`)
+runs the same blocked sweep (:func:`sweep_blocks`) over the ranks'
+extended working arrays.  The lane-major callers
+(:func:`fused_dhop_rank`, for the shared-memory rank workers and the
+codegen route) share the accumulation body (:func:`_accumulate_direction`)
+through :func:`accumulate_hop`: the body takes the position of the spin
+axis, so each layout runs in its own memory order.
 
 The path is only taken for backends whose arithmetic is *exactly* the
 numpy mixin (``generic``/``fixed``); instruction-counting SVE backends
@@ -289,8 +291,8 @@ def fused_dhop_cb(dirac, psi: Lattice, target, plan=None) -> Lattice:
 
 
 def _sweep(hops, psi: Lattice, grid, plan, link_sites=None) -> Lattice:
-    """The blocked, tiled sweep shared by the full and checkerboard
-    hops.
+    """The single-rank driver of :func:`sweep_blocks`, shared by the
+    full and checkerboard hops.
 
     ``hops`` lists ``(sign, table, links, mu)`` in accumulation order:
     ``table`` maps the output's flat sites on ``grid`` (a full or half
@@ -298,17 +300,11 @@ def _sweep(hops, psi: Lattice, grid, plan, link_sites=None) -> Lattice:
     link field.  Output site ``i`` reads link site ``i``, or with
     ``link_sites`` the full-grid site ``link_sites[i]`` — gathered per
     block, so a half-volume sweep holds no second copy of the links.
+    Blocks are whole outer sites, so each finished block is transposed
+    into one contiguous stretch of the lane-major output.
     """
     ncols = psi.tensor_shape[0] if len(psi.tensor_shape) == 3 else 0
     nl = grid.nlanes
-    if plan is None:
-        tiles = tiles_for(grid.osites)
-        workers = None
-    else:
-        tiles = tiles_for(grid.osites, workers=plan.workers,
-                          min_sites=plan.tile_min_sites)
-        workers = plan.workers
-    step = max(nl, BLOCK_SITES - BLOCK_SITES % nl)  # whole outer sites
     out = Lattice(grid, psi.tensor_shape,
                   np.empty((grid.osites,) + psi.tensor_shape + (nl,),
                            dtype=grid.dtype))
@@ -317,41 +313,71 @@ def _sweep(hops, psi: Lattice, grid, plan, link_sites=None) -> Lattice:
         dst = out.data if j is None else out.data[:, j]
         flat = to_working(src).reshape(12, -1)  # a gather row per (s, c)
 
-        def body(sl) -> None:
-            lo, hi = sl.start * nl, sl.stop * nl
-            size = min(step, hi - lo)
-            acc_buf, nbr_buf = (np.empty(12 * size, dtype=flat.dtype)
-                                for _ in range(2))
-            bufs = [np.empty(6 * size, dtype=flat.dtype) for _ in range(3)]
-            link_buf = None if link_sites is None else \
-                np.empty(9 * size, dtype=flat.dtype)
-            for b0 in range(lo, hi, step):
-                b1 = min(b0 + step, hi)
-                n = b1 - b0
-                acc = acc_buf[:12 * n].reshape(4, 3, n)
-                acc[...] = 0
-                nbr = nbr_buf[:12 * n].reshape(12, n)
-                scratch = [b[:6 * n].reshape(2, 3, n) for b in bufs]
-                for sign, table, links, mu in hops:
-                    # Indices are in range by construction: "clip"
-                    # skips numpy's buffered bounds-checked copy.
-                    np.take(flat, table[b0:b1], axis=1, out=nbr,
-                            mode="clip")
-                    if link_buf is None:
-                        V = links[:, :, b0:b1]
-                    else:
-                        V = link_buf[:9 * n].reshape(3, 3, n)
-                        np.take(links, link_sites[b0:b1], axis=-1, out=V,
-                                mode="clip")
-                    _accumulate_direction(acc, V, nbr.reshape(4, 3, n), mu,
-                                          sign, scratch)
-                from_working(acc, dst[b0 // nl:b1 // nl])
+        def store(acc, b0, b1, dst=dst) -> None:
+            from_working(acc, dst[b0 // nl:b1 // nl])
 
-        run_tiles(body, tiles, workers=workers)
+        ntiles = sweep_blocks(hops, flat, grid.osites * nl, store, plan,
+                              unit=nl, link_sites=link_sites)
     if plan is not None:
         plan.stages.bump("gather", len(hops))
-        plan.stages.bump("compute", len(tiles))
+        plan.stages.bump("compute", ntiles)
     return out
+
+
+def sweep_blocks(hops, flat: np.ndarray, count: int, store, plan,
+                 unit: int = 1, link_sites=None) -> int:
+    """The blocked, tiled sweep over output sites ``0 .. count - 1``;
+    returns the number of tiles.
+
+    ``flat`` is the ``(12, M)`` working-layout source every ``table``
+    of ``hops`` (see :func:`_sweep`) indexes, and ``links[..., i]`` —
+    or with ``link_sites`` ``links[..., link_sites[i]]`` — is output
+    site ``i``'s link.  Each finished block's ``(4, 3, n)``
+    accumulator goes to ``store(acc, b0, b1)``.  Blocks and tiles are
+    whole multiples of ``unit`` sites; tiles allocate their own
+    scratch and store disjoint sites, so they may run on concurrent
+    workers.
+    """
+    if plan is None:
+        tiles = tiles_for(count // unit)
+        workers = None
+    else:
+        tiles = tiles_for(count // unit, workers=plan.workers,
+                          min_sites=plan.tile_min_sites)
+        workers = plan.workers
+    step = max(unit, BLOCK_SITES - BLOCK_SITES % unit)
+
+    def body(sl) -> None:
+        lo, hi = sl.start * unit, sl.stop * unit
+        size = min(step, hi - lo)
+        acc_buf, nbr_buf = (np.empty(12 * size, dtype=flat.dtype)
+                            for _ in range(2))
+        bufs = [np.empty(6 * size, dtype=flat.dtype) for _ in range(3)]
+        link_buf = None if link_sites is None else \
+            np.empty(9 * size, dtype=flat.dtype)
+        for b0 in range(lo, hi, step):
+            b1 = min(b0 + step, hi)
+            n = b1 - b0
+            acc = acc_buf[:12 * n].reshape(4, 3, n)
+            acc[...] = 0
+            nbr = nbr_buf[:12 * n].reshape(12, n)
+            scratch = [b[:6 * n].reshape(2, 3, n) for b in bufs]
+            for sign, table, links, mu in hops:
+                # Indices are in range by construction: "clip" skips
+                # numpy's buffered bounds-checked copy.
+                np.take(flat, table[b0:b1], axis=1, out=nbr, mode="clip")
+                if link_buf is None:
+                    V = links[:, :, b0:b1]
+                else:
+                    V = link_buf[:9 * n].reshape(3, 3, n)
+                    np.take(links, link_sites[b0:b1], axis=-1, out=V,
+                            mode="clip")
+                _accumulate_direction(acc, V, nbr.reshape(4, 3, n), mu,
+                                      sign, scratch)
+            store(acc, b0, b1)
+
+    run_tiles(body, tiles, workers=workers)
+    return len(tiles)
 
 
 def fused_dhop_rank(acc: np.ndarray, links_mu: np.ndarray,

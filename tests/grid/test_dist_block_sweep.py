@@ -1,0 +1,267 @@
+"""The distributed Wilson hop on the block sweep.
+
+Each rank sweeps its own shard plus the face slabs it received, and
+each halo message carries exactly the slab it is accounted as.  Every
+comparison is on raw bytes (float views and sign bits), against the
+engine-off layered sweep and the single-rank ``WilsonDirac.dhop``.
+"""
+
+import numpy as np
+import pytest
+
+import repro.engine as engine
+import repro.grid.overlap as overlap
+from repro.grid.cartesian import GridCartesian
+from repro.grid.comms import DistributedLattice, LatencyModel
+from repro.grid.dist_wilson import DistributedWilson
+from repro.grid.multirhs import split_rhs, stack_rhs
+from repro.grid.random import random_gauge, random_spinor
+from repro.grid.solver import solve_wilson_cgne
+from repro.grid.stencil import rank_halo
+from repro.grid.wilson import WilsonDirac
+from repro.resilience.inject import CommsFault, CommsFaultInjector, \
+    FaultCampaign
+from repro.simd import get_backend
+
+DIMS = [4, 4, 4, 4]
+
+
+@pytest.fixture(autouse=True)
+def _clean_engine_state():
+    engine.reset_all()
+    yield
+    engine.reset_all()
+
+
+def _floats(a: np.ndarray) -> np.ndarray:
+    return a.view(np.float64 if a.dtype == np.complex128 else np.float32)
+
+
+def _assert_bytes_equal(got: np.ndarray, want: np.ndarray) -> None:
+    g, w = _floats(got), _floats(want)
+    assert np.array_equal(g, w)
+    assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+def _setup(backend="generic256", mpi=(2, 1, 1, 1), dims=DIMS,
+           dtype=np.complex128, nrhs=0, **comms):
+    """(single-rank operator, its field, distributed operator, field)."""
+    be = get_backend(backend)
+    grid = GridCartesian(list(dims), be, dtype=dtype)
+    links = random_gauge(grid, seed=11)
+    if nrhs:
+        psi = stack_rhs([random_spinor(grid, seed=7 + j)
+                         for j in range(nrhs)])
+    else:
+        psi = random_spinor(grid, seed=7)
+
+    def dist(canonical, tensor):
+        return DistributedLattice(list(dims), be, list(mpi), tensor,
+                                  dtype=dtype, **comms).scatter(canonical)
+
+    op = DistributedWilson([dist(u.to_canonical(), (3, 3)) for u in links],
+                           mass=0.1)
+    return (WilsonDirac(links, mass=0.1), psi, op,
+            dist(psi.to_canonical(), psi.tensor_shape))
+
+
+class _RecordingHook:
+    """A perfect link that records every wire image it carries."""
+
+    def __init__(self) -> None:
+        self.sizes = []
+
+    def deliver(self, payload, message, attempt, stats=None):
+        self.sizes.append(payload.size)
+        return [payload]
+
+
+class TestWireImageIsTheAccountedSlab:
+    @pytest.mark.parametrize("compress, nrhs", [(False, 0), (True, 0),
+                                                (False, 3)])
+    @pytest.mark.parametrize("overlap_comms", [True, False])
+    def test_payload_bytes_equal_accounted_bytes(self, compress, nrhs,
+                                                 overlap_comms):
+        _w, _psi, op, dpsi = _setup(mpi=(2, 2, 1, 1), nrhs=nrhs,
+                                    compress_halos=compress)
+        hook = dpsi.comms_faults = _RecordingHook()
+        m0, b0 = dpsi.stats.messages, dpsi.stats.bytes_sent
+        with engine.scope(overlap_comms=overlap_comms):
+            op.dhop(dpsi)
+        assert len(hook.sizes) == dpsi.stats.messages - m0 == 2 * 4 * 4
+        assert sum(hook.sizes) == dpsi.stats.bytes_sent - b0
+
+
+class TestShardIsolation:
+    """Poison every other rank's columns once the halos are posted: a
+    rank that reads only its own shard and its received slabs still
+    gets the exact answer."""
+
+    @pytest.mark.parametrize("mpi", [(2, 1, 1, 1), (2, 2, 1, 1),
+                                     (4, 1, 1, 1)])
+    @pytest.mark.parametrize("overlap_comms", [True, False])
+    def test_other_ranks_poisoned_after_post(self, monkeypatch, mpi,
+                                             overlap_comms):
+        _w, _psi, op, dpsi = _setup(mpi=mpi, checksum_halos=True)
+        with engine.scope(overlap_comms=overlap_comms):
+            want = [lat.data.copy() for lat in op.dhop(dpsi).locals]
+        halo = rank_halo(dpsi)
+        sweep_blocks = overlap.sweep_blocks
+        for r in range(dpsi.ranks.nranks):
+            shards = [lat.data.copy() for lat in dpsi.locals]
+
+            def poisoned(hops, flat, *args, r=r, **kwargs):
+                for s in range(dpsi.ranks.nranks):
+                    if s != r:
+                        flat[:, s * halo.width:(s + 1) * halo.width] = \
+                            np.nan
+                        dpsi.locals[s].data[...] = np.nan
+                return sweep_blocks(hops, flat, *args, **kwargs)
+
+            monkeypatch.setattr(overlap, "sweep_blocks", poisoned)
+            with engine.scope(overlap_comms=overlap_comms):
+                got = op.dhop(dpsi).locals[r].data
+            monkeypatch.setattr(overlap, "sweep_blocks", sweep_blocks)
+            for lat, shard in zip(dpsi.locals, shards):
+                lat.data[...] = shard
+            _assert_bytes_equal(got, want[r])
+
+
+LAYOUTS = [
+    (DIMS, (2, 1, 1, 1)),
+    (DIMS, (2, 2, 1, 1)),
+    (DIMS, (1, 1, 2, 2)),
+    (DIMS, (4, 1, 1, 1)),          # local extent 1 in a split dim
+    ([6, 4, 4, 4], (2, 1, 1, 1)),  # odd local extent
+    ([4, 6, 4, 4], (1, 2, 1, 1)),
+    (DIMS, (2, 2, 2, 1)),          # 8 ranks
+]
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("backend", ["generic128", "generic256",
+                                         "generic512"])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("mpi", [(2, 1, 1, 1), (2, 2, 1, 1),
+                                     (1, 1, 2, 2)])
+    def test_backends_and_dtypes(self, backend, dtype, mpi):
+        w, psi, op, dpsi = _setup(backend, mpi, dtype=dtype)
+        got = op.dhop(dpsi).gather()
+        _assert_bytes_equal(got, w.dhop(psi).to_canonical())
+        with engine.scope(enabled=False):
+            layered = op.dhop(dpsi).gather()
+        _assert_bytes_equal(got, layered)
+
+    @pytest.mark.parametrize("dims, mpi", LAYOUTS)
+    def test_rank_layouts(self, dims, mpi):
+        w, psi, op, dpsi = _setup(mpi=mpi, dims=dims)
+        m0 = dpsi.stats.messages
+        got = op.dhop(dpsi).gather()
+        sweep_messages = dpsi.stats.messages - m0
+        _assert_bytes_equal(got, w.dhop(psi).to_canonical())
+        with engine.scope(enabled=False):
+            layered = op.dhop(dpsi).gather()
+        _assert_bytes_equal(got, layered)
+        # Same messages as the layered route's distributed cshift.
+        assert dpsi.stats.messages - m0 == 2 * sweep_messages
+
+    def test_batched_columns(self):
+        w, psi, op, dpsi = _setup(mpi=(2, 2, 1, 1), nrhs=3)
+        got = op.dhop(dpsi).gather()
+        want = stack_rhs([w.dhop(c) for c in split_rhs(psi)])
+        _assert_bytes_equal(got, want.to_canonical())
+        with engine.scope(enabled=False):
+            layered = op.dhop(dpsi).gather()
+        _assert_bytes_equal(got, layered)
+
+    @pytest.mark.parametrize("nrhs", [0, 3])
+    def test_fp16_halos_schedules_agree(self, nrhs):
+        _w, _psi, op, dpsi = _setup(mpi=(2, 2, 1, 1), nrhs=nrhs,
+                                    compress_halos=True)
+        with engine.scope(overlap_comms=False):
+            ordered = op.dhop(dpsi).gather()
+        with engine.scope(overlap_comms=True):
+            overlapped = op.dhop(dpsi).gather()
+        _assert_bytes_equal(overlapped, ordered)
+
+    @pytest.mark.parametrize("kind", ["drop", "corrupt", "truncate",
+                                      "duplicate"])
+    @pytest.mark.parametrize("overlap_comms", [True, False])
+    def test_checksummed_transient_faults_heal(self, kind, overlap_comms):
+        w, psi, _op, _dpsi = _setup(mpi=(2, 2, 1, 1))
+        campaign = FaultCampaign(seed=3, name="block-sweep-comms")
+        injector = CommsFaultInjector(campaign,
+                                      [CommsFault(kind, message=5)])
+        _w, _psi, op, dpsi = _setup(mpi=(2, 2, 1, 1), checksum_halos=True)
+        dpsi.comms_faults = injector
+        with engine.scope(overlap_comms=overlap_comms):
+            got = op.dhop(dpsi).gather()
+        assert campaign.fired >= 1
+        assert dpsi.stats.retries >= 1 or kind == "duplicate"
+        _assert_bytes_equal(got, w.dhop(psi).to_canonical())
+
+    def test_latency_schedules_and_workers(self):
+        _w, _psi, op, dpsi = _setup(
+            mpi=(2, 2, 1, 1), latency=LatencyModel(latency_s=2e-4))
+        results = {}
+        for overlap_comms in (False, True):
+            for workers in (1, 2):
+                with engine.scope(overlap_comms=overlap_comms,
+                                  workers=workers, tile_min_sites=16):
+                    results[overlap_comms, workers] = \
+                        op.dhop(dpsi).gather()
+        ref = results[False, 1]
+        for got in results.values():
+            _assert_bytes_equal(got, ref)
+        assert dpsi.comms_queue.wait_seconds > 0.0
+
+    def test_cg_matches_the_layered_route(self):
+        _w, _psi, op, dpsi = _setup(mpi=(2, 2, 1, 1), checksum_halos=True)
+        got = solve_wilson_cgne(op, dpsi, tol=1e-10, max_iter=40)
+        with engine.scope(enabled=False):
+            want = solve_wilson_cgne(op, dpsi, tol=1e-10, max_iter=40)
+        assert got.iterations == want.iterations
+        _assert_bytes_equal(got.x.gather(), want.x.gather())
+
+
+class TestTablesAndLinks:
+    @pytest.mark.parametrize("dims, mpi", LAYOUTS)
+    def test_tables_replay_the_distributed_cshift(self, dims, mpi):
+        _w, _psi, _op, dpsi = _setup(mpi=mpi, dims=dims)
+        halo = rank_halo(dpsi)
+        n, width = halo.sites, halo.width
+        nranks = dpsi.ranks.nranks
+        flat = [lat.data.reshape(lat.grid.osites, 12, -1)
+                .transpose(1, 0, 2).reshape(12, -1) for lat in dpsi.locals]
+        stacked = np.zeros((12, nranks * width), dtype=flat[0].dtype)
+        for r in range(nranks):
+            stacked[:, r * width:r * width + n] = flat[r]
+            for key, slot in halo.slots.items():
+                stacked[:, r * width + slot.start:r * width + slot.stop] = \
+                    flat[halo.senders[key][r]][:, halo.faces[key]]
+        for (mu, sign), table in halo.tables.items():
+            shifted = dpsi.cshift(mu, sign)
+            for r, lat in enumerate(shifted.locals):
+                want = lat.data.reshape(lat.grid.osites, 12, -1) \
+                    .transpose(1, 0, 2).reshape(12, -1)
+                got = stacked[:, table[r * n:(r + 1) * n]]
+                assert np.array_equal(got, want)
+
+    def test_message_slab_is_the_accounted_halo(self):
+        _w, _psi, _op, dpsi = _setup(mpi=(2, 2, 1, 1))
+        halo = rank_halo(dpsi)
+        for (mu, _sign), faces in halo.faces.items():
+            n_complex, _nbytes = dpsi._halo_sizes_for(mu)
+            assert faces.size * 12 == n_complex
+
+    def test_default_route_leaves_lane_major_back_links_unbuilt(self):
+        _w, _psi, op, dpsi = _setup(mpi=(2, 2, 1, 1))
+        op.dhop(dpsi)
+        assert op._links_back_lm is None
+        with engine.scope(enabled=False):
+            op.dhop(dpsi)
+        assert op._links_back_lm is not None
+        for mu in range(4):
+            want = op.links[mu].cshift(mu, -1)
+            for got, ref in zip(op.links_back[mu].locals, want.locals):
+                _assert_bytes_equal(got.data, ref.data)

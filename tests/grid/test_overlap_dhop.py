@@ -9,9 +9,9 @@ import repro.perf as perf
 from repro.grid.cartesian import GridCartesian
 from repro.grid.comms import DistributedLattice, LatencyModel
 from repro.grid.dist_wilson import DistributedWilson, distribute_gauge
-from repro.grid.overlap import halo_plan_for, overlap_active
+from repro.grid.overlap import overlap_active
 from repro.grid.random import random_gauge, random_spinor
-from repro.grid.stencil import halo_dependency
+from repro.grid.stencil import rank_halo
 from repro.perf.counters import counters, reset_counters
 from repro.resilience.inject import CommsFault, CommsFaultInjector, \
     FaultCampaign
@@ -124,29 +124,23 @@ class TestFaultyComms:
 class TestPartition:
     @pytest.mark.parametrize("mpi", LAYOUTS)
     def test_interior_and_shells_partition_sites(self, mpi):
-        be = get_backend("generic256")
-        grid = GridCartesian(DIMS, be, mpi_layout=mpi)
-        interior, shells = halo_dependency(grid)
-        pieces = [interior] + shells
-        combined = np.concatenate(pieces)
-        assert combined.size == grid.osites
-        assert np.array_equal(np.sort(combined), np.arange(grid.osites))
-
-    def test_shells_assigned_to_highest_dependent_dim(self):
-        # shells[d] holds sites whose *highest* halo-dependent dim is
-        # d, so a site never appears in a later shell than the last
-        # halo it needs — processing shells dim-ascending as halos
-        # land is therefore safe.  The innermost (lane-wrapped) dim
-        # dominates at this local volume.
-        be = get_backend("generic256")
-        grid = GridCartesian(DIMS, be, mpi_layout=[2, 1, 1, 1])
-        interior, shells = halo_dependency(grid)
-        assert shells[-1].size > 0
-        # Deterministic: recomputation gives the same partition.
-        interior2, shells2 = halo_dependency(grid)
-        assert np.array_equal(interior, interior2)
-        for s, s2 in zip(shells, shells2):
-            assert np.array_equal(s, s2)
+        _, dpsi = _setup("generic256", mpi)
+        halo = rank_halo(dpsi)
+        stacked = dpsi.ranks.nranks * halo.sites
+        combined = np.concatenate([halo.interior.sites, halo.shell.sites])
+        assert np.array_equal(np.sort(combined), np.arange(stacked))
+        # Interior sites read only their own shard; every shell site
+        # reads a slab; no site reads another rank's columns.
+        rank = np.arange(stacked) // halo.sites
+        for part in (halo.interior, halo.shell):
+            entries = np.stack(list(part.tables.values()))
+            owner = rank[part.sites]
+            assert np.all(entries // halo.width == owner)
+            in_slab = entries % halo.width >= halo.sites
+            if part is halo.interior:
+                assert not in_slab.any()
+            else:
+                assert in_slab.any(axis=0).all()
 
 
 class TestAccounting:
@@ -165,9 +159,9 @@ class TestAccounting:
         assert c.overlap_dhop_calls == 2
         assert c.halo_posts == dpsi.stats.messages - m0 == 32
         assert c.halo_waits == c.halo_posts
-        # Geometry plan is built once and memoized per grid.
-        plan = halo_plan_for(dpsi)
-        assert halo_plan_for(dpsi) is plan
+        # The halo tables are built once and memoized per grid.
+        halo = rank_halo(dpsi)
+        assert rank_halo(dpsi) is halo
 
     def test_overlap_inactive_when_disabled(self):
         _, dpsi = _setup("generic256", [2, 1, 1, 1])
