@@ -11,8 +11,8 @@ lowering the IR, printing assembly text, re-parsing and re-decoding it
 * **trace plans** — per (kernel, VL, dtype), the resolved execution
   plan: the shared program plus the :class:`~repro.sve.vl.VL` it runs
   at.  A repeated ``run`` with the same key is a *trace hit* (the
-  executor also reuses the handler trace resolved on the program by
-  :mod:`repro.sve.machine`); asking for a different VL or dtype
+  machine also reuses the steps :mod:`repro.sve.machine` bound on the
+  program at that VL); asking for a different VL or dtype
   invalidates the hot trace and rebuilds a plan — results stay
   correct, the counters record the churn.
 

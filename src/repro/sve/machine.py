@@ -1,90 +1,64 @@
 """The SVE machine executor.
 
-Fetch/decode/execute loop over a :class:`repro.sve.program.Program` at a
-fixed vector length — the role ArmIE played in the paper
-(Section V-D): *"The emulator allows for functional code verification
-by emulating SVE instructions ... The SVE vector length is supplied to
-ArmIE as a command-line parameter."*
+Runs a :class:`repro.sve.program.Program` at a fixed vector length — the
+role ArmIE played in the paper (Section V-D): *"The emulator allows for
+functional code verification by emulating SVE instructions ... The SVE
+vector length is supplied to ArmIE as a command-line parameter."*
 
 The machine owns the architectural state (Z/P/X registers, NZCV,
-memory) and dispatches each mnemonic to a handler that unpacks
-registers, calls the pure semantics in :mod:`repro.sve.ops`, and writes
-results back.  A :class:`repro.sve.tracer.Tracer` observes every retired
-instruction; a :class:`repro.sve.faults.FaultModel` may corrupt
-predicate-generating instructions to model the immature-toolchain
-failures of Section V-D.
+memory) and decodes each program once per vector length: a binder
+``(insn, vl, program) -> step`` resolves what depends on the instruction
+and the VL alone — register indices (checked there), element dtypes and
+lane counts, address constants, branch targets, counter amounts,
+``ptrue`` patterns, rotations, condition codes — and the step closure
+reads registers, calls the pure semantics in :mod:`repro.sve.ops`,
+writes the result and returns the next pc (``None`` falls through).  A
+bad instruction binds to a step that raises its error when reached.  The
+steps are kept on the program, keyed by ``VL.bits``; the run loop is
+``pc = steps[pc](machine)``.  A :class:`repro.sve.tracer.Tracer` counts
+the retired instructions (folded in per pc when the run ends); a
+:class:`repro.sve.faults.FaultModel` may corrupt predicate-generating
+instructions to model the immature-toolchain failures of Section V-D.
+Fault hooks and memory reads happen as an instruction-at-a-time
+interpreter makes them: same instructions, same order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import operator
+from collections import defaultdict
+from typing import Optional
 
 import numpy as np
 
 from repro.sve import predicate as predops
-from repro.sve.decoder import (
-    Imm,
-    Instruction,
-    LabelRef,
-    MemOp,
-    Pattern,
-    POp,
-    ShiftSpec,
-    VOp,
-    XOp,
-    ZOp,
-)
+from repro.sve.decoder import Imm, Pattern, POp, ShiftSpec, VOp, XOp, ZOp
 from repro.sve.memory import Memory
 from repro.sve.ops import arith, cplx, convert, loadstore, permute, reduce
 from repro.sve.program import Program
-from repro.sve.regfile import Flags, PRegisterFile, XRegisterFile, ZRegisterFile
-from repro.sve.types import (
-    FLOAT_BY_SUFFIX,
-    INT_BY_SUFFIX,
-    SIZE_BY_SUFFIX,
-    UINT_BY_SUFFIX,
-)
+from repro.sve.regfile import (CONDITIONS, Flags, PRegisterFile,
+                               XRegisterFile, ZRegisterFile)
+from repro.sve.tracer import categorize
+from repro.sve.types import (FLOAT_BY_SUFFIX, INT_BY_SUFFIX, SIZE_BY_SUFFIX,
+                             UINT_BY_SUFFIX)
 from repro.sve.vl import VL
 
 _MASK64 = (1 << 64) - 1
+_STOP = -1  # what ``ret`` returns: retire, then leave the run loop
+_U8, _U64 = np.dtype(np.uint8), np.dtype(np.uint64)
+#: Element size of a counter or load/store mnemonic suffix (``w`` = 4).
+_MNEMONIC_ESIZE = {"b": 1, "h": 2, "w": 4, "d": 8}
 
 
 class SimulationError(RuntimeError):
     """Raised for unimplemented instructions or runaway programs."""
 
 
-#: Class-wide dispatch table, built once on first Machine construction
-#: (it is pure — every handler takes ``(machine, insn)``), so creating a
-#: machine per kernel invocation no longer rebuilds ~130 entries.
-_DISPATCH_TABLE: Optional[dict] = None
-
-
-def _resolve_trace(program: Program, dispatch: dict) -> tuple:
-    """Pre-resolve every instruction of ``program`` to its handler.
-
-    The resolved trace is cached on the program object, so repeated
-    executions of the same (cached) program skip the per-step dispatch
-    lookup — the executor's share of the trace-cache fast path.
-    """
-    cached = getattr(program, "_trace", None)
-    if cached is not None and cached[0] is dispatch:
-        return cached[1]
-    handlers = tuple(dispatch.get(insn.mnemonic)
-                     for insn in program.instructions)
-    program._trace = (dispatch, handlers)
-    return handlers
-
-
 class Machine:
     """Architectural state + executor for one SVE hardware thread."""
 
-    def __init__(
-        self,
-        vl: VL,
-        memory: Optional[Memory] = None,
-        tracer=None,
-        fault_model=None,
-    ) -> None:
+    def __init__(self, vl: VL, memory: Optional[Memory] = None,
+                 tracer=None, fault_model=None) -> None:
         self.vl = vl
         self.mem = memory if memory is not None else Memory()
         self.z = ZRegisterFile(vl)
@@ -95,46 +69,44 @@ class Machine:
         self.faults = fault_model
         self.pc = 0
         self.steps = 0
-        self._dispatch = _dispatch_table()
 
-    # ==================================================================
-    # Public API
-    # ==================================================================
     def run(self, program: Program, max_steps: int = 10_000_000) -> int:
         """Execute ``program`` from instruction 0 until ``ret``.
 
-        Returns the number of retired instructions.
+        Returns the number of retired instructions.  When an instruction
+        raises, ``pc`` is left at it, and ``steps`` and the tracer count
+        the instructions retired before it.
         """
-        self.pc = 0
-        start_steps = self.steps
-        handlers = _resolve_trace(program, self._dispatch)
-        n_insns = len(program)
-        instructions = program.instructions
-        self._program = program
-        while True:
-            if self.pc >= n_insns:
-                break  # fell off the end: treat as return
-            insn = instructions[self.pc]
-            if insn.mnemonic == "ret":
-                self.steps += 1
-                if self.tracer is not None:
-                    self.tracer.record(insn, self.vl)
-                break
-            handler = handlers[self.pc]
-            if handler is None:
-                raise SimulationError(
-                    f"unimplemented instruction: {insn.text!r}"
-                )
-            next_pc = handler(self, insn)
-            if self.tracer is not None:
-                self.tracer.record(insn, self.vl)
-            self.steps += 1
-            if self.steps - start_steps > max_steps:
-                raise SimulationError(
-                    f"program exceeded {max_steps} steps (infinite loop?)"
-                )
-            self.pc = self.pc + 1 if next_pc is None else next_pc
-        return self.steps - start_steps
+        steps, keys, categories = _bind(program, self.vl)
+        n = len(steps)
+        tracer = self.tracer
+        stream = tracer.stream if tracer is not None and tracer.record_stream \
+            else None
+        insns = program.instructions
+        counts: dict = defaultdict(int)  # pc -> retired, first-retired order
+        retired = pc = 0
+        try:
+            while pc < n:
+                nxt = steps[pc](self)
+                counts[pc] += 1
+                retired += 1
+                if stream is not None:
+                    stream.append(insns[pc].text)
+                if nxt is None:
+                    nxt = pc + 1
+                elif nxt < 0:
+                    break  # ret
+                if retired > max_steps:
+                    raise SimulationError(
+                        f"program exceeded {max_steps} steps (infinite loop?)"
+                    )
+                pc = nxt
+        finally:
+            self.pc = pc
+            self.steps += retired
+            if tracer is not None:
+                tracer.retire(counts, keys, categories)
+        return retired
 
     def call(self, program: Program, *args: int, max_steps: int = 10_000_000) -> int:
         """AAPCS-style call: integer args in x0..x7, result from x0."""
@@ -145,872 +117,834 @@ class Machine:
         self.run(program, max_steps=max_steps)
         return self.x.read(0)
 
-    def execute(self, insn: Instruction, program: Program) -> Optional[int]:
-        """Execute one instruction; returns the next pc for branches."""
-        self._program = program
-        handler = self._dispatch.get(insn.mnemonic)
-        if handler is None:
-            raise SimulationError(f"unimplemented instruction: {insn.text!r}")
-        result = handler(self, insn)
-        if self.tracer is not None:
-            self.tracer.record(insn, self.vl)
-        return result
-
-    # ==================================================================
-    # Operand helpers
-    # ==================================================================
-    def _esize(self, op) -> int:
-        if getattr(op, "suffix", None) is None:
-            raise SimulationError(f"operand {op} needs an element suffix")
-        return SIZE_BY_SUFFIX[op.suffix]
-
-    def _zf(self, op: ZOp) -> np.ndarray:
-        """Read a Z register as float elements per its suffix."""
-        return self.z.read(op.idx, FLOAT_BY_SUFFIX[op.suffix])
-
-    def _zi(self, op: ZOp) -> np.ndarray:
-        """Read a Z register as signed integers per its suffix."""
-        return self.z.read(op.idx, INT_BY_SUFFIX[op.suffix])
-
-    def _zu(self, op: ZOp) -> np.ndarray:
-        """Read a Z register as raw unsigned elements per its suffix."""
-        return self.z.read(op.idx, UINT_BY_SUFFIX[op.suffix])
-
-    def _wzf(self, op: ZOp, values: np.ndarray) -> None:
-        self.z.write(op.idx, FLOAT_BY_SUFFIX[op.suffix], values)
-
-    def _wzi(self, op: ZOp, values: np.ndarray) -> None:
-        self.z.write(op.idx, INT_BY_SUFFIX[op.suffix], values)
-
-    def _wzu(self, op: ZOp, values: np.ndarray) -> None:
-        self.z.write(op.idx, UINT_BY_SUFFIX[op.suffix], values)
-
-    def _pred(self, op: POp, esize: int) -> np.ndarray:
-        return self.p.read_elements(op.idx, esize)
-
-    def _address(self, mem: MemOp, esize: int) -> int:
-        addr = self.x.sp if mem.base.is_sp else self.x.read(mem.base.idx)
-        if mem.index is not None:
-            addr += self.x.read(mem.index.idx) << mem.shift
-        if mem.mul_vl:
-            addr += mem.imm * self.vl.bytes
-        else:
-            addr += mem.imm
-        return addr & _MASK64
-
-    def _branch(self, label: LabelRef) -> int:
-        return self._program.target(label.name)
-
-    def _maybe_fault_pred(self, mnemonic: str, active: np.ndarray) -> np.ndarray:
-        if self.faults is not None:
-            return self.faults.filter_predicate(mnemonic, active, self.vl)
-        return active
-
-    # ==================================================================
-    # Scalar handlers
-    # ==================================================================
-    def _i_mov(self, insn: Instruction) -> None:
-        dst, src = insn.operands[0], insn.operands[-1]
-        if isinstance(dst, XOp):
-            if isinstance(src, XOp):
-                self.x.write(dst.idx, self.x.read(src.idx))
-            elif isinstance(src, Imm):
-                self.x.write(dst.idx, int(src.value))
-            else:
-                raise SimulationError(f"bad mov: {insn.text!r}")
-        elif isinstance(dst, ZOp):
-            if isinstance(src, Imm):
-                lanes = self.vl.lanes(self._esize(dst))
-                if isinstance(src.value, float):
-                    self._wzf(dst, arith.dup(lanes, FLOAT_BY_SUFFIX[dst.suffix].dtype, src.value))
-                else:
-                    self._wzi(dst, arith.dup(lanes, INT_BY_SUFFIX[dst.suffix].dtype, src.value))
-            elif isinstance(src, ZOp):
-                self.z.write_bytes(dst.idx, self.z.read_bytes(src.idx))
-            elif isinstance(src, XOp):
-                lanes = self.vl.lanes(self._esize(dst))
-                val = self.x.read(src.idx) & ((1 << (self._esize(dst) * 8)) - 1)
-                self._wzu(dst, arith.dup(lanes, UINT_BY_SUFFIX[dst.suffix].dtype, val))
-            else:
-                raise SimulationError(f"bad mov: {insn.text!r}")
-        elif isinstance(dst, POp):
-            if not isinstance(src, POp):
-                raise SimulationError(f"bad mov: {insn.text!r}")
-            self.p.write_bits(dst.idx, self.p.read_bits(src.idx))
-        else:
-            raise SimulationError(f"bad mov: {insn.text!r}")
-
-    def _i_movprfx(self, insn: Instruction) -> None:
-        dst, src = insn.operands[0], insn.operands[-1]
-        # movprfx zd, zn  /  movprfx zd.T, pg/z|m, zn.T — a plain copy
-        # functionally (the zeroing form also zeroes inactive lanes).
-        if len(insn.operands) == 3 and isinstance(insn.operands[1], POp):
-            pg = insn.operands[1]
-            esize = self._esize(dst)
-            active = self._pred(pg, esize)
-            src_v = self._zu(src)
-            if pg.qualifier == "z":
-                old = np.zeros_like(src_v)
-            else:
-                old = self._zu(ZOp(dst.idx, dst.suffix))
-            self._wzu(dst, np.where(active, src_v, old))
-        else:
-            self.z.write_bytes(dst.idx, self.z.read_bytes(src.idx))
-
-    def _scalar_binop(self, insn: Instruction, fn) -> None:
-        dst, a = insn.operands[0], insn.operands[1]
-        b = insn.operands[2]
-        av = self.x.read(a.idx)
-        if isinstance(b, Imm):
-            bv = int(b.value)
-        else:
-            bv = self.x.read(b.idx)
-            if len(insn.operands) == 4 and isinstance(insn.operands[3], ShiftSpec):
-                spec = insn.operands[3]
-                if spec.kind == "lsl":
-                    bv = (bv << spec.amount) & _MASK64
-                elif spec.kind == "lsr":
-                    bv >>= spec.amount
-        self.x.write(dst.idx, fn(av, bv))
-
-    def _i_add(self, insn: Instruction) -> None:
-        if isinstance(insn.operands[0], ZOp):
-            self._vec_int_binop(insn, arith.add)
-        else:
-            self._scalar_binop(insn, lambda a, b: a + b)
-
-    def _i_sub(self, insn: Instruction) -> None:
-        if isinstance(insn.operands[0], ZOp):
-            self._vec_int_binop(insn, arith.sub)
-        else:
-            self._scalar_binop(insn, lambda a, b: a - b)
-
-    def _i_mul(self, insn: Instruction) -> None:
-        if isinstance(insn.operands[0], ZOp):
-            self._vec_int_binop(insn, arith.mul)
-        else:
-            self._scalar_binop(insn, lambda a, b: a * b)
-
-    def _i_lsl(self, insn: Instruction) -> None:
-        if isinstance(insn.operands[0], ZOp):
-            dst, a, sh = insn.operands
-            self._wzu(dst, arith.lsl(self._zu(a), int(sh.value)))
-            return
-        self._scalar_binop(insn, lambda a, b: (a << b) & _MASK64)
-
-    def _i_lsr(self, insn: Instruction) -> None:
-        if isinstance(insn.operands[0], ZOp):
-            dst, a, sh = insn.operands
-            self._wzu(dst, arith.lsr(self._zi(a), int(sh.value)))
-            return
-        self._scalar_binop(insn, lambda a, b: a >> b)
-
-    def _i_cmp(self, insn: Instruction) -> None:
-        a, b = insn.operands
-        av = self.x.read(a.idx)
-        bv = int(b.value) if isinstance(b, Imm) else self.x.read(b.idx)
-        self.flags.set_from_sub(av, bv)
-
-    def _i_b(self, insn: Instruction) -> Optional[int]:
-        label = insn.operands[0]
-        if insn.cond is None or self.flags.condition(insn.cond):
-            return self._branch(label)
-        return None
-
-    def _i_cbz(self, insn: Instruction) -> Optional[int]:
-        reg, label = insn.operands
-        return self._branch(label) if self.x.read(reg.idx) == 0 else None
-
-    def _i_cbnz(self, insn: Instruction) -> Optional[int]:
-        reg, label = insn.operands
-        return self._branch(label) if self.x.read(reg.idx) != 0 else None
-
-    def _i_rdvl(self, insn: Instruction) -> None:
-        dst, imm = insn.operands
-        self.x.write(dst.idx, self.vl.bytes * int(imm.value))
-
-    def _i_ldr(self, insn: Instruction) -> None:
-        dst, mem = insn.operands
-        if isinstance(dst, XOp):
-            addr = self._address(mem, 8)
-            self.x.write(dst.idx, int(self.mem.read_array(addr, np.uint64, 1)[0]))
-        elif isinstance(dst, ZOp) or isinstance(dst, POp):
-            raise SimulationError("ldr z/p: use ld1 in this simulator")
-        else:
-            raise SimulationError(f"bad ldr: {insn.text!r}")
-
-    def _i_str(self, insn: Instruction) -> None:
-        src, mem = insn.operands
-        if isinstance(src, XOp):
-            addr = self._address(mem, 8)
-            self.mem.write_array(addr, np.array([self.x.read(src.idx)], dtype=np.uint64))
-        else:
-            raise SimulationError(f"bad str: {insn.text!r}")
-
-    # ==================================================================
-    # Predicate handlers
-    # ==================================================================
-    def _i_ptrue(self, insn: Instruction) -> None:
-        dst = insn.operands[0]
-        pattern = "all"
-        if len(insn.operands) > 1 and isinstance(insn.operands[1], Pattern):
-            pattern = insn.operands[1].name
-        esize = self._esize(dst)
-        active = predops.ptrue(self.vl.lanes(esize), pattern)
-        active = self._maybe_fault_pred("ptrue", active)
-        self.p.write_elements(dst.idx, esize, active)
-        if insn.mnemonic == "ptrues":
-            self.flags.set_from_predicate(active)
-
-    def _i_pfalse(self, insn: Instruction) -> None:
-        dst = insn.operands[0]
-        self.p.write_elements(dst.idx, self._esize(dst) if dst.suffix else 1,
-                              predops.pfalse(self.vl.lanes(self._esize(dst) if dst.suffix else 1)))
-
-    def _while(self, insn: Instruction, fn) -> None:
-        dst, a, b = insn.operands
-        esize = self._esize(dst)
-        lanes = self.vl.lanes(esize)
-        active = fn(lanes, self.x.read(a.idx), self.x.read(b.idx))
-        active = self._maybe_fault_pred(insn.mnemonic, active)
-        self.p.write_elements(dst.idx, esize, active)
-        self.flags.set_from_predicate(active)
-
-    def _i_whilelo(self, insn: Instruction) -> None:
-        self._while(insn, predops.whilelo)
-
-    def _i_whilelt(self, insn: Instruction) -> None:
-        self._while(insn, predops.whilelt)
-
-    def _i_brkn(self, insn: Instruction) -> None:
-        dst, pg, pn, pdm = insn.operands
-        esize = 1  # brkn operates at byte granularity
-        governing = self.p.read_elements(pg.idx, esize)
-        res = predops.brkn(
-            governing,
-            self.p.read_elements(pn.idx, esize),
-            self.p.read_elements(pdm.idx, esize),
-        )
-        res = self._maybe_fault_pred(insn.mnemonic, res)
-        self.p.write_elements(dst.idx, esize, res)
-        if insn.mnemonic.endswith("s"):
-            self.flags.set_from_predicate(res)
-
-    def _brk_ab(self, insn: Instruction, fn) -> None:
-        dst, pg, pn = insn.operands
-        esize = 1
-        governing = self.p.read_elements(pg.idx, esize)
-        merging = pg.qualifier == "m"
-        old = self.p.read_elements(dst.idx, esize)
-        res = fn(governing, self.p.read_elements(pn.idx, esize),
-                 merging=merging, pd_old=old)
-        res = self._maybe_fault_pred(insn.mnemonic, res)
-        self.p.write_elements(dst.idx, esize, res)
-        if insn.mnemonic.endswith("s"):
-            self.flags.set_from_predicate(res)
-
-    def _i_brka(self, insn: Instruction) -> None:
-        self._brk_ab(insn, predops.brka)
-
-    def _i_brkb(self, insn: Instruction) -> None:
-        self._brk_ab(insn, predops.brkb)
-
-    def _i_pnext(self, insn: Instruction) -> None:
-        dst, pg, _pdn = insn.operands
-        esize = self._esize(dst)
-        res = predops.pnext(
-            self.p.read_elements(pg.idx, esize),
-            self.p.read_elements(dst.idx, esize),
-        )
-        self.p.write_elements(dst.idx, esize, res)
-        self.flags.set_from_predicate(res)
-
-    def _i_pfirst(self, insn: Instruction) -> None:
-        dst, pg, _pdn = insn.operands
-        esize = 1
-        res = predops.pfirst(
-            self.p.read_elements(pg.idx, esize),
-            self.p.read_elements(dst.idx, esize),
-        )
-        self.p.write_elements(dst.idx, esize, res)
-        self.flags.set_from_predicate(res)
-
-    def _i_ptest(self, insn: Instruction) -> None:
-        pg, pn = insn.operands
-        governing = self.p.read_elements(pg.idx, 1)
-        tested = self.p.read_elements(pn.idx, 1)
-        self.flags.set_from_predicate(governing & tested)
-
-    def _i_cntp(self, insn: Instruction) -> None:
-        dst, pg, pn = insn.operands
-        esize = self._esize(pn)
-        n = predops.cntp(
-            self.p.read_elements(pg.idx, esize),
-            self.p.read_elements(pn.idx, esize),
-        )
-        self.x.write(dst.idx, n)
-
-    def _pred_or_vec_logic(self, insn: Instruction, fn) -> None:
-        dst = insn.operands[0]
-        if isinstance(dst, POp):
-            _, pg, pn, pm = insn.operands
-            g = self.p.read_bits(pg.idx)
-            res = fn(self.p.read_bits(pn.idx), self.p.read_bits(pm.idx))
-            res = res & g  # zeroing predication for predicate logic
-            self.p.write_bits(dst.idx, res)
-            if insn.mnemonic.endswith("s"):
-                self.flags.set_from_predicate(res)
-        elif isinstance(dst, XOp):
-            self._scalar_binop(insn, lambda a, b: int(fn(np.uint64(a), np.uint64(b))))
-        else:
-            self._vec_int_binop(insn, lambda a, b, **kw: fn(a, b))
-
-    def _i_and(self, insn: Instruction) -> None:
-        self._pred_or_vec_logic(insn, lambda a, b: a & b)
-
-    def _i_orr(self, insn: Instruction) -> None:
-        # `mov p1.b, p2.b` decodes as mov; plain orr here.
-        self._pred_or_vec_logic(insn, lambda a, b: a | b)
-
-    def _i_eor(self, insn: Instruction) -> None:
-        self._pred_or_vec_logic(insn, lambda a, b: a ^ b)
-
-    def _i_bic(self, insn: Instruction) -> None:
-        self._pred_or_vec_logic(insn, lambda a, b: a & ~b)
-
-    # ==================================================================
-    # Element counters
-    # ==================================================================
-    _SUFFIX_FROM_CNT = {"b": 1, "h": 2, "w": 4, "d": 8}
-
-    def _cnt_amount(self, insn: Instruction) -> int:
-        esize = self._SUFFIX_FROM_CNT[insn.mnemonic[-1]]
-        lanes = self.vl.lanes(esize)
-        pattern = "all"
-        mul = 1
-        for op in insn.operands[1:]:
-            if isinstance(op, Pattern):
-                pattern = op.name
-            elif isinstance(op, ShiftSpec) and op.kind == "mul":
-                mul = op.amount
-            elif isinstance(op, Imm):
-                mul = int(op.value)
-        count = int(predops.ptrue(lanes, pattern).sum())
-        return count * mul
-
-    def _i_cntx(self, insn: Instruction) -> None:
-        dst = insn.operands[0]
-        self.x.write(dst.idx, self._cnt_amount(insn))
-
-    def _i_incx(self, insn: Instruction) -> None:
-        dst = insn.operands[0]
-        amount = self._cnt_amount(insn)
-        if isinstance(dst, XOp):
-            self.x.write(dst.idx, self.x.read(dst.idx) + amount)
-        else:  # vector form: add the element count to every element
-            self._wzi(dst, arith.add(self._zi(dst), amount))
-
-    def _i_decx(self, insn: Instruction) -> None:
-        dst = insn.operands[0]
-        amount = self._cnt_amount(insn)
-        if isinstance(dst, XOp):
-            self.x.write(dst.idx, self.x.read(dst.idx) - amount)
-        else:
-            self._wzi(dst, arith.sub(self._zi(dst), amount))
-
-    # ==================================================================
-    # Vector moves / immediates
-    # ==================================================================
-    def _i_dup(self, insn: Instruction) -> None:
-        dst, src = insn.operands
-        lanes = self.vl.lanes(self._esize(dst))
-        if isinstance(src, Imm):
-            if isinstance(src.value, float):
-                self._wzf(dst, arith.dup(lanes, FLOAT_BY_SUFFIX[dst.suffix].dtype, src.value))
-            else:
-                self._wzi(dst, arith.dup(lanes, INT_BY_SUFFIX[dst.suffix].dtype, src.value))
-        elif isinstance(src, XOp):
-            mask = (1 << (self._esize(dst) * 8)) - 1
-            self._wzu(dst, arith.dup(lanes, UINT_BY_SUFFIX[dst.suffix].dtype,
-                                     self.x.read(src.idx) & mask))
-        else:
-            raise SimulationError(f"bad dup: {insn.text!r}")
-
-    def _i_fdup(self, insn: Instruction) -> None:
-        dst, src = insn.operands
-        lanes = self.vl.lanes(self._esize(dst))
-        self._wzf(dst, arith.dup(lanes, FLOAT_BY_SUFFIX[dst.suffix].dtype,
-                                 float(src.value)))
-
-    def _i_index(self, insn: Instruction) -> None:
-        dst, base, step = insn.operands
-        lanes = self.vl.lanes(self._esize(dst))
-        bv = int(base.value) if isinstance(base, Imm) else self.x.read_signed(base.idx)
-        sv = int(step.value) if isinstance(step, Imm) else self.x.read_signed(step.idx)
-        self._wzi(dst, arith.index(lanes, INT_BY_SUFFIX[dst.suffix].dtype, bv, sv))
-
-    def _i_sel(self, insn: Instruction) -> None:
-        dst, pg, a, b = insn.operands
-        esize = self._esize(dst)
-        active = self._pred(pg, esize)
-        self._wzu(dst, permute.sel(active, self._zu(a), self._zu(b)))
-
-    # ==================================================================
-    # FP arithmetic handler factories
-    # ==================================================================
-    @staticmethod
-    def _i_fbin(fn):
-        def handler(self, insn: Instruction) -> None:
-            ops = insn.operands
-            if len(ops) == 3 and not isinstance(ops[1], POp):
-                dst, a, b = ops
-                bv = (arith.dup(self.vl.lanes(self._esize(dst)),
-                                FLOAT_BY_SUFFIX[dst.suffix].dtype, float(b.value))
-                      if isinstance(b, Imm) else self._zf(b))
-                self._wzf(dst, fn(self._zf(a), bv))
-            else:  # predicated destructive: fop zd.T, pg/m, zd.T, zm.T|#imm
-                dst, pg, a, b = ops
-                esize = self._esize(dst)
-                active = self._pred(pg, esize)
-                av = self._zf(a)
-                bv = (arith.dup(self.vl.lanes(esize),
-                                FLOAT_BY_SUFFIX[dst.suffix].dtype, float(b.value))
-                      if isinstance(b, Imm) else self._zf(b))
-                old = self._zf(ZOp(dst.idx, dst.suffix))
-                self._wzf(dst, fn(av, bv, pred=active, old=old))
-        return handler
-
-    @staticmethod
-    def _i_funary(fn):
-        def handler(self, insn: Instruction) -> None:
-            if len(insn.operands) == 2:
-                dst, a = insn.operands
-                self._wzf(dst, fn(self._zf(a)))
-            else:
-                dst, pg, a = insn.operands
-                esize = self._esize(dst)
-                active = self._pred(pg, esize)
-                old = self._zf(ZOp(dst.idx, dst.suffix))
-                self._wzf(dst, fn(self._zf(a), pred=active, old=old))
-        return handler
-
-    @staticmethod
-    def _i_fma(fn):
-        def handler(self, insn: Instruction) -> None:
-            dst, pg, a, b = insn.operands
-            esize = self._esize(dst)
-            active = self._pred(pg, esize)
-            acc = self._zf(ZOp(dst.idx, dst.suffix))
-            self._wzf(dst, fn(acc, self._zf(a), self._zf(b), pred=active))
-        return handler
-
-    def _vec_int_binop(self, insn: Instruction, fn) -> None:
-        ops = insn.operands
-        if len(ops) == 3 and not isinstance(ops[1], POp):
-            dst, a, b = ops
-            bv = (int(b.value) if isinstance(b, Imm) else self._zi(b))
-            self._wzi(dst, fn(self._zi(a), bv))
-        else:
-            dst, pg, a, b = ops
-            esize = self._esize(dst)
-            active = self._pred(pg, esize)
-            bv = (int(b.value) if isinstance(b, Imm) else self._zi(b))
-            old = self._zi(ZOp(dst.idx, dst.suffix))
-            self._wzi(dst, np.where(active, fn(self._zi(a), bv), old))
-
-    @staticmethod
-    def _i_vcompare(fn, is_fp: bool, unsigned: bool = False):
-        """Vector compare: ``cmp<cc> pd.T, pg/z, zn.T, zm.T|#imm``."""
-
-        def handler(self, insn: Instruction) -> None:
-            dst, pg, a, b = insn.operands
-            esize = self._esize(dst)
-            governing = self._pred(pg, esize)
-            if is_fp:
-                av = self._zf(a)
-                bv = (np.full_like(av, float(b.value))
-                      if isinstance(b, Imm) else self._zf(b))
-            elif unsigned:
-                av = self._zu(a)
-                bv = (np.full_like(av, int(b.value))
-                      if isinstance(b, Imm) else self._zu(b))
-            else:
-                av = self._zi(a)
-                bv = (np.full_like(av, int(b.value))
-                      if isinstance(b, Imm) else self._zi(b))
-            active = governing & np.asarray(fn(av, bv), dtype=bool)
-            active = self._maybe_fault_pred(insn.mnemonic, active)
-            self.p.write_elements(dst.idx, esize, active)
-            self.flags.set_from_predicate(active)
-
-        return handler
-
-    # ==================================================================
-    # Complex arithmetic
-    # ==================================================================
-    def _i_fcmla(self, insn: Instruction) -> None:
-        dst, pg, a, b, rot = insn.operands
-        esize = self._esize(dst)
-        active = self._pred(pg, esize)
-        acc = self._zf(ZOp(dst.idx, dst.suffix))
-        self._wzf(dst, cplx.fcmla(acc, self._zf(a), self._zf(b),
-                                  int(rot.value), pred=active))
-
-    def _i_fcadd(self, insn: Instruction) -> None:
-        dst, pg, a, b, rot = insn.operands
-        esize = self._esize(dst)
-        active = self._pred(pg, esize)
-        self._wzf(dst, cplx.fcadd(self._zf(a), self._zf(b),
-                                  int(rot.value), pred=active))
-
-    # ==================================================================
-    # Conversions
-    # ==================================================================
-    def _i_fcvt(self, insn: Instruction) -> None:
-        dst, pg, src = insn.operands
-        dst_et = FLOAT_BY_SUFFIX[dst.suffix]
-        src_et = FLOAT_BY_SUFFIX[src.suffix]
-        src_v = self.z.read(src.idx, src_et)
-        if dst_et.size < src_et.size:
-            packed = convert.fcvt_narrow_pack(src_v, dst_et.dtype)
-            self.z.write(dst.idx, dst_et, packed)
-        elif dst_et.size > src_et.size:
-            widened = convert.fcvt_widen_unpack(src_v, dst_et.dtype)
-            self.z.write(dst.idx, dst_et, widened)
-        else:
-            self.z.write(dst.idx, dst_et, src_v)
-
-    def _i_scvtf(self, insn: Instruction) -> None:
-        dst, pg, src = insn.operands
-        active = self._pred(pg, self._esize(dst))
-        old = self._zf(ZOp(dst.idx, dst.suffix))
-        self._wzf(dst, convert.scvtf(self._zi(src),
-                                     FLOAT_BY_SUFFIX[dst.suffix].dtype,
-                                     pred=active, old=old))
-
-    def _i_fcvtzs(self, insn: Instruction) -> None:
-        dst, pg, src = insn.operands
-        active = self._pred(pg, self._esize(dst))
-        old = self._zi(ZOp(dst.idx, dst.suffix))
-        self._wzi(dst, convert.fcvtzs(self._zf(src),
-                                      INT_BY_SUFFIX[dst.suffix].dtype,
-                                      pred=active, old=old))
-
-    # ==================================================================
-    # Loads and stores
-    # ==================================================================
-    _MEM_ESIZE = {"b": 1, "h": 2, "w": 4, "d": 8}
-
-    def _ldst_parts(self, insn: Instruction):
-        reglist, pg, mem = insn.operands
-        # "stnt1d" (non-temporal/streaming store) parses like "st1d";
-        # the memory-ordering hint has no functional effect here.
-        mnem = insn.mnemonic.replace("nt", "", 1)
-        n = int(mnem[2])
-        esize = self._MEM_ESIZE[mnem[3]]
-        if len(reglist.regs) != n:
-            raise SimulationError(
-                f"{insn.mnemonic} needs {n} registers: {insn.text!r}"
-            )
-        return reglist.regs, pg, mem, n, esize
-
-    def _i_ldn(self, insn: Instruction) -> None:
-        regs, pg, mem, n, esize = self._ldst_parts(insn)
-        active = self._pred(pg, esize)
-        addr = self._address(mem, esize)
-        etype = UINT_BY_SUFFIX[regs[0].suffix or "d"]
-        if etype.size != esize:
-            # e.g. ld1w into .d lanes would be an extending load; the
-            # paper's kernels never need those.
-            raise SimulationError(f"extending loads unsupported: {insn.text!r}")
-        if mem.zindex is not None:
-            if n != 1:
-                raise SimulationError(
-                    f"gather addressing needs a single register: {insn.text!r}"
-                )
-            base = self.x.sp if mem.base.is_sp else self.x.read(mem.base.idx)
-            offsets = self.z.read(mem.zindex.idx, INT_BY_SUFFIX[
-                mem.zindex.suffix or regs[0].suffix or "d"])
-            values = loadstore.ld1_gather(
-                self.mem, base, offsets, active, etype.dtype,
-                scale=1 << mem.shift,
-            )
-            self.z.write(regs[0].idx, etype, values)
-            return
-        if n == 1:
-            values = loadstore.ld1(self.mem, addr, active, etype.dtype)
-            self.z.write(regs[0].idx, etype, values)
-        else:
-            vecs = loadstore.ldn(self.mem, addr, active, etype.dtype, n)
-            for reg, v in zip(regs, vecs):
-                self.z.write(reg.idx, etype, v)
-
-    def _i_stn(self, insn: Instruction) -> None:
-        regs, pg, mem, n, esize = self._ldst_parts(insn)
-        active = self._pred(pg, esize)
-        addr = self._address(mem, esize)
-        etype = UINT_BY_SUFFIX[regs[0].suffix or "d"]
-        if etype.size != esize:
-            raise SimulationError(f"truncating stores unsupported: {insn.text!r}")
-        if mem.zindex is not None:
-            if n != 1:
-                raise SimulationError(
-                    f"scatter addressing needs a single register: {insn.text!r}"
-                )
-            base = self.x.sp if mem.base.is_sp else self.x.read(mem.base.idx)
-            offsets = self.z.read(mem.zindex.idx, INT_BY_SUFFIX[
-                mem.zindex.suffix or regs[0].suffix or "d"])
-            loadstore.st1_scatter(
-                self.mem, base, offsets, active,
-                self.z.read(regs[0].idx, etype), scale=1 << mem.shift,
-            )
-            return
-        if n == 1:
-            loadstore.st1(self.mem, addr, active, self.z.read(regs[0].idx, etype))
-        else:
-            vecs = [self.z.read(r.idx, etype) for r in regs]
-            loadstore.stn(self.mem, addr, active, vecs)
-
-    # ==================================================================
-    # Permutes
-    # ==================================================================
-    @staticmethod
-    def _i_perm2(fn):
-        def handler(self, insn: Instruction) -> None:
-            dst, a, b = insn.operands
-            self._wzu(dst, fn(self._zu(a), self._zu(b)))
-        return handler
-
-    def _i_rev(self, insn: Instruction) -> None:
-        dst, a = insn.operands
-        self._wzu(dst, permute.rev(self._zu(a)))
-
-    def _i_ext(self, insn: Instruction) -> None:
-        dst, a, b, imm = insn.operands
-        esize = self._esize(dst) if dst.suffix else 1
-        self._wzu(dst, permute.ext(self._zu(ZOp(a.idx, dst.suffix or "b")),
-                                   self._zu(ZOp(b.idx, dst.suffix or "b")),
-                                   int(imm.value), esize))
-
-    def _i_tbl(self, insn: Instruction) -> None:
-        dst, a, idx = insn.operands
-        self._wzu(dst, permute.tbl(self._zu(a), self._zu(idx)))
-
-    def _i_splice(self, insn: Instruction) -> None:
-        dst, pg, a, b = insn.operands
-        active = self._pred(pg, self._esize(dst))
-        self._wzu(dst, permute.splice(active, self._zu(a), self._zu(b)))
-
-    def _i_compact(self, insn: Instruction) -> None:
-        dst, pg, a = insn.operands
-        active = self._pred(pg, self._esize(dst))
-        self._wzu(dst, permute.compact(active, self._zu(a)))
-
-    def _i_insr(self, insn: Instruction) -> None:
-        dst, src = insn.operands
-        if isinstance(src, XOp):
-            val = self.x.read(src.idx) & ((1 << (self._esize(dst) * 8)) - 1)
-            self._wzu(dst, permute.insr(self._zu(dst), val))
-        else:
-            raise SimulationError(f"bad insr: {insn.text!r}")
-
-    def _lastab(self, insn: Instruction, fn) -> None:
-        dst, pg, a = insn.operands
-        esize = self._esize(a)
-        active = self._pred(pg, esize)
-        val = fn(active, self._zu(a))
-        if isinstance(dst, XOp):
-            self.x.write(dst.idx, int(val))
-        else:  # FP scalar destination: low element of the z register
-            self._write_fp_scalar(dst, float(self.z.read(a.idx, FLOAT_BY_SUFFIX[a.suffix])[0]))
-
-    def _i_lasta(self, insn: Instruction) -> None:
-        self._lastab(insn, permute.lasta)
-
-    def _i_lastb(self, insn: Instruction) -> None:
-        self._lastab(insn, permute.lastb)
-
-    # ==================================================================
-    # Reductions (scalar FP destination = low element of z, rest zeroed)
-    # ==================================================================
-    def _write_fp_scalar(self, dst: VOp, value: float) -> None:
-        et = FLOAT_BY_SUFFIX[dst.suffix]
-        lanes = self.vl.lanes(et.size)
-        vec = np.zeros(lanes, dtype=et.dtype)
-        vec[0] = value
-        self.z.write(dst.idx, et, vec)
-
     def read_fp_scalar(self, idx: int, suffix: str = "d") -> float:
         """Read a ``d<idx>``/``s<idx>`` scalar (low element of z<idx>)."""
         return float(self.z.read(idx, FLOAT_BY_SUFFIX[suffix])[0])
 
-    def _i_faddv(self, insn: Instruction) -> None:
-        dst, pg, src = insn.operands
-        esize = self._esize(src)
-        active = self._pred(pg, esize)
-        val = reduce.faddv(active, self._zf(src))
-        self._write_fp_scalar(VOp(dst.idx, dst.suffix), float(val))
 
-    def _i_fadda(self, insn: Instruction) -> None:
-        dst, pg, init, src = insn.operands
-        esize = self._esize(src)
-        active = self._pred(pg, esize)
-        init_v = self.read_fp_scalar(init.idx, init.suffix)
-        val = reduce.fadda(active, init_v, self._zf(src))
-        self._write_fp_scalar(VOp(dst.idx, dst.suffix), float(val))
+# ---- Binding -------------------------------------------------------
 
-    @staticmethod
-    def _i_freduce(fn):
-        def handler(self, insn: Instruction) -> None:
-            dst, pg, src = insn.operands
-            esize = self._esize(src)
-            active = self._pred(pg, esize)
-            val = fn(active, self._zf(src))
-            self._write_fp_scalar(VOp(dst.idx, dst.suffix), float(val))
-        return handler
+def _bind(program: Program, vl: VL) -> tuple:
+    """(steps, tracer keys, tracer categories) per pc of ``program`` at
+    ``vl``, bound on first use and kept on the program."""
+    bound = program._bound.get(vl.bits)
+    if bound is None:
+        insns = program.instructions
+        bound = program._bound[vl.bits] = (
+            tuple(_bind_one(insn, vl, program) for insn in insns),
+            tuple(i.mnemonic if i.cond is None else f"b.{i.cond}"
+                  for i in insns),
+            tuple(categorize(i.mnemonic) for i in insns),
+        )
+    return bound
 
-    def _i_saddv(self, insn: Instruction) -> None:
-        dst, pg, src = insn.operands
-        esize = self._esize(src)
-        active = self._pred(pg, esize)
-        val = reduce.saddv(active, self._zi(src))
-        if isinstance(dst, VOp):
-            lanes = self.vl.lanes(8)
-            vec = np.zeros(lanes, dtype=np.uint64)
-            vec[0] = val
-            self.z.write(dst.idx, UINT_BY_SUFFIX["d"], vec)
+
+def _bind_one(insn, vl: VL, program: Program):
+    binder = _BINDERS.get(insn.mnemonic)
+    try:
+        if binder is None:
+            raise SimulationError(f"unimplemented instruction: {insn.text!r}")
+        return binder(insn, vl, program)
+    except Exception as exc:  # raised when (and only if) it is reached
+        kind, args = type(exc), exc.args
+
+        def fail(m):
+            raise kind(*args)
+        return fail
+
+
+# Bind-time operand helpers.  ``_z``/``_p``/``_x`` check a register
+# index; ``_zf``/``_zi``/``_zu`` give (dtype, index) of a Z operand read
+# as floats, signed or unsigned integers per its suffix.
+
+def _index_checker(limit: int, what: str, letter: str):
+    def check(op) -> int:
+        if not 0 <= op.idx < limit:
+            raise IndexError(f"no such {what} register {letter}{op.idx}")
+        return op.idx
+    return check
+
+
+_z = _index_checker(ZRegisterFile.NREGS, "vector", "z")
+_p = _index_checker(PRegisterFile.NREGS, "predicate", "p")
+_x = _index_checker(XRegisterFile.XZR + 1, "general-purpose", "x")
+
+
+def _reader(table):
+    return lambda op: (table[op.suffix].dtype, _z(op))
+
+
+_zf, _zi, _zu = (_reader(FLOAT_BY_SUFFIX), _reader(INT_BY_SUFFIX),
+                 _reader(UINT_BY_SUFFIX))
+
+
+def _esize(op) -> int:
+    if getattr(op, "suffix", None) is None:
+        raise SimulationError(f"operand {op} needs an element suffix")
+    return SIZE_BY_SUFFIX[op.suffix]
+
+
+def _filter(m: Machine, mnemonic: str, active: np.ndarray) -> np.ndarray:
+    """The fault model's view of a freshly generated predicate."""
+    if m.faults is not None:
+        return m.faults.filter_predicate(mnemonic, active, m.vl)
+    return active
+
+
+def _address(mem, vl: VL):
+    """``addr(machine)`` for a base/index/immediate memory operand."""
+    base = None if mem.base.is_sp else _x(mem.base)
+    index = None if mem.index is None else _x(mem.index)
+    shift, off = mem.shift, mem.imm * vl.bytes if mem.mul_vl else mem.imm
+
+    def addr(m):
+        a = m.x.sp if base is None else m.x.regs[base]
+        if index is not None:
+            a += m.x.regs[index] << shift
+        return (a + off) & _MASK64
+    return addr
+
+
+def _jump(program: Program, label):
+    """``go()`` -> the branch target's pc.  A label that does not resolve
+    is looked up (and raises) again only when the branch is taken."""
+    try:
+        target = program.target(label.name)
+    except Exception:
+        return lambda: program.target(label.name)
+    return lambda: target
+
+
+def _put_fp_scalar(m: Machine, idx: int, dtype, value) -> None:
+    """Scalar FP destination: low element of z<idx>, the rest zeroed."""
+    vec = np.zeros(m.z.views[dtype].shape[1], dtype=dtype)
+    vec[0] = value
+    m.z.put(idx, dtype, vec)
+
+
+# ---- Scalar binders ------------------------------------------------
+
+def _nop(insn, vl, program):
+    return lambda m: None
+
+
+def _ret(insn, vl, program):
+    return lambda m: _STOP
+
+
+def _mov(insn, vl, program):
+    dst, src = insn.operands[0], insn.operands[-1]
+    if isinstance(dst, XOp):
+        d = _x(dst)
+        if isinstance(src, XOp):
+            s = _x(src)
+            return lambda m: m.x.write(d, m.x.regs[s])
+        if isinstance(src, Imm):
+            value = int(src.value)
+            return lambda m: m.x.write(d, value)
+    elif isinstance(dst, ZOp):
+        if isinstance(src, ZOp):
+            return _copy_z(dst, src)
+        if isinstance(src, (Imm, XOp)):
+            return _broadcast(insn, dst, src, vl)
+    elif isinstance(dst, POp) and isinstance(src, POp):
+        d, s = _p(dst), _p(src)
+        return lambda m: m.p.bits.__setitem__(d, m.p.bits[s])
+    raise SimulationError(f"bad mov: {insn.text!r}")
+
+
+def _copy_z(dst, src):
+    s, d = _z(src), _z(dst)
+    return lambda m: m.z.views[_U8].__setitem__(d, m.z.views[_U8][s])
+
+
+def _movprfx(insn, vl, program):
+    dst, src = insn.operands[0], insn.operands[-1]
+    # movprfx zd, zn  /  movprfx zd.T, pg/z|m, zn.T — a plain copy
+    # functionally (the zeroing form also zeroes inactive lanes).
+    if not (len(insn.operands) == 3 and isinstance(insn.operands[1], POp)):
+        return _copy_z(dst, src)
+    pg = insn.operands[1]
+    esize, p = _esize(dst), _p(pg)
+    (sdt, s), (dt, d) = _zu(src), _zu(dst)
+    zeroing = pg.qualifier == "z"
+
+    def step(m):
+        src_v = m.z.views[sdt][s]
+        old = np.zeros_like(src_v) if zeroing else m.z.views[dt][d]
+        m.z.put(d, dt, np.where(m.p.bits[p, ::esize], src_v, old))
+    return step
+
+
+def _scalar_binop(insn, fn):
+    dst, a, b = insn.operands[0], insn.operands[1], insn.operands[2]
+    d, ai = _x(dst), _x(a)
+    if isinstance(b, Imm):
+        bv = int(b.value)
+        return lambda m: m.x.write(d, fn(m.x.regs[ai], bv))
+    bi, kind, amount = _x(b), None, 0
+    if len(insn.operands) == 4 and isinstance(insn.operands[3], ShiftSpec):
+        kind, amount = insn.operands[3].kind, insn.operands[3].amount
+
+    def step(m):
+        bv = m.x.regs[bi]
+        if kind == "lsl":
+            bv = (bv << amount) & _MASK64
+        elif kind == "lsr":
+            bv >>= amount
+        m.x.write(d, fn(m.x.regs[ai], bv))
+    return step
+
+
+def _vec_int_binop(insn, fn):
+    ops = insn.operands
+    predicated = not (len(ops) == 3 and not isinstance(ops[1], POp))
+    if predicated:
+        dst, pg, a, b = ops
+        esize, p = _esize(dst), _p(pg)
+    else:
+        dst, a, b = ops
+    bimm, (bdt, bi) = (int(b.value), (None, None)) if isinstance(b, Imm) \
+        else (None, _zi(b))
+    (adt, ai), (dt, d) = _zi(a), _zi(dst)
+
+    def step(m):
+        rows = m.z.views
+        r = fn(rows[adt][ai], bimm if bdt is None else rows[bdt][bi])
+        if predicated:
+            r = np.where(m.p.bits[p, ::esize], r, rows[dt][d])
+        m.z.put(d, dt, r)
+    return step
+
+
+def _int_alu(scalar_fn, vec_fn):
+    def bind(insn, vl, program):
+        if isinstance(insn.operands[0], ZOp):
+            return _vec_int_binop(insn, vec_fn)
+        return _scalar_binop(insn, scalar_fn)
+    return bind
+
+
+def _shift(scalar_fn, vec_fn, src_reader):
+    def bind(insn, vl, program):
+        if not isinstance(insn.operands[0], ZOp):
+            return _scalar_binop(insn, scalar_fn)
+        dst, a, sh = insn.operands
+        (adt, ai), (dt, d), amount = src_reader(a), _zu(dst), int(sh.value)
+        return lambda m: m.z.put(d, dt, vec_fn(m.z.views[adt][ai], amount))
+    return bind
+
+
+def _cmp(insn, vl, program):
+    a, b = insn.operands
+    ai = _x(a)
+    if isinstance(b, Imm):
+        bv = int(b.value)
+        return lambda m: m.flags.set_from_sub(m.x.regs[ai], bv)
+    bi = _x(b)
+    return lambda m: m.flags.set_from_sub(m.x.regs[ai], m.x.regs[bi])
+
+
+def _branch(insn, vl, program):
+    go = _jump(program, insn.operands[0])
+    if insn.cond is None:
+        return lambda m: go()
+    cond = insn.cond.lower()
+    # An unknown code raises Flags.condition's error when executed.
+    test = CONDITIONS.get(cond) or (lambda f: f.condition(cond))
+    return lambda m: go() if test(m.flags) else None
+
+
+def _cbz(taken_if_zero: bool):
+    def bind(insn, vl, program):
+        reg, label = insn.operands
+        r, go = _x(reg), _jump(program, label)
+        return lambda m: go() if (m.x.regs[r] == 0) == taken_if_zero \
+            else None
+    return bind
+
+
+def _rdvl(insn, vl, program):
+    dst, imm = insn.operands
+    d, value = _x(dst), vl.bytes * int(imm.value)
+    return lambda m: m.x.write(d, value)
+
+
+def _ldr(insn, vl, program):
+    dst, mem = insn.operands
+    if isinstance(dst, XOp):
+        addr, d = _address(mem, vl), _x(dst)
+        return lambda m: m.x.write(
+            d, int(m.mem.read_array(addr(m), np.uint64, 1)[0]))
+    if isinstance(dst, (ZOp, POp)):
+        raise SimulationError("ldr z/p: use ld1 in this simulator")
+    raise SimulationError(f"bad ldr: {insn.text!r}")
+
+
+def _str(insn, vl, program):
+    src, mem = insn.operands
+    if not isinstance(src, XOp):
+        raise SimulationError(f"bad str: {insn.text!r}")
+    addr, s = _address(mem, vl), _x(src)
+    return lambda m: m.mem.write_array(
+        addr(m), np.array([m.x.regs[s]], dtype=np.uint64))
+
+
+# ---- Predicate binders ---------------------------------------------
+
+def _ptrue(insn, vl, program):
+    dst = insn.operands[0]
+    pattern = "all"
+    if len(insn.operands) > 1 and isinstance(insn.operands[1], Pattern):
+        pattern = insn.operands[1].name
+    esize = _esize(dst)
+    lanes, d = vl.lanes(esize), _p(dst)
+    predops.ptrue(lanes, pattern)  # an unknown pattern fails here
+    return lambda m: m.p.put_elements(
+        d, esize, _filter(m, "ptrue", predops.ptrue(lanes, pattern)))
+
+
+def _pfalse(insn, vl, program):
+    dst = insn.operands[0]
+    esize = _esize(dst) if dst.suffix else 1
+    lanes, d = vl.lanes(esize), _p(dst)
+    return lambda m: m.p.put_elements(d, esize, predops.pfalse(lanes))
+
+
+def _write_pred(m, d, esize, active, set_flags=True):
+    """Write a generated predicate to p<d>, and NZCV from it."""
+    m.p.put_elements(d, esize, active)
+    if set_flags:
+        m.flags.set_from_predicate(active)
+
+
+def _while(fn):
+    def bind(insn, vl, program):
+        dst, a, b = insn.operands
+        esize = _esize(dst)
+        lanes, d, ai, bi = vl.lanes(esize), _p(dst), _x(a), _x(b)
+        mnemonic = insn.mnemonic
+        return lambda m: _write_pred(m, d, esize, _filter(
+            m, mnemonic, fn(lanes, m.x.regs[ai], m.x.regs[bi])))
+    return bind
+
+
+def _brkn(insn, vl, program):
+    # brkn operates at byte granularity
+    dst, pg, pn, pdm = insn.operands
+    d, g, n, dm = _p(dst), _p(pg), _p(pn), _p(pdm)
+    mnemonic, set_flags = insn.mnemonic, insn.mnemonic.endswith("s")
+    return lambda m: _write_pred(m, d, 1, _filter(m, mnemonic, predops.brkn(
+        m.p.bits[g], m.p.bits[n], m.p.bits[dm])), set_flags)
+
+
+def _brk_ab(fn):
+    def bind(insn, vl, program):
+        dst, pg, pn = insn.operands
+        d, g, n = _p(dst), _p(pg), _p(pn)
+        merging = pg.qualifier == "m"
+        mnemonic, set_flags = insn.mnemonic, insn.mnemonic.endswith("s")
+        return lambda m: _write_pred(m, d, 1, _filter(m, mnemonic, fn(
+            m.p.bits[g], m.p.bits[n], merging=merging, pd_old=m.p.bits[d])),
+            set_flags)
+    return bind
+
+
+def _pnext(insn, vl, program):
+    dst, pg, _pdn = insn.operands
+    esize = _esize(dst)
+    d, g = _p(dst), _p(pg)
+    return lambda m: _write_pred(m, d, esize, predops.pnext(
+        m.p.bits[g, ::esize], m.p.bits[d, ::esize]))
+
+
+def _pfirst(insn, vl, program):
+    dst, pg, _pdn = insn.operands
+    d, g = _p(dst), _p(pg)
+    return lambda m: _write_pred(
+        m, d, 1, predops.pfirst(m.p.bits[g], m.p.bits[d]))
+
+
+def _ptest(insn, vl, program):
+    pg, pn = insn.operands
+    g, n = _p(pg), _p(pn)
+    return lambda m: m.flags.set_from_predicate(m.p.bits[g] & m.p.bits[n])
+
+
+def _cntp(insn, vl, program):
+    dst, pg, pn = insn.operands
+    esize = _esize(pn)
+    d, g, n = _x(dst), _p(pg), _p(pn)
+    return lambda m: m.x.write(
+        d, predops.cntp(m.p.bits[g, ::esize], m.p.bits[n, ::esize]))
+
+
+def _logic(fn):
+    """``and``/``orr``/``eor``/``bic`` (and the flag-setting ``-s``
+    forms) on predicates, X registers or Z registers."""
+    def bind(insn, vl, program):
+        dst = insn.operands[0]
+        if isinstance(dst, XOp):
+            return _scalar_binop(
+                insn, lambda a, b: int(fn(np.uint64(a), np.uint64(b))))
+        if not isinstance(dst, POp):
+            return _vec_int_binop(insn, lambda a, b, **kw: fn(a, b))
+        _, pg, pn, pm = insn.operands
+        d, g, n, mm = _p(dst), _p(pg), _p(pn), _p(pm)
+        set_flags = insn.mnemonic.endswith("s")
+
+        def step(m):
+            bits = m.p.bits
+            # zeroing predication for predicate logic
+            bits[d] = res = fn(bits[n], bits[mm]) & bits[g]
+            if set_flags:
+                m.flags.set_from_predicate(res)
+        return step
+    return bind
+
+
+# ---- Element counters ----------------------------------------------
+
+def _cnt_amount(insn, vl: VL) -> int:
+    lanes = vl.lanes(_MNEMONIC_ESIZE[insn.mnemonic[-1]])
+    pattern = "all"
+    mul = 1
+    for op in insn.operands[1:]:
+        if isinstance(op, Pattern):
+            pattern = op.name
+        elif isinstance(op, ShiftSpec) and op.kind == "mul":
+            mul = op.amount
+        elif isinstance(op, Imm):
+            mul = int(op.value)
+    return int(predops.ptrue(lanes, pattern).sum()) * mul
+
+
+def _cnt(insn, vl, program):
+    d, amount = _x(insn.operands[0]), _cnt_amount(insn, vl)
+    return lambda m: m.x.write(d, amount)
+
+
+def _inc(sign: int):
+    """``inc*`` (``sign`` 1) and ``dec*`` (-1), scalar or vector."""
+    def bind(insn, vl, program):
+        dst = insn.operands[0]
+        amount = _cnt_amount(insn, vl)
+        if isinstance(dst, XOp):
+            d, delta = _x(dst), sign * amount
+            return lambda m: m.x.write(d, m.x.regs[d] + delta)
+        # vector form: add the element count to every element
+        (dt, d), fn = _zi(dst), arith.add if sign > 0 else arith.sub
+        return lambda m: m.z.put(d, dt, fn(m.z.views[dt][d], amount))
+    return bind
+
+
+# ---- Vector moves / immediates (``mov z, #imm|x`` is ``dup``) ------
+
+def _dup(insn, vl, program):
+    dst, src = insn.operands
+    return _broadcast(insn, dst, src, vl)
+
+
+def _broadcast(insn, dst, src, vl: VL):
+    lanes = vl.lanes(_esize(dst))
+    if isinstance(src, Imm):
+        table = FLOAT_BY_SUFFIX if isinstance(src.value, float) \
+            else INT_BY_SUFFIX
+        dt, d = table[dst.suffix].dtype, _z(dst)
+        vec = arith.dup(lanes, dt, src.value)
+        return lambda m: m.z.put(d, dt, vec)
+    if isinstance(src, XOp):
+        mask = (1 << (_esize(dst) * 8)) - 1
+        (dt, d), s = _zu(dst), _x(src)
+        return lambda m: m.z.put(
+            d, dt, arith.dup(lanes, dt, m.x.regs[s] & mask))
+    raise SimulationError(f"bad dup: {insn.text!r}")
+
+
+def _fdup(insn, vl, program):
+    dst, src = insn.operands
+    lanes = vl.lanes(_esize(dst))
+    dt, d = _zf(dst)
+    vec = arith.dup(lanes, dt, float(src.value))
+    return lambda m: m.z.put(d, dt, vec)
+
+
+def _index(insn, vl, program):
+    dst, base, step = insn.operands
+    lanes = vl.lanes(_esize(dst))
+
+    def operand(op):
+        if isinstance(op, Imm):
+            value = int(op.value)
+            return lambda m: value
+        r = _x(op)
+        return lambda m: m.x.read_signed(r)
+    bv, sv, (dt, d) = operand(base), operand(step), _zi(dst)
+    return lambda m: m.z.put(d, dt, arith.index(lanes, dt, bv(m), sv(m)))
+
+
+# ---- FP arithmetic -------------------------------------------------
+
+def _fbin(fn):
+    def bind(insn, vl, program):
+        ops = insn.operands
+        predicated = not (len(ops) == 3 and not isinstance(ops[1], POp))
+        if predicated:  # destructive: fop zd.T, pg/m, zd.T, zm.T|#imm
+            dst, pg, a, b = ops
+            esize, p = _esize(dst), _p(pg)
         else:
-            self.x.write(dst.idx, val)
+            dst, a, b = ops
+        bdt = bi = None
+        if isinstance(b, Imm):
+            bvec = arith.dup(vl.lanes(_esize(dst)),
+                             FLOAT_BY_SUFFIX[dst.suffix].dtype, float(b.value))
+        else:
+            bdt, bi = _zf(b)
+        (adt, ai), (dt, d) = _zf(a), _zf(dst)
 
-# ======================================================================
-# Dispatch construction (module level: the table is shared by every
-# Machine instance — handlers are plain ``(machine, insn)`` callables)
-# ======================================================================
+        def step(m):
+            rows = m.z.views
+            bv = bvec if bdt is None else rows[bdt][bi]
+            if predicated:
+                r = fn(rows[adt][ai], bv, pred=m.p.bits[p, ::esize],
+                       old=rows[dt][d])
+            else:
+                r = fn(rows[adt][ai], bv)
+            m.z.put(d, dt, r)
+        return step
+    return bind
 
-def _dispatch_table() -> dict:
-    global _DISPATCH_TABLE
-    if _DISPATCH_TABLE is not None:
-        return _DISPATCH_TABLE
-    M = Machine
-    d: dict[str, Callable] = {}
+
+def _funary(fn):
+    def bind(insn, vl, program):
+        if len(insn.operands) == 2:
+            dst, a = insn.operands
+            (adt, ai), (dt, d) = _zf(a), _zf(dst)
+            return lambda m: m.z.put(d, dt, fn(m.z.views[adt][ai]))
+        dst, pg, a = insn.operands
+        esize, p = _esize(dst), _p(pg)
+        (adt, ai), (dt, d) = _zf(a), _zf(dst)
+        return lambda m: m.z.put(d, dt, fn(
+            m.z.views[adt][ai], pred=m.p.bits[p, ::esize],
+            old=m.z.views[dt][d]))
+    return bind
+
+
+def _fma(fn):
+    def bind(insn, vl, program):
+        dst, pg, a, b = insn.operands
+        esize, p = _esize(dst), _p(pg)
+        (dt, d), (adt, ai), (bdt, bi) = _zf(dst), _zf(a), _zf(b)
+        return lambda m: m.z.put(d, dt, fn(
+            m.z.views[dt][d], m.z.views[adt][ai], m.z.views[bdt][bi],
+            pred=m.p.bits[p, ::esize]))
+    return bind
+
+
+def _vcompare(fn, reader, conv):
+    """Vector compare: ``cmp<cc> pd.T, pg/z, zn.T, zm.T|#imm``."""
+    def bind(insn, vl, program):
+        dst, pg, a, b = insn.operands
+        esize = _esize(dst)
+        d, p, (adt, ai) = _p(dst), _p(pg), reader(a)
+        bimm, (bdt, bi) = (conv(b.value), (None, None)) if isinstance(b, Imm) \
+            else (None, reader(b))
+        mnemonic = insn.mnemonic
+
+        def step(m):
+            av = m.z.views[adt][ai]
+            bv = np.full_like(av, bimm) if bdt is None else m.z.views[bdt][bi]
+            active = m.p.bits[p, ::esize] & np.asarray(fn(av, bv), dtype=bool)
+            _write_pred(m, d, esize, _filter(m, mnemonic, active))
+        return step
+    return bind
+
+
+# ---- Complex arithmetic --------------------------------------------
+
+def _fcmla(insn, vl, program):
+    dst, pg, a, b, rot = insn.operands
+    esize, p = _esize(dst), _p(pg)
+    (dt, d), (adt, ai), (bdt, bi) = _zf(dst), _zf(a), _zf(b)
+    rot = int(rot.value)
+    return lambda m: m.z.put(d, dt, cplx.fcmla(
+        m.z.views[dt][d], m.z.views[adt][ai], m.z.views[bdt][bi], rot,
+        pred=m.p.bits[p, ::esize]))
+
+
+def _fcadd(insn, vl, program):
+    dst, pg, a, b, rot = insn.operands
+    esize, p = _esize(dst), _p(pg)
+    (adt, ai), (bdt, bi), (dt, d) = _zf(a), _zf(b), _zf(dst)
+    rot = int(rot.value)
+    return lambda m: m.z.put(d, dt, cplx.fcadd(
+        m.z.views[adt][ai], m.z.views[bdt][bi], rot,
+        pred=m.p.bits[p, ::esize]))
+
+
+# ---- Conversions ---------------------------------------------------
+
+def _fcvt(insn, vl, program):
+    dst, pg, src = insn.operands
+    dst_et, src_et = FLOAT_BY_SUFFIX[dst.suffix], FLOAT_BY_SUFFIX[src.suffix]
+    s, d, dt, sdt = _z(src), _z(dst), dst_et.dtype, src_et.dtype
+    if dst_et.size < src_et.size:
+        fn = convert.fcvt_narrow_pack
+    elif dst_et.size > src_et.size:
+        fn = convert.fcvt_widen_unpack
+    else:
+        return lambda m: m.z.put(d, dt, m.z.views[sdt][s])
+    return lambda m: m.z.put(d, dt, fn(m.z.views[sdt][s], dt))
+
+
+def _scvt(fn, src_reader, dst_reader):
+    """``scvtf``/``fcvtzs``: predicated int <-> float conversions."""
+    def bind(insn, vl, program):
+        dst, pg, src = insn.operands
+        esize, p = _esize(dst), _p(pg)
+        (dt, d), (sdt, s) = dst_reader(dst), src_reader(src)
+        return lambda m: m.z.put(d, dt, fn(
+            m.z.views[sdt][s], dt, pred=m.p.bits[p, ::esize],
+            old=m.z.views[dt][d]))
+    return bind
+
+
+# ---- Loads and stores ----------------------------------------------
+
+def _ldst(insn, vl, program):
+    """Contiguous, structure (n = 2..4) and gather/scatter ld/st."""
+    reglist, pg, mem = insn.operands
+    # "stnt1d" (non-temporal/streaming store) parses like "st1d";
+    # the memory-ordering hint has no functional effect here.
+    mnem = insn.mnemonic.replace("nt", "", 1)
+    load, n, esize = mnem[:2] == "ld", int(mnem[2]), _MNEMONIC_ESIZE[mnem[3]]
+    regs = reglist.regs
+    if len(regs) != n:
+        raise SimulationError(
+            f"{insn.mnemonic} needs {n} registers: {insn.text!r}")
+    p = _p(pg)
+    etype = UINT_BY_SUFFIX[regs[0].suffix or "d"]
+    if etype.size != esize:
+        # e.g. ld1w into .d lanes would widen; the paper's kernels
+        # never need extending loads or truncating stores.
+        raise SimulationError(
+            f"{'extending loads' if load else 'truncating stores'} "
+            f"unsupported: {insn.text!r}")
+    dt, zs = etype.dtype, [_z(r) for r in regs]
+    if mem.zindex is not None:
+        if n != 1:
+            raise SimulationError(
+                f"{'gather' if load else 'scatter'} addressing needs a "
+                f"single register: {insn.text!r}")
+        base = None if mem.base.is_sp else _x(mem.base)
+        odt = INT_BY_SUFFIX[mem.zindex.suffix or regs[0].suffix or "d"].dtype
+        zi, scale, z0 = _z(mem.zindex), 1 << mem.shift, zs[0]
+
+        def gather_scatter(m):
+            b = m.x.sp if base is None else m.x.regs[base]
+            offsets, active = m.z.views[odt][zi], m.p.bits[p, ::esize]
+            if load:
+                m.z.put(z0, dt, loadstore.ld1_gather(
+                    m.mem, b, offsets, active, dt, scale=scale))
+            else:
+                loadstore.st1_scatter(m.mem, b, offsets, active,
+                                      m.z.views[dt][z0], scale=scale)
+        return gather_scatter
+    addr, z0 = _address(mem, vl), zs[0]
+    if load and n == 1:
+        return lambda m: m.z.put(z0, dt, loadstore.ld1(
+            m.mem, addr(m), m.p.bits[p, ::esize], dt))
+    if load:
+        def ldn(m):
+            vecs = loadstore.ldn(m.mem, addr(m), m.p.bits[p, ::esize], dt, n)
+            for z, v in zip(zs, vecs):
+                m.z.put(z, dt, v)
+        return ldn
+    if n == 1:
+        return lambda m: loadstore.st1(
+            m.mem, addr(m), m.p.bits[p, ::esize], m.z.views[dt][z0])
+    return lambda m: loadstore.stn(m.mem, addr(m), m.p.bits[p, ::esize],
+                                   [m.z.views[dt][z] for z in zs])
+
+
+# ---- Permutes (on raw, unsigned elements) --------------------------
+
+def _perm2(fn):
+    """``op zd, zn, zm`` (zip/uzp/trn, and ``tbl`` with zm as indices)."""
+    def bind(insn, vl, program):
+        dst, a, b = insn.operands
+        (adt, ai), (bdt, bi), (dt, d) = _zu(a), _zu(b), _zu(dst)
+        return lambda m: m.z.put(
+            d, dt, fn(m.z.views[adt][ai], m.z.views[bdt][bi]))
+    return bind
+
+
+def _pred_perm2(fn):
+    """``op zd, pg, zn, zm`` (sel, splice): fn(pred, zn, zm)."""
+    def bind(insn, vl, program):
+        dst, pg, a, b = insn.operands
+        esize, p = _esize(dst), _p(pg)
+        (adt, ai), (bdt, bi), (dt, d) = _zu(a), _zu(b), _zu(dst)
+        return lambda m: m.z.put(d, dt, fn(
+            m.p.bits[p, ::esize], m.z.views[adt][ai], m.z.views[bdt][bi]))
+    return bind
+
+
+def _rev(insn, vl, program):
+    dst, a = insn.operands
+    (adt, ai), (dt, d) = _zu(a), _zu(dst)
+    return lambda m: m.z.put(d, dt, permute.rev(m.z.views[adt][ai]))
+
+
+def _ext(insn, vl, program):
+    dst, a, b, imm = insn.operands
+    esize = _esize(dst) if dst.suffix else 1
+    (sdt, ai), (_, bi) = _zu(ZOp(a.idx, dst.suffix or "b")), \
+        _zu(ZOp(b.idx, dst.suffix or "b"))
+    dt, d, nbytes = UINT_BY_SUFFIX[dst.suffix].dtype, _z(dst), int(imm.value)
+    return lambda m: m.z.put(d, dt, permute.ext(
+        m.z.views[sdt][ai], m.z.views[sdt][bi], nbytes, esize))
+
+
+def _compact(insn, vl, program):
+    dst, pg, a = insn.operands
+    esize, p = _esize(dst), _p(pg)
+    (adt, ai), (dt, d) = _zu(a), _zu(dst)
+    return lambda m: m.z.put(d, dt, permute.compact(
+        m.p.bits[p, ::esize], m.z.views[adt][ai]))
+
+
+def _insr(insn, vl, program):
+    dst, src = insn.operands
+    if not isinstance(src, XOp):
+        raise SimulationError(f"bad insr: {insn.text!r}")
+    mask = (1 << (_esize(dst) * 8)) - 1
+    s, (dt, d) = _x(src), _zu(dst)
+    return lambda m: m.z.put(d, dt, permute.insr(
+        m.z.views[dt][d], m.x.regs[s] & mask))
+
+
+def _last(fn):
+    """``lasta``/``lastb`` into an X register or an FP scalar."""
+    def bind(insn, vl, program):
+        dst, pg, a = insn.operands
+        esize, p, (adt, ai) = _esize(a), _p(pg), _zu(a)
+        if isinstance(dst, XOp):
+            d = _x(dst)
+            return lambda m: m.x.write(d, int(fn(
+                m.p.bits[p, ::esize], m.z.views[adt][ai])))
+        # FP scalar destination: low element of the z register
+        fdt, ddt, d = FLOAT_BY_SUFFIX[a.suffix].dtype, \
+            FLOAT_BY_SUFFIX[dst.suffix].dtype, _z(dst)
+
+        def step(m):
+            fn(m.p.bits[p, ::esize], m.z.views[adt][ai])
+            _put_fp_scalar(m, d, ddt, float(m.z.views[fdt][ai][0]))
+        return step
+    return bind
+
+
+# ---- Reductions (FP scalar result: low element of z, rest zeroed) -
+
+def _freduce(fn):
+    def bind(insn, vl, program):
+        dst, pg, src = insn.operands
+        esize, p = _esize(src), _p(pg)
+        (sdt, s), ddt, d = _zf(src), FLOAT_BY_SUFFIX[dst.suffix].dtype, \
+            _z(dst)
+        return lambda m: _put_fp_scalar(m, d, ddt, float(fn(
+            m.p.bits[p, ::esize], m.z.views[sdt][s])))
+    return bind
+
+
+def _fadda(insn, vl, program):
+    dst, pg, init, src = insn.operands
+    esize, p = _esize(src), _p(pg)
+    (sdt, s), ddt, d = _zf(src), FLOAT_BY_SUFFIX[dst.suffix].dtype, _z(dst)
+    idt, ii = FLOAT_BY_SUFFIX[init.suffix].dtype, _z(init)
+    return lambda m: _put_fp_scalar(m, d, ddt, float(reduce.fadda(
+        m.p.bits[p, ::esize], float(m.z.views[idt][ii][0]),
+        m.z.views[sdt][s])))
+
+
+def _saddv(insn, vl, program):
+    dst, pg, src = insn.operands
+    esize, p, (sdt, s) = _esize(src), _p(pg), _zi(src)
+
+    def total(m):
+        return reduce.saddv(m.p.bits[p, ::esize], m.z.views[sdt][s])
+    if isinstance(dst, VOp):
+        d = _z(dst)
+        return lambda m: _put_fp_scalar(m, d, _U64, total(m))
+    d = _x(dst)
+    return lambda m: m.x.write(d, total(m))
+
+
+# ---- The mnemonic -> binder table ----------------------------------
+
+_BINDERS: dict = {
     # Scalar control / ALU.
-    d["mov"] = M._i_mov
-    d["movprfx"] = M._i_movprfx
-    d["add"] = M._i_add
-    d["sub"] = M._i_sub
-    d["mul"] = M._i_mul
-    d["lsl"] = M._i_lsl
-    d["lsr"] = M._i_lsr
-    d["cmp"] = M._i_cmp
-    d["b"] = M._i_b
-    d["cbz"] = M._i_cbz
-    d["cbnz"] = M._i_cbnz
-    d["nop"] = lambda machine, insn: None
-    d["rdvl"] = M._i_rdvl
-    d["ldr"] = M._i_ldr
-    d["str"] = M._i_str
+    "ret": _ret, "nop": _nop, "mov": _mov, "movprfx": _movprfx,
+    "add": _int_alu(lambda a, b: a + b, arith.add),
+    "sub": _int_alu(lambda a, b: a - b, arith.sub),
+    "mul": _int_alu(lambda a, b: a * b, arith.mul),
+    "lsl": _shift(lambda a, b: (a << b) & _MASK64, arith.lsl, _zu),
+    "lsr": _shift(lambda a, b: a >> b, arith.lsr, _zi),
+    "cmp": _cmp, "b": _branch, "cbz": _cbz(True), "cbnz": _cbz(False),
+    "rdvl": _rdvl, "ldr": _ldr, "str": _str,
     # Predicate generation / logic.
-    d["ptrue"] = M._i_ptrue
-    d["pfalse"] = M._i_pfalse
-    d["whilelo"] = M._i_whilelo
-    d["whilelt"] = M._i_whilelt
-    d["brkn"] = M._i_brkn
-    d["brkns"] = M._i_brkn
-    d["brka"] = M._i_brka
-    d["brkas"] = M._i_brka
-    d["brkb"] = M._i_brkb
-    d["brkbs"] = M._i_brkb
-    d["pnext"] = M._i_pnext
-    d["pfirst"] = M._i_pfirst
-    d["ptest"] = M._i_ptest
-    d["cntp"] = M._i_cntp
-    d["and"] = M._i_and
-    d["orr"] = M._i_orr
-    d["eor"] = M._i_eor
-    d["bic"] = M._i_bic
-    d["ands"] = M._i_and
-    d["orrs"] = M._i_orr
-    d["eors"] = M._i_eor
-    d["bics"] = M._i_bic
-    # Element counters.
-    for suf in "bhwd":
-        d[f"cnt{suf}"] = M._i_cntx
-        d[f"inc{suf}"] = M._i_incx
-        d[f"dec{suf}"] = M._i_decx
+    "ptrue": _ptrue, "pfalse": _pfalse,
+    "whilelo": _while(predops.whilelo), "whilelt": _while(predops.whilelt),
+    "brkn": _brkn, "brkns": _brkn,
+    "brka": _brk_ab(predops.brka), "brkas": _brk_ab(predops.brka),
+    "brkb": _brk_ab(predops.brkb), "brkbs": _brk_ab(predops.brkb),
+    "pnext": _pnext, "pfirst": _pfirst, "ptest": _ptest, "cntp": _cntp,
     # Vector moves / immediates.
-    d["dup"] = M._i_dup
-    d["fdup"] = M._i_fdup
-    d["fmov"] = M._i_fdup
-    d["index"] = M._i_index
-    d["sel"] = M._i_sel
+    "dup": _dup, "fdup": _fdup, "fmov": _fdup, "index": _index,
+    "sel": _pred_perm2(permute.sel),
     # FP arithmetic.
-    d["fadd"] = M._i_fbin(arith.fadd)
-    d["fsub"] = M._i_fbin(arith.fsub)
-    d["fmul"] = M._i_fbin(arith.fmul)
-    d["fdiv"] = M._i_fbin(arith.fdiv)
-    d["fmax"] = M._i_fbin(arith.fmax)
-    d["fmin"] = M._i_fbin(arith.fmin)
-    d["fneg"] = M._i_funary(arith.fneg)
-    d["fabs"] = M._i_funary(arith.fabs_)
-    d["fsqrt"] = M._i_funary(arith.fsqrt)
-    d["fmla"] = M._i_fma(arith.fmla)
-    d["fmls"] = M._i_fma(arith.fmls)
-    d["fnmla"] = M._i_fma(arith.fnmla)
-    d["fnmls"] = M._i_fma(arith.fnmls)
-    d["fmad"] = M._i_fma(arith.fmad)
-    d["fmsb"] = M._i_fma(arith.fmsb)
+    "fadd": _fbin(arith.fadd), "fsub": _fbin(arith.fsub),
+    "fmul": _fbin(arith.fmul), "fdiv": _fbin(arith.fdiv),
+    "fmax": _fbin(arith.fmax), "fmin": _fbin(arith.fmin),
+    "fneg": _funary(arith.fneg), "fabs": _funary(arith.fabs_),
+    "fsqrt": _funary(arith.fsqrt),
+    "fmla": _fma(arith.fmla), "fmls": _fma(arith.fmls),
+    "fnmla": _fma(arith.fnmla), "fnmls": _fma(arith.fnmls),
+    "fmad": _fma(arith.fmad), "fmsb": _fma(arith.fmsb),
     # Complex arithmetic.
-    d["fcmla"] = M._i_fcmla
-    d["fcadd"] = M._i_fcadd
-    # Vector compares -> predicates (all set NZCV).
-    import operator
-
-    for mnem, fn, is_fp in (
-        ("fcmeq", operator.eq, True), ("fcmne", operator.ne, True),
-        ("fcmgt", operator.gt, True), ("fcmge", operator.ge, True),
-        ("fcmlt", operator.lt, True), ("fcmle", operator.le, True),
-        ("cmpeq", operator.eq, False), ("cmpne", operator.ne, False),
-        ("cmpgt", operator.gt, False), ("cmpge", operator.ge, False),
-        ("cmplt", operator.lt, False), ("cmple", operator.le, False),
-    ):
-        d[mnem] = M._i_vcompare(fn, is_fp)
-    for mnem, fn in (("cmplo", np.less), ("cmpls", np.less_equal),
-                     ("cmphi", np.greater), ("cmphs", np.greater_equal)):
-        d[mnem] = M._i_vcompare(fn, is_fp=False, unsigned=True)
+    "fcmla": _fcmla, "fcadd": _fcadd,
     # Conversions.
-    d["fcvt"] = M._i_fcvt
-    d["scvtf"] = M._i_scvtf
-    d["fcvtzs"] = M._i_fcvtzs
-    # Loads/stores (contiguous + structure), prefetches as no-ops.
-    for n in "1234":
-        for suf in "bhwd":
-            d[f"ld{n}{suf}"] = M._i_ldn
-            d[f"st{n}{suf}"] = M._i_stn
-    for suf in "bhwd":
-        d[f"prf{suf}"] = lambda machine, insn: None
-        d[f"stnt1{suf}"] = M._i_stn
-        d[f"ldnt1{suf}"] = M._i_ldn
+    "fcvt": _fcvt,
+    "scvtf": _scvt(convert.scvtf, _zi, _zf),
+    "fcvtzs": _scvt(convert.fcvtzs, _zf, _zi),
     # Permutes.
-    d["zip1"] = M._i_perm2(permute.zip1)
-    d["zip2"] = M._i_perm2(permute.zip2)
-    d["uzp1"] = M._i_perm2(permute.uzp1)
-    d["uzp2"] = M._i_perm2(permute.uzp2)
-    d["trn1"] = M._i_perm2(permute.trn1)
-    d["trn2"] = M._i_perm2(permute.trn2)
-    d["rev"] = M._i_rev
-    d["ext"] = M._i_ext
-    d["tbl"] = M._i_tbl
-    d["splice"] = M._i_splice
-    d["compact"] = M._i_compact
-    d["insr"] = M._i_insr
-    d["lasta"] = M._i_lasta
-    d["lastb"] = M._i_lastb
+    "zip1": _perm2(permute.zip1), "zip2": _perm2(permute.zip2),
+    "uzp1": _perm2(permute.uzp1), "uzp2": _perm2(permute.uzp2),
+    "trn1": _perm2(permute.trn1), "trn2": _perm2(permute.trn2),
+    "tbl": _perm2(permute.tbl), "splice": _pred_perm2(permute.splice),
+    "rev": _rev, "ext": _ext, "compact": _compact, "insr": _insr,
+    "lasta": _last(permute.lasta), "lastb": _last(permute.lastb),
     # Reductions.
-    d["faddv"] = M._i_faddv
-    d["fadda"] = M._i_fadda
-    d["fmaxv"] = M._i_freduce(reduce.fmaxv)
-    d["fminv"] = M._i_freduce(reduce.fminv)
-    d["saddv"] = M._i_saddv
-    d["uaddv"] = M._i_saddv
-    _DISPATCH_TABLE = d
-    return d
+    "faddv": _freduce(reduce.faddv), "fadda": _fadda,
+    "fmaxv": _freduce(reduce.fmaxv), "fminv": _freduce(reduce.fminv),
+    "saddv": _saddv, "uaddv": _saddv,
+}
+for _op, _fn in (("and", operator.and_), ("orr", operator.or_),
+                 ("eor", operator.xor), ("bic", lambda a, b: a & ~b)):
+    _BINDERS[_op] = _BINDERS[_op + "s"] = _logic(_fn)
+# Vector compares -> predicates (all set NZCV).
+for _cc, _fn in (("eq", operator.eq), ("ne", operator.ne),
+                 ("gt", operator.gt), ("ge", operator.ge),
+                 ("lt", operator.lt), ("le", operator.le)):
+    _BINDERS["fcm" + _cc] = _vcompare(_fn, _zf, float)
+    _BINDERS["cmp" + _cc] = _vcompare(_fn, _zi, int)
+for _cc, _fn in (("lo", np.less), ("ls", np.less_equal),
+                 ("hi", np.greater), ("hs", np.greater_equal)):
+    _BINDERS["cmp" + _cc] = _vcompare(_fn, _zu, int)
+for _suf in "bhwd":
+    _BINDERS.update({f"cnt{_suf}": _cnt, f"inc{_suf}": _inc(1),
+                     f"dec{_suf}": _inc(-1), f"prf{_suf}": _nop,
+                     f"ldnt1{_suf}": _ldst, f"stnt1{_suf}": _ldst})
+    # Contiguous + structure loads/stores; prefetches are no-ops.
+    for _n in "1234":
+        _BINDERS[f"ld{_n}{_suf}"] = _BINDERS[f"st{_n}{_suf}"] = _ldst

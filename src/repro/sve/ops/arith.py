@@ -12,8 +12,18 @@ import numpy as np
 
 
 def _merge(pred: np.ndarray, new: np.ndarray, old: np.ndarray | None) -> np.ndarray:
-    """Apply merging/zeroing predication to an element-wise result."""
+    """Apply merging/zeroing predication to an element-wise result.
+
+    ``new`` must be a fresh array: with every lane active and nothing
+    to promote it is the result itself.
+    """
     pred = np.asarray(pred, dtype=bool)
+    if (isinstance(new, np.ndarray) and pred.shape == new.shape
+            and (old is None or (isinstance(old, np.ndarray)
+                                 and old.shape == new.shape
+                                 and old.dtype == new.dtype))
+            and np.count_nonzero(pred) == pred.size):
+        return new
     if old is None:
         old = np.zeros_like(new)
     return np.where(pred, new, old)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.sve.ops.arith import _merge
+
 #: The four legal FCMLA rotations.
 FCMLA_ROTATIONS = (0, 90, 180, 270)
 
@@ -68,18 +70,23 @@ def fcmla(acc, x, y, rot: int, pred=None):
     xr, xi = _split_pairs(x)
     yr, yi = _split_pairs(y)
     ar, ai = _split_pairs(acc)
+    result = np.empty(acc.size, dtype=acc.dtype)
+    er, ei = result[0::2], result[1::2]
     if rot == 0:
-        er, ei = ar + xr * yr, ai + xr * yi
+        np.add(ar, xr * yr, out=er)
+        np.add(ai, xr * yi, out=ei)
     elif rot == 90:
-        er, ei = ar - xi * yi, ai + xi * yr
+        np.subtract(ar, xi * yi, out=er)
+        np.add(ai, xi * yr, out=ei)
     elif rot == 180:
-        er, ei = ar - xr * yr, ai - xr * yi
+        np.subtract(ar, xr * yr, out=er)
+        np.subtract(ai, xr * yi, out=ei)
     else:  # 270
-        er, ei = ar + xi * yi, ai - xi * yr
-    result = _join_pairs(er.astype(acc.dtype), ei.astype(acc.dtype))
+        np.add(ar, xi * yi, out=er)
+        np.subtract(ai, xi * yr, out=ei)
     if pred is None:
         return result
-    return np.where(np.asarray(pred, dtype=bool), result, acc)
+    return _merge(pred, result, acc)
 
 
 def fcadd(a, b, rot: int, pred=None):

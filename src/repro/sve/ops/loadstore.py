@@ -26,10 +26,9 @@ def ld1(mem: Memory, addr: int, pred: np.ndarray, dtype) -> np.ndarray:
     """Predicated contiguous load; inactive lanes are zeroed (``pg/z``)."""
     pred = np.asarray(pred, dtype=bool)
     dtype = np.dtype(dtype)
+    if np.count_nonzero(pred) == pred.size:
+        return mem.read_array(addr, dtype, pred.size)
     out = np.zeros(pred.size, dtype=dtype)
-    if pred.all():
-        out[:] = mem.read_array(addr, dtype, pred.size)
-        return out
     # Partial vector: only active lanes may touch memory (no faults on
     # inactive out-of-bounds lanes — the basis of tail-free VLA loops).
     active = np.nonzero(pred)[0]
@@ -44,7 +43,7 @@ def st1(mem: Memory, addr: int, pred: np.ndarray, values: np.ndarray) -> None:
     """Predicated contiguous store; inactive lanes leave memory untouched."""
     pred = np.asarray(pred, dtype=bool)
     values = np.ascontiguousarray(values)
-    if pred.all():
+    if np.count_nonzero(pred) == pred.size:
         mem.write_array(addr, values)
         return
     itemsize = values.dtype.itemsize
@@ -64,8 +63,11 @@ def ldn(mem: Memory, addr: int, pred: np.ndarray, dtype, n: int) -> list[np.ndar
     pred = np.asarray(pred, dtype=bool)
     dtype = np.dtype(dtype)
     lanes = pred.size
-    outs = [np.zeros(lanes, dtype=dtype) for _ in range(n)]
     active = np.nonzero(pred)[0]
+    if active.size == lanes:  # all structures: de-interleave one read
+        flat = mem.read_array(addr, dtype, lanes * n)
+        return [flat[k::n].copy() for k in range(n)]
+    outs = [np.zeros(lanes, dtype=dtype) for _ in range(n)]
     if active.size:
         last = int(active[-1])
         flat = mem.read_array(addr, dtype, (last + 1) * n)
@@ -89,6 +91,17 @@ def stn(mem: Memory, addr: int, pred: np.ndarray, vectors: list[np.ndarray]) -> 
     vecs = [np.ascontiguousarray(v) for v in vectors]
     itemsize = vecs[0].dtype.itemsize
     lanes = pred.size
+    if (np.count_nonzero(pred) == lanes and addr >= 0
+            and addr + lanes * n * itemsize <= mem.size
+            and all(v.dtype == vecs[0].dtype for v in vecs)):
+        # All structures, all in bounds: interleave and write once
+        # (out of bounds, the element-wise path below faults where it
+        # does, after the in-bounds elements are written).
+        flat = np.empty((lanes, n), dtype=vecs[0].dtype)
+        for k in range(n):
+            flat[:, k] = vecs[k]
+        mem.write_array(addr, flat)
+        return
     base = addr + np.arange(lanes, dtype=np.int64) * n * itemsize
     for k in range(n):
         mem.scatter_elements(base + k * itemsize, pred, vecs[k])

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_MASK64 = (1 << 64) - 1
+
 # Named PTRUE patterns.  ``all`` is the default; the power-of-two and
 # fixed-count patterns are part of the ISA and used by some Grid code.
 _FIXED_PATTERNS = {
@@ -47,28 +49,34 @@ def pfalse(lanes: int) -> np.ndarray:
     return np.zeros(lanes, dtype=bool)
 
 
+def _first(lanes: int, count: int) -> np.ndarray:
+    """The predicate with lanes ``0 .. count-1`` active."""
+    out = np.zeros(lanes, dtype=bool)
+    out[:count] = True
+    return out
+
+
 def whilelo(lanes: int, base: int, limit: int) -> np.ndarray:
     """``WHILELO``: lane *i* is active iff ``base + i < limit`` (unsigned).
 
     This is the loop-control predicate of the VLA model: starting a loop
     with ``whilelo p, x_counter, x_n`` activates exactly the lanes whose
-    indices are still below the trip count.
+    indices are still below the trip count.  The sum does not wrap, so
+    the active lanes are the first ``clamp(limit - base, 0, lanes)``.
     """
-    base &= (1 << 64) - 1
-    limit &= (1 << 64) - 1
-    idx = base + np.arange(lanes, dtype=object)
-    return np.array([int(v) < limit for v in idx], dtype=bool)
+    base &= _MASK64
+    limit &= _MASK64
+    return _first(lanes, min(max(limit - base, 0), lanes))
 
 
 def whilelt(lanes: int, base: int, limit: int) -> np.ndarray:
     """``WHILELT``: signed variant of :func:`whilelo`."""
+    return _first(lanes, min(max(_s64(limit) - _s64(base), 0), lanes))
 
-    def s64(v: int) -> int:
-        v &= (1 << 64) - 1
-        return v - (1 << 64) if v >= (1 << 63) else v
 
-    sb, sl = s64(base), s64(limit)
-    return np.array([sb + i < sl for i in range(lanes)], dtype=bool)
+def _s64(v: int) -> int:
+    v &= _MASK64
+    return v - (1 << 64) if v >= (1 << 63) else v
 
 
 def brkn(

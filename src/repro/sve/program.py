@@ -18,6 +18,10 @@ class Program:
     instructions: list[Instruction] = field(default_factory=list)
     labels: dict[str, int] = field(default_factory=dict)
     source: str = ""
+    #: The machine's steps for this program, bound once per vector
+    #: length (keyed by ``VL.bits``) on the first run at that length.
+    _bound: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def target(self, name: str) -> int:
         """Resolve a branch target label to an instruction index."""

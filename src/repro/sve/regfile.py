@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sve.types import EType
+from repro.sve.types import SUFFIX_BY_SIZE, EType
 from repro.sve.vl import VL
 
 _MASK64 = (1 << 64) - 1
@@ -38,22 +38,30 @@ class ZRegisterFile:
     def __init__(self, vl: VL) -> None:
         self.vl = vl
         self._data = np.zeros((self.NREGS, vl.bytes), dtype=np.uint8)
+        #: The whole file viewed as each element dtype, one row per
+        #: register: the machine's bound steps index rows directly.
+        self.views = {et.dtype: self._data.view(et.dtype) for et in EType}
 
     def read(self, idx: int, etype: EType) -> np.ndarray:
         """Return a *copy* of register ``idx`` viewed as ``etype`` elements."""
         self._check(idx)
-        return self._data[idx].view(etype.dtype).copy()
+        return self.views[etype.dtype][idx].copy()
 
     def write(self, idx: int, etype: EType, values: np.ndarray) -> None:
         """Overwrite register ``idx`` with ``values`` of type ``etype``."""
         self._check(idx)
-        lanes = self.vl.lanes(etype.size)
-        arr = np.asarray(values, dtype=etype.dtype)
-        if arr.shape != (lanes,):
+        self.put(idx, etype.dtype, values)
+
+    def put(self, idx: int, dtype: np.dtype, values: np.ndarray) -> None:
+        """:meth:`write` for an index already checked (at bind time)."""
+        arr = np.asarray(values, dtype=dtype)
+        rows = self.views[dtype]
+        if arr.shape != rows.shape[1:]:
             raise ValueError(
-                f"z{idx}.{etype.suffix} expects {lanes} lanes, got {arr.shape}"
+                f"z{idx}.{SUFFIX_BY_SIZE[dtype.itemsize]} expects "
+                f"{rows.shape[1]} lanes, got {arr.shape}"
             )
-        self._data[idx] = arr.view(np.uint8)
+        rows[idx] = arr
 
     def read_bytes(self, idx: int) -> np.ndarray:
         """Raw little-endian bytes of register ``idx`` (a copy)."""
@@ -83,24 +91,25 @@ class PRegisterFile:
 
     def __init__(self, vl: VL) -> None:
         self.vl = vl
-        self._bits = np.zeros((self.NREGS, vl.bytes), dtype=bool)
+        #: One row per register; the machine's bound steps index it.
+        self.bits = np.zeros((self.NREGS, vl.bytes), dtype=bool)
 
     def read_bits(self, idx: int) -> np.ndarray:
         """Per-byte predicate bits (a copy)."""
         self._check(idx)
-        return self._bits[idx].copy()
+        return self.bits[idx].copy()
 
     def write_bits(self, idx: int, bits: np.ndarray) -> None:
         self._check(idx)
         bits = np.asarray(bits, dtype=bool)
         if bits.shape != (self.vl.bytes,):
             raise ValueError(f"p{idx} expects {self.vl.bytes} predicate bits")
-        self._bits[idx] = bits
+        self.bits[idx] = bits
 
     def read_elements(self, idx: int, esize: int) -> np.ndarray:
         """Element-granular view: bit of each element's lowest byte."""
         self._check(idx)
-        return self._bits[idx][::esize].copy()
+        return self.bits[idx, ::esize].copy()
 
     def write_elements(self, idx: int, esize: int, active: np.ndarray) -> None:
         """Write a canonical element-granular predicate.
@@ -109,13 +118,19 @@ class PRegisterFile:
         other bits — the encoding ``PTRUE``/``WHILELO`` produce.
         """
         self._check(idx)
+        self.put_elements(idx, esize, active)
+
+    def put_elements(self, idx: int, esize: int, active: np.ndarray) -> None:
+        """:meth:`write_elements` for an index already checked (at bind
+        time).  ``active`` must not be a view of row ``idx``."""
         active = np.asarray(active, dtype=bool)
         lanes = self.vl.lanes(esize)
         if active.shape != (lanes,):
             raise ValueError(f"p{idx}.{esize}B expects {lanes} elements")
-        bits = np.zeros(self.vl.bytes, dtype=bool)
-        bits[::esize] = active
-        self._bits[idx] = bits
+        row = self.bits[idx]
+        if esize != 1:
+            row[:] = False
+        row[::esize] = active
 
     def _check(self, idx: int) -> None:
         if not 0 <= idx < self.NREGS:
@@ -134,14 +149,13 @@ class XRegisterFile:
     XZR = 31
 
     def __init__(self) -> None:
-        self._regs = [0] * self.NREGS
+        #: x0..x30, then xzr (always 0): bound steps read it by index.
+        self.regs = [0] * (self.NREGS + 1)
         self.sp = 0
 
     def read(self, idx: int) -> int:
-        if idx == self.XZR:
-            return 0
         self._check(idx)
-        return self._regs[idx]
+        return self.regs[idx]
 
     def read_signed(self, idx: int) -> int:
         v = self.read(idx)
@@ -151,11 +165,33 @@ class XRegisterFile:
         if idx == self.XZR:
             return  # writes to xzr are discarded
         self._check(idx)
-        self._regs[idx] = int(value) & _MASK64
+        self.regs[idx] = int(value) & _MASK64
 
     def _check(self, idx: int) -> None:
-        if not 0 <= idx < self.NREGS:
+        if not 0 <= idx <= self.XZR:
             raise IndexError(f"no such general-purpose register x{idx}")
+
+
+#: The AArch64 condition codes as predicates over :class:`Flags`.
+CONDITIONS = {
+    "eq": lambda f: f.z,
+    "ne": lambda f: not f.z,
+    "cs": lambda f: f.c,
+    "hs": lambda f: f.c,
+    "cc": lambda f: not f.c,
+    "lo": lambda f: not f.c,
+    "mi": lambda f: f.n,
+    "pl": lambda f: not f.n,
+    "vs": lambda f: f.v,
+    "vc": lambda f: not f.v,
+    "hi": lambda f: f.c and not f.z,
+    "ls": lambda f: not (f.c and not f.z),
+    "ge": lambda f: f.n == f.v,
+    "lt": lambda f: f.n != f.v,
+    "gt": lambda f: (not f.z) and f.n == f.v,
+    "le": lambda f: f.z or f.n != f.v,
+    "al": lambda f: True,
+}
 
 
 class Flags:
@@ -175,9 +211,8 @@ class Flags:
 
     def set_from_predicate(self, active: np.ndarray) -> None:
         active = np.asarray(active, dtype=bool)
-        any_active = bool(active.any())
         self.n = bool(active[0]) if active.size else False
-        self.z = not any_active
+        self.z = not np.count_nonzero(active)
         self.c = not (bool(active[-1]) if active.size else False)
         self.v = False
 
@@ -197,26 +232,8 @@ class Flags:
     def condition(self, cond: str) -> bool:
         """Evaluate an AArch64 condition code mnemonic."""
         cond = cond.lower()
-        table = {
-            "eq": self.z,
-            "ne": not self.z,
-            "cs": self.c,
-            "hs": self.c,
-            "cc": not self.c,
-            "lo": not self.c,
-            "mi": self.n,
-            "pl": not self.n,
-            "vs": self.v,
-            "vc": not self.v,
-            "hi": self.c and not self.z,
-            "ls": not (self.c and not self.z),
-            "ge": self.n == self.v,
-            "lt": self.n != self.v,
-            "gt": (not self.z) and self.n == self.v,
-            "le": self.z or self.n != self.v,
-            "al": True,
-        }
         try:
-            return table[cond]
+            test = CONDITIONS[cond]
         except KeyError:
             raise ValueError(f"unknown condition code {cond!r}") from None
+        return test(self)

@@ -12,9 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.sve.decoder import Instruction
-from repro.sve.vl import VL
-
 #: Mnemonic classification used in reports.
 CATEGORIES: dict[str, tuple[str, ...]] = {
     "load": ("ld1b", "ld1h", "ld1w", "ld1d", "ld2b", "ld2h", "ld2w", "ld2d",
@@ -36,12 +33,14 @@ CATEGORIES: dict[str, tuple[str, ...]] = {
 }
 
 
+#: Mnemonic -> category, the inverse of :data:`CATEGORIES`.
+_CATEGORY_OF = {m: cat for cat, members in CATEGORIES.items()
+                for m in members}
+
+
 def categorize(mnemonic: str) -> str:
     """Map a mnemonic to its report category."""
-    for cat, members in CATEGORIES.items():
-        if mnemonic in members:
-            return cat
-    return "scalar"
+    return _CATEGORY_OF.get(mnemonic, "scalar")
 
 
 @dataclass
@@ -54,13 +53,18 @@ class Tracer:
     by_category: Counter = field(default_factory=Counter)
     stream: list = field(default_factory=list)
 
-    def record(self, insn: Instruction, vl: VL) -> None:
-        key = insn.mnemonic if insn.cond is None else f"b.{insn.cond}"
-        self.total += 1
-        self.by_mnemonic[key] += 1
-        self.by_category[categorize(insn.mnemonic)] += 1
-        if self.record_stream:
-            self.stream.append(insn.text)
+    def retire(self, counts: dict, keys: tuple, categories: tuple) -> None:
+        """Fold one run into the totals.
+
+        ``counts`` maps pc -> retirements in first-retired order, so the
+        counters gain keys in the order the instructions first retired
+        (``most_common`` breaks ties that way); ``keys`` and
+        ``categories`` give each pc's histogram key and category.
+        """
+        for pc, n in counts.items():
+            self.total += n
+            self.by_mnemonic[keys[pc]] += n
+            self.by_category[categories[pc]] += n
 
     def reset(self) -> None:
         self.total = 0

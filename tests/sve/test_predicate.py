@@ -62,6 +62,48 @@ class TestWhile:
         assert not p.whilelo(8, 10, 10).any()
 
 
+def _near(*centres):
+    """Operands within 300 of the given points, as raw register values:
+    anything from below zero to above 2^64 (the functions mask them)."""
+    return st.sampled_from(centres).flatmap(
+        lambda c: st.integers(c - 300, c + 300))
+
+
+_EDGES = _near(0, 1 << 63, 1 << 64)
+
+
+class TestWhileClosedForm:
+    """The count-based ``whilelo``/``whilelt`` against the ISA's per-lane
+    definition, written out here as the reference: lane *i* is active
+    iff ``base + i < limit`` on the 64-bit operands (unsigned for LO,
+    signed for LT), with no wrap of ``base + i``."""
+
+    @staticmethod
+    def _u64(v):
+        return v & ((1 << 64) - 1)
+
+    @classmethod
+    def _s64(cls, v):
+        v = cls._u64(v)
+        return v - (1 << 64) if v >= (1 << 63) else v
+
+    @given(lanes=st.integers(1, 256), base=_EDGES, limit=_EDGES)
+    @settings(max_examples=400, deadline=None)
+    def test_whilelo_matches_per_lane_definition(self, lanes, base, limit):
+        b, lim = self._u64(base), self._u64(limit)
+        want = np.array([b + i < lim for i in range(lanes)], dtype=bool)
+        got = p.whilelo(lanes, base, limit)
+        assert got.dtype == bool and np.array_equal(got, want)
+
+    @given(lanes=st.integers(1, 256), base=_EDGES, limit=_EDGES)
+    @settings(max_examples=400, deadline=None)
+    def test_whilelt_matches_per_lane_definition(self, lanes, base, limit):
+        b, lim = self._s64(base), self._s64(limit)
+        want = np.array([b + i < lim for i in range(lanes)], dtype=bool)
+        got = p.whilelt(lanes, base, limit)
+        assert got.dtype == bool and np.array_equal(got, want)
+
+
 class TestBrkn:
     def test_full_vector_passes_through(self):
         g = p.ptrue(8)
