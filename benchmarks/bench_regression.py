@@ -77,15 +77,6 @@ def main(argv=None) -> int:
         "both paths internally)",
     )
     ap.add_argument(
-        "--codegen",
-        choices=("off", "memory", "disk"),
-        default="off",
-        help="run the suite under engine.scope(codegen=MODE) so every "
-        "engine-on bench takes the compiled-kernel path (the nightly "
-        "matrix runs off and memory; the codegen bench itself pins "
-        "its own modes and is unaffected)",
-    )
-    ap.add_argument(
         "--telemetry",
         action="store_true",
         help="run the suite under engine.scope(telemetry='trace') and "
@@ -106,12 +97,10 @@ def main(argv=None) -> int:
             report = harness.run_suite(full=args.full,
                                        workers=args.workers, vls=vls,
                                        overlap=not args.no_overlap,
-                                       codegen=args.codegen,
                                        span_sink=span_sink)
     else:
         report = harness.run_suite(full=args.full, workers=args.workers,
-                                   vls=vls, overlap=not args.no_overlap,
-                                   codegen=args.codegen)
+                                   vls=vls, overlap=not args.no_overlap)
     report["created"] = datetime.date.today().isoformat()
     print(harness.format_report(report))
 

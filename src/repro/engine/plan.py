@@ -123,16 +123,11 @@ class KernelPlan:
       batch; off means column-by-column sweeps.
     * ``workers`` / ``tile_min_sites`` — tile-pool shape for the sweep.
     * ``caches`` — consult/populate derived-data caches.
-    * ``codegen`` — compiled-kernel mode (``"off"`` / ``"memory"`` /
-      ``"disk"``); non-off means the sweep body is a generated,
-      ``exec``-compiled kernel from the :mod:`repro.codegen` cache
-      (resolved off unless the backend is fused-safe).  Takes
-      precedence over ``fused`` at dispatch.
     * ``transport`` — (dist only) the halo/sweep backend:
       ``"in-process"`` (the bit-identical reference) or ``"shmem"``
-      (the multiprocessing rank runtime).  Resolved like ``codegen``:
-      the policy knob takes effect only where it applies (the
-      rank-decomposed sweep, engine on).
+      (the multiprocessing rank runtime).  The policy knob takes
+      effect only where it applies (the rank-decomposed sweep, engine
+      on).
     * ``policy`` — the policy this plan was resolved under (the cache
       key half that isn't the grid).
     * ``stages`` — mutable per-stage counters (see
@@ -147,7 +142,6 @@ class KernelPlan:
     tile_min_sites: int
     caches: bool
     policy: ExecutionPolicy
-    codegen: str = "off"
     transport: str = "in-process"
     stages: StageCounters = field(
         default_factory=StageCounters, compare=False, repr=False
@@ -171,7 +165,6 @@ def _resolve(kind: str, backend, policy: ExecutionPolicy) -> KernelPlan:
         tile_min_sites=policy.tile_min_sites,
         caches=policy.caches_active,
         policy=policy,
-        codegen=policy.codegen if (policy.codegen_active and safe) else "off",
         transport=transport,
     )
 

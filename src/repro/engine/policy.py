@@ -83,7 +83,7 @@ class ExecutionPolicy:
         shift-parameter and halo-size memos, rank halo tables, and
         resolved kernel plans.  Only effective while ``enabled``.
         One knob governs every cache uniformly — see DESIGN §10.3;
-        all of them hold pure geometry/codegen derivations, so this
+        all of them hold pure geometry/program derivations, so this
         never affects results, only whether they are recomputed.
     fallback:
         Wrap non-generic SIMD backends for graceful degradation
@@ -99,15 +99,6 @@ class ExecutionPolicy:
     comms_faults:
         Default comms fault injector inherited the same way (``None``
         means a perfect network).
-    codegen:
-        Compiled-kernel mode for the hot path (:mod:`repro.codegen`).
-        ``"off"`` (the default) keeps the interpreted fused/layered
-        bodies; ``"memory"`` lowers the vectorizer IR to generated,
-        ``exec``-compiled straight-line kernels memoized in process;
-        ``"disk"`` additionally persists the generated source in a
-        verified on-disk store.  Only effective while ``enabled`` and
-        on fused-safe backends; results are bit-identical in every
-        mode.
     telemetry:
         Observability level (:mod:`repro.telemetry`).  ``"off"`` (the
         default) keeps the hot path telemetry-free — instrumented
@@ -141,15 +132,11 @@ class ExecutionPolicy:
     backend: str = "generic256"
     latency: Optional[object] = None
     comms_faults: Optional[object] = None
-    codegen: str = "off"
     telemetry: str = "off"
     transport: str = "in-process"
 
     #: Legal ``telemetry`` levels, in increasing order of detail.
     TELEMETRY_LEVELS = ("off", "metrics", "trace")
-
-    #: Legal ``codegen`` modes, in increasing order of persistence.
-    CODEGEN_MODES = ("off", "memory", "disk")
 
     #: Legal ``transport`` backends (mirrors
     #: :data:`repro.grid.comms.transport.TRANSPORTS`).
@@ -166,11 +153,6 @@ class ExecutionPolicy:
             raise ValueError(
                 f"telemetry must be one of {self.TELEMETRY_LEVELS}, "
                 f"got {self.telemetry!r}"
-            )
-        if self.codegen not in self.CODEGEN_MODES:
-            raise ValueError(
-                f"codegen must be one of {self.CODEGEN_MODES}, "
-                f"got {self.codegen!r}"
             )
         if self.transport not in self.TRANSPORTS:
             raise ValueError(
@@ -193,11 +175,6 @@ class ExecutionPolicy:
     def caches_active(self) -> bool:
         """Caches are consulted/populated only with the engine on."""
         return self.enabled and self.caches
-
-    @property
-    def codegen_active(self) -> bool:
-        """Compiled kernels are taken only with the engine on."""
-        return self.enabled and self.codegen != "off"
 
     @property
     def transport_active(self) -> bool:

@@ -30,12 +30,9 @@ def reset_all(counters: bool = True, caches: bool = True) -> dict:
       (:func:`repro.resilience.breaker.reset_breakers`);
     * with ``caches`` (default): the kernel trace cache
       (:func:`repro.perf.trace_cache.clear_cache`), every grid-hosted
-      plan cache (:func:`repro.engine.plan.clear_plan_caches`), the
-      distributed shift/halo memos, and the codegen compiled-kernel
-      memo (:func:`repro.codegen.clear_codegen_cache`; the on-disk
-      source store survives — persistence across process resets is
-      its job) — cache invalidation never changes results, only
-      forces re-derivation;
+      plan cache (:func:`repro.engine.plan.clear_plan_caches`) and the
+      distributed shift/halo memos — cache invalidation never changes
+      results, only forces re-derivation;
     * transport runtimes: every live shared-memory rank runtime is
       shut down — workers joined, every ``multiprocessing.
       shared_memory`` segment unlinked — so a reset can never leak an
@@ -71,7 +68,6 @@ def reset_all(counters: bool = True, caches: bool = True) -> dict:
         "plan_hosts_cleared": 0,
         "comms_plans_cleared": 0,
         "trace_cache_cleared": False,
-        "codegen_cache_cleared": 0,
         "counters_reset": False,
         "telemetry_metrics_reset": 0,
         "telemetry_spans_cleared": 0,
@@ -82,13 +78,10 @@ def reset_all(counters: bool = True, caches: bool = True) -> dict:
         from repro.engine.plan import clear_plan_caches
         from repro.perf.trace_cache import clear_cache
 
-        from repro.codegen import clear_codegen_cache
-
         clear_cache()
         summary["plan_hosts_cleared"] = clear_plan_caches()
         summary["comms_plans_cleared"] = invalidate_comms_plans()
         summary["trace_cache_cleared"] = True
-        summary["codegen_cache_cleared"] = clear_codegen_cache()
     if counters:
         import repro.telemetry as telemetry
         from repro.perf.counters import reset_counters

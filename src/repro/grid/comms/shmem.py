@@ -262,7 +262,7 @@ def _worker_dhop(rank: int, cmd: dict, sems: dict, seg_cache: dict,
             for acc_c, pf_c, pb_c in _columns(acc, pf, pb, ncols):
                 if fused:
                     fused_dhop_rank(acc_c, links[mu], links_back[mu],
-                                    pf_c, pb_c, mu, plan=None)
+                                    pf_c, pb_c, mu)
                 else:
                     be = backend
                     h = g.project(be, pf_c, mu, +1)
@@ -445,10 +445,9 @@ class _RankRuntime:
             "max_retries": psi.max_retries,
             "injector": psi.comms_faults,
             # The plan's arithmetic route travels with the command
-            # (fused and codegen bodies are bit-identical to layered,
-            # but the sweep should follow the resolved plan).
-            "fused": bool(plan is None
-                          or plan.fused or plan.codegen != "off"),
+            # (the fused body is bit-identical to layered, but the
+            # sweep should follow the resolved plan).
+            "fused": bool(plan is None or plan.fused),
         }
         send_times = []
         for r in range(self.nranks):

@@ -16,8 +16,7 @@ Routes, resolved by the engine's :class:`~repro.engine.plan.KernelPlan`:
   or ordered.  The operator holds its links and adjoint back-links in
   the tensor-major working layout, stacked by rank.
 * **Lane-major reference** — ordered exchange through
-  :meth:`DistributedLattice.cshift`, then the layered ops per rank, or
-  the generated kernels under ``codegen``.
+  :meth:`DistributedLattice.cshift`, then the layered ops per rank.
 * **Shared-memory ranks** — a transport that runs the sweep in rank
   processes (:mod:`repro.grid.comms.shmem`).
 
@@ -42,8 +41,7 @@ from repro.grid.overlap import halo_dhop
 from repro.grid.tensor import su3_dagger_mul_vec, su3_mul_vec
 from repro.grid.wilson import SPINOR, is_spinor_batch
 from repro.perf.counters import counters as _perf_counters
-from repro.perf.fused import adjoint, from_working, fused_dhop_rank, \
-    to_working
+from repro.perf.fused import adjoint, from_working, to_working
 from repro.telemetry import trace as _telemetry
 
 
@@ -71,7 +69,7 @@ class DistributedWilson:
         # Where the block sweep can run, each rank keeps its links and
         # the adjoint back-links in the tensor-major working layout,
         # and the lane-major back-links are rebuilt from those only if
-        # a layered, codegen or shmem sweep asks for them.
+        # a layered or shmem sweep asks for them.
         back = [self.links[mu].cshift(mu, -1) for mu in range(self.ndim)]
         self._links_t = self._links_adj_t = None
         self._links_back_lm = back
@@ -171,7 +169,7 @@ class DistributedWilson:
             hopped = psi.transport.run_dhop(self, psi, plan)
             if hopped is not None:
                 return hopped
-        if plan.codegen == "off" and (plan.overlap or plan.fused):
+        if plan.overlap or plan.fused:
             # The block sweep over each rank's shard and received
             # slabs; ordered or overlapped (see repro.grid.overlap).
             return halo_dhop(self, psi, plan)
@@ -180,26 +178,13 @@ class DistributedWilson:
         out = self._zero_like(psi)
         for mu in range(self.ndim):
             # The lane-major reference: ordered exchange through the
-            # distributed cshift, then rank-local arithmetic — the
-            # generated kernels under codegen, else the layered ops.
+            # distributed cshift, then the layered ops rank by rank.
             # A batched psi shares this one exchange across columns.
             fwd = psi.cshift(mu, +1)
             bwd = psi.cshift(mu, -1)
             plan.stages.bump("exchange", 2)
             for r in range(self.ranks.nranks):
                 be = psi.grids[r].backend
-                if plan.codegen != "off":
-                    for acc, pf, pb in _columns(
-                        out.locals[r].data, fwd.locals[r].data,
-                        bwd.locals[r].data, ncols,
-                    ):
-                        fused_dhop_rank(
-                            acc,
-                            self.links[mu].locals[r].data,
-                            self.links_back[mu].locals[r].data,
-                            pf, pb, mu, plan=plan,
-                        )
-                    continue
                 for acc, pf, pb in _columns(
                     out.locals[r].data, fwd.locals[r].data,
                     bwd.locals[r].data, ncols,

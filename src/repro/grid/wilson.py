@@ -68,7 +68,7 @@ class WilsonDirac:
         halo-exchanging variant.  Defaults to the single-rank
         :func:`repro.grid.cshift.cshift`.  The fused sweep is taken
         only with the default: it gathers through tables derived from
-        it.  Any other shift runs on the layered (or codegen) path.
+        it.  Any other shift runs on the layered path.
     """
 
     def __init__(self, links: Sequence[Lattice], mass: float = 0.1,
@@ -85,8 +85,7 @@ class WilsonDirac:
         # run (numpy-semantics backend, the default cshift) both link
         # sets are kept as snapshots in its tensor-major working
         # layout; the lane-major back-links, read only by the layered
-        # and codegen paths, are then built from that snapshot on
-        # first use.
+        # path, are then built from that snapshot on first use.
         self._links_t = self._links_adj_t = None
         self._links_back_lm = None
         if fused_safe_backend(self.grid.backend) and self._cshift is cshift:
@@ -152,12 +151,6 @@ class WilsonDirac:
             from repro.grid.multirhs import split_rhs, stack_rhs
 
             return stack_rhs([self.dhop(c) for c in split_rhs(psi)])
-        if plan.codegen != "off":
-            # Generated, exec-compiled sweep from the codegen cache —
-            # bit-identical to both paths below (tests/codegen pins it).
-            from repro.codegen import compiled_dhop
-
-            return compiled_dhop(self, psi, plan=plan)
         if plan.fused and self._links_t is not None:
             # Fused, cache-blocked engine sweep — bit-identical to the
             # layered path below (see repro.perf.fused for the argument).

@@ -132,7 +132,7 @@ def set_overlap_comms(flag: bool) -> None:
 
 @contextmanager
 def configured(enabled=None, workers=None, tile_min_sites=None,
-               overlap_comms=None, fused=None, codegen=None):
+               overlap_comms=None, fused=None):
     """Temporarily override engine settings (restored on exit).
 
     A thin wrapper over :func:`repro.engine.scope` — nestable and
@@ -152,8 +152,6 @@ def configured(enabled=None, workers=None, tile_min_sites=None,
         overrides["overlap_comms"] = bool(overlap_comms)
     if fused is not None:
         overrides["fused"] = bool(fused)
-    if codegen is not None:
-        overrides["codegen"] = str(codegen)
     with _scope(**overrides):
         yield config()
 

@@ -39,9 +39,6 @@ from repro.telemetry.metrics import registry
 #:   and completed from the in-flight queue.
 #: * ``batched_dhop_calls`` — multi-RHS sweeps that amortised one set
 #:   of neighbour gathers over a whole RHS batch.
-#: * ``codegen_dhop_calls`` — Wilson-Dslash sweeps taken by the
-#:   generated, exec-compiled codegen path (:mod:`repro.codegen`);
-#:   the codegen *cache* has its own ``codegen.*`` counters.
 #: * ``plan_hits`` / ``plan_misses`` — resolved
 #:   :class:`repro.engine.plan.KernelPlan` lookups per (grid, kind,
 #:   policy); a miss is one policy resolution, a hit is a cached
@@ -62,7 +59,6 @@ COUNTER_NAMES = (
     "halo_posts",
     "halo_waits",
     "batched_dhop_calls",
-    "codegen_dhop_calls",
     "plan_hits",
     "plan_misses",
 )

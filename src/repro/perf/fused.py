@@ -45,11 +45,11 @@ reference accumulation element-for-element:
 
 The distributed operator's default route (:mod:`repro.grid.overlap`)
 runs the same blocked sweep (:func:`sweep_blocks`) over the ranks'
-extended working arrays.  The lane-major callers
-(:func:`fused_dhop_rank`, for the shared-memory rank workers and the
-codegen route) share the accumulation body (:func:`_accumulate_direction`)
-through :func:`accumulate_hop`: the body takes the position of the spin
-axis, so each layout runs in its own memory order.
+extended working arrays.  The lane-major caller
+(:func:`fused_dhop_rank`, for the shared-memory rank workers) shares
+the accumulation body (:func:`_accumulate_direction`) through
+:func:`accumulate_hop`: the body takes the position of the spin axis,
+so each layout runs in its own memory order.
 
 The path is only taken for backends whose arithmetic is *exactly* the
 numpy mixin (``generic``/``fixed``); instruction-counting SVE backends
@@ -62,7 +62,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.plan import fused_safe_backend
-from repro.engine.policy import current_policy
 from repro.grid.lattice import Lattice
 from repro.grid.stencil import neighbour_table, parity_neighbour_table
 from repro.perf.counters import counters
@@ -382,39 +381,13 @@ def sweep_blocks(hops, flat: np.ndarray, count: int, store, plan,
 
 def fused_dhop_rank(acc: np.ndarray, links_mu: np.ndarray,
                     links_back_mu: np.ndarray, fwd: np.ndarray,
-                    bwd: np.ndarray, mu: int, plan=None) -> None:
-    """One rank-local (mu, fwd+bwd) accumulation for the distributed
-    operator; tiled over the rank's outer sites (lane-major arrays,
-    through :func:`accumulate_hop`).
-
-    With the plan's ``codegen`` mode active the body is the generated
-    per-direction kernel instead of the interpreted fusion — same
-    tiling, bit-identical accumulation."""
-    if plan is not None and plan.codegen != "off":
-        from repro.codegen import compiled_dhop_rank
-
-        compiled_dhop_rank(acc, links_mu, links_back_mu, fwd, bwd, mu,
-                           plan=plan)
-        return
+                    bwd: np.ndarray, mu: int) -> None:
+    """One rank-local (mu, fwd+bwd) accumulation for the shared-memory
+    rank workers; tiled over the rank's outer sites (lane-major arrays,
+    through :func:`accumulate_hop`)."""
 
     def body(sl) -> None:
         accumulate_hop(acc[sl], links_mu[sl], links_back_mu[sl], fwd[sl],
                        bwd[sl], mu)
 
-    if plan is None:
-        run_tiles(body, tiles_for(acc.shape[0]))
-    else:
-        tiles = tiles_for(acc.shape[0], workers=plan.workers,
-                          min_sites=plan.tile_min_sites)
-        run_tiles(body, tiles, workers=plan.workers)
-        plan.stages.bump("compute", len(tiles))
-
-
-def engine_active(backend) -> bool:
-    """Engine fusion resolved on *and* the backend is fused-safe.
-
-    Historical gate kept for compatibility; new code asks the engine
-    for a :class:`~repro.engine.plan.KernelPlan` and reads
-    ``plan.fused`` instead.
-    """
-    return current_policy().fused_active and fused_safe_backend(backend)
+    run_tiles(body, tiles_for(acc.shape[0]))

@@ -138,64 +138,6 @@ def bench_dslash(dims=(8, 8, 8, 8), workers: int = 4,
     return rec
 
 
-def bench_codegen(dims=(8, 8, 8, 8), reps: int = 15) -> BenchRecord:
-    """Compiled (codegen) dslash vs the layered reference.
-
-    The acceptance bench for the codegen backend: the generated,
-    exec-compiled kernel must beat the layered per-op path (min-gated
-    speedup) while staying bit-identical (exact-gated), and a warm
-    cache hit — one memo lookup — must cost less than a single layered
-    dslash call (exact-gated boolean; the cold-compile wall rides
-    along as info).
-    """
-    from repro.codegen import clear_codegen_cache, kernel_for
-    from repro.telemetry.metrics import registry
-
-    setup_off = dslash_setup("generic256", dims=dims)
-    setup_on = dslash_setup("generic256", dims=dims)
-    with perf.disabled():
-        ref = setup_off.run().data.copy()
-        t_layered = _median_wall(setup_off.run, reps)
-    clear_codegen_cache()
-    with perf.configured(enabled=True, workers=1, codegen="memory"):
-        t0 = time.perf_counter()
-        got = setup_on.run().data.copy()  # pays the cold compile
-        t_cold = time.perf_counter() - t0
-        t_hot = _median_wall(setup_on.run, reps)
-        with perf.configured(fused=True, codegen="off"):
-            t_fused = _median_wall(setup_on.run, reps)
-    # Warm-hit dispatch cost: the per-call cache lookup the compiled
-    # path pays that the fused path does not.
-    grid = setup_on.grid
-    kernel_for("dhop", grid.ndim, grid.dtype, "memory")
-    n_lookups = 200
-    t0 = time.perf_counter()
-    for _ in range(n_lookups):
-        kernel_for("dhop", grid.ndim, grid.dtype, "memory")
-    t_lookup = (time.perf_counter() - t0) / n_lookups
-    snap = registry().snapshot()
-    rec = BenchRecord(name="codegen",
-                      wall_seconds=t_layered + t_cold + t_hot)
-    rec.metric("speedup_vs_layered", round(t_layered / t_hot, 3), "min")
-    rec.metric("bit_identical", bool(np.array_equal(ref, got)), "exact")
-    rec.metric("warm_hit_below_one_layered_call",
-               bool(t_lookup < t_layered), "exact")
-    rec.metric("compiles", int(snap.get("codegen.compile", 0)), "max")
-    rec.info.update({
-        "dims": list(dims), "reps": reps,
-        "wall_layered": t_layered,
-        "wall_cold_first_call": t_cold,
-        "wall_hot": t_hot,
-        "wall_fused_reference": t_fused,
-        "speedup_vs_fused": round(t_fused / t_hot, 3),
-        "warm_lookup_seconds": t_lookup,
-        "cold_over_warm": round(t_cold / t_hot, 3),
-        "cache_hits": int(snap.get("codegen.hit", 0)),
-        "cache_misses": int(snap.get("codegen.miss", 0)),
-    })
-    return rec
-
-
 def bench_cg(dims=(4, 4, 4, 4), tol: float = 1e-7,
              workers: int = 4) -> BenchRecord:
     """CG on the normal equations, engine on, vs the engine-off
@@ -680,7 +622,6 @@ def bench_trace_cache(vls: Sequence[int] = (256, 512), n: int = 257,
 def run_suite(full: bool = False, workers: int = 4,
               vls: Optional[Sequence[int]] = None,
               overlap: bool = True,
-              codegen: str = "off",
               span_sink: Optional[list] = None) -> dict:
     """Run the pinned suite; returns the report as a plain dict.
 
@@ -689,12 +630,7 @@ def run_suite(full: bool = False, workers: int = 4,
     gate.  ``vls`` overrides the campaign VL set.  ``overlap=False``
     runs the whole suite with the comms-overlap engine off (the
     nightly matrix exercises both), except ``bench_overlap_dslash``
-    which toggles it internally by design.  ``codegen`` runs the
-    whole suite under that compiled-kernel mode (nightly runs both
-    off and memory; benches that pin their own mode — ``codegen``
-    itself — are unaffected).  Suite-level ``codegen`` changes which
-    body the engine-on measurements time, so gate such runs only
-    against a baseline recorded the same way.
+    which toggles it internally by design.
 
     Every benchmark starts from a clean slate: perf counters, live
     comms stats and any in-flight async halos are reset between
@@ -712,7 +648,6 @@ def run_suite(full: bool = False, workers: int = 4,
     reps = 25 if full else 15
     benches = [
         lambda: bench_dslash(dims=dims, workers=workers, reps=reps),
-        lambda: bench_codegen(dims=dims, reps=reps),
         lambda: bench_cg(workers=workers),
         bench_halo,
         bench_overlap_dslash,
@@ -729,7 +664,7 @@ def run_suite(full: bool = False, workers: int = 4,
     from repro.telemetry import drain_spans
 
     records = []
-    with perf.configured(overlap_comms=overlap, codegen=codegen):
+    with perf.configured(overlap_comms=overlap):
         for bench in benches:
             # One clean slate per bench: counters, comms state, sticky
             # degradations and every cache (trace, kernel-plan, cshift,
@@ -744,7 +679,6 @@ def run_suite(full: bool = False, workers: int = 4,
         "schema": SCHEMA_VERSION,
         "suite": "full" if full else "quick",
         "overlap": overlap,
-        "codegen": codegen,
         "workers": workers,
         "python": platform.python_version(),
         "numpy": np.__version__,

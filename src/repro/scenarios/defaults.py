@@ -50,7 +50,6 @@ def _sve_probe_shape(case) -> bool:
     return (case["operator"] == "wilson" and case["fused"] is False
             and case["workers"] == 1 and case["caches"] is True
             and case["batching"] is True and case["overlap"] is True
-            and case["codegen"] == "off"
             and case["telemetry"] == "off"
             and case["transport"] == "in-process"
             and case["fault"] == "none")
@@ -73,7 +72,6 @@ def default_spec() -> ScenarioSpec:
             Axis("overlap", (True, False)),
             Axis("batching", (True, False)),
             Axis("caches", (True, False)),
-            Axis("codegen", ("off", "memory", "disk")),
             Axis("workers", (1, 4)),
             Axis("telemetry", ("off", "metrics", "trace")),
             Axis("transport", ("in-process", "shmem")),

@@ -31,10 +31,8 @@ imported by the CLI and CI glue, which must stay cheap.
 from __future__ import annotations
 
 import hashlib
-import tempfile
 import time
 import zlib
-from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -94,7 +92,6 @@ def policy_overrides(case: Case) -> dict:
         "overlap_comms": case["overlap"],
         "batching": case["batching"],
         "caches": case["caches"],
-        "codegen": case.get("codegen", "off"),
         "workers": case["workers"],
         "telemetry": case["telemetry"],
         "transport": case.get("transport", "in-process"),
@@ -428,23 +425,6 @@ _FAULT_RUNNERS = {
 # The per-case and per-campaign drivers
 # ======================================================================
 
-@contextmanager
-def _codegen_store(case: Case):
-    """Point codegen disk-mode cells at a private temp store so a
-    matrix run never reads (or pollutes) the user-level cache."""
-    if case.get("codegen", "off") != "disk":
-        yield
-        return
-    from repro.codegen import set_disk_dir
-
-    with tempfile.TemporaryDirectory(prefix="repro-codegen-") as tmp:
-        prev = set_disk_dir(tmp)
-        try:
-            yield
-        finally:
-            set_disk_dir(prev)
-
-
 def run_case(case: Case, spec: ScenarioSpec,
              refs: Optional[ReferenceBank] = None,
              base_seed: int = 0) -> Cell:
@@ -466,8 +446,7 @@ def run_case(case: Case, spec: ScenarioSpec,
         # Bit-identity is the whole criterion: hash under the case's
         # policy, compare against the engine-off reference.
         try:
-            with _codegen_store(case), \
-                    engine.scope(**policy_overrides(case)):
+            with engine.scope(**policy_overrides(case)):
                 cell_hash = _hash_array(work_product(case))
             if cell_hash == refs.reference_hash(case):
                 status = Outcome.PASS.value
@@ -483,8 +462,7 @@ def run_case(case: Case, spec: ScenarioSpec,
                                  name=f"scenario-{fault}")
         error: Optional[BaseException] = None
         try:
-            with _codegen_store(case), \
-                    engine.scope(**policy_overrides(case)):
+            with engine.scope(**policy_overrides(case)):
                 _FAULT_RUNNERS[fault](case, campaign)
         except Exception as exc:  # noqa: BLE001 - classified below
             error = exc

@@ -4,19 +4,21 @@ The fused sweep (:mod:`repro.perf.fused`) hand-inlines the
 project/SU(3)/reconstruct chain as numpy calls; this module states the
 *same arithmetic* as :mod:`repro.vectorizer.ir` expression trees — one
 :class:`Statement` per output component, fully unrolled over colour
-and spin.  The codegen pipeline then runs every statement through the
-IEEE-exact simplifier (:mod:`repro.vectorizer.passes`) and lowers the
-canonical trees to straight-line numpy source
-(:mod:`repro.codegen.lower`).
+and spin.  :func:`evaluate` runs every statement through the
+IEEE-exact simplifier (:mod:`repro.vectorizer.passes`) and evaluates
+the canonical tree with :func:`repro.vectorizer.ir.reference_eval`;
+the result equals :func:`repro.perf.fused.accumulate_hop` byte for
+byte, so a lowering of these statements to SVE has a numpy oracle
+that is pinned to the production sweep.
 
 **Bit-identity discipline.**  Each expression is built so that, after
-simplification, its lowering performs exactly the reference path's
-IEEE operations in the reference order:
+simplification, it performs exactly the reference path's IEEE
+operations in the reference order:
 
 * sign handling uses ``Add(x, Neg(term))`` and lets the simplifier's
   ``x + (-y) -> x - y`` rewrite (IEEE-identical by definition) expose
-  the same ``np.subtract`` the fused body issues — the passes are in
-  the pipeline doing real work, not decoration;
+  the same ``np.subtract`` the fused body issues — the passes do real
+  work here, not decoration;
 * the SU(3) accumulation is ``((0 + t0) + t1) + t2`` with the colour
   index ``b`` ascending, the exact reference sum including the leading
   ``0 +`` (which the simplifier deliberately never folds — it is wrong
@@ -27,13 +29,10 @@ IEEE operations in the reference order:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
-from repro.vectorizer import ir
-
-#: Bump when the emitted arithmetic changes: part of the source key,
-#: so stale disk-cache entries can never be replayed against new IR.
-IR_VERSION = 1
+from repro.vectorizer import ir, passes
 
 #: Spin projection keeps 2 of 4 spinor components; colour is SU(3).
 HALF_SPINS = 2
@@ -46,8 +45,9 @@ class Statement:
     """``dest <- expr(args)``: one unrolled output component.
 
     ``kernel`` is an element-wise :class:`repro.vectorizer.ir.Kernel`
-    whose ``Load(k)`` refers to ``args[k]`` — a numpy view expression
-    (e.g. ``"pf0[:, 3, 0]"``) resolved by the lowering, not an array.
+    whose ``Load(k)`` refers to ``args[k]`` — a buffer name (e.g.
+    ``"_h01"``) or a component view of a named array (e.g.
+    ``"psi_fwd[:, 3, 0]"``), resolved by :func:`evaluate`.
     """
 
     dest: str
@@ -86,7 +86,7 @@ def _signed(base: ir.Expr, term: ir.Expr, sign: int) -> ir.Expr:
 
 
 # ----------------------------------------------------------------------
-# Component-name conventions used by the generated source
+# Component-name conventions
 # ----------------------------------------------------------------------
 
 def half_name(s: int, c: int) -> str:
@@ -117,7 +117,8 @@ def _link(arr: str, a: int, b: int) -> str:
 # The three kernel stages, unrolled
 # ----------------------------------------------------------------------
 
-def project_statements(psi: str, mu: int, sign: int) -> list:
+def project_statements(psi: str, mu: int, sign: int,
+                       scalar_type: str = "c128") -> list:
     """``h = P^{±}_mu psi`` per (half-spin, colour) component.
 
     Mirrors :func:`repro.grid.gamma.project` formula-for-formula; the
@@ -126,7 +127,8 @@ def project_statements(psi: str, mu: int, sign: int) -> list:
     """
     out = []
     for c in range(COLOURS):
-        b = _StmtBuilder(f"project_mu{mu}_s{'p' if sign > 0 else 'm'}_c{c}")
+        b = _StmtBuilder(f"project_mu{mu}_s{'p' if sign > 0 else 'm'}_c{c}",
+                         scalar_type)
         p = [b.load(_psi(psi, s, c)) for s in range(SPINS)]
         if mu == 0:      # h0 = p0 ± i p3 ; h1 = p1 ± i p2
             e0 = _signed(p[0], ir.Mul(p[3], ir.Const(1j)), sign)
@@ -147,7 +149,8 @@ def project_statements(psi: str, mu: int, sign: int) -> list:
     return out
 
 
-def su3_statements(links: str, dagger: bool) -> list:
+def su3_statements(links: str, dagger: bool,
+                   scalar_type: str = "c128") -> list:
     """``w_{s,a} = sum_b U[a,b] h_{s,b}`` (or ``conj(U[b,a])``).
 
     The adjoint form hoists the nine conjugated link components into
@@ -159,12 +162,13 @@ def su3_statements(links: str, dagger: bool) -> list:
     if dagger:
         for b_idx in range(COLOURS):
             for a in range(COLOURS):
-                sb = _StmtBuilder(f"conj_u{b_idx}{a}")
+                sb = _StmtBuilder(f"conj_u{b_idx}{a}", scalar_type)
                 out.append(sb.build(conj_link_name(b_idx, a),
                                     ir.Conj(sb.load(_link(links, b_idx, a)))))
     for s in range(HALF_SPINS):
         for a in range(COLOURS):
-            sb = _StmtBuilder(f"su3_s{s}_a{a}{'_dag' if dagger else ''}")
+            sb = _StmtBuilder(f"su3_s{s}_a{a}{'_dag' if dagger else ''}",
+                              scalar_type)
             expr: ir.Expr = ir.Const(0j)
             for b_idx in range(COLOURS):
                 u = sb.load(conj_link_name(b_idx, a) if dagger
@@ -175,7 +179,8 @@ def su3_statements(links: str, dagger: bool) -> list:
     return out
 
 
-def accumulate_statements(mu: int, sign: int) -> list:
+def accumulate_statements(mu: int, sign: int,
+                          scalar_type: str = "c128") -> list:
     """Reconstruct the 4-spinor image of ``w`` and add it into the
     accumulator views, per (spin, colour) component.
 
@@ -186,7 +191,7 @@ def accumulate_statements(mu: int, sign: int) -> list:
     out = []
     for c in range(COLOURS):
         for s in (0, 1):
-            sb = _StmtBuilder(f"acc_mu{mu}_s{s}_c{c}")
+            sb = _StmtBuilder(f"acc_mu{mu}_s{s}_c{c}", scalar_type)
             a = sb.load(acc_name(s, c))
             w = sb.load(su3_out_name(s, c))
             out.append(sb.build(acc_name(s, c), ir.Add(a, w)))
@@ -204,7 +209,7 @@ def accumulate_statements(mu: int, sign: int) -> list:
         else:  # mu == 3
             image = ((2, 0, sign), (3, 1, sign))
         for s, src, fac in image:
-            sb = _StmtBuilder(f"acc_mu{mu}_s{s}_c{c}")
+            sb = _StmtBuilder(f"acc_mu{mu}_s{s}_c{c}", scalar_type)
             a = sb.load(acc_name(s, c))
             w = sb.load(su3_out_name(src, c))
             if isinstance(fac, ir.Const):
@@ -215,11 +220,56 @@ def accumulate_statements(mu: int, sign: int) -> list:
     return out
 
 
-def direction_statements(mu: int, sign: int, links: str,
-                         psi: str) -> list:
+def direction_statements(mu: int, sign: int, links: str, psi: str,
+                         scalar_type: str = "c128") -> list:
     """Every statement of one (direction, sign) hop: project, SU(3)
     (adjoint on the backward hop), reconstruct-accumulate."""
-    stmts = project_statements(psi, mu, sign)
-    stmts += su3_statements(links, dagger=sign < 0)
-    stmts += accumulate_statements(mu, sign)
+    stmts = project_statements(psi, mu, sign, scalar_type)
+    stmts += su3_statements(links, dagger=sign < 0, scalar_type=scalar_type)
+    stmts += accumulate_statements(mu, sign, scalar_type)
     return stmts
+
+
+def hop_statements(mu: int, scalar_type: str = "c128") -> list:
+    """Both hops of direction ``mu`` (+1 then -1) over the arrays
+    ``u_fwd``/``psi_fwd`` and ``u_bwd``/``psi_bwd`` (the back-link
+    ``U_mu(x - mu)``, not its adjoint) — the statement form of
+    :func:`repro.perf.fused.accumulate_hop`."""
+    return (direction_statements(mu, +1, "u_fwd", "psi_fwd", scalar_type)
+            + direction_statements(mu, -1, "u_bwd", "psi_bwd",
+                                   scalar_type))
+
+
+# ----------------------------------------------------------------------
+# The numpy oracle
+# ----------------------------------------------------------------------
+
+_VIEW = re.compile(r"(\w+)\[:, (\d+), (\d+)\]$")
+
+
+def evaluate(stmts, acc, **arrays) -> None:
+    """Execute ``stmts`` in order, accumulating into ``acc`` in place.
+
+    ``acc`` and ``arrays`` (keyed as the statements name them) are
+    ``(sites, *tensor, ...)`` arrays: lane-major lattice data, or a
+    site-first view of the tensor-major working layout.  Each
+    statement's kernel is simplified (:func:`passes.simplify`) and
+    evaluated by :func:`ir.reference_eval`; intermediates (half
+    spinors, SU(3) products, conjugated links) live in a local table.
+    """
+    env = dict(arrays)
+    for s in range(SPINS):
+        for c in range(COLOURS):
+            env[acc_name(s, c)] = acc[:, s, c]
+
+    def resolve(src: str):
+        m = _VIEW.match(src)
+        return env[src] if m is None else env[m[1]][:, int(m[2]), int(m[3])]
+
+    for st in stmts:
+        kernel = passes.simplify(st.kernel).kernel
+        value = ir.reference_eval(kernel, [resolve(a) for a in st.args])
+        if st.dest in env:
+            env[st.dest][...] = value
+        else:
+            env[st.dest] = value

@@ -8,7 +8,7 @@ import repro.perf as perf
 from repro.bench.workloads import dslash_setup
 from repro.grid.cshift import cshift
 from repro.grid.random import random_spinor
-from repro.perf.fused import engine_active, fused_dhop_supported
+from repro.perf.fused import fused_dhop_supported
 from repro.perf.parallel import run_tiles, tiles_for
 from repro.simd.generic import GenericBackend
 
@@ -55,13 +55,6 @@ class TestFusedSafeGate:
 
         assert fused_dhop_supported(GenericBackend(256))
         assert not fused_dhop_supported(Shadow(256))
-
-    def test_engine_active_follows_config(self):
-        be = GenericBackend(256)
-        with perf.configured(enabled=True):
-            assert engine_active(be)
-        with perf.disabled():
-            assert not engine_active(be)
 
 
 class TestTiling:

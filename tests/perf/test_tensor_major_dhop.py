@@ -5,8 +5,9 @@ fused_dhop`) works on a ``(4, 3, osites * nlanes)`` copy of the field,
 gathers neighbours through flat index tables and sweeps blocks of
 ``BLOCK_SITES`` flat sites.  None of that may change a bit: every
 comparison here is on raw bytes (float views, so signed zeros and NaN
-payloads count), against the engine-off layered path, the generated
-``codegen="memory"`` kernel and the canonical-array oracle.
+payloads count), against the engine-off layered path, the Dslash IR
+(:mod:`repro.vectorizer.wilson_ir`) evaluated with numpy, and the
+canonical-array oracle.
 """
 
 import warnings
@@ -27,6 +28,7 @@ from repro.grid.wilson import WilsonDirac
 from repro.perf import fused
 from repro.perf.counters import counters, reset_counters
 from repro.simd import get_backend
+from repro.vectorizer import wilson_ir
 
 BACKENDS = ("generic128", "generic256", "generic512")
 DTYPES = (np.complex128, np.complex64)
@@ -63,9 +65,28 @@ def _layered(dirac, psi) -> np.ndarray:
         return dirac.dhop(psi).data
 
 
-def _codegen(dirac, psi) -> np.ndarray:
-    with engine.scope(codegen="memory"):
-        return dirac.dhop(psi).data
+def _ir(dirac, psi) -> np.ndarray:
+    """The Dslash IR, evaluated on the sweep's tensor-major copies so
+    each component is one contiguous loop, as in the sweep: numpy's
+    strided and contiguous complex loops can give the NaN of an
+    invalid operation (inf - inf) different sign bits."""
+    grid = dirac.grid
+    st = "c64" if grid.dtype == np.complex64 else "c128"
+
+    def site_major(lat):  # an (N, *tensor) view of the working copy
+        return np.moveaxis(fused.to_working(lat.data), -1, 0)
+
+    work = np.zeros((4, 3, grid.osites * grid.nlanes), dtype=grid.dtype)
+    for mu in range(grid.ndim):
+        u = dirac.links[mu]
+        wilson_ir.evaluate(
+            wilson_ir.hop_statements(mu, st), np.moveaxis(work, -1, 0),
+            u_fwd=site_major(u), psi_fwd=site_major(cshift(psi, mu, +1)),
+            u_bwd=site_major(cshift(u, mu, -1)),
+            psi_bwd=site_major(cshift(psi, mu, -1)))
+    out = np.empty_like(psi.data)
+    fused.from_working(work, out)
+    return out
 
 
 def _default(dirac, psi) -> np.ndarray:
@@ -87,11 +108,11 @@ def _assert_matches_oracle(dirac, psi, got: np.ndarray) -> None:
 class TestBitIdentity:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_layered_codegen_and_oracle(self, backend, dtype):
+    def test_matches_layered_ir_and_oracle(self, backend, dtype):
         dirac, psi = _operator(backend, (4, 4, 4, 8), dtype)
         got = _default(dirac, psi)
         _assert_bytes_equal(got, _layered(dirac, psi))
-        _assert_bytes_equal(got, _codegen(dirac, psi))
+        _assert_bytes_equal(got, _ir(dirac, psi))
         _assert_matches_oracle(dirac, psi, got)
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -145,7 +166,7 @@ class TestBitIdentity:
 
 
 class TestSpecialValues:
-    """IEEE special values, as in the ``tests/codegen/`` cases."""
+    """IEEE special values: signed zeros, infinities and NaNs."""
 
     @staticmethod
     def _plant(psi) -> None:
@@ -170,22 +191,25 @@ class TestSpecialValues:
             self._plant(psi)
             got = _default(dirac, psi)
             _assert_bytes_equal(got, _layered(dirac, psi))
-            _assert_bytes_equal(got, _codegen(dirac, psi))
+            _assert_bytes_equal(got, _ir(dirac, psi))
 
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_nan_matches_codegen_exactly_and_layered_in_value(self,
-                                                              backend):
+    def test_nan_matches_ir_exactly_and_layered_in_value(self, backend,
+                                                         dtype):
         # The fused body's out= contraction order has always given
-        # propagated NaNs a different sign bit from the layered path
-        # (see tests/codegen/test_identity.py); the sweep keeps it.
+        # propagated NaNs a different sign bit from the layered path;
+        # the sweep keeps it, and the IR states that order exactly.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            dirac, psi = _operator(backend, (4, 4, 4, 4))
+            dirac, psi = _operator(backend, (4, 4, 4, 4), dtype,
+                                   links_hook=self._plant_links)
+            self._plant(psi)
             psi.data[2, 2, 2, 0] = complex(np.nan, 1.0)
             psi.data[0, 3, 1, 0] = complex(-0.0, np.nan)
             got = _default(dirac, psi)
             ref = _layered(dirac, psi)
-            _assert_bytes_equal(got, _codegen(dirac, psi))
+            _assert_bytes_equal(got, _ir(dirac, psi))
         g, r = _floats(got), _floats(ref)
         nans = np.isnan(r)
         assert nans.any()

@@ -20,7 +20,7 @@ def _case(**overrides):
     spec = default_spec()
     bindings = dict(operator="wilson", family="generic", vl=128,
                     fused=True, overlap=True, batching=True, caches=True,
-                    codegen="off", workers=1, telemetry="off",
+                    workers=1, telemetry="off",
                     transport="in-process", fault="none")
     bindings.update(overrides)
     return spec, spec.case(**bindings)

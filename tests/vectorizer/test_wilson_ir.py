@@ -1,0 +1,122 @@
+"""The Wilson-Dslash IR, pinned to the production body.
+
+Every statement of :mod:`repro.vectorizer.wilson_ir` is simplified by
+:func:`repro.vectorizer.passes.simplify` and evaluated with
+:func:`repro.vectorizer.ir.reference_eval`; per direction the result
+must equal :func:`repro.perf.fused.accumulate_hop` byte for byte, NaN
+payloads and signed zeros included.  The whole-sweep comparison, on
+every ``generic`` width, lives with the sweep's own tests
+(``tests/perf/test_tensor_major_dhop.py``).
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+import repro.grid  # noqa: F401 - loads before repro.perf.fused, which imports it
+from repro.perf.fused import accumulate_hop
+from repro.vectorizer import ir, passes, wilson_ir
+
+DTYPES = (np.complex128, np.complex64)
+
+
+def _scalar_type(dtype) -> str:
+    return "c64" if np.dtype(dtype) == np.complex64 else "c128"
+
+
+def _plant(spinor: np.ndarray, links: np.ndarray) -> None:
+    """±0, ±inf and NaN in a spinor and a link field."""
+    spinor[0, 0, 0, 0] = complex(-0.0, -0.0)
+    spinor[1, 1, 1, -1] = complex(np.inf, 0.0)
+    spinor[2, 3, 0, 0] = complex(0.0, -np.inf)
+    spinor[3, 2, 2, 0] = complex(np.nan, 1.0)
+    spinor[4, 0, 1, -1] = complex(-0.0, np.nan)
+    links[5, 1, 1, 0] = complex(-0.0, np.inf)
+    links[6, 0, 2, -1] = complex(-np.inf, -0.0)
+
+
+class TestSimplifiedStatements:
+    def test_leading_zero_addend_survives_simplification(self):
+        # The SU(3) sum must keep its ``0 + t`` head for IEEE -0.0
+        # bit-identity with the reference; a simplifier that folded
+        # x + 0 would break it, so pin its presence.
+        for dagger in (False, True):
+            for st in wilson_ir.su3_statements("u", dagger):
+                if not st.dest.startswith("_w"):
+                    continue  # the hoisted conj(U) components
+                e = passes.simplify(st.kernel).kernel.expr
+                while isinstance(e.a, ir.Add):
+                    e = e.a
+                assert e.a == ir.Const(0j), st.dest
+
+    @pytest.mark.parametrize("mu", range(4))
+    def test_negations_become_subtractions(self, mu):
+        # ``x + (-y)`` canonicalises to ``x - y``, the fused body's
+        # np.subtract: no Neg node survives simplification.
+        def has_neg(e) -> bool:
+            if isinstance(e, ir.Neg):
+                return True
+            return any(has_neg(getattr(e, f)) for f in ("a", "b")
+                       if isinstance(getattr(e, f, None), ir.Expr))
+
+        for st in wilson_ir.hop_statements(mu):
+            assert not has_neg(passes.simplify(st.kernel).kernel.expr)
+
+
+class TestPerDirection:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("mu", range(4))
+    def test_matches_accumulate_hop(self, mu, dtype):
+        rng = np.random.default_rng(100 + mu)
+        n, nl = 32, 4
+
+        def carr(*shape):
+            return (rng.normal(size=shape)
+                    + 1j * rng.normal(size=shape)).astype(dtype)
+
+        acc = carr(n, 4, 3, nl)
+        u_f, u_b = carr(n, 3, 3, nl), carr(n, 3, 3, nl)
+        p_f, p_b = carr(n, 4, 3, nl), carr(n, 4, 3, nl)
+        _plant(p_f, u_b)
+        _plant(p_b, u_f)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = acc.copy()
+            accumulate_hop(want, u_f, u_b, p_f, p_b, mu)
+            got = acc.copy()
+            wilson_ir.evaluate(wilson_ir.hop_statements(
+                mu, _scalar_type(dtype)), got, u_fwd=u_f, psi_fwd=p_f,
+                u_bwd=u_b, psi_bwd=p_b)
+
+        assert got.dtype == dtype
+        assert np.isnan(got).any()
+        assert got.tobytes() == want.tobytes()
+
+
+    def test_special_values_complex64(self):
+        # Forward and backward operands alias one field and the
+        # accumulator starts at zero: -0.0 and a NaN+inf element must
+        # come through exactly as the fused body produces them.
+        rng = np.random.default_rng(9)
+        n, nl = 16, 4
+        shape = (n, 4, 3, nl)
+        p = (rng.normal(size=shape)
+             + 1j * rng.normal(size=shape)).astype(np.complex64)
+        p[0, 0, 0, 0] = complex(-0.0, -0.0)
+        p[1, 1, 1, 1] = complex(np.nan, np.inf)
+        u = (rng.normal(size=(n, 3, 3, nl))
+             + 1j * rng.normal(size=(n, 3, 3, nl))).astype(np.complex64)
+        acc = np.zeros(shape, dtype=np.complex64)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = acc.copy()
+            accumulate_hop(want, u, u, p, p, 0)
+            got = acc.copy()
+            wilson_ir.evaluate(wilson_ir.hop_statements(0, "c64"), got,
+                               u_fwd=u, psi_fwd=p, u_bwd=u, psi_bwd=p)
+
+        assert np.isnan(got).any()
+        assert got.tobytes() == want.tobytes()

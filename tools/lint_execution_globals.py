@@ -48,8 +48,6 @@ EXECUTION_GLOBALS = frozenset({
     "_TELEMETRY_REGISTRY",   # repro.telemetry.metrics — the registry
     "_TRACE_BUFFER",         # repro.telemetry.trace — the span buffer
     "_ACTIVE_SPAN",          # repro.telemetry.trace — span nesting var
-    "_MEMORY",               # repro.codegen.cache — compiled-kernel memo
-    "_DISK",                 # repro.codegen.cache — disk-dir override
 })
 
 #: Files allowed to mutate them: the engine (owner), the
@@ -61,7 +59,6 @@ ALLOWLIST = frozenset({
     "src/repro/simd/registry.py",
     "src/repro/telemetry/metrics.py",
     "src/repro/telemetry/trace.py",
-    "src/repro/codegen/cache.py",
 })
 
 DEFAULT_TREES = ("src", "tests", "benchmarks", "examples", "tools")

@@ -75,20 +75,6 @@ def span_summary_table(spans) -> str:
     return _table(["span", "calls", "seconds", "mean_s"], body)
 
 
-def codegen_table(spans) -> str:
-    """Compile activity of the codegen cache: one row per
-    ``codegen.compile`` span (a cold compile; warm hits never open a
-    span, so an empty table on a warmed-up run is the success case)."""
-    rows = [s for s in spans if s.name == "codegen.compile"]
-    if not rows:
-        return "(no codegen compiles — cache was warm or codegen off)"
-    body = [[s.attrs.get("kind", "?"), s.attrs.get("key", "?"),
-             s.duration] for s in rows]
-    total = sum(s.duration for s in rows)
-    body.append(["TOTAL", f"{len(rows)} compiles", total])
-    return _table(["kind", "key", "seconds"], body)
-
-
 def residual_series(spans) -> str:
     """The residual-vs-iteration series of every solve span."""
     rows = convergence_from_spans(spans)
@@ -138,8 +124,6 @@ def main(argv=None) -> int:
                     help="only the roofline report")
     ap.add_argument("--convergence", action="store_true",
                     help="only the convergence report")
-    ap.add_argument("--codegen", action="store_true",
-                    help="only the codegen compile report")
     ap.add_argument("--ranks", action="store_true",
                     help="only the cross-rank load-imbalance report")
     ap.add_argument("--postmortem", action="store_true",
@@ -169,13 +153,12 @@ def main(argv=None) -> int:
         return 0
 
     chosen = (args.spans or args.roofline or args.convergence
-              or args.codegen or args.ranks)
+              or args.ranks)
     # In default (no-flag) mode, specialised reports that would render
     # empty — an artifact of only unrecognised span names — collapse
     # into one note rather than a stack of placeholder tables.
     have = {
         "roofline": bool(roofline_from_spans(spans)),
-        "codegen": any(s.name == "codegen.compile" for s in spans),
         "convergence": bool(convergence_from_spans(spans)),
         "ranks": bool(rank_spans(spans)),
     }
@@ -184,8 +167,6 @@ def main(argv=None) -> int:
         out += ["", "## spans", span_summary_table(spans)]
     if args.roofline or (not chosen and have["roofline"]):
         out += ["", "## roofline", roofline_table(spans)]
-    if args.codegen or (not chosen and have["codegen"]):
-        out += ["", "## codegen", codegen_table(spans)]
     if args.convergence or (not chosen and have["convergence"]):
         out += ["", "## convergence", convergence_table(spans)]
         if args.residuals:
@@ -193,7 +174,7 @@ def main(argv=None) -> int:
     if args.ranks or (not chosen and have["ranks"]):
         out += ["", "## rank imbalance", imbalance_table(spans)]
     if not chosen and not any(have.values()):
-        out += ["", "(no roofline / codegen / convergence / rank "
+        out += ["", "(no roofline / convergence / rank "
                 "activity recognised — the span summary above is "
                 "everything this artifact holds)"]
     print("\n".join(out))
