@@ -3,8 +3,9 @@
 * ``movprfx`` emission in the complex-via-real lowering (the register-
   allocation artifact visible in the paper's Section IV-B listing);
 * even-odd (Schur) preconditioning vs plain CGNE;
-* mixed-precision (float32-inner) vs pure double CGNE — the QUDA
-  technique of the paper's reference [3];
+* mixed-precision (float32-inner) vs pure double CGNE, on the full
+  matrix and on the Schur complement — the QUDA technique of the
+  paper's reference [3];
 * the Section V-E silicon hypotheses applied to the *whole dslash*
   instruction stream, not just a micro-kernel.
 """
@@ -15,6 +16,7 @@ import pytest
 from repro.armie import run_kernel
 from repro.bench.tables import Table
 from repro.bench.workloads import complex_arrays, dslash_setup
+from repro.engine.solve import solve_fermion
 from repro.grid.cartesian import GridCartesian
 from repro.grid.evenodd import SchurWilson
 from repro.grid.mixedprec import mixed_precision_cgne
@@ -72,6 +74,14 @@ def test_mixed_precision_ablation(show):
     b = random_spinor(grid, seed=5)
     pure = solve_wilson_cgne(dirac, b, tol=1e-10, max_iter=1000)
     mixed = mixed_precision_cgne(dirac, b, tol=1e-10, inner_tol=1e-5)
+    # The same pair on the even-odd Schur complement (odd half fields),
+    # the propagator's default solve.
+    schur = SchurWilson(dirac)
+    rhs = schur.project(b, "odd")
+    pure_s = solve_fermion(schur, rhs, method="cg", tol=1e-10,
+                           max_iter=1000)
+    mixed_s = solve_fermion(schur, rhs, method="mixed", tol=1e-10,
+                            inner_tol=1e-5)
     table = Table(
         ["solver", "f64 op applies", "f32 op applies", "residual"],
         title="Ablation: mixed precision (QUDA-style, ref. [3])",
@@ -81,10 +91,18 @@ def test_mixed_precision_ablation(show):
     table.add("f32-inner defect correction",
               2 * mixed.outer_iterations + 1,
               2 * mixed.inner_iterations_total, mixed.residual)
+    table.add("pure double Schur CGNE", 2 * pure_s.iterations + 1, 0,
+              pure_s.residual)
+    table.add("f32-inner Schur defect correction",
+              2 * mixed_s.outer_iterations + 1,
+              2 * mixed_s.inner_iterations_total, mixed_s.residual)
     show(table)
     assert mixed.converged and mixed.residual < 1e-10
+    assert mixed_s.converged and mixed_s.residual < 1e-10
     # The double-precision work collapses to a handful of outer steps.
     assert 2 * mixed.outer_iterations + 1 < (2 * pure.iterations + 1) / 4
+    assert 2 * mixed_s.outer_iterations + 1 \
+        <= (2 * pure_s.iterations + 1) / 4
 
 
 def test_dslash_cost_profiles(show):

@@ -47,7 +47,7 @@ _FUSED_SAFE = (GenericBackend, FixedWidthBackend)
 
 #: Grid instances carrying engine-owned caches (kernel plans, cshift
 #: plans, flat neighbour tables, red-black half grids and their parity
-#: tables, rank halo tables), weakly held so
+#: tables, single-precision twin grids, rank halo tables), weakly held so
 #: :func:`clear_plan_caches` can invalidate without keeping grids
 #: alive.  Keyed by ``id`` because grids define value equality without
 #: hashability (a ``WeakSet`` needs hashable members); dead entries
@@ -56,7 +56,8 @@ _PLAN_HOSTS: dict = {}
 
 #: Attributes :func:`clear_plan_caches` evicts from registered hosts.
 _HOSTED_CACHES = ("_kernel_plans", "_cshift_plans", "_nbr_tables",
-                  "_rb_grids", "_cb_tables", "_rank_halo")
+                  "_rb_grids", "_cb_tables", "_single_grid",
+                  "_rank_halo")
 
 
 def fused_safe_backend(backend) -> bool:
@@ -215,7 +216,8 @@ def kernel_plan(grid, kind: str = "dhop",
 def clear_plan_caches() -> int:
     """Evict every engine-owned cache from every registered host grid
     (kernel plans, cshift gather plans, flat neighbour tables, red-black
-    half grids and their parity tables, rank halo tables).  Returns
+    half grids and their parity tables, single-precision twin grids,
+    rank halo tables).  Returns
     how many hosts were touched.  Part of
     :func:`repro.engine.reset_all`; results are unaffected — these
     caches hold pure geometry derivations that rebuild on next use."""

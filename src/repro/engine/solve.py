@@ -123,16 +123,19 @@ def _solve_direct(operator, b, method, ft, tol, max_iter, campaign,
 
 
 def _solve_mixed(operator, b, ft, tol, max_iter, campaign, kwargs):
-    """Mixed-precision defect correction (``max_iter`` is unused; the
-    mixed solvers take ``max_outer``/``max_inner`` via ``kwargs``)."""
+    """Mixed-precision defect correction: ``max_iter`` bounds the
+    single-precision inner iterations summed over the outer steps
+    (each inner solve is also capped by ``max_inner`` in ``kwargs``)."""
     if ft:
         from repro.resilience.ft_solver import ft_mixed_precision_cgne
 
         return ft_mixed_precision_cgne(operator, b, tol=tol,
+                                       max_iter=max_iter,
                                        campaign=campaign, **kwargs)
     from repro.grid.mixedprec import mixed_precision_cgne
 
-    return mixed_precision_cgne(operator, b, tol=tol, **kwargs)
+    return mixed_precision_cgne(operator, b, tol=tol, max_iter=max_iter,
+                                **kwargs)
 
 
 def solve_fermion(operator, b, method: str = "cg", ft: bool = False,

@@ -249,7 +249,7 @@ class GridRedBlack:
             raise ValueError(f"parity must be one of {PARITIES}, "
                              f"got {parity!r}")
         n = full.osites * full.nlanes
-        if any(d % 2 for d in full.ldims) or (n // 2) % full.nlanes:
+        if not GridRedBlack.fits(full.ldims, full.nlanes):
             raise ValueError(
                 f"no half-volume checkerboard for local dims "
                 f"{full.ldims} with {full.nlanes} lanes: every extent "
@@ -269,6 +269,13 @@ class GridRedBlack:
         flat = full.parity_mask().reshape(n)
         self.sites = np.flatnonzero(flat == PARITIES.index(parity))
         self._osite, self._lane = np.divmod(self.sites, full.nlanes)
+
+    @staticmethod
+    def fits(ldims, nlanes: int) -> bool:
+        """Whether local dims ``ldims`` have a half-volume checkerboard
+        at ``nlanes`` lanes (the condition :meth:`__init__` enforces)."""
+        return not any(d % 2 for d in ldims) \
+            and (int(np.prod(ldims)) // 2) % nlanes == 0
 
     def pick(self, field):
         """This parity's sites of a full-grid field, as a half field."""

@@ -125,16 +125,33 @@ class SchurWilson:
     # ------------------------------------------------------------------
     def solve(self, b: Lattice, tol: float = 1e-8,
               max_iter: int = 1000) -> SolverResult:
-        """Solve ``M psi = b`` through the odd-site Schur system."""
+        """Solve ``M psi = b`` through the odd-site Schur system.
+
+        The Schur system is solved by mixed-precision defect correction
+        (:func:`repro.grid.mixedprec.defect_correction`): double-precision
+        true residuals around CGNE on the ``complex64`` Schur twin, with
+        inner tolerance ``sqrt(tol)`` (floored at
+        :data:`~repro.grid.mixedprec.INNER_TOL_FLOOR`).  ``max_iter``
+        bounds the inner iterations summed over the outer steps, and the
+        result's ``iterations`` is that sum.  Where the single-precision
+        lanes admit no half-volume checkerboard the solve is double CGNE
+        on ``S``.
+        """
         from repro.engine.solve import solve_fermion
+        from repro.grid.mixedprec import INNER_TOL_FLOOR, has_single_twin
 
         b_e = self.project(b, "even")
         b_o = self.project(b, "odd")
         # RHS of the Schur system: b_o - Moe Mee^-1 b_e.
         rhs = b_o - self._hop(b_e) * (1.0 / self.diag)
         # CGNE on S (gamma5-hermitian, like M itself).
-        inner = solve_fermion(self, rhs, method="cg", tol=tol,
-                              max_iter=max_iter)
+        if has_single_twin(self):
+            inner = solve_fermion(
+                self, rhs, method="mixed", tol=tol, max_iter=max_iter,
+                inner_tol=max(tol ** 0.5, INNER_TOL_FLOOR))
+        else:
+            inner = solve_fermion(self, rhs, method="cg", tol=tol,
+                                  max_iter=max_iter)
         psi_o = inner.x
         # Back-substitution: psi_e = Mee^-1 (b_e - Meo psi_o).
         hop_o = self.dirac.dhop_cb(psi_o)

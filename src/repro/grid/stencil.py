@@ -178,6 +178,30 @@ def red_black(grid: GridCartesian, parity: str) -> GridRedBlack:
     return rb
 
 
+def single_precision_grid(grid: GridCartesian) -> GridCartesian:
+    """``grid``'s geometry with ``complex64`` lanes (``vComplexF``:
+    twice the lanes of ``vComplexD``, so a different virtual-node
+    decomposition).
+
+    Memoized per grid like :func:`red_black`: the single-precision
+    twins that mixed-precision solves build per call share one grid,
+    its tables and its half grids, which live exactly as long as
+    ``grid`` does.
+    """
+    def make():
+        return GridCartesian(grid.gdims, grid.backend,
+                             mpi_layout=grid.mpi_layout,
+                             dtype=np.complex64)
+
+    if not current_policy().caches_active:
+        return make()
+    memo = _hosted(grid, "_single_grid")
+    single = memo.get("complex64")
+    if single is None:
+        single = memo["complex64"] = make()
+    return single
+
+
 def _parity_neighbour_table(grid: GridCartesian, parity: str, dim: int,
                             shift: int) -> np.ndarray:
     target = red_black(grid, parity)

@@ -27,15 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.grid.lattice import Lattice
-from repro.grid.mixedprec import (
-    MixedPrecisionResult,
-    make_single_precision_copy,
-    _to_double,
-    _to_single,
-)
+from repro.grid.mixedprec import MixedPrecisionResult, defect_correction
 from repro.grid.multirhs import (
     batch_copy,
     batch_zero_like,
@@ -47,7 +43,6 @@ from repro.grid.multirhs import (
     nrhs,
 )
 from repro.grid.solver import BlockSolverResult, SolverResult
-from repro.grid.wilson import WilsonDirac
 from repro.telemetry import metrics as _telemetry_metrics
 from repro.telemetry import trace as _telemetry
 from repro.telemetry.reports import traced_solver
@@ -524,7 +519,7 @@ def ft_solve_wilson_cgne(dirac, b: Lattice, tol: float = 1e-8,
 
 @traced_solver("mixed-ft")
 def ft_mixed_precision_cgne(
-    dirac: WilsonDirac,
+    dirac,
     b: Lattice,
     tol: float = 1e-10,
     inner_tol: float = 1e-5,
@@ -532,60 +527,32 @@ def ft_mixed_precision_cgne(
     max_inner: int = 500,
     max_restarts: int = 3,
     campaign=None,
+    max_iter: int | None = None,
 ) -> MixedPrecisionResult:
     """Mixed-precision CGNE whose outer loop survives inner faults.
 
-    The double-precision defect-correction structure of
-    :func:`repro.grid.mixedprec.mixed_precision_cgne`, with two
-    guards: the float32 inner solve runs fault-tolerant CG, and an
-    outer update whose true residual comes back non-finite or *worse*
-    than before is discarded (the iterate rolls back) instead of
-    poisoning the solve.
+    The double-precision defect correction of
+    :func:`repro.grid.mixedprec.mixed_precision_cgne` (the same loop,
+    the same single-precision twin), with two guards: the float32
+    inner solve runs fault-tolerant CG, and an outer update whose true
+    residual comes back non-finite or *worse* than before is discarded
+    (the iterate rolls back) instead of poisoning the solve.
     """
-    dirac32 = make_single_precision_copy(dirac)
-    grid32 = dirac32.grid
-    grid64 = dirac.grid
-    x = b.new_like()
-    r = b.copy()
-    bnorm = b.norm2() ** 0.5
-    if bnorm == 0.0:
-        return MixedPrecisionResult(x=x, converged=True, outer_iterations=0,
-                                    inner_iterations_total=0, residual=0.0)
-    history = [1.0]
-    inner_total = 0
     events: list = []
     restarts = 0
-    for outer in range(1, max_outer + 1):
-        r32 = _to_single(grid32, r)
-        rhs32 = dirac32.apply_dagger(r32)
-        inner = ft_conjugate_gradient(dirac32.mdag_m, rhs32, tol=inner_tol,
-                                      max_iter=max_inner, campaign=campaign)
-        inner_total += inner.iterations
-        d = _to_double(grid64, inner.x)
-        x_trial = x + d
-        r_trial = b - dirac.apply(x_trial)
-        rel = r_trial.norm2() ** 0.5 / bnorm
-        if not math.isfinite(rel) or rel > 2.0 * history[-1]:
-            # Corrupted correction: discard, count, retry or give up.
-            restarts += 1
-            _record(campaign, events,
-                    f"mixed-precision: corrupted outer update {outer} "
-                    f"(rel {rel!r})", restarts <= max_restarts)
-            if restarts > max_restarts:
-                break
-            continue
-        x, r = x_trial, r_trial
-        history.append(rel)
-        if rel <= tol:
-            return MixedPrecisionResult(
-                x=x, converged=True, outer_iterations=outer,
-                inner_iterations_total=inner_total, residual=rel,
-                residual_history=history,
-            )
-        if len(history) > 2 and history[-1] > 0.9 * history[-2]:
-            break
-    return MixedPrecisionResult(
-        x=x, converged=False, outer_iterations=len(history) - 1,
-        inner_iterations_total=inner_total, residual=history[-1],
-        residual_history=history,
-    )
+
+    def screen(outer, rel, last):
+        nonlocal restarts
+        if math.isfinite(rel) and rel <= 2.0 * last:
+            return "keep"
+        # Corrupted correction: discard, count, retry or give up.
+        restarts += 1
+        _record(campaign, events,
+                f"mixed-precision: corrupted outer update {outer} "
+                f"(rel {rel!r})", restarts <= max_restarts)
+        return "retry" if restarts <= max_restarts else "stop"
+
+    return defect_correction(
+        dirac, b, tol, inner_tol, max_outer, max_inner, max_iter,
+        inner_solve=partial(ft_conjugate_gradient, campaign=campaign),
+        screen=screen)

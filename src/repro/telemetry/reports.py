@@ -61,14 +61,11 @@ def convergence_attrs(result) -> dict:
     Works on every result family — ``SolverResult``,
     ``BlockSolverResult`` (its ``residual_history`` entries are
     per-column lists), the FT extensions (``restarts``) and
-    ``MixedPrecisionResult`` (``outer_iterations``) — reading only by
-    ``getattr`` so it never constrains the result types.
+    ``MixedPrecisionResult`` (``iterations`` is its inner total) —
+    reading only by ``getattr`` so it never constrains the result types.
     """
-    iterations = getattr(result, "iterations", None)
-    if iterations is None:
-        iterations = getattr(result, "outer_iterations", 0)
     out = {
-        "iterations": int(iterations or 0),
+        "iterations": int(getattr(result, "iterations", 0) or 0),
         "converged": bool(getattr(result, "converged", False)),
         "residuals": [
             [float(c) for c in r] if isinstance(r, (list, tuple)) else

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+import repro.engine as engine
+import repro.telemetry as telemetry
+from repro.engine.solve import solve_fermion
 from repro.grid.cartesian import GridCartesian
 from repro.grid.clover import WilsonClover
+from repro.grid.evenodd import SchurWilson
 from repro.grid.propagator import (
     effective_mass,
     pion_correlator,
@@ -13,7 +17,7 @@ from repro.grid.propagator import (
     timeslice_sums,
 )
 from repro.grid.random import random_gauge
-from repro.grid.solver import solve_wilson_cgne
+from repro.grid.solver import SolverResult, solve_wilson_cgne
 from repro.grid.su3 import unit_gauge
 from repro.grid.wilson import WilsonDirac
 from repro.simd import get_backend
@@ -96,6 +100,74 @@ class TestPropagator:
         bad = WilsonDirac(random_gauge(grid, seed=11), mass=0.8)
         with pytest.raises(RuntimeError, match="converge"):
             propagator(bad, (0, 0, 0, 0), tol=1e-14, max_iter=2)
+
+
+def _double_schur_solver(dirac, b, tol, max_iter):
+    """The pure-double reference: CG on the Schur complement, then the
+    even-site back-substitution."""
+    schur = SchurWilson(dirac)
+    b_e, b_o = schur.project(b, "even"), schur.project(b, "odd")
+    rhs = b_o + dirac.dhop_cb(b_e) * (0.5 / schur.diag)
+    res = solve_fermion(schur, rhs, method="cg", tol=tol,
+                        max_iter=max_iter)
+    psi_e = (b_e + dirac.dhop_cb(res.x) * 0.5) * (1.0 / schur.diag)
+    psi = res.x.grid.embed(res.x, out=schur.embed(psi_e))
+    return SolverResult(x=psi, converged=res.converged,
+                        iterations=res.iterations, residual=res.residual)
+
+
+class TestMixedPrecisionDefault:
+    """The default Schur solve runs complex64 inner CG inside double
+    defect correction."""
+
+    TOL = 1e-8
+
+    @pytest.fixture(scope="class")
+    def traced(self, dirac):
+        telemetry.reset()
+        try:
+            with engine.scope(telemetry="trace"):
+                columns, results = propagator(dirac, (0, 0, 0, 0),
+                                              tol=self.TOL)
+            spans = telemetry.spans()
+        finally:
+            telemetry.reset()
+        return columns, results, spans
+
+    def test_engine_off_true_residual(self, traced, dirac, grid):
+        columns, _, _ = traced
+        with engine.scope(enabled=False):
+            for spin in range(4):
+                for colour in range(3):
+                    b = point_source(grid, (0, 0, 0, 0), spin, colour)
+                    r = (b - dirac.apply(columns[spin][colour])).norm2() \
+                        ** 0.5 / b.norm2() ** 0.5
+                    assert r <= 10 * self.TOL
+
+    def test_columns_match_pure_double_schur(self, traced, dirac):
+        columns, _, _ = traced
+        ref, ref_results = propagator(dirac, (0, 0, 0, 0), tol=self.TOL,
+                                      solver=_double_schur_solver)
+        assert all(r.converged for r in ref_results)
+        for spin in range(4):
+            for colour in range(3):
+                a, b = columns[spin][colour], ref[spin][colour]
+                assert (a - b).norm2() ** 0.5 < 1e-6 * b.norm2() ** 0.5
+
+    def test_record_iterations_are_inner_totals(self, traced):
+        _, results, spans = traced
+        mixed = [s for s in spans
+                 if s.name == "solve" and s.attrs["solver"] == "mixed"]
+        assert len(mixed) == len(results) == 12
+        for rec, outer in zip(results, mixed):
+            inner = [s.attrs["iterations"] for s in spans
+                     if s.name == "solve" and s.parent_id == outer.span_id]
+            assert len(inner) == len(rec.residual_history) - 1 >= 1
+            assert rec.iterations == sum(inner) > 0
+
+    def test_starved_budget_raises(self, dirac):
+        with pytest.raises(RuntimeError, match="converge"):
+            propagator(dirac, (0, 0, 0, 0), tol=self.TOL, max_iter=2)
 
 
 class TestPionCorrelator:

@@ -5,6 +5,7 @@ windowed FT events, and the ``traced_solver`` wrapper."""
 import repro.engine as engine
 import repro.telemetry as telemetry
 from repro.grid.cartesian import GridCartesian
+from repro.grid.mixedprec import MixedPrecisionResult
 from repro.grid.random import random_gauge, random_spinor
 from repro.grid.solver import conjugate_gradient
 from repro.grid.wilson import WilsonDirac
@@ -146,15 +147,14 @@ class TestConvergenceAttrs:
         assert attrs["final_residual"] == 0.25
         assert "pAp denominator" in attrs["breakdown"]
 
-    def test_mixed_precision_result_uses_outer_iterations(self):
-        class MixedResult:
-            outer_iterations = 6
-            converged = True
-            residual = 1e-10
-            residual_history = [1.0, 1e-5, 1e-10]
-
-        attrs = convergence_attrs(MixedResult())
-        assert attrs["iterations"] == 6
+    def test_mixed_precision_result_reports_inner_total(self):
+        result = MixedPrecisionResult(
+            x=None, converged=True, outer_iterations=2,
+            inner_iterations_total=43, residual=1e-10,
+            residual_history=[1.0, 1e-5, 1e-10])
+        attrs = convergence_attrs(result)
+        assert attrs["iterations"] == 43
+        assert attrs["residuals"] == [1.0, 1e-5, 1e-10]
         assert "restarts" not in attrs
         assert "breakdown" not in attrs
 
