@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from repro.engine.operators import (
     FermionOperator,
-    MultiRHSOperator,
     OperatorGeometry,
     get_operator,
     operator_names,
@@ -57,7 +56,6 @@ __all__ = [
     "ExecutionPolicy",
     "FermionOperator",
     "KernelPlan",
-    "MultiRHSOperator",
     "OperatorGeometry",
     "StageCounters",
     "base_policy",

@@ -15,8 +15,6 @@ substrates cheap.  This module is that seam for the reproduction:
   their operator classes lazily, so the registry can be enumerated
   without pulling the whole grid layer in — and so this module stays
   importable from ``repro.engine`` without cycles.
-* :class:`MultiRHSOperator` — the batching adapter: wraps any operator
-  so solvers can treat a stacked ``(nrhs, 4, 3)`` batch as one field.
 
 ``get_operator(name, **kwargs)`` is equivalent to constructing the
 class directly (the registry tests assert bitwise-equal application
@@ -131,61 +129,6 @@ def get_operator(name: str, **kwargs):
 
 
 # ----------------------------------------------------------------------
-# The batching adapter
-# ----------------------------------------------------------------------
-class MultiRHSOperator:
-    """Present a base operator as a batched one.
-
-    The Wilson operators already dispatch on the ``(nrhs, 4, 3)``
-    tensor shape, so application delegates unchanged; this adapter
-    adds the protocol metadata plus ``stack``/``split`` conveniences,
-    making "the multi-RHS-batched operator" a first-class registry
-    entry rather than a calling convention.
-    """
-
-    def __init__(self, base) -> None:
-        self.base = base
-
-    def apply(self, psi):
-        return self.base.apply(psi)
-
-    M = apply
-
-    def apply_dagger(self, psi):
-        return self.base.apply_dagger(psi)
-
-    Mdag = apply_dagger
-
-    def mdag_m(self, psi):
-        return self.base.mdag_m(psi)
-
-    def dhop(self, psi):
-        return self.base.dhop(psi)
-
-    @property
-    def geometry(self) -> OperatorGeometry:
-        return self.base.geometry
-
-    def flops_per_site(self) -> int:
-        return self.base.flops_per_site()
-
-    def bytes_per_site(self) -> int:
-        return self.base.bytes_per_site()
-
-    @staticmethod
-    def stack(fields):
-        from repro.grid.multirhs import stack_rhs
-
-        return stack_rhs(fields)
-
-    @staticmethod
-    def split(batch):
-        from repro.grid.multirhs import split_rhs
-
-        return split_rhs(batch)
-
-
-# ----------------------------------------------------------------------
 # Registrations (factories import lazily: the grid layer imports the
 # engine, so the engine must not import the grid layer at module scope)
 # ----------------------------------------------------------------------
@@ -228,12 +171,3 @@ def _make_wilson_dist(links, mass: float = 0.1):
     from repro.grid.dist_wilson import DistributedWilson
 
     return DistributedWilson(links, mass=mass)
-
-
-@register_operator("wilson-mrhs",
-                   "multi-RHS-batched Wilson operator")
-def _make_wilson_mrhs(links, mass: float = 0.1, cshift_fn=None):
-    from repro.grid.wilson import WilsonDirac
-
-    return MultiRHSOperator(WilsonDirac(links, mass=mass,
-                                        cshift_fn=cshift_fn))

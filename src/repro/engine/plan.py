@@ -7,7 +7,7 @@ worker count, and the branching was duplicated in four files.  The
 paper's dispatch lesson (one kernel, many substrates, selected in one
 place) says to resolve that *once*: operators now ask
 :func:`kernel_plan` for a :class:`KernelPlan` — the fully resolved
-(fused? overlapped? batched? how many workers?) execution shape for
+(fused? overlapped? how many workers?) execution shape for
 one (grid, kind, policy) triple — and just follow it.
 
 Plans are memoized per grid instance keyed by ``(kind, policy)``; the
@@ -120,8 +120,6 @@ class KernelPlan:
       per-op reference.
     * ``overlap`` — (dist only) post all halos up front and hide them
       behind interior compute.
-    * ``batched`` — amortise one gather/exchange set over a multi-RHS
-      batch; off means column-by-column sweeps.
     * ``workers`` / ``tile_min_sites`` — tile-pool shape for the sweep.
     * ``caches`` — consult/populate derived-data caches.
     * ``transport`` — (dist only) the halo/sweep backend:
@@ -138,7 +136,6 @@ class KernelPlan:
     kind: str
     fused: bool
     overlap: bool
-    batched: bool
     workers: int
     tile_min_sites: int
     caches: bool
@@ -161,7 +158,6 @@ def _resolve(kind: str, backend, policy: ExecutionPolicy) -> KernelPlan:
         fused=policy.fused_active and safe,
         overlap=(kind == "dist-dhop" and policy.overlap_active and safe
                  and transport == "in-process"),
-        batched=policy.batching,
         workers=policy.workers if policy.enabled else 1,
         tile_min_sites=policy.tile_min_sites,
         caches=policy.caches_active,

@@ -69,14 +69,6 @@ class ExecutionPolicy:
     overlap_comms:
         Hide distributed halo exchange behind interior compute
         (:mod:`repro.grid.overlap`).  Only effective while ``enabled``.
-    batching:
-        Amortise one set of halo exchanges / neighbour gathers over a
-        whole multi-RHS batch (:mod:`repro.grid.multirhs`).  With it
-        off, a batched field is swept column by column — bit-identical
-        output, ``nrhs`` times the messages.  Deliberately *not* gated
-        on ``enabled``: the amortisation is a dispatch choice, not an
-        engine arithmetic path, and the pre-engine reference shares
-        gathers too.
     caches:
         Consult *and populate* the engine's derived-data caches: the
         kernel trace cache, cshift gather plans, distributed
@@ -126,7 +118,6 @@ class ExecutionPolicy:
     workers: int = 1
     tile_min_sites: int = 128
     overlap_comms: bool = True
-    batching: bool = True
     caches: bool = True
     fallback: bool = False
     backend: str = "generic256"

@@ -1,9 +1,8 @@
 """One solver entry parameterized by operator + method + policy.
 
 Pre-engine, each solver family had its own Wilson-specific wrapper —
-``solve_wilson_cgne``, ``solve_wilson_cgne_batched``,
-``ft_solve_wilson_cgne``, ``ft_solve_wilson_cgne_batched``,
-``mixed_precision_cgne``, ``ft_mixed_precision_cgne`` — six entry
+``solve_wilson_cgne``, ``ft_solve_wilson_cgne``,
+``mixed_precision_cgne``, ``ft_mixed_precision_cgne`` — four entry
 points repeating the same prepare-RHS / run-recursion / true-residual
 shape.  :func:`solve_fermion` collapses them onto one core
 parameterized by
@@ -18,9 +17,7 @@ parameterized by
   ``recompute_interval`` are forwarded), and
 * an optional **policy** scoped around the whole solve.
 
-Batched right-hand sides (tensor ``(nrhs, 4, 3)``) are detected by
-shape and routed to the block recursions, exactly as the legacy
-batched wrappers did.  The Krylov recursions themselves stay in
+The Krylov recursions themselves stay in
 :mod:`repro.grid.solver` / :mod:`repro.resilience.ft_solver` — they
 are numerically pinned (the FT variants are bit-identical to the
 plain ones on pristine runs) and this module must not perturb them;
@@ -54,38 +51,9 @@ def _true_residual_single(operator, b, result):
     return result
 
 
-def _true_residual_batched(operator, b, result):
-    """The legacy batched true-residual report (bit-exact, including
-    the ``1e-300`` guard the batched wrappers used)."""
-    from repro.grid.multirhs import col_norm2, nrhs
-
-    diff = b - operator.apply(result.x)
-    result.col_residuals = [
-        col_norm2(diff, j) ** 0.5 / max(col_norm2(b, j) ** 0.5, 1e-300)
-        for j in range(nrhs(b))
-    ]
-    result.residual = max(result.col_residuals)
-    return result
-
-
-def _solve_cg(operator, b, batched, ft, tol, max_iter, campaign, kwargs):
+def _solve_cg(operator, b, ft, tol, max_iter, campaign, kwargs):
     """CGNE: CG on ``M^dagger M x = M^dagger b``."""
     rhs = operator.apply_dagger(b)
-    if batched:
-        if ft:
-            from repro.resilience.ft_solver import (
-                ft_batched_conjugate_gradient,
-            )
-
-            result = ft_batched_conjugate_gradient(
-                operator.mdag_m, rhs, tol=tol, max_iter=max_iter,
-                campaign=campaign, **kwargs)
-        else:
-            from repro.grid.solver import batched_conjugate_gradient
-
-            result = batched_conjugate_gradient(
-                operator.mdag_m, rhs, tol=tol, max_iter=max_iter, **kwargs)
-        return _true_residual_batched(operator, b, result)
     if ft:
         from repro.resilience.ft_solver import ft_conjugate_gradient
 
@@ -102,7 +70,7 @@ def _solve_cg(operator, b, batched, ft, tol, max_iter, campaign, kwargs):
 
 def _solve_direct(operator, b, method, ft, tol, max_iter, campaign,
                   kwargs):
-    """BiCGSTAB / MR on ``M`` directly (single RHS)."""
+    """BiCGSTAB / MR on ``M`` directly."""
     if method == "bicgstab":
         if ft:
             from repro.resilience.ft_solver import ft_bicgstab
@@ -146,8 +114,7 @@ def solve_fermion(operator, b, method: str = "cg", ft: bool = False,
     FermionOperator`.
 
     Returns the method family's native result type
-    (:class:`~repro.grid.solver.SolverResult`, ``BlockSolverResult``,
-    the FT extensions, or
+    (:class:`~repro.grid.solver.SolverResult`, its FT extension, or
     :class:`~repro.grid.mixedprec.MixedPrecisionResult`) — identical,
     field for field and bit for bit, to the legacy wrapper it
     replaces.  ``policy`` (if given) is scoped around the whole solve;
@@ -156,19 +123,11 @@ def solve_fermion(operator, b, method: str = "cg", ft: bool = False,
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; known: {METHODS}")
-    from repro.grid.wilson import is_spinor_batch
-
-    batched = is_spinor_batch(b.tensor_shape)
 
     def dispatch():
         if method == "cg":
-            return _solve_cg(operator, b, batched, ft, tol, max_iter,
-                             campaign, kwargs)
-        if batched:
-            raise ValueError(
-                f"method {method!r} has no batched variant; split the "
-                f"batch or use method='cg'"
-            )
+            return _solve_cg(operator, b, ft, tol, max_iter, campaign,
+                             kwargs)
         if method == "mixed":
             return _solve_mixed(operator, b, ft, tol, max_iter, campaign,
                                 kwargs)
@@ -190,7 +149,7 @@ def solve_fermion(operator, b, method: str = "cg", ft: bool = False,
         label = f"{method}-ft" if ft else method
         with _telemetry.span("solve_fermion", solver=label,
                              operator=type(operator).__name__,
-                             batched=batched, tol=tol) as sp:
+                             tol=tol) as sp:
             result = dispatch()
             if sp is not None:
                 sp.attrs.update(

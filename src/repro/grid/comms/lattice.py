@@ -334,12 +334,10 @@ class DistributedLattice:
         attribute, preserved as a view)."""
         return self.transport.queue
 
-    def clone_empty(self, tensor_shape=None) -> "DistributedLattice":
+    def clone_empty(self) -> "DistributedLattice":
         """A new distributed field sharing geometry, comms config,
-        stats and transports (hence in-flight queues) with ``self``
-        but holding no local lattices yet.  ``tensor_shape`` overrides
-        the per-site tensor (used by the multi-RHS batch type); the
-        halo-size cache is shared only when the tensor is unchanged."""
+        stats, transports (hence in-flight queues) and the halo-size
+        cache with ``self`` but holding no local lattices yet."""
         out = DistributedLattice.__new__(DistributedLattice)
         out.ranks = self.ranks
         out.compress_halos = self.compress_halos
@@ -353,12 +351,8 @@ class DistributedLattice:
         out._shift_params = self._shift_params
         out.grids = self.grids
         out.gdims = self.gdims
-        if tensor_shape is None:
-            out.tensor_shape = self.tensor_shape
-            out._halo_sizes = self._halo_sizes
-        else:
-            out.tensor_shape = tuple(int(t) for t in tensor_shape)
-            out._halo_sizes = {}
+        out.tensor_shape = self.tensor_shape
+        out._halo_sizes = self._halo_sizes
         out.locals = []
         _LIVE_COMMS.add(out)
         return out

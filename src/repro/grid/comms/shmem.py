@@ -84,17 +84,6 @@ from repro.telemetry.rankcollect import RankCollector
 COMMAND_TIMEOUT_S = 120.0
 
 
-def _columns(acc, fwd, bwd, ncols: int):
-    """Column views of (output, fwd, bwd) data — one triple for a
-    plain spinor field, one per RHS for a batch (tensor
-    ``(nrhs, 4, 3)``).  Mirrors the in-process sweep's helper."""
-    if not ncols:
-        yield acc, fwd, bwd
-        return
-    for j in range(ncols):
-        yield acc[:, j], fwd[:, j], bwd[:, j]
-
-
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
@@ -160,7 +149,6 @@ def _worker_dhop(rank: int, cmd: dict, sems: dict, seg_cache: dict,
     tensor = tuple(cmd["tensor_shape"])
     shape = (grid.osites,) + tensor + (grid.nlanes,)
     lshape = (grid.osites, 3, 3, grid.nlanes)
-    ncols = tensor[0] if len(tensor) == 3 else 0
     ndim = grid.ndim
 
     def view(name, shp):
@@ -259,18 +247,16 @@ def _worker_dhop(rank: int, cmd: dict, sems: dict, seg_cache: dict,
                 pb = cshift_local(src, mu, sb, boundary_from=own).data
             else:
                 pb = raw_prev[mu] if steps_b else own
-            for acc_c, pf_c, pb_c in _columns(acc, pf, pb, ncols):
-                if fused:
-                    fused_dhop_rank(acc_c, links[mu], links_back[mu],
-                                    pf_c, pb_c, mu)
-                else:
-                    be = backend
-                    h = g.project(be, pf_c, mu, +1)
-                    uh = su3_mul_vec(be, links[mu], h)
-                    a2 = be.add(acc_c, g.reconstruct(be, uh, mu, +1))
-                    h = g.project(be, pb_c, mu, -1)
-                    uh = su3_dagger_mul_vec(be, links_back[mu], h)
-                    acc_c[...] = be.add(a2, g.reconstruct(be, uh, mu, -1))
+            if fused:
+                fused_dhop_rank(acc, links[mu], links_back[mu], pf, pb, mu)
+            else:
+                be = backend
+                h = g.project(be, pf, mu, +1)
+                uh = su3_mul_vec(be, links[mu], h)
+                a2 = be.add(acc, g.reconstruct(be, uh, mu, +1))
+                h = g.project(be, pb, mu, -1)
+                uh = su3_dagger_mul_vec(be, links_back[mu], h)
+                acc[...] = be.add(a2, g.reconstruct(be, uh, mu, -1))
             if collector is not None:
                 collector.record("rank.dhop_dir", t_dir,
                                  time.perf_counter(), mu=mu,

@@ -19,11 +19,6 @@ Routes, resolved by the engine's :class:`~repro.engine.plan.KernelPlan`:
   :meth:`DistributedLattice.cshift`, then the layered ops per rank.
 * **Shared-memory ranks** — a transport that runs the sweep in rank
   processes (:mod:`repro.grid.comms.shmem`).
-
-A field whose tensor is ``(nrhs, 4, 3)`` (see
-:mod:`repro.grid.multirhs`) is swept column by column over one shared
-set of halo messages, so ``nrhs`` right-hand sides cost exactly the
-halo messages of one.
 """
 
 from __future__ import annotations
@@ -39,8 +34,7 @@ from repro.grid.comms import DistributedLattice, LatencyModel
 from repro.grid.lattice import Lattice
 from repro.grid.overlap import halo_dhop
 from repro.grid.tensor import su3_dagger_mul_vec, su3_mul_vec
-from repro.grid.wilson import SPINOR, is_spinor_batch
-from repro.perf.counters import counters as _perf_counters
+from repro.grid.wilson import SPINOR
 from repro.perf.fused import adjoint, from_working, to_working
 from repro.telemetry import trace as _telemetry
 
@@ -107,16 +101,13 @@ class DistributedWilson:
         out.locals = [lat.new_like() for lat in psi.locals]
         return out
 
-    def _check(self, psi: DistributedLattice) -> int:
-        """Validate the field; returns the batch width (0 = plain)."""
-        if psi.tensor_shape == SPINOR:
-            return 0
-        if is_spinor_batch(psi.tensor_shape):
-            return psi.tensor_shape[0]
-        raise ValueError(
-            "distributed Wilson operator acts on spinors "
-            f"{SPINOR} or (nrhs,) + {SPINOR}, got {psi.tensor_shape}"
-        )
+    def _check(self, psi: DistributedLattice) -> None:
+        """Validate the field: a spinor."""
+        if psi.tensor_shape != SPINOR:
+            raise ValueError(
+                "distributed Wilson operator acts on spinors "
+                f"{SPINOR}, got {psi.tensor_shape}"
+            )
 
     def dhop(self, psi: DistributedLattice) -> DistributedLattice:
         """Apply Eq. (1) with halo exchange at rank boundaries.
@@ -124,8 +115,7 @@ class DistributedWilson:
         Dispatch is resolved once by the execution engine (every rank
         shares one backend object, so one :class:`~repro.engine.plan.
         KernelPlan` covers the whole sweep): block sweep (overlapped or
-        ordered) vs lane-major reference, and batched vs
-        column-by-column multi-RHS handling.  Every route is
+        ordered) vs lane-major reference.  Every route is
         bit-identical on a pristine or checksummed wire; with fp16
         halos the reference route rounds different sites (see
         DESIGN.md §9).
@@ -137,29 +127,20 @@ class DistributedWilson:
         """
         if not _telemetry.tracing():
             return self._dhop_impl(psi)
-        ncols = (psi.tensor_shape[0]
-                 if len(psi.tensor_shape) == 3 else 0)
         grid = self.links[0].grids[0]
         with _telemetry.span(
-            "dhop.batched" if ncols else "dhop",
-            sites=grid.gsites * max(ncols, 1),
+            "dhop",
+            sites=grid.gsites,
             flops_per_site=self.flops_per_site(),
             bytes_per_site=self.bytes_per_site(),
             backend=grid.backend.name,
             nranks=self.ranks.nranks,
-            nrhs=ncols,
         ):
             return self._dhop_impl(psi)
 
     def _dhop_impl(self, psi: DistributedLattice) -> DistributedLattice:
-        ncols = self._check(psi)
+        self._check(psi)
         plan = kernel_plan(psi.grids[0], "dist-dhop")
-        if ncols and not plan.batched:
-            # Batching off: nrhs independent sweeps, each paying its
-            # own halo exchange (the unamortised reference).
-            from repro.grid.multirhs import split_rhs, stack_rhs
-
-            return stack_rhs([self.dhop(c) for c in split_rhs(psi)])
         if plan.transport != "in-process":
             # A real transport backend owns the whole sweep: halo
             # traffic crosses an actual process boundary and the
@@ -173,30 +154,24 @@ class DistributedWilson:
             # The block sweep over each rank's shard and received
             # slabs; ordered or overlapped (see repro.grid.overlap).
             return halo_dhop(self, psi, plan)
-        if ncols:
-            _perf_counters().bump("batched_dhop_calls")
         out = self._zero_like(psi)
         for mu in range(self.ndim):
             # The lane-major reference: ordered exchange through the
             # distributed cshift, then the layered ops rank by rank.
-            # A batched psi shares this one exchange across columns.
             fwd = psi.cshift(mu, +1)
             bwd = psi.cshift(mu, -1)
             plan.stages.bump("exchange", 2)
             for r in range(self.ranks.nranks):
                 be = psi.grids[r].backend
-                for acc, pf, pb in _columns(
-                    out.locals[r].data, fwd.locals[r].data,
-                    bwd.locals[r].data, ncols,
-                ):
-                    h = g.project(be, pf, mu, +1)
-                    uh = su3_mul_vec(be, self.links[mu].locals[r].data, h)
-                    acc2 = be.add(acc, g.reconstruct(be, uh, mu, +1))
-                    h = g.project(be, pb, mu, -1)
-                    uh = su3_dagger_mul_vec(
-                        be, self.links_back[mu].locals[r].data, h
-                    )
-                    acc[...] = be.add(acc2, g.reconstruct(be, uh, mu, -1))
+                acc = out.locals[r].data
+                h = g.project(be, fwd.locals[r].data, mu, +1)
+                uh = su3_mul_vec(be, self.links[mu].locals[r].data, h)
+                acc2 = be.add(acc, g.reconstruct(be, uh, mu, +1))
+                h = g.project(be, bwd.locals[r].data, mu, -1)
+                uh = su3_dagger_mul_vec(
+                    be, self.links_back[mu].locals[r].data, h
+                )
+                acc[...] = be.add(acc2, g.reconstruct(be, uh, mu, -1))
         return out
 
     def apply(self, psi: DistributedLattice) -> DistributedLattice:
@@ -208,16 +183,16 @@ class DistributedWilson:
 
     def apply_dagger(self, psi: DistributedLattice) -> DistributedLattice:
         """``M^dagger`` via gamma5-hermiticity, rank by rank."""
-        ncols = self._check(psi)
+        self._check(psi)
         tmp = self._zero_like(psi)
         for r, lat in enumerate(psi.locals):
             be = psi.grids[r].backend
-            _gamma5_into(be, tmp.locals[r].data, lat.data, ncols)
+            tmp.locals[r].data[...] = g.gamma5_apply(be, lat.data)
         tmp = self.apply(tmp)
         out = self._zero_like(psi)
         for r, lat in enumerate(tmp.locals):
             be = psi.grids[r].backend
-            _gamma5_into(be, out.locals[r].data, lat.data, ncols)
+            out.locals[r].data[...] = g.gamma5_apply(be, lat.data)
         return out
 
     def mdag_m(self, psi: DistributedLattice) -> DistributedLattice:
@@ -250,26 +225,6 @@ class DistributedWilson:
         + 8 link reads, one spinor write), per local site."""
         grid = self.links[0].grids[0]
         return (8 * 12 + 8 * 9 + 12) * grid.dtype.itemsize
-
-
-def _columns(acc, fwd, bwd, ncols: int):
-    """Column views of (output, fwd, bwd) data — one triple for a plain
-    spinor field, one per RHS for a batch (tensor ``(nrhs, 4, 3)``)."""
-    if not ncols:
-        yield acc, fwd, bwd
-        return
-    for j in range(ncols):
-        yield acc[:, j], fwd[:, j], bwd[:, j]
-
-
-def _gamma5_into(be, out, data, ncols: int) -> None:
-    """``out = gamma_5 data`` (column-wise for a batch; gamma acts on
-    the spin axis, which sits behind the batch axis)."""
-    if not ncols:
-        out[...] = g.gamma5_apply(be, data)
-        return
-    for j in range(ncols):
-        out[:, j] = g.gamma5_apply(be, data[:, j])
 
 
 def distribute_gauge(links, gdims, backend, mpi_layout,

@@ -20,8 +20,6 @@ the compressed, checksummed, fault-exposed wire image *is* the one
 boundary slab the message is accounted as.  Messages go out in the
 historical order (mu ascending, +1 then -1, receiving rank ascending),
 so seeded fault schedules keyed on message ordinals hit the same halo.
-A batched ``(nrhs, 4, 3)`` field sends one slab of all its columns per
-message and sweeps column by column.
 
 **Schedules.**  Both are site ranges of the same sweep:
 
@@ -69,20 +67,16 @@ def halo_dhop(op, psi, kplan):
     shard and received slabs.
 
     ``op`` is a :class:`~repro.grid.dist_wilson.DistributedWilson`
-    holding tensor-major links; ``psi`` a spinor or multi-RHS batch
-    field; ``kplan`` the resolved :class:`~repro.engine.plan.
-    KernelPlan`, whose ``overlap`` picks the schedule and whose tile
-    split and stage counters the sweep uses.
+    holding tensor-major links; ``psi`` a spinor field; ``kplan`` the
+    resolved :class:`~repro.engine.plan.KernelPlan`, whose ``overlap``
+    picks the schedule and whose tile split and stage counters the
+    sweep uses.
     """
     halo = rank_halo(psi)
     nranks = psi.ranks.nranks
-    ncols = psi.tensor_shape[0] if len(psi.tensor_shape) == 3 else 0
-    if ncols:
-        counters().bump("batched_dhop_calls")
-    rows = 12 * max(ncols, 1)
     n, width = halo.sites, halo.width
     dtype = psi.locals[0].data.dtype
-    stacked = np.empty((rows, nranks * width), dtype=dtype)
+    stacked = np.empty((12, nranks * width), dtype=dtype)
     ext = [stacked[:, r * width:(r + 1) * width] for r in range(nranks)]
     for e, lat in zip(ext, psi.locals):
         shard = e[:, :n].reshape(lat.data.shape[1:-1] + (-1, lat.grid.nlanes))
@@ -107,7 +101,7 @@ def halo_dhop(op, psi, kplan):
             ext[r][:, halo.slots[key]] = transport.wait(handle)
 
     # The result in the working layout, rank r at columns r * n onwards.
-    result = np.empty((rows, nranks * n), dtype=dtype)
+    result = np.empty((12, nranks * n), dtype=dtype)
 
     def sweep(part=None) -> None:
         """Every rank's sweep over all its sites, or over ``part``'s."""
@@ -115,18 +109,17 @@ def halo_dhop(op, psi, kplan):
         hops = [(sign, tables[(mu, sign)], links[mu], mu)
                 for mu in range(op.ndim)
                 for sign, links in ((+1, op._links_t), (-1, op._links_adj_t))]
-        for j in range(max(ncols, 1)):
-            res = result[12 * j:12 * j + 12]
-            if part is None:
-                def store(acc, b0, b1, res=res) -> None:
-                    res[:, b0:b1] = acc.reshape(12, -1)
-                count, sites = nranks * n, None
-            else:
-                def store(acc, b0, b1, res=res.reshape(-1)) -> None:
-                    res[part.scatter[:, b0:b1]] = acc.reshape(12, -1)
-                count, sites = part.sites.size, part.sites
-            sweep_blocks(hops, stacked[12 * j:12 * j + 12], count, store,
-                         kplan, link_sites=sites)
+        if part is None:
+            def store(acc, b0, b1) -> None:
+                result[:, b0:b1] = acc.reshape(12, -1)
+            count, sites = nranks * n, None
+        else:
+            flat = result.reshape(-1)
+
+            def store(acc, b0, b1) -> None:
+                flat[part.scatter[:, b0:b1]] = acc.reshape(12, -1)
+            count, sites = part.sites.size, part.sites
+        sweep_blocks(hops, stacked, count, store, kplan, link_sites=sites)
 
     keys = [(mu, sign) for mu in range(op.ndim) for sign in (+1, -1)]
     if kplan.overlap:

@@ -25,15 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.grid.lattice import Lattice
-from repro.grid.multirhs import (
-    batch_copy,
-    batch_zero_like,
-    col_axpy,
-    col_inner,
-    col_norm2,
-    col_xpby,
-    nrhs,
-)
 from repro.telemetry.reports import traced_solver
 
 
@@ -119,130 +110,6 @@ def solve_wilson_cgne(dirac, b: Lattice, tol: float = 1e-8,
     (:func:`repro.engine.solve_fermion` with ``method="cg"``), which
     reproduces this wrapper's RHS preparation and true-residual report
     bit for bit.
-    """
-    from repro.engine.solve import solve_fermion
-
-    return solve_fermion(dirac, b, method="cg", tol=tol,
-                         max_iter=max_iter)
-
-
-# ----------------------------------------------------------------------
-# Multi-RHS block solver
-# ----------------------------------------------------------------------
-@dataclass
-class BlockSolverResult:
-    """Convergence record of one batched solve.
-
-    ``x`` is the batch field; the ``col_*`` lists hold the per-column
-    outcome.  ``iterations`` counts *batched operator applications* —
-    the quantity the batching amortises — so comparing it against the
-    summed iterations of per-RHS solves measures the saving directly.
-    """
-
-    x: object
-    converged: bool
-    iterations: int
-    residual: float
-    col_converged: list = field(default_factory=list)
-    col_iterations: list = field(default_factory=list)
-    col_residuals: list = field(default_factory=list)
-    residual_history: list = field(default_factory=list)
-    breakdown: str = ""
-
-
-@traced_solver("block-cg")
-def batched_conjugate_gradient(
-    op: Callable,
-    b,
-    x0=None,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
-) -> BlockSolverResult:
-    """CG over a stacked RHS batch (tensor ``(nrhs, 4, 3)``).
-
-    Each column runs the standard CG scalar recursion, but every
-    iteration issues **one** batched operator application serving all
-    still-active columns — halo messages, neighbour gathers and link
-    passes are paid once per iteration instead of once per RHS.
-    Converged (or broken-down) columns are frozen: their alpha/beta
-    updates stop, so their iterates no longer change while the rest of
-    the batch keeps iterating.  Mathematically each column follows the
-    same recursion as :func:`conjugate_gradient` on it alone; the
-    iterates agree to rounding (reduction order of the strided column
-    views differs), which is what the equivalence tests assert.
-    """
-    n = nrhs(b)
-    x = batch_zero_like(b) if x0 is None else batch_copy(x0)
-    r = batch_copy(b) if x0 is None else b - op(x)
-    p = batch_copy(r)
-    rr = [col_norm2(r, j) for j in range(n)]
-    bnorm = [col_norm2(b, j) ** 0.5 for j in range(n)]
-    converged = [bn == 0.0 for bn in bnorm]
-    active = [not c for c in converged]
-    col_iters = [0] * n
-    col_res = [0.0 if c else rr[j] ** 0.5 / bnorm[j]
-               for j, c in enumerate(converged)]
-    history = [list(col_res)]
-    breakdown = ""
-    it = 0
-    while it < max_iter and any(active):
-        it += 1
-        ap = op(p)
-        for j in range(n):
-            if not active[j]:
-                continue
-            denom = col_inner(p, ap, j).real
-            if not _finite_nonzero(denom):
-                active[j] = False
-                breakdown += (f"[col {j}] cg: pAp denominator {denom!r} "
-                              f"at iter {it}; ")
-                col_iters[j] = it
-                continue
-            alpha = rr[j] / denom
-            col_axpy(x, alpha, p, j)
-            col_axpy(r, -alpha, ap, j)
-            rr_new = col_norm2(r, j)
-            if not math.isfinite(rr_new):
-                active[j] = False
-                breakdown += (f"[col {j}] cg: non-finite residual at "
-                              f"iter {it}; ")
-                col_iters[j] = it
-                continue
-            rel = rr_new ** 0.5 / bnorm[j]
-            col_res[j] = rel
-            if rel <= tol:
-                active[j] = False
-                converged[j] = True
-                col_iters[j] = it
-                rr[j] = rr_new
-                continue
-            col_xpby(p, r, rr_new / rr[j], j)
-            rr[j] = rr_new
-        history.append(list(col_res))
-    for j in range(n):
-        if active[j]:
-            col_iters[j] = max_iter
-    return BlockSolverResult(
-        x=x, converged=all(converged), iterations=it,
-        residual=max(col_res) if col_res else 0.0,
-        col_converged=converged, col_iterations=col_iters,
-        col_residuals=col_res, residual_history=history,
-        breakdown=breakdown.strip(),
-    )
-
-
-def solve_wilson_cgne_batched(dirac, b, tol: float = 1e-8,
-                              max_iter: int = 1000) -> BlockSolverResult:
-    """Solve ``M x_j = b_j`` for a whole RHS batch via CGNE.
-
-    One batched ``M^dagger`` prepares all the normal-equation right
-    hand sides, then :func:`batched_conjugate_gradient` runs them to
-    tolerance together.  Reports per-column true residuals of the
-    original system.
-
-    Delegates to the unified solver entry
-    (:func:`repro.engine.solve_fermion`, which detects the batch by
-    tensor shape), bit-identically.
     """
     from repro.engine.solve import solve_fermion
 

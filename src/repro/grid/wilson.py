@@ -46,13 +46,6 @@ from repro.perf.fused import (
 SPINOR = (4, 3)
 
 
-def is_spinor_batch(tensor_shape: tuple) -> bool:
-    """True for a multi-RHS batch tensor ``(nrhs, 4, 3)`` (see
-    :mod:`repro.grid.multirhs`)."""
-    return len(tensor_shape) == 3 and tensor_shape[1:] == SPINOR \
-        and tensor_shape[0] >= 1
-
-
 class WilsonDirac:
     """Wilson fermion matrix over a gauge configuration.
 
@@ -118,11 +111,7 @@ class WilsonDirac:
         Dispatch is resolved by the execution engine: the grid's
         :class:`~repro.engine.plan.KernelPlan` (cached per policy)
         decides between the fused, cache-blocked sweep and the
-        layered reference, and whether a multi-RHS batch (tensor
-        ``(nrhs, 4, 3)``) is applied as one batched sweep (the fused
-        route runs its columns through the same neighbour tables) or
-        as independent per-column calls.  Every route is
-        bit-identical.
+        layered reference.  Both routes are bit-identical.
 
         With telemetry tracing on, the sweep is wrapped in a span
         carrying the flop/byte metadata the roofline report consumes;
@@ -131,26 +120,18 @@ class WilsonDirac:
         """
         if not _telemetry.tracing():
             return self._dhop_impl(psi)
-        ncols = psi.tensor_shape[0] if len(psi.tensor_shape) == 3 else 0
         with _telemetry.span(
-            "dhop.batched" if ncols else "dhop",
-            sites=self.grid.gsites * max(ncols, 1),
+            "dhop",
+            sites=self.grid.gsites,
             flops_per_site=self.flops_per_site(),
             bytes_per_site=self.bytes_per_site(),
             backend=self.grid.backend.name,
-            nrhs=ncols,
         ):
             return self._dhop_impl(psi)
 
     def _dhop_impl(self, psi: Lattice) -> Lattice:
-        ncols = self._check(psi)
+        self._check(psi)
         plan = kernel_plan(self.grid, "dhop")
-        if ncols and not plan.batched:
-            # Batching off: apply column by column (nrhs independent
-            # sweeps, nrhs x the gathers — the unamortised reference).
-            from repro.grid.multirhs import split_rhs, stack_rhs
-
-            return stack_rhs([self.dhop(c) for c in split_rhs(psi)])
         if plan.fused and self._links_t is not None:
             # Fused, cache-blocked engine sweep — bit-identical to the
             # layered path below (see repro.perf.fused for the argument).
@@ -159,22 +140,18 @@ class WilsonDirac:
         be = self.grid.backend
         out = Lattice(self.grid, psi.tensor_shape)
         for mu in range(self.grid.ndim):
-            # One gather per direction, shared across the batch.
             psi_fwd = self._cshift(psi, mu, +1)
             psi_bwd = self._cshift(psi, mu, -1)
-            cols = range(ncols) if ncols else (slice(None),)
-            for j in cols:
-                acc = out.data[:, j]
-                # Forward: U_{x,mu} (1 + gamma_mu) psi_{x+mu}
-                h = g.project(be, psi_fwd.data[:, j], mu, +1)
-                uh = su3_mul_vec(be, self.links[mu].data, h)
-                full = g.reconstruct(be, uh, mu, +1)
-                acc2 = be.add(acc, full)
-                # Backward: U^+_{x-mu,mu} (1 - gamma_mu) psi_{x-mu}
-                h = g.project(be, psi_bwd.data[:, j], mu, -1)
-                uh = su3_dagger_mul_vec(be, self._links_back[mu].data, h)
-                full = g.reconstruct(be, uh, mu, -1)
-                out.data[:, j] = be.add(acc2, full)
+            # Forward: U_{x,mu} (1 + gamma_mu) psi_{x+mu}
+            h = g.project(be, psi_fwd.data, mu, +1)
+            uh = su3_mul_vec(be, self.links[mu].data, h)
+            full = g.reconstruct(be, uh, mu, +1)
+            acc = be.add(out.data, full)
+            # Backward: U^+_{x-mu,mu} (1 - gamma_mu) psi_{x-mu}
+            h = g.project(be, psi_bwd.data, mu, -1)
+            uh = su3_dagger_mul_vec(be, self._links_back[mu].data, h)
+            full = g.reconstruct(be, uh, mu, -1)
+            out.data[...] = be.add(acc, full)
         return out
 
     def dhop_cb(self, psi: Lattice) -> Lattice:
@@ -228,17 +205,10 @@ class WilsonDirac:
     M = apply
 
     def _gamma5(self, psi: Lattice) -> Lattice:
-        """``gamma_5 psi``, column-wise for a batch (gamma acts on the
-        spin axis, which sits behind the batch axis)."""
-        be = self.grid.backend
-        ncols = self._check(psi)
-        if not ncols:
-            return Lattice(self.grid, psi.tensor_shape,
-                           g.gamma5_apply(be, psi.data))
-        out = Lattice(self.grid, psi.tensor_shape)
-        for j in range(ncols):
-            out.data[:, j] = g.gamma5_apply(be, psi.data[:, j])
-        return out
+        """``gamma_5 psi``."""
+        self._check(psi)
+        return Lattice(self.grid, psi.tensor_shape,
+                       g.gamma5_apply(self.grid.backend, psi.data))
 
     def apply_dagger(self, psi: Lattice) -> Lattice:
         """``M^dagger psi`` via gamma5-hermiticity:
@@ -282,14 +252,12 @@ class WilsonDirac:
         n_complex = 8 * 12 + 8 * 9 + 12
         return n_complex * self.grid.dtype.itemsize
 
-    def _check(self, psi: Lattice) -> int:
-        """Validate the field; returns the batch width (0 = plain)."""
-        if psi.tensor_shape != SPINOR and \
-                not is_spinor_batch(psi.tensor_shape):
+    def _check(self, psi: Lattice) -> None:
+        """Validate the field: a spinor on this operator's grid."""
+        if psi.tensor_shape != SPINOR:
             raise ValueError(
-                f"Wilson operator acts on spinors {SPINOR} or batches "
-                f"(nrhs,) + {SPINOR}, got {psi.tensor_shape}"
+                f"Wilson operator acts on spinors {SPINOR}, "
+                f"got {psi.tensor_shape}"
             )
         if psi.grid.odims != self.grid.odims:
             raise ValueError("spinor lives on a different grid")
-        return psi.tensor_shape[0] if len(psi.tensor_shape) == 3 else 0

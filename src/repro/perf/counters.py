@@ -37,8 +37,6 @@ from repro.telemetry.metrics import registry
 #:   comms/compute overlap engine (:mod:`repro.grid.overlap`);
 #:   ``halo_posts`` / ``halo_waits`` — async halo messages posted to
 #:   and completed from the in-flight queue.
-#: * ``batched_dhop_calls`` — multi-RHS sweeps that amortised one set
-#:   of neighbour gathers over a whole RHS batch.
 #: * ``plan_hits`` / ``plan_misses`` — resolved
 #:   :class:`repro.engine.plan.KernelPlan` lookups per (grid, kind,
 #:   policy); a miss is one policy resolution, a hit is a cached
@@ -58,7 +56,6 @@ COUNTER_NAMES = (
     "overlap_dhop_calls",
     "halo_posts",
     "halo_waits",
-    "batched_dhop_calls",
     "plan_hits",
     "plan_misses",
 )

@@ -245,9 +245,7 @@ def fused_dhop(dirac, psi: Lattice, plan=None) -> Lattice:
     lane-major output as the block completes.  Blocks are whole outer
     sites (a multiple of ``nlanes`` flat sites), so each lands in one
     contiguous stretch of the output.  Bit-identical to the layered
-    reference, serial or tiled.  A multi-RHS batch (tensor
-    ``(nrhs, 4, 3)``) runs column by column through the same sweep,
-    sharing the index tables.
+    reference, serial or tiled.
 
     ``plan`` (a resolved :class:`repro.engine.plan.KernelPlan`) pins
     the tile split to the plan's ``workers``/``tile_min_sites`` and
@@ -257,8 +255,6 @@ def fused_dhop(dirac, psi: Lattice, plan=None) -> Lattice:
     """
     grid = dirac.grid
     counters().bump("fused_dhop_calls")
-    if len(psi.tensor_shape) == 3:
-        counters().bump("batched_dhop_calls")
     hops = [(sign, neighbour_table(grid, mu, sign), links[mu], mu)
             for mu in range(grid.ndim)
             for sign, links in ((+1, dirac._links_t),
@@ -302,21 +298,17 @@ def _sweep(hops, psi: Lattice, grid, plan, link_sites=None) -> Lattice:
     Blocks are whole outer sites, so each finished block is transposed
     into one contiguous stretch of the lane-major output.
     """
-    ncols = psi.tensor_shape[0] if len(psi.tensor_shape) == 3 else 0
     nl = grid.nlanes
     out = Lattice(grid, psi.tensor_shape,
                   np.empty((grid.osites,) + psi.tensor_shape + (nl,),
                            dtype=grid.dtype))
-    for j in range(ncols) if ncols else (None,):
-        src = psi.data if j is None else psi.data[:, j]
-        dst = out.data if j is None else out.data[:, j]
-        flat = to_working(src).reshape(12, -1)  # a gather row per (s, c)
+    flat = to_working(psi.data).reshape(12, -1)  # a gather row per (s, c)
 
-        def store(acc, b0, b1, dst=dst) -> None:
-            from_working(acc, dst[b0 // nl:b1 // nl])
+    def store(acc, b0, b1) -> None:
+        from_working(acc, out.data[b0 // nl:b1 // nl])
 
-        ntiles = sweep_blocks(hops, flat, grid.osites * nl, store, plan,
-                              unit=nl, link_sites=link_sites)
+    ntiles = sweep_blocks(hops, flat, grid.osites * nl, store, plan,
+                          unit=nl, link_sites=link_sites)
     if plan is not None:
         plan.stages.bump("gather", len(hops))
         plan.stages.bump("compute", ntiles)

@@ -40,12 +40,8 @@ from repro.bench.workloads import dslash_setup
 from repro.grid.cartesian import GridCartesian
 from repro.grid.comms import DistributedLattice, LatencyModel, reset_all_comms
 from repro.grid.dist_wilson import DistributedWilson, distribute_gauge
-from repro.grid.multirhs import split_rhs, stack_rhs
 from repro.grid.random import random_gauge, random_spinor
-from repro.grid.solver import (
-    batched_conjugate_gradient,
-    conjugate_gradient,
-)
+from repro.grid.solver import conjugate_gradient
 from repro.grid.wilson import WilsonDirac
 from repro.perf.counters import counters, reset_counters
 from repro.perf.trace_cache import cached_run_kernel, clear_cache, trace_cache
@@ -237,50 +233,28 @@ def bench_overlap_dslash(dims=(4, 4, 4, 4), mpi=(2, 1, 1, 1),
 
 
 def bench_halo_messages(dims=(4, 4, 4, 4), mpi=(2, 1, 1, 1),
-                        nrhs: int = 4, reps: int = 5) -> BenchRecord:
-    """Halo-traffic amortisation of the multi-RHS batch: one batched
-    dhop over ``nrhs`` right-hand sides must issue exactly the halo
-    messages of a single-RHS dhop (ratio 1.0, exact-gated — the
-    counters are deterministic), and beat the ``nrhs``-iteration loop
-    in wall time (info until a baseline lands)."""
+                        reps: int = 5) -> BenchRecord:
+    """Halo traffic of one distributed dhop: the message count is
+    exact-gated (the counters are deterministic)."""
     be = get_backend("generic256")
     grid = GridCartesian(list(dims), be)
     links = random_gauge(grid, seed=11)
     dlinks = distribute_gauge(links, list(dims), be, list(mpi))
     w = DistributedWilson(dlinks, mass=0.1)
-    singles = [
-        DistributedLattice(list(dims), be, list(mpi), (4, 3)).scatter(
-            random_spinor(grid, seed=20 + j).to_canonical())
-        for j in range(nrhs)
-    ]
-    batch = stack_rhs(singles)
+    psi = DistributedLattice(list(dims), be, list(mpi), (4, 3)).scatter(
+        random_spinor(grid, seed=20).to_canonical())
     with perf.configured(enabled=True):
-        singles[0].stats.reset()
-        w.dhop(singles[0])
-        m_single = singles[0].stats.messages
-        b_single = singles[0].stats.bytes_sent
-        batch.stats.reset()
-        w.dhop(batch)
-        m_batch = batch.stats.messages
-        b_batch = batch.stats.bytes_sent
-
-        def loop():
-            for f in singles:
-                w.dhop(f)
-
-        t_loop = _median_wall(loop, reps)
-        t_batch = _median_wall(lambda: w.dhop(batch), reps)
+        psi.stats.reset()
+        w.dhop(psi)
+        m_single = psi.stats.messages
+        b_single = psi.stats.bytes_sent
+        t_single = _median_wall(lambda: w.dhop(psi), reps)
     reset_all_comms()
-    rec = BenchRecord(name="halo_messages", wall_seconds=t_loop + t_batch)
+    rec = BenchRecord(name="halo_messages", wall_seconds=t_single)
     rec.metric("messages_single", int(m_single), "exact")
-    rec.metric("message_ratio_batch", round(m_batch / m_single, 4), "exact")
-    rec.metric("batch_vs_loop_speedup", round(t_loop / t_batch, 3), "info")
-    rec.metric("bytes_ratio_batch", round(b_batch / b_single, 4), "info")
     rec.info.update({
-        "dims": list(dims), "mpi": list(mpi), "nrhs": nrhs,
-        "messages_batch": int(m_batch), "bytes_single": int(b_single),
-        "bytes_batch": int(b_batch), "wall_loop": t_loop,
-        "wall_batch": t_batch,
+        "dims": list(dims), "mpi": list(mpi),
+        "bytes_single": int(b_single),
     })
     return rec
 
@@ -347,51 +321,6 @@ def bench_transport(dims=(8, 8, 8, 8), mpi=(4, 1, 1, 1),
             "promoted from a machine with enough cores for the rank "
             "workers (cpu_count above)"
         ),
-    })
-    return rec
-
-
-def bench_block_cg(dims=(4, 4, 4, 4), nrhs: int = 4, tol: float = 1e-7,
-                   max_iter: int = 500) -> BenchRecord:
-    """Block (batched multi-RHS) CG vs the per-RHS solve loop.
-
-    Both run engine-on over the same normal-equations systems; the
-    block solver issues one batched operator application per iteration
-    for the whole batch.  Equivalence to the per-RHS solutions and the
-    wall-time saving are recorded (info until a baseline lands)."""
-    be = get_backend("generic256")
-    grid = GridCartesian(list(dims), be)
-    dirac = WilsonDirac(random_gauge(grid, seed=11), mass=0.3)
-    bs = [random_spinor(grid, seed=30 + j) for j in range(nrhs)]
-    rhss = [dirac.apply_dagger(b) for b in bs]
-    with perf.configured(enabled=True):
-        t0 = time.perf_counter()
-        solos = [conjugate_gradient(dirac.mdag_m, r, tol=tol,
-                                    max_iter=max_iter) for r in rhss]
-        t_loop = time.perf_counter() - t0
-        batch = stack_rhs(rhss)
-        t0 = time.perf_counter()
-        res = batched_conjugate_gradient(dirac.mdag_m, batch, tol=tol,
-                                         max_iter=max_iter)
-        t_batch = time.perf_counter() - t0
-    cols = split_rhs(res.x)
-    max_diff = max(
-        (c - s.x).norm2() ** 0.5 / max(s.x.norm2() ** 0.5, 1e-300)
-        for c, s in zip(cols, solos)
-    )
-    rec = BenchRecord(name="block_cg", wall_seconds=t_loop + t_batch)
-    rec.metric("all_converged",
-               bool(res.converged and all(s.converged for s in solos)),
-               "info")
-    rec.metric("batched_applications", int(res.iterations), "info")
-    rec.metric("loop_applications",
-               int(sum(s.iterations for s in solos)), "info")
-    rec.metric("batch_vs_loop_speedup", round(t_loop / t_batch, 3), "info")
-    rec.info.update({
-        "dims": list(dims), "nrhs": nrhs, "tol": tol,
-        "max_rel_diff_vs_solo": float(max_diff),
-        "col_iterations": list(res.col_iterations),
-        "wall_loop": t_loop, "wall_batch": t_batch,
     })
     return rec
 
@@ -653,7 +582,6 @@ def run_suite(full: bool = False, workers: int = 4,
         bench_overlap_dslash,
         bench_halo_messages,
         bench_transport,
-        bench_block_cg,
         lambda: bench_campaign(vls=campaign_vls),
         bench_supervisor,
         lambda: bench_trace_cache(vls=cache_vls),

@@ -111,7 +111,7 @@ def policy_fingerprint() -> str:
 
     p = current_policy()
     return (f"backend={p.backend}/enabled={p.enabled}/fused={p.fused}/"
-            f"overlap={p.overlap_comms}/batching={p.batching}/"
+            f"overlap={p.overlap_comms}/"
             f"workers={p.workers}")
 
 

@@ -32,17 +32,7 @@ from typing import Callable
 
 from repro.grid.lattice import Lattice
 from repro.grid.mixedprec import MixedPrecisionResult, defect_correction
-from repro.grid.multirhs import (
-    batch_copy,
-    batch_zero_like,
-    col_axpy,
-    col_copy,
-    col_inner,
-    col_norm2,
-    col_xpby,
-    nrhs,
-)
-from repro.grid.solver import BlockSolverResult, SolverResult
+from repro.grid.solver import SolverResult
 from repro.telemetry import metrics as _telemetry_metrics
 from repro.telemetry import trace as _telemetry
 from repro.telemetry.reports import traced_solver
@@ -322,183 +312,6 @@ def ft_bicgstab(
                           residual=history[-1], residual_history=history,
                           restarts=restarts, detected_events=events,
                           true_residual_checks=checks)
-
-
-@dataclass
-class FTBlockSolverResult(BlockSolverResult):
-    """A :class:`BlockSolverResult` plus the fault-handling ledger."""
-
-    restarts: int = 0
-    detected_events: list = field(default_factory=list)
-    true_residual_checks: int = 0
-
-
-@traced_solver("block-cg-ft")
-def ft_batched_conjugate_gradient(
-    op: Callable,
-    b,
-    x0=None,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
-    recompute_interval: int = 25,
-    max_restarts: int = 3,
-    drift_factor: float = 100.0,
-    campaign=None,
-) -> FTBlockSolverResult:
-    """Batched CG with per-column drift detection and restart.
-
-    The block recursion of :func:`repro.grid.solver.
-    batched_conjugate_gradient` with the fault-tolerance pattern of
-    :func:`ft_conjugate_gradient`: every ``recompute_interval``
-    iterations (and before accepting any column's convergence) one
-    *batched* true-residual evaluation ``b - A x`` checks every active
-    column at the cost of a single operator application.  A column
-    whose true residual is non-finite or drifted beyond
-    ``drift_factor`` times its recursive residual is rolled back to
-    its last verified-good iterate and its recursion restarted
-    (``p_j = r_j``); healthy columns keep iterating undisturbed.  On a
-    fault-free run the guards never trigger and the iterates match the
-    plain block solver exactly.
-    """
-    n = nrhs(b)
-    x = batch_zero_like(b) if x0 is None else batch_copy(x0)
-    r = batch_copy(b) if x0 is None else b - op(x)
-    p = batch_copy(r)
-    rr = [col_norm2(r, j) for j in range(n)]
-    bnorm = [col_norm2(b, j) ** 0.5 for j in range(n)]
-    converged = [bn == 0.0 for bn in bnorm]
-    active = [not c for c in converged]
-    col_iters = [0] * n
-    col_res = [0.0 if c else rr[j] ** 0.5 / bnorm[j]
-               for j, c in enumerate(converged)]
-    history = [list(col_res)]
-    good_x = batch_copy(x)
-    events: list = []
-    restarts = 0
-    checks = 0
-    breakdown = ""
-    it = 0
-    while it < max_iter and any(active):
-        it += 1
-        ap = op(p)
-        pending = []  # columns whose convergence awaits a true check
-        for j in range(n):
-            if not active[j]:
-                continue
-            denom = col_inner(p, ap, j).real
-            if not math.isfinite(denom) or denom == 0.0:
-                restarts += 1
-                recovered = restarts <= max_restarts
-                _record(campaign, events,
-                        f"block-cg[{j}]: denominator hazard at iter "
-                        f"{it} ({denom!r})", recovered)
-                if recovered:
-                    _restart_column(op, b, x, r, p, rr, good_x, j)
-                else:
-                    active[j] = False
-                    breakdown += (f"[col {j}] unrecoverable "
-                                  f"denominator; ")
-                    col_iters[j] = it
-                continue
-            alpha = rr[j] / denom
-            col_axpy(x, alpha, p, j)
-            col_axpy(r, -alpha, ap, j)
-            rr_new = col_norm2(r, j)
-            if not math.isfinite(rr_new):
-                restarts += 1
-                recovered = restarts <= max_restarts
-                _record(campaign, events,
-                        f"block-cg[{j}]: non-finite residual at iter "
-                        f"{it}", recovered)
-                if recovered:
-                    _restart_column(op, b, x, r, p, rr, good_x, j)
-                else:
-                    active[j] = False
-                    breakdown += f"[col {j}] unrecoverable residual; "
-                    col_iters[j] = it
-                continue
-            rel = rr_new ** 0.5 / bnorm[j]
-            col_res[j] = rel
-            if rel <= tol:
-                pending.append(j)
-                rr[j] = rr_new
-                continue
-            col_xpby(p, r, rr_new / rr[j], j)
-            rr[j] = rr_new
-        history.append(list(col_res))
-        periodic = recompute_interval and it % recompute_interval == 0
-        if pending or periodic:
-            # One batched application verifies every active column.
-            true_r = b - op(x)
-            checks += 1
-            for j in range(n):
-                if not active[j]:
-                    continue
-                true_rel = col_norm2(true_r, j) ** 0.5 / bnorm[j]
-                drifted = (not math.isfinite(true_rel) or true_rel >
-                           drift_factor * max(col_res[j], tol))
-                if drifted:
-                    restarts += 1
-                    recovered = restarts <= max_restarts
-                    _record(campaign, events,
-                            f"block-cg[{j}]: silent drift at iter {it} "
-                            f"(true {true_rel:.3e} vs recursive "
-                            f"{col_res[j]:.3e})", recovered)
-                    if recovered:
-                        _restart_column(op, b, x, r, p, rr, good_x, j)
-                    else:
-                        active[j] = False
-                        breakdown += f"[col {j}] unrecoverable drift; "
-                        col_iters[j] = it
-                    continue
-                col_copy(good_x, x, j)
-                if j in pending:
-                    active[j] = False
-                    converged[j] = True
-                    col_iters[j] = it
-                    col_res[j] = true_rel
-    for j in range(n):
-        if active[j]:
-            col_iters[j] = max_iter
-    return FTBlockSolverResult(
-        x=x, converged=all(converged), iterations=it,
-        residual=max(col_res) if col_res else 0.0,
-        col_converged=converged, col_iterations=col_iters,
-        col_residuals=col_res, residual_history=history,
-        breakdown=breakdown.strip(), restarts=restarts,
-        detected_events=events, true_residual_checks=checks,
-    )
-
-
-def _restart_column(op, b, x, r, p, rr, good_x, j: int) -> None:
-    """Roll column ``j`` back to its verified-good iterate and restart
-    its recursion (one operator application recomputes its residual)."""
-    col_copy(x, good_x, j)
-    ax = op(x)
-    for rb, bb, ab in zip(
-        r.locals if hasattr(r, "locals") else [r],
-        b.locals if hasattr(b, "locals") else [b],
-        ax.locals if hasattr(ax, "locals") else [ax],
-    ):
-        rb.data[:, j] = bb.data[:, j] - ab.data[:, j]
-    col_copy(p, r, j)
-    rr[j] = col_norm2(r, j)
-
-
-def ft_solve_wilson_cgne_batched(dirac, b, tol: float = 1e-8,
-                                 max_iter: int = 1000, campaign=None,
-                                 **ft_kwargs) -> FTBlockSolverResult:
-    """Solve ``M x_j = b_j`` for a whole batch via fault-tolerant CGNE.
-
-    Delegates to the unified solver entry
-    (:func:`repro.engine.solve_fermion` with ``ft=True``),
-    bit-identically.
-    """
-    from repro.engine.solve import solve_fermion
-
-    return solve_fermion(dirac, b, method="cg", ft=True, tol=tol,
-                         max_iter=max_iter, campaign=campaign,
-                         **ft_kwargs)
 
 
 def ft_solve_wilson_cgne(dirac, b: Lattice, tol: float = 1e-8,

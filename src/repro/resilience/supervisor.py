@@ -8,7 +8,7 @@ that stalls under an aggressive configuration.  :func:`supervised_solve`
 is the envelope that turns one fragile attempt into a run that ends in
 a classified outcome:
 
-* **Durable checkpoint/restart** — for fault-tolerant single-RHS CG,
+* **Durable checkpoint/restart** — for fault-tolerant CG,
   every verified-good iterate (the ``good_hook`` seam of
   :func:`~repro.resilience.ft_solver.ft_conjugate_gradient`) is
   persisted through a :class:`~repro.resilience.checkpoint.
@@ -26,10 +26,10 @@ a classified outcome:
 * **The degradation ladder** — each non-crash failure escalates to the
   next rung of :data:`DEGRADATION_LADDER`, a nested
   ``engine.scope(...)`` override that trades performance for safety:
-  overlapped comms → ordered, fused kernels → layered, batched RHS →
-  per-column, and finally the reference path (engine off, mixed
-  precision collapsed to double).  Every rung computes bit-identical
-  numbers — the ladder changes *how*, never *what*.
+  overlapped comms → ordered, fused kernels → layered, and finally the
+  reference path (engine off, mixed precision collapsed to double).
+  Every rung computes bit-identical numbers — the ladder changes
+  *how*, never *what*.
 * **Circuit breakers** — attempt failures feed the per-operator
   breaker (:mod:`repro.resilience.breaker`); a breaker left open by
   previous failed solves makes the next call skip the as-configured
@@ -85,10 +85,8 @@ DEGRADATION_LADDER = (
     Rung("as-configured"),
     Rung("ordered-comms", (("overlap_comms", False),)),
     Rung("layered-kernels", (("overlap_comms", False), ("fused", False))),
-    Rung("per-column", (("overlap_comms", False), ("fused", False),
-                        ("batching", False))),
     Rung("reference", (("overlap_comms", False), ("fused", False),
-                       ("batching", False), ("enabled", False)),
+                       ("enabled", False)),
          method="cg"),
 )
 
@@ -142,14 +140,6 @@ def _count(name: str, n: int = 1) -> None:
         _telemetry_metrics.registry().counter(name).inc(n)
 
 
-def _last_scalar(entry) -> float:
-    """A residual-history entry as one scalar (batched histories hold
-    per-column lists)."""
-    if isinstance(entry, (list, tuple)):
-        return max(entry) if entry else 0.0
-    return entry
-
-
 def classify_attempt(result, stall_window: int = 8,
                      stall_improvement: float = 0.99) -> str:
     """Post-attempt watchdog: name why a finished attempt is not done.
@@ -165,11 +155,11 @@ def classify_attempt(result, stall_window: int = 8,
     if getattr(result, "converged", False):
         return "converged"
     residual = getattr(result, "residual", float("nan"))
-    if residual is not None and not math.isfinite(_last_scalar(residual)):
+    if residual is not None and not math.isfinite(residual):
         return "divergence"
     history = getattr(result, "residual_history", None) or []
     if len(history) > stall_window:
-        recent = [_last_scalar(h) for h in history[-(stall_window + 1):]]
+        recent = history[-(stall_window + 1):]
         if all(math.isfinite(r) for r in recent) and recent[0] > 0:
             if min(recent[1:]) > stall_improvement * recent[0]:
                 return "stall"
@@ -218,8 +208,8 @@ def supervised_solve(
 
     ``store``
         A :class:`~repro.resilience.checkpoint.CheckpointStore`;
-        enables durable checkpoint/resume (fault-tolerant single-RHS
-        ``"cg"`` only — the one family with a verified-good seam).
+        enables durable checkpoint/resume (fault-tolerant ``"cg"``
+        only — the one family with a verified-good seam).
     ``max_attempts`` / ``deadline`` / ``iteration_budget``
         The retry budget, per-attempt wall-clock limit (seconds), and
         per-attempt iteration cap.
@@ -257,9 +247,7 @@ def supervised_solve(
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     from repro.engine.solve import solve_fermion
-    from repro.grid.wilson import is_spinor_batch
 
-    batched = is_spinor_batch(b.tensor_shape)
     if seed is None:
         seed = campaign.seed if campaign is not None else 0
     rng = np.random.default_rng(seed)
@@ -310,8 +298,7 @@ def supervised_solve(
                 # mixed defect-correction loop understands.
                 for k in ("max_outer", "max_inner", "inner_tol"):
                     attempt_kwargs.pop(k, None)
-            ckpt_on = (store is not None and eff_method == "cg" and ft
-                       and not batched)
+            ckpt_on = store is not None and eff_method == "cg" and ft
             resumed_from = None
             base_it = 0
             if ckpt_on:
@@ -384,8 +371,7 @@ def supervised_solve(
             sup.attempts.append(AttemptReport(
                 attempt=attempt, rung=rung.name, outcome=outcome,
                 iterations=iters,
-                residual=_last_scalar(
-                    getattr(result, "residual", float("nan"))),
+                residual=getattr(result, "residual", float("nan")),
                 resumed_from=resumed_from, detail=detail))
             _telemetry.event("supervisor.attempt", attempt=attempt,
                              rung=rung.name, outcome=outcome,

@@ -49,7 +49,7 @@ def _sve_probe_shape(case) -> bool:
     generic family sweeps exhaustively)."""
     return (case["operator"] == "wilson" and case["fused"] is False
             and case["workers"] == 1 and case["caches"] is True
-            and case["batching"] is True and case["overlap"] is True
+            and case["overlap"] is True
             and case["telemetry"] == "off"
             and case["transport"] == "in-process"
             and case["fault"] == "none")
@@ -65,12 +65,11 @@ def default_spec() -> ScenarioSpec:
         ),
         axes=(
             Axis("operator", ("wilson", "clover", "wilson-eo",
-                              "wilson-dist", "wilson-mrhs")),
+                              "wilson-dist")),
             Axis("family", ("generic", "sve-acle")),
             Axis("vl", VLS),
             Axis("fused", (True, False)),
             Axis("overlap", (True, False)),
-            Axis("batching", (True, False)),
             Axis("caches", (True, False)),
             Axis("workers", (1, 4)),
             Axis("telemetry", ("off", "metrics", "trace")),

@@ -43,7 +43,7 @@ from repro.verification.outcomes import Outcome, classify_cell
 
 #: The lattice every scenario cell runs on: small enough that a full
 #: pairwise sample stays inside the CI budget, big enough that every
-#: knob (tiling, overlap, batching, checkerboarding) is exercised.
+#: knob (tiling, overlap, checkerboarding) is exercised.
 DIMS = (4, 4, 4, 4)
 
 #: Rank decomposition for the distributed operator cells.
@@ -90,7 +90,6 @@ def policy_overrides(case: Case) -> dict:
         "enabled": True,
         "fused": case["fused"],
         "overlap_comms": case["overlap"],
-        "batching": case["batching"],
         "caches": case["caches"],
         "workers": case["workers"],
         "telemetry": case["telemetry"],
@@ -150,7 +149,7 @@ def work_product(case: Case) -> np.ndarray:
                                   SPINOR).scatter(psi.to_canonical())
         return w.dhop(dpsi).gather()
 
-    grid, links, psi = _single_rank(case)
+    _, links, psi = _single_rank(case)
     if operator == "wilson":
         from repro.grid.wilson import WilsonDirac
 
@@ -167,16 +166,6 @@ def work_product(case: Case) -> np.ndarray:
         schur = SchurWilson(WilsonDirac(links, mass=0.1))
         return schur.embed(
             schur.apply(schur.project(psi, "odd"))).to_canonical()
-    if operator == "wilson-mrhs":
-        from repro.engine.operators import MultiRHSOperator
-        from repro.grid.multirhs import stack_rhs
-        from repro.grid.random import random_spinor
-        from repro.grid.wilson import WilsonDirac
-
-        op = MultiRHSOperator(WilsonDirac(links, mass=0.1))
-        batch = stack_rhs([psi, random_spinor(grid,
-                                              seed=SOURCE_SEED + 1)])
-        return op.dhop(batch).to_canonical()
     raise ValueError(f"unknown operator axis value {operator!r}")
 
 
@@ -261,7 +250,7 @@ SOLVE_MASS = 0.3
 
 def _solve_target(case: Case):
     """(operator, rhs) for the mid-solve SDC cell."""
-    grid, links, psi = _single_rank(case)
+    _, links, psi = _single_rank(case)
     operator = case["operator"]
     if operator == "clover":
         from repro.grid.clover import WilsonClover
@@ -273,15 +262,6 @@ def _solve_target(case: Case):
 
         schur = SchurWilson(WilsonDirac(links, mass=SOLVE_MASS))
         return schur, schur.project(psi, "odd")
-    if operator == "wilson-mrhs":
-        from repro.engine.operators import MultiRHSOperator
-        from repro.grid.multirhs import stack_rhs
-        from repro.grid.random import random_spinor
-        from repro.grid.wilson import WilsonDirac
-
-        op = MultiRHSOperator(WilsonDirac(links, mass=SOLVE_MASS))
-        return op, stack_rhs([psi,
-                              random_spinor(grid, seed=SOURCE_SEED + 1)])
     from repro.grid.wilson import WilsonDirac
 
     return WilsonDirac(links, mass=SOLVE_MASS), psi
@@ -331,14 +311,13 @@ def _run_memory_fault(case: Case, campaign) -> None:
     result = solve_fermion(wrapped, b, method="cg", ft=True, tol=tol,
                            max_iter=400, recompute_interval=8,
                            drift_factor=10.0, campaign=campaign)
-    converged = bool(np.all(result.converged))
-    if not converged:
+    if not result.converged:
         campaign.record_detected(
             "solver reported non-convergence (corrupted recursion)")
         raise SolveDidNotConverge(
             f"no convergence in {result.iterations} iterations "
-            f"(residual {float(np.max(result.residual)):.3e})")
-    true_rel = float(np.max(result.residual))
+            f"(residual {result.residual:.3e})")
+    true_rel = result.residual
     if not math.isfinite(true_rel) or true_rel > 100.0 * tol:
         raise SilentCorruption(
             f"solver claims convergence but true residual is "

@@ -30,7 +30,7 @@ from typing import Iterable, List
 from repro.telemetry.trace import Span, span, tracing
 
 #: Span names carrying operator flop/byte metadata.
-OPERATOR_SPAN_NAMES = ("dhop", "dhop.batched", "dhop.cb", "overlap.dhop")
+OPERATOR_SPAN_NAMES = ("dhop", "dhop.cb", "overlap.dhop")
 
 #: Span names marking one solver *recursion* (one convergence row).
 #: The unified entry :func:`repro.engine.solve.solve_fermion` wraps
@@ -58,19 +58,16 @@ def convergence_attrs(result) -> dict:
     """The solver-result fields :func:`convergence_from_spans`
     consumes, as JSON-serialisable span attributes.
 
-    Works on every result family — ``SolverResult``,
-    ``BlockSolverResult`` (its ``residual_history`` entries are
-    per-column lists), the FT extensions (``restarts``) and
-    ``MixedPrecisionResult`` (``iterations`` is its inner total) —
-    reading only by ``getattr`` so it never constrains the result types.
+    Works on every result family — ``SolverResult``, the FT
+    extensions (``restarts``) and ``MixedPrecisionResult``
+    (``iterations`` is its inner total) — reading only by ``getattr``
+    so it never constrains the result types.
     """
     out = {
         "iterations": int(getattr(result, "iterations", 0) or 0),
         "converged": bool(getattr(result, "converged", False)),
         "residuals": [
-            [float(c) for c in r] if isinstance(r, (list, tuple)) else
-            float(r)
-            for r in getattr(result, "residual_history", []) or []
+            float(r) for r in getattr(result, "residual_history", []) or []
         ],
     }
     residual = getattr(result, "residual", None)

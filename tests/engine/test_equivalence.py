@@ -1,6 +1,6 @@
 """Bit-identity of every engine-dispatched path against the
 engine-off reference, across vector lengths: fused/serial/tiled,
-caches on/off, batching on/off, ordered/overlapped distributed sweeps,
+caches on/off, ordered/overlapped distributed sweeps,
 and the unified solver entry against the legacy wrapper expressions.
 
 This is the acceptance gate for the engine refactor: a plan may change
@@ -15,7 +15,6 @@ import repro.perf as perf
 from repro.grid.cartesian import GridCartesian
 from repro.grid.comms import DistributedLattice
 from repro.grid.dist_wilson import DistributedWilson, distribute_gauge
-from repro.grid.multirhs import split_rhs, stack_rhs
 from repro.grid.random import random_gauge, random_spinor
 from repro.grid.solver import conjugate_gradient, solve_wilson_cgne
 from repro.grid.wilson import SPINOR, WilsonDirac
@@ -27,7 +26,7 @@ VLS = ["generic128", "generic256", "generic512"]
 
 #: Scoped policies that must all reproduce the reference bits on the
 #: single-rank dhop: fused serial, fused tiled, layered, cache-less,
-#: column-by-column batching, and fully disabled.
+#: and fully disabled.
 SINGLE_RANK_POLICIES = [
     {"enabled": True, "workers": 1},
     {"enabled": True, "workers": 4, "tile_min_sites": 16},
@@ -65,20 +64,6 @@ class TestSingleRankDhop:
                 got = w.dhop(psi).data
             assert np.array_equal(ref, got), overrides
 
-    @pytest.mark.parametrize("backend_name", VLS)
-    def test_batching_off_is_column_by_column(self, backend_name):
-        w, _ = _wilson(backend_name)
-        cols = [random_spinor(w.grid, seed=50 + j) for j in range(3)]
-        batch = stack_rhs(cols)
-        with engine.scope(batching=True):
-            amortised = w.dhop(batch)
-        with engine.scope(batching=False):
-            columnwise = w.dhop(batch)
-        assert np.array_equal(amortised.data, columnwise.data)
-        for j, (col, src) in enumerate(zip(split_rhs(amortised), cols)):
-            assert np.array_equal(col.data, w.dhop(src).data), j
-
-
 class TestDistributedDhop:
     @pytest.mark.parametrize("backend_name", VLS)
     @pytest.mark.parametrize("mpi", [[2, 1, 1, 1], [2, 2, 1, 1]])
@@ -94,27 +79,6 @@ class TestDistributedDhop:
             overlapped = w.dhop(dpsi).gather()
         assert np.array_equal(ref, ordered)
         assert np.array_equal(ref, overlapped)
-
-    def test_dist_batching_off_multiplies_messages(self):
-        w, _ = _dist("generic256", [2, 1, 1, 1])
-        be = get_backend("generic256")
-        grid = GridCartesian(DIMS, be)
-        cols = [random_spinor(grid, seed=60 + j) for j in range(3)]
-        dist = DistributedLattice(DIMS, be, [2, 1, 1, 1],
-                                  (len(cols),) + SPINOR)
-        batch = dist.scatter(stack_rhs(cols).to_canonical())
-        m0 = batch.stats.messages
-        with engine.scope(batching=True, overlap_comms=False):
-            amortised = w.dhop(batch).gather()
-        m_on = batch.stats.messages - m0
-        with engine.scope(batching=False, overlap_comms=False):
-            columnwise = w.dhop(batch).gather()
-        m_off = batch.stats.messages - m0 - m_on
-        assert np.array_equal(amortised, columnwise)
-        # The amortisation is the whole point: one exchange set for the
-        # batch vs one per column.
-        assert m_off == len(cols) * m_on > 0
-
 
 class TestUnifiedSolver:
     def test_solve_fermion_reproduces_legacy_cgne(self):
@@ -139,19 +103,6 @@ class TestUnifiedSolver:
         assert np.array_equal(plain.x.data, ft.x.data)
         assert np.array_equal(plain.x.data, via_engine.x.data)
 
-    def test_batched_solve_matches_column_solves(self):
-        w, _ = _wilson("generic256")
-        cols = [random_spinor(w.grid, seed=70 + j) for j in range(2)]
-        block = engine.solve_fermion(w, stack_rhs(cols), method="cg",
-                                     tol=1e-6, max_iter=200)
-        for j, src in enumerate(cols):
-            single = engine.solve_fermion(w, src, method="cg", tol=1e-6,
-                                          max_iter=200)
-            # Block CG shares the Krylov space, so iterates differ;
-            # both must converge to the same solution.
-            diff = split_rhs(block.x)[j] - single.x
-            assert diff.norm2() ** 0.5 < 1e-5
-
     def test_policy_argument_scopes_the_solve(self):
         w, b = _wilson("generic256")
         default = engine.solve_fermion(w, b, tol=1e-6, max_iter=200)
@@ -164,9 +115,6 @@ class TestUnifiedSolver:
         w, b = _wilson("generic256")
         with pytest.raises(ValueError, match="unknown method"):
             engine.solve_fermion(w, b, method="gmres")
-        with pytest.raises(ValueError, match="no batched variant"):
-            engine.solve_fermion(
-                w, stack_rhs([b, b]), method="bicgstab")
 
     def test_bicgstab_and_mr_dispatch(self):
         w, b = _wilson("generic256")

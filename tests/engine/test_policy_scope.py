@@ -90,9 +90,6 @@ class TestScopeNesting:
         assert on.fused_active and on.overlap_active and on.caches_active
         assert not (off.fused_active or off.overlap_active
                     or off.caches_active)
-        # batching is deliberately NOT gated on enabled (a dispatch
-        # choice, not an arithmetic path).
-        assert off.batching is True
 
 
 class TestThreadIsolation:
@@ -224,6 +221,6 @@ class TestPerfFacade:
 
     def test_policy_fields_cover_legacy_toggles(self):
         for name in ("enabled", "workers", "tile_min_sites",
-                     "overlap_comms", "fallback", "batching", "caches",
+                     "overlap_comms", "fallback", "caches",
                      "fused", "backend", "latency", "comms_faults"):
             assert name in POLICY_FIELDS

@@ -8,7 +8,6 @@ import pytest
 import repro.engine as engine
 from repro.engine.operators import (
     FermionOperator,
-    MultiRHSOperator,
     operator_spec,
     register_operator,
 )
@@ -17,7 +16,6 @@ from repro.grid.clover import WilsonClover
 from repro.grid.comms import DistributedLattice
 from repro.grid.dist_wilson import DistributedWilson, distribute_gauge
 from repro.grid.evenodd import SchurWilson
-from repro.grid.multirhs import stack_rhs
 from repro.grid.random import random_gauge, random_spinor
 from repro.grid.wilson import SPINOR, WilsonDirac
 from repro.simd import get_backend
@@ -25,7 +23,7 @@ from repro.simd import get_backend
 DIMS = [4, 4, 4, 4]
 VLS = ["generic128", "generic256", "generic512"]
 
-BUILTIN = {"wilson", "clover", "wilson-eo", "wilson-dist", "wilson-mrhs"}
+BUILTIN = {"wilson", "clover", "wilson-eo", "wilson-dist"}
 
 
 def _setup(backend_name):
@@ -104,19 +102,6 @@ class TestRoundTrip:
             psi.to_canonical())
         assert np.array_equal(op.apply(dpsi).gather(),
                               direct.apply(dpsi).gather())
-
-    @pytest.mark.parametrize("backend_name", VLS)
-    def test_wilson_mrhs(self, backend_name):
-        grid, links, _ = _setup(backend_name)
-        op = engine.get_operator("wilson-mrhs", links=links, mass=0.1)
-        assert isinstance(op, MultiRHSOperator)
-        cols = [random_spinor(grid, seed=40 + j) for j in range(3)]
-        batch = op.stack(cols)
-        direct = WilsonDirac(links, mass=0.1)
-        assert np.array_equal(op.apply(batch).data,
-                              direct.apply(stack_rhs(cols)).data)
-        for got, src in zip(op.split(op.apply(batch)), cols):
-            assert np.array_equal(got.data, direct.apply(src).data)
 
 
 class TestProtocol:

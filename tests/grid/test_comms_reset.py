@@ -110,4 +110,3 @@ class TestPerfCounterReset:
         c = counters()
         assert c.overlap_dhop_calls == 0
         assert c.halo_posts == c.halo_waits == 0
-        assert c.batched_dhop_calls == 0

@@ -14,7 +14,6 @@ import repro.grid.overlap as overlap
 from repro.grid.cartesian import GridCartesian
 from repro.grid.comms import DistributedLattice, LatencyModel
 from repro.grid.dist_wilson import DistributedWilson
-from repro.grid.multirhs import split_rhs, stack_rhs
 from repro.grid.random import random_gauge, random_spinor
 from repro.grid.solver import solve_wilson_cgne
 from repro.grid.stencil import rank_halo
@@ -44,16 +43,12 @@ def _assert_bytes_equal(got: np.ndarray, want: np.ndarray) -> None:
 
 
 def _setup(backend="generic256", mpi=(2, 1, 1, 1), dims=DIMS,
-           dtype=np.complex128, nrhs=0, **comms):
+           dtype=np.complex128, **comms):
     """(single-rank operator, its field, distributed operator, field)."""
     be = get_backend(backend)
     grid = GridCartesian(list(dims), be, dtype=dtype)
     links = random_gauge(grid, seed=11)
-    if nrhs:
-        psi = stack_rhs([random_spinor(grid, seed=7 + j)
-                         for j in range(nrhs)])
-    else:
-        psi = random_spinor(grid, seed=7)
+    psi = random_spinor(grid, seed=7)
 
     def dist(canonical, tensor):
         return DistributedLattice(list(dims), be, list(mpi), tensor,
@@ -77,12 +72,11 @@ class _RecordingHook:
 
 
 class TestWireImageIsTheAccountedSlab:
-    @pytest.mark.parametrize("compress, nrhs", [(False, 0), (True, 0),
-                                                (False, 3)])
+    @pytest.mark.parametrize("compress", [False, True])
     @pytest.mark.parametrize("overlap_comms", [True, False])
-    def test_payload_bytes_equal_accounted_bytes(self, compress, nrhs,
+    def test_payload_bytes_equal_accounted_bytes(self, compress,
                                                  overlap_comms):
-        _w, _psi, op, dpsi = _setup(mpi=(2, 2, 1, 1), nrhs=nrhs,
+        _w, _psi, op, dpsi = _setup(mpi=(2, 2, 1, 1),
                                     compress_halos=compress)
         hook = dpsi.comms_faults = _RecordingHook()
         m0, b0 = dpsi.stats.messages, dpsi.stats.bytes_sent
@@ -165,19 +159,8 @@ class TestBitIdentity:
         # Same messages as the layered route's distributed cshift.
         assert dpsi.stats.messages - m0 == 2 * sweep_messages
 
-    def test_batched_columns(self):
-        w, psi, op, dpsi = _setup(mpi=(2, 2, 1, 1), nrhs=3)
-        got = op.dhop(dpsi).gather()
-        want = stack_rhs([w.dhop(c) for c in split_rhs(psi)])
-        _assert_bytes_equal(got, want.to_canonical())
-        with engine.scope(enabled=False):
-            layered = op.dhop(dpsi).gather()
-        _assert_bytes_equal(got, layered)
-
-    @pytest.mark.parametrize("nrhs", [0, 3])
-    def test_fp16_halos_schedules_agree(self, nrhs):
-        _w, _psi, op, dpsi = _setup(mpi=(2, 2, 1, 1), nrhs=nrhs,
-                                    compress_halos=True)
+    def test_fp16_halos_schedules_agree(self):
+        _w, _psi, op, dpsi = _setup(mpi=(2, 2, 1, 1), compress_halos=True)
         with engine.scope(overlap_comms=False):
             ordered = op.dhop(dpsi).gather()
         with engine.scope(overlap_comms=True):

@@ -92,31 +92,3 @@ class TestSolveBitIdentity:
             got = solve_wilson_cgne(op, dpsi, tol=1e-8, max_iter=50)
         assert got.iterations == ref.iterations
         assert np.array_equal(ref.x.gather(), got.x.gather())
-
-
-class TestBatchedRhs:
-    def test_multi_rhs_shares_the_exchange(self):
-        from repro.grid.multirhs import stack_rhs
-
-        dims = [4, 4, 4, 4]
-        mpi = [2, 1, 1, 1]
-        be = get_backend("generic256")
-        grid = GridCartesian(dims, be)
-        dlinks = distribute_gauge(random_gauge(grid, seed=11), dims,
-                                  be, mpi)
-        op = DistributedWilson(dlinks, mass=0.1)
-        cols = [
-            DistributedLattice(dims, be, mpi, (4, 3)).scatter(
-                random_spinor(grid, seed=s).to_canonical()
-            )
-            for s in (7, 8, 9)
-        ]
-        batch = stack_rhs(cols)
-        ref = op.dhop(batch).gather()
-        ref_msgs = batch.stats.messages
-        batch.stats.reset()
-        with engine.scope(transport="shmem"):
-            got = op.dhop(batch).gather()
-        assert np.array_equal(ref, got)
-        # three RHS, one set of halo messages — on the real wire too
-        assert batch.stats.messages == ref_msgs

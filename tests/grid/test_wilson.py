@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+import repro.engine as engine
 from repro.grid.cartesian import GridCartesian
+from repro.grid.comms import DistributedLattice
 from repro.grid.dhop_ref import (
     dense_wilson_matrix,
     dhop_reference,
     wilson_m_reference,
 )
+from repro.grid.dist_wilson import DistributedWilson, distribute_gauge
 from repro.grid.gamma import GAMMA5
 from repro.grid.lattice import Lattice
 from repro.grid.random import random_gauge, random_spinor
@@ -67,6 +70,29 @@ class TestDhop:
         grid, links, _ = setup
         with pytest.raises(ValueError, match="spinor"):
             WilsonDirac(links).dhop(Lattice(grid, (3,)))
+
+    def test_batch_tensor_rejected(self, setup):
+        """Every operator and solver takes one right-hand side: a
+        stacked ``(2, 4, 3)`` field is refused, naming the spinor
+        tensor."""
+        grid, links, _ = setup
+        spinor_only = r"spinors \(4, 3\), got \(2, 4, 3\)"
+        w = WilsonDirac(links, mass=0.3)
+        batch = Lattice(grid, (2,) + SPINOR)
+        with pytest.raises(ValueError, match=spinor_only):
+            w.dhop(batch)
+        with pytest.raises(ValueError, match=spinor_only):
+            engine.solve_fermion(w, batch, method="cg")
+        be = grid.backend
+        mpi = [2, 1, 1, 1]
+        dist = DistributedWilson(distribute_gauge(links, DIMS, be, mpi),
+                                 mass=0.3)
+        dbatch = DistributedLattice(DIMS, be, mpi, (2,) + SPINOR).scatter(
+            np.zeros((grid.gsites, 2) + SPINOR, dtype=np.complex128))
+        with pytest.raises(ValueError, match=spinor_only):
+            dist.dhop(dbatch)
+        with pytest.raises(ValueError, match=spinor_only):
+            engine.solve_fermion(dist, dbatch, method="cg")
 
     def test_linearity(self, setup):
         grid, links, psi = setup

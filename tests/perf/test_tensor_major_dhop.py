@@ -21,7 +21,6 @@ from repro.grid.cartesian import GridCartesian
 from repro.grid.cshift import cshift
 from repro.grid.dhop_ref import dhop_reference
 from repro.grid.lattice import Lattice
-from repro.grid.multirhs import split_rhs, stack_rhs
 from repro.grid.random import random_gauge, random_spinor
 from repro.grid.stencil import neighbour_table
 from repro.grid.wilson import WilsonDirac
@@ -152,17 +151,6 @@ class TestBitIdentity:
         assert counters().tiles_dispatched == workers
         _assert_bytes_equal(tiled, serial)
         _assert_bytes_equal(serial, _layered(dirac, psi))
-
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_batch_matches_per_column(self, dtype):
-        dirac, psi = _operator("generic256", (4, 4, 4, 4), dtype)
-        grid = dirac.grid
-        cols = [psi] + [random_spinor(grid, seed=s) for s in (8, 9)]
-        batch = stack_rhs(cols)
-        got = dirac.dhop(batch)
-        for j, col in enumerate(split_rhs(got)):
-            _assert_bytes_equal(col.data, _default(dirac, cols[j]))
-        _assert_bytes_equal(got.data, _layered(dirac, batch))
 
 
 class TestSpecialValues:

@@ -4,13 +4,13 @@ registry fallback policy."""
 import numpy as np
 import pytest
 
+import repro.engine as engine
 from repro.simd import (
     BackendDegradedWarning,
     ResilientBackend,
     fallback_enabled,
     fallback_policy,
     get_backend,
-    set_fallback_policy,
 )
 from repro.simd.generic import GenericBackend
 
@@ -87,31 +87,29 @@ class TestResilientBackend:
 
 
 class TestRegistryFallbackPolicy:
-    def teardown_method(self):
-        set_fallback_policy(False)
-
     def test_policy_defaults_off(self):
         assert not fallback_enabled()
         be = get_backend("sve512-real")
         assert not isinstance(be, ResilientBackend)
 
     def test_policy_wraps_non_generic(self):
-        set_fallback_policy(True)
-        be = get_backend("sve512-real")
+        with engine.scope(fallback=True):
+            be = get_backend("sve512-real")
         assert isinstance(be, ResilientBackend)
         assert be.width_bits == 512
 
     def test_generic_never_wrapped(self):
-        set_fallback_policy(True)
-        be = get_backend("generic256")
+        with engine.scope(fallback=True):
+            be = get_backend("generic256")
         assert not isinstance(be, ResilientBackend)
 
     def test_explicit_override_beats_policy(self):
         assert isinstance(get_backend("sve256-real", resilient=True),
                           ResilientBackend)
-        set_fallback_policy(True)
-        assert not isinstance(get_backend("sve256-real", resilient=False),
-                              ResilientBackend)
+        with engine.scope(fallback=True):
+            assert not isinstance(
+                get_backend("sve256-real", resilient=False),
+                ResilientBackend)
 
     def test_context_manager_restores(self):
         with fallback_policy(True):

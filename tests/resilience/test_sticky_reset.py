@@ -4,12 +4,12 @@ and the campaign suite must restore the process fallback policy."""
 import numpy as np
 import pytest
 
+from repro.engine import update_base_policy
 from repro.simd import (
     BackendDegradedWarning,
     ResilientBackend,
     fallback_enabled,
     reset_all_degraded,
-    set_fallback_policy,
 )
 from repro.simd.generic import GenericBackend
 from repro.verification.suite import run_campaign_suite
@@ -60,7 +60,7 @@ class _PolicyFlippingCase(_NoopCase):
 
     @staticmethod
     def fn(vl_bits, campaign, resilient):
-        set_fallback_policy(not fallback_enabled())
+        update_base_policy(fallback=not fallback_enabled())
 
 
 def _run(case):
@@ -104,4 +104,4 @@ class TestCampaignSuiteCleanSlate:
             assert fallback_enabled() == before
             assert [c.outcome for c in report.cells] == ["pass"]
         finally:
-            set_fallback_policy(before)
+            update_base_policy(fallback=before)

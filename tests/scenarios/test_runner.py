@@ -19,7 +19,7 @@ from repro.verification.outcomes import Outcome
 def _case(**overrides):
     spec = default_spec()
     bindings = dict(operator="wilson", family="generic", vl=128,
-                    fused=True, overlap=True, batching=True, caches=True,
+                    fused=True, overlap=True, caches=True,
                     workers=1, telemetry="off",
                     transport="in-process", fault="none")
     bindings.update(overrides)

@@ -133,20 +133,6 @@ class TestConvergenceReport:
 
 
 class TestConvergenceAttrs:
-    def test_block_result_residual_history_of_lists(self):
-        class BlockResult:
-            iterations = 4
-            converged = False
-            residual = 0.25
-            residual_history = [[1.0, 1.0], [0.5, 0.25]]
-            breakdown = "[col 1] cg: pAp denominator 0.0 at iter 2;"
-
-        attrs = convergence_attrs(BlockResult())
-        assert attrs["iterations"] == 4
-        assert attrs["residuals"] == [[1.0, 1.0], [0.5, 0.25]]
-        assert attrs["final_residual"] == 0.25
-        assert "pAp denominator" in attrs["breakdown"]
-
     def test_mixed_precision_result_reports_inner_total(self):
         result = MixedPrecisionResult(
             x=None, converged=True, outer_iterations=2,

@@ -86,11 +86,7 @@ def residual_series(spans) -> str:
                      f"{r['iterations']} iters, "
                      f"converged={r['converged']}")
         for it, res in enumerate(r["residuals"]):
-            if isinstance(res, list):
-                text = "  ".join(f"{c:.3e}" for c in res)
-            else:
-                text = f"{res:.3e}"
-            lines.append(f"  iter {it:4d}  {text}")
+            lines.append(f"  iter {it:4d}  {res:.3e}")
     return "\n".join(lines)
 
 
