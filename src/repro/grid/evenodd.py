@@ -44,7 +44,10 @@ class SchurWilson:
     ``(4 + m)``, which a subclass may change (the clover term does), so
     only an exact :class:`~repro.grid.wilson.WilsonDirac` is accepted.
     Construction is cheap: the half grids and parity tables are
-    memoized on the grid, the parity link slices on the operator.
+    memoized on the grid, and the Wilson operator builds its parity
+    link slices on its first hop onto each parity.  The complex64 twin
+    that :meth:`solve` iterates on is built on the first solve and kept
+    (:func:`repro.grid.mixedprec.single_precision_twin`).
     """
 
     def __init__(self, dirac: WilsonDirac) -> None:
@@ -58,6 +61,8 @@ class SchurWilson:
         self.diag = 4.0 + dirac.mass
         for parity in ("even", "odd"):
             red_black(self.grid, parity)  # reject odd extents up front
+        # (op32, to_single, to_double), set by the first mixed solve.
+        self._twin = None
 
     # ------------------------------------------------------------------
     # Parity projections

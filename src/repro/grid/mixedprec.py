@@ -145,11 +145,16 @@ def single_precision_twin(op):
     * A Wilson operator gets :func:`make_single_precision_copy`; full
       fields convert through the canonical layout.
 
-    Built per solve: nothing of it is memoised on ``op``.
+    A Schur operator's twin is memoised on it, so the twelve solves of
+    a propagator share one twin and one pair of converters; like the
+    operators' link snapshots, it is built from ``op``'s links at the
+    first call.  A Wilson operator's is built per call.
     """
     if isinstance(op, SchurWilson):
-        op32 = SchurWilson(make_single_precision_copy(op.dirac))
-        return (op32,) + _half_converters(op.grid, op32.grid)
+        if op._twin is None:
+            op32 = SchurWilson(make_single_precision_copy(op.dirac))
+            op._twin = (op32,) + _half_converters(op.grid, op32.grid)
+        return op._twin
     op32 = make_single_precision_copy(op)
     return (op32, partial(_to_single, op32.grid),
             partial(_to_double, op.grid))

@@ -34,13 +34,7 @@ from repro.grid.cshift import cshift
 from repro.grid.lattice import Lattice
 from repro.grid.stencil import neighbour_table, red_black
 from repro.grid.tensor import su3_dagger_mul_vec, su3_mul_vec
-from repro.perf.fused import (
-    adjoint,
-    from_working,
-    fused_dhop,
-    fused_dhop_cb,
-    to_working,
-)
+from repro.perf.fused import adjoint, fused_dhop, fused_dhop_cb, to_working
 
 #: Spinor tensor shape: (spin, colour).
 SPINOR = (4, 3)
@@ -72,23 +66,23 @@ class WilsonDirac:
         self.grid: GridCartesian = links[0].grid
         self.mass = float(mass)
         self._cshift = cshift_fn if cshift_fn is not None else cshift
-        # U_mu(x - mu) gathered to x, needed for the backward hop; the
-        # links are static so this is precomputed once (Grid does the
-        # same inside its stencil setup).  Where the fused sweep can
-        # run (numpy-semantics backend, the default cshift) both link
-        # sets are kept as snapshots in its tensor-major working
-        # layout; the lane-major back-links, read only by the layered
-        # path, are then built from that snapshot on first use.
+        # U_mu(x - mu) gathered to x, needed for the backward hop.  The
+        # links are static, so each route snapshots the links it reads
+        # on its own first call.  The fused sweep (numpy-semantics
+        # backend, the default cshift) reads them in its tensor-major
+        # working layout: the full hop the full-order links and adjoint
+        # back-links (``_full_links``), the checkerboard hop one
+        # contiguous pair of slices per target parity
+        # (``_parity_links``), as Grid keeps per-checkerboard gauge
+        # fields beside the full one.  The layered path reads lane-major
+        # back-links; where it is the only route (another backend or
+        # shift) they are gathered here.
+        self._fused = fused_safe_backend(self.grid.backend) \
+            and self._cshift is cshift
         self._links_t = self._links_adj_t = None
+        self._links_cb = {}  # target parity -> (links, adjoint back-links)
         self._links_back_lm = None
-        if fused_safe_backend(self.grid.backend) and self._cshift is cshift:
-            self._links_t = [to_working(u.data) for u in self.links]
-            # Stored as U_mu(x - mu)^dagger, the matrix the backward hop
-            # applies (conjugation is exact: see perf.fused.adjoint).
-            self._links_adj_t = [np.ascontiguousarray(adjoint(
-                np.take(w, neighbour_table(self.grid, mu, -1), axis=-1)))
-                for mu, w in enumerate(self._links_t)]
-        else:
+        if not self._fused:
             self._links_back_lm = [self._cshift(u, mu, -1)
                                    for mu, u in enumerate(self.links)]
 
@@ -96,13 +90,40 @@ class WilsonDirac:
     def _links_back(self) -> list:
         """Lane-major back-links ``U_mu(x - mu)`` (one Lattice per mu)."""
         if self._links_back_lm is None:
-            back = []
-            for v in self._links_adj_t:
-                lat = Lattice(self.grid, (3, 3))
-                from_working(adjoint(v), lat.data)
-                back.append(lat)
-            self._links_back_lm = back
+            self._links_back_lm = [self._cshift(u, mu, -1)
+                                   for mu, u in enumerate(self.links)]
         return self._links_back_lm
+
+    def _full_links(self) -> tuple:
+        """The full hop's working-layout links: ``U_mu`` and the
+        adjoint back-links ``U_mu(x - mu)^dagger`` (the matrix the
+        backward hop applies; conjugation is exact, see
+        :func:`repro.perf.fused.adjoint`), ``(3, 3, N)`` per mu.
+        Built on first use."""
+        if self._links_t is None:
+            links = [to_working(u.data) for u in self.links]
+            self._links_adj_t = [np.ascontiguousarray(adjoint(
+                np.take(w, neighbour_table(self.grid, mu, -1), axis=-1)))
+                for mu, w in enumerate(links)]
+            self._links_t = links
+        return self._links_t, self._links_adj_t
+
+    def _parity_links(self, target: GridRedBlack) -> tuple:
+        """The checkerboard hop's links onto the half grid ``target``:
+        :meth:`_full_links` at ``target.sites``, one contiguous
+        ``(3, 3, N/2)`` slice per mu and sign.  Built on the first hop
+        onto that parity, without the full-order links."""
+        pair = self._links_cb.get(target.parity)
+        if pair is None:
+            links, adj = [], []
+            for mu, u in enumerate(self.links):
+                w = to_working(u.data)
+                back = neighbour_table(self.grid, mu, -1)[target.sites]
+                links.append(np.take(w, target.sites, axis=-1))
+                adj.append(np.ascontiguousarray(adjoint(
+                    np.take(w, back, axis=-1))))
+            pair = self._links_cb[target.parity] = (links, adj)
+        return pair
 
     # ------------------------------------------------------------------
     def dhop(self, psi: Lattice) -> Lattice:
@@ -132,7 +153,7 @@ class WilsonDirac:
     def _dhop_impl(self, psi: Lattice) -> Lattice:
         self._check(psi)
         plan = kernel_plan(self.grid, "dhop")
-        if plan.fused and self._links_t is not None:
+        if plan.fused and self._fused:
             # Fused, cache-blocked engine sweep — bit-identical to the
             # layered path below (see repro.perf.fused for the argument).
             return fused_dhop(self, psi, plan=plan)
@@ -189,7 +210,7 @@ class WilsonDirac:
 
     def _dhop_cb_impl(self, psi: Lattice, target) -> Lattice:
         plan = kernel_plan(self.grid, "dhop")
-        if plan.fused and self._links_t is not None:
+        if plan.fused and self._fused:
             return fused_dhop_cb(self, psi, target, plan=plan)
         # The reference: the full sweep of the embedded field (its
         # dispatch, not its span — the hop is traced once, above).

@@ -13,21 +13,23 @@ the paper's SVE vector (Fig. 1), and the lattice's lane-innermost
 elements.  The single-rank sweep (:func:`fused_dhop`) therefore works
 on a *tensor-major flat* copy ``(4, 3, N)``, ``N = osites * nlanes``:
 ``psi`` is transposed once on entry and each block's accumulator once
-on exit, and the operator keeps its links in the same layout
-(``WilsonDirac._links_t``, and the back-links as adjoints in
-``_links_adj_t``).  Every neighbour gather — lane permutations at
-virtual-node boundaries included — is one ``np.take`` through a flat
-index table per (mu, ±1) (:func:`repro.grid.stencil.neighbour_table`,
-derived by cshifting an index field, so it cannot disagree with
-``cshift``).  The sweep runs over blocks of :data:`BLOCK_SITES` flat
-sites: per block it gathers one neighbour field at a time into
-block-sized scratch and folds it into the accumulator while the block
-is still in cache, instead of materialising all eight neighbour fields
-over the whole lattice.  The even-odd checkerboard hop
-(:func:`fused_dhop_cb`) is the same sweep over half the sites: a half
-field's working copy is ``(4, 3, N/2)``, gathered through per-parity
-tables, and each block's links are gathered from the full link arrays
-along with its neighbours.
+on exit, and the operator snapshots its links in the same layout on
+the sweep's first call (``WilsonDirac._full_links``: the links, and
+the back-links as adjoints).  Every neighbour gather — lane
+permutations at virtual-node boundaries included — is one ``np.take``
+through a flat index table per (mu, ±1)
+(:func:`repro.grid.stencil.neighbour_table`, derived by cshifting an
+index field, so it cannot disagree with ``cshift``).  The sweep runs
+over blocks of :data:`BLOCK_SITES` flat sites: per block it gathers
+one neighbour field at a time into block-sized scratch and folds it
+into the accumulator while the block is still in cache, instead of
+materialising all eight neighbour fields over the whole lattice.
+The even-odd checkerboard hop (:func:`fused_dhop_cb`) is the same
+sweep over half the sites: a half field's working copy is
+``(4, 3, N/2)``, gathered through per-parity tables, and the links
+are the operator's contiguous ``(3, 3, N/2)`` slices for the target
+parity (``WilsonDirac._parity_links``), so every link operand is a
+contiguous load as in the paper's virtual-node layout.
 
 **Bit-identity contract.**  Every expression below reproduces the
 reference accumulation element-for-element:
@@ -72,7 +74,7 @@ from repro.perf.parallel import run_tiles, tiles_for
 #: 16^4, 4096 ran at 1.4–1.5 us/site against 1.6–1.8 for 1024, 2048
 #: and 8192; at 4^3x8 and 8^4 every size from 1024 to 8192 was within
 #: noise.  A block then touches ~4 MB (accumulator, neighbour, three
-#: half-spinor buffers, two link slices).
+#: half-spinor buffers and the block's stretch of two link fields).
 BLOCK_SITES = 4096
 
 
@@ -257,8 +259,7 @@ def fused_dhop(dirac, psi: Lattice, plan=None) -> Lattice:
     counters().bump("fused_dhop_calls")
     hops = [(sign, neighbour_table(grid, mu, sign), links[mu], mu)
             for mu in range(grid.ndim)
-            for sign, links in ((+1, dirac._links_t),
-                                (-1, dirac._links_adj_t))]
+            for sign, links in zip((+1, -1), dirac._full_links())]
     return _sweep(hops, psi, grid, plan)
 
 
@@ -269,8 +270,10 @@ def fused_dhop_cb(dirac, psi: Lattice, target, plan=None) -> Lattice:
 
     The same sweep as :func:`fused_dhop` over half the sites: the
     gathers go through :func:`repro.grid.stencil.parity_neighbour_table`
-    and each block's links are gathered from the operator's full
-    working-layout links through ``target.sites``.  Every
+    and the links are the operator's per-parity slices
+    (``WilsonDirac._parity_links``, built on the first hop onto
+    ``target``'s parity): the full-order links at ``target.sites``, so
+    each block reads its links as contiguous stretches.  Every
     neighbour of a ``target`` site lies in ``psi``'s parity, so each
     output site accumulates the values the full sweep would — the hop
     is bit-identical to ``dhop`` of the embedded field, restricted to
@@ -280,21 +283,18 @@ def fused_dhop_cb(dirac, psi: Lattice, target, plan=None) -> Lattice:
     hops = [(sign, parity_neighbour_table(grid, target.parity, mu, sign),
              links[mu], mu)
             for mu in range(grid.ndim)
-            for sign, links in ((+1, dirac._links_t),
-                                (-1, dirac._links_adj_t))]
-    return _sweep(hops, psi, target, plan, link_sites=target.sites)
+            for sign, links in zip((+1, -1), dirac._parity_links(target))]
+    return _sweep(hops, psi, target, plan)
 
 
-def _sweep(hops, psi: Lattice, grid, plan, link_sites=None) -> Lattice:
+def _sweep(hops, psi: Lattice, grid, plan) -> Lattice:
     """The single-rank driver of :func:`sweep_blocks`, shared by the
     full and checkerboard hops.
 
     ``hops`` lists ``(sign, table, links, mu)`` in accumulation order:
     ``table`` maps the output's flat sites on ``grid`` (a full or half
-    grid) to ``psi``'s, and ``links`` is a full-lattice working-layout
-    link field.  Output site ``i`` reads link site ``i``, or with
-    ``link_sites`` the full-grid site ``link_sites[i]`` — gathered per
-    block, so a half-volume sweep holds no second copy of the links.
+    grid) to ``psi``'s, and ``links`` is a working-layout link field in
+    the output's site order (output site ``i`` reads link site ``i``).
     Blocks are whole outer sites, so each finished block is transposed
     into one contiguous stretch of the lane-major output.
     """
@@ -308,7 +308,7 @@ def _sweep(hops, psi: Lattice, grid, plan, link_sites=None) -> Lattice:
         from_working(acc, out.data[b0 // nl:b1 // nl])
 
     ntiles = sweep_blocks(hops, flat, grid.osites * nl, store, plan,
-                          unit=nl, link_sites=link_sites)
+                          unit=nl)
     if plan is not None:
         plan.stages.bump("gather", len(hops))
         plan.stages.bump("compute", ntiles)
@@ -322,12 +322,14 @@ def sweep_blocks(hops, flat: np.ndarray, count: int, store, plan,
 
     ``flat`` is the ``(12, M)`` working-layout source every ``table``
     of ``hops`` (see :func:`_sweep`) indexes, and ``links[..., i]`` —
-    or with ``link_sites`` ``links[..., link_sites[i]]`` — is output
-    site ``i``'s link.  Each finished block's ``(4, 3, n)``
-    accumulator goes to ``store(acc, b0, b1)``.  Blocks and tiles are
-    whole multiples of ``unit`` sites; tiles allocate their own
-    scratch and store disjoint sites, so they may run on concurrent
-    workers.
+    or with ``link_sites`` ``links[..., link_sites[i]]``, gathered per
+    block (the distributed interior and shell parts of
+    :mod:`repro.grid.overlap`, which sweep scattered sites of the full
+    rank arrays) — is output site ``i``'s link.  Each finished block's
+    ``(4, 3, n)`` accumulator goes to ``store(acc, b0, b1)``.  Blocks
+    and tiles are whole multiples of ``unit`` sites; tiles allocate
+    their own scratch and store disjoint sites, so they may run on
+    concurrent workers.
     """
     if plan is None:
         tiles = tiles_for(count // unit)

@@ -227,15 +227,24 @@ class TestSchurTwin:
         assert res.converged and res.residual < 1e-11
         assert len(res.residual_history) - 1 >= 2
 
-    def test_twin_is_built_per_solve(self):
+    def test_twin_is_built_once_per_schur_operator(self):
         schur, _ = _schur_system("generic256", [2, 2, 2, 4])
-        a = single_precision_twin(schur)[0]
-        b = single_precision_twin(schur)[0]
-        assert a is not b and a.dirac is not b.dirac
-        assert not any(isinstance(v, SchurWilson)
-                       for v in vars(schur).values())
+        twin = single_precision_twin(schur)
+        assert single_precision_twin(schur) is twin
+        fresh = single_precision_twin(SchurWilson(schur.dirac))
+        assert fresh[0] is not twin[0]
+        assert fresh[0].dirac is not twin[0].dirac
         # The twins share the memoized single-precision geometry.
-        assert a.grid is b.grid is single_precision_grid(schur.grid)
+        assert fresh[0].grid is twin[0].grid \
+            is single_precision_grid(schur.grid)
+        res = schur.solve(random_spinor(schur.grid, seed=3), tol=1e-9)
+        assert res.converged
+        assert single_precision_twin(schur) is twin
+        # The twin only hops between parities: it holds the two
+        # parities' link slices and no full-order working links.
+        dirac32 = twin[0].dirac
+        assert dirac32._links_t is None and dirac32._links_adj_t is None
+        assert sorted(dirac32._links_cb) == ["even", "odd"]
 
     def test_no_single_checkerboard_falls_back_to_double(self):
         """2^3x4 at 2048 bits: 16 complex128 lanes hold a half-volume

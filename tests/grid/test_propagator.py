@@ -165,6 +165,27 @@ class TestMixedPrecisionDefault:
             assert len(inner) == len(rec.residual_history) - 1 >= 1
             assert rec.iterations == sum(inner) > 0
 
+    def test_one_twin_matches_a_fresh_twin_per_column(self):
+        """The propagator's twelve solves share one Schur twin; each
+        column equals, byte for byte and in iterations, a solve on a
+        fresh SchurWilson (and so a fresh twin)."""
+        grid = GridCartesian([4, 4, 4, 8], get_backend("generic256"))
+        dirac = WilsonDirac(random_gauge(grid, seed=11), mass=0.3)
+
+        def fresh_schur(d, b, tol, max_iter):
+            return SchurWilson(d).solve(b, tol=tol, max_iter=max_iter)
+
+        shared, shared_res = propagator(dirac, (0, 0, 0, 0), tol=self.TOL)
+        fresh, fresh_res = propagator(dirac, (0, 0, 0, 0), tol=self.TOL,
+                                      solver=fresh_schur)
+        for spin in range(4):
+            for colour in range(3):
+                a, b = shared[spin][colour].data, fresh[spin][colour].data
+                assert a.tobytes() == b.tobytes()
+        for a, b in zip(shared_res, fresh_res):
+            assert a.iterations == b.iterations
+            assert a.residual_history == b.residual_history
+
     def test_starved_budget_raises(self, dirac):
         with pytest.raises(RuntimeError, match="converge"):
             propagator(dirac, (0, 0, 0, 0), tol=self.TOL, max_iter=2)

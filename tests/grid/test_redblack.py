@@ -126,14 +126,49 @@ class TestCheckerboardHop:
         assert span.attrs["sites"] == dirac.grid.gsites // 2
         assert span.attrs["parity"] == "even"
 
-    def test_keeps_no_link_copies(self):
-        """The hop gathers its links per block from the operator's
-        full snapshot: it adds no state to the operator."""
-        dirac, psi = _operator("generic256", (4, 4, 4, 4))
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_multi_block_half_field(self, backend, dtype):
+        """8192 half sites: the per-parity link slices are read across
+        block boundaries, serial and tiled."""
+        dirac, psi = _operator(backend, (16, 8, 8, 16), dtype)
+        assert dirac.grid.lsites // 2 >= 2 * fused.BLOCK_SITES
+        for source, target in (("odd", "even"), ("even", "odd")):
+            half = red_black(dirac.grid, source).pick(psi)
+            want = _reference(dirac, half, target)
+            _assert_bytes_equal(_fast(dirac, half).data, want.data)
+            with engine.scope(workers=2, tile_min_sites=16):
+                _assert_bytes_equal(_fast(dirac, half).data, want.data)
+            assert counters().tiles_dispatched == 2
+
+    def test_builds_one_slice_pair_per_parity(self):
+        """The first hop onto a parity snapshots the full-order links
+        at that parity's sites as contiguous slices, without building
+        the full-order links; later hops build nothing."""
+        dirac, psi = _operator("generic256", (4, 4, 4, 8))
+        halves = [red_black(dirac.grid, p).pick(psi) for p in ("odd", "even")]
+        for half in halves:
+            dirac.dhop_cb(half)
+        assert sorted(dirac._links_cb) == ["even", "odd"]
+        assert dirac._links_t is None and dirac._links_adj_t is None
         before = dict(vars(dirac))
-        dirac.dhop_cb(red_black(dirac.grid, "odd").pick(psi))
+        pairs = {p: [a for part in pair for a in part]
+                 for p, pair in dirac._links_cb.items()}
+        for half in halves:
+            dirac.dhop_cb(half)
         assert vars(dirac).keys() == before.keys()
         assert all(vars(dirac)[k] is v for k, v in before.items())
+        for p, arrays in pairs.items():
+            again = [a for part in dirac._links_cb[p] for a in part]
+            assert all(a is b for a, b in zip(again, arrays))
+        links, adj = dirac._full_links()
+        for p, arrays in pairs.items():
+            sites = red_black(dirac.grid, p).sites
+            assert len(arrays) == 8
+            for got, full in zip(arrays, links + adj):
+                assert got.shape == (3, 3, sites.size)
+                assert got.flags.c_contiguous
+                _assert_bytes_equal(got, np.take(full, sites, axis=-1))
 
 
 class TestHalfFields:
