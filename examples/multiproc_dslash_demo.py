@@ -11,7 +11,7 @@ real process boundaries through per-edge mailboxes.  This demo shows:
 1. a 2-rank Wilson-Dslash sweep, bit-identical between the in-process
    reference and the shared-memory runtime — with identical message
    and byte accounting, because the wire codec (fp16 compression, CRC)
-   is the same code applied to the same fields;
+   is the same code applied to the same face slabs;
 2. a CG solve through the rank runtime, agreeing to the last bit at
    every iteration count;
 3. teardown: one ``engine.reset_all()`` joins every worker and unlinks

@@ -64,7 +64,8 @@ def main() -> None:
           f"W(2,1)={w21:.3f} > W(2,2)={w22:.3f}")
 
     # --- 3. Measure the pion ----------------------------------------
-    print("\nComputing the pion correlator (12 CGNE solves)...")
+    print("\nComputing the pion correlator "
+          "(12 mixed-precision Schur solves)...")
     dirac = WilsonDirac(links, mass=0.8)
     t0 = time.perf_counter()
     corr = pion_correlator(dirac, tol=1e-8, max_iter=2000)

@@ -116,8 +116,8 @@ class KernelPlan:
 
     * ``kind`` — ``"dhop"`` (single-rank Wilson sweep) or
       ``"dist-dhop"`` (rank-decomposed sweep).
-    * ``fused`` — take the fused numpy body instead of the layered
-      per-op reference.
+    * ``fused`` — take the fused block sweep instead of the layered
+      per-op reference: the engine is on and the backend fused-safe.
     * ``overlap`` — (dist only) post all halos up front and hide them
       behind interior compute.
     * ``workers`` / ``tile_min_sites`` — tile-pool shape for the sweep.
@@ -155,7 +155,7 @@ def _resolve(kind: str, backend, policy: ExecutionPolicy) -> KernelPlan:
                  else "in-process")
     return KernelPlan(
         kind=kind,
-        fused=policy.fused_active and safe,
+        fused=policy.enabled and safe,
         overlap=(kind == "dist-dhop" and policy.overlap_active and safe
                  and transport == "in-process"),
         workers=policy.workers if policy.enabled else 1,

@@ -53,14 +53,13 @@ class ExecutionPolicy:
     Parameters
     ----------
     enabled:
-        The engine master switch.  Off restores the exact pre-engine
+        The engine master switch.  On, every Wilson hop on a
+        fused-safe backend runs the fused block sweep
+        (:mod:`repro.perf.fused`); off restores the exact pre-engine
         code paths everywhere at once — layered arithmetic, serial
-        sweeps, no caches — which is what the benchmark harness
-        measures the engine against.
-    fused:
-        Take the fused project/SU(3)/reconstruct Wilson-Dslash body
-        (:mod:`repro.perf.fused`) on fused-safe backends.  Only
-        effective while ``enabled``.
+        sweeps, no caches — which is the reference every engine route
+        is checked against and what the benchmark harness measures the
+        engine against.
     workers:
         Tile-pool width for lattice sweeps (1 = serial).
     tile_min_sites:
@@ -114,7 +113,6 @@ class ExecutionPolicy:
     """
 
     enabled: bool = True
-    fused: bool = True
     workers: int = 1
     tile_min_sites: int = 128
     overlap_comms: bool = True
@@ -152,11 +150,6 @@ class ExecutionPolicy:
             )
 
     # -- resolved (effective) views ------------------------------------
-    @property
-    def fused_active(self) -> bool:
-        """Fusion is taken only with the engine on."""
-        return self.enabled and self.fused
-
     @property
     def overlap_active(self) -> bool:
         """Overlap is taken only with the engine on."""

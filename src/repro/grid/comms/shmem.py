@@ -11,39 +11,46 @@ Protocol (command-lockstep)
 The parent drives every sweep as one synchronous command round:
 
 1. parent writes each rank's ``psi`` shard (and, when the operator
-   changed, its gauge-link shards) into that rank's segments, then
-   sends one ``dhop`` command per worker over its pipe;
-2. every worker first *posts* its own raw field into the mailboxes of
-   both ``mu``-neighbours (for every ``mu``), then *receives* its two
-   neighbour fields per ``mu`` — all sends precede all receives and
+   changed, its stretch of the operator's working-layout links and
+   adjoint back-links) into that rank's segments, then sends one
+   ``dhop`` command per worker over its pipe;
+2. every worker copies its shard into an *extended* working array, as
+   :func:`repro.grid.overlap.halo_dhop` does in process, and first
+   *posts* its face slab for every (mu, ±1) — the sites
+   :func:`~repro.grid.stencil.rank_halo` names — into the mailbox of
+   the rank that reads it, then *receives* its own slab per (mu, ±1)
+   into the array's slab slots — all sends precede all receives and
    each mailbox is written exactly once per command, so the round is
    deadlock-free by construction;
-3. each worker runs the rank-local hopping sweep exactly as the
-   in-process reference does — :func:`~repro.grid.cshift.cshift_local`
-   with the neighbour field as the boundary, fused or layered
-   accumulation in ascending-``mu``, +1-then-−1 order — and writes its
-   ``out`` shard;
+3. each worker runs the single-rank block sweep
+   (:func:`repro.perf.fused.sweep_blocks`) over its extended array
+   through the rank-local ``rank_halo`` tables and writes its ``out``
+   shard;
 4. workers reply with their local :class:`~repro.grid.comms.lattice.
    CommsStats` and how long they blocked on halo arrival; the parent
    merges stats, feeds the PR 5 halo-wait histograms, and only then
    may start the next command — which is what guarantees every mailbox
    is empty again at the start of each round.
 
+The transport declines (``run_dhop`` returns ``None``) when the plan
+is not fused — the engine is off or the backend is not fused-safe — or
+when a worker could not rebuild the backend; the caller's lane-major
+reference then runs in process.
+
 Bit-identity
 ------------
-The mailboxes carry **raw, lossless** whole fields.  The wire codec
-(fp16 compression, CRC/retry, fault hooks —
-:func:`~repro.grid.comms.wire.exchange_field`) is applied by the
-*receiver*, once per message, to the neighbour field whose face it
-reads: the +mu neighbour's for the forward hop, the -mu neighbour's
-for the backward hop.  The in-process sweep wires only those faces
-(:mod:`repro.grid.overlap`); the codec is elementwise, so every value
-a rank reads is the same in both, compressed or not.  Message and
-byte accounting match the reference totals, and the results are
-bit-identical — which the transport tests assert all the way through
-CG solves.  A :class:`~repro.grid.comms.queue.
-LatencyModel` never changes content, only availability, so it is
-simply ignored here: the wire is real.
+Each mailbox is sized to its slab, ``lsites / ldims[mu]`` sites, and
+carries it **raw** (lossless).  The wire codec (fp16 compression,
+CRC/retry, fault hooks — :func:`~repro.grid.comms.wire.exchange_field`)
+is applied by the *receiver*, once per message, to each wired slab; a
+renumbering slab (local extent 1, the neighbour's whole shard) is
+copied raw and sends no message, as in process.  The slabs, tables and
+body are those of the in-process sweep, so every value a rank reads
+is the same in both, compressed or not; message and byte accounting
+match the reference totals, and the results are bit-identical — which
+the transport tests assert all the way through CG solves.  A
+:class:`~repro.grid.comms.queue.LatencyModel` never changes content,
+only availability, so it is simply ignored here: the wire is real.
 
 Lifecycle
 ---------
@@ -110,157 +117,114 @@ def _attach(cache: dict, name: str):
     return shm
 
 
-def _worker_grid(cache: dict, cmd: dict):
-    """The (memoized) local grid for a command's geometry."""
+def _worker_halo(cache: dict, cmd: dict):
+    """The (memoized) local grid and
+    :class:`~repro.grid.stencil.RankHalo` for a command's geometry,
+    derived once per geometry from the same
+    :meth:`DistributedLattice.cshift` the parent's tables come from."""
     key = (cmd["gdims"], cmd["mpi_layout"], cmd["simd_layout"],
            cmd["backend"], cmd["dtype"])
-    grid = cache.get(key)
-    if grid is None:
-        from repro.grid.cartesian import GridCartesian
+    hit = cache.get(key)
+    if hit is None:
+        from repro.grid.comms.lattice import DistributedLattice
+        from repro.grid.stencil import rank_halo
         from repro.simd.registry import get_backend
 
-        grid = GridCartesian(list(cmd["gdims"]),
-                             get_backend(cmd["backend"], resilient=False),
-                             simd_layout=list(cmd["simd_layout"]),
-                             mpi_layout=list(cmd["mpi_layout"]),
-                             dtype=np.dtype(cmd["dtype"]))
-        cache[key] = grid
-    return grid
+        dist = DistributedLattice(list(cmd["gdims"]),
+                                  get_backend(cmd["backend"],
+                                              resilient=False),
+                                  list(cmd["mpi_layout"]), (),
+                                  simd_layout=list(cmd["simd_layout"]),
+                                  dtype=np.dtype(cmd["dtype"]),
+                                  transport="in-process")
+        hit = cache[key] = (dist.grids[0], rank_halo(dist))
+    return hit
 
 
 def _worker_dhop(rank: int, cmd: dict, sems: dict, seg_cache: dict,
-                 grid_cache: dict) -> dict:
+                 geom_cache: dict) -> dict:
     """One rank's share of a distributed hopping sweep."""
     # The collector anchors the round at command receipt — build it
     # first so ``round_t0`` precedes every recorded span.  With the
     # knob off the sweep pays one ``is None`` check per seam.
     collector = (RankCollector(rank)
                  if cmd.get("telemetry") == "trace" else None)
-    from repro.engine.plan import fused_safe_backend
-    from repro.grid import gamma as g
     from repro.grid.comms.lattice import CommsStats
-    from repro.grid.cshift import cshift_local
-    from repro.grid.lattice import Lattice
-    from repro.grid.tensor import su3_dagger_mul_vec, su3_mul_vec
-    from repro.perf.fused import fused_dhop_rank
+    from repro.perf.fused import from_working, sweep_blocks
 
-    grid = _worker_grid(grid_cache, cmd)
+    grid, halo = _worker_halo(geom_cache, cmd)
     dtype = grid.dtype
-    tensor = tuple(cmd["tensor_shape"])
-    shape = (grid.osites,) + tensor + (grid.nlanes,)
-    lshape = (grid.osites, 3, 3, grid.nlanes)
-    ndim = grid.ndim
+    ndim, nl, n = grid.ndim, grid.nlanes, halo.sites
+    keys = [(mu, sign) for mu in range(ndim) for sign in (+1, -1)]
 
     def view(name, shp):
         return np.ndarray(shp, dtype=dtype,
                           buffer=_attach(seg_cache, name).buf)
 
-    own = view(cmd["psi_seg"], shape)
-    acc = view(cmd["out_seg"], shape)
-    links = [view(n, lshape) for n in cmd["link_segs"]]
-    links_back = [view(n, lshape) for n in cmd["linkb_segs"]]
+    shape = (grid.osites, 4, 3, nl)
+    out = view(cmd["out_seg"], shape)
+    links = view(cmd["link_seg"], (ndim, 2, 3, 3, n))
+    # The extended working array: my shard, then one slab per (mu, ±1).
+    ext = np.empty((12, halo.width), dtype=dtype)
+    shard = ext[:, :n].reshape(4, 3, grid.osites, nl)
+    shard[...] = np.moveaxis(view(cmd["psi_seg"], shape), 0, -2)
 
-    # -- post: my raw field into both mu-neighbours' mailboxes --------
+    # -- post: my face slabs into the receivers' mailboxes -------------
     # (every send precedes every receive; each mailbox starts empty at
     # command start — the lockstep protocol makes this deadlock-free).
-    for mu in range(ndim):
-        for key, name in (cmd["produce_f"][mu], cmd["produce_b"][mu]):
-            filled, empty = sems[tuple(key)]
-            empty.acquire()
-            view(name, shape)[...] = own
-            filled.release()
+    for key, (box, name) in zip(keys, cmd["produce"]):
+        face = halo.faces[key]
+        filled, empty = sems[tuple(box)]
+        empty.acquire()
+        np.take(ext, face, axis=1, out=view(name, (12, face.size)),
+                mode="clip")
+        filled.release()
 
-    # -- receive: my two neighbour fields per mu ------------------------
-    waited = 0.0
-    raw_next, raw_prev = [], []
-    for mu in range(ndim):
-        fields = []
-        for key, name in (cmd["consume_f"][mu], cmd["consume_b"][mu]):
-            filled, empty = sems[tuple(key)]
-            t0 = time.perf_counter()
-            filled.acquire()
-            t1 = time.perf_counter()
-            waited += t1 - t0
-            if collector is not None:
-                collector.record("rank.mailbox_wait", t0, t1,
-                                 mu=mu, kind=key[2])
-            # Read in place: the producer cannot rewrite this mailbox
-            # until the next command round, which starts only after
-            # every reply has reached the parent.
-            fields.append(view(name, shape))
-            empty.release()
-        raw_next.append(fields[0])
-        raw_prev.append(fields[1])
-
+    # -- receive: one slab per (mu, ±1), through the wire codec --------
     stats = CommsStats()
     injector = adapt_fault_hook(cmd["injector"])
-    compress = cmd["compress"]
-    checksum = cmd["checksum"]
-    max_retries = cmd["max_retries"]
-    backend = grid.backend
-    fused = cmd["fused"] and fused_safe_backend(backend)
-    own_lat = Lattice(grid, tensor, data=own)
-
-    def wired(field):
-        """One wire transaction on a boundary field — the receiver
-        applies exactly the codec the in-process exchange applies."""
-        halo_sites = grid.lsites // grid.ldims[mu]
-        n_complex = halo_sites * int(np.prod(tensor)) if tensor else \
-            halo_sites
-        stats.record(n_complex, compress, dtype)
-        if collector is None:
-            return exchange_field(field, compress=compress,
-                                  checksum=checksum, injector=injector,
-                                  stats=stats, max_retries=max_retries,
-                                  dtype=dtype)
+    waited = 0.0
+    for key, (box, name) in zip(keys, cmd["consume"]):
+        filled, empty = sems[tuple(box)]
         t0 = time.perf_counter()
-        out = exchange_field(field, compress=compress,
-                             checksum=checksum, injector=injector,
-                             stats=stats, max_retries=max_retries,
-                             dtype=dtype)
-        collector.record("rank.wire", t0, time.perf_counter(), mu=mu)
-        return out
-
-    acc[...] = 0
-    # Worker compute runs the in-process reference semantics: no
-    # nested transports, serial tiles (each rank IS the parallelism).
-    with _engine_scope(enabled=True, workers=1, transport="in-process",
-                       comms_faults=None, latency=None, telemetry="off"):
-        for mu in range(ndim):
-            t_dir = time.perf_counter() if collector is not None else 0.0
-            gd = grid.gdims[mu]
-            ld = grid.ldims[mu]
-            steps_f, sf = divmod(1 % gd, ld)
-            steps_b, sb = divmod((-1) % gd, ld)
-            # fwd: src is me (ld > 1) or my +mu neighbour (ld == 1);
-            # its boundary comes from *its* +mu neighbour through the
-            # wire — the same field the reference path wires.
-            if sf != 0:
-                pf = cshift_local(own_lat, mu, sf,
-                                  boundary_from=wired(raw_next[mu])).data
-            else:
-                pf = raw_next[mu] if steps_f else own
-            # bwd: src is my -mu neighbour, through the wire (its face
-            # is all I read of it); its +mu boundary is my own field.
-            if sb != 0:
-                src = Lattice(grid, tensor, data=wired(raw_prev[mu]))
-                pb = cshift_local(src, mu, sb, boundary_from=own).data
-            else:
-                pb = raw_prev[mu] if steps_b else own
-            if fused:
-                fused_dhop_rank(acc, links[mu], links_back[mu], pf, pb, mu)
-            else:
-                be = backend
-                h = g.project(be, pf, mu, +1)
-                uh = su3_mul_vec(be, links[mu], h)
-                a2 = be.add(acc, g.reconstruct(be, uh, mu, +1))
-                h = g.project(be, pb, mu, -1)
-                uh = su3_dagger_mul_vec(be, links_back[mu], h)
-                acc[...] = be.add(a2, g.reconstruct(be, uh, mu, -1))
+        filled.acquire()
+        t1 = time.perf_counter()
+        waited += t1 - t0
+        if collector is not None:
+            collector.record("rank.mailbox_wait", t0, t1,
+                             mu=key[0], kind=box[2])
+        slab = view(name, (12, halo.faces[key].size))
+        if halo.wired[key]:
+            # One wire transaction per slab: the receiver applies
+            # exactly the codec the in-process exchange applies.
+            stats.record(slab.size, cmd["compress"], dtype)
+            t0 = time.perf_counter()
+            slab = exchange_field(slab, compress=cmd["compress"],
+                                  checksum=cmd["checksum"],
+                                  injector=injector, stats=stats,
+                                  max_retries=cmd["max_retries"],
+                                  dtype=dtype)
             if collector is not None:
-                collector.record("rank.dhop_dir", t_dir,
-                                 time.perf_counter(), mu=mu,
-                                 fused=fused)
+                collector.record("rank.wire", t0, time.perf_counter(),
+                                 mu=key[0])
+        # A renumbering slab (local extent 1) is copied raw.
+        ext[:, halo.slots[key]] = slab
+        # The slab is copied out: the producer may refill the mailbox
+        # only in the next command round anyway.
+        empty.release()
+
+    def store(acc, b0, b1) -> None:
+        from_working(acc, out[b0 // nl:b1 // nl])
+
+    # Every rank has the same local geometry, so the stacked tables
+    # are one rank's offset by ``r * width``: rank 0's stretch indexes
+    # any rank's own extended array.
+    hops = [(sign, halo.tables[(mu, sign)][:n],
+             links[mu, 0 if sign > 0 else 1], mu) for mu, sign in keys]
+    t0 = time.perf_counter()
+    sweep_blocks(hops, ext, n, store, None, unit=nl)
+    if collector is not None:
+        collector.record("rank.sweep", t0, time.perf_counter())
     return {"ok": True, "stats": stats, "wait_seconds": waited,
             "telemetry": None if collector is None
             else collector.payload()}
@@ -269,7 +233,7 @@ def _worker_dhop(rank: int, cmd: dict, sems: dict, seg_cache: dict,
 def _worker_main(rank: int, conn, sems: dict) -> None:
     """Rank worker: serve commands until ``exit`` (or EOF)."""
     seg_cache: dict = {}
-    grid_cache: dict = {}
+    geom_cache: dict = {}
     while True:
         try:
             cmd = conn.recv()
@@ -278,7 +242,14 @@ def _worker_main(rank: int, conn, sems: dict) -> None:
         if cmd.get("op") == "exit":
             break
         try:
-            reply = _worker_dhop(rank, cmd, sems, seg_cache, grid_cache)
+            # Worker compute runs the in-process reference semantics:
+            # no nested transports, serial tiles (each rank IS the
+            # parallelism).
+            with _engine_scope(enabled=True, workers=1,
+                               transport="in-process", comms_faults=None,
+                               latency=None, telemetry="off"):
+                reply = _worker_dhop(rank, cmd, sems, seg_cache,
+                                     geom_cache)
         except BaseException:
             reply = {"ok": False, "error": traceback.format_exc()}
         try:
@@ -363,34 +334,30 @@ class _RankRuntime:
                    buffer=seg.buf)[...] = array
         return seg.name
 
-    def _load_links(self, op) -> tuple:
-        """Gauge-link shards are static per operator: re-upload only
-        when a different (or reborn) operator arrives."""
+    def _load_links(self, op) -> list:
+        """Upload each rank's stretch of the operator's working-layout
+        links and adjoint back-links, ``(ndim, 2, 3, 3, N)`` per rank.
+        They are static per operator: re-upload only when a different
+        (or reborn) operator arrives.  Returns the segment names."""
         import weakref
 
         owner = self._link_owner
-        if owner is not None and owner[0] == id(op) \
-                and owner[1]() is op:
-            return self._link_names()
-        for mu in range(self.ndim):
-            for r in range(self.nranks):
-                self._load(("link", mu, r), op.links[mu].locals[r].data)
-                self._load(("linkb", mu, r),
-                           op.links_back[mu].locals[r].data)
-        self._link_owner = (id(op), weakref.ref(op))
-        return self._link_names()
-
-    def _link_names(self) -> tuple:
-        link = [[self.segments[("link", mu, r)].name
-                 for mu in range(self.ndim)]
-                for r in range(self.nranks)]
-        linkb = [[self.segments[("linkb", mu, r)].name
-                  for mu in range(self.ndim)]
-                 for r in range(self.nranks)]
-        return link, linkb
+        roles = [("links", r) for r in range(self.nranks)]
+        if owner is None or owner[0] != id(op) or owner[1]() is not op:
+            n = op._links_t[0].shape[-1] // self.nranks
+            dtype = op._links_t[0].dtype
+            for r, role in enumerate(roles):
+                seg = self._segment(role, 18 * self.ndim * n * dtype.itemsize)
+                v = np.ndarray((self.ndim, 2, 3, 3, n), dtype=dtype,
+                               buffer=seg.buf)
+                for mu in range(self.ndim):
+                    v[mu, 0] = op._links_t[mu][..., r * n:(r + 1) * n]
+                    v[mu, 1] = op._links_adj_t[mu][..., r * n:(r + 1) * n]
+            self._link_owner = (id(op), weakref.ref(op))
+        return [self.segments[role].name for role in roles]
 
     # -- the sweep ------------------------------------------------------
-    def dhop(self, op, psi, plan=None):
+    def dhop(self, op, psi):
         """Run one distributed hopping sweep across the rank workers;
         returns the hop field as a new :class:`DistributedLattice`."""
         if self.poisoned:
@@ -401,18 +368,22 @@ class _RankRuntime:
         shape = psi.locals[0].data.shape
         nbytes = psi.locals[0].data.nbytes
         ranks = psi.ranks
-        link_names, linkb_names = self._load_links(op)
+        link_names = self._load_links(op)
         psi_names, out_names = [], []
         for r in range(self.nranks):
             psi_names.append(self._load(("psi", r), psi.locals[r].data))
             out_names.append(self._segment(("out", r), nbytes).name)
+        # Mailbox (dst, mu, 'f') carries dst's +mu slab, (dst, mu, 'b')
+        # its -mu slab: the lsites / ldims[mu] face sites of the
+        # sending neighbour, sized to exactly that.
+        keys = [(mu, sign) for mu in range(self.ndim) for sign in (+1, -1)]
+        kind = {+1: "f", -1: "b"}
         mbox = {}
         for dst in range(self.nranks):
-            for mu in range(self.ndim):
-                for kind in ("f", "b"):
-                    role = ("mbox", dst, mu, kind)
-                    mbox[(dst, mu, kind)] = self._segment(role,
-                                                          nbytes).name
+            for mu, sign in keys:
+                box = (dst, mu, kind[sign])
+                slab = 12 * (g0.lsites // g0.ldims[mu]) * g0.dtype.itemsize
+                mbox[box] = self._segment(("mbox",) + box, slab).name
         policy = current_policy()
         base = {
             "op": "dhop",
@@ -425,41 +396,28 @@ class _RankRuntime:
             "simd_layout": tuple(int(s) for s in g0.simd_layout),
             "backend": g0.backend.name,
             "dtype": str(g0.dtype),
-            "tensor_shape": tuple(psi.tensor_shape),
             "compress": psi.compress_halos,
             "checksum": psi.checksum_halos,
             "max_retries": psi.max_retries,
             "injector": psi.comms_faults,
-            # The plan's arithmetic route travels with the command
-            # (the fused body is bit-identical to layered, but the
-            # sweep should follow the resolved plan).
-            "fused": bool(plan is None or plan.fused),
         }
         send_times = []
         for r in range(self.nranks):
-            nxt = {mu: ranks.neighbour(r, mu, +1)
-                   for mu in range(self.ndim)}
-            prv = {mu: ranks.neighbour(r, mu, -1)
-                   for mu in range(self.ndim)}
             cmd = dict(base)
             cmd["psi_seg"] = psi_names[r]
             cmd["out_seg"] = out_names[r]
-            cmd["link_segs"] = link_names[r]
-            cmd["linkb_segs"] = linkb_names[r]
-            # Mailbox (dst, mu, 'f') carries the field of dst's +mu
-            # neighbour; (dst, mu, 'b') the field of its -mu
-            # neighbour.  I produce into my neighbours' boxes and
-            # consume my own.
-            cmd["produce_f"] = [((prv[mu], mu, "f"),
-                                 mbox[(prv[mu], mu, "f")])
-                                for mu in range(self.ndim)]
-            cmd["produce_b"] = [((nxt[mu], mu, "b"),
-                                 mbox[(nxt[mu], mu, "b")])
-                                for mu in range(self.ndim)]
-            cmd["consume_f"] = [((r, mu, "f"), mbox[(r, mu, "f")])
-                                for mu in range(self.ndim)]
-            cmd["consume_b"] = [((r, mu, "b"), mbox[(r, mu, "b")])
-                                for mu in range(self.ndim)]
+            cmd["link_seg"] = link_names[r]
+            # Per (mu, sign): I post my face into the mailbox of the
+            # rank whose (mu, sign) neighbour I am, and read my own.
+            produce, consume = [], []
+            for mu, sign in keys:
+                dst = ranks.neighbour(r, mu, -sign)
+                produce.append(((dst, mu, kind[sign]),
+                                mbox[(dst, mu, kind[sign])]))
+                consume.append(((r, mu, kind[sign]),
+                                mbox[(r, mu, kind[sign])]))
+            cmd["produce"] = produce
+            cmd["consume"] = consume
             # The send timestamp is the clock-normalisation anchor for
             # this rank's spans: taken immediately before the pipe
             # write so the residual offset error is one pipe delivery.
@@ -633,21 +591,22 @@ class SharedMemoryTransport(Transport):
     def run_dhop(self, op, psi, plan):
         g0 = psi.grids[0]
         backend = g0.backend
-        if not _reconstructible(backend):
-            # A backend the workers cannot rebuild by registry key
-            # (resilient wrapper, test double): decline — the caller
-            # falls back to the bit-identical in-process sweep.
+        if not (plan.fused and _reconstructible(backend)):
+            # Workers run the block sweep, which needs a fused-safe
+            # backend they can rebuild by registry key (not a resilient
+            # wrapper or test double): otherwise decline, and the
+            # caller's lane-major reference takes over.
             return None
         runtime = runtime_for(psi.ranks.nranks, g0.ndim)
         if not _telemetry_trace.tracing():
-            return runtime.dhop(op, psi, plan)
+            return runtime.dhop(op, psi)
         with _telemetry_trace.span(
             "transport.shmem.dhop",
             nranks=psi.ranks.nranks,
             backend=backend.name,
             sites=g0.gsites,
         ):
-            return runtime.dhop(op, psi, plan)
+            return runtime.dhop(op, psi)
 
     def close(self) -> None:
         shutdown_runtimes()

@@ -63,7 +63,7 @@ class DistributedWilson:
         # Where the block sweep can run, each rank keeps its links and
         # the adjoint back-links in the tensor-major working layout,
         # and the lane-major back-links are rebuilt from those only if
-        # a layered or shmem sweep asks for them.
+        # the engine-off reference loop asks for them.
         back = [self.links[mu].cshift(mu, -1) for mu in range(self.ndim)]
         self._links_t = self._links_adj_t = None
         self._links_back_lm = back
@@ -81,7 +81,12 @@ class DistributedWilson:
     @property
     def links_back(self) -> list:
         """Lane-major back-links ``U_mu(x - mu)``, one
-        :class:`DistributedLattice` per mu."""
+        :class:`DistributedLattice` per mu.
+
+        Only the lane-major reference loop of :meth:`dhop` (engine off,
+        or a backend that is not fused-safe) reads them; the block
+        sweep, in process or in the shared-memory rank workers, reads
+        the working-layout adjoints instead."""
         if self._links_back_lm is None:
             back = []
             for mu, u in enumerate(self.links):
@@ -150,7 +155,7 @@ class DistributedWilson:
             hopped = psi.transport.run_dhop(self, psi, plan)
             if hopped is not None:
                 return hopped
-        if plan.overlap or plan.fused:
+        if plan.fused:
             # The block sweep over each rank's shard and received
             # slabs; ordered or overlapped (see repro.grid.overlap).
             return halo_dhop(self, psi, plan)

@@ -42,24 +42,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.plan import fused_safe_backend
-from repro.engine.policy import current_policy
 from repro.grid.lattice import Lattice
 from repro.grid.stencil import rank_halo
 from repro.perf.counters import counters
 from repro.perf.fused import from_working, sweep_blocks
 from repro.telemetry import trace as _telemetry
-
-
-def overlap_active(dist) -> bool:
-    """True when the overlap engine should take this distributed sweep:
-    overlap resolved on in the current policy and a fused-safe backend
-    (the sweep runs the fused accumulation body).  Historical gate; the
-    distributed operator now reads ``plan.overlap`` off its
-    :class:`~repro.engine.plan.KernelPlan`, which resolves to exactly
-    this condition."""
-    return (current_policy().overlap_active
-            and fused_safe_backend(dist.grids[0].backend))
 
 
 def halo_dhop(op, psi, kplan):

@@ -132,7 +132,7 @@ def set_overlap_comms(flag: bool) -> None:
 
 @contextmanager
 def configured(enabled=None, workers=None, tile_min_sites=None,
-               overlap_comms=None, fused=None):
+               overlap_comms=None):
     """Temporarily override engine settings (restored on exit).
 
     A thin wrapper over :func:`repro.engine.scope` — nestable and
@@ -150,8 +150,6 @@ def configured(enabled=None, workers=None, tile_min_sites=None,
         overrides["tile_min_sites"] = int(tile_min_sites)
     if overlap_comms is not None:
         overrides["overlap_comms"] = bool(overlap_comms)
-    if fused is not None:
-        overrides["fused"] = bool(fused)
     with _scope(**overrides):
         yield config()
 

@@ -45,13 +45,12 @@ reference accumulation element-for-element:
   — the computation is elementwise in sites once the neighbour values
   are in hand, and a gather is an exact copy.
 
-The distributed operator's default route (:mod:`repro.grid.overlap`)
-runs the same blocked sweep (:func:`sweep_blocks`) over the ranks'
-extended working arrays.  The lane-major caller
-(:func:`fused_dhop_rank`, for the shared-memory rank workers) shares
-the accumulation body (:func:`_accumulate_direction`) through
-:func:`accumulate_hop`: the body takes the position of the spin axis,
-so each layout runs in its own memory order.
+The distributed operator's routes run the same blocked sweep
+(:func:`sweep_blocks`) over extended working arrays: each rank's shard
+followed by the face slabs it received, in process
+(:mod:`repro.grid.overlap`) or in the shared-memory rank workers
+(:mod:`repro.grid.comms.shmem`).  Every route with the engine on
+therefore accumulates through one body, :func:`_accumulate_direction`.
 
 The path is only taken for backends whose arithmetic is *exactly* the
 numpy mixin (``generic``/``fixed``); instruction-counting SVE backends
@@ -63,7 +62,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.plan import fused_safe_backend
 from repro.grid.lattice import Lattice
 from repro.grid.stencil import neighbour_table, parity_neighbour_table
 from repro.perf.counters import counters
@@ -76,16 +74,6 @@ from repro.perf.parallel import run_tiles, tiles_for
 #: noise.  A block then touches ~4 MB (accumulator, neighbour, three
 #: half-spinor buffers and the block's stretch of two link fields).
 BLOCK_SITES = 4096
-
-
-def fused_dhop_supported(backend) -> bool:
-    """True when ``backend``'s ops are the plain numpy semantics.
-
-    The authoritative check lives in the engine's plan layer
-    (:func:`repro.engine.plan.fused_safe_backend`); this alias keeps
-    the historical name importable.
-    """
-    return fused_safe_backend(backend)
 
 
 def to_working(x: np.ndarray) -> np.ndarray:
@@ -101,50 +89,42 @@ def from_working(w: np.ndarray, out: np.ndarray) -> None:
     view[...] = w.reshape(view.shape)
 
 
-def adjoint(U: np.ndarray, axis: int = 0) -> np.ndarray:
-    """``U^dagger`` of a link field whose colour axes sit at ``axis``
-    and ``axis + 1``: ``V[a, b] = conj(U[b, a])``.  Conjugation is
-    exact, so products with ``V`` are bitwise those with
-    ``conj(U[b, a])``; it runs on the whole (contiguous) array and the
-    transpose is a view."""
-    return np.conj(U).swapaxes(axis, axis + 1)
+def adjoint(U: np.ndarray) -> np.ndarray:
+    """``U^dagger`` of a working-layout ``(3, 3, n)`` link field:
+    ``V[a, b] = conj(U[b, a])``.  Conjugation is exact, so products
+    with ``V`` are bitwise those with ``conj(U[b, a])``; it runs on the
+    whole (contiguous) array and the transpose is a view."""
+    return np.conj(U).swapaxes(0, 1)
 
 
 def _su3_halfspinor(V: np.ndarray, h: np.ndarray, out: np.ndarray,
-                    prod: np.ndarray, axis: int) -> None:
+                    prod: np.ndarray) -> None:
     """``out_{s,a} = sum_b V[a,b] h_{s,b}``.
 
-    ``V`` is ``(3, 3)`` and ``h``/``out``/``prod`` ``(2, 3)`` in their
-    tensor axes, which start at ``axis``.  Accumulates with ``b``
-    ascending — the reference's inner-loop order in
-    :func:`repro.grid.tensor.su3_mul_vec` — so every element sees the
-    identical IEEE sum ``((0 + t0) + t1) + t2``.
+    ``V`` is ``(3, 3, n)`` and ``h``/``out``/``prod`` ``(2, 3, n)``.
+    Accumulates with ``b`` ascending — the reference's inner-loop
+    order in :func:`repro.grid.tensor.su3_mul_vec` — so every element
+    sees the identical IEEE sum ``((0 + t0) + t1) + t2``.
     """
-    lead = (slice(None),) * axis
     zero = out.dtype.type(0)
     for b in range(3):
-        u = V[lead + (slice(None), b)][lead + (None,)]  # column b
-        hb = h[lead + (slice(None), b, None)]
+        u = V[None, :, b]  # column b
+        hb = h[:, b, None]
         np.multiply(u, hb, out=prod)
         np.add(zero if b == 0 else out, prod, out=out)
 
 
 def _accumulate_direction(acc: np.ndarray, V: np.ndarray,
                           nbr: np.ndarray, mu: int, sign: int,
-                          scratch=None, axis: int = 0) -> None:
+                          scratch=None) -> None:
     """Add one hopping-term direction into ``acc`` in place.
 
-    ``acc``/``nbr`` are spinor fields and ``V`` a colour-matrix field
-    whose tensor axes start at ``axis``: ``0`` for the working layout
-    ``(4, 3, n)`` / ``(3, 3, n)``, ``1`` for the lattice's lane-major
-    ``(osites, 4, 3, nlanes)`` / ``(osites, 3, 3, nlanes)``.  Taking
-    the axis, rather than a transposed view, keeps every operand in
-    its own memory order, where numpy's contiguous ufunc loops apply.
-    ``V`` is the matrix the hop applies: the link ``U_mu(x)`` for
-    ``sign=+1``, the :func:`adjoint` back-link ``U_mu(x - mu)^dagger``
-    for ``sign=-1``.  ``scratch`` is three arrays shaped like ``nbr``
-    with two spins (half-spinor, SU(3) result, product), allocated
-    when not given.
+    ``acc``/``nbr`` are working-layout spinor fields ``(4, 3, n)`` and
+    ``V`` a ``(3, 3, n)`` colour-matrix field: the matrix the hop
+    applies, the link ``U_mu(x)`` for ``sign=+1``, the :func:`adjoint`
+    back-link ``U_mu(x - mu)^dagger`` for ``sign=-1``.  ``scratch`` is
+    three ``(2, 3, n)`` arrays (half-spinor, SU(3) result, product),
+    allocated when not given.
 
     Fuses project -> SU(3) -> reconstruct for direction ``mu`` with
     projector sign ``sign``.  Formula-for-formula this is
@@ -156,11 +136,11 @@ def _accumulate_direction(acc: np.ndarray, V: np.ndarray,
     I = nbr.dtype.type(1j)
     NI = nbr.dtype.type(-1j)
     if scratch is None:
-        shape = nbr.shape[:axis] + (2,) + nbr.shape[axis + 1:]
-        scratch = [np.empty(shape, dtype=nbr.dtype) for _ in range(3)]
+        scratch = [np.empty((2,) + nbr.shape[1:], dtype=nbr.dtype)
+                   for _ in range(3)]
     h, uh, prod = scratch
-    p0, p1, p2, p3 = nbr.swapaxes(0, axis)  # spin components
-    h0, h1 = h.swapaxes(0, axis)
+    p0, p1, p2, p3 = nbr  # spin components
+    h0, h1 = h
     if mu == 0:
         # h0 = p0 ± p3*i ; h1 = p1 ± p2*i
         np.multiply(p3, I, out=h0)
@@ -190,9 +170,9 @@ def _accumulate_direction(acc: np.ndarray, V: np.ndarray,
         op(p1, p3, out=h1)
     else:
         raise ValueError(f"no direction {mu}")
-    _su3_halfspinor(V, h, uh, prod, axis)
-    u0, u1 = uh.swapaxes(0, axis)
-    a0, a1, a2, a3 = acc.swapaxes(0, axis)
+    _su3_halfspinor(V, h, uh, prod)
+    u0, u1 = uh
+    a0, a1, a2, a3 = acc
     np.add(a0, u0, out=a0)
     np.add(a1, u1, out=a1)
     t = h0  # the half-spinor buffer is dead: reuse it as scratch
@@ -223,17 +203,6 @@ def _accumulate_direction(acc: np.ndarray, V: np.ndarray,
         else:
             np.subtract(a2, u0, out=a2)
             np.subtract(a3, u1, out=a3)
-
-
-def accumulate_hop(acc: np.ndarray, links_mu: np.ndarray,
-                   links_back_mu: np.ndarray, fwd: np.ndarray,
-                   bwd: np.ndarray, mu: int) -> None:
-    """Both hops of direction ``mu`` (+1 then -1) on lane-major
-    ``(sites, *tensor, nlanes)`` arrays — the distributed callers'
-    entry to the shared body."""
-    _accumulate_direction(acc, links_mu, fwd, mu, +1, axis=1)
-    _accumulate_direction(acc, adjoint(links_back_mu, axis=1), bwd, mu,
-                          -1, axis=1)
 
 
 def fused_dhop(dirac, psi: Lattice, plan=None) -> Lattice:
@@ -372,16 +341,3 @@ def sweep_blocks(hops, flat: np.ndarray, count: int, store, plan,
     run_tiles(body, tiles, workers=workers)
     return len(tiles)
 
-
-def fused_dhop_rank(acc: np.ndarray, links_mu: np.ndarray,
-                    links_back_mu: np.ndarray, fwd: np.ndarray,
-                    bwd: np.ndarray, mu: int) -> None:
-    """One rank-local (mu, fwd+bwd) accumulation for the shared-memory
-    rank workers; tiled over the rank's outer sites (lane-major arrays,
-    through :func:`accumulate_hop`)."""
-
-    def body(sl) -> None:
-        accumulate_hop(acc[sl], links_mu[sl], links_back_mu[sl], fwd[sl],
-                       bwd[sl], mu)
-
-    run_tiles(body, tiles_for(acc.shape[0]))

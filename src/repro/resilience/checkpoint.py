@@ -110,7 +110,7 @@ def policy_fingerprint() -> str:
     from repro.engine.policy import current_policy
 
     p = current_policy()
-    return (f"backend={p.backend}/enabled={p.enabled}/fused={p.fused}/"
+    return (f"backend={p.backend}/enabled={p.enabled}/"
             f"overlap={p.overlap_comms}/"
             f"workers={p.workers}")
 

@@ -26,8 +26,8 @@ a classified outcome:
 * **The degradation ladder** — each non-crash failure escalates to the
   next rung of :data:`DEGRADATION_LADDER`, a nested
   ``engine.scope(...)`` override that trades performance for safety:
-  overlapped comms → ordered, fused kernels → layered, and finally the
-  reference path (engine off, mixed precision collapsed to double).
+  overlapped comms → ordered, and then the reference path (engine off:
+  layered kernels, mixed precision collapsed to double).
   Every rung computes bit-identical numbers — the ladder changes
   *how*, never *what*.
 * **Circuit breakers** — attempt failures feed the per-operator
@@ -84,9 +84,7 @@ class Rung:
 DEGRADATION_LADDER = (
     Rung("as-configured"),
     Rung("ordered-comms", (("overlap_comms", False),)),
-    Rung("layered-kernels", (("overlap_comms", False), ("fused", False))),
-    Rung("reference", (("overlap_comms", False), ("fused", False),
-                       ("enabled", False)),
+    Rung("reference", (("overlap_comms", False), ("enabled", False)),
          method="cg"),
 )
 

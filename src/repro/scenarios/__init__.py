@@ -27,8 +27,8 @@ This package scales the methodology up:
   gate;
 * :mod:`repro.scenarios.defaults` — the default cube {VL 128..2048} ×
   {backend family} × {policy knobs} × {fault model} × {operator},
-  with the known VL-specific exclusions and fused-unsafe combos
-  encoded as metadata instead of tribal knowledge.
+  with the known VL-specific exclusions and impossible combos encoded
+  as metadata instead of tribal knowledge.
 
 A committed ``scenarios/baseline_matrix.json`` is diffed on every CI
 run: any cell that regresses (outcome got worse, or its bit-identity

@@ -8,9 +8,9 @@ as machine-checked metadata:
 
 * **Constraints** prune combinations that cannot exist (a comms fault
   needs a rank-decomposed lattice; the emulated ACLE family runs the
-  plain Wilson hot path only, and the fused body is *fused-unsafe*
-  there — it inlines plain-numpy semantics the emulated backends do
-  not share).
+  plain Wilson hot path only, where the engine takes the layered path:
+  the fused body inlines plain-numpy semantics the emulated backends
+  do not share).
 * **Skip rules** keep known exclusions visible: emulated SVE cells
   beyond the paper's validated 128/256/512 appear in every matrix as
   reasoned ``skip`` holes, never as silent absences.
@@ -44,10 +44,10 @@ PAPER_VLS = (128, 256, 512)
 
 def _sve_probe_shape(case) -> bool:
     """The canonical knob setting the emulated ACLE cells pin: plain
-    Wilson, serial, layered, defaults everywhere — the family axis
-    probes *VL bit-identity*, not the knob cube (which the fast
-    generic family sweeps exhaustively)."""
-    return (case["operator"] == "wilson" and case["fused"] is False
+    Wilson, serial, defaults everywhere — the family axis probes *VL
+    bit-identity*, not the knob cube (which the fast generic family
+    sweeps exhaustively)."""
+    return (case["operator"] == "wilson"
             and case["workers"] == 1 and case["caches"] is True
             and case["overlap"] is True
             and case["telemetry"] == "off"
@@ -68,7 +68,6 @@ def default_spec() -> ScenarioSpec:
                               "wilson-dist")),
             Axis("family", ("generic", "sve-acle")),
             Axis("vl", VLS),
-            Axis("fused", (True, False)),
             Axis("overlap", (True, False)),
             Axis("caches", (True, False)),
             Axis("workers", (1, 4)),
@@ -80,9 +79,10 @@ def default_spec() -> ScenarioSpec:
             Constraint(
                 reason=(
                     "emulated ACLE cells pin the canonical knob "
-                    "setting: the family axis probes VL bit-identity; "
-                    "the fused body is fused-unsafe on emulated "
-                    "backends (it inlines plain-numpy semantics)"
+                    "setting: the family axis probes VL bit-identity "
+                    "(the engine runs the layered path on emulated "
+                    "backends: the fused body inlines plain-numpy "
+                    "semantics)"
                 ),
                 forbids=lambda c: (c["family"] == "sve-acle"
                                    and not _sve_probe_shape(c)),

@@ -88,7 +88,6 @@ def policy_overrides(case: Case) -> dict:
     """The ``engine.scope`` overrides a case's knob axes resolve to."""
     overrides = {
         "enabled": True,
-        "fused": case["fused"],
         "overlap_comms": case["overlap"],
         "caches": case["caches"],
         "workers": case["workers"],

@@ -46,11 +46,11 @@ FT_EVENT_NAMES = (
 )
 
 #: Merged rank-worker span names (see :mod:`repro.telemetry.merge`):
-#: the whole command round, per-direction compute (codec included —
-#: the receiver applies the wire codec lazily inside the sweep), and
+#: the whole command round, the block sweep's compute (one span per
+#: round; the wire codec runs before it, as ``rank.wire``), and
 #: mailbox-arrival waits.
 RANK_ROUND_SPAN = "rank.round"
-RANK_COMPUTE_SPAN_NAMES = ("rank.dhop_dir",)
+RANK_COMPUTE_SPAN_NAMES = ("rank.sweep",)
 RANK_WAIT_SPAN_NAMES = ("rank.mailbox_wait",)
 
 
@@ -205,7 +205,7 @@ def imbalance_from_spans(spans: Iterable[Span]) -> List[dict]:
     """One load-imbalance row per merged lockstep round.
 
     Consumes the rank spans the merge layer lands in the timeline
-    (``rank.round`` / ``rank.dhop_dir`` / ``rank.mailbox_wait``, each
+    (``rank.round`` / ``rank.sweep`` / ``rank.mailbox_wait``, each
     tagged ``rank`` and ``round``) and answers the scaling question
     per round: how evenly did the ranks work, how long did each sit
     waiting on halos, and which rank set the round's critical path.

@@ -7,9 +7,12 @@ project/SU(3)/reconstruct chain as numpy calls; this module states the
 and spin.  :func:`evaluate` runs every statement through the
 IEEE-exact simplifier (:mod:`repro.vectorizer.passes`) and evaluates
 the canonical tree with :func:`repro.vectorizer.ir.reference_eval`;
-the result equals :func:`repro.perf.fused.accumulate_hop` byte for
-byte, so a lowering of these statements to SVE has a numpy oracle
-that is pinned to the production sweep.
+per direction the result equals the production body,
+:func:`repro.perf.fused._accumulate_direction` on working-layout
+``(4, 3, n)`` arrays (with the :func:`~repro.perf.fused.adjoint`
+back-link on the backward hop), byte for byte, so a lowering of these
+statements to SVE has a numpy oracle that is pinned to the production
+sweep.
 
 **Bit-identity discipline.**  Each expression is built so that, after
 simplification, it performs exactly the reference path's IEEE
@@ -234,7 +237,9 @@ def hop_statements(mu: int, scalar_type: str = "c128") -> list:
     """Both hops of direction ``mu`` (+1 then -1) over the arrays
     ``u_fwd``/``psi_fwd`` and ``u_bwd``/``psi_bwd`` (the back-link
     ``U_mu(x - mu)``, not its adjoint) — the statement form of
-    :func:`repro.perf.fused.accumulate_hop`."""
+    :func:`repro.perf.fused._accumulate_direction` applied with
+    ``u_fwd`` at ``sign=+1``, then with ``adjoint(u_bwd)`` at
+    ``sign=-1``."""
     return (direction_statements(mu, +1, "u_fwd", "psi_fwd", scalar_type)
             + direction_statements(mu, -1, "u_bwd", "psi_bwd",
                                    scalar_type))

@@ -25,12 +25,11 @@ DIMS = [4, 4, 4, 4]
 VLS = ["generic128", "generic256", "generic512"]
 
 #: Scoped policies that must all reproduce the reference bits on the
-#: single-rank dhop: fused serial, fused tiled, layered, cache-less,
-#: and fully disabled.
+#: single-rank dhop: fused serial, fused tiled, cache-less, and fully
+#: disabled (layered).
 SINGLE_RANK_POLICIES = [
     {"enabled": True, "workers": 1},
     {"enabled": True, "workers": 4, "tile_min_sites": 16},
-    {"enabled": True, "fused": False},
     {"enabled": True, "caches": False},
     {"enabled": False},
 ]

@@ -42,7 +42,7 @@ class TestScopeNesting:
             assert current_policy().enabled is False
 
     def test_explicit_policy_replaces_wholesale(self):
-        custom = engine.ExecutionPolicy(workers=7, fused=False)
+        custom = engine.ExecutionPolicy(workers=7, caches=False)
         with engine.scope(enabled=False):
             with engine.scope(custom):
                 assert current_policy() is custom
@@ -84,12 +84,11 @@ class TestScopeNesting:
         assert hash(p) == hash(p.replace())
 
     def test_effective_properties_gate_on_enabled(self):
-        on = engine.ExecutionPolicy(enabled=True, fused=True,
-                                    overlap_comms=True, caches=True)
+        on = engine.ExecutionPolicy(enabled=True, overlap_comms=True,
+                                    caches=True)
         off = on.replace(enabled=False)
-        assert on.fused_active and on.overlap_active and on.caches_active
-        assert not (off.fused_active or off.overlap_active
-                    or off.caches_active)
+        assert on.overlap_active and on.caches_active
+        assert not (off.overlap_active or off.caches_active)
 
 
 class TestThreadIsolation:
@@ -206,7 +205,6 @@ class TestPerfFacade:
             pol = current_policy()
             assert pol.enabled is False
             assert pol.workers == 1
-            assert not pol.fused_active
             assert not pol.caches_active
 
     def test_configured_nests_with_engine_scope(self):
@@ -222,5 +220,5 @@ class TestPerfFacade:
     def test_policy_fields_cover_legacy_toggles(self):
         for name in ("enabled", "workers", "tile_min_sites",
                      "overlap_comms", "fallback", "caches",
-                     "fused", "backend", "latency", "comms_faults"):
+                     "backend", "latency", "comms_faults"):
             assert name in POLICY_FIELDS

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import repro.perf as perf
+from repro.engine.plan import kernel_plan
 from repro.grid.cartesian import GridCartesian
 from repro.grid.comms import DistributedLattice, LatencyModel
 from repro.grid.dist_wilson import DistributedWilson, distribute_gauge
-from repro.grid.overlap import overlap_active
 from repro.grid.random import random_gauge, random_spinor
 from repro.grid.stencil import rank_halo
 from repro.perf.counters import counters, reset_counters
@@ -152,7 +152,7 @@ class TestAccounting:
         reset_counters()
         m0 = dpsi.stats.messages
         with perf.configured(enabled=True, overlap_comms=True):
-            assert overlap_active(dpsi)
+            assert kernel_plan(dpsi.grids[0], "dist-dhop").overlap
             w.dhop(dpsi)
             w.dhop(dpsi)
         c = counters()
@@ -166,6 +166,6 @@ class TestAccounting:
     def test_overlap_inactive_when_disabled(self):
         _, dpsi = _setup("generic256", [2, 1, 1, 1])
         with perf.disabled():
-            assert not overlap_active(dpsi)
+            assert not kernel_plan(dpsi.grids[0], "dist-dhop").overlap
         with perf.configured(enabled=True, overlap_comms=False):
-            assert not overlap_active(dpsi)
+            assert not kernel_plan(dpsi.grids[0], "dist-dhop").overlap

@@ -145,6 +145,47 @@ class TestSharedMemoryDhop:
         assert dpsi.stats.messages == ref_msgs
         assert dpsi.stats.bytes_sent == ref_bytes
 
+    def test_mailboxes_carry_face_slabs(self):
+        """Each mailbox holds the raw face slab ``rank_halo`` names for
+        its (mu, sign), gathered from the sender's shard — not the
+        sender's whole field."""
+        from repro.grid.comms.shmem import runtime_for
+        from repro.grid.stencil import rank_halo
+        from repro.perf.fused import to_working
+
+        be = get_backend("generic256")
+        op, dpsi = _operator(be, mpi=[2, 2, 1, 1])
+        with engine.scope(transport="shmem"):
+            op.dhop(dpsi)
+        # The workers read the working-layout links, never the
+        # lane-major back-links.
+        assert op._links_back_lm is None
+        halo = rank_halo(dpsi)
+        g0 = dpsi.grids[0]
+        segments = runtime_for(dpsi.ranks.nranks, g0.ndim).segments
+        for (mu, sign), face in halo.faces.items():
+            assert face.size == g0.lsites // g0.ldims[mu]
+            for dst, sender in enumerate(halo.senders[(mu, sign)]):
+                shard = to_working(dpsi.locals[sender].data).reshape(12, -1)
+                slab = np.take(shard, face, axis=1)
+                seg = segments[("mbox", dst, mu, "f" if sign > 0 else "b")]
+                assert seg.size < shard.nbytes
+                got = np.ndarray(slab.shape, dtype=slab.dtype,
+                                 buffer=seg.buf)
+                assert got.tobytes() == slab.tobytes(), (dst, mu, sign)
+
+    def test_engine_off_declines_to_reference(self):
+        from repro.grid.comms.shmem import SharedMemoryTransport
+
+        be = get_backend("generic256")
+        op, dpsi = _operator(be)
+        with engine.scope(transport="shmem"):
+            plan = kernel_plan(dpsi.grids[0], "dist-dhop",
+                               engine.current_policy().replace(
+                                   enabled=False))
+            assert not plan.fused
+            assert SharedMemoryTransport().run_dhop(op, dpsi, plan) is None
+
     def test_unreconstructible_backend_declines_to_reference(self):
         """A resilient wrapper cannot be rebuilt by registry key inside
         a worker; run_dhop must decline and the in-process sweep take

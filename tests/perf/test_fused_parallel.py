@@ -6,9 +6,9 @@ import pytest
 
 import repro.perf as perf
 from repro.bench.workloads import dslash_setup
+from repro.engine.plan import fused_safe_backend
 from repro.grid.cshift import cshift
 from repro.grid.random import random_spinor
-from repro.perf.fused import fused_dhop_supported
 from repro.perf.parallel import run_tiles, tiles_for
 from repro.simd.generic import GenericBackend
 
@@ -53,8 +53,8 @@ class TestFusedSafeGate:
             """Subclasses may override ops; the fused path must not
             silently bypass them."""
 
-        assert fused_dhop_supported(GenericBackend(256))
-        assert not fused_dhop_supported(Shadow(256))
+        assert fused_safe_backend(GenericBackend(256))
+        assert not fused_safe_backend(Shadow(256))
 
 
 class TestTiling:

@@ -19,7 +19,7 @@ from repro.verification.outcomes import Outcome
 def _case(**overrides):
     spec = default_spec()
     bindings = dict(operator="wilson", family="generic", vl=128,
-                    fused=True, overlap=True, caches=True,
+                    overlap=True, caches=True,
                     workers=1, telemetry="off",
                     transport="in-process", fault="none")
     bindings.update(overrides)
@@ -29,7 +29,7 @@ def _case(**overrides):
 class TestMetadata:
     def test_skip_rule_short_circuits_execution(self):
         # sve-acle beyond the paper's validated VLs is a declared hole.
-        spec, case = _case(family="sve-acle", vl=1024, fused=False)
+        spec, case = _case(family="sve-acle", vl=1024)
         cell = run_case(case, spec)
         assert cell.status == SKIP
         assert "VL-specific exclusion" in cell.reason
@@ -62,9 +62,9 @@ class TestMetadata:
         assert comms_schedule_kind(case) == comms_schedule_kind(case)
 
     def test_policy_overrides_mirror_the_axes(self):
-        spec, case = _case(fused=False, workers=4, telemetry="metrics")
+        spec, case = _case(overlap=False, workers=4, telemetry="metrics")
         over = policy_overrides(case)
-        assert over["fused"] is False
+        assert over["overlap_comms"] is False
         assert over["workers"] == 4
         assert over["telemetry"] == "metrics"
         assert over["backend"] == "generic128"

@@ -49,7 +49,7 @@ class TestTracedShmemDhop:
         assert sorted({s.attrs["rank"] for s in rank_spans}) == \
             list(range(NRANKS))
         names = {s.name for s in rank_spans}
-        assert {"rank.round", "rank.dhop_dir",
+        assert {"rank.round", "rank.sweep",
                 "rank.mailbox_wait"} <= names
         # Each rank's round envelope nests under the parent's
         # transport span, and its children under the envelope.
@@ -64,9 +64,10 @@ class TestTracedShmemDhop:
         children = [s for s in rank_spans if s.name != "rank.round"]
         round_ids = {r.span_id for r in rounds}
         assert all(c.parent_id in round_ids for c in children)
-        # One dhop_dir span per dimension per rank.
-        dirs = [s for s in children if s.name == "rank.dhop_dir"]
-        assert len(dirs) == NRANKS * len(DIMS)
+        # The blocked sweep computes every direction at once: one
+        # compute span per rank per round.
+        sweeps = [s for s in children if s.name == "rank.sweep"]
+        assert len(sweeps) == NRANKS
 
     def test_chrome_export_has_one_row_per_rank_plus_parent(self,
                                                             problem):

@@ -31,10 +31,10 @@ def _payload(rank, round_t0, spans, dropped=0, metrics=None):
 class TestRankCollector:
     def test_records_plain_dicts(self):
         c = RankCollector(3)
-        c.record("rank.dhop_dir", 1.0, 2.0, mu=2)
+        c.record("rank.sweep", 1.0, 2.0, mu=2)
         p = c.payload()
         assert p["rank"] == 3
-        assert p["spans"] == [{"name": "rank.dhop_dir", "t0": 1.0,
+        assert p["spans"] == [{"name": "rank.sweep", "t0": 1.0,
                                "t1": 2.0, "attrs": {"mu": 2}}]
         assert p["round_t1"] >= p["round_t0"]
         assert p["metrics"]["rank.spans_recorded"] == 1
@@ -52,14 +52,14 @@ class TestIngestRound:
     def test_clock_normalisation_anchors_on_send_time(self):
         # Worker clock says round started at 100.0; the parent sent
         # the command at 7.0 — every merged timestamp shifts by -93.
-        recs = [{"name": "rank.dhop_dir", "t0": 100.25, "t1": 100.75,
+        recs = [{"name": "rank.sweep", "t0": 100.25, "t1": 100.75,
                  "attrs": {"mu": 0}}]
         n = merge.ingest_round([_payload(0, 100.0, recs)],
                                send_times=[7.0], round_index=4)
         assert n == 2  # the rank.round envelope + one child
         by_name = {s.name: s for s in telemetry.spans()}
         rnd = by_name["rank.round"]
-        child = by_name["rank.dhop_dir"]
+        child = by_name["rank.sweep"]
         assert rnd.t0 == pytest.approx(7.0)
         assert child.t0 == pytest.approx(7.25)
         assert child.t1 == pytest.approx(7.75)
@@ -119,7 +119,7 @@ class TestIngestRound:
 
 class TestExporterLabels:
     def _merged(self):
-        recs = [{"name": "rank.dhop_dir", "t0": 0.1, "t1": 0.2,
+        recs = [{"name": "rank.sweep", "t0": 0.1, "t1": 0.2,
                  "attrs": {"mu": 1}}]
         with engine.scope(telemetry="trace"):
             with telemetry.span("transport.shmem.dhop"):
@@ -137,7 +137,7 @@ class TestExporterLabels:
         # Every rank-tagged span renders in its rank's process group;
         # the parent span stays on pid 0.
         for e in events:
-            if e["name"] in ("rank.round", "rank.dhop_dir"):
+            if e["name"] in ("rank.round", "rank.sweep"):
                 assert e["pid"] == e["args"]["rank"] + 1
             elif e["name"] == "transport.shmem.dhop":
                 assert e["pid"] == 0

@@ -60,7 +60,7 @@ class TestGracefulDegradation:
 
 class TestRanksReport:
     def test_ranks_flag_renders_the_imbalance_table(self, tmp_path):
-        recs = [{"name": "rank.dhop_dir", "t0": 0.1, "t1": 0.4,
+        recs = [{"name": "rank.sweep", "t0": 0.1, "t1": 0.4,
                  "attrs": {"mu": 0}},
                 {"name": "rank.mailbox_wait", "t0": 0.0, "t1": 0.1,
                  "attrs": {"mu": 0, "kind": "f"}}]

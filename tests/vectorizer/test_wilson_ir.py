@@ -3,8 +3,10 @@
 Every statement of :mod:`repro.vectorizer.wilson_ir` is simplified by
 :func:`repro.vectorizer.passes.simplify` and evaluated with
 :func:`repro.vectorizer.ir.reference_eval`; per direction the result
-must equal :func:`repro.perf.fused.accumulate_hop` byte for byte, NaN
-payloads and signed zeros included.  The whole-sweep comparison, on
+must equal the production body, :func:`repro.perf.fused.
+_accumulate_direction` on working-layout ``(4, 3, n)`` arrays (with
+``adjoint(u_b)`` on the backward hop), byte for byte, NaN payloads and
+signed zeros included.  The whole-sweep comparison, on
 every ``generic`` width, lives with the sweep's own tests
 (``tests/perf/test_tensor_major_dhop.py``).
 """
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 import repro.grid  # noqa: F401 - loads before repro.perf.fused, which imports it
-from repro.perf.fused import accumulate_hop
+from repro.perf.fused import _accumulate_direction, adjoint
 from repro.vectorizer import ir, passes, wilson_ir
 
 DTYPES = (np.complex128, np.complex64)
@@ -26,14 +28,25 @@ def _scalar_type(dtype) -> str:
 
 
 def _plant(spinor: np.ndarray, links: np.ndarray) -> None:
-    """±0, ±inf and NaN in a spinor and a link field."""
-    spinor[0, 0, 0, 0] = complex(-0.0, -0.0)
-    spinor[1, 1, 1, -1] = complex(np.inf, 0.0)
-    spinor[2, 3, 0, 0] = complex(0.0, -np.inf)
-    spinor[3, 2, 2, 0] = complex(np.nan, 1.0)
-    spinor[4, 0, 1, -1] = complex(-0.0, np.nan)
-    links[5, 1, 1, 0] = complex(-0.0, np.inf)
-    links[6, 0, 2, -1] = complex(-np.inf, -0.0)
+    """±0, ±inf and NaN in a working-layout spinor and link field."""
+    spinor[0, 0, 0] = complex(-0.0, -0.0)
+    spinor[1, 1, 7] = complex(np.inf, 0.0)
+    spinor[3, 0, 8] = complex(0.0, -np.inf)
+    spinor[2, 2, 12] = complex(np.nan, 1.0)
+    spinor[0, 1, 19] = complex(-0.0, np.nan)
+    links[1, 1, 20] = complex(-0.0, np.inf)
+    links[0, 2, 27] = complex(-np.inf, -0.0)
+
+
+def _hop(acc, u_f, u_b, p_f, p_b, mu) -> None:
+    """Both hops of direction ``mu`` through the production body."""
+    _accumulate_direction(acc, u_f, p_f, mu, +1)
+    _accumulate_direction(acc, adjoint(u_b), p_b, mu, -1)
+
+
+def _sites_first(x: np.ndarray) -> np.ndarray:
+    """The site-first view :func:`wilson_ir.evaluate` takes."""
+    return np.moveaxis(x, -1, 0)
 
 
 class TestSimplifiedStatements:
@@ -69,26 +82,28 @@ class TestPerDirection:
     @pytest.mark.parametrize("mu", range(4))
     def test_matches_accumulate_hop(self, mu, dtype):
         rng = np.random.default_rng(100 + mu)
-        n, nl = 32, 4
+        n = 128
 
         def carr(*shape):
             return (rng.normal(size=shape)
                     + 1j * rng.normal(size=shape)).astype(dtype)
 
-        acc = carr(n, 4, 3, nl)
-        u_f, u_b = carr(n, 3, 3, nl), carr(n, 3, 3, nl)
-        p_f, p_b = carr(n, 4, 3, nl), carr(n, 4, 3, nl)
+        acc = carr(4, 3, n)
+        u_f, u_b = carr(3, 3, n), carr(3, 3, n)
+        p_f, p_b = carr(4, 3, n), carr(4, 3, n)
         _plant(p_f, u_b)
         _plant(p_b, u_f)
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             want = acc.copy()
-            accumulate_hop(want, u_f, u_b, p_f, p_b, mu)
+            _hop(want, u_f, u_b, p_f, p_b, mu)
             got = acc.copy()
             wilson_ir.evaluate(wilson_ir.hop_statements(
-                mu, _scalar_type(dtype)), got, u_fwd=u_f, psi_fwd=p_f,
-                u_bwd=u_b, psi_bwd=p_b)
+                mu, _scalar_type(dtype)), _sites_first(got),
+                **{k: _sites_first(v) for k, v in (
+                    ("u_fwd", u_f), ("psi_fwd", p_f),
+                    ("u_bwd", u_b), ("psi_bwd", p_b))})
 
         assert got.dtype == dtype
         assert np.isnan(got).any()
@@ -100,23 +115,25 @@ class TestPerDirection:
         # accumulator starts at zero: -0.0 and a NaN+inf element must
         # come through exactly as the fused body produces them.
         rng = np.random.default_rng(9)
-        n, nl = 16, 4
-        shape = (n, 4, 3, nl)
+        n = 64
+        shape = (4, 3, n)
         p = (rng.normal(size=shape)
              + 1j * rng.normal(size=shape)).astype(np.complex64)
-        p[0, 0, 0, 0] = complex(-0.0, -0.0)
-        p[1, 1, 1, 1] = complex(np.nan, np.inf)
-        u = (rng.normal(size=(n, 3, 3, nl))
-             + 1j * rng.normal(size=(n, 3, 3, nl))).astype(np.complex64)
+        p[0, 0, 0] = complex(-0.0, -0.0)
+        p[1, 1, 5] = complex(np.nan, np.inf)
+        u = (rng.normal(size=(3, 3, n))
+             + 1j * rng.normal(size=(3, 3, n))).astype(np.complex64)
         acc = np.zeros(shape, dtype=np.complex64)
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             want = acc.copy()
-            accumulate_hop(want, u, u, p, p, 0)
+            _hop(want, u, u, p, p, 0)
             got = acc.copy()
-            wilson_ir.evaluate(wilson_ir.hop_statements(0, "c64"), got,
-                               u_fwd=u, psi_fwd=p, u_bwd=u, psi_bwd=p)
+            us, ps = _sites_first(u), _sites_first(p)
+            wilson_ir.evaluate(wilson_ir.hop_statements(0, "c64"),
+                               _sites_first(got), u_fwd=us, psi_fwd=ps,
+                               u_bwd=us, psi_bwd=ps)
 
         assert np.isnan(got).any()
         assert got.tobytes() == want.tobytes()
