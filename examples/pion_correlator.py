@@ -5,8 +5,9 @@ quark propagator requires solving ``M S = delta`` twelve times (4 spins
 x 3 colours), and "a significant fraction of time-to-solution of LQCD
 applications is spent in solving a linear set of equations"
 (Section II-A).  Each column here is an even-odd (Schur) solve in mixed
-precision: double-precision defect correction around CG on a
-single-precision twin of the half-volume operator.  Every complex
+precision: double-precision defect correction around BiCGSTAB on a
+single-precision twin of the half-volume operator (CGNE where one probe
+solve per operator finds BiCGSTAB does not pay).  Every complex
 multiply inside those solves is the arithmetic the SVE port
 accelerates with FCMLA.
 

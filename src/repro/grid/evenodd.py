@@ -13,10 +13,13 @@ system on the odd sites,
     S = Moo - Moe Mee^{-1} Meo,
     S psi_o = b_o - Moe Mee^{-1} b_e,
 
-followed by back-substitution for ``psi_e``.  ``S`` inherits
-gamma5-hermiticity, so CGNE applies; the Krylov space halves and the
-condition number improves — fewer iterations for the same physics,
-which the tests assert.
+followed by back-substitution for ``psi_e``.  The Krylov space halves
+and the condition number improves — fewer iterations for the same
+physics, which the tests assert.  ``S`` is not hermitian, so it is
+solved by BiCGSTAB on ``S`` itself, as Grid and QUDA do, or by CGNE on
+``S^dagger S`` (``S`` inherits gamma5-hermiticity, which gives
+``S^dagger`` cheaply) where one probe solve finds BiCGSTAB does not
+pay (:func:`repro.grid.mixedprec.inner_method`).
 
 The fields of the Schur system are stored at half volume, on the
 red-black grids of :class:`repro.grid.cartesian.GridRedBlack` (Grid's
@@ -47,7 +50,9 @@ class SchurWilson:
     memoized on the grid, and the Wilson operator builds its parity
     link slices on its first hop onto each parity.  The complex64 twin
     that :meth:`solve` iterates on is built on the first solve and kept
-    (:func:`repro.grid.mixedprec.single_precision_twin`).
+    (:func:`repro.grid.mixedprec.single_precision_twin`), beside the
+    inner method its probe chose
+    (:func:`repro.grid.mixedprec.inner_method`).
     """
 
     def __init__(self, dirac: WilsonDirac) -> None:
@@ -61,8 +66,11 @@ class SchurWilson:
         self.diag = 4.0 + dirac.mass
         for parity in ("even", "odd"):
             red_black(self.grid, parity)  # reject odd extents up front
-        # (op32, to_single, to_double), set by the first mixed solve.
+        # (op32, to_single, to_double), set by the first mixed solve,
+        # and the inner method its probe chose, per inner tolerance:
+        # {inner_tol: (method, C)} (repro.grid.mixedprec.inner_method).
         self._twin = None
+        self._inner = {}
 
     # ------------------------------------------------------------------
     # Parity projections
@@ -134,26 +142,35 @@ class SchurWilson:
 
         The Schur system is solved by mixed-precision defect correction
         (:func:`repro.grid.mixedprec.defect_correction`): double-precision
-        true residuals around CGNE on the ``complex64`` Schur twin, with
-        inner tolerance ``sqrt(tol)`` (floored at
-        :data:`~repro.grid.mixedprec.INNER_TOL_FLOOR`).  ``max_iter``
-        bounds the inner iterations summed over the outer steps, and the
-        result's ``iterations`` is that sum.  Where the single-precision
-        lanes admit no half-volume checkerboard the solve is double CGNE
-        on ``S``.
+        true residuals around BiCGSTAB on the ``complex64`` Schur twin
+        (or CGNE, where the twin's probe chose it), with inner tolerance
+        ``sqrt(tol)`` (floored at
+        :data:`~repro.grid.mixedprec.INNER_TOL_FLOOR`).  The probe runs
+        on the first solve at that tolerance, before the solve itself,
+        and is not counted in its iterations.  ``max_iter`` bounds the
+        inner iterations summed over the outer steps, and the result's
+        ``iterations`` is that sum.  Where the single-precision lanes
+        admit no half-volume checkerboard the solve is double CGNE on
+        ``S``.
         """
         from repro.engine.solve import solve_fermion
-        from repro.grid.mixedprec import INNER_TOL_FLOOR, has_single_twin
+        from repro.grid.mixedprec import (
+            INNER_TOL_FLOOR, has_single_twin, inner_method,
+            single_precision_twin,
+        )
 
         b_e = self.project(b, "even")
         b_o = self.project(b, "odd")
         # RHS of the Schur system: b_o - Moe Mee^-1 b_e.
         rhs = b_o - self._hop(b_e) * (1.0 / self.diag)
-        # CGNE on S (gamma5-hermitian, like M itself).
         if has_single_twin(self):
+            inner_tol = max(tol ** 0.5, INNER_TOL_FLOOR)
+            # The probe runs here, before the solve, so its span and
+            # iterations are the twin's, not the first column's.
+            inner_method(self, single_precision_twin(self)[0], inner_tol)
             inner = solve_fermion(
                 self, rhs, method="mixed", tol=tol, max_iter=max_iter,
-                inner_tol=max(tol ** 0.5, INNER_TOL_FLOOR))
+                inner_tol=inner_tol)
         else:
             inner = solve_fermion(self, rhs, method="cg", tol=tol,
                                   max_iter=max_iter)

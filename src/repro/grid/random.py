@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.grid.cartesian import GridCartesian
 from repro.grid.lattice import Lattice
-from repro.grid.pauli import random_su3
+from repro.grid.pauli import random_su3_sites
 
 
 def global_gaussian_spinor(gdims, seed: int) -> np.ndarray:
@@ -29,13 +29,8 @@ def global_su3_links(gdims, seed: int, spread: float = 1.0) -> list:
     """Canonical global gauge links: 4 arrays ``(gsites, 3, 3)``."""
     gsites = int(np.prod(gdims))
     rng = np.random.default_rng(seed)
-    links = []
-    for _mu in range(len(gdims)):
-        u = np.empty((gsites, 3, 3), dtype=np.complex128)
-        for s in range(gsites):
-            u[s] = random_su3(rng, spread)
-        links.append(u)
-    return links
+    return [random_su3_sites(rng, gsites, spread)
+            for _mu in range(len(gdims))]
 
 
 def _local_slice(grid: GridCartesian, rank_coor, global_field: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.grid.cartesian import GridCartesian
 from repro.grid.lattice import Lattice
-from repro.grid.pauli import random_su3
+from repro.grid.pauli import random_su3_sites
 
 
 def unit_gauge(grid: GridCartesian) -> list:
@@ -35,11 +35,8 @@ def random_su3_field(grid: GridCartesian, rng: np.random.Generator,
     any SIMD layout or rank decomposition (layout-equivalence tests
     rely on this).
     """
-    canonical = np.empty((grid.lsites, 3, 3), dtype=np.complex128)
-    for s in range(grid.lsites):
-        canonical[s] = random_su3(rng, spread)
     lat = Lattice(grid, (3, 3))
-    lat.from_canonical(canonical)
+    lat.from_canonical(random_su3_sites(rng, grid.lsites, spread))
     return lat
 
 

@@ -342,14 +342,17 @@ def ft_mixed_precision_cgne(
     campaign=None,
     max_iter: int | None = None,
 ) -> MixedPrecisionResult:
-    """Mixed-precision CGNE whose outer loop survives inner faults.
+    """Mixed-precision solve whose outer loop survives inner faults.
 
     The double-precision defect correction of
     :func:`repro.grid.mixedprec.mixed_precision_cgne` (the same loop,
-    the same single-precision twin), with two guards: the float32
-    inner solve runs fault-tolerant CG, and an outer update whose true
+    the same single-precision twin and inner method), with two guards:
+    the float32 inner solves run :func:`ft_bicgstab` and
+    :func:`ft_conjugate_gradient`, and an outer update whose true
     residual comes back non-finite or *worse* than before is discarded
-    (the iterate rolls back) instead of poisoning the solve.
+    (the iterate rolls back) instead of poisoning the solve.  On a
+    fault-free run both FT recursions are bit-identical to the plain
+    ones, so the solve is too.
     """
     events: list = []
     restarts = 0
@@ -367,5 +370,6 @@ def ft_mixed_precision_cgne(
 
     return defect_correction(
         dirac, b, tol, inner_tol, max_outer, max_inner, max_iter,
-        inner_solve=partial(ft_conjugate_gradient, campaign=campaign),
+        inner_solve=(partial(ft_bicgstab, campaign=campaign),
+                     partial(ft_conjugate_gradient, campaign=campaign)),
         screen=screen)

@@ -1,15 +1,21 @@
 """Random-field determinism and checksum tests."""
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from repro.grid.cartesian import GridCartesian
 from repro.grid.checksum import field_checksum, scalar_checksum
 from repro.grid.lattice import Lattice
+from repro.grid.pauli import random_su3, random_su3_sites
 from repro.grid.random import (
+    _local_slice,
     global_gaussian_spinor,
     random_gauge,
     random_spinor,
 )
+from repro.grid.su3 import random_su3_field
 from repro.simd import get_backend
 
 
@@ -55,6 +61,69 @@ class TestDeterminism:
         links = random_gauge(g, seed=1)
         assert len(links) == 4
         assert links[0].tensor_shape == (3, 3)
+
+
+def _loop_su3(rng, n, spread):
+    """The oracle: one :func:`random_su3` call per site."""
+    return np.array([random_su3(rng, spread) for _ in range(n)])
+
+
+def _sha256(lattices) -> str:
+    h = hashlib.sha256()
+    for lat in lattices:
+        h.update(lat.data.tobytes())
+    return h.hexdigest()
+
+
+class TestVectorisedSu3Draw:
+    """The field-at-once SU(3) draw is the per-link loop, byte for byte:
+    the same matrices and the same generator state after."""
+
+    @pytest.mark.parametrize("spread", [1.0, 0.3])
+    @pytest.mark.parametrize("seed", [0, 11, 2024])
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    def test_sites_match_loop(self, n, seed, spread):
+        loop_rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
+        want = _loop_su3(loop_rng, n, spread)
+        got = random_su3_sites(rng, n, spread)
+        assert got.shape == (n, 3, 3) and got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+    @pytest.mark.parametrize("spread", [1.0, 0.3])
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("dims,backend,mpi,rank_coor", [
+        ([2, 2, 2, 4], "avx", None, None),
+        ([4, 4, 2, 2], "generic512", None, None),
+        ([4, 2, 2, 4], "avx512", [2, 1, 1, 2], [1, 0, 0, 0]),
+        ([4, 2, 2, 4], "avx512", [2, 1, 1, 2], [0, 0, 0, 1]),
+    ])
+    def test_random_gauge_matches_loop(self, dims, backend, mpi,
+                                       rank_coor, seed, spread):
+        grid = GridCartesian(dims, get_backend(backend), mpi_layout=mpi)
+        got = random_gauge(grid, seed=seed, spread=spread,
+                           rank_coor=rank_coor)
+        rng = np.random.default_rng(seed)
+        gsites = int(np.prod(grid.gdims))
+        want = [Lattice(grid, (3, 3)).from_canonical(_local_slice(
+                    grid, rank_coor or [0] * grid.ndim,
+                    _loop_su3(rng, gsites, spread)))
+                for _mu in range(grid.ndim)]
+        assert _sha256(got) == _sha256(want)
+
+    @pytest.mark.parametrize("spread", [1.0, 0.3])
+    def test_su3_field_leaves_the_loops_state(self, spread):
+        grid = GridCartesian([2, 2, 2, 4], get_backend("avx"))
+        rng = np.random.default_rng(5)
+        loop_rng = np.random.default_rng(5)
+        got = random_su3_field(grid, rng, spread)
+        want = Lattice(grid, (3, 3)).from_canonical(
+            _loop_su3(loop_rng, grid.lsites, spread))
+        assert got.data.tobytes() == want.data.tobytes()
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+        # Later draws from the same generator do not move either.
+        assert rng.normal() == loop_rng.normal()
 
 
 class TestChecksums:
