@@ -139,6 +139,12 @@ class GridCartesian:
     def nranks(self) -> int:
         return int(np.prod(self.mpi_layout))
 
+    def field_shape(self, tensor_shape: tuple) -> tuple:
+        """Data shape of a field on this grid: Grid's lane-major
+        ``(osites, *tensor, nlanes)``, one register per tensor element
+        and outer site."""
+        return (self.osites,) + tuple(tensor_shape) + (self.nlanes,)
+
     def ocoor_table(self) -> np.ndarray:
         """(osites, ndim) outer-site coordinates (copy)."""
         return self._ocoor.copy()
@@ -228,16 +234,18 @@ class GridRedBlack:
 
     Grid keeps a red-black grid beside the full one so that even-odd
     operators touch only the sites they act on
-    (``GridRedBlackCartesian``).  Here the parity's flat sites
-    ``f = osite * nlanes + lane`` of ``full`` are held in ascending
-    order (:attr:`sites`) and grouped ``nlanes`` at a time: a half
-    field is an ordinary :class:`~repro.grid.lattice.Lattice` of shape
-    ``(N/2/nlanes, *tensor, nlanes)`` whose flat site ``k`` is full
-    flat site ``sites[k]``, so lattice arithmetic, reductions and the
-    solvers run on it unchanged.  Grouping by flat site rather than by
-    outer site means the lanes of one outer site may have mixed parity
-    (the virtual-node layout interleaves parities whenever a
-    dimension's block extent is odd).
+    (``GridRedBlackCartesian``), compact and in their own layout.  Here
+    the parity's flat sites ``f = osite * nlanes + lane`` of ``full``
+    are held in ascending order (:attr:`sites`), and a half field is an
+    ordinary :class:`~repro.grid.lattice.Lattice` stored tensor-major,
+    in the working layout of the checkerboard hop
+    (:mod:`repro.perf.fused`): ``data.reshape(*tensor, N/2)[..., k]``
+    is full flat site ``sites[k]``.  The site axis is kept split as
+    ``(N/2/nlanes, nlanes)`` (:meth:`field_shape`), so backend
+    arithmetic, reductions and the solvers see whole registers and run
+    on half fields unchanged.  The lane grouping carries no SIMD
+    meaning (the lanes of one group may even come from mixed outer
+    sites); it only feeds the backends rows of their width.
 
     Raises :class:`ValueError` when the checkerboard does not exist at
     half volume: an odd local extent (the periodic wrap would join two
@@ -277,14 +285,19 @@ class GridRedBlack:
         return not any(d % 2 for d in ldims) \
             and (int(np.prod(ldims)) // 2) % nlanes == 0
 
+    def field_shape(self, tensor_shape: tuple) -> tuple:
+        """Data shape of a half field: tensor-major, the ``N/2`` sites
+        innermost and split into rows of ``nlanes``."""
+        return tuple(tensor_shape) + (self.osites, self.nlanes)
+
     def pick(self, field):
         """This parity's sites of a full-grid field, as a half field."""
         from repro.grid.lattice import Lattice
 
         vals = field.data[self._osite, ..., self._lane]  # (N/2, *tensor)
-        vals = vals.reshape((self.osites, self.nlanes) + vals.shape[1:])
-        return Lattice(self, field.tensor_shape,
-                       np.ascontiguousarray(np.moveaxis(vals, 1, -1)))
+        tensor = field.tensor_shape
+        return Lattice(self, tensor, np.ascontiguousarray(
+            np.moveaxis(vals, 0, -1)).reshape(self.field_shape(tensor)))
 
     def embed(self, half, out=None):
         """Write ``half`` onto this parity's sites of the full-grid
@@ -293,9 +306,8 @@ class GridRedBlack:
 
         if out is None:
             out = Lattice(self.full, half.tensor_shape)
-        vals = np.moveaxis(half.data, -1, 1)
-        out.data[self._osite, ..., self._lane] = vals.reshape(
-            (-1,) + half.tensor_shape)
+        sites = half.data.reshape(half.tensor_shape + (-1,))
+        out.data[self._osite, ..., self._lane] = np.moveaxis(sites, -1, 0)
         return out
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

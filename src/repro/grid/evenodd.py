@@ -31,10 +31,32 @@ sweeps compound.
 
 from __future__ import annotations
 
+from functools import partial
+
+import numpy as np
+
+from repro.engine.plan import fused_safe_backend
 from repro.grid.lattice import Lattice
 from repro.grid.solver import SolverResult
 from repro.grid.stencil import red_black
 from repro.grid.wilson import SPINOR, WilsonDirac
+
+
+def _minus_half(acc, b0, b1) -> None:
+    """The off-diagonal blocks' ``* (-1/2)`` on one block of a hop's
+    output, in place: ``Lattice.__mul__``'s own operation."""
+    np.multiply(acc, acc.dtype.type(-0.5), out=acc)
+
+
+def _schur_diagonal(diag: float, psi, acc, b0, b1) -> None:
+    """``(psi * diag) - (hop * (-1/2)) * (1/diag)`` on one block of the
+    Schur operator's second hop, in place: the Lattice expression of
+    :meth:`SchurWilson.schur`, operation for operation.  ``psi`` is the
+    source half field in the working layout ``(4, 3, N/2)``."""
+    t = acc.dtype.type
+    _minus_half(acc, b0, b1)
+    np.multiply(acc, t(1.0 / diag), out=acc)
+    np.subtract(psi[:, :, b0:b1] * t(diag), acc, out=acc)
 
 
 class SchurWilson:
@@ -47,12 +69,19 @@ class SchurWilson:
     ``(4 + m)``, which a subclass may change (the clover term does), so
     only an exact :class:`~repro.grid.wilson.WilsonDirac` is accepted.
     Construction is cheap: the half grids and parity tables are
-    memoized on the grid, and the Wilson operator builds its parity
-    link slices on its first hop onto each parity.  The complex64 twin
-    that :meth:`solve` iterates on is built on the first solve and kept
-    (:func:`repro.grid.mixedprec.single_precision_twin`), beside the
-    inner method its probe chose
-    (:func:`repro.grid.mixedprec.inner_method`).
+    memoized on the grid, and the Wilson operator builds its
+    checkerboard hop lists on its first hop onto each parity.  The
+    complex64 twin that :meth:`solve` iterates on, and the inner method
+    its probe chose, are memoised on the Wilson operator
+    (:func:`repro.grid.mixedprec.single_precision_twin`,
+    :func:`repro.grid.mixedprec.inner_method`), so every Schur operator
+    over it shares them.
+
+    Where the backend's arithmetic is plain numpy, the scalar algebra
+    of the off-diagonal blocks and of ``S`` folds into the hops' block
+    stores (:meth:`repro.grid.wilson.WilsonDirac.dhop_cb`'s ``tail``):
+    the same IEEE operations in the same order, with no whole-field
+    temporaries.  Other backends run it as Lattice algebra.
     """
 
     def __init__(self, dirac: WilsonDirac) -> None:
@@ -66,11 +95,7 @@ class SchurWilson:
         self.diag = 4.0 + dirac.mass
         for parity in ("even", "odd"):
             red_black(self.grid, parity)  # reject odd extents up front
-        # (op32, to_single, to_double), set by the first mixed solve,
-        # and the inner method its probe chose, per inner tolerance:
-        # {inner_tol: (method, C)} (repro.grid.mixedprec.inner_method).
-        self._twin = None
-        self._inner = {}
+        self._fold = fused_safe_backend(self.grid.backend)
 
     # ------------------------------------------------------------------
     # Parity projections
@@ -87,6 +112,8 @@ class SchurWilson:
     def _hop(self, psi: Lattice) -> Lattice:
         """The off-diagonal block action: ``-(1/2) D_h psi``, from one
         parity's half field onto the other's."""
+        if self._fold:
+            return self.dirac.dhop_cb(psi, tail=_minus_half)
         return self.dirac.dhop_cb(psi) * (-0.5)
 
     # ------------------------------------------------------------------
@@ -95,18 +122,23 @@ class SchurWilson:
     def schur(self, psi_o: Lattice) -> Lattice:
         """``S psi_o = (4+m) psi_o - Moe Mee^-1 Meo psi_o``."""
         meo = self._hop(psi_o)
+        if self._fold:
+            work = psi_o.data.reshape(SPINOR + (-1,))
+            return self.dirac.dhop_cb(
+                meo, tail=partial(_schur_diagonal, self.diag, work))
         moe = self._hop(meo)
         return psi_o * self.diag - moe * (1.0 / self.diag)
+
+    def _gamma5(self, psi: Lattice) -> Lattice:
+        """``gamma_5`` on a half field: spin rows 2-3 negated (exact)."""
+        data = psi.data.copy()
+        data[2:] = self.grid.backend.neg(psi.data[2:])
+        return Lattice(psi.grid, SPINOR, data)
 
     def schur_dagger(self, psi_o: Lattice) -> Lattice:
         """``S^dagger`` via gamma5-hermiticity (gamma5 is site-local,
         so it commutes with the parity restriction)."""
-        from repro.grid import gamma as g
-
-        be = self.grid.backend
-        tmp = Lattice(psi_o.grid, SPINOR, g.gamma5_apply(be, psi_o.data))
-        tmp = self.schur(tmp)
-        return Lattice(tmp.grid, SPINOR, g.gamma5_apply(be, tmp.data))
+        return self._gamma5(self.schur(self._gamma5(psi_o)))
 
     def schur_norm(self, psi_o: Lattice) -> Lattice:
         """``S^dagger S`` — hermitian positive definite on odd sites."""
@@ -146,8 +178,8 @@ class SchurWilson:
         (or CGNE, where the twin's probe chose it), with inner tolerance
         ``sqrt(tol)`` (floored at
         :data:`~repro.grid.mixedprec.INNER_TOL_FLOOR`).  The probe runs
-        on the first solve at that tolerance, before the solve itself,
-        and is not counted in its iterations.  ``max_iter`` bounds the
+        on the Wilson operator's first solve at that tolerance, before
+        the solve itself, and is not counted in its iterations.  ``max_iter`` bounds the
         inner iterations summed over the outer steps, and the result's
         ``iterations`` is that sum.  Where the single-precision lanes
         admit no half-volume checkerboard the solve is double CGNE on

@@ -2,7 +2,10 @@
 
 Storage layout is Grid's: ``data[osite][tensor indices...][lane]`` —
 the lane axis is innermost so that one tensor element across all
-virtual nodes is exactly one vector register.  All arithmetic routes
+virtual nodes is exactly one vector register.  Half-volume
+checkerboard fields are stored tensor-major instead
+(:class:`repro.grid.cartesian.GridRedBlack`); the grid supplies the
+shape.  All arithmetic routes
 through the grid's SIMD backend, the machine-specific layer the paper
 ports.
 """
@@ -18,13 +21,15 @@ from repro.grid.coordinates import indices_of
 
 
 class Lattice:
-    """A field of shape ``(osites, *tensor_shape, nlanes)``."""
+    """A field whose data has the shape its grid gives it
+    (``grid.field_shape``): ``(osites, *tensor_shape, nlanes)`` on a
+    full grid, tensor-major on a half-volume red-black grid."""
 
     def __init__(self, grid: GridCartesian, tensor_shape: tuple = (),
                  data: Optional[np.ndarray] = None) -> None:
         self.grid = grid
         self.tensor_shape = tuple(int(t) for t in tensor_shape)
-        shape = (grid.osites,) + self.tensor_shape + (grid.nlanes,)
+        shape = grid.field_shape(self.tensor_shape)
         if data is None:
             self.data = np.zeros(shape, dtype=grid.dtype)
         else:

@@ -124,13 +124,11 @@ def _half_site_order(rb: GridRedBlack) -> np.ndarray:
 def _relayout(half: Lattice, target: GridRedBlack,
               take: np.ndarray) -> Lattice:
     """``half``'s sites ``take`` as a half field on ``target``, in
-    ``target``'s precision."""
+    ``target``'s precision: a permutation of the site axis and a cast."""
     tensor = half.tensor_shape
-    flat = np.moveaxis(half.data, -1, 1).reshape((-1,) + tensor)
-    vals = flat[take].astype(target.dtype).reshape(
-        (target.osites, target.nlanes) + tensor)
-    return Lattice(target, tensor,
-                   np.ascontiguousarray(np.moveaxis(vals, 1, -1)))
+    sites = half.data.reshape(tensor + (-1,))
+    vals = np.take(sites, take, axis=-1).astype(target.dtype)
+    return Lattice(target, tensor, vals.reshape(target.field_shape(tensor)))
 
 
 def _half_converters(grid64: GridCartesian, grid32: GridCartesian):
@@ -160,29 +158,43 @@ def has_single_twin(op) -> bool:
     return GridRedBlack.fits(grid.ldims, grid.backend.clanes(np.complex64))
 
 
+def _kind(op) -> tuple:
+    """``(dirac, kind)``: the Wilson operator that memoises ``op``'s
+    twin and probe, and ``op``'s key there (``"schur"`` or
+    ``"wilson"``)."""
+    if isinstance(op, SchurWilson):
+        return op.dirac, "schur"
+    return op, "wilson"
+
+
 def single_precision_twin(op):
     """``(op32, to_single, to_double)`` for a mixed-precision solve.
 
-    * A :class:`~repro.grid.evenodd.SchurWilson` gets the Schur
-      complement of the single-precision Wilson copy; its odd half
-      fields convert by a half-site permutation, never through full
-      fields.
     * A Wilson operator gets :func:`make_single_precision_copy`; full
       fields convert through the canonical layout.
+    * A :class:`~repro.grid.evenodd.SchurWilson` gets the Schur
+      complement of its Wilson operator's twin; its odd half fields
+      convert by a half-site permutation, never through full fields.
 
-    A Schur operator's twin is memoised on it, so the twelve solves of
-    a propagator share one twin and one pair of converters; like the
-    operators' link snapshots, it is built from ``op``'s links at the
-    first call.  A Wilson operator's is built per call.
+    The twins are memoised on the Wilson operator, one per kind over
+    one complex64 copy, so the solves of a propagator, the propagators
+    over one operator and the full mixed solves all share them; like
+    the operator's link snapshots, the copy is built from its links at
+    the first call.
     """
-    if isinstance(op, SchurWilson):
-        if op._twin is None:
-            op32 = SchurWilson(make_single_precision_copy(op.dirac))
-            op._twin = (op32,) + _half_converters(op.grid, op32.grid)
-        return op._twin
-    op32 = make_single_precision_copy(op)
-    return (op32, partial(_to_single, op32.grid),
-            partial(_to_double, op.grid))
+    dirac, kind = _kind(op)
+    twin = dirac._twins.get(kind)
+    if twin is not None:
+        return twin
+    if kind == "wilson":
+        op32 = make_single_precision_copy(op)
+        twin = (op32, partial(_to_single, op32.grid),
+                partial(_to_double, op.grid))
+    else:
+        op32 = SchurWilson(single_precision_twin(dirac)[0])
+        twin = (op32,) + _half_converters(op.grid, op32.grid)
+    dirac._twins[kind] = twin
+    return twin
 
 
 def inner_method(op, op32, inner_tol: float) -> tuple:
@@ -195,21 +207,25 @@ def inner_method(op, op32, inner_tol: float) -> tuple:
     capped at CGNE's count ``C``.  ``method`` is ``"bicgstab"`` only if
     BiCGSTAB converged in fewer iterations, else ``"cg"``; so the
     choice depends on the operator and ``inner_tol`` only, never on a
-    right-hand side.  A :class:`~repro.grid.evenodd.SchurWilson`
-    memoises it beside its twin, so the twelve solves of a propagator
-    probe once; a Wilson operator's twin is built per solve, and so is
-    its probe.  With tracing on the probe is one ``"twin.probe"`` span.
+    right-hand side.  It is memoised on the Wilson operator beside the
+    twin, per operator kind and ``inner_tol``, so the solves of every
+    propagator over one operator probe once.  With tracing on the probe
+    is one ``"twin.probe"`` span.
     """
-    memo = op._inner if isinstance(op, SchurWilson) else {}
-    if inner_tol in memo:
-        return memo[inner_tol]
-    grid = red_black(op32.grid, "odd") if isinstance(op32, SchurWilson) \
-        else op32.grid
+    dirac, kind = _kind(op)
+    key = (kind, inner_tol)
+    if key in dirac._inner:
+        return dirac._inner[key]
+    grid = red_black(op32.grid, "odd") if kind == "schur" else op32.grid
+    # The lane-major draw, whatever the layout: each site keeps its
+    # value.
     shape = (grid.osites,) + SPINOR + (grid.nlanes,)
     rng = np.random.default_rng(PROBE_SEED)
-    z = Lattice(grid, SPINOR, (rng.standard_normal(shape)
-                               + 1j * rng.standard_normal(shape))
-                .astype(np.complex64))
+    z = (rng.standard_normal(shape)
+         + 1j * rng.standard_normal(shape)).astype(np.complex64)
+    if kind == "schur":
+        z = np.ascontiguousarray(np.moveaxis(z, 0, -2))
+    z = Lattice(grid, SPINOR, z)
     with _telemetry.span("twin.probe", inner_tol=inner_tol) as sp:
         cgne = conjugate_gradient(op32.mdag_m, op32.apply_dagger(z),
                                   tol=inner_tol, max_iter=PROBE_MAX_ITER)
@@ -221,7 +237,7 @@ def inner_method(op, op32, inner_tol: float) -> tuple:
             sp.attrs.update(method=method, cg_iterations=cap,
                             bicgstab_iterations=bi.iterations,
                             iterations=cap + bi.iterations)
-    memo[inner_tol] = (method, cap)
+    dirac._inner[key] = (method, cap)
     return method, cap
 
 

@@ -184,7 +184,7 @@ def single_precision_grid(grid: GridCartesian) -> GridCartesian:
     decomposition).
 
     Memoized per grid like :func:`red_black`: the single-precision
-    twins that mixed-precision solves build per call share one grid,
+    twins of every operator on ``grid`` share one grid,
     its tables and its half grids, which live exactly as long as
     ``grid`` does.
     """

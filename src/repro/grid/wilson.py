@@ -32,7 +32,9 @@ from repro.telemetry import trace as _telemetry
 from repro.grid.cartesian import GridCartesian, GridRedBlack
 from repro.grid.cshift import cshift
 from repro.grid.lattice import Lattice
-from repro.grid.stencil import neighbour_table, red_black
+from repro.grid.stencil import (
+    neighbour_table, parity_neighbour_table, red_black,
+)
 from repro.grid.tensor import su3_dagger_mul_vec, su3_mul_vec
 from repro.perf.fused import adjoint, fused_dhop, fused_dhop_cb, to_working
 
@@ -72,19 +74,26 @@ class WilsonDirac:
         # backend, the default cshift) reads them in its tensor-major
         # working layout: the full hop the full-order links and adjoint
         # back-links (``_full_links``), the checkerboard hop one
-        # contiguous pair of slices per target parity
-        # (``_parity_links``), as Grid keeps per-checkerboard gauge
-        # fields beside the full one.  The layered path reads lane-major
-        # back-links; where it is the only route (another backend or
-        # shift) they are gathered here.
+        # contiguous slice per (mu, sign) and target parity, beside its
+        # gather tables (``_cb_hops``), as Grid keeps per-checkerboard
+        # gauge fields beside the full one.  The layered path reads
+        # lane-major back-links; where it is the only route (another
+        # backend or shift) they are gathered here.
         self._fused = fused_safe_backend(self.grid.backend) \
             and self._cshift is cshift
         self._links_t = self._links_adj_t = None
-        self._links_cb = {}  # target parity -> (links, adjoint back-links)
+        self._links_cb = {}  # target parity -> its checkerboard hop list
         self._links_back_lm = None
         if not self._fused:
             self._links_back_lm = [self._cshift(u, mu, -1)
                                    for mu, u in enumerate(self.links)]
+        # The mixed-precision solves' complex64 twins, per operator kind
+        # ("wilson", "schur"), and the inner method each probe chose,
+        # per (kind, inner tolerance) — snapshots of the links at the
+        # first call, like the working links above
+        # (repro.grid.mixedprec.single_precision_twin, inner_method).
+        self._twins = {}
+        self._inner = {}
 
     @property
     def _links_back(self) -> list:
@@ -108,22 +117,29 @@ class WilsonDirac:
             self._links_t = links
         return self._links_t, self._links_adj_t
 
-    def _parity_links(self, target: GridRedBlack) -> tuple:
-        """The checkerboard hop's links onto the half grid ``target``:
-        :meth:`_full_links` at ``target.sites``, one contiguous
-        ``(3, 3, N/2)`` slice per mu and sign.  Built on the first hop
-        onto that parity, without the full-order links."""
-        pair = self._links_cb.get(target.parity)
-        if pair is None:
-            links, adj = [], []
+    def _cb_hops(self, target: GridRedBlack) -> list:
+        """The checkerboard hop onto the half grid ``target``, in sweep
+        order: ``(sign, table, links, mu)`` per (mu, sign), where
+        ``table`` is :func:`~repro.grid.stencil.parity_neighbour_table`
+        and ``links`` the matrix the hop applies — :meth:`_full_links`'s
+        field at ``target.sites``, a contiguous ``(3, 3, N/2)`` slice.
+        Built on the first hop onto that parity, without the full-order
+        links."""
+        hops = self._links_cb.get(target.parity)
+        if hops is None:
+            hops = []
             for mu, u in enumerate(self.links):
                 w = to_working(u.data)
                 back = neighbour_table(self.grid, mu, -1)[target.sites]
-                links.append(np.take(w, target.sites, axis=-1))
-                adj.append(np.ascontiguousarray(adjoint(
-                    np.take(w, back, axis=-1))))
-            pair = self._links_cb[target.parity] = (links, adj)
-        return pair
+                hops.append((+1, parity_neighbour_table(
+                    self.grid, target.parity, mu, +1),
+                    np.take(w, target.sites, axis=-1), mu))
+                hops.append((-1, parity_neighbour_table(
+                    self.grid, target.parity, mu, -1),
+                    np.ascontiguousarray(adjoint(np.take(w, back, axis=-1))),
+                    mu))
+            self._links_cb[target.parity] = hops
+        return hops
 
     # ------------------------------------------------------------------
     def dhop(self, psi: Lattice) -> Lattice:
@@ -175,7 +191,7 @@ class WilsonDirac:
             out.data[...] = be.add(acc, full)
         return out
 
-    def dhop_cb(self, psi: Lattice) -> Lattice:
+    def dhop_cb(self, psi: Lattice, tail=None) -> Lattice:
         """One checkerboard hop: ``D_h`` applied to the half field
         ``psi`` (one parity, see :class:`repro.grid.cartesian.
         GridRedBlack`), returned as the other parity's half field.
@@ -188,6 +204,11 @@ class WilsonDirac:
         ``cshift_fn``, the engine off) it is exactly that reference:
         embed, ``dhop``, pick.  Traced as a ``dhop.cb`` span over the
         half-volume sites.
+
+        ``tail(acc, b0, b1)``, if given, finishes the output in place
+        with numpy operations: on the sweep block by block, as each
+        ``(4, 3, n)`` block of sites ``b0 .. b1 - 1`` completes; on the
+        reference route once, over all sites.
         """
         if not isinstance(psi.grid, GridRedBlack) \
                 or psi.grid.full.odims != self.grid.odims \
@@ -197,7 +218,7 @@ class WilsonDirac:
         target = red_black(self.grid, "even" if psi.grid.parity == "odd"
                            else "odd")
         if not _telemetry.tracing():
-            return self._dhop_cb_impl(psi, target)
+            return self._dhop_cb_impl(psi, target, tail)
         with _telemetry.span(
             "dhop.cb",
             sites=target.osites * target.nlanes,
@@ -206,15 +227,19 @@ class WilsonDirac:
             backend=self.grid.backend.name,
             parity=target.parity,
         ):
-            return self._dhop_cb_impl(psi, target)
+            return self._dhop_cb_impl(psi, target, tail)
 
-    def _dhop_cb_impl(self, psi: Lattice, target) -> Lattice:
+    def _dhop_cb_impl(self, psi: Lattice, target, tail) -> Lattice:
         plan = kernel_plan(self.grid, "dhop")
         if plan.fused and self._fused:
-            return fused_dhop_cb(self, psi, target, plan=plan)
+            return fused_dhop_cb(self, psi, target, plan=plan, tail=tail)
         # The reference: the full sweep of the embedded field (its
         # dispatch, not its span — the hop is traced once, above).
-        return target.pick(self._dhop_impl(psi.grid.embed(psi)))
+        out = target.pick(self._dhop_impl(psi.grid.embed(psi)))
+        if tail is not None:
+            work = out.data.reshape(SPINOR + (-1,))
+            tail(work, 0, work.shape[-1])
+        return out
 
     def apply(self, psi: Lattice) -> Lattice:
         """The Wilson matrix ``M psi = (4 + m) psi - 1/2 D_h psi``."""

@@ -10,26 +10,37 @@ handful of whole-block numpy expressions.
 **Working layout.**  Under numpy the ufunc inner loop plays the part of
 the paper's SVE vector (Fig. 1), and the lattice's lane-innermost
 ``(osites, 4, 3, nlanes)`` storage hands it loops of ``nlanes`` (1–4)
-elements.  The single-rank sweep (:func:`fused_dhop`) therefore works
-on a *tensor-major flat* copy ``(4, 3, N)``, ``N = osites * nlanes``:
-``psi`` is transposed once on entry and each block's accumulator once
-on exit, and the operator snapshots its links in the same layout on
-the sweep's first call (``WilsonDirac._full_links``: the links, and
-the back-links as adjoints).  Every neighbour gather — lane
-permutations at virtual-node boundaries included — is one ``np.take``
-through a flat index table per (mu, ±1)
-(:func:`repro.grid.stencil.neighbour_table`, derived by cshifting an
-index field, so it cannot disagree with ``cshift``).  The sweep runs
-over blocks of :data:`BLOCK_SITES` flat sites: per block it gathers
-one neighbour field at a time into block-sized scratch and folds it
-into the accumulator while the block is still in cache, instead of
-materialising all eight neighbour fields over the whole lattice.
-The even-odd checkerboard hop (:func:`fused_dhop_cb`) is the same
-sweep over half the sites: a half field's working copy is
-``(4, 3, N/2)``, gathered through per-parity tables, and the links
-are the operator's contiguous ``(3, 3, N/2)`` slices for the target
-parity (``WilsonDirac._parity_links``), so every link operand is a
-contiguous load as in the paper's virtual-node layout.
+elements.  The sweeps therefore work *tensor-major flat*:
+``(4, 3, N)``, one row of ``N`` sites per spin-colour component.
+
+* The full hop (:func:`fused_dhop`) transposes ``psi`` into that
+  layout once on entry and each block's accumulator back once on exit;
+  the operator snapshots its links in the same layout on the sweep's
+  first call (``WilsonDirac._full_links``: the links, and the
+  back-links as adjoints).  Every neighbour gather — lane permutations
+  at virtual-node boundaries included — is one ``np.take`` through a
+  flat index table per (mu, ±1) (:func:`repro.grid.stencil.
+  neighbour_table`, derived by cshifting an index field, so it cannot
+  disagree with ``cshift``).  Per block of :data:`BLOCK_SITES` flat
+  sites and per (mu, ±1) it gathers the 12 neighbour rows, then
+  projects, multiplies and reconstructs them into the accumulator while
+  the block is still in cache (gather-then-project order).
+* Half fields *are* the working layout: a
+  :class:`~repro.grid.cartesian.GridRedBlack` field is stored
+  ``(4, 3, N/2)`` (split into register rows), so the even-odd
+  checkerboard hop (:func:`fused_dhop_cb`) transposes nothing.  It runs
+  in Grid's *compressor order*: the source is spin-projected once onto
+  the eight half-spinor fields, and per block and (mu, ±1) it gathers
+  6 rows, not 12, through a per-parity table, multiplies by the
+  operator's contiguous ``(3, 3, N/2)`` link slice for the target parity
+  and reconstructs straight into the output's block
+  (``WilsonDirac._cb_hops`` holds the tables and slices, built once per
+  operator and parity).
+
+Both orders compose the same three steps, :func:`_project`,
+:func:`_su3_halfspinor` and :func:`_reconstruct`, one implementation
+each; where the two rows of a spin pair take the same operation they
+run as one ``(2, 3, n)`` ufunc call.
 
 **Bit-identity contract.**  Every expression below reproduces the
 reference accumulation element-for-element:
@@ -41,16 +52,17 @@ reference accumulation element-for-element:
   (``acc + u*v``, ``x * dtype(1j)``, …) on the same dtype, since the
   numpy backends' ops are those expressions verbatim
   (:class:`repro.simd.backend.NumpyArithmeticMixin`);
-* layout, blocks and tiles only decide *where* an element is computed
-  — the computation is elementwise in sites once the neighbour values
-  are in hand, and a gather is an exact copy.
+* layout, order, blocks and tiles only decide *where* an element is
+  computed — the computation is elementwise in sites once the
+  neighbour values are in hand, a gather is an exact copy, and so
+  projecting before or after the gather gives the same bits.
 
 The distributed operator's routes run the same blocked sweep
 (:func:`sweep_blocks`) over extended working arrays: each rank's shard
 followed by the face slabs it received, in process
 (:mod:`repro.grid.overlap`) or in the shared-memory rank workers
-(:mod:`repro.grid.comms.shmem`).  Every route with the engine on
-therefore accumulates through one body, :func:`_accumulate_direction`.
+(:mod:`repro.grid.comms.shmem`), in gather-then-project order
+(:func:`_accumulate_direction`).
 
 The path is only taken for backends whose arithmetic is *exactly* the
 numpy mixin (``generic``/``fixed``); instruction-counting SVE backends
@@ -60,10 +72,12 @@ and resilient proxies keep the layered path, which is also what
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.grid.lattice import Lattice
-from repro.grid.stencil import neighbour_table, parity_neighbour_table
+from repro.grid.stencil import neighbour_table
 from repro.perf.counters import counters
 from repro.perf.parallel import run_tiles, tiles_for
 
@@ -97,6 +111,41 @@ def adjoint(U: np.ndarray) -> np.ndarray:
     return np.conj(U).swapaxes(0, 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _spin_pair(dtype: np.dtype, a: complex, b: complex) -> np.ndarray:
+    """The ``(2, 1, 1)`` factor ``[a, b]``: one ufunc call scales the
+    two rows of a spin pair by ``a`` and ``b``, through the same
+    broadcast (stride-0) operand a scalar factor takes."""
+    f = np.array([a, b], dtype=dtype).reshape(2, 1, 1)
+    f.setflags(write=False)
+    return f
+
+
+def _project(p: np.ndarray, mu: int, sign: int, h: np.ndarray) -> None:
+    """``h`` = the two independent spin rows of
+    ``(1 + sign gamma_mu) p``: :func:`repro.grid.gamma.project` with the
+    mixin ops inlined.  ``p`` is ``(4, 3, n)`` and ``h`` ``(2, 3, n)``;
+    where both rows take the same operation they run as one call."""
+    op = np.add if sign > 0 else np.subtract
+    if mu == 0:
+        # h0 = p0 ± p3*i ; h1 = p1 ± p2*i
+        np.multiply(p[3:1:-1], p.dtype.type(1j), out=h)
+        op(p[0:2], h, out=h)
+    elif mu == 1:
+        # h0 = p0 ∓ p3 ; h1 = p1 ± p2
+        (np.subtract if sign > 0 else np.add)(p[0], p[3], out=h[0])
+        op(p[1], p[2], out=h[1])
+    elif mu == 2:
+        # h0 = p0 ± p2*i ; h1 = p1 ± p3*(-i)
+        np.multiply(p[2:4], _spin_pair(p.dtype, 1j, -1j), out=h)
+        op(p[0:2], h, out=h)
+    elif mu == 3:
+        # h0 = p0 ± p2 ; h1 = p1 ± p3
+        op(p[0:2], p[2:4], out=h)
+    else:
+        raise ValueError(f"no direction {mu}")
+
+
 def _su3_halfspinor(V: np.ndarray, h: np.ndarray, out: np.ndarray,
                     prod: np.ndarray) -> None:
     """``out_{s,a} = sum_b V[a,b] h_{s,b}``.
@@ -114,10 +163,45 @@ def _su3_halfspinor(V: np.ndarray, h: np.ndarray, out: np.ndarray,
         np.add(zero if b == 0 else out, prod, out=out)
 
 
+def _reconstruct(acc: np.ndarray, uh: np.ndarray, mu: int, sign: int,
+                 t: np.ndarray) -> None:
+    """Add the spinor rebuilt from the half spinor ``uh`` into ``acc``
+    in place: :func:`repro.grid.gamma.reconstruct` and the accumulate,
+    with the mixin ops inlined.  ``acc`` is ``(4, 3, n)``, ``uh`` and
+    the scratch ``t`` ``(2, 3, n)``; rows that take the same operation
+    run as one call."""
+    np.add(acc[0:2], uh, out=acc[0:2])
+    lower = acc[2:4]
+    if mu == 0:
+        # acc2 += u1 * f ; acc3 += u0 * f   (f = -i on +mu, +i on -mu)
+        np.multiply(uh[::-1], uh.dtype.type(-1j if sign > 0 else 1j),
+                    out=t)
+        np.add(lower, t, out=lower)
+    elif mu == 1:
+        # acc2 ± u1, acc3 ∓ u0 (x + (-y) == x - y exactly in IEEE-754)
+        u0, u1 = uh
+        a2, a3 = lower
+        if sign > 0:
+            np.add(a2, u1, out=a2)
+            np.subtract(a3, u0, out=a3)
+        else:
+            np.subtract(a2, u1, out=a2)
+            np.add(a3, u0, out=a3)
+    elif mu == 2:
+        # acc2 += u0 * (∓i) ; acc3 += u1 * (±i)
+        f = _spin_pair(uh.dtype, -1j, 1j) if sign > 0 \
+            else _spin_pair(uh.dtype, 1j, -1j)
+        np.multiply(uh, f, out=t)
+        np.add(lower, t, out=lower)
+    else:  # mu == 3: acc2 ± u0, acc3 ± u1
+        (np.add if sign > 0 else np.subtract)(lower, uh, out=lower)
+
+
 def _accumulate_direction(acc: np.ndarray, V: np.ndarray,
                           nbr: np.ndarray, mu: int, sign: int,
                           scratch=None) -> None:
-    """Add one hopping-term direction into ``acc`` in place.
+    """Add one hopping-term direction into ``acc`` in place, in
+    gather-then-project order.
 
     ``acc``/``nbr`` are working-layout spinor fields ``(4, 3, n)`` and
     ``V`` a ``(3, 3, n)`` colour-matrix field: the matrix the hop
@@ -126,83 +210,18 @@ def _accumulate_direction(acc: np.ndarray, V: np.ndarray,
     three ``(2, 3, n)`` arrays (half-spinor, SU(3) result, product),
     allocated when not given.
 
-    Fuses project -> SU(3) -> reconstruct for direction ``mu`` with
-    projector sign ``sign``.  Formula-for-formula this is
-    :func:`repro.grid.gamma.project` /
-    :func:`~repro.grid.gamma.reconstruct` with the mixin ops inlined;
-    the ``out=`` forms change where results land, never how they are
-    computed.
+    :func:`_project` -> :func:`_su3_halfspinor` -> :func:`_reconstruct`
+    for direction ``mu`` with projector sign ``sign``; the half-spinor
+    buffer is dead after the SU(3) multiply and serves as the
+    reconstruct's scratch.
     """
-    I = nbr.dtype.type(1j)
-    NI = nbr.dtype.type(-1j)
     if scratch is None:
         scratch = [np.empty((2,) + nbr.shape[1:], dtype=nbr.dtype)
                    for _ in range(3)]
     h, uh, prod = scratch
-    p0, p1, p2, p3 = nbr  # spin components
-    h0, h1 = h
-    if mu == 0:
-        # h0 = p0 ± p3*i ; h1 = p1 ± p2*i
-        np.multiply(p3, I, out=h0)
-        np.multiply(p2, I, out=h1)
-        op = np.add if sign > 0 else np.subtract
-        op(p0, h0, out=h0)
-        op(p1, h1, out=h1)
-    elif mu == 1:
-        # h0 = p0 ∓ p3 ; h1 = p1 ± p2
-        if sign > 0:
-            np.subtract(p0, p3, out=h0)
-            np.add(p1, p2, out=h1)
-        else:
-            np.add(p0, p3, out=h0)
-            np.subtract(p1, p2, out=h1)
-    elif mu == 2:
-        # h0 = p0 ± p2*i ; h1 = p1 ± p3*(-i)
-        np.multiply(p2, I, out=h0)
-        np.multiply(p3, NI, out=h1)
-        op = np.add if sign > 0 else np.subtract
-        op(p0, h0, out=h0)
-        op(p1, h1, out=h1)
-    elif mu == 3:
-        # h0 = p0 ± p2 ; h1 = p1 ± p3
-        op = np.add if sign > 0 else np.subtract
-        op(p0, p2, out=h0)
-        op(p1, p3, out=h1)
-    else:
-        raise ValueError(f"no direction {mu}")
+    _project(nbr, mu, sign, h)
     _su3_halfspinor(V, h, uh, prod)
-    u0, u1 = uh
-    a0, a1, a2, a3 = acc
-    np.add(a0, u0, out=a0)
-    np.add(a1, u1, out=a1)
-    t = h0  # the half-spinor buffer is dead: reuse it as scratch
-    if mu == 0:
-        f = NI if sign > 0 else I
-        np.multiply(u1, f, out=t)
-        np.add(a2, t, out=a2)
-        np.multiply(u0, f, out=t)
-        np.add(a3, t, out=a3)
-    elif mu == 1:
-        # acc2 ± h1, acc3 ∓ h0 (x + (-y) == x - y exactly in IEEE-754)
-        if sign > 0:
-            np.add(a2, u1, out=a2)
-            np.subtract(a3, u0, out=a3)
-        else:
-            np.subtract(a2, u1, out=a2)
-            np.add(a3, u0, out=a3)
-    elif mu == 2:
-        fa, fb = (NI, I) if sign > 0 else (I, NI)
-        np.multiply(u0, fa, out=t)
-        np.add(a2, t, out=a2)
-        np.multiply(u1, fb, out=t)
-        np.add(a3, t, out=a3)
-    else:  # mu == 3
-        if sign > 0:
-            np.add(a2, u0, out=a2)
-            np.add(a3, u1, out=a3)
-        else:
-            np.subtract(a2, u0, out=a2)
-            np.subtract(a3, u1, out=a3)
+    _reconstruct(acc, uh, mu, sign, h)
 
 
 def fused_dhop(dirac, psi: Lattice, plan=None) -> Lattice:
@@ -229,47 +248,9 @@ def fused_dhop(dirac, psi: Lattice, plan=None) -> Lattice:
     hops = [(sign, neighbour_table(grid, mu, sign), links[mu], mu)
             for mu in range(grid.ndim)
             for sign, links in zip((+1, -1), dirac._full_links())]
-    return _sweep(hops, psi, grid, plan)
-
-
-def fused_dhop_cb(dirac, psi: Lattice, target, plan=None) -> Lattice:
-    """One checkerboard hop: ``D_h`` from the half field ``psi`` onto
-    the half grid ``target`` of the other parity
-    (``WilsonDirac.dhop_cb``).
-
-    The same sweep as :func:`fused_dhop` over half the sites: the
-    gathers go through :func:`repro.grid.stencil.parity_neighbour_table`
-    and the links are the operator's per-parity slices
-    (``WilsonDirac._parity_links``, built on the first hop onto
-    ``target``'s parity): the full-order links at ``target.sites``, so
-    each block reads its links as contiguous stretches.  Every
-    neighbour of a ``target`` site lies in ``psi``'s parity, so each
-    output site accumulates the values the full sweep would — the hop
-    is bit-identical to ``dhop`` of the embedded field, restricted to
-    ``target``.
-    """
-    grid = dirac.grid
-    hops = [(sign, parity_neighbour_table(grid, target.parity, mu, sign),
-             links[mu], mu)
-            for mu in range(grid.ndim)
-            for sign, links in zip((+1, -1), dirac._parity_links(target))]
-    return _sweep(hops, psi, target, plan)
-
-
-def _sweep(hops, psi: Lattice, grid, plan) -> Lattice:
-    """The single-rank driver of :func:`sweep_blocks`, shared by the
-    full and checkerboard hops.
-
-    ``hops`` lists ``(sign, table, links, mu)`` in accumulation order:
-    ``table`` maps the output's flat sites on ``grid`` (a full or half
-    grid) to ``psi``'s, and ``links`` is a working-layout link field in
-    the output's site order (output site ``i`` reads link site ``i``).
-    Blocks are whole outer sites, so each finished block is transposed
-    into one contiguous stretch of the lane-major output.
-    """
     nl = grid.nlanes
     out = Lattice(grid, psi.tensor_shape,
-                  np.empty((grid.osites,) + psi.tensor_shape + (nl,),
+                  np.empty(grid.field_shape(psi.tensor_shape),
                            dtype=grid.dtype))
     flat = to_working(psi.data).reshape(12, -1)  # a gather row per (s, c)
 
@@ -278,27 +259,81 @@ def _sweep(hops, psi: Lattice, grid, plan) -> Lattice:
 
     ntiles = sweep_blocks(hops, flat, grid.osites * nl, store, plan,
                           unit=nl)
-    if plan is not None:
-        plan.stages.bump("gather", len(hops))
-        plan.stages.bump("compute", ntiles)
+    _bump_stages(plan, len(hops), ntiles)
     return out
 
 
-def sweep_blocks(hops, flat: np.ndarray, count: int, store, plan,
-                 unit: int = 1, link_sites=None) -> int:
-    """The blocked, tiled sweep over output sites ``0 .. count - 1``;
-    returns the number of tiles.
+def fused_dhop_cb(dirac, psi: Lattice, target, plan=None,
+                  tail=None) -> Lattice:
+    """One checkerboard hop: ``D_h`` from the half field ``psi`` onto
+    the half grid ``target`` of the other parity
+    (``WilsonDirac.dhop_cb``), in compressor order.
 
-    ``flat`` is the ``(12, M)`` working-layout source every ``table``
-    of ``hops`` (see :func:`_sweep`) indexes, and ``links[..., i]`` —
-    or with ``link_sites`` ``links[..., link_sites[i]]``, gathered per
-    block (the distributed interior and shell parts of
-    :mod:`repro.grid.overlap`, which sweep scattered sites of the full
-    rank arrays) — is output site ``i``'s link.  Each finished block's
-    ``(4, 3, n)`` accumulator goes to ``store(acc, b0, b1)``.  Blocks
-    and tiles are whole multiples of ``unit`` sites; tiles allocate
-    their own scratch and store disjoint sites, so they may run on
-    concurrent workers.
+    Half fields are stored in the working layout, so nothing is
+    transposed.  The source is spin-projected once, onto one
+    ``(2, 3, N/2)`` half-spinor field per (mu, sign); then per block
+    and per (mu, sign) the sweep gathers 6 rows through
+    :func:`repro.grid.stencil.parity_neighbour_table`, multiplies by
+    the operator's contiguous per-parity link slice and reconstructs
+    straight into the output's block (``WilsonDirac._cb_hops`` holds
+    the tables and slices, built on the first hop onto ``target``'s
+    parity).  Projection is elementwise in sites and a gather is an
+    exact copy, so projecting before gathering gives every output site
+    the values the full sweep computes — the hop is bit-identical to
+    ``dhop`` of the embedded field, restricted to ``target``.
+
+    ``tail(acc, b0, b1)``, if given, finishes each ``(4, 3, n)`` block
+    of output sites ``b0 .. b1 - 1`` in place (the Schur operator folds
+    its diagonal algebra there).  Tiles split the output sites; they
+    read the projected fields and never write them.
+    """
+    hops = dirac._cb_hops(target)
+    tensor = psi.tensor_shape
+    src = psi.data.reshape(tensor + (-1,))
+    proj = np.empty((len(hops), 2, 3, src.shape[-1]), dtype=src.dtype)
+    for h, (sign, _table, _links, mu) in zip(proj, hops):
+        _project(src, mu, sign, h)
+    rows = proj.reshape(len(hops), 6, -1)
+    out = Lattice(target, tensor,
+                  np.zeros(target.field_shape(tensor), dtype=src.dtype))
+    work = out.data.reshape(tensor + (-1,))
+
+    def block(b0, b1, bufs) -> None:
+        n = b1 - b0
+        gathered, uh, prod = bufs
+        h = gathered.reshape(2, 3, n)
+        uh, prod = uh.reshape(2, 3, n), prod.reshape(2, 3, n)
+        acc = work[:, :, b0:b1]
+        for half, (sign, table, links, mu) in zip(rows, hops):
+            np.take(half, table[b0:b1], axis=1, out=gathered, mode="clip")
+            _su3_halfspinor(links[:, :, b0:b1], h, uh, prod)
+            _reconstruct(acc, uh, mu, sign, h)
+        if tail is not None:
+            tail(acc, b0, b1)
+
+    ntiles = _run_blocks(block, work.shape[-1], plan, target.nlanes,
+                         (6, 6, 6), src.dtype)
+    _bump_stages(plan, len(hops), ntiles)
+    return out
+
+
+def _bump_stages(plan, nhops: int, ntiles: int) -> None:
+    if plan is not None:
+        plan.stages.bump("gather", nhops)
+        plan.stages.bump("compute", ntiles)
+
+
+def _run_blocks(block, count: int, plan, unit: int, rows: tuple,
+                dtype) -> int:
+    """Run ``block(b0, b1, bufs)`` over output sites ``0 .. count - 1``
+    in blocks of :data:`BLOCK_SITES`, tiled; returns the number of
+    tiles.
+
+    Blocks and tiles are whole multiples of ``unit`` sites.  ``bufs``
+    is one ``(r, b1 - b0)`` scratch array per entry ``r`` of ``rows``;
+    each tile allocates its own, so tiles may run on concurrent
+    workers as long as ``block`` writes only its own sites.  ``plan``
+    pins the tile split (see :func:`fused_dhop`).
     """
     if plan is None:
         tiles = tiles_for(count // unit)
@@ -312,32 +347,55 @@ def sweep_blocks(hops, flat: np.ndarray, count: int, store, plan,
     def body(sl) -> None:
         lo, hi = sl.start * unit, sl.stop * unit
         size = min(step, hi - lo)
-        acc_buf, nbr_buf = (np.empty(12 * size, dtype=flat.dtype)
-                            for _ in range(2))
-        bufs = [np.empty(6 * size, dtype=flat.dtype) for _ in range(3)]
-        link_buf = None if link_sites is None else \
-            np.empty(9 * size, dtype=flat.dtype)
+        bufs = [np.empty(r * size, dtype=dtype) for r in rows]
         for b0 in range(lo, hi, step):
             b1 = min(b0 + step, hi)
             n = b1 - b0
-            acc = acc_buf[:12 * n].reshape(4, 3, n)
-            acc[...] = 0
-            nbr = nbr_buf[:12 * n].reshape(12, n)
-            scratch = [b[:6 * n].reshape(2, 3, n) for b in bufs]
-            for sign, table, links, mu in hops:
-                # Indices are in range by construction: "clip" skips
-                # numpy's buffered bounds-checked copy.
-                np.take(flat, table[b0:b1], axis=1, out=nbr, mode="clip")
-                if link_buf is None:
-                    V = links[:, :, b0:b1]
-                else:
-                    V = link_buf[:9 * n].reshape(3, 3, n)
-                    np.take(links, link_sites[b0:b1], axis=-1, out=V,
-                            mode="clip")
-                _accumulate_direction(acc, V, nbr.reshape(4, 3, n), mu,
-                                      sign, scratch)
-            store(acc, b0, b1)
+            block(b0, b1, [b[:r * n].reshape(r, n)
+                           for b, r in zip(bufs, rows)])
 
     run_tiles(body, tiles, workers=workers)
     return len(tiles)
 
+
+def sweep_blocks(hops, flat: np.ndarray, count: int, store, plan,
+                 unit: int = 1, link_sites=None) -> int:
+    """The blocked, tiled sweep over output sites ``0 .. count - 1`` in
+    gather-then-project order; returns the number of tiles.
+
+    ``hops`` lists ``(sign, table, links, mu)`` in accumulation order:
+    ``table`` maps output sites to columns of ``flat``, the ``(12, M)``
+    working-layout source, and ``links[..., i]`` — or with
+    ``link_sites`` ``links[..., link_sites[i]]``, gathered per block
+    (the distributed interior and shell parts of
+    :mod:`repro.grid.overlap`, which sweep scattered sites of the full
+    rank arrays) — is output site ``i``'s link.  Per block and hop the
+    sweep gathers the 12 neighbour rows and accumulates them with
+    :func:`_accumulate_direction`; each finished block's ``(4, 3, n)``
+    accumulator goes to ``store(acc, b0, b1)``.  Blocks and tiles are
+    whole multiples of ``unit`` sites, and tiles store disjoint sites
+    (:func:`_run_blocks`).
+    """
+    rows = (12, 12, 6, 6, 6) + ((9,) if link_sites is not None else ())
+
+    def block(b0, b1, bufs) -> None:
+        n = b1 - b0
+        acc, nbr, *scratch = bufs
+        acc = acc.reshape(4, 3, n)
+        acc[...] = 0
+        h, uh, prod = (b.reshape(2, 3, n) for b in scratch[:3])
+        for sign, table, links, mu in hops:
+            # Indices are in range by construction: "clip" skips
+            # numpy's buffered bounds-checked copy.
+            np.take(flat, table[b0:b1], axis=1, out=nbr, mode="clip")
+            if link_sites is None:
+                V = links[:, :, b0:b1]
+            else:
+                V = scratch[3].reshape(3, 3, n)
+                np.take(links, link_sites[b0:b1], axis=-1, out=V,
+                        mode="clip")
+            _accumulate_direction(acc, V, nbr.reshape(4, 3, n), mu, sign,
+                                  (h, uh, prod))
+        store(acc, b0, b1)
+
+    return _run_blocks(block, count, plan, unit, rows, flat.dtype)

@@ -34,6 +34,17 @@ def _schur_rhs(schur, b):
     return b_o + schur.dirac.dhop_cb(b_e) * (0.5 / schur.diag)
 
 
+def _fresh(dirac):
+    """A Wilson operator over ``dirac``'s links with nothing memoised:
+    no twin, no probe."""
+    return WilsonDirac(dirac.links, mass=dirac.mass)
+
+
+def _choice(schur):
+    """The inner method memoised for ``schur`` at :data:`INNER_TOL`."""
+    return schur.dirac._inner[("schur", INNER_TOL)]
+
+
 def _columns(schur):
     return [_schur_rhs(schur, point_source(schur.grid, (0, 0, 0, 0), s, c))
             for s in range(4) for c in range(3)]
@@ -88,20 +99,22 @@ def _traced_propagator(dirac):
 
 class TestChoice:
     def test_hot_links_choose_bicgstab(self, hot):
-        schur = SchurWilson(hot)
+        schur = SchurWilson(_fresh(hot))
         op32 = single_precision_twin(schur)[0]
         method, cap = inner_method(schur, op32, INNER_TOL)
         assert method == "bicgstab" and cap > 0
-        # Memoised per twin and inner tolerance.
-        assert schur._inner == {INNER_TOL: (method, cap)}
+        # Memoised on the Wilson operator, per kind and inner tolerance.
+        assert schur.dirac._inner == {("schur", INNER_TOL): (method, cap)}
         assert inner_method(schur, op32, INNER_TOL) == (method, cap)
+        assert inner_method(SchurWilson(schur.dirac), op32, INNER_TOL) \
+            == (method, cap)
 
     def test_choice_depends_on_the_operator_only(self, hot):
-        a, b = SchurWilson(hot), SchurWilson(hot)
+        a, b = SchurWilson(_fresh(hot)), SchurWilson(_fresh(hot))
         solve_fermion(a, _columns(a)[5], method="mixed", tol=TOL,
                       inner_tol=INNER_TOL)
         assert inner_method(b, single_precision_twin(b)[0], INNER_TOL) \
-            == a._inner[INNER_TOL]
+            == _choice(a)
 
     def test_past_critical_mass_thermalised_chooses_cgne(self,
                                                          thermalised):
@@ -111,7 +124,7 @@ class TestChoice:
         rhs = _columns(schur)[0]
         res = solve_fermion(schur, rhs, method="mixed", tol=TOL,
                             inner_tol=INNER_TOL)
-        assert schur._inner[INNER_TOL][0] == "cg"
+        assert _choice(schur)[0] == "cg"
         x, iterations = _cgne_only(SchurWilson(schur.dirac), rhs)
         assert res.converged
         assert res.iterations == iterations
@@ -119,12 +132,12 @@ class TestChoice:
 
 
     def test_without_a_direct_solver_the_loop_is_cgne_only(self, hot):
-        schur = SchurWilson(hot)
+        schur = SchurWilson(_fresh(hot))
         rhs = _columns(schur)[3]
         res = defect_correction(schur, rhs, TOL, INNER_TOL, max_outer=20,
                                 max_inner=500,
                                 inner_solve=(None, conjugate_gradient))
-        assert schur._inner == {}  # no probe ran
+        assert schur.dirac._inner == {}  # no probe ran
         x, iterations = _cgne_only(SchurWilson(hot), rhs)
         assert res.converged and res.iterations == iterations
         assert res.x.data.tobytes() == x.data.tobytes()
@@ -134,7 +147,7 @@ class TestIterations:
     def test_propagator_needs_at_most_0_6_of_cgne(self, hot):
         """Hot 4^4 at m = 0.3: the propagator's inner total, probe
         included, against CGNE-only defect correction."""
-        results, spans = _traced_propagator(hot)
+        results, spans = _traced_propagator(_fresh(hot))
         probe = [s for s in spans if s.name == "twin.probe"]
         assert len(probe) == 1 and probe[0].attrs["method"] == "bicgstab"
         total = sum(r.iterations for r in results) \
@@ -144,9 +157,9 @@ class TestIterations:
         assert total <= 0.6 * cgne
 
     def test_probe_is_its_own_span(self, hot):
-        """One probe per propagator, outside every column's solve, with
+        """One probe per operator, outside every column's solve, with
         its iterations and choice recorded."""
-        results, spans = _traced_propagator(hot)
+        results, spans = _traced_propagator(_fresh(hot))
         probe = [s for s in spans if s.name == "twin.probe"]
         assert len(probe) == 1
         attrs = probe[0].attrs
@@ -197,7 +210,7 @@ class TestMissFallsBackToCgne:
                                 max_inner=500, max_iter=1000,
                                 inner_solve=self._solvers(calls))
         assert res.converged and res.residual <= TOL
-        cap = schur._inner[INNER_TOL][1]
+        cap = _choice(schur)[1]
         steps = res.outer_iterations
         assert [c[:2] for c in calls[0::2]] == [("bicgstab", cap)] * steps
         assert [c[0] for c in calls[1::2]] == ["cg"] * steps

@@ -9,6 +9,7 @@ from repro.engine.solve import solve_fermion
 from repro.grid.cartesian import GridCartesian
 from repro.grid.dhop_ref import dhop_reference
 from repro.grid.evenodd import SchurWilson
+from repro.grid import mixedprec
 from repro.grid.lattice import Lattice
 from repro.grid.mixedprec import has_single_twin, \
     make_single_precision_copy, mixed_precision_cgne, single_precision_twin
@@ -194,7 +195,10 @@ class TestSchurTwin:
         back = to_double(half32)
         assert back.grid is half.grid
         assert back.data.dtype == np.complex128
-        assert np.array_equal(back.data, half.data)
+        # Exact round trips, 128 -> 64 -> 128 (the values are complex64)
+        # and 64 -> 128 -> 64.
+        assert back.data.tobytes() == half.data.tobytes()
+        assert to_single(back).data.tobytes() == half32.data.tobytes()
 
     @pytest.mark.parametrize("backend,dims", HALF_CASES)
     def test_twin_apply_matches_double_to_single_rounding(self, backend,
@@ -227,11 +231,16 @@ class TestSchurTwin:
         assert res.converged and res.residual < 1e-11
         assert len(res.residual_history) - 1 >= 2
 
-    def test_twin_is_built_once_per_schur_operator(self):
+    def test_twin_is_built_once_per_wilson_operator(self):
         schur, _ = _schur_system("generic256", [2, 2, 2, 4])
         twin = single_precision_twin(schur)
         assert single_precision_twin(schur) is twin
-        fresh = single_precision_twin(SchurWilson(schur.dirac))
+        # Every Schur operator over one Wilson operator shares its twin,
+        # the Schur complement of the Wilson operator's own twin.
+        assert single_precision_twin(SchurWilson(schur.dirac)) is twin
+        assert twin[0].dirac is single_precision_twin(schur.dirac)[0]
+        other = WilsonDirac(schur.dirac.links, mass=schur.dirac.mass)
+        fresh = single_precision_twin(SchurWilson(other))
         assert fresh[0] is not twin[0]
         assert fresh[0].dirac is not twin[0].dirac
         # The twins share the memoized single-precision geometry.
@@ -241,10 +250,36 @@ class TestSchurTwin:
         assert res.converged
         assert single_precision_twin(schur) is twin
         # The twin only hops between parities: it holds the two
-        # parities' link slices and no full-order working links.
+        # parities' hop lists and no full-order working links.
         dirac32 = twin[0].dirac
         assert dirac32._links_t is None and dirac32._links_adj_t is None
         assert sorted(dirac32._links_cb) == ["even", "odd"]
+
+    def test_two_full_mixed_solves_build_one_twin(self, monkeypatch):
+        grid = GridCartesian([4, 4, 4, 4], get_backend("generic256"))
+        dirac = WilsonDirac(random_gauge(grid, seed=11), mass=0.3)
+        b = random_spinor(grid, seed=5)
+        built = []
+
+        def counted(op):
+            built.append(op)
+            return make_single_precision_copy(op)
+
+        monkeypatch.setattr(mixedprec, "make_single_precision_copy",
+                            counted)
+        telemetry.reset()
+        try:
+            with engine.scope(telemetry="trace"):
+                first = mixed_precision_cgne(dirac, b, tol=1e-10)
+                second = solve_fermion(dirac, b, method="mixed", tol=1e-10)
+            probes = [s for s in telemetry.spans()
+                      if s.name == "twin.probe"]
+        finally:
+            telemetry.reset()
+        assert built == [dirac] and len(probes) == 1
+        assert first.converged and second.converged
+        assert first.x.data.tobytes() == second.x.data.tobytes()
+        assert first.iterations == second.iterations
 
     def test_no_single_checkerboard_falls_back_to_double(self):
         """2^3x4 at 2048 bits: 16 complex128 lanes hold a half-volume

@@ -168,12 +168,13 @@ class TestMixedPrecisionDefault:
     def test_one_twin_matches_a_fresh_twin_per_column(self):
         """The propagator's twelve solves share one Schur twin; each
         column equals, byte for byte and in iterations, a solve on a
-        fresh SchurWilson (and so a fresh twin)."""
+        fresh Wilson operator (and so a fresh twin and probe)."""
         grid = GridCartesian([4, 4, 4, 8], get_backend("generic256"))
         dirac = WilsonDirac(random_gauge(grid, seed=11), mass=0.3)
 
         def fresh_schur(d, b, tol, max_iter):
-            return SchurWilson(d).solve(b, tol=tol, max_iter=max_iter)
+            fresh = WilsonDirac(d.links, mass=d.mass)
+            return SchurWilson(fresh).solve(b, tol=tol, max_iter=max_iter)
 
         shared, shared_res = propagator(dirac, (0, 0, 0, 0), tol=self.TOL)
         fresh, fresh_res = propagator(dirac, (0, 0, 0, 0), tol=self.TOL,
@@ -185,6 +186,33 @@ class TestMixedPrecisionDefault:
         for a, b in zip(shared_res, fresh_res):
             assert a.iterations == b.iterations
             assert a.residual_history == b.residual_history
+
+    def test_propagators_over_one_operator_probe_once(self):
+        """The twin and the probe's choice live on the Wilson operator:
+        a second propagator builds and probes nothing, and both equal a
+        fresh operator's columns byte for byte."""
+        grid = GridCartesian([4, 4, 4, 8], get_backend("generic256"))
+        links = random_gauge(grid, seed=11)
+        dirac = WilsonDirac(links, mass=0.3)
+        telemetry.reset()
+        try:
+            with engine.scope(telemetry="trace"):
+                runs = [propagator(dirac, (0, 0, 0, 0), tol=self.TOL)
+                        for _ in range(2)]
+            probes = [s for s in telemetry.spans()
+                      if s.name == "twin.probe"]
+        finally:
+            telemetry.reset()
+        assert len(probes) == 1
+        fresh, fresh_res = propagator(WilsonDirac(links, mass=0.3),
+                                      (0, 0, 0, 0), tol=self.TOL)
+        for columns, results in runs:
+            for spin in range(4):
+                for colour in range(3):
+                    assert columns[spin][colour].data.tobytes() \
+                        == fresh[spin][colour].data.tobytes()
+            assert [r.iterations for r in results] \
+                == [r.iterations for r in fresh_res]
 
     def test_starved_budget_raises(self, dirac):
         with pytest.raises(RuntimeError, match="converge"):

@@ -10,6 +10,8 @@ the half-volume Schur operator must reproduce the full-lattice masked
 expression on the odd sites.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,11 @@ import repro.engine as engine
 import repro.telemetry as telemetry
 from repro.grid.cartesian import GridCartesian, GridRedBlack
 from repro.grid.evenodd import SchurWilson
+from repro.grid.lattice import Lattice
+from repro.grid.propagator import point_source
 from repro.grid.random import random_gauge, random_spinor
 from repro.grid.solver import solve_wilson_cgne
-from repro.grid.stencil import red_black
+from repro.grid.stencil import parity_neighbour_table, red_black
 from repro.grid.wilson import WilsonDirac
 from repro.perf import fused
 from repro.perf.counters import counters, reset_counters
@@ -27,6 +31,22 @@ from repro.simd import get_backend
 
 BACKENDS = ("generic128", "generic256", "generic512")
 DTYPES = (np.complex128, np.complex64)
+#: Source fields: Gaussian, and a point source, whose exact zeros make
+#: every signed zero of the hop count.
+SOURCES = ("random", "point")
+
+
+def _sourced(*axes):
+    """Parameters over the product of ``axes`` and :data:`SOURCES`.  A
+    Gaussian source's case keeps the id of the product alone."""
+    params = []
+    for values in itertools.product(*axes, SOURCES):
+        *plain, source = values
+        ids = [getattr(v, "__name__", str(v)) for v in plain]
+        if source != "random":
+            ids.append(source)
+        params.append(pytest.param(*values, id="-".join(ids)))
+    return params
 
 
 @pytest.fixture(autouse=True)
@@ -36,10 +56,12 @@ def _clean_engine_state():
     engine.reset_all()
 
 
-def _operator(backend, dims, dtype=np.complex128, mass=0.1):
+def _operator(backend, dims, dtype=np.complex128, mass=0.1,
+              source="random"):
     grid = GridCartesian(list(dims), get_backend(backend), dtype=dtype)
-    return (WilsonDirac(random_gauge(grid, seed=11), mass=mass),
-            random_spinor(grid, seed=7))
+    psi = random_spinor(grid, seed=7) if source == "random" \
+        else point_source(grid, (1, 0, 1, 1), 2, 1)
+    return WilsonDirac(random_gauge(grid, seed=11), mass=mass), psi
 
 
 def _floats(a: np.ndarray) -> np.ndarray:
@@ -76,10 +98,11 @@ def _assert_hop_routes_agree(dirac, psi):
 
 
 class TestCheckerboardHop:
-    @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fast_matches_reference(self, backend, dtype):
-        _assert_hop_routes_agree(*_operator(backend, (4, 4, 4, 8), dtype))
+    @pytest.mark.parametrize("backend, dtype, source",
+                             _sourced(BACKENDS, DTYPES))
+    def test_fast_matches_reference(self, backend, dtype, source):
+        _assert_hop_routes_agree(*_operator(backend, (4, 4, 4, 8), dtype,
+                                            source=source))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_non_cubic_lattice(self, backend):
@@ -92,9 +115,9 @@ class TestCheckerboardHop:
         assert (parity.min(axis=1) != parity.max(axis=1)).all()
         _assert_hop_routes_agree(dirac, psi)
 
-    @pytest.mark.parametrize("block", (1, 7, 100))
-    def test_ragged_last_block(self, block, monkeypatch):
-        dirac, psi = _operator("generic512", (4, 2, 6, 4))
+    @pytest.mark.parametrize("block, source", _sourced((1, 7, 100)))
+    def test_ragged_last_block(self, block, source, monkeypatch):
+        dirac, psi = _operator("generic512", (4, 2, 6, 4), source=source)
         half = red_black(dirac.grid, "odd").pick(psi)
         want = _fast(dirac, half)
         monkeypatch.setattr(fused, "BLOCK_SITES", block)
@@ -102,13 +125,15 @@ class TestCheckerboardHop:
         _assert_hop_routes_agree(dirac, psi)
 
     def test_workers_match_serial(self):
-        dirac, psi = _operator("generic256", (4, 4, 4, 8))
-        half = red_black(dirac.grid, "odd").pick(psi)
-        serial = _fast(dirac, half)
-        with engine.scope(workers=2, tile_min_sites=16):
-            tiled = _fast(dirac, half)
-        assert counters().tiles_dispatched == 2
-        _assert_bytes_equal(tiled.data, serial.data)
+        for source in SOURCES:
+            dirac, psi = _operator("generic256", (4, 4, 4, 8),
+                                   source=source)
+            half = red_black(dirac.grid, "odd").pick(psi)
+            serial = _fast(dirac, half)
+            with engine.scope(workers=2, tile_min_sites=16):
+                tiled = _fast(dirac, half)
+            assert counters().tiles_dispatched == 2
+            _assert_bytes_equal(tiled.data, serial.data)
 
     def test_rejects_full_fields(self):
         dirac, psi = _operator("generic256", (4, 4, 4, 4))
@@ -126,12 +151,13 @@ class TestCheckerboardHop:
         assert span.attrs["sites"] == dirac.grid.gsites // 2
         assert span.attrs["parity"] == "even"
 
-    @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_multi_block_half_field(self, backend, dtype):
+    @pytest.mark.parametrize("backend, dtype, source",
+                             _sourced(BACKENDS, DTYPES))
+    def test_multi_block_half_field(self, backend, dtype, source):
         """8192 half sites: the per-parity link slices are read across
         block boundaries, serial and tiled."""
-        dirac, psi = _operator(backend, (16, 8, 8, 16), dtype)
+        dirac, psi = _operator(backend, (16, 8, 8, 16), dtype,
+                               source=source)
         assert dirac.grid.lsites // 2 >= 2 * fused.BLOCK_SITES
         for source, target in (("odd", "even"), ("even", "odd")):
             half = red_black(dirac.grid, source).pick(psi)
@@ -142,9 +168,10 @@ class TestCheckerboardHop:
             assert counters().tiles_dispatched == 2
 
     def test_builds_one_slice_pair_per_parity(self):
-        """The first hop onto a parity snapshots the full-order links
-        at that parity's sites as contiguous slices, without building
-        the full-order links; later hops build nothing."""
+        """The first hop onto a parity builds its hop list — the parity
+        tables and the full-order links at that parity's sites as
+        contiguous slices — without building the full-order links;
+        later hops build nothing."""
         dirac, psi = _operator("generic256", (4, 4, 4, 8))
         halves = [red_black(dirac.grid, p).pick(psi) for p in ("odd", "even")]
         for half in halves:
@@ -152,20 +179,24 @@ class TestCheckerboardHop:
         assert sorted(dirac._links_cb) == ["even", "odd"]
         assert dirac._links_t is None and dirac._links_adj_t is None
         before = dict(vars(dirac))
-        pairs = {p: [a for part in pair for a in part]
-                 for p, pair in dirac._links_cb.items()}
+        lists = {p: [a for hop in hops for a in hop]
+                 for p, hops in dirac._links_cb.items()}
         for half in halves:
             dirac.dhop_cb(half)
         assert vars(dirac).keys() == before.keys()
         assert all(vars(dirac)[k] is v for k, v in before.items())
-        for p, arrays in pairs.items():
-            again = [a for part in dirac._links_cb[p] for a in part]
-            assert all(a is b for a, b in zip(again, arrays))
+        for p, items in lists.items():
+            again = [a for hop in dirac._links_cb[p] for a in hop]
+            assert all(a is b for a, b in zip(again, items))
         links, adj = dirac._full_links()
-        for p, arrays in pairs.items():
+        for p, hops in dirac._links_cb.items():
             sites = red_black(dirac.grid, p).sites
-            assert len(arrays) == 8
-            for got, full in zip(arrays, links + adj):
+            assert [(mu, sign) for sign, _t, _l, mu in hops] == \
+                [(mu, sign) for mu in range(4) for sign in (+1, -1)]
+            for sign, table, got, mu in hops:
+                assert table is parity_neighbour_table(dirac.grid, p, mu,
+                                                       sign)
+                full = (links if sign > 0 else adj)[mu]
                 assert got.shape == (3, 3, sites.size)
                 assert got.flags.c_contiguous
                 _assert_bytes_equal(got, np.take(full, sites, axis=-1))
@@ -173,14 +204,29 @@ class TestCheckerboardHop:
 
 class TestHalfFields:
     def test_pick_embed_roundtrip(self):
-        dirac, psi = _operator("generic512", (2, 2, 2, 4))
-        for parity in ("even", "odd"):
-            rb = red_black(dirac.grid, parity)
+        for source in SOURCES:
+            dirac, psi = _operator("generic512", (2, 2, 2, 4),
+                                   source=source)
+            self._assert_roundtrip(dirac, psi)
+
+    @staticmethod
+    def _assert_roundtrip(dirac, psi):
+        parity = dirac.grid.parity_mask()[:, None, None, :]
+        for p, parity_name in enumerate(("even", "odd")):
+            rb = red_black(dirac.grid, parity_name)
             half = rb.pick(psi)
-            assert half.data.shape == (rb.osites, 4, 3, rb.nlanes)
+            # Tensor-major: spin-colour rows of the parity's flat sites.
+            assert half.data.shape == (4, 3, rb.osites, rb.nlanes)
+            assert half.data.flags.c_contiguous
+            rows = half.data.reshape(4, 3, -1)
+            flat = np.moveaxis(psi.data, -1, 1).reshape(-1, 4, 3)
+            _assert_bytes_equal(rows, np.ascontiguousarray(
+                np.moveaxis(flat[rb.sites], 0, -1)))
             _assert_bytes_equal(rb.pick(rb.embed(half)).data, half.data)
+            masked = np.where(parity == p, psi.data, 0)
+            _assert_bytes_equal(rb.embed(half).data, masked)
             other = red_black(dirac.grid,
-                              "odd" if parity == "even" else "even")
+                              "odd" if parity_name == "even" else "even")
             zeros = _floats(other.pick(rb.embed(half)).data)
             assert not zeros.any() and not np.signbit(zeros).any()
 
@@ -232,6 +278,38 @@ class TestSchurOnHalfFields:
         schur = SchurWilson(dirac)
         got = schur.embed(schur.schur(schur.project(psi, "odd")))
         _assert_bytes_equal(got.data, _masked_schur(dirac, psi).data)
+
+    @pytest.mark.parametrize("backend, dtype, source",
+                             _sourced(BACKENDS, DTYPES))
+    def test_folded_algebra_matches_lattice_algebra(self, backend, dtype,
+                                                    source):
+        """``schur`` and ``schur_dagger`` fold the diagonal algebra into
+        the hops' block stores: byte for byte the Lattice expressions
+        over the engine-off hop."""
+        dirac, psi = _operator(backend, (4, 4, 4, 8), dtype, source=source)
+        schur = SchurWilson(dirac)
+        o = schur.project(psi, "odd")
+        be = dirac.grid.backend
+
+        def hop(x):
+            return dirac.dhop_cb(x) * (-0.5)
+
+        def s_op(x):
+            return x * schur.diag - hop(hop(x)) * (1.0 / schur.diag)
+
+        def g5(x):
+            d = x.data
+            return Lattice(x.grid, x.tensor_shape, np.stack(
+                [d[0], d[1], be.neg(d[2]), be.neg(d[3])]))
+
+        with engine.scope(enabled=False):
+            want, want_dag = s_op(o), g5(s_op(g5(o)))
+        reset_counters()
+        got, got_dag = schur.schur(o), schur.schur_dagger(o)
+        assert counters().fused_dhop_calls == 0
+        assert counters().tiles_dispatched == 4  # four fused half hops
+        _assert_bytes_equal(got.data, want.data)
+        _assert_bytes_equal(got_dag.data, want_dag.data)
 
     def test_gamma5_hermiticity(self):
         dirac, psi = _operator("generic256", (4, 4, 4, 8))

@@ -10,6 +10,7 @@ payloads count), against the engine-off layered path, the Dslash IR
 canonical-array oracle.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.grid.cartesian import GridCartesian
 from repro.grid.cshift import cshift
 from repro.grid.dhop_ref import dhop_reference
 from repro.grid.lattice import Lattice
+from repro.grid.propagator import point_source
 from repro.grid.random import random_gauge, random_spinor
 from repro.grid.stencil import neighbour_table
 from repro.grid.wilson import WilsonDirac
@@ -40,12 +42,30 @@ def _clean_engine_state():
     engine.reset_all()
 
 
-def _operator(backend, dims, dtype=np.complex128, links_hook=None):
+def _sourced(*axes):
+    """Parameters over the product of ``axes`` and the source fields:
+    Gaussian, and a point source (exact zeros, so every signed zero of
+    the hop counts).  A Gaussian source's case keeps the id of the
+    product alone."""
+    params = []
+    for values in itertools.product(*axes, ("random", "point")):
+        *plain, source = values
+        ids = [getattr(v, "__name__", str(v)) for v in plain]
+        if source != "random":
+            ids.append(source)
+        params.append(pytest.param(*values, id="-".join(ids)))
+    return params
+
+
+def _operator(backend, dims, dtype=np.complex128, links_hook=None,
+              source="random"):
     grid = GridCartesian(list(dims), get_backend(backend), dtype=dtype)
     links = random_gauge(grid, seed=11)
     if links_hook is not None:
         links_hook(links)
-    return WilsonDirac(links, mass=0.1), random_spinor(grid, seed=7)
+    psi = random_spinor(grid, seed=7) if source == "random" \
+        else point_source(grid, (1, 0, 1, 1), 2, 1)
+    return WilsonDirac(links, mass=0.1), psi
 
 
 def _floats(a: np.ndarray) -> np.ndarray:
@@ -105,10 +125,10 @@ def _assert_matches_oracle(dirac, psi, got: np.ndarray) -> None:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_layered_ir_and_oracle(self, backend, dtype):
-        dirac, psi = _operator(backend, (4, 4, 4, 8), dtype)
+    @pytest.mark.parametrize("backend, dtype, source",
+                             _sourced(BACKENDS, DTYPES))
+    def test_matches_layered_ir_and_oracle(self, backend, dtype, source):
+        dirac, psi = _operator(backend, (4, 4, 4, 8), dtype, source=source)
         got = _default(dirac, psi)
         _assert_bytes_equal(got, _layered(dirac, psi))
         _assert_bytes_equal(got, _ir(dirac, psi))
