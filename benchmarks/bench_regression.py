@@ -70,13 +70,6 @@ def main(argv=None) -> int:
         help="comma-separated campaign VLs (e.g. 128,256,512)",
     )
     ap.add_argument(
-        "--no-overlap",
-        action="store_true",
-        help="run the suite with the comms-overlap engine disabled "
-        "(the nightly matrix runs both; overlap_dslash still measures "
-        "both paths internally)",
-    )
-    ap.add_argument(
         "--telemetry",
         action="store_true",
         help="run the suite under engine.scope(telemetry='trace') and "
@@ -94,13 +87,11 @@ def main(argv=None) -> int:
         from repro import engine
 
         with engine.scope(telemetry="trace"):
-            report = harness.run_suite(full=args.full,
-                                       workers=args.workers, vls=vls,
-                                       overlap=not args.no_overlap,
-                                       span_sink=span_sink)
+            report = harness.run_suite(
+                full=args.full, workers=args.workers, vls=vls, span_sink=span_sink
+            )
     else:
-        report = harness.run_suite(full=args.full, workers=args.workers,
-                                   vls=vls, overlap=not args.no_overlap)
+        report = harness.run_suite(full=args.full, workers=args.workers, vls=vls)
     report["created"] = datetime.date.today().isoformat()
     print(harness.format_report(report))
 

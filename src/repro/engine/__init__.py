@@ -1,7 +1,7 @@
 """The unified execution engine.
 
 Every execution decision in the reproduction — which Wilson-Dslash
-body runs, how wide the tile pool is, whether halos overlap compute,
+body runs, how wide the tile pool is, which transport moves halos,
 whether caches are consulted, whether backends degrade gracefully —
 resolves through this package instead of scattered module globals:
 

@@ -2,12 +2,12 @@
 
 Pre-engine, every ``dhop`` call re-derived its execution shape inline:
 ``wilson.py`` asked ``engine_active(backend)``, ``dist_wilson.py``
-asked it per rank plus ``overlap_active``, ``fused.py`` re-read the
+asked it per rank, ``fused.py`` re-read the
 worker count, and the branching was duplicated in four files.  The
 paper's dispatch lesson (one kernel, many substrates, selected in one
 place) says to resolve that *once*: operators now ask
 :func:`kernel_plan` for a :class:`KernelPlan` — the fully resolved
-(fused? overlapped? how many workers?) execution shape for
+(fused? which transport? how many workers?) execution shape for
 one (grid, kind, policy) triple — and just follow it.
 
 Plans are memoized per grid instance keyed by ``(kind, policy)``; the
@@ -78,7 +78,7 @@ class StageCounters:
     """Per-plan, per-stage call tallies (thread-safe).
 
     Every plan owns one; kernel bodies bump named stages ("gather",
-    "interior", "shell", ...) as they execute.  This is the
+    "compute", "exchange", ...) as they execute.  This is the
     instrumentation seam: an observability layer can read one object
     per (grid, kind, policy) instead of hooking every kernel — and
     with telemetry metrics on, each bump is mirrored into the global
@@ -118,8 +118,6 @@ class KernelPlan:
       ``"dist-dhop"`` (rank-decomposed sweep).
     * ``fused`` — take the fused block sweep instead of the layered
       per-op reference: the engine is on and the backend fused-safe.
-    * ``overlap`` — (dist only) post all halos up front and hide them
-      behind interior compute.
     * ``workers`` / ``tile_min_sites`` — tile-pool shape for the sweep.
     * ``caches`` — consult/populate derived-data caches.
     * ``transport`` — (dist only) the halo/sweep backend:
@@ -135,7 +133,6 @@ class KernelPlan:
 
     kind: str
     fused: bool
-    overlap: bool
     workers: int
     tile_min_sites: int
     caches: bool
@@ -156,8 +153,6 @@ def _resolve(kind: str, backend, policy: ExecutionPolicy) -> KernelPlan:
     return KernelPlan(
         kind=kind,
         fused=policy.enabled and safe,
-        overlap=(kind == "dist-dhop" and policy.overlap_active and safe
-                 and transport == "in-process"),
         workers=policy.workers if policy.enabled else 1,
         tile_min_sites=policy.tile_min_sites,
         caches=policy.caches_active,

@@ -2,9 +2,9 @@
 execution decision.
 
 Before the engine existed, execution toggles were smeared across
-module globals: ``perf._CONFIG`` (enabled/workers/tile_min_sites/
-overlap_comms), ``simd.registry._FALLBACK_ENABLED``, and per-call
-latency/fault-injector arguments.  A production system serving many
+module globals: ``perf._CONFIG`` (enabled/workers/tile_min_sites),
+``simd.registry._FALLBACK_ENABLED``, and per-call fault-injector
+arguments.  A production system serving many
 concurrent workloads cannot be driven by mutable module globals — two
 threads flipping ``set_enabled`` race each other, and a library call
 that wants the reference path has to save/mutate/restore process
@@ -65,9 +65,6 @@ class ExecutionPolicy:
     tile_min_sites:
         Lattices smaller than this stay serial (pool dispatch would
         cost more than it saves).
-    overlap_comms:
-        Hide distributed halo exchange behind interior compute
-        (:mod:`repro.grid.overlap`).  Only effective while ``enabled``.
     caches:
         Consult *and populate* the engine's derived-data caches: the
         kernel trace cache, cshift gather plans, distributed
@@ -83,12 +80,9 @@ class ExecutionPolicy:
         Default backend registry key for call sites that do not name
         one explicitly (:func:`repro.simd.registry.get_backend` with
         ``key=None``).
-    latency:
-        Default :class:`repro.grid.comms.LatencyModel` (or ``None``
-        for a zero-latency wire) inherited by newly constructed
-        distributed lattices that do not pass their own.
     comms_faults:
-        Default comms fault injector inherited the same way (``None``
+        Default comms fault injector inherited by newly constructed
+        distributed lattices that do not pass their own (``None``
         means a perfect network).
     telemetry:
         Observability level (:mod:`repro.telemetry`).  ``"off"`` (the
@@ -115,11 +109,9 @@ class ExecutionPolicy:
     enabled: bool = True
     workers: int = 1
     tile_min_sites: int = 128
-    overlap_comms: bool = True
     caches: bool = True
     fallback: bool = False
     backend: str = "generic256"
-    latency: Optional[object] = None
     comms_faults: Optional[object] = None
     telemetry: str = "off"
     transport: str = "in-process"
@@ -150,11 +142,6 @@ class ExecutionPolicy:
             )
 
     # -- resolved (effective) views ------------------------------------
-    @property
-    def overlap_active(self) -> bool:
-        """Overlap is taken only with the engine on."""
-        return self.enabled and self.overlap_comms
-
     @property
     def caches_active(self) -> bool:
         """Caches are consulted/populated only with the engine on."""

@@ -2,8 +2,8 @@
 
 Layering (each module imports only downward):
 
-* :mod:`~repro.grid.comms.queue` — async in-flight halo queue +
-  latency model (monotonic clock, deterministic drain order);
+* :mod:`~repro.grid.comms.queue` — the in-flight halo queue
+  (post order, monotonic clock);
 * :mod:`~repro.grid.comms.wire` — byte-level codec: fp16 wire images,
   CRC-32 detection, bounded-backoff retransmission;
 * :mod:`~repro.grid.comms.faults` — the duck-typed fault-hook seam to
@@ -32,7 +32,7 @@ from repro.grid.comms.lattice import (
     invalidate_comms_plans,
     reset_all_comms,
 )
-from repro.grid.comms.queue import AsyncCommsQueue, HaloHandle, LatencyModel
+from repro.grid.comms.queue import AsyncCommsQueue, HaloHandle
 from repro.grid.comms.transport import (
     TRANSPORTS,
     InProcessTransport,
@@ -55,7 +55,6 @@ __all__ = [
     "HaloExchangeError",
     "HaloHandle",
     "InProcessTransport",
-    "LatencyModel",
     "NullFaultHook",
     "RankGeometry",
     "TRANSPORTS",

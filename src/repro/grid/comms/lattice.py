@@ -51,7 +51,7 @@ import numpy as np
 from repro.engine.policy import current_policy
 from repro.grid import compression
 from repro.grid.cartesian import GridCartesian
-from repro.grid.comms.queue import AsyncCommsQueue, HaloHandle, LatencyModel
+from repro.grid.comms.queue import AsyncCommsQueue, HaloHandle
 from repro.grid.comms.transport import Transport, make_transport
 from repro.grid.coordinates import coordinate_table, index_of, indices_of
 from repro.grid.cshift import cshift_local
@@ -108,8 +108,7 @@ def _collect_comms_metrics() -> dict:
         "comms.duplicates_discarded": 0, "comms.recovered_messages": 0,
         "comms.unrecovered_failures": 0, "comms.backoff_units": 0,
         "comms.halo_posted": 0, "comms.halo_completed": 0,
-        "comms.halo_pending": 0, "comms.max_in_flight": 0,
-        "comms.wait_seconds": 0.0,
+        "comms.halo_pending": 0,
     }
     for st in stats_seen.values():
         out["comms.messages"] += st.messages
@@ -126,9 +125,6 @@ def _collect_comms_metrics() -> dict:
         out["comms.halo_posted"] += q.posted
         out["comms.halo_completed"] += q.completed
         out["comms.halo_pending"] += q.pending
-        out["comms.max_in_flight"] = max(out["comms.max_in_flight"],
-                                         q.max_in_flight)
-        out["comms.wait_seconds"] += q.wait_seconds
     return out
 
 
@@ -252,10 +248,6 @@ class DistributedLattice:
         Retransmissions allowed per message before the exchange gives
         up and raises :class:`~repro.grid.comms.wire.HaloExchangeError`
         (checksummed path only).
-    latency:
-        Optional :class:`LatencyModel` delaying halo availability
-        (``None`` means a zero-latency wire, i.e. the old synchronous
-        behaviour).
     transport:
         Pin this lattice to one backend: a name from
         :data:`repro.grid.comms.transport.TRANSPORTS` or a ready
@@ -264,34 +256,30 @@ class DistributedLattice:
         use, so ``engine.scope(transport="shmem")`` re-routes existing
         lattices too.
 
-    ``comms_faults`` and ``latency`` default to the corresponding
-    fields of the current :class:`repro.engine.ExecutionPolicy` when
-    not given explicitly, so whole campaigns can be scoped onto a
-    degraded network with ``engine.scope(latency=..., comms_faults=...)``
-    instead of threading the models through every constructor.
+    ``comms_faults`` defaults to the current
+    :class:`repro.engine.ExecutionPolicy`'s when not given explicitly,
+    so whole campaigns can be scoped onto a faulty network with
+    ``engine.scope(comms_faults=...)`` instead of threading the
+    injector through every constructor.
     """
 
     def __init__(self, gdims, backend, mpi_layout, tensor_shape,
                  simd_layout=None, compress_halos: bool = False,
                  dtype=np.complex128, checksum_halos: bool = False,
                  comms_faults=None, max_retries: int = 3,
-                 latency: LatencyModel = None, transport=None) -> None:
-        policy = current_policy()
+                 transport=None) -> None:
         if comms_faults is None:
-            comms_faults = policy.comms_faults
-        if latency is None:
-            latency = policy.latency
+            comms_faults = current_policy().comms_faults
         self.ranks = RankGeometry(mpi_layout)
         self.compress_halos = compress_halos
         self.checksum_halos = checksum_halos
         self.comms_faults = comms_faults
         self.max_retries = int(max_retries)
-        self.latency = latency
         self.stats = CommsStats()
         self._transports: dict = {}
         self._pinned_transport = None
         if transport is not None:
-            self._pinned_transport = make_transport(transport, latency)
+            self._pinned_transport = make_transport(transport)
             self._transports[self._pinned_transport.name] = \
                 self._pinned_transport
         self._shift_params: dict = {}
@@ -324,7 +312,7 @@ class DistributedLattice:
         name = policy.transport if policy.transport_active else "in-process"
         tr = self._transports.get(name)
         if tr is None:
-            tr = make_transport(name, self.latency)
+            tr = make_transport(name)
             self._transports[name] = tr
         return tr
 
@@ -344,7 +332,6 @@ class DistributedLattice:
         out.checksum_halos = self.checksum_halos
         out.comms_faults = self.comms_faults
         out.max_retries = self.max_retries
-        out.latency = self.latency
         out.stats = self.stats
         out._transports = self._transports
         out._pinned_transport = self._pinned_transport
@@ -461,7 +448,7 @@ class DistributedLattice:
         (accounted as one boundary slab): this shift serves gauge-link
         gathers, observables and the distributed Wilson reference
         route, while the default Wilson sweep sends face slabs only
-        (:mod:`repro.grid.overlap`).
+        (:func:`repro.grid.dist_wilson.halo_dhop`).
         """
         rank_steps, local_shift = self._dist_shift_params(dim, shift)
         out = self.clone_empty()

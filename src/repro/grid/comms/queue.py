@@ -1,31 +1,24 @@
-"""The asynchronous halo queue: post now, wait later.
+"""The halo queue: post now, wait later.
 
-Real halo exchange is non-blocking (``MPI_Isend``/``MPI_Irecv``); Grid
-hides it behind interior compute.  Here the split is explicit: a
-transport performs the deterministic wire work (accounting,
+Real halo exchange is non-blocking (``MPI_Isend``/``MPI_Irecv``).  Here
+a transport performs the deterministic wire work (accounting,
 compression, checksum/retry) immediately at post time and hands back a
-:class:`HaloHandle` whose *availability* is delayed by a pluggable
-:class:`LatencyModel`; :class:`AsyncCommsQueue` tracks the in-flight
-set and blocks in ``wait``.  With no latency model (the default) a
-wait returns instantly and the behaviour is exactly the old
-synchronous exchange.
+:class:`HaloHandle` whose data is final; :class:`AsyncCommsQueue`
+tracks the in-flight set, and ``wait`` completes a handle and returns
+its data.
 
-Timing discipline
------------------
-All deadlines use ``time.monotonic()`` exclusively: halo readiness is
-a *duration* measurement, and a wall-clock source (or a mix of clock
-sources across transports) could travel backwards across an NTP step
-and reorder completion semantics.  Handles additionally carry a
-monotonically increasing per-queue sequence number, and ``drain``
-completes outstanding messages in ``(ready_at, seq)`` order — so two
-messages with equal deadlines always complete in post order, no matter
-which transport produced them or how the clock ticks between posts.
+Ordering and timing
+-------------------
+Handles carry a monotonically increasing per-queue sequence number, and
+``drain`` completes outstanding messages in post order.  The only clock
+read is ``time.monotonic()``, for the in-flight durations the telemetry
+histograms record: a wall-clock source could travel backwards across an
+NTP step.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from repro.engine.policy import current_policy
 from repro.perf.counters import counters as _perf_counters
@@ -33,39 +26,18 @@ from repro.telemetry import metrics as _telemetry_metrics
 from repro.telemetry import trace as _telemetry_trace
 
 
-@dataclass(frozen=True)
-class LatencyModel:
-    """Simulated wire latency for the async halo exchange.
-
-    A posted message becomes available ``latency_s + nbytes *
-    seconds_per_byte`` after its post (an alpha-beta network model).
-    The *content* of the message is computed deterministically at post
-    time; the model delays only availability — so results are
-    bit-identical at any latency, while wall-clock behaviour shows the
-    serial-vs-overlapped difference the benchmarks measure.
-    """
-
-    latency_s: float = 0.0
-    seconds_per_byte: float = 0.0
-
-    def delay_for(self, nbytes: int) -> float:
-        return self.latency_s + nbytes * self.seconds_per_byte
-
-
 class HaloHandle:
     """One in-flight halo message (the simulated ``MPI_Request``).
 
-    ``seq`` is the queue-local post ordinal: the deterministic
-    tie-breaker for equal ``ready_at`` deadlines (see ``drain``).
+    ``seq`` is the queue-local post ordinal (``drain`` completes in
+    that order).
     """
 
-    __slots__ = ("data", "ready_at", "nbytes", "tag", "done",
-                 "posted_at", "seq")
+    __slots__ = ("data", "nbytes", "tag", "done", "posted_at", "seq")
 
-    def __init__(self, data, ready_at: float, nbytes: int, tag: str,
+    def __init__(self, data, nbytes: int, tag: str,
                  posted_at: float = 0.0, seq: int = 0) -> None:
         self.data = data
-        self.ready_at = ready_at
         self.nbytes = nbytes
         self.tag = tag
         self.done = False
@@ -74,75 +46,47 @@ class HaloHandle:
 
 
 class AsyncCommsQueue:
-    """The in-flight halo queue: post now, wait later.
+    """The in-flight halo queue: post now, wait later."""
 
-    Tracks how many messages are simultaneously outstanding
-    (``max_in_flight`` — 1 for the ordered serial exchange, up to
-    2·ndim·nranks for the overlap engine) and how long ``wait``
-    actually blocked (``wait_seconds`` — the latency the overlap
-    failed to hide).
-    """
-
-    def __init__(self, latency: LatencyModel = None) -> None:
-        self.latency = latency
+    def __init__(self) -> None:
         self.in_flight: list = []
         self.posted = 0
         self.completed = 0
-        self.max_in_flight = 0
-        self.wait_seconds = 0.0
 
     def post(self, data, nbytes: int, tag: str = "") -> HaloHandle:
-        now = time.monotonic()
-        delay = self.latency.delay_for(nbytes) if self.latency else 0.0
-        handle = HaloHandle(data, now + delay, int(nbytes), tag,
-                            posted_at=now, seq=self.posted)
+        handle = HaloHandle(data, int(nbytes), tag,
+                            posted_at=time.monotonic(), seq=self.posted)
         self.in_flight.append(handle)
         self.posted += 1
-        self.max_in_flight = max(self.max_in_flight, len(self.in_flight))
         _perf_counters().bump("halo_posts")
         return handle
 
     def wait(self, handle: HaloHandle):
-        """Block until ``handle`` lands; returns the received data."""
+        """Complete ``handle``; returns the received data."""
         if not handle.done:
-            blocked = 0.0
-            remaining = handle.ready_at - time.monotonic()
-            if remaining > 0:
-                t0 = time.monotonic()
-                if remaining > 1e-3:
-                    time.sleep(remaining - 5e-4)
-                while time.monotonic() < handle.ready_at:
-                    pass  # sub-millisecond tail: spin for accuracy
-                blocked = time.monotonic() - t0
-                self.wait_seconds += blocked
             handle.done = True
             self.in_flight.remove(handle)
             self.completed += 1
             _perf_counters().bump("halo_waits")
             policy = current_policy()
             if policy.metrics_active:
+                # Nothing here blocks, so there is no halo wait to
+                # record (the shared-memory rank runtime records its
+                # real mailbox waits as comms.halo_wait_seconds).
                 done_at = time.monotonic()
                 _telemetry_metrics.registry().histogram(
                     "comms.halo_inflight_seconds"
                 ).observe(done_at - handle.posted_at)
-                _telemetry_metrics.registry().histogram(
-                    "comms.halo_wait_seconds"
-                ).observe(blocked)
                 if policy.trace_active:
                     _telemetry_trace.record_span(
                         "halo", handle.posted_at, done_at,
                         tag=handle.tag, nbytes=handle.nbytes,
-                        wait_seconds=blocked,
                     )
         return handle.data
 
     def drain(self) -> None:
-        """Complete every outstanding message, in deterministic
-        ``(ready_at, seq)`` order: earliest deadline first, post order
-        breaking ties — never the accident of list position under a
-        racing clock."""
-        for handle in sorted(self.in_flight,
-                             key=lambda h: (h.ready_at, h.seq)):
+        """Complete every outstanding message, in post order."""
+        for handle in list(self.in_flight):
             self.wait(handle)
 
     @property
@@ -154,5 +98,3 @@ class AsyncCommsQueue:
         self.in_flight.clear()
         self.posted = 0
         self.completed = 0
-        self.max_in_flight = 0
-        self.wait_seconds = 0.0

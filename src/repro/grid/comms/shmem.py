@@ -15,7 +15,7 @@ The parent drives every sweep as one synchronous command round:
    adjoint back-links) into that rank's segments, then sends one
    ``dhop`` command per worker over its pipe;
 2. every worker copies its shard into an *extended* working array, as
-   :func:`repro.grid.overlap.halo_dhop` does in process, and first
+   :func:`repro.grid.dist_wilson.halo_dhop` does in process, and first
    *posts* its face slab for every (mu, ±1) — the sites
    :func:`~repro.grid.stencil.rank_halo` names — into the mailbox of
    the rank that reads it, then *receives* its own slab per (mu, ±1)
@@ -48,9 +48,7 @@ copied raw and sends no message, as in process.  The slabs, tables and
 body are those of the in-process sweep, so every value a rank reads
 is the same in both, compressed or not; message and byte accounting
 match the reference totals, and the results are bit-identical — which
-the transport tests assert all the way through CG solves.  A
-:class:`~repro.grid.comms.queue.LatencyModel` never changes content,
-only availability, so it is simply ignored here: the wire is real.
+the transport tests assert all the way through CG solves.
 
 Lifecycle
 ---------
@@ -77,7 +75,6 @@ from repro.engine.policy import current_policy
 from repro.engine.policy import scope as _engine_scope
 from repro.grid import compression
 from repro.grid.comms.faults import adapt_fault_hook
-from repro.grid.comms.queue import LatencyModel
 from repro.grid.comms.transport import Transport
 from repro.grid.comms.wire import exchange_field
 from repro.telemetry import flightrec as _telemetry_flightrec
@@ -247,7 +244,7 @@ def _worker_main(rank: int, conn, sems: dict) -> None:
             # parallelism).
             with _engine_scope(enabled=True, workers=1,
                                transport="in-process", comms_faults=None,
-                               latency=None, telemetry="off"):
+                               telemetry="off"):
                 reply = _worker_dhop(rank, cmd, sems, seg_cache,
                                      geom_cache)
         except BaseException:
@@ -581,12 +578,6 @@ class SharedMemoryTransport(Transport):
     """
 
     name = "shmem"
-
-    def __init__(self, latency: LatencyModel = None) -> None:
-        # The latency model shapes the *simulated* wire; this wire is
-        # real, so the model is accepted (for the inherited in-process
-        # surface) but never applied to rank-runtime traffic.
-        super().__init__(latency)
 
     def run_dhop(self, op, psi, plan):
         g0 = psi.grids[0]

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.grid.comms.queue import AsyncCommsQueue, HaloHandle, LatencyModel
+from repro.grid.comms.queue import AsyncCommsQueue, HaloHandle
 from repro.grid.comms.wire import exchange_field
 
 #: Legal ``ExecutionPolicy.transport`` values (mirrored by
@@ -50,8 +50,8 @@ class Transport:
     #: The policy-knob value this transport answers to.
     name = "in-process"
 
-    def __init__(self, latency: LatencyModel = None) -> None:
-        self.queue = AsyncCommsQueue(latency)
+    def __init__(self) -> None:
+        self.queue = AsyncCommsQueue()
 
     # -- halo surface ---------------------------------------------------
     def post_halo(self, dist, src_rank: int, dim: int,
@@ -70,10 +70,8 @@ class Transport:
 
         Every deterministic step of the wire path — accounting,
         compression, fault injection, checksum verification, retry —
-        runs *here at post time*; the latency model delays only the
-        availability of the (already final) received data.  That is
-        what makes the overlapped exchange bit-identical to the
-        ordered one by construction.
+        runs *here at post time*; ``wait`` only hands over the
+        (already final) received data.
         """
         if payload is None:
             payload = dist.locals[dist.ranks.neighbour(src_rank, dim,
@@ -120,17 +118,17 @@ class InProcessTransport(Transport):
     name = "in-process"
 
 
-def make_transport(kind, latency: LatencyModel = None) -> Transport:
+def make_transport(kind) -> Transport:
     """Resolve a policy knob value (or a ready transport) to a
     :class:`Transport` instance."""
     if isinstance(kind, Transport):
         return kind
     if kind is None or kind == "in-process":
-        return InProcessTransport(latency)
+        return InProcessTransport()
     if kind == "shmem":
         from repro.grid.comms.shmem import SharedMemoryTransport
 
-        return SharedMemoryTransport(latency)
+        return SharedMemoryTransport()
     raise ValueError(
         f"transport must be one of {TRANSPORTS} or a Transport "
         f"instance, got {kind!r}"

@@ -9,16 +9,38 @@ the single-rank :class:`repro.grid.wilson.WilsonDirac`.
 Routes, resolved by the engine's :class:`~repro.engine.plan.KernelPlan`:
 
 * **Block sweep** (the default on numpy-semantics backends) —
-  :func:`repro.grid.overlap.halo_dhop`: each rank's shard and the face
-  slabs it received, swept through flat halo tables by the single-rank
-  block sweep; every halo message is exactly the slab it is accounted
-  as.  Overlapped (interior sites while the halos fly, then the shell)
-  or ordered.  The operator holds its links and adjoint back-links in
-  the tensor-major working layout, stacked by rank.
+  :func:`halo_dhop`: every halo is exchanged in order, then one block
+  sweep covers each rank's shard and the face slabs it received.  The
+  operator holds its links and adjoint back-links in the tensor-major
+  working layout, stacked by rank.
 * **Lane-major reference** — ordered exchange through
   :meth:`DistributedLattice.cshift`, then the layered ops per rank.
 * **Shared-memory ranks** — a transport that runs the sweep in rank
   processes (:mod:`repro.grid.comms.shmem`).
+
+**The ordered halo sweep.**  Each rank's sites are swept by the
+single-rank block sweep (:func:`repro.perf.fused.sweep_blocks`, the
+same body) over the rank's *extended* working array: its own shard in
+the tensor-major layout ``(12, N)``, followed by one received slab per
+(mu, ±1).  Every neighbour read goes through the flat tables of
+:func:`repro.grid.stencil.rank_halo`, which point either into the
+shard or into a slab — Grid's stencil design, where the kernel reads
+each neighbour through a table into the local field or the comms
+buffer.  The ranks' extended arrays sit side by side in one allocation
+and one sweep covers them all, but the tables are offset per rank: a
+rank's sites read its own shard and its received slabs, nothing else.
+
+For the slab a rank receives in (mu, sign), the sending rank gathers
+its face (``np.take`` through ``RankHalo.faces``) out of its own
+working copy into a contiguous ``(rows, H)`` array and posts it through
+:meth:`~repro.grid.comms.transport.Transport.post_halo`, so the
+compressed, checksummed, fault-exposed wire image *is* the one boundary
+slab the message is accounted as.  Messages go out in a fixed order
+(mu ascending, +1 then -1, receiving rank ascending), each waited for
+before the next is posted, so seeded fault schedules keyed on message
+ordinals hit the same halo on every run.  A gather is an exact copy, so
+on a pristine or checksummed wire the sweep is bit-identical to the
+single-rank ``WilsonDirac.dhop`` and to the layered reference.
 """
 
 from __future__ import annotations
@@ -30,13 +52,65 @@ import numpy as np
 from repro.engine.operators import OperatorGeometry
 from repro.engine.plan import fused_safe_backend, kernel_plan
 from repro.grid import gamma as g
-from repro.grid.comms import DistributedLattice, LatencyModel
+from repro.grid.comms import DistributedLattice
 from repro.grid.lattice import Lattice
-from repro.grid.overlap import halo_dhop
+from repro.grid.stencil import rank_halo
 from repro.grid.tensor import su3_dagger_mul_vec, su3_mul_vec
 from repro.grid.wilson import SPINOR
-from repro.perf.fused import adjoint, from_working, to_working
+from repro.perf.fused import adjoint, from_working, sweep_blocks, to_working
 from repro.telemetry import trace as _telemetry
+
+
+def halo_dhop(op, psi, kplan):
+    """Apply ``op``'s hopping term: exchange every face slab in order,
+    then one block sweep over every rank's shard and received slabs.
+
+    ``op`` is a :class:`DistributedWilson` holding tensor-major links;
+    ``psi`` a spinor field; ``kplan`` the resolved
+    :class:`~repro.engine.plan.KernelPlan`, whose tile split and stage
+    counters the sweep uses.
+    """
+    halo = rank_halo(psi)
+    nranks = psi.ranks.nranks
+    n, width = halo.sites, halo.width
+    dtype = psi.locals[0].data.dtype
+    stacked = np.empty((12, nranks * width), dtype=dtype)
+    ext = [stacked[:, r * width:(r + 1) * width] for r in range(nranks)]
+    for e, lat in zip(ext, psi.locals):
+        shard = e[:, :n].reshape(lat.data.shape[1:-1] + (-1, lat.grid.nlanes))
+        shard[...] = np.moveaxis(lat.data, 0, -2)
+    transport = psi.transport
+    for mu in range(op.ndim):
+        for sign in (+1, -1):
+            key = (mu, sign)
+            for r, sender in enumerate(halo.senders[key]):
+                # Rank r's slab from its neighbour's face, gathered out
+                # of the contiguous stacked array (np.take would copy a
+                # strided view whole first); a renumbering sends no
+                # message.
+                slab = np.take(stacked, halo.faces[key] + sender * width,
+                               axis=1)
+                if halo.wired[key]:
+                    slab = transport.wait(transport.post_halo(
+                        psi, r if sign > 0 else sender, mu, slab))
+                ext[r][:, halo.slots[key]] = slab
+    kplan.stages.bump("exchange", 2 * op.ndim)
+    hops = [(sign, halo.tables[(mu, sign)], links[mu], mu)
+            for mu in range(op.ndim)
+            for sign, links in ((+1, op._links_t), (-1, op._links_adj_t))]
+    # The result in the working layout, rank r at columns r * n onwards.
+    result = np.empty((12, nranks * n), dtype=dtype)
+
+    def store(acc, b0, b1) -> None:
+        result[:, b0:b1] = acc.reshape(12, -1)
+
+    sweep_blocks(hops, stacked, nranks * n, store, kplan)
+    out = psi.clone_empty()
+    for r, lat in enumerate(psi.locals):
+        hop = Lattice(lat.grid, lat.tensor_shape, np.empty_like(lat.data))
+        from_working(result[:, r * n:(r + 1) * n], hop.data)
+        out.locals.append(hop)
+    return out
 
 
 class DistributedWilson:
@@ -119,11 +193,10 @@ class DistributedWilson:
 
         Dispatch is resolved once by the execution engine (every rank
         shares one backend object, so one :class:`~repro.engine.plan.
-        KernelPlan` covers the whole sweep): block sweep (overlapped or
-        ordered) vs lane-major reference.  Every route is
-        bit-identical on a pristine or checksummed wire; with fp16
-        halos the reference route rounds different sites (see
-        DESIGN.md §9).
+        KernelPlan` covers the whole sweep): block sweep vs lane-major
+        reference.  Every route is bit-identical on a pristine or
+        checksummed wire; with fp16 halos the reference route rounds
+        different sites (see DESIGN.md §9).
 
         With telemetry tracing on, the sweep is wrapped in a span
         carrying the flop/byte metadata the roofline report consumes
@@ -157,7 +230,7 @@ class DistributedWilson:
                 return hopped
         if plan.fused:
             # The block sweep over each rank's shard and received
-            # slabs; ordered or overlapped (see repro.grid.overlap).
+            # slabs (halo_dhop).
             return halo_dhop(self, psi, plan)
         out = self._zero_like(psi)
         for mu in range(self.ndim):
@@ -235,8 +308,7 @@ class DistributedWilson:
 def distribute_gauge(links, gdims, backend, mpi_layout,
                      simd_layout=None, compress_halos: bool = False,
                      checksum_halos: bool = False, comms_faults=None,
-                     max_retries: int = 3,
-                     latency: LatencyModel = None) -> list:
+                     max_retries: int = 3) -> list:
     """Scatter single-rank gauge links into distributed fields."""
     out = []
     for u in links:
@@ -245,8 +317,7 @@ def distribute_gauge(links, gdims, backend, mpi_layout,
                                 compress_halos=compress_halos,
                                 checksum_halos=checksum_halos,
                                 comms_faults=comms_faults,
-                                max_retries=max_retries,
-                                latency=latency)
+                                max_retries=max_retries)
         dl.scatter(u.to_canonical())
         out.append(dl)
     return out

@@ -242,19 +242,6 @@ def stencil_cshift(stencil: HaloStencil, lat: Lattice, dim: int,
 
 
 @dataclass(frozen=True)
-class HaloPart:
-    """One site range of the distributed sweep, over the ranks' stacked
-    sites (rank ``r``'s flat site ``f`` is stacked site ``r * N + f``):
-    the stacked ``sites``, each hop's stacked table restricted to them,
-    and ``scatter``, the ``(12, len(sites))`` flat positions of their
-    values in a ``(12, nranks * N)`` working-layout field."""
-
-    sites: np.ndarray
-    tables: dict
-    scatter: np.ndarray
-
-
-@dataclass(frozen=True)
 class RankHalo:
     """Flat gather tables of the rank-decomposed ±1 stencil.
 
@@ -282,9 +269,7 @@ class RankHalo:
     The face of ``(mu, sign)`` is defined by geometry: the sites whose
     neighbour wraps the local extent (local coordinate ``ld - 1`` for
     +mu, ``0`` for -mu), ``lsites / ld`` of them — the slab every halo
-    message is accounted as.  ``interior`` holds the sites whose eight
-    entries are all in their own shard, ``shell`` the rest
-    (:class:`HaloPart`).
+    message is accounted as.
     """
 
     sites: int
@@ -294,8 +279,6 @@ class RankHalo:
     senders: dict
     slots: dict
     wired: dict
-    interior: HaloPart
-    shell: HaloPart
 
 
 def _rank_halo(dist) -> RankHalo:
@@ -360,20 +343,10 @@ def _rank_halo(dist) -> RankHalo:
             slots[key] = slice(width, width + h)
             wired[key] = dist._dist_shift_params(mu, sign)[1] != 0
             width += h
-    local = np.all(np.stack(list(tables.values())) < n, axis=0)
-    nranks = ranks.nranks
-    offsets = np.arange(nranks)[:, None]
-    stacked = {k: (t + offsets * width).reshape(-1)
-               for k, t in tables.items()}
-
-    def part(mask) -> HaloPart:
-        sites = (np.nonzero(mask)[0] + offsets * n).reshape(-1)
-        return HaloPart(sites, {k: t[sites] for k, t in stacked.items()},
-                        np.arange(12)[:, None] * (nranks * n) + sites)
-
+    offsets = np.arange(ranks.nranks)[:, None] * width
+    stacked = {k: (t + offsets).reshape(-1) for k, t in tables.items()}
     return RankHalo(sites=n, width=width, tables=stacked, faces=faces,
-                    senders=senders, slots=slots, wired=wired,
-                    interior=part(local), shell=part(~local))
+                    senders=senders, slots=slots, wired=wired)
 
 
 def rank_halo(dist) -> RankHalo:

@@ -23,9 +23,9 @@ scoped :class:`repro.engine.ExecutionPolicy` — this module is a
   the currently resolved policy;
 * :func:`configured` / :func:`disabled` are thin wrappers over
   :func:`repro.engine.scope` (scoped, nestable, thread-isolated);
-* the mutating setters (:func:`set_enabled`, :func:`set_workers`,
-  :func:`set_overlap_comms`) emit :class:`DeprecationWarning` and
-  delegate to :func:`repro.engine.update_base_policy`.
+* the mutating setters (:func:`set_enabled`, :func:`set_workers`) emit
+  :class:`DeprecationWarning` and delegate to
+  :func:`repro.engine.update_base_policy`.
 
 ``perf.disabled()`` still restores the exact pre-engine code paths
 (that is what the harness measures the engine against).
@@ -54,7 +54,6 @@ __all__ = [
     "get_counters",
     "reset_counters",
     "set_enabled",
-    "set_overlap_comms",
     "set_workers",
 ]
 
@@ -77,11 +76,7 @@ class PerfConfig:
     tiling; with it off, the original (pre-engine) code runs
     unchanged.  ``workers`` is the tile pool width for lattice sweeps
     (1 = serial).  ``tile_min_sites`` keeps tiny lattices serial where
-    pool dispatch would cost more than it saves.  ``overlap_comms``
-    lets the distributed Wilson operator hide halo exchange behind
-    interior compute (:mod:`repro.grid.overlap`); it only takes effect
-    when ``enabled`` is also set, so ``disabled()`` restores the
-    ordered serial exchange.
+    pool dispatch would cost more than it saves.
 
     This used to be *the* mutable process-global configuration; it is
     now derived per call from :func:`repro.engine.current_policy` and
@@ -92,7 +87,6 @@ class PerfConfig:
     enabled: bool = True
     workers: int = 1
     tile_min_sites: int = 128
-    overlap_comms: bool = True
 
 
 def config() -> PerfConfig:
@@ -103,7 +97,6 @@ def config() -> PerfConfig:
         enabled=policy.enabled,
         workers=policy.workers,
         tile_min_sites=policy.tile_min_sites,
-        overlap_comms=policy.overlap_comms,
     )
 
 
@@ -122,17 +115,8 @@ def set_workers(n: int) -> None:
     update_base_policy(workers=int(n))
 
 
-def set_overlap_comms(flag: bool) -> None:
-    """Deprecated: use ``engine.scope(overlap_comms=...)``."""
-    warn_deprecated_setter(
-        "repro.perf.set_overlap_comms", "repro.engine.scope(overlap_comms=...)"
-    )
-    update_base_policy(overlap_comms=bool(flag))
-
-
 @contextmanager
-def configured(enabled=None, workers=None, tile_min_sites=None,
-               overlap_comms=None):
+def configured(enabled=None, workers=None, tile_min_sites=None):
     """Temporarily override engine settings (restored on exit).
 
     A thin wrapper over :func:`repro.engine.scope` — nestable and
@@ -148,8 +132,6 @@ def configured(enabled=None, workers=None, tile_min_sites=None,
         overrides["workers"] = int(workers)
     if tile_min_sites is not None:
         overrides["tile_min_sites"] = int(tile_min_sites)
-    if overlap_comms is not None:
-        overrides["overlap_comms"] = bool(overlap_comms)
     with _scope(**overrides):
         yield config()
 

@@ -33,10 +33,8 @@ from repro.telemetry.metrics import registry
 #: * ``fused_dhop_calls`` — Wilson-Dslash sweeps taken by the fused
 #:   engine path; ``tiles_dispatched`` — tile bodies executed (equal
 #:   to fused calls when running serial).
-#: * ``overlap_dhop_calls`` — distributed sweeps taken by the
-#:   comms/compute overlap engine (:mod:`repro.grid.overlap`);
-#:   ``halo_posts`` / ``halo_waits`` — async halo messages posted to
-#:   and completed from the in-flight queue.
+#: * ``halo_posts`` / ``halo_waits`` — halo messages posted to and
+#:   completed from the in-flight queue.
 #: * ``plan_hits`` / ``plan_misses`` — resolved
 #:   :class:`repro.engine.plan.KernelPlan` lookups per (grid, kind,
 #:   policy); a miss is one policy resolution, a hit is a cached
@@ -53,7 +51,6 @@ COUNTER_NAMES = (
     "nbr_table_misses",
     "fused_dhop_calls",
     "tiles_dispatched",
-    "overlap_dhop_calls",
     "halo_posts",
     "halo_waits",
     "plan_hits",

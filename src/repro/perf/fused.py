@@ -60,8 +60,8 @@ reference accumulation element-for-element:
 The distributed operator's routes run the same blocked sweep
 (:func:`sweep_blocks`) over extended working arrays: each rank's shard
 followed by the face slabs it received, in process
-(:mod:`repro.grid.overlap`) or in the shared-memory rank workers
-(:mod:`repro.grid.comms.shmem`), in gather-then-project order
+(:func:`repro.grid.dist_wilson.halo_dhop`) or in the shared-memory rank
+workers (:mod:`repro.grid.comms.shmem`), in gather-then-project order
 (:func:`_accumulate_direction`).
 
 The path is only taken for backends whose arithmetic is *exactly* the
@@ -359,43 +359,33 @@ def _run_blocks(block, count: int, plan, unit: int, rows: tuple,
 
 
 def sweep_blocks(hops, flat: np.ndarray, count: int, store, plan,
-                 unit: int = 1, link_sites=None) -> int:
+                 unit: int = 1) -> int:
     """The blocked, tiled sweep over output sites ``0 .. count - 1`` in
     gather-then-project order; returns the number of tiles.
 
     ``hops`` lists ``(sign, table, links, mu)`` in accumulation order:
     ``table`` maps output sites to columns of ``flat``, the ``(12, M)``
-    working-layout source, and ``links[..., i]`` — or with
-    ``link_sites`` ``links[..., link_sites[i]]``, gathered per block
-    (the distributed interior and shell parts of
-    :mod:`repro.grid.overlap`, which sweep scattered sites of the full
-    rank arrays) — is output site ``i``'s link.  Per block and hop the
-    sweep gathers the 12 neighbour rows and accumulates them with
-    :func:`_accumulate_direction`; each finished block's ``(4, 3, n)``
-    accumulator goes to ``store(acc, b0, b1)``.  Blocks and tiles are
-    whole multiples of ``unit`` sites, and tiles store disjoint sites
-    (:func:`_run_blocks`).
+    working-layout source, and ``links[..., i]`` is output site ``i``'s
+    link.  Per block and hop the sweep gathers the 12 neighbour rows
+    and accumulates them with :func:`_accumulate_direction`; each
+    finished block's ``(4, 3, n)`` accumulator goes to
+    ``store(acc, b0, b1)``.  Blocks and tiles are whole multiples of
+    ``unit`` sites, and tiles store disjoint sites (:func:`_run_blocks`).
     """
-    rows = (12, 12, 6, 6, 6) + ((9,) if link_sites is not None else ())
 
     def block(b0, b1, bufs) -> None:
         n = b1 - b0
         acc, nbr, *scratch = bufs
         acc = acc.reshape(4, 3, n)
         acc[...] = 0
-        h, uh, prod = (b.reshape(2, 3, n) for b in scratch[:3])
+        scratch = [b.reshape(2, 3, n) for b in scratch]
         for sign, table, links, mu in hops:
             # Indices are in range by construction: "clip" skips
             # numpy's buffered bounds-checked copy.
             np.take(flat, table[b0:b1], axis=1, out=nbr, mode="clip")
-            if link_sites is None:
-                V = links[:, :, b0:b1]
-            else:
-                V = scratch[3].reshape(3, 3, n)
-                np.take(links, link_sites[b0:b1], axis=-1, out=V,
-                        mode="clip")
-            _accumulate_direction(acc, V, nbr.reshape(4, 3, n), mu, sign,
-                                  (h, uh, prod))
+            _accumulate_direction(acc, links[:, :, b0:b1],
+                                  nbr.reshape(4, 3, n), mu, sign, scratch)
         store(acc, b0, b1)
 
-    return _run_blocks(block, count, plan, unit, rows, flat.dtype)
+    return _run_blocks(block, count, plan, unit, (12, 12, 6, 6, 6),
+                       flat.dtype)

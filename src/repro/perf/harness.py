@@ -38,7 +38,7 @@ import numpy as np
 import repro.perf as perf
 from repro.bench.workloads import dslash_setup
 from repro.grid.cartesian import GridCartesian
-from repro.grid.comms import DistributedLattice, LatencyModel, reset_all_comms
+from repro.grid.comms import DistributedLattice, reset_all_comms
 from repro.grid.dist_wilson import DistributedWilson, distribute_gauge
 from repro.grid.random import random_gauge, random_spinor
 from repro.grid.solver import conjugate_gradient
@@ -182,53 +182,6 @@ def bench_halo(dims=(4, 4, 4, 4), mpi=(2, 1, 1, 1)) -> BenchRecord:
     rec.metric("messages", int(dpsi.stats.messages), "exact")
     rec.metric("bytes_sent", int(dpsi.stats.bytes_sent), "exact")
     rec.info.update({"dims": list(dims), "mpi": list(mpi)})
-    return rec
-
-
-def bench_overlap_dslash(dims=(4, 4, 4, 4), mpi=(2, 1, 1, 1),
-                         latency_s: float = 1e-3,
-                         reps: int = 9) -> BenchRecord:
-    """Distributed dhop under the simulated-latency comms model:
-    ordered serial exchange vs the overlap engine.
-
-    The ordered path pays every message's latency on the critical path
-    (post, then immediately wait, 2·ndim·nranks times); the overlap
-    engine posts everything up front and hides the latency behind
-    interior compute.  Bit-identity of the two outputs is exact-gated;
-    the speedup is min-gated (the acceptance floor is 1.15x)."""
-    be = get_backend("generic256")
-    grid = GridCartesian(list(dims), be)
-    links = random_gauge(grid, seed=11)
-    psi = random_spinor(grid, seed=7)
-    model = LatencyModel(latency_s=latency_s)
-    dlinks = distribute_gauge(links, list(dims), be, list(mpi))
-    w = DistributedWilson(dlinks, mass=0.1)
-    dpsi = DistributedLattice(list(dims), be, list(mpi), (4, 3),
-                              latency=model).scatter(psi.to_canonical())
-    reset_all_comms()
-    with perf.configured(enabled=True, overlap_comms=False):
-        ordered = w.dhop(dpsi).gather()
-        t_ordered = _median_wall(lambda: w.dhop(dpsi), reps)
-    wait_ordered = dpsi.comms_queue.wait_seconds
-    reset_all_comms()
-    with perf.configured(enabled=True, overlap_comms=True):
-        overlapped = w.dhop(dpsi).gather()
-        t_overlap = _median_wall(lambda: w.dhop(dpsi), reps)
-    wait_overlap = dpsi.comms_queue.wait_seconds
-    max_in_flight = dpsi.comms_queue.max_in_flight
-    reset_all_comms()
-    rec = BenchRecord(name="overlap_dslash",
-                      wall_seconds=t_ordered + t_overlap)
-    rec.metric("speedup_overlap", round(t_ordered / t_overlap, 3), "min")
-    rec.metric("bit_identical",
-               bool(np.array_equal(ordered, overlapped)), "exact")
-    rec.metric("max_in_flight", int(max_in_flight), "info")
-    rec.info.update({
-        "dims": list(dims), "mpi": list(mpi), "latency_s": latency_s,
-        "reps": reps, "wall_ordered": t_ordered, "wall_overlap": t_overlap,
-        "wait_seconds_ordered_total": wait_ordered,
-        "wait_seconds_overlap_total": wait_overlap,
-    })
     return rec
 
 
@@ -550,16 +503,12 @@ def bench_trace_cache(vls: Sequence[int] = (256, 512), n: int = 257,
 
 def run_suite(full: bool = False, workers: int = 4,
               vls: Optional[Sequence[int]] = None,
-              overlap: bool = True,
               span_sink: Optional[list] = None) -> dict:
     """Run the pinned suite; returns the report as a plain dict.
 
     ``full`` widens the campaign/trace-cache VL sweeps and the dslash
     lattice (the nightly configuration); the default is the quick CI
-    gate.  ``vls`` overrides the campaign VL set.  ``overlap=False``
-    runs the whole suite with the comms-overlap engine off (the
-    nightly matrix exercises both), except ``bench_overlap_dslash``
-    which toggles it internally by design.
+    gate.  ``vls`` overrides the campaign VL set.
 
     Every benchmark starts from a clean slate: perf counters, live
     comms stats and any in-flight async halos are reset between
@@ -579,7 +528,6 @@ def run_suite(full: bool = False, workers: int = 4,
         lambda: bench_dslash(dims=dims, workers=workers, reps=reps),
         lambda: bench_cg(workers=workers),
         bench_halo,
-        bench_overlap_dslash,
         bench_halo_messages,
         bench_transport,
         lambda: bench_campaign(vls=campaign_vls),
@@ -592,21 +540,19 @@ def run_suite(full: bool = False, workers: int = 4,
     from repro.telemetry import drain_spans
 
     records = []
-    with perf.configured(overlap_comms=overlap):
-        for bench in benches:
-            # One clean slate per bench: counters, comms state, sticky
-            # degradations and every cache (trace, kernel-plan, cshift,
-            # dist halo memos) via the engine's composed reset.
-            reset_all()
-            records.append(bench())
-            if span_sink is not None:
-                # Rescue this bench's spans before the next reset_all()
-                # clears the trace buffer.
-                span_sink.extend(drain_spans())
+    for bench in benches:
+        # One clean slate per bench: counters, comms state, sticky
+        # degradations and every cache (trace, kernel-plan, cshift,
+        # dist halo memos) via the engine's composed reset.
+        reset_all()
+        records.append(bench())
+        if span_sink is not None:
+            # Rescue this bench's spans before the next reset_all()
+            # clears the trace buffer.
+            span_sink.extend(drain_spans())
     report = {
         "schema": SCHEMA_VERSION,
         "suite": "full" if full else "quick",
-        "overlap": overlap,
         "workers": workers,
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -10,8 +10,8 @@ backends, the solver itself:
 * **closed** — healthy; calls flow, failures are counted.  At
   ``failure_threshold`` consecutive failures the breaker *opens*.
 * **open** — the subsystem is presumed broken; :meth:`allow` denies
-  (the supervisor routes around it — e.g. an open ``comms`` breaker
-  starts the degradation ladder at the ordered-comms rung).  After
+  (the supervisor routes around it — e.g. an open solve breaker
+  starts the degradation ladder at the reference rung).  After
   ``cooldown`` denied probes the breaker goes *half-open*.
 * **half-open** — probation: :meth:`allow` admits probe calls.
   ``probation_probes`` consecutive successes close the breaker; any

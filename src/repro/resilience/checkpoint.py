@@ -111,7 +111,6 @@ def policy_fingerprint() -> str:
 
     p = current_policy()
     return (f"backend={p.backend}/enabled={p.enabled}/"
-            f"overlap={p.overlap_comms}/"
             f"workers={p.workers}")
 
 

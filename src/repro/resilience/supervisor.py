@@ -26,8 +26,8 @@ a classified outcome:
 * **The degradation ladder** — each non-crash failure escalates to the
   next rung of :data:`DEGRADATION_LADDER`, a nested
   ``engine.scope(...)`` override that trades performance for safety:
-  overlapped comms → ordered, and then the reference path (engine off:
-  layered kernels, mixed precision collapsed to double).
+  the reference path (engine off: layered kernels, mixed precision
+  collapsed to double).
   Every rung computes bit-identical numbers — the ladder changes
   *how*, never *what*.
 * **Circuit breakers** — attempt failures feed the per-operator
@@ -83,9 +83,7 @@ class Rung:
 #: more machinery; every rung is bit-identical in results (DESIGN §12).
 DEGRADATION_LADDER = (
     Rung("as-configured"),
-    Rung("ordered-comms", (("overlap_comms", False),)),
-    Rung("reference", (("overlap_comms", False), ("enabled", False)),
-         method="cg"),
+    Rung("reference", (("enabled", False),), method="cg"),
 )
 
 #: Outcomes that indicate the *configuration* may be at fault and the

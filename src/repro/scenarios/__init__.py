@@ -4,7 +4,7 @@ configuration cube, diffed in CI.
 The paper's own validation (§V-D) is a hand-run matrix — ~40 ArmIE
 emulation runs across vector lengths with known VL-specific failures
 tracked by hand.  Every subsystem shipped since (engine policies,
-comms overlap, caches, telemetry, the fault campaigns) multiplies
+transports, caches, telemetry, the fault campaigns) multiplies
 that configuration cube far beyond what hand-enumerated tests cover.
 This package scales the methodology up:
 

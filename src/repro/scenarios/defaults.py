@@ -49,7 +49,6 @@ def _sve_probe_shape(case) -> bool:
     sweeps exhaustively)."""
     return (case["operator"] == "wilson"
             and case["workers"] == 1 and case["caches"] is True
-            and case["overlap"] is True
             and case["telemetry"] == "off"
             and case["transport"] == "in-process"
             and case["fault"] == "none")
@@ -68,7 +67,6 @@ def default_spec() -> ScenarioSpec:
                               "wilson-dist")),
             Axis("family", ("generic", "sve-acle")),
             Axis("vl", VLS),
-            Axis("overlap", (True, False)),
             Axis("caches", (True, False)),
             Axis("workers", (1, 4)),
             Axis("telemetry", ("off", "metrics", "trace")),

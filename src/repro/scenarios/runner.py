@@ -43,7 +43,7 @@ from repro.verification.outcomes import Outcome, classify_cell
 
 #: The lattice every scenario cell runs on: small enough that a full
 #: pairwise sample stays inside the CI budget, big enough that every
-#: knob (tiling, overlap, checkerboarding) is exercised.
+#: knob (tiling, halo exchange, checkerboarding) is exercised.
 DIMS = (4, 4, 4, 4)
 
 #: Rank decomposition for the distributed operator cells.
@@ -88,7 +88,6 @@ def policy_overrides(case: Case) -> dict:
     """The ``engine.scope`` overrides a case's knob axes resolve to."""
     overrides = {
         "enabled": True,
-        "overlap_comms": case["overlap"],
         "caches": case["caches"],
         "workers": case["workers"],
         "telemetry": case["telemetry"],

@@ -1,6 +1,6 @@
 """Bit-identity of every engine-dispatched path against the
 engine-off reference, across vector lengths: fused/serial/tiled,
-caches on/off, ordered/overlapped distributed sweeps,
+caches on/off, serial/tiled distributed sweeps,
 and the unified solver entry against the legacy wrapper expressions.
 
 This is the acceptance gate for the engine refactor: a plan may change
@@ -66,18 +66,16 @@ class TestSingleRankDhop:
 class TestDistributedDhop:
     @pytest.mark.parametrize("backend_name", VLS)
     @pytest.mark.parametrize("mpi", [[2, 1, 1, 1], [2, 2, 1, 1]])
-    def test_ordered_and_overlapped_match_disabled(self, backend_name,
-                                                   mpi):
+    def test_ordered_sweep_matches_disabled(self, backend_name, mpi):
         w, dpsi = _dist(backend_name, mpi)
         with perf.disabled():
             ref = w.dhop(dpsi).gather()
-        with engine.scope(enabled=True, overlap_comms=False):
-            ordered = w.dhop(dpsi).gather()
-        with engine.scope(enabled=True, overlap_comms=True, workers=4,
-                          tile_min_sites=16):
-            overlapped = w.dhop(dpsi).gather()
-        assert np.array_equal(ref, ordered)
-        assert np.array_equal(ref, overlapped)
+        with engine.scope(enabled=True):
+            serial = w.dhop(dpsi).gather()
+        with engine.scope(enabled=True, workers=4, tile_min_sites=16):
+            tiled = w.dhop(dpsi).gather()
+        assert np.array_equal(ref, serial)
+        assert np.array_equal(ref, tiled)
 
 class TestUnifiedSolver:
     def test_solve_fermion_reproduces_legacy_cgne(self):

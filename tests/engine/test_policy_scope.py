@@ -84,11 +84,11 @@ class TestScopeNesting:
         assert hash(p) == hash(p.replace())
 
     def test_effective_properties_gate_on_enabled(self):
-        on = engine.ExecutionPolicy(enabled=True, overlap_comms=True,
+        on = engine.ExecutionPolicy(enabled=True, transport="shmem",
                                     caches=True)
         off = on.replace(enabled=False)
-        assert on.overlap_active and on.caches_active
-        assert not (off.overlap_active or off.caches_active)
+        assert on.transport_active and on.caches_active
+        assert not (off.transport_active or off.caches_active)
 
 
 class TestThreadIsolation:
@@ -159,14 +159,6 @@ class TestDeprecationShims:
             with pytest.raises(ValueError):
                 perf.set_workers(0)
 
-    def test_perf_set_overlap_comms_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning):
-            perf.set_overlap_comms(False)
-        try:
-            assert base_policy().overlap_comms is False
-        finally:
-            update_base_policy(overlap_comms=True)
-
     def test_set_fallback_policy_warns_and_delegates(self):
         with pytest.warns(DeprecationWarning):
             set_fallback_policy(True)
@@ -189,10 +181,8 @@ class TestPerfFacade:
     def test_config_snapshots_current_policy(self):
         cfg = perf.config()
         pol = current_policy()
-        assert (cfg.enabled, cfg.workers, cfg.tile_min_sites,
-                cfg.overlap_comms) == (pol.enabled, pol.workers,
-                                       pol.tile_min_sites,
-                                       pol.overlap_comms)
+        assert (cfg.enabled, cfg.workers, cfg.tile_min_sites) == \
+            (pol.enabled, pol.workers, pol.tile_min_sites)
 
     def test_configured_is_a_scope(self):
         with perf.configured(enabled=True, workers=6) as cfg:
@@ -219,6 +209,5 @@ class TestPerfFacade:
 
     def test_policy_fields_cover_legacy_toggles(self):
         for name in ("enabled", "workers", "tile_min_sites",
-                     "overlap_comms", "fallback", "caches",
-                     "backend", "latency", "comms_faults"):
+                     "fallback", "caches", "backend", "comms_faults"):
             assert name in POLICY_FIELDS

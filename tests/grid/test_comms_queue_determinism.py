@@ -1,21 +1,15 @@
-"""Timing-discipline pins for the async halo queue.
+"""Ordering and timing pins for the halo queue.
 
-Two properties the transport refactor made contractual:
-
-* every deadline computation in :mod:`repro.grid.comms.queue` uses
-  ``time.monotonic()`` — never the wall clock, which can step backwards
-  under NTP and reorder completion semantics;
-* ``drain`` completes outstanding messages in ``(ready_at, seq)``
-  order, so two messages with *equal* deadlines always finish in post
-  order, regardless of list position or clock jitter between posts.
+* the queue reads only ``time.monotonic()`` — never the wall clock,
+  which can step backwards under NTP;
+* ``drain`` completes outstanding messages in post order, and every
+  handle carries its per-queue post ordinal ``seq``.
 """
 
 import time
 
-import pytest
-
 import repro.grid.comms.queue as queue_mod
-from repro.grid.comms import AsyncCommsQueue, LatencyModel
+from repro.grid.comms import AsyncCommsQueue
 
 
 class _MonotonicOnlyClock:
@@ -28,13 +22,10 @@ class _MonotonicOnlyClock:
         self.monotonic_calls += 1
         return time.monotonic()
 
-    def sleep(self, seconds):
-        time.sleep(seconds)
-
-    def __getattr__(self, name):  # time.time(), time.clock(), ...
+    def __getattr__(self, name):  # time.time(), time.sleep(), ...
         raise AssertionError(
             f"comms queue reached for time.{name}; only monotonic() "
-            "and sleep() are allowed"
+            "is allowed"
         )
 
 
@@ -42,7 +33,7 @@ class TestMonotonicOnly:
     def test_post_wait_drain_never_touch_wall_clock(self, monkeypatch):
         clock = _MonotonicOnlyClock()
         monkeypatch.setattr(queue_mod, "time", clock)
-        q = AsyncCommsQueue(LatencyModel(latency_s=1e-4))
+        q = AsyncCommsQueue()
         handles = [q.post(object(), 128, tag=f"m{i}") for i in range(3)]
         q.wait(handles[1])
         q.drain()
@@ -50,15 +41,12 @@ class TestMonotonicOnly:
         assert q.completed == 3
         assert clock.monotonic_calls > 0
 
-    def test_wait_seconds_accumulates_blocked_time(self):
-        q = AsyncCommsQueue(LatencyModel(latency_s=5e-3))
-        h = q.post(object(), 64, tag="slow")
-        q.wait(h)
-        assert q.wait_seconds >= 4e-3
-
 
 class TestDrainOrder:
-    def _completion_order(self, q):
+    def test_drain_completes_in_post_order(self):
+        q = AsyncCommsQueue()
+        handles = [q.post(object(), 64, tag=f"m{i}") for i in range(6)]
+        q.wait(handles[2])
         order = []
         real_wait = q.wait
 
@@ -68,25 +56,7 @@ class TestDrainOrder:
 
         q.wait = recording_wait
         q.drain()
-        return order
-
-    def test_equal_deadlines_complete_in_post_order(self):
-        q = AsyncCommsQueue()
-        handles = [q.post(object(), 64, tag=f"m{i}") for i in range(6)]
-        # Pin every deadline to the same instant: only the sequence
-        # number can break the tie.
-        for h in handles:
-            h.ready_at = 1000.0
-        assert self._completion_order(q) == [f"m{i}" for i in range(6)]
-
-    def test_earlier_deadline_wins_regardless_of_post_order(self):
-        q = AsyncCommsQueue()
-        handles = [q.post(object(), 64, tag=f"m{i}") for i in range(4)]
-        now = time.monotonic()
-        # Posted ascending, deadlines descending: drain must invert.
-        for i, h in enumerate(handles):
-            h.ready_at = now - i * 10.0
-        assert self._completion_order(q) == ["m3", "m2", "m1", "m0"]
+        assert order == ["m0", "m1", "m3", "m4", "m5"]
 
     def test_seq_is_per_queue_post_ordinal(self):
         q1, q2 = AsyncCommsQueue(), AsyncCommsQueue()
@@ -100,14 +70,3 @@ class TestDrainOrder:
         q.post(object(), 64)
         q.reset()
         assert (q.pending, q.posted, q.completed) == (0, 0, 0)
-        assert q.max_in_flight == 0
-        assert q.wait_seconds == 0.0
-
-
-class TestLatencyModel:
-    def test_alpha_beta_delay(self):
-        lm = LatencyModel(latency_s=0.5, seconds_per_byte=0.25)
-        assert lm.delay_for(8) == pytest.approx(0.5 + 2.0)
-
-    def test_default_is_zero_delay(self):
-        assert LatencyModel().delay_for(10**9) == 0.0

@@ -1,4 +1,4 @@
-"""The distributed Wilson hop on the block sweep.
+"""The distributed Wilson hop on the ordered block sweep.
 
 Each rank sweeps its own shard plus the face slabs it received, and
 each halo message carries exactly the slab it is accounted as.  Every
@@ -10,14 +10,16 @@ import numpy as np
 import pytest
 
 import repro.engine as engine
-import repro.grid.overlap as overlap
+import repro.grid.dist_wilson as dist_wilson
+from repro.engine.plan import kernel_plan
 from repro.grid.cartesian import GridCartesian
-from repro.grid.comms import DistributedLattice, LatencyModel
+from repro.grid.comms import DistributedLattice
 from repro.grid.dist_wilson import DistributedWilson
 from repro.grid.random import random_gauge, random_spinor
 from repro.grid.solver import solve_wilson_cgne
 from repro.grid.stencil import rank_halo
 from repro.grid.wilson import WilsonDirac
+from repro.perf.counters import counters, reset_counters
 from repro.resilience.inject import CommsFault, CommsFaultInjector, \
     FaultCampaign
 from repro.simd import get_backend
@@ -43,12 +45,18 @@ def _assert_bytes_equal(got: np.ndarray, want: np.ndarray) -> None:
 
 
 def _setup(backend="generic256", mpi=(2, 1, 1, 1), dims=DIMS,
-           dtype=np.complex128, **comms):
-    """(single-rank operator, its field, distributed operator, field)."""
+           dtype=np.complex128, fp16_exact=False, **comms):
+    """(single-rank operator, its field, distributed operator, field).
+
+    ``fp16_exact`` rounds the source to fp16-representable values, so
+    an fp16 wire carries it losslessly."""
     be = get_backend(backend)
     grid = GridCartesian(list(dims), be, dtype=dtype)
     links = random_gauge(grid, seed=11)
     psi = random_spinor(grid, seed=7)
+    if fp16_exact:
+        real = _floats(psi.data)
+        real[...] = real.astype(np.float16)
 
     def dist(canonical, tensor):
         return DistributedLattice(list(dims), be, list(mpi), tensor,
@@ -73,15 +81,12 @@ class _RecordingHook:
 
 class TestWireImageIsTheAccountedSlab:
     @pytest.mark.parametrize("compress", [False, True])
-    @pytest.mark.parametrize("overlap_comms", [True, False])
-    def test_payload_bytes_equal_accounted_bytes(self, compress,
-                                                 overlap_comms):
+    def test_payload_bytes_equal_accounted_bytes(self, compress):
         _w, _psi, op, dpsi = _setup(mpi=(2, 2, 1, 1),
                                     compress_halos=compress)
         hook = dpsi.comms_faults = _RecordingHook()
         m0, b0 = dpsi.stats.messages, dpsi.stats.bytes_sent
-        with engine.scope(overlap_comms=overlap_comms):
-            op.dhop(dpsi)
+        op.dhop(dpsi)
         assert len(hook.sizes) == dpsi.stats.messages - m0 == 2 * 4 * 4
         assert sum(hook.sizes) == dpsi.stats.bytes_sent - b0
 
@@ -89,18 +94,19 @@ class TestWireImageIsTheAccountedSlab:
 class TestShardIsolation:
     """Poison every other rank's columns once the halos are posted: a
     rank that reads only its own shard and its received slabs still
-    gets the exact answer."""
+    gets the exact answer, on a checksummed wire with or without fp16
+    compression."""
 
     @pytest.mark.parametrize("mpi", [(2, 1, 1, 1), (2, 2, 1, 1),
                                      (4, 1, 1, 1)])
-    @pytest.mark.parametrize("overlap_comms", [True, False])
+    @pytest.mark.parametrize("compress", [True, False])
     def test_other_ranks_poisoned_after_post(self, monkeypatch, mpi,
-                                             overlap_comms):
-        _w, _psi, op, dpsi = _setup(mpi=mpi, checksum_halos=True)
-        with engine.scope(overlap_comms=overlap_comms):
-            want = [lat.data.copy() for lat in op.dhop(dpsi).locals]
+                                             compress):
+        _w, _psi, op, dpsi = _setup(mpi=mpi, checksum_halos=True,
+                                    compress_halos=compress)
+        want = [lat.data.copy() for lat in op.dhop(dpsi).locals]
         halo = rank_halo(dpsi)
-        sweep_blocks = overlap.sweep_blocks
+        sweep_blocks = dist_wilson.sweep_blocks
         for r in range(dpsi.ranks.nranks):
             shards = [lat.data.copy() for lat in dpsi.locals]
 
@@ -112,10 +118,9 @@ class TestShardIsolation:
                         dpsi.locals[s].data[...] = np.nan
                 return sweep_blocks(hops, flat, *args, **kwargs)
 
-            monkeypatch.setattr(overlap, "sweep_blocks", poisoned)
-            with engine.scope(overlap_comms=overlap_comms):
-                got = op.dhop(dpsi).locals[r].data
-            monkeypatch.setattr(overlap, "sweep_blocks", sweep_blocks)
+            monkeypatch.setattr(dist_wilson, "sweep_blocks", poisoned)
+            got = op.dhop(dpsi).locals[r].data
+            monkeypatch.setattr(dist_wilson, "sweep_blocks", sweep_blocks)
             for lat, shard in zip(dpsi.locals, shards):
                 lat.data[...] = shard
             _assert_bytes_equal(got, want[r])
@@ -159,44 +164,47 @@ class TestBitIdentity:
         # Same messages as the layered route's distributed cshift.
         assert dpsi.stats.messages - m0 == 2 * sweep_messages
 
-    def test_fp16_halos_schedules_agree(self):
-        _w, _psi, op, dpsi = _setup(mpi=(2, 2, 1, 1), compress_halos=True)
-        with engine.scope(overlap_comms=False):
-            ordered = op.dhop(dpsi).gather()
-        with engine.scope(overlap_comms=True):
-            overlapped = op.dhop(dpsi).gather()
-        _assert_bytes_equal(overlapped, ordered)
+    @pytest.mark.parametrize("mpi", [(2, 1, 1, 1), (2, 2, 1, 1)])
+    @pytest.mark.parametrize("wire", ["pristine", "checksum", "fp16"])
+    def test_wires_and_workers(self, wire, mpi):
+        """Serial and tiled sweeps agree on every wire and match the
+        layered route — for fp16 halos on a source the fp16 wire
+        carries losslessly — and, where the links' own back-shift was
+        not fp16-rounded, the single-rank hop."""
+        comms = {"checksum": {"checksum_halos": True},
+                 "fp16": {"compress_halos": True}}.get(wire, {})
+        w, psi, op, dpsi = _setup(mpi=mpi, fp16_exact=wire == "fp16",
+                                  **comms)
+        m0 = dpsi.stats.messages
+        got = op.dhop(dpsi).gather()
+        assert dpsi.stats.messages - m0 == 2 * 4 * dpsi.ranks.nranks
+        with engine.scope(workers=4, tile_min_sites=16):
+            _assert_bytes_equal(op.dhop(dpsi).gather(), got)
+        with engine.scope(enabled=False):
+            _assert_bytes_equal(op.dhop(dpsi).gather(), got)
+        if wire != "fp16":
+            _assert_bytes_equal(got, w.dhop(psi).to_canonical())
 
     @pytest.mark.parametrize("kind", ["drop", "corrupt", "truncate",
                                       "duplicate"])
-    @pytest.mark.parametrize("overlap_comms", [True, False])
-    def test_checksummed_transient_faults_heal(self, kind, overlap_comms):
-        w, psi, _op, _dpsi = _setup(mpi=(2, 2, 1, 1))
-        campaign = FaultCampaign(seed=3, name="block-sweep-comms")
-        injector = CommsFaultInjector(campaign,
-                                      [CommsFault(kind, message=5)])
-        _w, _psi, op, dpsi = _setup(mpi=(2, 2, 1, 1), checksum_halos=True)
-        dpsi.comms_faults = injector
-        with engine.scope(overlap_comms=overlap_comms):
-            got = op.dhop(dpsi).gather()
-        assert campaign.fired >= 1
-        assert dpsi.stats.retries >= 1 or kind == "duplicate"
-        _assert_bytes_equal(got, w.dhop(psi).to_canonical())
-
-    def test_latency_schedules_and_workers(self):
-        _w, _psi, op, dpsi = _setup(
-            mpi=(2, 2, 1, 1), latency=LatencyModel(latency_s=2e-4))
-        results = {}
-        for overlap_comms in (False, True):
-            for workers in (1, 2):
-                with engine.scope(overlap_comms=overlap_comms,
-                                  workers=workers, tile_min_sites=16):
-                    results[overlap_comms, workers] = \
-                        op.dhop(dpsi).gather()
-        ref = results[False, 1]
-        for got in results.values():
-            _assert_bytes_equal(got, ref)
-        assert dpsi.comms_queue.wait_seconds > 0.0
+    @pytest.mark.parametrize("compress", [True, False])
+    def test_checksummed_transient_faults_heal(self, kind, compress):
+        """A fault scheduled on message 5 fires there, once, and the
+        checksummed retry heals it to the fault-free bytes: fp16
+        compressed or not, serial or tiled."""
+        wire = {"checksum_halos": True, "compress_halos": compress}
+        _w, _psi, op, dpsi = _setup(mpi=(2, 2, 1, 1), **wire)
+        want = op.dhop(dpsi).gather()
+        for workers in (1, 4):
+            campaign = FaultCampaign(seed=3, name="block-sweep-comms")
+            _w, _psi, op, dpsi = _setup(mpi=(2, 2, 1, 1), **wire)
+            dpsi.comms_faults = CommsFaultInjector(
+                campaign, [CommsFault(kind, message=5)])
+            with engine.scope(workers=workers, tile_min_sites=16):
+                got = op.dhop(dpsi).gather()
+            assert [e.target for e in campaign.events] == ["msg5"]
+            assert dpsi.stats.retries >= 1 or kind == "duplicate"
+            _assert_bytes_equal(got, want)
 
     def test_cg_matches_the_layered_route(self):
         _w, _psi, op, dpsi = _setup(mpi=(2, 2, 1, 1), checksum_halos=True)
@@ -248,3 +256,26 @@ class TestTablesAndLinks:
             want = op.links[mu].cshift(mu, -1)
             for got, ref in zip(op.links_back[mu].locals, want.locals):
                 _assert_bytes_equal(got.data, ref.data)
+
+
+class TestAccounting:
+    def test_counters_and_plan_cache(self):
+        # Setup exchanges the gauge links' backward shifts through
+        # their own stats; snapshot after it so the deltas below are
+        # this test's hops alone.
+        _w, _psi, op, dpsi = _setup()
+        reset_counters()
+        m0 = dpsi.stats.messages
+        op.dhop(dpsi)
+        op.dhop(dpsi)
+        c = counters()
+        assert c.halo_posts == dpsi.stats.messages - m0 == 32
+        assert c.halo_waits == c.halo_posts
+        assert dpsi.comms_queue.pending == 0
+        # One policy resolution, replayed by the second hop; the halo
+        # tables are built once and memoized per grid.
+        assert (c.plan_misses, c.plan_hits) == (1, 1)
+        grid = dpsi.grids[0]
+        assert kernel_plan(grid, "dist-dhop") is kernel_plan(grid,
+                                                             "dist-dhop")
+        assert rank_halo(dpsi) is rank_halo(dpsi)

@@ -85,13 +85,6 @@ class TestPolicyRouting:
             assert kernel_plan(grid, "dhop").transport == "in-process"
         assert kernel_plan(grid, "dist-dhop").transport == "in-process"
 
-    def test_overlap_requires_in_process(self):
-        grid = GridCartesian(DIMS, get_backend("generic256"))
-        with engine.scope(overlap_comms=True):
-            assert kernel_plan(grid, "dist-dhop").overlap
-            with engine.scope(transport="shmem"):
-                assert not kernel_plan(grid, "dist-dhop").overlap
-
     def test_scope_switches_backend_on_live_lattice(self):
         """The acceptance criterion: an existing lattice follows the
         scope with no other code changes."""

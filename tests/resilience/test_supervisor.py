@@ -192,7 +192,7 @@ class _PolicyProbe:
 
     def mdag_m(self, v):
         p = current_policy()
-        self.seen.append((p.overlap_comms, p.enabled))
+        self.seen.append(p.enabled)
         return self.base.mdag_m(v)
 
 
@@ -203,11 +203,12 @@ class TestLadder:
         sup = supervised_solve(probe, b, tol=1e-14, max_iter=2,
                                max_attempts=3)
         assert not sup.converged
-        assert sup.rungs_used == [
-            "as-configured", "ordered-comms", "reference"]
-        flags = sorted(set(probe.seen), reverse=True)
-        assert (True, True) in flags       # rung 0
-        assert (False, True) in flags      # ordered comms
+        assert [r.name for r in DEGRADATION_LADDER] == [
+            "as-configured", "reference"]
+        # The last rung is sticky: a third attempt stays on it.
+        assert sup.rungs_used == ["as-configured", "reference",
+                                  "reference"]
+        assert set(probe.seen) == {True, False}
 
     def test_reference_rung_disables_engine(self):
         w, b, _ = _problem()
@@ -215,7 +216,7 @@ class TestLadder:
         sup = supervised_solve(probe, b, tol=1e-14, max_iter=2,
                                max_attempts=5)
         assert sup.rungs_used[-1] == "reference"
-        assert (False, False) in probe.seen
+        assert probe.seen[-1] is False
 
     def test_ladder_rungs_bit_identical(self):
         w, b, tol = _problem()
@@ -277,7 +278,7 @@ class TestBreakers:
         br.record_failure("earlier solve kept failing")
         sup = supervised_solve(w, b, tol=tol)
         assert sup.converged
-        assert sup.rungs_used[0] == "ordered-comms"
+        assert sup.rungs_used == ["reference"]
         # Success during probation closes the breaker again.
         sup2 = supervised_solve(w, b, tol=tol)
         assert sup2.converged

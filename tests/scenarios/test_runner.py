@@ -19,8 +19,7 @@ from repro.verification.outcomes import Outcome
 def _case(**overrides):
     spec = default_spec()
     bindings = dict(operator="wilson", family="generic", vl=128,
-                    overlap=True, caches=True,
-                    workers=1, telemetry="off",
+                    caches=True, workers=1, telemetry="off",
                     transport="in-process", fault="none")
     bindings.update(overrides)
     return spec, spec.case(**bindings)
@@ -62,9 +61,9 @@ class TestMetadata:
         assert comms_schedule_kind(case) == comms_schedule_kind(case)
 
     def test_policy_overrides_mirror_the_axes(self):
-        spec, case = _case(overlap=False, workers=4, telemetry="metrics")
+        spec, case = _case(caches=False, workers=4, telemetry="metrics")
         over = policy_overrides(case)
-        assert over["overlap_comms"] is False
+        assert over["caches"] is False
         assert over["workers"] == 4
         assert over["telemetry"] == "metrics"
         assert over["backend"] == "generic128"

@@ -5,12 +5,16 @@ windowed FT events, and the ``traced_solver`` wrapper."""
 import repro.engine as engine
 import repro.telemetry as telemetry
 from repro.grid.cartesian import GridCartesian
+from repro.grid.comms import DistributedLattice
+from repro.grid.dist_wilson import DistributedWilson, distribute_gauge
 from repro.grid.mixedprec import MixedPrecisionResult
 from repro.grid.random import random_gauge, random_spinor
 from repro.grid.solver import conjugate_gradient
+from repro.grid.stencil import red_black
 from repro.grid.wilson import WilsonDirac
 from repro.simd import get_backend
 from repro.telemetry.reports import (
+    OPERATOR_SPAN_NAMES,
     convergence_attrs,
     convergence_from_spans,
     roofline_from_spans,
@@ -80,6 +84,34 @@ class TestRooflineMath:
         assert row["flops"] == SITES * w.flops_per_site()
         assert row["bytes"] == SITES * w.bytes_per_site()
         assert abs(row["intensity"] - FLOPS_PER_SITE / BYTES_PER_SITE) < 1e-12
+
+    def test_operator_span_names_are_the_emitted_hops(self):
+        """Each traced hop — full, checkerboard, distributed — emits a
+        span the roofline report reads, and every name the report
+        reads is emitted by one of them."""
+        dims = [4, 4, 4, 4]
+        be = get_backend("generic256")
+        grid = GridCartesian(dims, be)
+        links = random_gauge(grid, seed=11)
+        psi = random_spinor(grid, seed=5)
+        w = WilsonDirac(links, mass=0.3)
+        dist = DistributedWilson(distribute_gauge(links, dims, be,
+                                                  [2, 1, 1, 1]), mass=0.3)
+        dpsi = DistributedLattice(dims, be, [2, 1, 1, 1], (4, 3)).scatter(
+            psi.to_canonical())
+        emitted = set()
+        for hop in (lambda: w.dhop(psi),
+                    lambda: w.dhop_cb(red_black(grid, "even").pick(psi)),
+                    lambda: dist.dhop(dpsi)):
+            telemetry.drain_spans()
+            with engine.scope(telemetry="trace"):
+                hop()
+            spans = [s for s in telemetry.drain_spans()
+                     if s.name in OPERATOR_SPAN_NAMES]
+            assert len(spans) == 1
+            assert {"flops_per_site", "bytes_per_site"} <= set(spans[0].attrs)
+            emitted.add(spans[0].name)
+        assert emitted == set(OPERATOR_SPAN_NAMES)
 
 
 class TestConvergenceReport:
