@@ -215,6 +215,34 @@ class TestBitIdentity:
         _assert_bytes_equal(got.x.gather(), want.x.gather())
 
 
+class TestFaultyComms:
+    """Transient wire faults on a 2-rank checksummed wire whose links
+    and field share one injector: the serial and the tiled sweep post
+    messages in the same order, so the same seeded schedule fires the
+    same number of times in both — and both heal to the unchecksummed
+    wire's answer."""
+
+    @pytest.mark.parametrize("kind", ["drop", "corrupt", "truncate",
+                                      "duplicate"])
+    def test_transient_fault_heals_both_sweeps(self, kind):
+        _w, _psi, op, dpsi = _setup()
+        want = op.dhop(dpsi).gather()
+        fired = []
+        for workers in (1, 4):
+            campaign = FaultCampaign(seed=3, name="ordered-sweep-comms")
+            injector = CommsFaultInjector(campaign,
+                                          [CommsFault(kind, message=3)])
+            _w, _psi, op, dpsi = _setup(checksum_halos=True,
+                                        comms_faults=injector)
+            with engine.scope(workers=workers, tile_min_sites=16):
+                got = op.dhop(dpsi).gather()
+            _assert_bytes_equal(got, want)
+            assert dpsi.stats.retries >= 1 or kind == "duplicate"
+            fired.append(campaign.fired)
+        assert fired[0] >= 1
+        assert fired[1] == fired[0]
+
+
 class TestTablesAndLinks:
     @pytest.mark.parametrize("dims, mpi", LAYOUTS)
     def test_tables_replay_the_distributed_cshift(self, dims, mpi):
