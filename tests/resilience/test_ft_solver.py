@@ -151,3 +151,95 @@ class TestFaultRecovery:
         assert res.converged
         rel = (b - dirac.apply(res.x)).norm2() ** 0.5 / b.norm2() ** 0.5
         assert rel <= 100 * TOL
+
+
+def flip_bit60(campaign):
+    def fault(out):
+        flip_field_bit(out, campaign, bit=60)
+    return fault
+
+
+def zero_out(out):
+    out.data[...] = 0
+
+
+#: The fault ledger of each FT recursion under each fault, on
+#: ``mdag_m`` with ``tol=1e-8``: ``(solver, case, fault, at_call,
+#: settings, converged, iterations, restarts, true_residual_checks,
+#: breakdown, detected_events)``.  ``flip_bit60`` is built per run on
+#: the run's campaign.
+LEDGER = [
+    ("cg", "nan", nan_poison, 10, {}, True, 44, 1, 2, "",
+     ["cg: denominator hazard at iter 10 (nan)"]),
+    ("cg", "drift", flip_bit60, 15, {"recompute_interval": 10}, True, 44,
+     1, 6, "", ["cg: silent drift at iter 34 (true 2.228e-06 vs "
+                "recursive 6.514e-09)"]),
+    ("cg", "zero-denominator", zero_out, 5, {}, True, 39, 1, 2, "",
+     ["cg: denominator hazard at iter 5 (0.0)"]),
+    ("cg", "unrecoverable", nan_poison, 10, {"max_restarts": 0}, False,
+     10, 1, 0, "cg: unrecoverable denominator (nan)",
+     ["cg: denominator hazard at iter 10 (nan)"]),
+    ("cg", "unrecoverable-drift", flip_bit60, 15,
+     {"recompute_interval": 10, "max_restarts": 0}, False, 34, 1, 4,
+     "cg: unrecoverable silent drift",
+     ["cg: silent drift at iter 34 (true 2.228e-06 vs "
+      "recursive 6.514e-09)"]),
+    ("bicgstab", "nan", nan_poison, 6, {}, True, 28, 1, 2, "",
+     ["bicgstab: (t,t) breakdown at iter 3"]),
+    ("bicgstab", "drift", flip_bit60, 15, {"recompute_interval": 10},
+     True, 33, 1, 4, "", ["bicgstab: silent drift at iter 20"]),
+    ("bicgstab", "early-exit-drift", flip_bit60, 9,
+     {"recompute_interval": 10}, True, 34, 1, 4, "",
+     ["bicgstab: drift at early exit iter 20"]),
+    ("bicgstab", "zero-denominator", zero_out, 5, {}, True, 28, 1, 2, "",
+     ["bicgstab: (r0,v) breakdown at iter 3"]),
+    ("bicgstab", "unrecoverable", nan_poison, 6, {"max_restarts": 0},
+     False, 3, 1, 0, "bicgstab: unrecoverable (t,t) breakdown",
+     ["bicgstab: (t,t) breakdown at iter 3"]),
+    ("bicgstab", "unrecoverable-drift", flip_bit60, 15,
+     {"recompute_interval": 10, "max_restarts": 0}, False, 20, 1, 2,
+     "bicgstab: unrecoverable silent drift",
+     ["bicgstab: silent drift at iter 20"]),
+    ("bicgstab", "unrecoverable-early-exit-drift", flip_bit60, 9,
+     {"recompute_interval": 10, "max_restarts": 0}, False, 20, 1, 2,
+     "bicgstab: unrecoverable drift",
+     ["bicgstab: drift at early exit iter 20"]),
+]
+
+FT_SOLVERS = {"cg": ft_conjugate_gradient, "bicgstab": ft_bicgstab}
+
+
+@pytest.mark.parametrize(
+    "solver,fault,at_call,settings,converged,iterations,restarts,checks,"
+    "breakdown,events",
+    [pytest.param(row[0], *row[2:], id=f"{row[0]}-{row[1]}")
+     for row in LEDGER])
+def test_fault_ledger(dirac, b, solver, fault, at_call, settings,
+                      converged, iterations, restarts, checks, breakdown,
+                      events):
+    """Each fault's outcome, pinned field by field: what the recursion
+    reports, how often it restarted and checked the true residual, and
+    what the campaign ledger saw."""
+    rhs = dirac.apply_dagger(b)
+    campaign = FaultCampaign(seed=1)
+    if fault is flip_bit60:
+        fault = flip_bit60(campaign)
+    res = FT_SOLVERS[solver](faulty_op(dirac, fault, at_call), rhs,
+                             tol=TOL, campaign=campaign, **settings)
+    assert (res.converged, res.iterations, res.restarts,
+            res.true_residual_checks, res.breakdown,
+            res.detected_events) == (converged, iterations, restarts,
+                                     checks, breakdown, events)
+    assert campaign.detected == len(events)
+    assert campaign.recovered == (restarts if converged else 0)
+    assert np.all(np.isfinite(res.x.data))
+    if converged:
+        # A guarded run reports the true residual of its answer.
+        true_rel = (rhs - dirac.mdag_m(res.x)).norm2() ** 0.5 \
+            / rhs.norm2() ** 0.5
+        assert res.residual == true_rel
+    elif solver == "cg" and "drift" in breakdown:
+        # CG's drift bail reports the drifted iterate's true residual.
+        assert res.residual > res.residual_history[-1]
+    else:
+        assert res.residual == res.residual_history[-1]
