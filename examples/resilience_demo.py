@@ -25,13 +25,14 @@ import numpy as np
 from repro.grid.cartesian import GridCartesian
 from repro.grid.comms import DistributedLattice
 from repro.grid.random import random_gauge, random_spinor
+from repro.grid.solver import conjugate_gradient
 from repro.grid.wilson import WilsonDirac
 from repro.resilience import (
     CommsFault,
     CommsFaultInjector,
     FaultCampaign,
+    FaultGuard,
     flip_field_bit,
-    ft_conjugate_gradient,
     run_default_campaign,
 )
 from repro.simd import BackendDegradedWarning, ResilientBackend, get_backend
@@ -88,8 +89,8 @@ def demo_ft_solver() -> None:
             flip_field_bit(out, campaign, bit=60, name="mdag_m output")
         return out
 
-    res = ft_conjugate_gradient(op, rhs, tol=1e-8,
-                                recompute_interval=10, campaign=campaign)
+    res = conjugate_gradient(op, rhs, tol=1e-8, guard=FaultGuard(
+        recompute_interval=10, campaign=campaign))
     rel = (b - dirac.apply(res.x)).norm2() ** 0.5 / b.norm2() ** 0.5
     print(f"converged:             {res.converged}")
     print(f"restarts:              {res.restarts}")

@@ -26,9 +26,9 @@ import repro.engine as engine
 import repro.telemetry as telemetry
 from repro.grid.cartesian import GridCartesian
 from repro.grid.random import random_gauge, random_spinor
+from repro.grid.solver import conjugate_gradient
 from repro.grid.wilson import WilsonDirac
-from repro.resilience import FaultCampaign, flip_field_bit
-from repro.resilience.ft_solver import ft_conjugate_gradient
+from repro.resilience import FaultCampaign, FaultGuard, flip_field_bit
 from repro.simd import get_backend
 
 DIMS = [4, 4, 4, 4]
@@ -66,9 +66,9 @@ def main() -> None:
                 fired["done"] = True
             return out
 
-        ft = ft_conjugate_gradient(op, b, tol=1e-8, max_iter=400,
-                                   campaign=campaign,
-                                   recompute_interval=5)
+        ft = conjugate_gradient(op, b, tol=1e-8, max_iter=400,
+                                guard=FaultGuard(campaign=campaign,
+                                                 recompute_interval=5))
         print(f"FT solve: converged={ft.converged} in "
               f"{ft.iterations} iterations, {ft.restarts} restart(s), "
               f"campaign fired={campaign.fired}")

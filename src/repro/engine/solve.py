@@ -1,29 +1,27 @@
 """One solver entry parameterized by operator + method + policy.
 
-Pre-engine, each solver family had its own Wilson-specific wrapper —
-``solve_wilson_cgne``, ``ft_solve_wilson_cgne``,
-``mixed_precision_cgne``, ``ft_mixed_precision_cgne`` — four entry
-points repeating the same prepare-RHS / run-recursion / true-residual
-shape.  :func:`solve_fermion` collapses them onto one core
-parameterized by
+:func:`solve_fermion` is the one Wilson-system entry: it prepares the
+right-hand side, dispatches to a recursion and reports the true
+residual, for
 
 * an **operator** satisfying the :class:`~repro.engine.operators.
   FermionOperator` protocol (``apply`` / ``apply_dagger`` /
   ``mdag_m``),
 * a **method** (``"cg"`` = CGNE on the normal equations,
   ``"bicgstab"``, ``"mr"``, ``"mixed"``),
-* ``ft=True`` for the fault-tolerant variants (drift detection +
-  checkpoint restart; extra keyword arguments such as
-  ``recompute_interval`` are forwarded), and
+* ``ft=True`` for a fault-tolerant solve: ``campaign`` and the
+  :class:`~repro.resilience.guard.FaultGuard` settings among the
+  keyword arguments (``recompute_interval``, ``max_restarts``,
+  ``drift_factor``, ``good_hook``) make the guard the recursion is
+  given, and
 * an optional **policy** scoped around the whole solve.
 
-The Krylov recursions themselves stay in
-:mod:`repro.grid.solver` / :mod:`repro.resilience.ft_solver` — they
-are numerically pinned (the FT variants are bit-identical to the
-plain ones on pristine runs) and this module must not perturb them;
-what is unified is the *entry*: RHS preparation, dispatch, and the
-true-residual report, each reproduced expression-for-expression from
-the wrapper it replaces so results stay bit-identical.
+The recursions live in :mod:`repro.grid.solver` and
+:mod:`repro.grid.mixedprec`, each written once; fault tolerance is the
+guard they consult, not a second copy.  They are numerically pinned
+and this module must not perturb them: its RHS preparation and
+true-residual report reproduce the wrappers it replaced expression for
+expression, so results stay bit-identical.
 
 All grid/resilience imports are function-level: the grid layer
 imports the engine, not vice versa.
@@ -51,59 +49,45 @@ def _true_residual_single(operator, b, result):
     return result
 
 
-def _solve_cg(operator, b, ft, tol, max_iter, campaign, kwargs):
-    """CGNE: CG on ``M^dagger M x = M^dagger b``."""
-    rhs = operator.apply_dagger(b)
-    if ft:
-        from repro.resilience.ft_solver import ft_conjugate_gradient
+def _guard(ft: bool, campaign, kwargs: dict):
+    """The fault guard of an ``ft`` solve (``None`` otherwise), built
+    from ``campaign`` and the guard settings taken out of ``kwargs``."""
+    if not ft:
+        return None
+    from dataclasses import fields
 
-        result = ft_conjugate_gradient(
-            operator.mdag_m, rhs, tol=tol, max_iter=max_iter,
-            campaign=campaign, **kwargs)
-    else:
-        from repro.grid.solver import conjugate_gradient
+    from repro.resilience.guard import FaultGuard
 
-        result = conjugate_gradient(operator.mdag_m, rhs, tol=tol,
-                                    max_iter=max_iter, **kwargs)
-    return _true_residual_single(operator, b, result)
+    return FaultGuard(campaign=campaign, **{
+        f.name: kwargs.pop(f.name) for f in fields(FaultGuard)
+        if f.name in kwargs})
 
 
-def _solve_direct(operator, b, method, ft, tol, max_iter, campaign,
-                  kwargs):
-    """BiCGSTAB / MR on ``M`` directly."""
+def _dispatch(operator, b, method, guard, tol, max_iter, kwargs):
+    """Run ``method``'s recursion on ``M x = b``.  CG solves the normal
+    equations; ``max_iter`` bounds a mixed solve's single-precision
+    inner iterations summed over the outer steps (each inner solve is
+    also capped by ``max_inner`` in ``kwargs``)."""
+    from repro.grid import solver
+
+    if method == "cg":
+        result = solver.conjugate_gradient(
+            operator.mdag_m, operator.apply_dagger(b), tol=tol,
+            max_iter=max_iter, guard=guard, **kwargs)
+        return _true_residual_single(operator, b, result)
+    if method == "mixed":
+        from repro.grid.mixedprec import mixed_precision_cgne
+
+        return mixed_precision_cgne(operator, b, tol=tol,
+                                    max_iter=max_iter, guard=guard,
+                                    **kwargs)
     if method == "bicgstab":
-        if ft:
-            from repro.resilience.ft_solver import ft_bicgstab
-
-            return ft_bicgstab(operator.apply, b, tol=tol,
-                               max_iter=max_iter, campaign=campaign,
-                               **kwargs)
-        from repro.grid.solver import bicgstab
-
-        return bicgstab(operator.apply, b, tol=tol, max_iter=max_iter,
-                        **kwargs)
-    if ft:
+        return solver.bicgstab(operator.apply, b, tol=tol,
+                               max_iter=max_iter, guard=guard, **kwargs)
+    if guard is not None:
         raise ValueError("no fault-tolerant minimal-residual variant")
-    from repro.grid.solver import minimal_residual
-
-    return minimal_residual(operator.apply, b, tol=tol, max_iter=max_iter,
-                            **kwargs)
-
-
-def _solve_mixed(operator, b, ft, tol, max_iter, campaign, kwargs):
-    """Mixed-precision defect correction: ``max_iter`` bounds the
-    single-precision inner iterations summed over the outer steps
-    (each inner solve is also capped by ``max_inner`` in ``kwargs``)."""
-    if ft:
-        from repro.resilience.ft_solver import ft_mixed_precision_cgne
-
-        return ft_mixed_precision_cgne(operator, b, tol=tol,
-                                       max_iter=max_iter,
-                                       campaign=campaign, **kwargs)
-    from repro.grid.mixedprec import mixed_precision_cgne
-
-    return mixed_precision_cgne(operator, b, tol=tol, max_iter=max_iter,
-                                **kwargs)
+    return solver.minimal_residual(operator.apply, b, tol=tol,
+                                   max_iter=max_iter, **kwargs)
 
 
 def solve_fermion(operator, b, method: str = "cg", ft: bool = False,
@@ -117,22 +101,18 @@ def solve_fermion(operator, b, method: str = "cg", ft: bool = False,
     (:class:`~repro.grid.solver.SolverResult`, its FT extension, or
     :class:`~repro.grid.mixedprec.MixedPrecisionResult`) — identical,
     field for field and bit for bit, to the legacy wrapper it
-    replaces.  ``policy`` (if given) is scoped around the whole solve;
-    ``campaign`` and extra keyword arguments are forwarded to the FT
-    recursions.
+    replaces.  ``policy`` (if given) is scoped around the whole solve.
+    With ``ft``, ``campaign`` and the guard settings in ``kwargs`` make
+    the recursion's fault guard; other keyword arguments (``x0``,
+    ``max_inner``, ...) are forwarded to the recursion.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; known: {METHODS}")
 
+    guard = _guard(ft, campaign, kwargs)
+
     def dispatch():
-        if method == "cg":
-            return _solve_cg(operator, b, ft, tol, max_iter, campaign,
-                             kwargs)
-        if method == "mixed":
-            return _solve_mixed(operator, b, ft, tol, max_iter, campaign,
-                                kwargs)
-        return _solve_direct(operator, b, method, ft, tol, max_iter,
-                             campaign, kwargs)
+        return _dispatch(operator, b, method, guard, tol, max_iter, kwargs)
 
     ctx = scope(policy) if policy is not None else nullcontext()
     with ctx:

@@ -268,7 +268,7 @@ def defect_correction(op, b: Lattice, tol: float, inner_tol: float,
                       max_outer: int, max_inner: int,
                       max_iter: int | None = None,
                       inner_solve=INNER_SOLVERS,
-                      screen=None) -> MixedPrecisionResult:
+                      guard=None) -> MixedPrecisionResult:
     """Solve ``op x = b`` to double-precision ``tol`` with
     single-precision inner solves on ``op``'s twin.
 
@@ -281,22 +281,29 @@ def defect_correction(op, b: Lattice, tol: float, inner_tol: float,
     The inner method is the one :func:`inner_method` chose for the
     twin: BiCGSTAB on ``op32.apply`` (a miss re-solves the defect by
     CGNE), or CGNE on ``op32.mdag_m``.  ``inner_solve`` is the
-    ``(bicgstab, cg)`` pair that runs them (:data:`INNER_SOLVERS`; the
-    fault-tolerant loop passes its own); ``(None, cg)`` runs CGNE
-    without a probe.
+    ``(bicgstab, cg)`` pair that runs them (:data:`INNER_SOLVERS`);
+    ``(None, cg)`` runs CGNE without a probe.
 
     ``max_iter`` (``None``: unbounded) caps the inner iterations summed
     over all outer steps, a CGNE re-solve's included; each outer step
-    is also capped by ``max_inner``.  ``screen(outer, rel, last_rel)``,
-    if given, judges each trial update by its true residual: ``"keep"``
-    it, ``"retry"`` (discard it and solve the same defect again) or
-    ``"stop"``.
+    is also capped by ``max_inner``.
+
+    A fault ``guard`` (:class:`~repro.resilience.guard.FaultGuard`)
+    guards the inner solves and judges each trial update by its true
+    residual (:meth:`~repro.resilience.guard.FaultGuard.screen`):
+    ``"keep"`` it, ``"retry"`` (discard it and solve the same defect
+    again) or ``"stop"``.
     """
     x = b.new_like()
     bnorm = b.norm2() ** 0.5
     if bnorm == 0.0:
         return MixedPrecisionResult(x=x, converged=True, outer_iterations=0,
                                     inner_iterations_total=0, residual=0.0)
+    screen = None
+    if guard is not None:
+        screen = guard.screen()
+        inner_solve = tuple(None if s is None else partial(s, guard=guard)
+                            for s in inner_solve)
     op32, to_single, to_double = single_precision_twin(op)
     method, cap = ("cg", 0) if inner_solve[0] is None \
         else inner_method(op, op32, inner_tol)
@@ -349,13 +356,15 @@ def mixed_precision_cgne(
     max_outer: int = 20,
     max_inner: int = 500,
     max_iter: int | None = None,
+    guard=None,
 ) -> MixedPrecisionResult:
     """Solve ``M x = b`` to double-precision ``tol`` with
     single-precision inner solves (:func:`defect_correction`): BiCGSTAB
     on the twin, or CGNE where a probe finds BiCGSTAB does not pay.
 
     ``dirac`` is a Wilson operator or its
-    :class:`~repro.grid.evenodd.SchurWilson` complement.
+    :class:`~repro.grid.evenodd.SchurWilson` complement; a ``guard``
+    makes the solve survive faulty inner solves.
     """
     return defect_correction(dirac, b, tol, inner_tol, max_outer,
-                             max_inner, max_iter)
+                             max_inner, max_iter, guard=guard)

@@ -10,9 +10,10 @@ methodology from toolchain bugs to system faults:
 * :mod:`repro.resilience.inject` — seeded, deterministic fault
   campaigns: memory/field bit flips (SDC), comms faults
   (drop/corrupt/truncate/duplicate), toolchain predicate defects.
-* :mod:`repro.resilience.ft_solver` — fault-tolerant Krylov solvers:
-  NaN/Inf guards, breakdown detection, periodic true-residual
-  recomputation, restart from the last verified-good iterate.
+* :mod:`repro.resilience.guard` — the fault guard the Krylov
+  recursions of :mod:`repro.grid.solver` consult: NaN/Inf and
+  breakdown hazards, periodic true-residual recomputation, restart
+  from the last verified-good iterate.
 * :mod:`repro.resilience.campaign` — campaign verification: each
   {case x VL x campaign} cell classified {pass, fail, detected,
   recovered}; ``fail`` means *silent corruption*, the outcome the
@@ -27,8 +28,8 @@ methodology from toolchain bugs to system faults:
   (closed / open / half-open) feeding the degradation decisions.
 
 The companion mechanisms live in the layers they protect: checksummed
-retrying halo exchange in :mod:`repro.grid.comms`, numeric-breakdown
-guards in :mod:`repro.grid.solver`, graceful backend degradation in
+retrying halo exchange in :mod:`repro.grid.comms`, the numeric
+hazards the guard answers in :mod:`repro.grid.solver`, graceful backend degradation in
 :mod:`repro.simd.resilient`.
 """
 
@@ -60,12 +61,9 @@ from repro.resilience.supervisor import (
     SuperviseResult,
     supervised_solve,
 )
-from repro.resilience.ft_solver import (
+from repro.resilience.guard import (
+    FaultGuard,
     FTSolverResult,
-    ft_bicgstab,
-    ft_conjugate_gradient,
-    ft_mixed_precision_cgne,
-    ft_solve_wilson_cgne,
 )
 from repro.resilience.campaign import (
     CAMPAIGN_CASES,
@@ -88,11 +86,8 @@ __all__ = [
     "bit_rot_file",
     "torn_write_file",
     "truncate_file",
+    "FaultGuard",
     "FTSolverResult",
-    "ft_conjugate_gradient",
-    "ft_bicgstab",
-    "ft_solve_wilson_cgne",
-    "ft_mixed_precision_cgne",
     "CheckpointStore",
     "checkpoint_key",
     "CircuitBreaker",

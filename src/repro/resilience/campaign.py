@@ -31,12 +31,12 @@ from repro.grid.dist_wilson import DistributedWilson, distribute_gauge
 from repro.grid.random import random_gauge, random_spinor
 from repro.grid.solver import conjugate_gradient
 from repro.grid.wilson import WilsonDirac
-from repro.resilience.ft_solver import ft_conjugate_gradient
 from repro.resilience.checkpoint import (
     CheckpointStore,
     checkpoint_key,
     read_checkpoint,
 )
+from repro.resilience.guard import FaultGuard
 from repro.resilience.inject import (
     CommsFault,
     CommsFaultInjector,
@@ -195,12 +195,9 @@ def case_field_bitflip_solver(vl_bits, campaign, resilient):
         return out
 
     tol = 1e-7
-    if resilient:
-        res = ft_conjugate_gradient(op, rhs, tol=tol, max_iter=400,
-                                    recompute_interval=10,
-                                    campaign=campaign)
-    else:
-        res = conjugate_gradient(op, rhs, tol=tol, max_iter=400)
+    guard = FaultGuard(recompute_interval=10, campaign=campaign) \
+        if resilient else None
+    res = conjugate_gradient(op, rhs, tol=tol, max_iter=400, guard=guard)
     true_rel = (b - dirac.apply(res.x)).norm2() ** 0.5 / b.norm2() ** 0.5
     if not math.isfinite(true_rel) or true_rel > 100.0 * tol:
         raise SilentCorruption(

@@ -10,7 +10,7 @@ a classified outcome:
 
 * **Durable checkpoint/restart** — for fault-tolerant CG,
   every verified-good iterate (the ``good_hook`` seam of
-  :func:`~repro.resilience.ft_solver.ft_conjugate_gradient`) is
+  :class:`~repro.resilience.guard.FaultGuard`) is
   persisted through a :class:`~repro.resilience.checkpoint.
   CheckpointStore`; each new attempt resumes from the newest valid
   checkpoint instead of iteration zero.

@@ -91,13 +91,16 @@ def traced_solver(label: str):
     inside the span and its convergence record
     (:func:`convergence_attrs`) is stamped onto the span *after* the
     recursion returns, so telemetry can never perturb the iteration.
+    A run given a fault ``guard`` is labelled ``"<label>-ft"``.
     """
     def deco(fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             if not tracing():
                 return fn(*args, **kwargs)
-            with span("solve", solver=label) as sp:
+            solver = label if kwargs.get("guard") is None \
+                else f"{label}-ft"
+            with span("solve", solver=solver) as sp:
                 result = fn(*args, **kwargs)
                 sp.attrs.update(convergence_attrs(result))
                 return result

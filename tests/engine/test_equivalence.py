@@ -18,7 +18,7 @@ from repro.grid.dist_wilson import DistributedWilson, distribute_gauge
 from repro.grid.random import random_gauge, random_spinor
 from repro.grid.solver import conjugate_gradient, solve_wilson_cgne
 from repro.grid.wilson import SPINOR, WilsonDirac
-from repro.resilience.ft_solver import ft_solve_wilson_cgne
+from repro.resilience.guard import FaultGuard
 from repro.simd import get_backend
 
 DIMS = [4, 4, 4, 4]
@@ -94,7 +94,8 @@ class TestUnifiedSolver:
     def test_ft_pristine_matches_plain(self):
         w, b = _wilson("generic256")
         plain = solve_wilson_cgne(w, b, tol=1e-6, max_iter=200)
-        ft = ft_solve_wilson_cgne(w, b, tol=1e-6, max_iter=200)
+        ft = conjugate_gradient(w.mdag_m, w.apply_dagger(b), tol=1e-6,
+                                max_iter=200, guard=FaultGuard())
         via_engine = engine.solve_fermion(w, b, method="cg", ft=True,
                                           tol=1e-6, max_iter=200)
         assert np.array_equal(plain.x.data, ft.x.data)

@@ -1,21 +1,17 @@
-"""Fault-tolerant solvers: pristine bit-identity with the plain
+"""Guarded Krylov solves: pristine bit-identity with the unguarded
 recursions, and recovery from injected NaNs, drift, and breakdowns."""
 
 import numpy as np
 import pytest
 
+from repro.engine.solve import solve_fermion
 from repro.grid.cartesian import GridCartesian
 from repro.grid.evenodd import SchurWilson
 from repro.grid.mixedprec import mixed_precision_cgne
 from repro.grid.random import random_gauge, random_spinor
 from repro.grid.solver import bicgstab, conjugate_gradient
 from repro.grid.wilson import WilsonDirac
-from repro.resilience.ft_solver import (
-    ft_bicgstab,
-    ft_conjugate_gradient,
-    ft_mixed_precision_cgne,
-    ft_solve_wilson_cgne,
-)
+from repro.resilience.guard import FaultGuard
 from repro.resilience.inject import FaultCampaign, flip_field_bit
 from repro.simd import get_backend
 
@@ -42,7 +38,8 @@ class TestPristineParity:
     def test_ft_cg_bit_identical(self, dirac, b):
         rhs = dirac.apply_dagger(b)
         plain = conjugate_gradient(dirac.mdag_m, rhs, tol=TOL)
-        ft = ft_conjugate_gradient(dirac.mdag_m, rhs, tol=TOL)
+        ft = conjugate_gradient(dirac.mdag_m, rhs, tol=TOL,
+                                guard=FaultGuard())
         assert plain.converged and ft.converged
         assert ft.iterations == plain.iterations
         assert np.array_equal(ft.x.data, plain.x.data)
@@ -54,7 +51,7 @@ class TestPristineParity:
         op = dirac.mdag_m
         rhs = dirac.apply_dagger(b)
         plain = bicgstab(op, rhs, tol=TOL)
-        ft = ft_bicgstab(op, rhs, tol=TOL)
+        ft = bicgstab(op, rhs, tol=TOL, guard=FaultGuard())
         assert plain.converged and ft.converged
         assert ft.iterations == plain.iterations
         assert np.array_equal(ft.x.data, plain.x.data)
@@ -62,18 +59,20 @@ class TestPristineParity:
 
     def test_ft_mixedprec_matches_plain(self, dirac, b):
         # The full matrix, and its Schur complement (BiCGSTAB inner
-        # solves on the twin: ft_bicgstab against bicgstab).
+        # solves on the twin, guarded against unguarded).
         schur = SchurWilson(dirac)
         for op, rhs in ((dirac, b), (schur, schur.project(b, "odd"))):
             plain = mixed_precision_cgne(op, rhs, tol=1e-10)
-            ft = ft_mixed_precision_cgne(op, rhs, tol=1e-10)
+            ft = mixed_precision_cgne(op, rhs, tol=1e-10,
+                                      guard=FaultGuard())
             assert plain.converged and ft.converged
             assert ft.iterations == plain.iterations
             assert np.array_equal(ft.x.data, plain.x.data)
 
     def test_zero_rhs(self, dirac, b):
         zero = b.new_like()
-        res = ft_conjugate_gradient(dirac.mdag_m, zero, tol=TOL)
+        res = conjugate_gradient(dirac.mdag_m, zero, tol=TOL,
+                                 guard=FaultGuard())
         assert res.converged and res.iterations == 0
 
 
@@ -98,9 +97,9 @@ class TestFaultRecovery:
     def test_cg_survives_nan_poisoning(self, dirac, b):
         rhs = dirac.apply_dagger(b)
         campaign = FaultCampaign(seed=1)
-        res = ft_conjugate_gradient(
+        res = conjugate_gradient(
             faulty_op(dirac, nan_poison, at_call=10), rhs, tol=TOL,
-            campaign=campaign)
+            guard=FaultGuard(campaign=campaign))
         assert res.converged
         assert res.restarts >= 1
         assert campaign.detected >= 1 and campaign.recovered >= 1
@@ -115,9 +114,9 @@ class TestFaultRecovery:
         def flip(out):
             flip_field_bit(out, campaign, bit=60)
 
-        res = ft_conjugate_gradient(
+        res = conjugate_gradient(
             faulty_op(dirac, flip, at_call=15), rhs, tol=TOL,
-            recompute_interval=10, campaign=campaign)
+            guard=FaultGuard(recompute_interval=10, campaign=campaign))
         assert res.converged
         true_rel = (rhs - dirac.mdag_m(res.x)).norm2() ** 0.5 \
             / rhs.norm2() ** 0.5
@@ -125,8 +124,8 @@ class TestFaultRecovery:
 
     def test_bicgstab_survives_nan_poisoning(self, dirac, b):
         rhs = dirac.apply_dagger(b)
-        res = ft_bicgstab(faulty_op(dirac, nan_poison, at_call=6),
-                          rhs, tol=TOL)
+        res = bicgstab(faulty_op(dirac, nan_poison, at_call=6),
+                       rhs, tol=TOL, guard=FaultGuard())
         assert res.converged
         assert res.restarts >= 1
 
@@ -140,14 +139,15 @@ class TestFaultRecovery:
             out.data.reshape(-1)[0] = np.nan
             return out
 
-        res = ft_conjugate_gradient(op, rhs, tol=TOL, max_restarts=2)
+        res = conjugate_gradient(op, rhs, tol=TOL,
+                                 guard=FaultGuard(max_restarts=2))
         assert not res.converged
         assert res.breakdown
         assert res.restarts >= 1
         assert np.all(np.isfinite(res.x.data))
 
     def test_ft_solve_wilson_cgne(self, dirac, b):
-        res = ft_solve_wilson_cgne(dirac, b, tol=TOL)
+        res = solve_fermion(dirac, b, method="cg", ft=True, tol=TOL)
         assert res.converged
         rel = (b - dirac.apply(res.x)).norm2() ** 0.5 / b.norm2() ** 0.5
         assert rel <= 100 * TOL
@@ -206,7 +206,7 @@ LEDGER = [
      ["bicgstab: drift at early exit iter 20"]),
 ]
 
-FT_SOLVERS = {"cg": ft_conjugate_gradient, "bicgstab": ft_bicgstab}
+SOLVERS = {"cg": conjugate_gradient, "bicgstab": bicgstab}
 
 
 @pytest.mark.parametrize(
@@ -224,8 +224,8 @@ def test_fault_ledger(dirac, b, solver, fault, at_call, settings,
     campaign = FaultCampaign(seed=1)
     if fault is flip_bit60:
         fault = flip_bit60(campaign)
-    res = FT_SOLVERS[solver](faulty_op(dirac, fault, at_call), rhs,
-                             tol=TOL, campaign=campaign, **settings)
+    res = SOLVERS[solver](faulty_op(dirac, fault, at_call), rhs, tol=TOL,
+                          guard=FaultGuard(campaign=campaign, **settings))
     assert (res.converged, res.iterations, res.restarts,
             res.true_residual_checks, res.breakdown,
             res.detected_events) == (converged, iterations, restarts,
