@@ -344,6 +344,19 @@ class DistributedLattice:
         _LIVE_COMMS.add(out)
         return out
 
+    def uncompressed(self) -> "DistributedLattice":
+        """This field on an uncompressed wire: the same shards, stats,
+        checksums, fault injector and transports, but messages that
+        carry full precision (and are accounted so).  Gauge links
+        gather through it: Grid compresses fermion halos, not links."""
+        if not self.compress_halos:
+            return self
+        out = self.clone_empty()
+        out.locals = self.locals
+        out.compress_halos = False
+        out._halo_sizes = {}
+        return out
+
     def new_like(self) -> "DistributedLattice":
         """A zero field on the same geometry (what the Krylov solvers
         ask of any field type)."""

@@ -133,12 +133,14 @@ class DistributedWilson:
         self.ndim = len(links[0].gdims)
         if len(self.links) != self.ndim:
             raise ValueError("need one gauge field per direction")
-        # Backward links gathered once across ranks (they are static).
+        # Backward links gathered once across ranks (they are static),
+        # at full precision even where fermion halos go out as fp16.
         # Where the block sweep can run, each rank keeps its links and
         # the adjoint back-links in the tensor-major working layout,
         # and the lane-major back-links are rebuilt from those only if
         # the engine-off reference loop asks for them.
-        back = [self.links[mu].cshift(mu, -1) for mu in range(self.ndim)]
+        back = [self.links[mu].uncompressed().cshift(mu, -1)
+                for mu in range(self.ndim)]
         self._links_t = self._links_adj_t = None
         self._links_back_lm = back
         if fused_safe_backend(self.links[0].grids[0].backend):

@@ -199,3 +199,29 @@ class TestDistributedWilson:
         got = DistributedWilson(dlinks, mass=0.1).dhop(dpsi).gather()
         err = np.abs(got - want).max()
         assert 0 < err < 5e-3 * np.abs(want).max()
+
+    @pytest.mark.parametrize("checksum", [False, True])
+    def test_fp16_halos_leave_the_links_full_precision(self, wilson_pair,
+                                                       checksum):
+        """Only fermion halos go out as fp16: with a source every fp16
+        halo carries exactly, links distributed for a compressed wire
+        give the hop of a pristine-wire distribution, bit for bit, and
+        their one-time gather sends as many messages and bytes."""
+        be, grid, links, psi, w = wilson_pair
+        mpi = [2, 1, 1, 2]
+        src = psi.to_canonical()
+        exact = (src.real.astype(np.float16)
+                 + 1j * src.imag.astype(np.float16)).astype(np.complex128)
+        hops, traffic = [], []
+        for compress in (False, True):
+            dlinks = distribute_gauge(links, DIMS, be, mpi,
+                                      compress_halos=compress,
+                                      checksum_halos=checksum)
+            dpsi = DistributedLattice(DIMS, be, mpi, (4, 3),
+                                      compress_halos=compress).scatter(exact)
+            hops.append(DistributedWilson(dlinks, mass=0.1).dhop(dpsi)
+                        .gather())
+            traffic.append([(u.stats.messages, u.stats.bytes_sent)
+                            for u in dlinks])
+        assert np.array_equal(hops[0], hops[1])
+        assert traffic[0] == traffic[1]
