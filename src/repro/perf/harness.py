@@ -501,24 +501,55 @@ def bench_trace_cache(vls: Sequence[int] = (256, 512), n: int = 257,
 # Suite driver + report I/O + comparison
 # ======================================================================
 
-def run_suite(full: bool = False, workers: int = 4,
-              vls: Optional[Sequence[int]] = None,
-              span_sink: Optional[list] = None) -> dict:
-    """Run the pinned suite; returns the report as a plain dict.
-
-    ``full`` widens the campaign/trace-cache VL sweeps and the dslash
-    lattice (the nightly configuration); the default is the quick CI
-    gate.  ``vls`` overrides the campaign VL set.
+def run_benches(benches: Sequence[Callable[[], BenchRecord]],
+                span_sink: Optional[list] = None) -> dict:
+    """Run ``benches`` in order; their report entries, by name.
 
     Every benchmark starts from a clean slate: perf counters, live
     comms stats and any in-flight async halos are reset between
     entries so one bench's traffic can never leak into the next
-    record's counters.  Because that per-bench ``reset_all()`` also
-    clears the telemetry trace buffer, a caller recording spans passes
-    ``span_sink`` (a list): each bench's spans are drained into it
-    *before* the next reset, so an instrumented suite run keeps its
-    full trace (``benchmarks/bench_regression.py --telemetry`` uses
-    this to write the JSONL/Chrome artifacts).
+    record's.  Each entry's ``counters`` are the tallies of its own
+    bench, read before the next reset.  Because that per-bench
+    ``reset_all()`` also clears the telemetry trace buffer, a caller
+    recording spans passes ``span_sink`` (a list): each bench's spans
+    are drained into it *before* the next reset, so an instrumented
+    suite run keeps its full trace (``benchmarks/bench_regression.py
+    --telemetry`` uses this to write the JSONL/Chrome artifacts).
+    """
+    from repro.engine.reset import reset_all
+
+    from repro.telemetry import drain_spans
+
+    entries = {}
+    for bench in benches:
+        # One clean slate per bench: counters, comms state, sticky
+        # degradations and every cache (trace, kernel-plan, cshift,
+        # dist halo memos) via the engine's composed reset.
+        reset_all()
+        r = bench()
+        entries[r.name] = {
+            "wall_seconds": round(r.wall_seconds, 6),
+            "metrics": {k: {"value": m.value, "gate": m.gate}
+                        for k, m in r.metrics.items()},
+            "info": _jsonable(r.info),
+            "counters": counters().as_dict(),
+        }
+        if span_sink is not None:
+            # Rescue this bench's spans before the next reset_all()
+            # clears the trace buffer.
+            span_sink.extend(drain_spans())
+    return entries
+
+
+def run_suite(full: bool = False, workers: int = 4,
+              vls: Optional[Sequence[int]] = None,
+              span_sink: Optional[list] = None) -> dict:
+    """Run the pinned suite (:func:`run_benches`); returns the report
+    as a plain dict.
+
+    ``full`` widens the campaign/trace-cache VL sweeps and the dslash
+    lattice (the nightly configuration); the default is the quick CI
+    gate.  ``vls`` overrides the campaign VL set.
     """
     campaign_vls = tuple(vls) if vls else ((256, 1024) if full else (256,))
     cache_vls = (128, 256, 512) if full else (256, 512)
@@ -535,39 +566,14 @@ def run_suite(full: bool = False, workers: int = 4,
         lambda: bench_trace_cache(vls=cache_vls),
         bench_scenarios,
     ]
-    from repro.engine.reset import reset_all
-
-    from repro.telemetry import drain_spans
-
-    records = []
-    for bench in benches:
-        # One clean slate per bench: counters, comms state, sticky
-        # degradations and every cache (trace, kernel-plan, cshift,
-        # dist halo memos) via the engine's composed reset.
-        reset_all()
-        records.append(bench())
-        if span_sink is not None:
-            # Rescue this bench's spans before the next reset_all()
-            # clears the trace buffer.
-            span_sink.extend(drain_spans())
-    report = {
+    return {
         "schema": SCHEMA_VERSION,
         "suite": "full" if full else "quick",
         "workers": workers,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "benchmarks": {
-            r.name: {
-                "wall_seconds": round(r.wall_seconds, 6),
-                "metrics": {k: {"value": m.value, "gate": m.gate}
-                            for k, m in r.metrics.items()},
-                "info": _jsonable(r.info),
-            }
-            for r in records
-        },
-        "counters": counters().as_dict(),
+        "benchmarks": run_benches(benches, span_sink),
     }
-    return report
 
 
 def _jsonable(obj):

@@ -91,3 +91,17 @@ class TestSmoke:
         assert rec.metrics["gather_identical"].value is True
         assert rec.metrics["messages"].value > 0
         assert rec.metrics["bytes_sent"].value > 0
+
+
+class TestRunBenches:
+    def test_each_entry_holds_its_own_counters(self):
+        """A bench's entry carries the tallies of that bench alone: run
+        after another bench it reads what it reads when run alone."""
+        both = harness.run_benches([harness.bench_halo,
+                                    harness.bench_halo_messages])
+        for name, bench in (("halo", harness.bench_halo),
+                            ("halo_messages", harness.bench_halo_messages)):
+            alone = harness.run_benches([bench])
+            assert both[name]["counters"] == alone[name]["counters"]
+        assert both["halo"]["counters"]["fused_dhop_calls"] == 1
+        assert both["halo"]["counters"] != both["halo_messages"]["counters"]
