@@ -289,8 +289,9 @@ def defect_correction(op, b: Lattice, tol: float, inner_tol: float,
     is also capped by ``max_inner``.
 
     A fault ``guard`` (:class:`~repro.resilience.guard.FaultGuard`)
-    guards the inner solves and judges each trial update by its true
-    residual (:meth:`~repro.resilience.guard.FaultGuard.screen`):
+    guards the inner solves (:meth:`~repro.resilience.guard.FaultGuard.
+    inner`) and judges each trial update by its true residual
+    (:meth:`~repro.resilience.guard.FaultGuard.screen`):
     ``"keep"`` it, ``"retry"`` (discard it and solve the same defect
     again) or ``"stop"``.
     """
@@ -302,8 +303,9 @@ def defect_correction(op, b: Lattice, tol: float, inner_tol: float,
     screen = None
     if guard is not None:
         screen = guard.screen()
-        inner_solve = tuple(None if s is None else partial(s, guard=guard)
-                            for s in inner_solve)
+        inner_solve = tuple(
+            None if s is None else partial(s, guard=guard.inner())
+            for s in inner_solve)
     op32, to_single, to_double = single_precision_twin(op)
     method, cap = ("cg", 0) if inner_solve[0] is None \
         else inner_method(op, op32, inner_tol)

@@ -7,13 +7,14 @@ hermitian positive-definite operator, so the Wilson system ``M x = b``
 is solved through the normal equations ``M^dagger M x = M^dagger b``
 (CGNE); BiCGSTAB and MR work on ``M`` directly.
 
-A numeric hazard interrupts an iteration as a :class:`Hazard`.  An
-unguarded run stops there and reports it as its ``breakdown``; CG and
-BiCGSTAB given a ``guard`` (:class:`repro.resilience.guard.FaultGuard`)
-instead consult its ledger — restart from the last verified iterate or
-stop — and check the true residual periodically and before accepting
-convergence.  Unguarded, the recursion pays for none of it; guarded, a
-fault-free run is bit-identical to the unguarded one.
+In CG and BiCGSTAB a numeric hazard interrupts the iteration as a
+:class:`Hazard`.  An unguarded run stops there and reports it as its
+``breakdown``.  A run given a ``guard``
+(:class:`repro.resilience.guard.FaultGuard`) instead consults its
+ledger — restart from the last verified iterate, or stop — and checks
+the true residual periodically and before accepting convergence.
+Unguarded, the recursion pays for none of it; guarded, a fault-free
+run is bit-identical to the unguarded one.
 
 Each recursion is wrapped by
 :func:`repro.telemetry.reports.traced_solver`: with tracing on, one
@@ -227,8 +228,9 @@ def bicgstab(
                 reported, ok = (s_rel, True) if ledger is None \
                     else ledger.check(it, x, s_rel, tol)
                 if not ok:
-                    raise Hazard("", "bicgstab: drift at early exit "
-                                 f"iter {it}", "bicgstab: unrecoverable drift")
+                    raise Hazard("",
+                                 f"bicgstab: drift at early exit iter {it}",
+                                 "bicgstab: unrecoverable drift")
                 history.append(s_rel)
                 return done(x=x, converged=True, iterations=it,
                             residual=reported, residual_history=history)
@@ -289,23 +291,25 @@ def minimal_residual(
         return SolverResult(x=b.new_like(), converged=True, iterations=0,
                             residual=0.0)
     history = [r.norm2() ** 0.5 / bnorm]
+    breakdown = ""
     for it in range(1, max_iter + 1):
-        try:
-            ar = op(r)
-            denom = ar.norm2()
-            if not _finite_nonzero(denom):
-                raise Hazard(f"mr: |Ar|^2 denominator {denom!r}")
-            alpha = overrelax * ar.inner_product(r) / denom
-            x = x + r * alpha
-            r = r - ar * alpha
-            rel = r.norm2() ** 0.5 / bnorm
-            if not math.isfinite(rel):
-                raise Hazard("mr: non-finite residual norm")
-        except Hazard as hazard:
-            return hazard.stopped(None, x, it, history)
+        ar = op(r)
+        denom = ar.norm2()
+        if not _finite_nonzero(denom):
+            breakdown = f"mr: |Ar|^2 denominator {denom!r}"
+            break
+        alpha = overrelax * ar.inner_product(r) / denom
+        x = x + r * alpha
+        r = r - ar * alpha
+        rel = r.norm2() ** 0.5 / bnorm
+        if not math.isfinite(rel):
+            breakdown = "mr: non-finite residual norm"
+            break
         history.append(rel)
         if rel <= tol:
             return SolverResult(x=x, converged=True, iterations=it,
                                 residual=rel, residual_history=history)
-    return SolverResult(x=x, converged=False, iterations=max_iter,
-                        residual=history[-1], residual_history=history)
+    return SolverResult(x=x, converged=False,
+                        iterations=it if breakdown else max_iter,
+                        residual=history[-1], residual_history=history,
+                        breakdown=breakdown)

@@ -13,7 +13,7 @@ the iterates are bit-identical to the unguarded run's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.grid.solver import SolverResult
@@ -54,6 +54,12 @@ class FaultGuard:
                x=None) -> "Ledger":
         """The ledger of one guarded solve of ``op x = b`` from ``x``."""
         return Ledger(self, op, b, bnorm, x)
+
+    def inner(self) -> "FaultGuard":
+        """The guard of a mixed-precision solve's inner solves: no
+        ``good_hook``, since their iterates are corrections on the
+        single-precision twin, not solutions to checkpoint."""
+        return replace(self, good_hook=None)
 
     def screen(self) -> Callable:
         """A fresh judge of :func:`~repro.grid.mixedprec.

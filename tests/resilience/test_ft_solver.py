@@ -69,6 +69,15 @@ class TestPristineParity:
             assert ft.iterations == plain.iterations
             assert np.array_equal(ft.x.data, plain.x.data)
 
+    def test_mixed_inner_solves_skip_good_hook(self, dirac, b):
+        """Inner iterates are corrections on the twin, not solutions: a
+        guarded mixed solve hands none of them to ``good_hook``."""
+        seen = []
+        res = mixed_precision_cgne(dirac, b, tol=1e-10, guard=FaultGuard(
+            good_hook=lambda *args: seen.append(args)))
+        assert res.converged
+        assert seen == []
+
     def test_zero_rhs(self, dirac, b):
         zero = b.new_like()
         res = conjugate_gradient(dirac.mdag_m, zero, tol=TOL,
