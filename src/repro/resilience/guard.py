@@ -107,8 +107,9 @@ class Ledger:
     def check(self, it: int, x, rel: float, tol: float) -> tuple:
         """``(reported residual, ok)`` for iterate ``it``, ``x``, with
         recursive residual ``rel``.  A periodic or converging iterate
-        reports its true residual, ``ok`` if it did not drift, and then
-        becomes the restart point and is handed to ``good_hook``."""
+        reports its true residual, and ``ok`` if it did not drift; such
+        a verified iterate becomes the restart point and is handed to
+        ``good_hook``."""
         every = self.guard.recompute_interval
         if rel > tol and not (every and it % every == 0):
             return rel, True
