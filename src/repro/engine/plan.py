@@ -66,6 +66,15 @@ def fused_safe_backend(backend) -> bool:
     return type(backend) in _FUSED_SAFE
 
 
+def takes_fused_path(backend, policy: ExecutionPolicy = None) -> bool:
+    """The rule :attr:`KernelPlan.fused` records: the engine is on and
+    ``backend`` fused-safe.  Kernels without a plan of their own (the
+    gauge-field colour products) read it here."""
+    if policy is None:
+        policy = current_policy()
+    return policy.enabled and fused_safe_backend(backend)
+
+
 #: Memoized ``plan.stage.<name>`` counter instruments: stage names
 #: form a tiny fixed set, and ``registry().reset()`` zeroes
 #: instruments in place (registrations survive), so cached handles
@@ -146,13 +155,12 @@ class KernelPlan:
 def _resolve(kind: str, backend, policy: ExecutionPolicy) -> KernelPlan:
     """Derive the plan for (kind, backend, policy) — the one place the
     scattered dispatch conditions used to live."""
-    safe = fused_safe_backend(backend)
     transport = (policy.transport
                  if (kind == "dist-dhop" and policy.transport_active)
                  else "in-process")
     return KernelPlan(
         kind=kind,
-        fused=policy.enabled and safe,
+        fused=takes_fused_path(backend, policy),
         workers=policy.workers if policy.enabled else 1,
         tile_min_sites=policy.tile_min_sites,
         caches=policy.caches_active,

@@ -177,7 +177,12 @@ def load_gauge(path, grid: GridCartesian, verify: bool = True) -> list:
         raise ConfigFormatError(
             f"file dtype {header.dtype} != grid dtype {grid.dtype}"
         )
-    body = raw[end:]
+    # The payload is read in place, through a view: the link arrays
+    # are built straight from it (``from_canonical`` copies into the
+    # lane-major layout) and the file's bytes are released before the
+    # links are verified.
+    body = memoryview(raw)[end:]
+    del raw
     if verify and header.payload_crc is not None and \
             zlib.crc32(body) != header.payload_crc:
         raise ConfigFormatError(
@@ -191,11 +196,11 @@ def load_gauge(path, grid: GridCartesian, verify: bool = True) -> list:
         )
     links = []
     for mu in range(grid.ndim):
-        chunk = body[mu * per_link:(mu + 1) * per_link]
-        can = np.frombuffer(chunk, dtype=grid.dtype).reshape(
-            grid.lsites, 3, 3).copy()
-        lat = Lattice(grid, (3, 3)).from_canonical(can)
-        links.append(lat)
+        can = np.frombuffer(body, dtype=grid.dtype, count=9 * grid.lsites,
+                            offset=mu * per_link)
+        links.append(Lattice(grid, (3, 3)).from_canonical(
+            can.reshape(grid.lsites, 3, 3)))
+    del can, body
     if verify:
         for mu, u in enumerate(links):
             if field_checksum(u) != header.checksums[mu]:

@@ -73,6 +73,13 @@ class MixedPrecisionResult:
     inner_iterations_total: int
     residual: float
     residual_history: list = field(default_factory=list)
+    #: A guarded solve's fault ledger (``None`` unguarded): the
+    #: restarts, detected events and true-residual checks of the outer
+    #: screen and the inner solves together
+    #: (:class:`repro.resilience.guard.Ledger`).
+    restarts: int | None = None
+    detected_events: list | None = None
+    true_residual_checks: int | None = None
 
     @property
     def iterations(self) -> int:
@@ -244,7 +251,7 @@ def inner_method(op, op32, inner_tol: float) -> tuple:
 def _inner_step(op32, r32, inner_tol: float, budget: int, method: str,
                 cap: int, inner_solve) -> tuple:
     """One outer step's single-precision solve of ``op32 d = r32``:
-    ``(d, iterations)``.
+    ``(d, iterations, results)``, ``results`` the inner solves'.
 
     Under BiCGSTAB the step gets ``min(budget, cap)`` iterations; a
     miss (no convergence, or a reported breakdown) re-solves the same
@@ -252,16 +259,17 @@ def _inner_step(op32, r32, inner_tol: float, budget: int, method: str,
     CG on the normal equations with the whole ``budget``.
     """
     solve_direct, solve_normal = inner_solve
-    spent = 0
+    spent, results = 0, []
     if method == "bicgstab":
         inner = solve_direct(op32.apply, r32, tol=inner_tol,
                              max_iter=min(budget, cap))
         spent = inner.iterations
+        results.append(inner)
         if inner.converged or spent >= budget:
-            return inner.x, spent
+            return inner.x, spent, results
     inner = solve_normal(op32.mdag_m, op32.apply_dagger(r32),
                          tol=inner_tol, max_iter=budget - spent)
-    return inner.x, spent + inner.iterations
+    return inner.x, spent + inner.iterations, results + [inner]
 
 
 def defect_correction(op, b: Lattice, tol: float, inner_tol: float,
@@ -291,18 +299,21 @@ def defect_correction(op, b: Lattice, tol: float, inner_tol: float,
     A fault ``guard`` (:class:`~repro.resilience.guard.FaultGuard`)
     guards the inner solves (:meth:`~repro.resilience.guard.FaultGuard.
     inner`) and judges each trial update by its true residual
-    (:meth:`~repro.resilience.guard.FaultGuard.screen`):
-    ``"keep"`` it, ``"retry"`` (discard it and solve the same defect
-    again) or ``"stop"``.
+    (:meth:`~repro.resilience.guard.Ledger.screen`): ``"keep"`` it,
+    ``"retry"`` (discard it and solve the same defect again) or
+    ``"stop"``.  The guarded result carries that outer ledger merged
+    with the inner solves' (:meth:`~repro.resilience.guard.Ledger.
+    absorb`).
     """
     x = b.new_like()
     bnorm = b.norm2() ** 0.5
+    ledger = None if guard is None else guard.ledger()
+    done = MixedPrecisionResult if ledger is None \
+        else partial(ledger.result, MixedPrecisionResult)
     if bnorm == 0.0:
-        return MixedPrecisionResult(x=x, converged=True, outer_iterations=0,
-                                    inner_iterations_total=0, residual=0.0)
-    screen = None
+        return done(x=x, converged=True, outer_iterations=0,
+                    inner_iterations_total=0, residual=0.0)
     if guard is not None:
-        screen = guard.screen()
         inner_solve = tuple(
             None if s is None else partial(s, guard=guard.inner())
             for s in inner_solve)
@@ -317,15 +328,19 @@ def defect_correction(op, b: Lattice, tol: float, inner_tol: float,
             else min(max_inner, max_iter - inner_total)
         if budget <= 0:
             break
-        d32, spent = _inner_step(op32, to_single(r), inner_tol, budget,
-                                 method, cap, inner_solve)
+        d32, spent, inner = _inner_step(op32, to_single(r), inner_tol,
+                                        budget, method, cap, inner_solve)
         inner_total += spent
         x_trial = x + to_double(d32)
         # True residual, double precision.
         r_trial = b - op.apply(x_trial)
         rel = r_trial.norm2() ** 0.5 / bnorm
-        verdict = "keep" if screen is None else screen(outer, rel,
-                                                       history[-1])
+        if ledger is None:
+            verdict = "keep"
+        else:
+            for res in inner:
+                ledger.absorb(res)
+            verdict = ledger.screen(outer, rel, history[-1])
         if verdict == "retry":
             continue
         if verdict == "stop":
@@ -333,7 +348,7 @@ def defect_correction(op, b: Lattice, tol: float, inner_tol: float,
         x, r = x_trial, r_trial
         history.append(rel)
         if rel <= tol:
-            return MixedPrecisionResult(
+            return done(
                 x=x, converged=True, outer_iterations=outer,
                 inner_iterations_total=inner_total, residual=rel,
                 residual_history=history,
@@ -342,7 +357,7 @@ def defect_correction(op, b: Lattice, tol: float, inner_tol: float,
             # Stagnation guard: float32 inner solve can no longer
             # reduce the double-precision residual.
             break
-    return MixedPrecisionResult(
+    return done(
         x=x, converged=False, outer_iterations=len(history) - 1,
         inner_iterations_total=inner_total, residual=history[-1],
         residual_history=history,

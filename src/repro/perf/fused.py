@@ -42,6 +42,16 @@ Both orders compose the same three steps, :func:`_project`,
 each; where the two rows of a spin pair take the same operation they
 run as one ``(2, 3, n)`` ufunc call.
 
+The same row kernel serves the gauge-field products, under the same
+rule (:func:`repro.engine.plan.takes_fused_path`):
+:func:`colour_mm_rows` and :func:`colour_mm_dagger_rows` are
+:func:`_su3_halfspinor` on colour-matrix rows (``repro.grid.tensor``'s
+``colour_mm``/``colour_mm_dagger_right`` call them on colour-axis
+views), and :func:`loop_traces` sweeps the closed loops of
+``repro.grid.su3.plaquette`` and ``repro.grid.observables.
+wilson_loop`` in blocks, gathering shifted links through the same
+neighbour tables.
+
 **Bit-identity contract.**  Every expression below reproduces the
 reference accumulation element-for-element:
 
@@ -150,10 +160,12 @@ def _su3_halfspinor(V: np.ndarray, h: np.ndarray, out: np.ndarray,
                     prod: np.ndarray) -> None:
     """``out_{s,a} = sum_b V[a,b] h_{s,b}``.
 
-    ``V`` is ``(3, 3, n)`` and ``h``/``out``/``prod`` ``(2, 3, n)``.
-    Accumulates with ``b`` ascending — the reference's inner-loop
-    order in :func:`repro.grid.tensor.su3_mul_vec` — so every element
-    sees the identical IEEE sum ``((0 + t0) + t1) + t2``.
+    ``V`` is ``(3, 3, n)`` and ``h``/``out``/``prod`` ``(s, 3, n)``:
+    a half spinor's two spin rows, or for the colour-matrix products
+    three matrix rows (``n`` may be several axes).  Accumulates with
+    ``b`` ascending — the reference's inner-loop order in
+    :func:`repro.grid.tensor.su3_mul_vec` — so every element sees the
+    identical IEEE sum ``((0 + t0) + t1) + t2``.
     """
     zero = out.dtype.type(0)
     for b in range(3):
@@ -161,6 +173,85 @@ def _su3_halfspinor(V: np.ndarray, h: np.ndarray, out: np.ndarray,
         hb = h[:, b, None]
         np.multiply(u, hb, out=prod)
         np.add(zero if b == 0 else out, prod, out=out)
+
+
+def colour_mm_rows(A: np.ndarray, B: np.ndarray, out: np.ndarray,
+                   prod: np.ndarray) -> None:
+    """``out = A B`` on colour-matrix fields whose two colour axes lead
+    (``(3, 3, ...)``, any strides): :func:`_su3_halfspinor` with
+    ``V = A`` and the rows of ``B^T`` as its half spinors, written to
+    ``out^T``.  Each element is ``((0 + A_a0 B_0c) + A_a1 B_1c) +
+    A_a2 B_2c`` with the operands in that order — the ``madd`` loop of
+    :func:`repro.grid.tensor.colour_mm`, bit for bit."""
+    _su3_halfspinor(A, B.swapaxes(0, 1), out.swapaxes(0, 1), prod)
+
+
+def colour_mm_dagger_rows(A: np.ndarray, B: np.ndarray, out: np.ndarray,
+                          prod: np.ndarray) -> None:
+    """``out = A B^dagger`` like :func:`colour_mm_rows`:
+    :func:`_su3_halfspinor` with ``V = conj(B)`` and the rows of ``A``
+    as its half spinors, so each product is ``conj(B_cb) A_ab`` — the
+    ``conj_madd`` loop of :func:`repro.grid.tensor.
+    colour_mm_dagger_right`."""
+    _su3_halfspinor(np.conj(B), A, out, prod)
+
+
+def loop_traces(loops, nlanes: int) -> list:
+    """``sum_x Re tr [A(x) B(x) C(x)^dagger D(x)^dagger]`` for each
+    loop in ``loops``: the closed loops behind the plaquette and the
+    Wilson loops, on working-layout ``(3, 3, N)`` colour-matrix fields,
+    in blocks of :data:`BLOCK_SITES` flat sites.
+
+    Each loop is four ``(field, table)`` pairs for ``A, B, C, D``: the
+    factor at flat site ``f`` is ``field[:, :, table[f]]`` (a
+    neighbour, gathered per block through a
+    :func:`repro.grid.stencil.neighbour_table`) or, for ``table``
+    ``None``, ``field[:, :, f]``.  The loops share one set of block
+    buffers and one trace buffer.
+
+    Each trace is bit-identical to ``colour_trace_re(
+    colour_mm_dagger_right(colour_mm_dagger_right(colour_mm(A, B), C),
+    D))`` on the lane-major fields.  The products are
+    :func:`colour_mm_rows` and :func:`colour_mm_dagger_rows`; of the
+    last one only the diagonal is formed, each element by the same
+    operations.  Each colour's diagonal is reduced over an
+    ``(osites, nlanes)`` array strided like the lane-major
+    ``A[:, a, a]``, because numpy's pairwise sum depends on the shape
+    and strides it reduces; the three traces are summed in colour
+    order, as :func:`repro.grid.tensor.colour_trace_re` does.
+    """
+    first = loops[0][0][0]
+    count, dtype = first.shape[-1], first.dtype
+    zero = dtype.type(0)
+    step = max(nlanes, BLOCK_SITES - BLOCK_SITES % nlanes)
+    size = 9 * min(step, count)
+    bufs = [np.empty(size, dtype=dtype) for _ in range(7)]
+    diag = np.empty((count // nlanes, 3, nlanes), dtype=dtype)
+    traces = []
+    for factors in loops:
+        for b0 in range(0, count, step):
+            b1 = min(b0 + step, count)
+            n = b1 - b0
+            *fetched, m1, m2, prod = [b[:9 * n].reshape(3, 3, n)
+                                      for b in bufs]
+            A, B, C, D = [field[:, :, b0:b1] if table is None else
+                          np.take(field, table[b0:b1], axis=-1, out=buf,
+                                  mode="clip")
+                          for (field, table), buf in zip(factors, fetched)]
+            colour_mm_rows(A, B, m1, prod)
+            _su3_halfspinor(np.conj(C, out=fetched[2]), m1, m2, prod)
+            Dc = np.conj(D, out=fetched[3])
+            tr, p = prod[0], prod[1]
+            for b in range(3):  # tr_a = sum_b conj(D_ab) m2_ab
+                np.multiply(Dc[:, b], m2[:, b], out=p)
+                np.add(zero if b == 0 else tr, p, out=tr)
+            diag[b0 // nlanes:b1 // nlanes] = np.moveaxis(
+                tr.reshape(3, -1, nlanes), 0, 1)
+        total = 0.0
+        for a in range(3):
+            total += complex(diag[:, a].sum()).real
+        traces.append(total)
+    return traces
 
 
 def _reconstruct(acc: np.ndarray, uh: np.ndarray, mu: int, sign: int,

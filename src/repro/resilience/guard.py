@@ -61,21 +61,6 @@ class FaultGuard:
         single-precision twin, not solutions to checkpoint."""
         return replace(self, good_hook=None)
 
-    def screen(self) -> Callable:
-        """A fresh judge of :func:`~repro.grid.mixedprec.
-        defect_correction`'s outer updates: keep one whose true
-        residual is finite and at most twice the last; discard any
-        other and retry, or stop once ``max_restarts`` is spent."""
-        ledger = self.ledger()
-
-        def judge(outer, rel, last):
-            if math.isfinite(rel) and rel <= 2.0 * last:
-                return "keep"
-            return "retry" if ledger.recover(
-                f"mixed-precision: corrupted outer update {outer} "
-                f"(rel {rel!r})") else "stop"
-        return judge
-
 
 class Ledger:
     """One guarded solve: the last verified iterate ``good_x``, the
@@ -84,8 +69,30 @@ class Ledger:
     def __init__(self, guard: FaultGuard, op, b, bnorm: float, x):
         self.guard, self.op, self.b, self.bnorm = guard, op, b, bnorm
         self.good_x = None if x is None else x.copy()
-        self.restarts = self.checks = 0
+        self.restarts = self.checks = self.inner_restarts = 0
         self.events: list = []
+
+    def screen(self, outer: int, rel: float, last: float) -> str:
+        """Judge :func:`~repro.grid.mixedprec.defect_correction`'s outer
+        update ``outer`` by its true residual ``rel``: ``"keep"`` one
+        that is finite and at most twice the ``last``; discard any
+        other and ``"retry"``, or ``"stop"`` once ``max_restarts`` is
+        spent."""
+        if math.isfinite(rel) and rel <= 2.0 * last:
+            return "keep"
+        return "retry" if self.recover(
+            f"mixed-precision: corrupted outer update {outer} "
+            f"(rel {rel!r})") else "stop"
+
+    def absorb(self, inner) -> None:
+        """Merge the ledger of the inner solve whose result is
+        ``inner`` (a mixed-precision solve's): its events, in order,
+        and its restarts and checks into the totals :meth:`result`
+        reports.  Its restarts do not spend this ledger's
+        ``max_restarts``."""
+        self.events.extend(getattr(inner, "detected_events", ()))
+        self.inner_restarts += getattr(inner, "restarts", 0)
+        self.checks += getattr(inner, "true_residual_checks", 0)
 
     def recover(self, event: str) -> bool:
         """Record the hazard ``event``; whether a restart is left to
@@ -123,8 +130,8 @@ class Ledger:
             self.guard.good_hook(it, x, true_rel)
         return true_rel, True
 
-    def result(self, **kwargs) -> FTSolverResult:
-        """The solve's result with this ledger attached."""
-        return FTSolverResult(**kwargs, restarts=self.restarts,
-                              detected_events=self.events,
-                              true_residual_checks=self.checks)
+    def result(self, cls=FTSolverResult, **kwargs):
+        """The solve's result, a ``cls``, with this ledger attached."""
+        return cls(**kwargs, restarts=self.restarts + self.inner_restarts,
+                   detected_events=self.events,
+                   true_residual_checks=self.checks)

@@ -252,3 +252,34 @@ def test_fault_ledger(dirac, b, solver, fault, at_call, settings,
         assert res.residual > res.residual_history[-1]
     else:
         assert res.residual == res.residual_history[-1]
+
+
+def test_mixed_fault_ledger(dirac, b):
+    """A guarded mixed solve reports its ledger: the outer screen's
+    discarded update merged with the inner solves' ledgers.  Here the
+    second double-precision ``apply`` (outer update 2's true residual)
+    returns NaN."""
+    op = WilsonDirac(dirac.links, mass=dirac.mass)
+    apply, calls = op.apply, []
+
+    def poisoned(v):
+        out = apply(v)
+        calls.append(v)
+        if len(calls) == 2:
+            nan_poison(out)
+        return out
+
+    op.apply = poisoned
+    campaign = FaultCampaign(seed=1)
+    res = mixed_precision_cgne(op, b, tol=1e-10,
+                               guard=FaultGuard(campaign=campaign))
+    assert res.converged
+    assert campaign.detected == campaign.recovered == 1
+    assert res.restarts == 1
+    assert res.detected_events == [
+        "mixed-precision: corrupted outer update 2 (rel nan)"]
+    # The inner solves' final true-residual checks, one per solve.
+    assert res.true_residual_checks >= res.outer_iterations
+    plain = mixed_precision_cgne(dirac, b, tol=1e-10)
+    assert (plain.restarts, plain.detected_events,
+            plain.true_residual_checks) == (None, None, None)
