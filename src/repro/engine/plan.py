@@ -69,7 +69,7 @@ def fused_safe_backend(backend) -> bool:
 def takes_fused_path(backend, policy: ExecutionPolicy = None) -> bool:
     """The rule :attr:`KernelPlan.fused` records: the engine is on and
     ``backend`` fused-safe.  Kernels without a plan of their own (the
-    gauge-field colour products) read it here."""
+    gauge field's plaquette) read it here."""
     if policy is None:
         policy = current_policy()
     return policy.enabled and fused_safe_backend(backend)

@@ -8,16 +8,12 @@ circular shifts that the SIMD backends accelerate.
 
 from __future__ import annotations
 
-import numpy as np
 
-from repro.engine.plan import takes_fused_path
 from repro.grid.cartesian import GridCartesian
 from repro.grid.cshift import cshift
 from repro.grid.lattice import Lattice
-from repro.grid.stencil import neighbour_table
 from repro.grid.tensor import colour_mm, colour_mm_dagger_right, \
     colour_trace_re
-from repro.perf.fused import colour_mm_rows, loop_traces, to_working
 
 
 def line_product(links: list, grid: GridCartesian, mu: int,
@@ -42,8 +38,6 @@ def wilson_loop(links: list, grid: GridCartesian, mu: int, nu: int,
     if mu == nu:
         raise ValueError("Wilson loop needs two distinct directions")
     be = grid.backend
-    if takes_fused_path(be):
-        return _wilson_loop_rows(links, grid, mu, nu, r, t)
     bottom = line_product(links, grid, mu, r)           # L_mu(x; R)
     right = line_product(links, grid, nu, t)            # L_nu(x; T)
     right_shift = right
@@ -56,47 +50,6 @@ def wilson_loop(links: list, grid: GridCartesian, mu: int, nu: int,
     m2 = colour_mm_dagger_right(be, m1, top.data)
     m3 = colour_mm_dagger_right(be, m2, right.data)
     return colour_trace_re(be, m3) / (3.0 * grid.lsites)
-
-
-def _wilson_loop_rows(links: list, grid: GridCartesian, mu: int, nu: int,
-                      r: int, t: int) -> float:
-    """:func:`wilson_loop` in the ``(3, 3, N)`` working layout of
-    :mod:`repro.perf.fused`, bit for bit: the line products chain
-    :func:`~repro.perf.fused.colour_mm_rows` over ``np.take`` shifts
-    through :func:`~repro.grid.stencil.neighbour_table`, and the loop
-    is one :func:`~repro.perf.fused.loop_traces`, gathering the shifted
-    lines through the tables composed ``r`` and ``t`` times."""
-    up_mu, up_nu = neighbour_table(grid, mu, +1), neighbour_table(grid, nu, +1)
-    bottom = _line_rows(to_working(links[mu].data), up_mu, r)
-    right = _line_rows(to_working(links[nu].data), up_nu, t)
-    (trace,) = loop_traces(
-        [((bottom, None), (right, _repeated(up_mu, r)),
-          (bottom, _repeated(up_nu, t)), (right, None))], grid.nlanes)
-    return trace / (3.0 * grid.lsites)
-
-
-def _line_rows(u, up, length: int):
-    """:func:`line_product` of the working-layout link field ``u``
-    along the direction whose ``+1`` neighbour table is ``up``."""
-    seg, hop = u, u
-    prod = np.empty_like(u)
-    for _ in range(1, length):
-        hop = np.take(hop, up, axis=-1)
-        nxt = np.empty_like(u)
-        colour_mm_rows(seg, hop, nxt, prod)
-        seg = nxt
-    return seg
-
-
-def _repeated(up, n: int):
-    """The gather table of ``n`` successive shifts by ``up``, or
-    ``None`` for none."""
-    if n <= 0:
-        return None
-    table = up
-    for _ in range(1, n):
-        table = table[up]
-    return table
 
 
 def average_plaquette(links: list, grid: GridCartesian) -> float:

@@ -6,23 +6,11 @@ call is one whole-lattice vector operation — Grid's "one instruction
 per lattice-wide tensor element" execution shape.  The complex
 multiply-adds inside are exactly the operations the paper implements
 with FCMLA (Section V-C) or real arithmetic (Section V-E).
-
-Where the Wilson hop takes its fused path (engine on, fused-safe
-backend: :func:`repro.engine.plan.takes_fused_path`) the colour-matrix
-products take it too: :func:`colour_mm` and
-:func:`colour_mm_dagger_right` run as the hop's row kernel
-(:func:`repro.perf.fused.colour_mm_rows`) on colour-axis views, three
-multiply-adds per call instead of 27 ``madd`` calls, bit for bit.  The
-loops below stay the reference, and the only route for
-instruction-counting backends.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.engine.plan import takes_fused_path
-from repro.perf import fused
 
 
 def su3_mul_vec(backend, U: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -58,20 +46,8 @@ def su3_dagger_mul_vec(backend, U: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rows_product(kernel, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``kernel`` (a :mod:`repro.perf.fused` colour product) on the
-    colour-axis views ``(3, 3, osites, nlanes)`` of lane-major fields,
-    into a result laid out like ``A``."""
-    out = np.empty_like(A)
-    rows = [np.moveaxis(x, 0, -2) for x in (A, B, out)]
-    kernel(*rows, np.empty(rows[0].shape, dtype=A.dtype))
-    return out
-
-
 def colour_mm(backend, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """3x3 colour matrix product ``A B`` per site."""
-    if takes_fused_path(backend):
-        return _rows_product(fused.colour_mm_rows, A, B)
     out = np.zeros_like(A)
     for a in range(3):
         for c in range(3):
@@ -83,8 +59,6 @@ def colour_mm(backend, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def colour_mm_dagger_right(backend, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``A B^dagger`` per site."""
-    if takes_fused_path(backend):
-        return _rows_product(fused.colour_mm_dagger_rows, A, B)
     out = np.zeros_like(A)
     for a in range(3):
         for c in range(3):

@@ -42,15 +42,13 @@ Both orders compose the same three steps, :func:`_project`,
 each; where the two rows of a spin pair take the same operation they
 run as one ``(2, 3, n)`` ufunc call.
 
-The same row kernel serves the gauge-field products, under the same
-rule (:func:`repro.engine.plan.takes_fused_path`):
-:func:`colour_mm_rows` and :func:`colour_mm_dagger_rows` are
-:func:`_su3_halfspinor` on colour-matrix rows (``repro.grid.tensor``'s
-``colour_mm``/``colour_mm_dagger_right`` call them on colour-axis
-views), and :func:`loop_traces` sweeps the closed loops of
-``repro.grid.su3.plaquette`` and ``repro.grid.observables.
-wilson_loop`` in blocks, gathering shifted links through the same
-neighbour tables.
+The same row kernel serves the gauge field's plaquette, under the
+same rule (:func:`repro.engine.plan.takes_fused_path`):
+:func:`loop_traces` sweeps the closed loops of
+``repro.grid.su3.plaquette`` in blocks, gathering shifted links
+through the same neighbour tables, and forms each colour-matrix
+product with :func:`_su3_halfspinor` on colour-matrix rows
+(:func:`colour_mm_rows`).
 
 **Bit-identity contract.**  Every expression below reproduces the
 reference accumulation element-for-element:
@@ -186,21 +184,11 @@ def colour_mm_rows(A: np.ndarray, B: np.ndarray, out: np.ndarray,
     _su3_halfspinor(A, B.swapaxes(0, 1), out.swapaxes(0, 1), prod)
 
 
-def colour_mm_dagger_rows(A: np.ndarray, B: np.ndarray, out: np.ndarray,
-                          prod: np.ndarray) -> None:
-    """``out = A B^dagger`` like :func:`colour_mm_rows`:
-    :func:`_su3_halfspinor` with ``V = conj(B)`` and the rows of ``A``
-    as its half spinors, so each product is ``conj(B_cb) A_ab`` — the
-    ``conj_madd`` loop of :func:`repro.grid.tensor.
-    colour_mm_dagger_right`."""
-    _su3_halfspinor(np.conj(B), A, out, prod)
-
-
 def loop_traces(loops, nlanes: int) -> list:
     """``sum_x Re tr [A(x) B(x) C(x)^dagger D(x)^dagger]`` for each
-    loop in ``loops``: the closed loops behind the plaquette and the
-    Wilson loops, on working-layout ``(3, 3, N)`` colour-matrix fields,
-    in blocks of :data:`BLOCK_SITES` flat sites.
+    loop in ``loops``: the closed loops behind the plaquette, on
+    working-layout ``(3, 3, N)`` colour-matrix fields, in blocks of
+    :data:`BLOCK_SITES` flat sites.
 
     Each loop is four ``(field, table)`` pairs for ``A, B, C, D``: the
     factor at flat site ``f`` is ``field[:, :, table[f]]`` (a
@@ -212,13 +200,16 @@ def loop_traces(loops, nlanes: int) -> list:
     Each trace is bit-identical to ``colour_trace_re(
     colour_mm_dagger_right(colour_mm_dagger_right(colour_mm(A, B), C),
     D))`` on the lane-major fields.  The products are
-    :func:`colour_mm_rows` and :func:`colour_mm_dagger_rows`; of the
-    last one only the diagonal is formed, each element by the same
-    operations.  Each colour's diagonal is reduced over an
-    ``(osites, nlanes)`` array strided like the lane-major
-    ``A[:, a, a]``, because numpy's pairwise sum depends on the shape
-    and strides it reduces; the three traces are summed in colour
-    order, as :func:`repro.grid.tensor.colour_trace_re` does.
+    :func:`colour_mm_rows` and, for ``M C^dagger``,
+    :func:`_su3_halfspinor` with ``V = conj(C)`` and the rows of ``M``
+    as its half spinors, so each product is ``conj(C_cb) M_ab`` — the
+    ``conj_madd`` loop of :func:`repro.grid.tensor.
+    colour_mm_dagger_right`; of the last product only the diagonal is
+    formed, each element by the same operations.  Each colour's
+    diagonal is reduced over an ``(osites, nlanes)`` array strided like
+    the lane-major ``A[:, a, a]``, because numpy's pairwise sum depends
+    on the shape and strides it reduces; the three traces are summed in
+    colour order, as :func:`repro.grid.tensor.colour_trace_re` does.
     """
     first = loops[0][0][0]
     count, dtype = first.shape[-1], first.dtype

@@ -1,10 +1,14 @@
-"""The gauge-field colour products on the Wilson hop's row kernel.
+"""The gauge field's plaquette on the Wilson hop's row kernel.
 
-With the engine on and a fused-safe backend, ``colour_mm``,
-``colour_mm_dagger_right``, ``plaquette`` and ``wilson_loop`` (and the
-staples, clover leaves and gauge I/O built on them) run through
-:mod:`repro.perf.fused`; under ``engine.scope(enabled=False)`` they are
-the layered backend loops.  Both must give the same bytes.
+With the engine on and a fused-safe backend, ``plaquette`` (and so
+``save_gauge``'s header and ``load_gauge``'s verification) runs
+through :func:`repro.perf.fused.loop_traces`; under
+``engine.scope(enabled=False)`` it is the layered backend loops.  Both
+must give the same bytes, and so must the row kernel's colour products
+against ``colour_mm``/``colour_mm_dagger_right``.  Wilson loops
+(``average_plaquette`` among them), staples and clover leaves stay on
+the layered products either way; the engine switch must leave their
+bytes alone too.
 """
 
 import numpy as np
@@ -52,6 +56,28 @@ def hot_links(dims, backend="generic256", dtype=np.complex128, seed=7):
     return grid, random_gauge(grid, seed=seed)
 
 
+def rows(x):
+    """The colour-axis view ``(3, 3, osites, nlanes)`` of a lane-major
+    colour-matrix field."""
+    return np.moveaxis(x, 0, -2)
+
+
+def row_kernel_mm(a, b):
+    out = np.empty_like(a)
+    fused.colour_mm_rows(rows(a), rows(b), rows(out),
+                         np.empty(rows(a).shape, dtype=a.dtype))
+    return out
+
+
+def row_kernel_mm_dagger(a, b):
+    # ``loop_traces``' ``M C^dagger``: V = conj(C), the rows of M as
+    # the half spinors.
+    out = np.empty_like(a)
+    fused._su3_halfspinor(np.conj(rows(b)), rows(a), rows(out),
+                          np.empty(rows(a).shape, dtype=a.dtype))
+    return out
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("dtype", DTYPES, ids=["c128", "c64"])
 def test_colour_products(backend, dtype):
@@ -60,14 +86,18 @@ def test_colour_products(backend, dtype):
     a, b = links[0].data, links[1].data
     c = _dagger(links[2].data)  # non-contiguous colour axes
     assert not c.flags.c_contiguous
-    cases = [(colour_mm, a, b), (colour_mm, c, a), (colour_mm, b, c),
-             (colour_mm_dagger_right, a, b),
-             (colour_mm_dagger_right, c, a),
-             (colour_mm_dagger_right, a, c)]
-    for product, x, y in cases:
-        on, off = engine_on_and_off(lambda: product(be, x, y))
-        assert on.strides == off.strides
-        assert_same_bytes(on, off)
+    cases = [(colour_mm, row_kernel_mm, a, b),
+             (colour_mm, row_kernel_mm, c, a),
+             (colour_mm, row_kernel_mm, b, c),
+             (colour_mm_dagger_right, row_kernel_mm_dagger, a, b),
+             (colour_mm_dagger_right, row_kernel_mm_dagger, c, a),
+             (colour_mm_dagger_right, row_kernel_mm_dagger, a, c)]
+    for layered, kernel, x, y in cases:
+        want = layered(be, x, y)
+        on, off = engine_on_and_off(lambda: layered(be, x, y))
+        assert_same_bytes(on, want)
+        assert_same_bytes(off, want)
+        assert_same_bytes(kernel(x, y), want)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
