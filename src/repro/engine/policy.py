@@ -38,12 +38,22 @@ bottom of the engine's dependency stack.
 
 from __future__ import annotations
 
+import os
 import threading
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields, replace
 from typing import Optional
+
+
+#: The default tile-pool width, read once at import: the CPUs this
+#: process may run on (its affinity mask where the OS has one, else the
+#: machine's CPU count).
+try:
+    HOST_CPUS = len(os.sched_getaffinity(0))
+except (AttributeError, OSError):
+    HOST_CPUS = os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -61,10 +71,19 @@ class ExecutionPolicy:
         is checked against and what the benchmark harness measures the
         engine against.
     workers:
-        Tile-pool width for lattice sweeps (1 = serial).
+        Tile-pool width for lattice sweeps (1 = serial).  Defaults to
+        :data:`HOST_CPUS`, the CPUs in the process's affinity mask.
     tile_min_sites:
-        Lattices smaller than this stay serial (pool dispatch would
-        cost more than it saves).
+        The fewest flat lattice sites (outer sites times SIMD lanes,
+        so the same on every backend) a tile may get: a sweep splits
+        into at most ``workers`` tiles of at least this many sites,
+        and a smaller one runs serially.  The default, one sweep block
+        (4096), was set by measuring ``workers`` 1 against 2 on each
+        tiled sweep (the full hop, the Schur checkerboard hop, the
+        distributed block sweep) from 4^3x8 to 16^4 in both
+        precisions: it is the smallest tile at which every split it
+        allows was faster, so no 8^4 sweep splits (EXPERIMENTS
+        X-DSLASH).
     caches:
         Consult *and populate* the engine's derived-data caches: the
         kernel trace cache, cshift gather plans, distributed
@@ -107,8 +126,8 @@ class ExecutionPolicy:
     """
 
     enabled: bool = True
-    workers: int = 1
-    tile_min_sites: int = 128
+    workers: int = HOST_CPUS
+    tile_min_sites: int = 4096
     caches: bool = True
     fallback: bool = False
     backend: str = "generic256"

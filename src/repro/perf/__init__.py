@@ -37,6 +37,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.engine.policy import (
+    ExecutionPolicy,
     current_policy,
     scope as _scope,
     update_base_policy,
@@ -75,8 +76,9 @@ class PerfConfig:
     ``enabled`` gates every engine path at once — caches, fusion and
     tiling; with it off, the original (pre-engine) code runs
     unchanged.  ``workers`` is the tile pool width for lattice sweeps
-    (1 = serial).  ``tile_min_sites`` keeps tiny lattices serial where
-    pool dispatch would cost more than it saves.
+    (1 = serial; by default the CPUs the process may run on).
+    ``tile_min_sites`` is the fewest flat sites a tile may get, so
+    sweeps too small to gain from the pool run serially.
 
     This used to be *the* mutable process-global configuration; it is
     now derived per call from :func:`repro.engine.current_policy` and
@@ -85,8 +87,8 @@ class PerfConfig:
     """
 
     enabled: bool = True
-    workers: int = 1
-    tile_min_sites: int = 128
+    workers: int = ExecutionPolicy.workers
+    tile_min_sites: int = ExecutionPolicy.tile_min_sites
 
 
 def config() -> PerfConfig:

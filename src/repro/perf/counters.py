@@ -31,8 +31,8 @@ from repro.telemetry.metrics import registry
 #:   index tables (:func:`repro.grid.stencil.neighbour_table`) the
 #:   fused single-rank sweep gathers through.
 #: * ``fused_dhop_calls`` — Wilson-Dslash sweeps taken by the fused
-#:   engine path; ``tiles_dispatched`` — tile bodies executed (equal
-#:   to fused calls when running serial).
+#:   engine path; ``tiles_dispatched`` — block-sweep tiles executed
+#:   (one per sweep when running serial).
 #: * ``halo_posts`` / ``halo_waits`` — halo messages posted to and
 #:   completed from the in-flight queue.
 #: * ``plan_hits`` / ``plan_misses`` — resolved

@@ -14,17 +14,18 @@ elements.  The sweeps therefore work *tensor-major flat*:
 ``(4, 3, N)``, one row of ``N`` sites per spin-colour component.
 
 * The full hop (:func:`fused_dhop`) transposes ``psi`` into that
-  layout once on entry and each block's accumulator back once on exit;
-  the operator snapshots its links in the same layout on the sweep's
-  first call (``WilsonDirac._full_links``: the links, and the
-  back-links as adjoints).  Every neighbour gather — lane permutations
-  at virtual-node boundaries included — is one ``np.take`` through a
-  flat index table per (mu, ±1) (:func:`repro.grid.stencil.
-  neighbour_table`, derived by cshifting an index field, so it cannot
-  disagree with ``cshift``).  Per block of :data:`BLOCK_SITES` flat
-  sites and per (mu, ±1) it gathers the 12 neighbour rows, then
-  projects, multiplies and reconstructs them into the accumulator while
-  the block is still in cache (gather-then-project order).
+  layout once on entry, tile by tile, and each block's accumulator
+  back once on exit; the operator snapshots its links in the same
+  layout on the sweep's first call (``WilsonDirac._full_links``: the
+  links, and the back-links as adjoints).  Every neighbour gather —
+  lane permutations at virtual-node boundaries included — is one
+  ``np.take`` through a flat index table per (mu, ±1)
+  (:func:`repro.grid.stencil.neighbour_table`, derived by cshifting
+  an index field, so it cannot disagree with ``cshift``).  Per block
+  of :data:`BLOCK_SITES` flat sites and per (mu, ±1) it gathers the 12
+  neighbour rows, then projects, multiplies and reconstructs them into
+  the accumulator while the block is still in cache
+  (gather-then-project order).
 * Half fields *are* the working layout: a
   :class:`~repro.grid.cartesian.GridRedBlack` field is stored
   ``(4, 3, N/2)`` (split into register rows), so the even-odd
@@ -84,8 +85,7 @@ import functools
 
 import numpy as np
 
-from repro.grid.lattice import Lattice
-from repro.grid.stencil import neighbour_table
+from repro.engine.policy import current_policy
 from repro.perf.counters import counters
 from repro.perf.parallel import run_tiles, tiles_for
 
@@ -309,7 +309,8 @@ def _accumulate_direction(acc: np.ndarray, V: np.ndarray,
 def fused_dhop(dirac, psi: Lattice, plan=None) -> Lattice:
     """The engine's Wilson hopping term (``WilsonDirac.dhop``).
 
-    Transposes ``psi`` into the ``(4, 3, N)`` working layout, sweeps
+    Transposes ``psi`` into the ``(4, 3, N)`` working layout (on the
+    sweep's tiles, every tile finishing before the sweep starts), sweeps
     blocks of :data:`BLOCK_SITES` flat sites — per block and per
     (mu, sign): one ``np.take`` through the memoized neighbour table,
     then the fused accumulation against the operator's tensor-major
@@ -330,17 +331,25 @@ def fused_dhop(dirac, psi: Lattice, plan=None) -> Lattice:
     hops = [(sign, neighbour_table(grid, mu, sign), links[mu], mu)
             for mu in range(grid.ndim)
             for sign, links in zip((+1, -1), dirac._full_links())]
-    nl = grid.nlanes
+    nl, n = grid.nlanes, grid.osites * grid.nlanes
     out = Lattice(grid, psi.tensor_shape,
                   np.empty(grid.field_shape(psi.tensor_shape),
                            dtype=grid.dtype))
-    flat = to_working(psi.data).reshape(12, -1)  # a gather row per (s, c)
+    flat = np.empty((12, n), dtype=psi.data.dtype)  # a gather row per (s, c)
+    lanes = flat.reshape(psi.tensor_shape + (grid.osites, nl))
+
+    def transpose(sl) -> None:
+        o = slice(sl.start // nl, sl.stop // nl)
+        lanes[:, :, o] = np.moveaxis(psi.data[o], 0, -2)
 
     def store(acc, b0, b1) -> None:
         from_working(acc, out.data[b0 // nl:b1 // nl])
 
-    ntiles = sweep_blocks(hops, flat, grid.osites * nl, store, plan,
-                          unit=nl)
+    # The entry transpose runs on the sweep's tiles (the split is a
+    # pure function of the plan and the size) and is complete before
+    # the sweep reads any neighbour.
+    run_tiles(transpose, *_split(plan, n, nl))
+    ntiles = sweep_blocks(hops, flat, n, store, plan, unit=nl)
     _bump_stages(plan, len(hops), ntiles)
     return out
 
@@ -405,6 +414,16 @@ def _bump_stages(plan, nhops: int, ntiles: int) -> None:
         plan.stages.bump("compute", ntiles)
 
 
+def _split(plan, count: int, unit: int) -> tuple:
+    """``(tiles, workers)`` for a sweep over ``count`` sites: the
+    :func:`~repro.perf.parallel.tiles_for` split and the pool width,
+    from ``plan`` when given, else from the current policy — resolved
+    on the calling thread, so no tile reads the policy."""
+    shape = current_policy() if plan is None else plan
+    return (tiles_for(count, shape.workers, shape.tile_min_sites, unit),
+            shape.workers)
+
+
 def _run_blocks(block, count: int, plan, unit: int, rows: tuple,
                 dtype) -> int:
     """Run ``block(b0, b1, bufs)`` over output sites ``0 .. count - 1``
@@ -417,17 +436,12 @@ def _run_blocks(block, count: int, plan, unit: int, rows: tuple,
     workers as long as ``block`` writes only its own sites.  ``plan``
     pins the tile split (see :func:`fused_dhop`).
     """
-    if plan is None:
-        tiles = tiles_for(count // unit)
-        workers = None
-    else:
-        tiles = tiles_for(count // unit, workers=plan.workers,
-                          min_sites=plan.tile_min_sites)
-        workers = plan.workers
+    tiles, workers = _split(plan, count, unit)
+    counters().bump("tiles_dispatched", len(tiles))
     step = max(unit, BLOCK_SITES - BLOCK_SITES % unit)
 
     def body(sl) -> None:
-        lo, hi = sl.start * unit, sl.stop * unit
+        lo, hi = sl.start, sl.stop
         size = min(step, hi - lo)
         bufs = [np.empty(r * size, dtype=dtype) for r in rows]
         for b0 in range(lo, hi, step):
@@ -436,7 +450,7 @@ def _run_blocks(block, count: int, plan, unit: int, rows: tuple,
             block(b0, b1, [b[:r * n].reshape(r, n)
                            for b, r in zip(bufs, rows)])
 
-    run_tiles(body, tiles, workers=workers)
+    run_tiles(body, tiles, workers)
     return len(tiles)
 
 
@@ -471,3 +485,10 @@ def sweep_blocks(hops, flat: np.ndarray, count: int, store, plan,
 
     return _run_blocks(block, count, plan, unit, (12, 12, 6, 6, 6),
                        flat.dtype)
+
+
+# ``repro.grid``'s package init imports ``grid/wilson.py``, which
+# imports the sweeps above: importing the grid's names last lets either
+# package be imported first.
+from repro.grid.lattice import Lattice  # noqa: E402
+from repro.grid.stencil import neighbour_table  # noqa: E402

@@ -149,12 +149,13 @@ class TestDeprecationShims:
             update_base_policy(enabled=True)
 
     def test_perf_set_workers_warns_and_delegates(self):
+        previous = base_policy()
         with pytest.warns(DeprecationWarning):
             perf.set_workers(4)
         try:
             assert base_policy().workers == 4
         finally:
-            update_base_policy(workers=1)
+            engine.set_base_policy(previous)
         with pytest.warns(DeprecationWarning):
             with pytest.raises(ValueError):
                 perf.set_workers(0)

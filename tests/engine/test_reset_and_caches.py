@@ -143,11 +143,13 @@ class TestKernelPlanCache:
         assert p1 is p2
         assert counters().plan_misses == 1
         assert counters().plan_hits == 1
-        with engine.scope(workers=2):
+        # A width other than the default (the host's CPU count).
+        workers = engine.current_policy().workers + 1
+        with engine.scope(workers=workers):
             p3 = kernel_plan(grid, "dhop")
             assert kernel_plan(grid, "dhop") is p3
         assert p3 is not p1
-        assert p3.workers == 2
+        assert p3.workers == workers
         # Back outside the scope the original plan replays.
         assert kernel_plan(grid, "dhop") is p1
 
