@@ -6,8 +6,8 @@ whether caches are consulted, whether backends degrade gracefully —
 resolves through this package instead of scattered module globals:
 
 * :mod:`repro.engine.policy` — the immutable, scoped
-  :class:`ExecutionPolicy` (``engine.scope(...)`` replaces the legacy
-  setters, which remain as deprecation shims);
+  :class:`ExecutionPolicy` (``engine.scope(...)`` for scoped
+  overrides, ``engine.update_base_policy(...)`` for process-wide ones);
 * :mod:`repro.engine.plan` — per-(grid, kind, policy) resolved
   :class:`KernelPlan` dispatch with per-stage counters;
 * :mod:`repro.engine.operators` — the :class:`FermionOperator`

@@ -6,7 +6,7 @@ module globals: ``perf._CONFIG`` (enabled/workers/tile_min_sites),
 ``simd.registry._FALLBACK_ENABLED``, and per-call fault-injector
 arguments.  A production system serving many
 concurrent workloads cannot be driven by mutable module globals — two
-threads flipping ``set_enabled`` race each other, and a library call
+threads flipping one global race each other, and a library call
 that wants the reference path has to save/mutate/restore process
 state.
 
@@ -14,9 +14,7 @@ This module replaces all of that with a single frozen dataclass and a
 ``contextvars``-based scope stack:
 
 * :func:`base_policy` — the process-wide default, mutated only through
-  :func:`set_base_policy` / :func:`update_base_policy` (the legacy
-  setters in :mod:`repro.perf` and :mod:`repro.simd.registry` are thin
-  deprecation shims over these).
+  :func:`set_base_policy` / :func:`update_base_policy`.
 * :func:`scope` — a context manager pushing a scoped override;
   **nestable** (inner scopes start from the currently resolved policy)
   and **thread-isolated** (a ``ContextVar`` means a scope entered in
@@ -40,7 +38,6 @@ from __future__ import annotations
 
 import os
 import threading
-import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields, replace
@@ -68,8 +65,7 @@ class ExecutionPolicy:
         (:mod:`repro.perf.fused`); off restores the exact pre-engine
         code paths everywhere at once — layered arithmetic, serial
         sweeps, no caches — which is the reference every engine route
-        is checked against and what the benchmark harness measures the
-        engine against.
+        is checked against.
     workers:
         Tile-pool width for lattice sweeps (1 = serial).  Defaults to
         :data:`HOST_CPUS`, the CPUs in the process's affinity mask.
@@ -270,13 +266,3 @@ def scope(policy: Optional[ExecutionPolicy] = None, **overrides):
         yield policy
     finally:
         _SCOPED.reset(token)
-
-
-def warn_deprecated_setter(old: str, new: str) -> None:
-    """Emit the standard shim warning (used by the legacy setters in
-    :mod:`repro.perf` and :mod:`repro.simd.registry`)."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )

@@ -1,13 +1,13 @@
 """``engine.reset_all()`` — one clean-slate call for the whole stack.
 
-Before the engine, every harness and campaign runner composed the
+Before the engine, every campaign runner and test fixture composed the
 reset ritual by hand: ``reset_all_comms()`` for live distributed
 lattices, ``reset_all_degraded()`` for sticky backend degradations,
-``clear_cache()`` for the kernel trace cache, ``reset_counters()`` for
-the perf tallies — four imports, easy to miss one and leak state into
-the next run's gated metrics.  :func:`reset_all` composes all of them
+``clear_cache()`` for the kernel program cache, ``reset_counters()``
+for the perf tallies — four imports, easy to miss one and leak state
+into the next run's counts.  :func:`reset_all` composes all of them
 (plus the engine's own plan caches) behind one call, which
-``run_campaign_suite`` and the bench harness now use.
+``run_campaign_suite`` and the test fixtures use.
 
 Imports are function-level: this module is reachable from
 ``repro.engine`` (which the grid/perf/simd layers import), so it must
@@ -28,7 +28,7 @@ def reset_all(counters: bool = True, caches: bool = True) -> dict:
       failed supervised solve would otherwise force the *next* run
       down the degradation ladder from its first attempt
       (:func:`repro.resilience.breaker.reset_breakers`);
-    * with ``caches`` (default): the kernel trace cache
+    * with ``caches`` (default): the kernel program cache
       (:func:`repro.perf.trace_cache.clear_cache`), every grid-hosted
       plan cache (:func:`repro.engine.plan.clear_plan_caches`) and the
       distributed shift/halo memos — cache invalidation never changes

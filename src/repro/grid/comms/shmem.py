@@ -73,7 +73,6 @@ import numpy as np
 
 from repro.engine.policy import current_policy
 from repro.engine.policy import scope as _engine_scope
-from repro.grid import compression
 from repro.grid.comms.faults import adapt_fault_hook
 from repro.grid.comms.transport import Transport
 from repro.grid.comms.wire import exchange_field
@@ -617,21 +616,3 @@ def _reconstructible(backend) -> bool:
     except Exception:
         return False
     return type(rebuilt) is type(backend)
-
-
-# Re-exported for callers that reason about wire volume without a
-# runtime (the bench harness).
-def wire_bytes_for(psi, ndim: int = None) -> int:
-    """Total wire bytes one dhop sweep moves (all ranks, all dims)."""
-    g0 = psi.grids[0]
-    ndim = g0.ndim if ndim is None else ndim
-    total = 0
-    for mu in range(ndim):
-        if g0.ldims[mu] <= 1 and psi.ranks.mpi_layout[mu] > 1:
-            continue  # whole-rank renumbering: no wire message
-        halo_sites = g0.lsites // g0.ldims[mu]
-        n_complex = halo_sites * int(np.prod(psi.tensor_shape))
-        total += 2 * psi.ranks.nranks * compression.wire_bytes(
-            n_complex, psi.compress_halos, g0.dtype
-        )
-    return total

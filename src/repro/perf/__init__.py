@@ -3,17 +3,17 @@
 Three layers, mirroring the paper's performance argument (instruction
 economy on the complex hot path) in software:
 
-* :mod:`repro.perf.trace_cache` — kernel trace caching: decoded and
-  lowered SVE programs are memoized per (kernel, options) and their
-  executor traces per (VL, dtype), so repeated ``run_kernel`` calls
-  skip assembly, decode and re-lowering entirely.
+* :mod:`repro.perf.trace_cache` — kernel program caching: lowered
+  and decoded SVE programs are memoized per (kernel, options), and
+  each program binds its executor steps once per VL
+  (``Program._bound``), so repeated ``run_kernel`` calls skip
+  lowering, assembly and decode entirely.
 * :mod:`repro.perf.parallel` + :mod:`repro.perf.fused` — tiled lattice
   sweeps: the Wilson-Dslash sweep is split into per-slice tiles over a
   ``concurrent.futures`` pool with a deterministic reduction order,
   and the per-tile body is a fused project/SU(3)/reconstruct path that
   is bit-identical to the layered reference.
-* :mod:`repro.perf.harness` — the benchmark-regression harness CI
-  gates on (see ``benchmarks/bench_regression.py``).
+* :mod:`repro.perf.counters` — the engine's cache and sweep tallies.
 
 Since the unified execution engine landed, the knobs live in the
 scoped :class:`repro.engine.ExecutionPolicy` — this module is a
@@ -22,13 +22,11 @@ scoped :class:`repro.engine.ExecutionPolicy` — this module is a
 * :func:`config` returns a read-only :class:`PerfConfig` snapshot of
   the currently resolved policy;
 * :func:`configured` / :func:`disabled` are thin wrappers over
-  :func:`repro.engine.scope` (scoped, nestable, thread-isolated);
-* the mutating setters (:func:`set_enabled`, :func:`set_workers`) emit
-  :class:`DeprecationWarning` and delegate to
-  :func:`repro.engine.update_base_policy`.
+  :func:`repro.engine.scope` (scoped, nestable, thread-isolated).
 
-``perf.disabled()`` still restores the exact pre-engine code paths
-(that is what the harness measures the engine against).
+Process-wide changes go through :func:`repro.engine.update_base_policy`.
+``perf.disabled()`` still restores the exact pre-engine code paths,
+the reference the engine's bit-identity tests compare against.
 """
 
 from __future__ import annotations
@@ -40,8 +38,6 @@ from repro.engine.policy import (
     ExecutionPolicy,
     current_policy,
     scope as _scope,
-    update_base_policy,
-    warn_deprecated_setter,
 )
 from repro.perf.counters import PerfCounters, counters, reset_counters
 
@@ -52,21 +48,8 @@ __all__ = [
     "configured",
     "counters",
     "disabled",
-    "get_counters",
     "reset_counters",
-    "set_enabled",
-    "set_workers",
 ]
-
-
-def get_counters() -> PerfCounters:
-    """Deprecated: use :func:`counters` (or ``telemetry.snapshot()``
-    for the registry view).  Kept as a shim because the counters now
-    live in the telemetry registry and this was the historical
-    accessor name some downstream scripts used."""
-    warn_deprecated_setter("repro.perf.get_counters",
-                           "repro.perf.counters")
-    return counters()
 
 
 @dataclass(frozen=True)
@@ -82,8 +65,8 @@ class PerfConfig:
 
     This used to be *the* mutable process-global configuration; it is
     now derived per call from :func:`repro.engine.current_policy` and
-    frozen — mutate via ``engine.scope(...)`` (scoped) or the
-    deprecated setters (process-wide).
+    frozen — mutate via ``engine.scope(...)`` (scoped) or
+    ``engine.update_base_policy(...)`` (process-wide).
     """
 
     enabled: bool = True
@@ -100,21 +83,6 @@ def config() -> PerfConfig:
         workers=policy.workers,
         tile_min_sites=policy.tile_min_sites,
     )
-
-
-def set_enabled(flag: bool) -> None:
-    """Deprecated: use ``engine.scope(enabled=...)`` (scoped) or
-    ``engine.update_base_policy(enabled=...)`` (process-wide)."""
-    warn_deprecated_setter("repro.perf.set_enabled", "repro.engine.scope(enabled=...)")
-    update_base_policy(enabled=bool(flag))
-
-
-def set_workers(n: int) -> None:
-    """Deprecated: use ``engine.scope(workers=...)``."""
-    warn_deprecated_setter("repro.perf.set_workers", "repro.engine.scope(workers=...)")
-    if n < 1:
-        raise ValueError(f"workers must be >= 1, got {n}")
-    update_base_policy(workers=int(n))
 
 
 @contextmanager

@@ -2,16 +2,16 @@
 registry.
 
 Every engine layer increments these instead of keeping private
-tallies, so the regression harness (and the trace-cache tests) can
-assert cache-hit rates across a whole sweep with one read.  Since the
+tallies, so a test can assert a whole sweep's cache hits and misses
+with one read.  Since the
 telemetry layer landed, the backing store is the process-global
 :class:`~repro.telemetry.metrics.MetricsRegistry` (one
 :class:`~repro.telemetry.metrics.Counter` per name, prefixed
 ``perf.``): the same values appear in ``telemetry.snapshot()`` and in
 the Prometheus export, and ``telemetry.reset()`` provably zeroes them
 along with everything else.  This module keeps the historical call
-surface — ``counters().bump(...)``, attribute reads,
-``as_dict()`` — as a thin facade over those instruments.
+surface — ``counters().bump(...)`` and attribute reads — as a thin
+facade over those instruments.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ from repro.telemetry.metrics import registry
 #:
 #: * ``program_hits`` / ``program_misses`` — memoized vectorize +
 #:   assemble lookups (per kernel signature and codegen options).
-#: * ``trace_hits`` / ``trace_misses`` / ``trace_invalidations`` —
-#:   executor-trace lookups per (kernel, VL, dtype); a VL or dtype
-#:   change invalidates and recounts as a miss.
 #: * ``cshift_plan_hits`` / ``cshift_plan_misses`` — cached gather
 #:   plans for lattice neighbour shifts.
 #: * ``nbr_table_hits`` / ``nbr_table_misses`` — cached flat neighbour
@@ -42,9 +39,6 @@ from repro.telemetry.metrics import registry
 COUNTER_NAMES = (
     "program_hits",
     "program_misses",
-    "trace_hits",
-    "trace_misses",
-    "trace_invalidations",
     "cshift_plan_hits",
     "cshift_plan_misses",
     "nbr_table_hits",
@@ -94,29 +88,6 @@ class PerfCounters:
                 f"{name!r}"
             )
         return inst.value
-
-    def as_dict(self) -> dict:
-        return {name: _PERF[name].value for name in COUNTER_NAMES}
-
-    @staticmethod
-    def _rate(hits: int, misses: int) -> float:
-        total = hits + misses
-        return hits / total if total else 0.0
-
-    def program_hit_rate(self) -> float:
-        return self._rate(self.program_hits, self.program_misses)
-
-    def trace_hit_rate(self) -> float:
-        return self._rate(self.trace_hits, self.trace_misses)
-
-    def cshift_plan_hit_rate(self) -> float:
-        return self._rate(self.cshift_plan_hits, self.cshift_plan_misses)
-
-    def nbr_table_hit_rate(self) -> float:
-        return self._rate(self.nbr_table_hits, self.nbr_table_misses)
-
-    def plan_hit_rate(self) -> float:
-        return self._rate(self.plan_hits, self.plan_misses)
 
 
 _COUNTERS = PerfCounters()

@@ -1,20 +1,15 @@
-"""Kernel trace caching: vectorize/assemble/decode exactly once.
+"""Kernel program caching: vectorize/assemble/decode exactly once.
 
 Every pre-engine call site did ``run_kernel(vectorize(kernel), ...)``:
 lowering the IR, printing assembly text, re-parsing and re-decoding it
-— per invocation.  This module memoizes the whole pipeline:
-
-* **program cache** — per kernel *signature* (structure + codegen
-  options), the lowered-and-decoded :class:`Program`.  The IR is first
-  canonicalised by :mod:`repro.vectorizer.passes`, so mul+add chains
-  reach the FMA-fusing lowering in fusable shape.
-* **trace plans** — per (kernel, VL, dtype), the resolved execution
-  plan: the shared program plus the :class:`~repro.sve.vl.VL` it runs
-  at.  A repeated ``run`` with the same key is a *trace hit* (the
-  machine also reuses the steps :mod:`repro.sve.machine` bound on the
-  program at that VL); asking for a different VL or dtype
-  invalidates the hot trace and rebuilds a plan — results stay
-  correct, the counters record the churn.
+— per invocation.  This module memoizes that pipeline per kernel
+*signature* (structure + codegen options): the lowered-and-decoded
+:class:`Program`.  The IR is first canonicalised by
+:mod:`repro.vectorizer.passes`, so mul+add chains reach the FMA-fusing
+lowering in fusable shape.  The per-VL half of the work needs no table
+here: :mod:`repro.sve.machine` binds a program's executor steps once
+per VL and keeps them on ``Program._bound``, so a cached program run
+again at any VL it has seen replays its bound steps.
 
 Caching is gated on the engine policy's ``caches_active`` (``enabled
 and caches``): under ``perf.disabled()`` — or ``engine.scope(
@@ -26,7 +21,6 @@ same uniform semantics every other plan cache in the stack follows.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -62,23 +56,12 @@ def kernel_signature(kernel: Kernel, complex_isa: bool = False,
     )
 
 
-@dataclass
-class TracePlan:
-    """The resolved per-(kernel, VL, dtype) execution plan."""
-
-    program: Program
-    vl: VL
-    dtype: str  # the kernel scalar type the plan was built for
-
-
 class TraceCache:
-    """Program + trace-plan store (one process-global instance)."""
+    """Program store (one process-global instance)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._programs: dict = {}
-        self._plans: dict = {}
-        self._hot: dict = {}  # sig -> (vl_bits, dtype) of the hot trace
 
     # -- programs ------------------------------------------------------
     def program(self, kernel: Kernel, complex_isa: bool = False,
@@ -101,46 +84,14 @@ class TraceCache:
             self._programs.setdefault(sig, prog)
         return prog
 
-    # -- trace plans ---------------------------------------------------
-    def plan(self, kernel: Kernel, vl: Union[VL, int],
-             complex_isa: bool = False, use_movprfx: bool = True,
-             fixed: bool = False, optimize: bool = True) -> TracePlan:
-        """The per-(kernel, VL, dtype) plan; counts hits/invalidations."""
-        vl_bits = vl.bits if isinstance(vl, VL) else int(vl)
-        sig = kernel_signature(kernel, complex_isa, use_movprfx, fixed,
-                               optimize)
-        key = (sig, vl_bits, kernel.scalar_type)
-        with self._lock:
-            plan = self._plans.get(key)
-            hot = self._hot.get(sig)
-        if plan is not None and hot == (vl_bits, kernel.scalar_type):
-            counters().bump("trace_hits")
-            return plan
-        if hot is not None and hot != (vl_bits, kernel.scalar_type):
-            # The kernel's hot trace was resolved for another VL/dtype:
-            # it cannot be replayed here and must be rebuilt.
-            counters().bump("trace_invalidations")
-        counters().bump("trace_misses")
-        program = self.program(kernel, complex_isa, use_movprfx, fixed,
-                               optimize)
-        plan = TracePlan(program=program, vl=VL(vl_bits),
-                         dtype=kernel.scalar_type)
-        with self._lock:
-            self._plans[key] = plan
-            self._hot[sig] = (vl_bits, kernel.scalar_type)
-        return plan
-
     # -- maintenance ---------------------------------------------------
     def clear(self) -> None:
         with self._lock:
             self._programs.clear()
-            self._plans.clear()
-            self._hot.clear()
 
     def sizes(self) -> dict:
         with self._lock:
-            return {"programs": len(self._programs),
-                    "plans": len(self._plans)}
+            return {"programs": len(self._programs)}
 
 
 def _compile(kernel: Kernel, complex_isa: bool, use_movprfx: bool,
@@ -186,18 +137,14 @@ def cached_run_kernel(
     optimize: bool = True,
     **run_kwargs,
 ) -> EmulationResult:
-    """``run_kernel(vectorize(kernel), ...)`` through the trace cache.
+    """``run_kernel(vectorize(kernel), ...)`` through the program cache.
 
     Identical results to the uncached pipeline (the simplifier is
-    IEEE-exact and the executor is deterministic); repeated calls with
-    the same (kernel, VL, dtype) skip lowering, assembly, decode and
-    handler resolution.
+    IEEE-exact and the executor is deterministic); a repeated call with
+    the same kernel skips lowering, assembly and decode, and one at a
+    VL the program already ran at also skips step binding.
     """
-    if not current_policy().caches_active:
-        prog = _compile(kernel, complex_isa, use_movprfx, fixed, optimize)
-        return run_kernel(prog, kernel, arrays, vl, n=n, **run_kwargs)
-    plan = _CACHE.plan(kernel, vl, complex_isa=complex_isa,
-                       use_movprfx=use_movprfx, fixed=fixed,
-                       optimize=optimize)
-    return run_kernel(plan.program, kernel, arrays, plan.vl, n=n,
-                      **run_kwargs)
+    program = _CACHE.program(kernel, complex_isa=complex_isa,
+                             use_movprfx=use_movprfx, fixed=fixed,
+                             optimize=optimize)
+    return run_kernel(program, kernel, arrays, vl, n=n, **run_kwargs)

@@ -37,7 +37,6 @@ from repro.simd.registry import (
     fallback_enabled,
     fallback_policy,
     get_backend,
-    set_fallback_policy,
 )
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "reset_all_degraded",
     "available_backends",
     "get_backend",
-    "set_fallback_policy",
     "fallback_enabled",
     "fallback_policy",
 ]

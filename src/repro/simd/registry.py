@@ -16,8 +16,8 @@ non-generic backend resilient: an op that raises degrades the instance
 to ``generic`` with a recorded :class:`~repro.simd.resilient.
 BackendDegradedWarning` instead of crashing the run.  Enable scoped
 via ``engine.scope(fallback=True)`` (:func:`fallback_policy` is the
-pre-engine spelling of the same thing); :func:`set_fallback_policy`
-remains as a deprecated process-wide shim.
+pre-engine spelling of the same thing), or process-wide via
+``engine.update_base_policy(fallback=True)``.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from contextlib import contextmanager
 from repro.engine.policy import (
     current_policy,
     scope as _engine_scope,
-    update_base_policy,
-    warn_deprecated_setter,
 )
 from repro.simd.backend import SimdBackend
 from repro.simd.fixed import FIXED_FAMILIES, FixedWidthBackend
@@ -40,14 +38,6 @@ from repro.simd.sve_real import SveRealBackend
 
 _SVE_RE = re.compile(r"^sve(\d+)-(acle|real)$")
 _GENERIC_RE = re.compile(r"^generic(\d*)$")
-
-
-def set_fallback_policy(enabled: bool) -> None:
-    """Deprecated: use ``engine.scope(fallback=...)`` (scoped) or
-    ``engine.update_base_policy(fallback=...)`` (process-wide)."""
-    warn_deprecated_setter("repro.simd.registry.set_fallback_policy",
-                           "repro.engine.scope(fallback=...)")
-    update_base_policy(fallback=bool(enabled))
 
 
 def fallback_enabled() -> bool:

@@ -245,6 +245,6 @@ def spans() -> list:
 
 
 def drain_spans() -> list:
-    """Remove and return every buffered span (what the bench harness
-    calls between benchmarks, before the clean-slate reset)."""
+    """Remove and return every buffered span (call it before a
+    clean-slate ``engine.reset_all()``, which clears the buffer)."""
     return _TRACE_BUFFER.drain()

@@ -1,6 +1,7 @@
 """ExecutionPolicy scoping semantics: nested composition, explicit
-replacement, exception safety, thread isolation, and the legacy setter
-shims (which must warn *and* delegate to the engine)."""
+replacement, exception safety, thread isolation, and the legacy
+scoped spellings (``perf.configured``, ``fallback_policy``) that wrap
+``engine.scope``."""
 
 import threading
 
@@ -18,7 +19,6 @@ from repro.simd.registry import (
     fallback_enabled,
     fallback_policy,
     get_backend,
-    set_fallback_policy,
 )
 
 
@@ -139,36 +139,6 @@ class TestThreadIsolation:
 
 
 class TestDeprecationShims:
-    def test_perf_set_enabled_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="engine.scope"):
-            perf.set_enabled(False)
-        try:
-            assert base_policy().enabled is False
-            assert perf.config().enabled is False
-        finally:
-            update_base_policy(enabled=True)
-
-    def test_perf_set_workers_warns_and_delegates(self):
-        previous = base_policy()
-        with pytest.warns(DeprecationWarning):
-            perf.set_workers(4)
-        try:
-            assert base_policy().workers == 4
-        finally:
-            engine.set_base_policy(previous)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                perf.set_workers(0)
-
-    def test_set_fallback_policy_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning):
-            set_fallback_policy(True)
-        try:
-            assert base_policy().fallback is True
-            assert fallback_enabled() is True
-        finally:
-            update_base_policy(fallback=False)
-
     def test_fallback_policy_context_is_scoped(self):
         assert fallback_enabled() is False
         with fallback_policy(True):

@@ -124,11 +124,11 @@ class TestUniformCacheKnob:
         trace_cache().clear()
         with perf.disabled():
             cold = cached_run_kernel(kernel, arrs, 256).output
-            assert trace_cache().sizes() == {"programs": 0, "plans": 0}
+            assert trace_cache().sizes() == {"programs": 0}
         with engine.scope(caches=False):
             assert np.array_equal(
                 cold, cached_run_kernel(kernel, arrs, 256).output)
-            assert trace_cache().sizes() == {"programs": 0, "plans": 0}
+            assert trace_cache().sizes() == {"programs": 0}
         hot = cached_run_kernel(kernel, arrs, 256).output
         assert np.array_equal(cold, hot)
         assert trace_cache().sizes()["programs"] == 1
@@ -194,7 +194,7 @@ class TestResetAll:
         assert dpsi._halo_sizes == {}
         assert "_kernel_plans" not in grid.__dict__
         assert "_cshift_plans" not in grid.__dict__
-        assert trace_cache().sizes() == {"programs": 0, "plans": 0}
+        assert trace_cache().sizes() == {"programs": 0}
         assert counters().plan_misses == 0
         assert summary["comms_reset"] >= 1
         assert summary["plan_hosts_cleared"] >= 1

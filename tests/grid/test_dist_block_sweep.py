@@ -287,6 +287,17 @@ class TestTablesAndLinks:
 
 
 class TestAccounting:
+    def test_pinned_halo_traffic(self):
+        """One 2-rank hop on 4^4: the single-rank gather, in 16
+        messages of 122880 bytes in all, every hop."""
+        w, psi, op, dpsi = _setup()
+        got = op.dhop(dpsi).gather()
+        _assert_bytes_equal(got, w.dhop(psi).to_canonical())
+        assert (dpsi.stats.messages, dpsi.stats.bytes_sent) == (16, 122880)
+        dpsi.stats.reset()
+        op.dhop(dpsi)
+        assert dpsi.stats.messages == 16
+
     def test_counters_and_plan_cache(self):
         # Setup exchanges the gauge links' backward shifts through
         # their own stats; snapshot after it so the deltas below are

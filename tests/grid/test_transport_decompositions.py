@@ -63,6 +63,8 @@ class TestDecompositions:
         ([4, 4, 4, 4], [2, 2, 2, 1]),
         # odd extent on a non-leading axis
         ([4, 6, 4, 4], [1, 2, 1, 1]),
+        # 1-d rank line on 8^4: local extent 2, full 8^3 faces
+        ([8, 8, 8, 8], [4, 1, 1, 1]),
     ])
     def test_bit_identity_and_message_parity(self, dims, mpi):
         ref, got = _dhop_pair(dims, mpi, "generic256")

@@ -7,9 +7,13 @@ import pytest
 import repro.perf as perf
 from repro.bench.workloads import dslash_setup
 from repro.engine.plan import fused_safe_backend
+from repro.grid.cartesian import GridCartesian
 from repro.grid.cshift import cshift
-from repro.grid.random import random_spinor
+from repro.grid.random import random_gauge, random_spinor
+from repro.grid.solver import conjugate_gradient
+from repro.grid.wilson import WilsonDirac
 from repro.perf.parallel import run_tiles, tiles_for
+from repro.simd import get_backend
 from repro.simd.generic import GenericBackend
 
 
@@ -35,6 +39,25 @@ class TestBitIdentity:
         with perf.configured(enabled=True, workers=4, tile_min_sites=32):
             got = setup.dirac.mdag_m(setup.psi).data.copy()
         assert np.array_equal(ref, got)
+
+    def test_cg_matches_reference(self):
+        """CG on the normal equations (gauge seed 11, source seed 5,
+        m = 0.3, tol 1e-7): the tiled engine's solve is the engine-off
+        solve, bit for bit, in 29 iterations."""
+        def solve():
+            grid = GridCartesian([4, 4, 4, 4], get_backend("generic256"))
+            dirac = WilsonDirac(random_gauge(grid, seed=11), mass=0.3)
+            rhs = dirac.apply_dagger(random_spinor(grid, seed=5))
+            return conjugate_gradient(dirac.mdag_m, rhs, tol=1e-7,
+                                      max_iter=500)
+
+        with perf.disabled():
+            ref = solve()
+        with perf.configured(enabled=True, workers=4):
+            got = solve()
+        assert got.converged
+        assert got.iterations == ref.iterations == 29
+        assert np.array_equal(ref.x.data, got.x.data)
 
     def test_cshift_plans_match_reference(self, setup):
         lat = random_spinor(setup.grid, seed=3)

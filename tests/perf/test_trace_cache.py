@@ -1,10 +1,12 @@
-"""Trace-cache behaviour: hot results bit-identical to cold, VL/dtype
-keying and invalidation accounting, and the cache-hit rate of a
-repeated Wilson-Dslash sweep."""
+"""Program-cache behaviour: hot results bit-identical to cold, one
+compile per kernel signature whatever the VL, the pinned cold/hot
+kernel sweep, and the cache hits of a repeated Wilson-Dslash sweep."""
 
 import numpy as np
+import pytest
 
 import repro.perf as perf
+import repro.perf.trace_cache as trace_cache_mod
 from repro.bench.workloads import dslash_setup
 from repro.perf.counters import counters, reset_counters
 from repro.perf.trace_cache import (cached_run_kernel, cached_vectorize,
@@ -31,6 +33,20 @@ KERNELS = [
 ]
 
 
+@pytest.fixture
+def compiles(monkeypatch):
+    """A list that records every program the cache compiles."""
+    seen = []
+    compile_ = trace_cache_mod._compile
+
+    def counting(kernel, *args):
+        seen.append(kernel.name)
+        return compile_(kernel, *args)
+
+    monkeypatch.setattr(trace_cache_mod, "_compile", counting)
+    return seen
+
+
 class TestHotCold:
     def test_hot_results_bit_identical_to_cold(self):
         for kernel, cisa in KERNELS:
@@ -53,33 +69,30 @@ class TestHotCold:
                                         complex_isa=cisa).output
             assert np.array_equal(ref, got), kernel.name
 
-    def test_hot_run_is_a_pure_trace_hit(self):
+    def test_hot_run_compiles_nothing(self, compiles):
         kernel, cisa = KERNELS[1]
         arrs = _arrays(kernel)
         cached_run_kernel(kernel, arrs, 256, complex_isa=cisa)
+        assert len(compiles) == 1
         reset_counters()
         cached_run_kernel(kernel, arrs, 256, complex_isa=cisa)
         c = counters()
-        assert c.trace_hits == 1
-        assert c.trace_misses == 0
-        # A trace hit never re-enters the program cache.
-        assert c.program_hits == 0 and c.program_misses == 0
+        assert c.program_hits == 1 and c.program_misses == 0
+        assert len(compiles) == 1
 
 
 class TestInvalidation:
-    def test_vl_change_invalidates_hot_trace(self):
+    def test_vl_change_reuses_the_program(self, compiles):
+        """One program serves every VL; the machine binds its steps
+        once per VL on the program itself."""
         kernel = ir.mult_cplx_kernel()
         arrs = _arrays(kernel)
-        cached_run_kernel(kernel, arrs, 256)
-        assert counters().trace_invalidations == 0
-        cached_run_kernel(kernel, arrs, 512)
-        assert counters().trace_invalidations == 1
-        cached_run_kernel(kernel, arrs, 256)
-        assert counters().trace_invalidations == 2
-        # Staying put is a hit again.
-        reset_counters()
-        cached_run_kernel(kernel, arrs, 256)
-        assert counters().trace_hits == 1
+        for vl in (256, 512, 256):
+            cached_run_kernel(kernel, arrs, vl)
+        assert len(compiles) == 1
+        assert counters().program_misses == 1
+        assert counters().program_hits == 2
+        assert sorted(cached_vectorize(kernel)._bound) == [256, 512]
 
     def test_results_stay_correct_across_vl_churn(self):
         kernel = ir.axpy_kernel(1.25 + 0.5j)
@@ -121,10 +134,8 @@ class TestDisabled:
         with perf.disabled():
             cached_run_kernel(kernel, arrs, 256, complex_isa=cisa)
             cached_vectorize(kernel)
-        sizes = trace_cache().sizes()
-        assert sizes == {"programs": 0, "plans": 0}
+        assert trace_cache().sizes() == {"programs": 0}
         c = counters()
-        assert c.trace_hits == c.trace_misses == 0
         assert c.program_hits == c.program_misses == 0
 
 
@@ -140,5 +151,35 @@ class TestDslashSweepHitRate:
         c = counters()
         assert c.nbr_table_misses == 0
         assert c.nbr_table_hits > 0
-        assert c.nbr_table_hit_rate() == 1.0
         assert c.fused_dhop_calls == 3
+
+
+class TestPinnedKernelSweep:
+    """A cold sweep of four kernels at VLs 256 and 512, then a hot
+    replay at 256 (n = 257, inputs seeded 42)."""
+
+    VLS = (256, 512)
+    HOT_REPS = 5
+
+    def test_cold_sweep_then_hot_replay(self, compiles):
+        arrays = [_arrays(kernel, n=257, seed=42) for kernel, _ in KERNELS]
+        cold, retired = {}, 0
+        for i, ((kernel, cisa), arrs) in enumerate(zip(KERNELS, arrays)):
+            for vl in self.VLS:
+                res = cached_run_kernel(kernel, arrs, vl, complex_isa=cisa)
+                cold[(i, vl)] = res.output
+                retired += res.retired
+        assert retired == 5994
+        # One program per kernel serves both VLs.
+        assert len(compiles) == 4
+        assert counters().program_misses == 4
+
+        hot_vl = self.VLS[0]
+        for _ in range(self.HOT_REPS):
+            for i, ((kernel, cisa), arrs) in enumerate(zip(KERNELS,
+                                                           arrays)):
+                res = cached_run_kernel(kernel, arrs, hot_vl,
+                                        complex_isa=cisa)
+                assert np.array_equal(res.output, cold[(i, hot_vl)])
+        assert len(compiles) == 4
+        assert counters().program_hits == 24

@@ -124,3 +124,16 @@ class TestDefaultCampaign:
         rep = run_default_campaign(seed=0, resilient=False, vls=(256,))
         assert rep.silent_corruptions >= 1
         assert rep.counts()["recovered"] == 0
+
+    def test_seed0_outcomes_are_pinned(self):
+        """The seeded schedule is deterministic: the armed run's matrix
+        is exact, and unarmed the same faults corrupt at least 8
+        cells."""
+        armed = run_default_campaign(seed=0, resilient=True, vls=(256,))
+        counts = armed.counts()
+        assert len(armed.cells) == 12
+        assert (counts["recovered"], counts["detected"]) == (9, 1)
+        assert armed.silent_corruptions == 0
+        exposed = run_default_campaign(seed=0, resilient=False,
+                                       vls=(256,))
+        assert exposed.silent_corruptions >= 8

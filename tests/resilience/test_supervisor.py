@@ -176,6 +176,31 @@ class TestCrashResume:
             ["crash", "crash", "converged"]
         assert np.allclose(sup.result.x.data, cold.x.data)
 
+    def test_pass_through_then_kill_at_60_percent(self, tmp_path):
+        """Gauge seed 11, source seed 5, m = 0.1: the envelope passes a
+        fault-free solve through bit for bit in one attempt, and a
+        kill at 60 % of the cold count resumes from a checkpoint and
+        needs fewer iterations than the cold solve."""
+        be = get_backend("generic256")
+        grid = GridCartesian([4, 4, 4, 4], be)
+        w = WilsonDirac(random_gauge(grid, seed=11), mass=0.1)
+        b = random_spinor(grid, seed=5)
+        kw = {"method": "cg", "ft": True, "tol": 1e-8, "max_iter": 200}
+        ref = solve_fermion(w, b, **kw)
+        sup = supervised_solve(w, b, **kw)
+        assert np.array_equal(ref.x.data, sup.result.x.data)
+        assert len(sup.attempts) == 1
+
+        campaign = FaultCampaign(seed=0)
+        kill = KillAtIteration(campaign, max(2, int(ref.iterations * 0.6)))
+        resumed = supervised_solve(
+            w, b, store=CheckpointStore(tmp_path), recompute_interval=3,
+            campaign=campaign,
+            on_checkpoint=lambda it, x, r: kill.check(it), **kw)
+        assert resumed.converged
+        assert resumed.attempts[-1].resumed_from is not None
+        assert resumed.attempts[-1].iterations < ref.iterations
+
 
 class _PolicyProbe:
     """Operator proxy recording the resolved policy at each apply."""

@@ -145,6 +145,25 @@ class TestCommittedBaseline:
                                                min_cases=64)}
         assert set(m.cells) == keys
 
+    def test_fault_free_and_disk_slice_outcomes(self):
+        """The first 12 seed-0 pairwise cells without memory or comms
+        faults: their committed outcomes (the CI job reruns them)."""
+        from repro.scenarios.defaults import default_spec
+        from repro.scenarios.sampler import filter_cases, pairwise_sample
+
+        m = ResultMatrix.load(
+            str(ROOT / "scenarios" / "baseline_matrix.json"))
+        cases = filter_cases(pairwise_sample(default_spec(), seed=0),
+                             "!fault=memory,!fault=comms")[:12]
+        cells = [m.cells[c.key] for c in cases]
+        statuses = [c.status for c in cells]
+        assert len(cells) == 12
+        assert sum(s != "skip" for s in statuses) == 10
+        assert statuses.count("pass") == 6
+        assert statuses.count("recovered") == 4
+        assert statuses.count("fail") == 0
+        assert sum(1 for c in cells if c.hash) == 6
+
 
 @pytest.mark.parametrize("argv", [[], ["bogus"]])
 def test_usage_errors_exit_nonzero(argv):

@@ -1,11 +1,8 @@
 """Registry semantics: typed instruments, collectors, snapshot/reset —
 and the perf-counter facade that now routes through the registry."""
 
-import warnings
-
 import pytest
 
-import repro.perf as perf
 import repro.telemetry as telemetry
 from repro.perf.counters import COUNTER_NAMES, counters, reset_counters
 from repro.telemetry.metrics import (
@@ -125,20 +122,9 @@ class TestPerfCounterFacade:
             counters().no_such_counter
 
     def test_reset_counters_zeroes_only_perf_metrics(self):
-        counters().bump("trace_hits", 2)
+        counters().bump("program_hits", 2)
         telemetry.count("other.metric", 4)
         reset_counters()
         snap = telemetry.snapshot()
-        assert snap["perf.trace_hits"] == 0
+        assert snap["perf.program_hits"] == 0
         assert snap["other.metric"] == 4
-
-    def test_get_counters_shim_warns_and_delegates(self):
-        with pytest.deprecated_call(match="repro.perf.get_counters"):
-            got = perf.get_counters()
-        assert got is counters()
-
-    def test_counters_module_and_shim_agree(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            perf.get_counters().bump("program_hits")
-        assert counters().program_hits == 1

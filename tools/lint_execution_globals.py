@@ -5,7 +5,7 @@ Every execution decision resolves through the engine's scoped
 ``ExecutionPolicy`` (see DESIGN §10); the whole design collapses if
 code pokes the underlying process globals directly — a write to
 ``_BASE_POLICY`` from a grid module bypasses the lock, the scope
-stack, and the deprecation story all at once.  This lint walks the
+stack and every scoped override at once.  This lint walks the
 AST of every Python file under the checked trees and rejects
 
 * assignments (plain, augmented, annotated, starred/tuple targets),
@@ -16,13 +16,11 @@ whose target is one of the execution globals below — whether spelled
 as a bare name (``_BASE_POLICY = ...``) or as a module attribute
 (``policy._BASE_POLICY = ...``).
 
-Allowed: the engine package itself (``src/repro/engine/`` owns the
-state and its locked mutation points) and the legacy-setter shim
-modules (which are expected to *delegate* to
-``engine.policy.update_base_policy`` but are exempted so their
-save/restore helpers cannot trip the lint).  Everything else —
-including tests, benchmarks and examples — must go through
-``engine.scope(...)`` / ``update_base_policy(...)``.
+Allowed: the engine's policy module (it owns the state and its
+locked mutation points) and the telemetry modules that own the
+telemetry globals.  Everything else — including tests, benchmarks
+and examples — must go through ``engine.scope(...)`` /
+``update_base_policy(...)``.
 
 Exit status: 0 clean, 1 with violations (one per line on stderr).
 """
@@ -50,13 +48,10 @@ EXECUTION_GLOBALS = frozenset({
     "_ACTIVE_SPAN",          # repro.telemetry.trace — span nesting var
 })
 
-#: Files allowed to mutate them: the engine (owner), the
-#: deprecation-shim modules, and the telemetry modules that own the
-#: telemetry globals.
+#: Files allowed to mutate them: the engine (owner) and the telemetry
+#: modules that own the telemetry globals.
 ALLOWLIST = frozenset({
     "src/repro/engine/policy.py",
-    "src/repro/perf/__init__.py",
-    "src/repro/simd/registry.py",
     "src/repro/telemetry/metrics.py",
     "src/repro/telemetry/trace.py",
 })

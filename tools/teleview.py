@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Render a telemetry JSONL span artifact as plain-text reports.
 
-Offline companion to the in-process reports: the bench harness (or any
-run under ``engine.scope(telemetry="trace")``) writes its spans with
-``telemetry.write_jsonl``; this tool reloads them and renders
+Offline companion to the in-process reports: a run under
+``engine.scope(telemetry="trace")`` (``examples/telemetry_demo.py``,
+say) writes its spans with ``telemetry.write_jsonl``; this tool reloads them and renders
 
 * a per-span-name summary (count, total/mean duration),
 * the roofline report (per-operator GFLOP/s, GB/s, arithmetic
@@ -19,7 +19,7 @@ bundle (``SuperviseResult.postmortem_path`` /
 
 Usage::
 
-    python tools/teleview.py BENCH_2026-08-05.spans.jsonl
+    python tools/teleview.py telemetry_demo.spans.jsonl
     python tools/teleview.py run.jsonl --roofline
     python tools/teleview.py run.jsonl --convergence --residuals
     python tools/teleview.py run.jsonl --ranks
