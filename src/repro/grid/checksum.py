@@ -14,16 +14,18 @@ import numpy as np
 from repro.grid.lattice import Lattice
 
 
-def field_checksum(lat: Lattice, ndigits: int = 12) -> str:
-    """SHA-256 over the canonical bytes, rounded to ``ndigits``.
+def canonical_digest(can: np.ndarray, ndigits: int = 12) -> str:
+    """SHA-256 of a canonical array's bytes read as float64 (a re/im
+    pair per float64 on complex64), rounded to ``ndigits``: robust
+    against the last-bit differences legitimate reorderings (e.g.
+    different summation trees) produce, while catching real defects."""
+    rounded = np.round(np.ascontiguousarray(can).view(np.float64), ndigits)
+    return hashlib.sha256(rounded).hexdigest()[:16]
 
-    Rounding makes the digest robust against the last-bit differences
-    legitimate reorderings (e.g. different summation trees) can
-    produce, while still catching real defects.
-    """
-    can = lat.to_canonical()
-    rounded = np.round(can.view(np.float64), ndigits)
-    return hashlib.sha256(rounded.tobytes()).hexdigest()[:16]
+
+def field_checksum(lat: Lattice, ndigits: int = 12) -> str:
+    """:func:`canonical_digest` of the field's canonical array."""
+    return canonical_digest(lat.to_canonical(), ndigits)
 
 
 def scalar_checksum(value: complex, ndigits: int = 10) -> str:

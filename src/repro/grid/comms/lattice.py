@@ -53,7 +53,7 @@ from repro.grid import compression
 from repro.grid.cartesian import GridCartesian
 from repro.grid.comms.queue import AsyncCommsQueue, HaloHandle
 from repro.grid.comms.transport import Transport, make_transport
-from repro.grid.coordinates import coordinate_table, index_of, indices_of
+from repro.grid.coordinates import coordinate_table, index_of
 from repro.grid.cshift import cshift_local
 from repro.grid.lattice import Lattice
 from repro.telemetry import metrics as _telemetry_metrics
@@ -373,34 +373,39 @@ class DistributedLattice:
     # ------------------------------------------------------------------
     # Global <-> local data movement
     # ------------------------------------------------------------------
+    def _shards(self, global_canonical: np.ndarray):
+        """``(local lattice, its block of global_canonical)`` per rank:
+        global ``x_d = r_d * ldims_d + v_d * odims_d + o_d``, so a rank's
+        block, in :meth:`Lattice._site_view`'s axes, is a plain index."""
+        g0 = self.grids[0]
+        view = global_canonical.reshape(
+            [n for dims in zip(g0.mpi_layout[::-1], g0.simd_layout[::-1],
+                               g0.odims[::-1]) for n in dims]
+            + list(self.tensor_shape))
+        for rank, lat in enumerate(self.locals):
+            yield lat, view[tuple(x for c in self.ranks.coor_of(rank)[::-1]
+                                  for x in (c, slice(None), slice(None)))]
+
     def scatter(self, global_canonical: np.ndarray) -> "DistributedLattice":
         """Load a canonical global array ``(gsites, *tensor)``."""
         g0 = self.grids[0]
         expected = (g0.gsites,) + self.tensor_shape
-        global_canonical = np.asarray(global_canonical, dtype=g0.dtype)
+        global_canonical = np.asarray(global_canonical)
         if global_canonical.shape != expected:
             raise ValueError(
                 f"global canonical shape {global_canonical.shape} != "
                 f"{expected}"
             )
-        local_coors = coordinate_table(g0.ldims)
-        for r, lat in enumerate(self.locals):
-            rc = self.ranks.coor_of(r)
-            offs = np.array([c * ld for c, ld in zip(rc, g0.ldims)])
-            idx = indices_of(local_coors + offs[None, :], self.gdims)
-            lat.from_canonical(global_canonical[idx])
+        for lat, block in self._shards(global_canonical):
+            lat._import_sites(block)
         return self
 
     def gather(self) -> np.ndarray:
         """Export to a canonical global array (inverse of scatter)."""
         g0 = self.grids[0]
         out = np.empty((g0.gsites,) + self.tensor_shape, dtype=g0.dtype)
-        local_coors = coordinate_table(g0.ldims)
-        for r, lat in enumerate(self.locals):
-            rc = self.ranks.coor_of(r)
-            offs = np.array([c * ld for c, ld in zip(rc, g0.ldims)])
-            idx = indices_of(local_coors + offs[None, :], self.gdims)
-            out[idx] = lat.to_canonical()
+        for lat, block in self._shards(out):
+            block[...] = lat._site_view()
         return out
 
     # ------------------------------------------------------------------

@@ -33,9 +33,9 @@ from typing import Optional
 import numpy as np
 
 from repro.grid.cartesian import GridCartesian
-from repro.grid.checksum import field_checksum
+from repro.grid.checksum import canonical_digest
 from repro.grid.lattice import Lattice
-from repro.grid.su3 import max_unitarity_defect, plaquette
+from repro.grid.su3 import _link_checks, plaquette
 
 MAGIC = "REPRO_GAUGE_V1"
 
@@ -140,15 +140,15 @@ def save_gauge(path, links, grid: GridCartesian, note: str = "") -> ConfigHeader
     The write is atomic (see :func:`atomic_write`) and the header
     carries a CRC-32 of the binary payload, so a crash mid-save leaves
     the previous file intact and any later corruption of the payload
-    is caught by :func:`load_gauge` before parsing."""
-    payload = b"".join(
-        np.ascontiguousarray(u.to_canonical()).tobytes() for u in links
-    )
+    is caught by :func:`load_gauge` before parsing.  Each link is
+    exported once, for both the payload and its digest."""
+    canonical = [u.to_canonical() for u in links]
+    payload = b"".join(canonical)
     header = ConfigHeader(
         dims=list(grid.ldims),
         dtype=str(grid.dtype),
         plaquette=plaquette(links, grid),
-        checksums=[field_checksum(u) for u in links],
+        checksums=[canonical_digest(c) for c in canonical],
         note=note,
         payload_crc=zlib.crc32(payload),
     )
@@ -159,8 +159,11 @@ def save_gauge(path, links, grid: GridCartesian, note: str = "") -> ConfigHeader
 def load_gauge(path, grid: GridCartesian, verify: bool = True) -> list:
     """Read gauge links written by :func:`save_gauge`.
 
-    ``verify`` re-checks the stored per-link checksums, the plaquette,
-    and link unitarity — the paranoia every archive reader applies.
+    ``verify`` re-checks the payload CRC, the stored per-link
+    checksums, link unitarity and the plaquette — the paranoia every
+    archive reader applies — each on data the loader holds: the file's
+    bytes, each direction's payload view, and one working-row copy per
+    direction (:func:`repro.grid.su3._link_checks`).
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -177,10 +180,9 @@ def load_gauge(path, grid: GridCartesian, verify: bool = True) -> list:
         raise ConfigFormatError(
             f"file dtype {header.dtype} != grid dtype {grid.dtype}"
         )
-    # The payload is read in place, through a view: the link arrays
-    # are built straight from it (``from_canonical`` copies into the
-    # lane-major layout) and the file's bytes are released before the
-    # links are verified.
+    # The payload is read in place, through a view: each direction's
+    # digest and link are taken straight from it, and the file's bytes
+    # are released before the links are verified.
     body = memoryview(raw)[end:]
     del raw
     if verify and header.payload_crc is not None and \
@@ -197,22 +199,20 @@ def load_gauge(path, grid: GridCartesian, verify: bool = True) -> list:
     links = []
     for mu in range(grid.ndim):
         can = np.frombuffer(body, dtype=grid.dtype, count=9 * grid.lsites,
-                            offset=mu * per_link)
-        links.append(Lattice(grid, (3, 3)).from_canonical(
-            can.reshape(grid.lsites, 3, 3)))
+                            offset=mu * per_link).reshape(grid.lsites, 3, 3)
+        if verify and canonical_digest(can) != header.checksums[mu]:
+            raise ConfigFormatError(
+                f"checksum mismatch for direction {mu} (corrupted file?)"
+            )
+        links.append(Lattice(grid, (3, 3)).from_canonical(can))
     del can, body
     if verify:
-        for mu, u in enumerate(links):
-            if field_checksum(u) != header.checksums[mu]:
-                raise ConfigFormatError(
-                    f"checksum mismatch for direction {mu} "
-                    "(corrupted file?)"
-                )
-            if max_unitarity_defect(u) > 1e-7:
+        defects, p = _link_checks(links, grid)
+        for mu, defect in enumerate(defects):
+            if defect > 1e-7:
                 raise ConfigFormatError(
                     f"direction {mu} links are not unitary"
                 )
-        p = plaquette(links, grid)
         if not np.isclose(p, header.plaquette, atol=1e-10):
             raise ConfigFormatError(
                 f"plaquette mismatch: file says {header.plaquette}, "

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from repro.grid.cartesian import GridCartesian
-from repro.grid.coordinates import indices_of
 
 
 class Lattice:
@@ -116,6 +115,25 @@ class Lattice:
     # ------------------------------------------------------------------
     # Canonical (layout-independent) import/export
     # ------------------------------------------------------------------
+    def _site_view(self) -> np.ndarray:
+        """``data`` viewed with canonical axes ``(v_{n-1}, o_{n-1}, ...,
+        v_0, o_0, *tensor)``: local ``x_d = o_d + odims_d * v_d``, and
+        sites, outer sites and lanes are all lexicographic (dimension 0
+        fastest), so copying through this transpose converts layouts."""
+        g, nd, nt = self.grid, self.grid.ndim, len(self.tensor_shape)
+        return self.data.reshape(
+            tuple(g.odims[::-1]) + self.tensor_shape
+            + tuple(g.simd_layout[::-1])).transpose(
+            [a for k in range(nd) for a in (nd + nt + k, k)]
+            + list(range(nd, nd + nt)))
+
+    def _import_sites(self, sites: np.ndarray) -> "Lattice":
+        """New ``data`` from ``sites`` shaped like :meth:`_site_view`."""
+        self.data = np.empty(self.grid.field_shape(self.tensor_shape),
+                             dtype=self.grid.dtype)
+        self._site_view()[...] = sites
+        return self
+
     def to_canonical(self) -> np.ndarray:
         """Export to a ``(lsites, *tensor_shape)`` array in lexicographic
         local-site order — independent of the SIMD layout.
@@ -125,33 +143,21 @@ class Lattice:
         the basis of layout-equivalence tests: any two decompositions
         of the same physics export identical canonical arrays.
         """
-        g = self.grid
-        coors = g.local_coor_tables().reshape(-1, g.ndim)
-        site_idx = indices_of(coors, g.ldims)
-        out = np.empty((g.lsites,) + self.tensor_shape, dtype=g.dtype)
-        # data axes: (osite, *tensor, lane) -> move lane next to osite
-        flat = np.moveaxis(self.data, -1, 1).reshape(
-            g.osites * g.nlanes, *self.tensor_shape
-        )
-        out[site_idx] = flat
-        return out
+        return self._site_view().copy().reshape(
+            (self.grid.lsites,) + self.tensor_shape)
 
     def from_canonical(self, canonical: np.ndarray) -> "Lattice":
         """Import from a canonical array (inverse of :func:`to_canonical`)."""
         g = self.grid
-        canonical = np.asarray(canonical, dtype=g.dtype)
+        canonical = np.asarray(canonical)
         expected = (g.lsites,) + self.tensor_shape
         if canonical.shape != expected:
             raise ValueError(
                 f"canonical shape {canonical.shape} != {expected}"
             )
-        coors = g.local_coor_tables().reshape(-1, g.ndim)
-        site_idx = indices_of(coors, g.ldims)
-        flat = canonical[site_idx].reshape(
-            g.osites, g.nlanes, *self.tensor_shape
-        )
-        self.data = np.ascontiguousarray(np.moveaxis(flat, 1, -1))
-        return self
+        return self._import_sites(canonical.reshape(
+            [n for v, o in zip(g.simd_layout[::-1], g.odims[::-1])
+             for n in (v, o)] + list(self.tensor_shape)))
 
     # ------------------------------------------------------------------
     # Point access (slow; for tests and examples)

@@ -60,11 +60,31 @@ def unitarity_defect(mat: np.ndarray) -> float:
     return float(np.abs(m @ m.conj().T - np.eye(3)).max())
 
 
+def _rows_unitarity_defect(U: np.ndarray) -> float:
+    """``max |U U^dagger - 1|`` over a working-layout ``(3, 3, N)``
+    link field, from row products ``sum_b U_ab conj(U_cb)`` for
+    ``a <= c`` only: ``U U^dagger`` is Hermitian."""
+    return max(float(np.abs((U[a] * np.conj(U[c])).sum(0) - (a == c)).max())
+               for a in range(3) for c in range(a, 3))
+
+
 def max_unitarity_defect(lat: Lattice) -> float:
-    """Largest unitarity defect over a gauge lattice."""
-    can = lat.to_canonical()  # (lsites, 3, 3)
-    prod = np.einsum("sab,scb->sac", can, can.conj())
-    return float(np.abs(prod - np.eye(3)).max())
+    """Largest unitarity defect over a gauge lattice's working rows."""
+    from repro.perf.fused import to_working
+
+    return _rows_unitarity_defect(to_working(lat.data))
+
+
+def _link_checks(links: list, grid: GridCartesian) -> tuple:
+    """``(unitarity defect of each link, plaquette)``, both from one
+    working-row copy of each link (the plaquette where it is fused)."""
+    from repro.engine.plan import takes_fused_path
+    from repro.perf.fused import to_working
+
+    rows = [to_working(u.data) for u in links]
+    plaq = (_plaquette_rows(rows, grid) if takes_fused_path(grid.backend)
+            else plaquette(links, grid))
+    return [_rows_unitarity_defect(w) for w in rows], plaq
 
 
 def max_det_defect(lat: Lattice) -> float:
@@ -88,6 +108,11 @@ def plaquette(links: list, grid: GridCartesian) -> float:
     same bits.
     """
     from repro.engine.plan import takes_fused_path
+
+    if takes_fused_path(grid.backend):
+        from repro.perf.fused import to_working
+
+        return _plaquette_rows([to_working(u.data) for u in links], grid)
     from repro.grid.cshift import cshift
     from repro.grid.tensor import (
         colour_mm, colour_mm_dagger_right, colour_trace_re,
@@ -95,20 +120,6 @@ def plaquette(links: list, grid: GridCartesian) -> float:
 
     total = 0.0
     count = 0
-    if takes_fused_path(grid.backend):
-        from repro.grid.stencil import neighbour_table
-        from repro.perf.fused import loop_traces, to_working
-
-        rows = [to_working(u.data) for u in links]
-        up = [neighbour_table(grid, mu, +1) for mu in range(grid.ndim)]
-        for trace in loop_traces(
-                [((rows[mu], None), (rows[nu], up[mu]),
-                  (rows[mu], up[nu]), (rows[nu], None))
-                 for mu in range(grid.ndim)
-                 for nu in range(mu + 1, grid.ndim)], grid.nlanes):
-            total += trace
-            count += grid.lsites
-        return total / (3.0 * count)
     for mu in range(grid.ndim):
         for nu in range(mu + 1, grid.ndim):
             u_mu = links[mu]
@@ -122,3 +133,17 @@ def plaquette(links: list, grid: GridCartesian) -> float:
             total += colour_trace_re(grid.backend, m3)
             count += grid.lsites
     return total / (3.0 * count)
+
+
+def _plaquette_rows(rows: list, grid: GridCartesian) -> float:
+    """:func:`plaquette`'s fused branch on the links' working rows."""
+    from repro.grid.stencil import neighbour_table
+    from repro.perf.fused import loop_traces
+
+    up = [neighbour_table(grid, mu, +1) for mu in range(grid.ndim)]
+    planes = [(mu, nu) for mu in range(grid.ndim)
+              for nu in range(mu + 1, grid.ndim)]
+    total = sum(loop_traces([((rows[mu], None), (rows[nu], up[mu]),
+                              (rows[mu], up[nu]), (rows[nu], None))
+                             for mu, nu in planes], grid.nlanes))
+    return total / (3.0 * grid.lsites * len(planes))
