@@ -1,80 +1,87 @@
 """Fault-injection campaign report: detection and recovery rates.
 
-Runs the default seeded campaign (comms faults, memory/field SDC,
-toolchain predicate defects, backend crashes) twice — resilience
-armed and disarmed — and reports the {case x VL} outcome matrices
-plus the headline rates.  The contract: with resilience on there are
-zero silent corruptions; with it off the same seeds corrupt silently.
+Runs the seeded fault campaign (comms faults, memory/field SDC,
+toolchain predicate defects, backend crashes, disk faults, a crash
+mid-solve) twice — resilience armed and exposed — and reports the
+{fault x VL} outcome matrices plus the headline rates.  The contract:
+armed there are zero silent corruptions; exposed the same seeds
+corrupt silently.
 """
 
 import pytest
 
 from repro.bench.tables import Table
-from repro.resilience import run_default_campaign
-from repro.verification import CAMPAIGN_OUTCOMES
+from repro.scenarios import run_campaign
+from repro.verification import OUTCOMES
 
 VLS = (256, 1024)
 SEED = 0
 
 
 @pytest.fixture(scope="module")
-def reports():
-    return {
-        resilient: run_default_campaign(seed=SEED, resilient=resilient,
-                                        vls=VLS)
-        for resilient in (True, False)
-    }
+def matrices():
+    return {armed: run_campaign(seed=SEED, armed=armed, vls=VLS)
+            for armed in (True, False)}
 
 
-def test_outcome_matrices(show, reports):
-    for resilient in (True, False):
-        show(reports[resilient].format_table())
+def _fired(m) -> int:
+    return sum(c.fired for c in m.cells.values())
 
 
-def test_rates_report(show, reports):
+def test_outcome_matrices(show, matrices):
+    for armed in (True, False):
+        show(matrices[armed].format_table(
+            "fault", "vl",
+            title="resilience ON" if armed else "resilience OFF"))
+
+
+def test_rates_report(show, matrices):
     table = Table(
         ["campaign", "cells", "faults", "detection", "recovery",
          "silent corruptions"],
-        title=f"Default fault campaign (seed {SEED}, VLs {VLS})",
+        title=f"Fault campaign (seed {SEED}, VLs {VLS})",
         align=["l", "r", "r", "r", "r", "r"],
     )
-    for resilient in (True, False):
-        rep = reports[resilient]
+    for armed in (True, False):
+        m = matrices[armed]
+        detection, recovery = m.fault_rates()
         table.add(
-            "resilience ON" if resilient else "resilience OFF",
-            len(rep.cells),
-            rep.faults_fired,
-            f"{rep.detection_rate():.0%}",
-            f"{rep.recovery_rate():.0%}",
-            rep.silent_corruptions,
+            "resilience ON" if armed else "resilience OFF",
+            len(m.cells),
+            _fired(m),
+            f"{detection:.0%}",
+            f"{recovery:.0%}",
+            m.counts()["fail"],
         )
     show(table)
-    on, off = reports[True], reports[False]
-    assert on.silent_corruptions == 0
+    on, off = matrices[True], matrices[False]
+    assert on.failures() == []
     assert on.counts()["recovered"] >= 1
     assert on.counts()["detected"] >= 1
-    assert off.silent_corruptions >= 1
-    assert on.detection_rate() > off.detection_rate()
-    assert on.recovery_rate() > off.recovery_rate()
+    assert off.counts()["fail"] >= 1
+    assert on.fault_rates()[0] > off.fault_rates()[0]
+    assert on.fault_rates()[1] > off.fault_rates()[1]
 
 
-def test_outcomes_are_classified(reports):
-    for rep in reports.values():
-        assert all(c.outcome in CAMPAIGN_OUTCOMES for c in rep.cells)
-        assert len(rep.cells) > 0
+def test_outcomes_are_classified(matrices):
+    legal = {o.value for o in OUTCOMES}
+    for m in matrices.values():
+        assert all(c.status in legal for c in m.cells.values())
+        assert len(m.cells) > 0
 
 
 def test_campaign_is_reproducible():
-    a = run_default_campaign(seed=SEED, resilient=True, vls=(256,))
-    b = run_default_campaign(seed=SEED, resilient=True, vls=(256,))
-    assert [c.outcome for c in a.cells] == [c.outcome for c in b.cells]
-    assert [c.fired for c in a.cells] == [c.fired for c in b.cells]
+    a = run_campaign(seed=SEED, armed=True, vls=(256,))
+    b = run_campaign(seed=SEED, armed=True, vls=(256,))
+    assert [c.status for c in a.cells.values()] == \
+        [c.status for c in b.cells.values()]
+    assert [c.fired for c in a.cells.values()] == \
+        [c.fired for c in b.cells.values()]
 
 
 def test_campaign_benchmark(benchmark):
-    rep = benchmark.pedantic(
-        run_default_campaign,
-        kwargs=dict(seed=SEED, resilient=True, vls=(256,)),
+    m = benchmark.pedantic(
+        run_campaign, kwargs=dict(seed=SEED, armed=True, vls=(256,)),
         iterations=1, rounds=1,
     )
-    assert rep.silent_corruptions == 0
+    assert m.failures() == []

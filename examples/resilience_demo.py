@@ -33,8 +33,8 @@ from repro.resilience import (
     FaultCampaign,
     FaultGuard,
     flip_field_bit,
-    run_default_campaign,
 )
+from repro.scenarios import run_campaign
 from repro.simd import BackendDegradedWarning, ResilientBackend, get_backend
 from repro.simd.generic import GenericBackend
 
@@ -126,13 +126,13 @@ def demo_backend_fallback() -> None:
 
 def demo_campaign_matrix() -> None:
     print("=== 4. the full campaign, with and without resilience ===")
-    for resilient in (True, False):
-        rep = run_default_campaign(seed=0, resilient=resilient,
-                                   vls=(256,))
-        print(rep.format_table())
-        print(f"detection {rep.detection_rate():.0%}, "
-              f"recovery {rep.recovery_rate():.0%}, "
-              f"silent corruptions {rep.silent_corruptions}\n")
+    for armed in (True, False):
+        m = run_campaign(seed=0, armed=armed, vls=(256,))
+        print(m.format_table("fault", "vl", title="resilience ON" if armed
+                             else "resilience OFF"))
+        detection, recovery = m.fault_rates()
+        print(f"detection {detection:.0%}, recovery {recovery:.0%}, "
+              f"silent corruptions {m.counts()['fail']}\n")
 
 
 def main() -> None:

@@ -6,8 +6,9 @@ lattices, ``reset_all_degraded()`` for sticky backend degradations,
 ``clear_cache()`` for the kernel program cache, ``reset_counters()``
 for the perf tallies — four imports, easy to miss one and leak state
 into the next run's counts.  :func:`reset_all` composes all of them
-(plus the engine's own plan caches) behind one call, which
-``run_campaign_suite`` and the test fixtures use.
+(plus the engine's own plan caches) behind one call, which the
+scenario runner's ``run_cases`` (so every fault campaign) and the test
+fixtures use.
 
 Imports are function-level: this module is reachable from
 ``repro.engine`` (which the grid/perf/simd layers import), so it must

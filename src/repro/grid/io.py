@@ -156,6 +156,15 @@ def save_gauge(path, links, grid: GridCartesian, note: str = "") -> ConfigHeader
     return header
 
 
+def verify_limits(dtype) -> tuple:
+    """``(unitarity limit, plaquette tolerance)`` for links of
+    ``dtype``: 1e-7 and 1e-10 in double precision, widened to 100 ulps
+    where the dtype's own rounding is coarser (complex64 links read a
+    unitarity defect of ~1e-7 straight from ``random_su3_field``)."""
+    ulps = 100 * float(np.finfo(dtype).eps)
+    return max(1e-7, ulps), max(1e-10, ulps)
+
+
 def load_gauge(path, grid: GridCartesian, verify: bool = True) -> list:
     """Read gauge links written by :func:`save_gauge`.
 
@@ -163,7 +172,9 @@ def load_gauge(path, grid: GridCartesian, verify: bool = True) -> list:
     checksums, link unitarity and the plaquette — the paranoia every
     archive reader applies — each on data the loader holds: the file's
     bytes, each direction's payload view, and one working-row copy per
-    direction (:func:`repro.grid.su3._link_checks`).
+    direction (:func:`repro.grid.su3._link_checks`).  The unitarity
+    limit and the plaquette's absolute tolerance are
+    :func:`verify_limits` of the link dtype.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -207,13 +218,14 @@ def load_gauge(path, grid: GridCartesian, verify: bool = True) -> list:
         links.append(Lattice(grid, (3, 3)).from_canonical(can))
     del can, body
     if verify:
+        unitarity_limit, plaquette_tol = verify_limits(grid.dtype)
         defects, p = _link_checks(links, grid)
         for mu, defect in enumerate(defects):
-            if defect > 1e-7:
+            if defect > unitarity_limit:
                 raise ConfigFormatError(
                     f"direction {mu} links are not unitary"
                 )
-        if not np.isclose(p, header.plaquette, atol=1e-10):
+        if not abs(p - header.plaquette) <= plaquette_tol:
             raise ConfigFormatError(
                 f"plaquette mismatch: file says {header.plaquette}, "
                 f"data gives {p}"

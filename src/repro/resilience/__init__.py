@@ -14,10 +14,6 @@ methodology from toolchain bugs to system faults:
   recursions of :mod:`repro.grid.solver` consult: NaN/Inf and
   breakdown hazards, periodic true-residual recomputation, restart
   from the last verified-good iterate.
-* :mod:`repro.resilience.campaign` — campaign verification: each
-  {case x VL x campaign} cell classified {pass, fail, detected,
-  recovered}; ``fail`` means *silent corruption*, the outcome the
-  layer exists to eliminate.
 * :mod:`repro.resilience.checkpoint` — the durable checkpoint store:
   atomic fsync'd writes, CRC-verified loads, quarantine of corrupt
   files, newest-valid-wins resume.
@@ -30,7 +26,11 @@ methodology from toolchain bugs to system faults:
 The companion mechanisms live in the layers they protect: checksummed
 retrying halo exchange in :mod:`repro.grid.comms`, the numeric
 hazards the guard answers in :mod:`repro.grid.solver`, graceful backend degradation in
-:mod:`repro.simd.resilient`.
+:mod:`repro.simd.resilient`.  The fault campaign that exercises them
+all — each {fault x VL} cell classified {pass, recovered, detected,
+fail}, where ``fail`` means *silent corruption*, the outcome the layer
+exists to eliminate — runs on the scenario engine
+(:func:`repro.scenarios.defaults.run_campaign`).
 """
 
 from repro.resilience.breaker import (
@@ -65,14 +65,6 @@ from repro.resilience.guard import (
     FaultGuard,
     FTSolverResult,
 )
-from repro.resilience.campaign import (
-    CAMPAIGN_CASES,
-    CHAOS_CASES,
-    SilentCorruption,
-    default_campaign_factory,
-    run_chaos_campaign,
-    run_default_campaign,
-)
 
 __all__ = [
     "FaultCampaign",
@@ -97,10 +89,4 @@ __all__ = [
     "DEGRADATION_LADDER",
     "SuperviseResult",
     "supervised_solve",
-    "CAMPAIGN_CASES",
-    "CHAOS_CASES",
-    "SilentCorruption",
-    "default_campaign_factory",
-    "run_default_campaign",
-    "run_chaos_campaign",
 ]

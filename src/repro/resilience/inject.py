@@ -63,9 +63,9 @@ class FaultCampaign:
     * ``recoveries`` — detected faults that were repaired.
 
     Classification of an experiment cell (see
-    :mod:`repro.resilience.campaign`) compares the three: a fired
-    fault with no detection and a wrong answer is a *silent
-    corruption*.
+    :func:`repro.verification.outcomes.classify_cell`) compares the
+    three: a fired fault with no detection and a wrong answer is a
+    *silent corruption*.
     """
 
     def __init__(self, seed: int = 0, name: str = "") -> None:

@@ -25,10 +25,13 @@ This package scales the methodology up:
   case key → {outcome, xfail, skip, hash}), the baseline differ
   (regression / hash drift / new-pass / added / removed), and the CI
   gate;
+* :mod:`repro.scenarios.faults` — every fault cell's body, keyed by
+  fault value, each runnable armed or exposed;
 * :mod:`repro.scenarios.defaults` — the default cube {VL 128..2048} ×
   {backend family} × {policy knobs} × {fault model} × {operator},
   with the known VL-specific exclusions and impossible combos encoded
-  as metadata instead of tribal knowledge.
+  as metadata instead of tribal knowledge, and the fault campaign
+  ({fault} × {VL}, :func:`run_campaign`).
 
 A committed ``scenarios/baseline_matrix.json`` is diffed on every CI
 run: any cell that regresses (outcome got worse, or its bit-identity
@@ -61,6 +64,8 @@ from repro.scenarios.spec import (
 
 __all__ = [
     "Axis",
+    "CAMPAIGN_FAULTS",
+    "CHAOS_FAULTS",
     "Case",
     "Cell",
     "Constraint",
@@ -68,6 +73,7 @@ __all__ = [
     "ResultMatrix",
     "Rule",
     "ScenarioSpec",
+    "campaign_spec",
     "cartesian_cases",
     "default_spec",
     "diff_matrices",
@@ -75,6 +81,7 @@ __all__ = [
     "feasible_pairs",
     "gate_diff",
     "pairwise_sample",
+    "run_campaign",
     "run_cases",
     "skip_rule",
     "xfail_rule",
@@ -86,10 +93,11 @@ def __getattr__(name):
     # schedule helpers) reach into the grid/resilience layers; loading
     # them lazily keeps ``import repro.scenarios`` cheap and cycle-free
     # for pure spec/matrix consumers (the differ CLI, the tests).
-    if name == "default_spec":
-        from repro.scenarios.defaults import default_spec
+    if name in ("default_spec", "campaign_spec", "run_campaign",
+                "CAMPAIGN_FAULTS", "CHAOS_FAULTS"):
+        from repro.scenarios import defaults
 
-        return default_spec
+        return getattr(defaults, name)
     if name == "run_cases":
         from repro.scenarios.runner import run_cases
 

@@ -19,11 +19,19 @@ as machine-checked metadata:
   ``detected`` — bounded retry exhausts, the run knows its halo never
   arrived, and nothing can recover that.  If one ever passes, the
   differ flags a new-pass (promote prompt), not a silent change.
+
+The fault campaign is the second spec, :func:`campaign_spec`: one
+``fault`` value per experiment of :mod:`repro.scenarios.faults` × VL,
+every policy knob pinned.  :func:`run_campaign` runs it armed or
+exposed through the same :func:`~repro.scenarios.runner.run_cases`,
+and the result matrix's ``failures()`` / ``counts()`` are its gate.
 """
 
 from __future__ import annotations
 
-from repro.scenarios.runner import comms_schedule_kind
+from repro.scenarios.matrix import ResultMatrix
+from repro.scenarios.runner import comms_kind, run_cases
+from repro.scenarios.sampler import cartesian_cases
 from repro.scenarios.spec import (
     Axis,
     Constraint,
@@ -40,6 +48,18 @@ VLS = (128, 256, 512, 1024, 2048)
 #: The paper enables exactly these in Grid (§V-D); wider emulated VLs
 #: are declared-and-skipped, not silently missing.
 PAPER_VLS = (128, 256, 512)
+
+
+#: Persistent link loss: the one comms schedule nothing can recover.
+_DEAD_LINK = xfail_rule(
+    reason=(
+        "persistent link loss: bounded retry exhausts and the halo "
+        "exchange reports the dead link — detected by construction, "
+        "unrecoverable by definition"
+    ),
+    when=lambda c: comms_kind(c) == "drop-persistent",
+    expect=Outcome.DETECTED.value,
+)
 
 
 def _sve_probe_shape(case) -> bool:
@@ -122,17 +142,78 @@ def default_spec() -> ScenarioSpec:
                 when=lambda c: (c["family"] == "sve-acle"
                                 and c["vl"] not in PAPER_VLS),
             ),
-            xfail_rule(
-                reason=(
-                    "persistent link loss: bounded retry exhausts and "
-                    "the halo exchange reports the dead link — "
-                    "detected by construction, unrecoverable by "
-                    "definition"
-                ),
-                when=lambda c: (c["fault"] == "comms"
-                                and comms_schedule_kind(c)
-                                == "drop-persistent"),
-                expect=Outcome.DETECTED.value,
-            ),
+            _DEAD_LINK,
         ),
     )
+
+
+#: The fault campaign's experiments, one ``fault`` value each (see
+#: :mod:`repro.scenarios.faults`).
+CAMPAIGN_FAULTS = (
+    "comms-drop", "comms-drop-persistent", "comms-corrupt",
+    "comms-truncate", "comms-duplicate", "memory", "kernel-memory",
+    "toolchain", "backend", "disk", "archive", "crash",
+)
+
+#: The composed chaos subset: wire corruption, disk rot on checkpoints
+#: and archives, and the kill+rot crash.
+CHAOS_FAULTS = ("comms-corrupt", "disk", "archive", "crash")
+
+
+def campaign_spec() -> ScenarioSpec:
+    """The fault campaign: {fault} × {VL}, every policy knob pinned."""
+    return ScenarioSpec(
+        name="repro-campaign",
+        description=(
+            "{fault} x {VL}: every fault class end to end through the "
+            "production stack over a 4^4 lattice"
+        ),
+        axes=(
+            Axis("fault", CAMPAIGN_FAULTS),
+            Axis("vl", VLS),
+            Axis("operator", ("wilson", "wilson-dist")),
+            Axis("family", ("generic",)),
+            Axis("caches", (True,)),
+            Axis("workers", (1,)),
+            Axis("telemetry", ("off",)),
+            Axis("transport", ("in-process",)),
+        ),
+        constraints=(
+            Constraint(
+                reason="comms faults need a rank-decomposed lattice",
+                forbids=lambda c: (c["fault"].startswith("comms-")
+                                   and c["operator"] != "wilson-dist"),
+            ),
+            Constraint(
+                reason="every other fault runs once, on one rank",
+                forbids=lambda c: (not c["fault"].startswith("comms-")
+                                   and c["operator"] == "wilson-dist"),
+            ),
+        ),
+        rules=(_DEAD_LINK,),
+        # A later flip, a finer check and a tighter tol than the cube's
+        # SDC cells: the flip lands in a nearly converged recursion.
+        settings={"memory": dict(at_call=15, interval=10, tol=1e-7)},
+    )
+
+
+def run_campaign(seed: int = 0, armed: bool = True, vls=(256, 1024),
+                 faults=None) -> ResultMatrix:
+    """Run the fault campaign at ``vls`` into a result matrix.
+
+    ``faults`` narrows it to a subset of :data:`CAMPAIGN_FAULTS`
+    (:data:`CHAOS_FAULTS` is the chaos smoke); ``seed`` offsets every
+    cell's key-derived fault seed.  ``armed=False`` runs the same cells
+    with checksums, the solver guard, verifying reads, redundant
+    execution and backend fallback off — the exposed run the armed
+    one is compared against.
+    """
+    faults = CAMPAIGN_FAULTS if faults is None else tuple(faults)
+    unknown = (set(vls) - set(VLS)) | (set(faults) - set(CAMPAIGN_FAULTS))
+    if unknown:
+        raise ValueError(f"not in the campaign spec: "
+                         f"{sorted(map(str, unknown))}")
+    spec = campaign_spec()
+    cases = [c for c in cartesian_cases(spec)
+             if c["vl"] in vls and c["fault"] in faults]
+    return run_cases(spec, cases, seed=seed, base_seed=seed, armed=armed)

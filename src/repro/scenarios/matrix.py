@@ -75,6 +75,7 @@ class Cell:
     hash: Optional[str] = None    # bit-identity hash (fault-free cells)
     seconds: float = 0.0
     detail: str = ""              # error detail for non-pass cells
+    fired: int = 0                # faults the cell's campaign fired
 
     def __post_init__(self) -> None:
         if self.status != SKIP:
@@ -117,6 +118,18 @@ class ResultMatrix:
             out[c.status] += 1
         return out
 
+    def fault_rates(self) -> tuple:
+        """``(detection, recovery)`` over the cells whose faults fired:
+        the share noticed (``detected``/``recovered``) and the share
+        that still ended correct (``pass``/``recovered``); 1.0 each
+        when nothing fired."""
+        hit = [c.status for c in self.cells.values() if c.fired]
+        if not hit:
+            return 1.0, 1.0
+        noticed = sum(s in ("detected", "recovered") for s in hit)
+        correct = sum(s in ("pass", "recovered") for s in hit)
+        return noticed / len(hit), correct / len(hit)
+
     @property
     def executed(self) -> int:
         return sum(1 for c in self.cells.values() if c.status != SKIP)
@@ -144,6 +157,7 @@ class ResultMatrix:
                     "hash": c.hash,
                     "seconds": round(c.seconds, 4),
                     "detail": c.detail,
+                    "fired": c.fired,
                 }
                 for key, c in sorted(self.cells.items())
             },
@@ -167,7 +181,7 @@ class ResultMatrix:
                 key=key, status=c["status"], xfail=bool(c.get("xfail")),
                 expect=c.get("expect"), reason=c.get("reason", ""),
                 hash=c.get("hash"), seconds=float(c.get("seconds", 0.0)),
-                detail=c.get("detail", ""),
+                detail=c.get("detail", ""), fired=int(c.get("fired", 0)),
             ))
         return m
 
@@ -175,6 +189,30 @@ class ResultMatrix:
     def load(cls, path: str) -> "ResultMatrix":
         with open(path) as fh:
             return cls.from_json(json.load(fh))
+
+    def format_table(self, rows: str, cols: str, title: str = "") -> str:
+        """Status grid: one row per value of axis ``rows``, one column
+        per value of axis ``cols`` (values in cell order), then the
+        counts and the faults fired."""
+        grid = {}
+        for key, c in self.cells.items():
+            axes = dict(part.split("=", 1) for part in key.split("|"))
+            grid[axes[rows], axes[cols]] = c.status
+        row_vals = list(dict.fromkeys(r for r, _ in grid))
+        col_vals = list(dict.fromkeys(v for _, v in grid))
+        width = max(len(rows), *map(len, row_vals)) + 2
+        rule = "-" * (width + 11 * len(col_vals))
+        lines = [f"# {title or self.spec}",
+                 f"{rows:<{width}}" + "".join(
+                     f"{f'{cols}={v}':>11}" for v in col_vals), rule]
+        for r in row_vals:
+            lines.append(f"{r:<{width}}" + "".join(
+                f"{grid.get((r, v), '-'):>11}" for v in col_vals))
+        fired = sum(c.fired for c in self.cells.values())
+        lines += [rule, "  ".join(f"{k}={v}" for k, v in
+                                  self.counts().items())
+                  + f"  (faults fired: {fired})"]
+        return "\n".join(lines)
 
     def format_summary(self) -> str:
         counts = self.counts()
@@ -238,7 +276,7 @@ class MatrixDiff:
         if self.promotable and self.clean:
             lines.append(
                 "baseline promote available: "
-                "tools/scenario.py promote --matrix <current> "
+                "tools/scenario.py promote <current> "
                 "--baseline scenarios/baseline_matrix.json")
         return "\n".join(lines)
 

@@ -22,8 +22,8 @@ runs — the persisted result matrix and the CI differ join on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -155,13 +155,19 @@ def xfail_rule(reason: str, when: Callable, expect: str) -> Rule:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """The whole declarative cube: axes + constraints + rules."""
+    """The whole declarative cube: axes + constraints + rules.
+
+    ``settings`` maps a fault value to the keyword arguments its body
+    runs with in this spec (the runner's
+    :mod:`~repro.scenarios.faults` bodies default the rest).
+    """
 
     name: str
     axes: tuple
     constraints: tuple = ()
     rules: tuple = ()
     description: str = ""
+    settings: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         names = [a.name for a in self.axes]

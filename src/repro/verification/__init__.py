@@ -8,42 +8,31 @@ ARM clang 18.3 compiler and the ARM SVE instruction emulator ArmIE
 
 :mod:`repro.verification.cases` defines our 40 representative cases;
 :mod:`repro.verification.suite` runs the {case x vector length} matrix
-under a chosen toolchain fault model and formats the pass/fail report.
+under a chosen toolchain fault model and formats the pass/fail report;
+:mod:`repro.verification.outcomes` is the {pass, recovered, detected,
+fail} vocabulary the scenario engine's fault cells are classified in.
 """
 
 from repro.verification.cases import ALL_CASES, Case
 from repro.verification.outcomes import (
     OUTCOMES,
     Outcome,
+    SilentCorruption,
     classify_cell,
     is_regression,
     outcome_rank,
 )
-from repro.verification.suite import (
-    CAMPAIGN_OUTCOMES,
-    CampaignCellResult,
-    CampaignReport,
-    SilentCorruption,
-    SuiteReport,
-    gate_outcomes,
-    run_campaign_suite,
-    run_suite,
-)
+from repro.verification.suite import SuiteReport, run_suite
 
 __all__ = [
     "ALL_CASES",
     "Case",
     "SuiteReport",
     "run_suite",
-    "CAMPAIGN_OUTCOMES",
     "OUTCOMES",
     "Outcome",
-    "CampaignCellResult",
-    "CampaignReport",
     "SilentCorruption",
     "classify_cell",
-    "gate_outcomes",
     "is_regression",
     "outcome_rank",
-    "run_campaign_suite",
 ]

@@ -1,19 +1,19 @@
 """The one outcome vocabulary every result matrix in the repo speaks.
 
-Two harnesses classify cells today — the fault-campaign tables
-(:mod:`repro.verification.suite`) and the scenario matrix
-(:mod:`repro.scenarios`) — and they must never drift apart: a cell
-the campaign gate calls ``detected`` has to mean exactly the same
-thing when the scenario differ compares it against a committed
-baseline.  This module is the single definition both import:
+The scenario runner classifies every fault cell — the default cube's
+and the fault campaign's — and the matrix differ ranks the outcomes
+when it compares a run against a committed baseline.  This module is
+the single definition both import:
 
 * :class:`Outcome` — the four cell outcomes, ordered from best to
   worst (``pass > recovered > detected > fail``);
 * :func:`outcome_rank` — the goodness ordering the differ uses to
   decide whether a cell *regressed* (its new outcome ranks strictly
   below its old one);
-* :func:`classify_cell` — the campaign classifier: fold a cell's
-  fault ledger and terminal error into an :class:`Outcome`.
+* :func:`classify_cell` — the fault-cell classifier: fold a cell's
+  fault ledger and terminal error into an :class:`Outcome`;
+* :class:`SilentCorruption` — what a cell body raises when its answer
+  is wrong.
 
 ``fail`` always means *silent corruption*: a wrong answer nothing
 noticed.  A loud crash or a wrong-but-flagged answer is ``detected``
@@ -43,8 +43,8 @@ class Outcome(str, Enum):
         return self.value
 
 
-#: The vocabulary in goodness order (best first) — the campaign
-#: tables iterate this for stable column order.
+#: The vocabulary in goodness order (best first) — tables iterate
+#: this for stable column order.
 OUTCOMES: tuple = tuple(Outcome)
 
 #: Goodness rank: higher is better.  ``rank(new) < rank(old)`` is the
@@ -63,22 +63,28 @@ def is_regression(old, new) -> bool:
     return outcome_rank(new) < outcome_rank(old)
 
 
+class SilentCorruption(AssertionError):
+    """A fault cell produced a wrong answer.
+
+    Raised by cell bodies when the final result fails its correctness
+    check; :func:`classify_cell` downgrades it to ``detected`` when
+    some mechanism noticed the fault, and brands the cell ``fail``
+    (silent corruption) when nothing did.
+    """
+
+
 def classify_cell(campaign, error: Optional[BaseException]) -> Outcome:
     """Fold one cell's fault ledger + terminal error into an outcome.
 
     ``campaign`` carries the ledger (``detected`` / ``recovered``
     counts); ``error`` is the exception the cell body raised, if any.
-    The contract, shared by the campaign suite and the scenario
-    runner:
+    The contract:
 
     * no error: ``recovered`` if anything was repaired, else ``pass``;
-    * a :class:`~repro.verification.suite.SilentCorruption` with an
-      empty detection ledger: ``fail`` — wrong and unnoticed;
+    * a :class:`SilentCorruption` with an empty detection ledger:
+      ``fail`` — wrong and unnoticed;
     * anything else (wrong-but-flagged, or a loud crash): ``detected``.
     """
-    # Imported here, not at module top: suite.py imports this module.
-    from repro.verification.suite import SilentCorruption
-
     if error is None:
         return Outcome.RECOVERED if campaign.recovered > 0 else Outcome.PASS
     if isinstance(error, SilentCorruption) and campaign.detected == 0:

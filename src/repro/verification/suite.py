@@ -1,12 +1,9 @@
 """Run the verification matrix and format the Section V-D report.
 
-Two matrices live here: the paper's toolchain sweep
-(:func:`run_suite`, {case x VL}, pass/fail) and its generalization to
-system faults (:func:`run_campaign_suite`, {case x VL x campaign},
-classified {pass, fail, detected, recovered}).  In the campaign
-matrix ``fail`` means *silent corruption* — a fault fired, nothing
-noticed, and the answer is wrong — the outcome the resilience layer
-(:mod:`repro.resilience`) exists to eliminate.
+The paper's toolchain sweep (:func:`run_suite`, {case x VL},
+pass/fail).  Its generalization to system faults, classified {pass,
+recovered, detected, fail}, is the scenario engine's fault campaign
+(:func:`repro.scenarios.defaults.run_campaign`).
 """
 
 from __future__ import annotations
@@ -17,17 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.verification.cases import ALL_CASES, Case
-from repro.verification.outcomes import OUTCOMES, classify_cell
-
-
-class SilentCorruption(AssertionError):
-    """A campaign case produced a wrong answer.
-
-    Raised by campaign cases when the final result fails its
-    correctness check; the classifier downgrades it to ``detected``
-    when some mechanism noticed the fault, and brands the cell
-    ``fail`` (silent corruption) when nothing did.
-    """
 
 
 @dataclass
@@ -135,188 +121,4 @@ def run_suite(
                     passed=False, seconds=time.perf_counter() - t0,
                     error=traceback.format_exc(limit=2),
                 ))
-    return report
-
-
-# ======================================================================
-# Campaign verification: {case x VL x campaign} -> outcome
-# ======================================================================
-
-#: The four campaign-cell outcomes, in "goodness" order — the string
-#: view of the shared :class:`~repro.verification.outcomes.Outcome`
-#: vocabulary (one definition; the scenario matrix differ speaks the
-#: same one, so the two harnesses cannot drift).
-CAMPAIGN_OUTCOMES = tuple(o.value for o in OUTCOMES)
-
-
-@dataclass
-class CampaignCellResult:
-    """Outcome of one (case, VL) cell under a fault campaign.
-
-    * ``pass`` — correct answer; no fault fired, or it was masked.
-    * ``recovered`` — faults fired, were detected, and the cell still
-      produced a correct answer.
-    * ``detected`` — a failure was noticed (checksum, guard, crash)
-      but not repaired; the run knows it cannot trust the result.
-    * ``fail`` — **silent corruption**: wrong answer, no detection.
-    """
-
-    name: str
-    category: str
-    vl_bits: int
-    outcome: str
-    seconds: float
-    fired: int = 0
-    detected: int = 0
-    recovered: int = 0
-    detail: str = ""
-
-
-@dataclass
-class CampaignReport:
-    """The {case x VL} matrix for one campaign configuration."""
-
-    campaign: str
-    resilient: bool
-    cells: list = field(default_factory=list)
-
-    def counts(self) -> dict:
-        out = {k: 0 for k in CAMPAIGN_OUTCOMES}
-        for c in self.cells:
-            out[c.outcome] += 1
-        return out
-
-    @property
-    def silent_corruptions(self) -> int:
-        return self.counts()["fail"]
-
-    @property
-    def faults_fired(self) -> int:
-        return sum(c.fired for c in self.cells)
-
-    def detection_rate(self) -> float:
-        """Fraction of fault-affected cells whose faults were noticed
-        (detected or recovered)."""
-        hit = [c for c in self.cells if c.fired]
-        if not hit:
-            return 1.0
-        ok = sum(1 for c in hit if c.outcome in ("detected", "recovered"))
-        return ok / len(hit)
-
-    def recovery_rate(self) -> float:
-        """Fraction of fault-affected cells that still produced a
-        correct answer."""
-        hit = [c for c in self.cells if c.fired]
-        if not hit:
-            return 1.0
-        ok = sum(1 for c in hit if c.outcome in ("pass", "recovered"))
-        return ok / len(hit)
-
-    def format_table(self) -> str:
-        """Outcome matrix: one row per case, one column per VL."""
-        vls = sorted({c.vl_bits for c in self.cells})
-        names = []
-        for c in self.cells:
-            if c.name not in names:
-                names.append(c.name)
-        cell = {(c.name, c.vl_bits): c for c in self.cells}
-        width = max(len(n) for n in names) + 2
-        mode = "resilience ON" if self.resilient else "resilience OFF"
-        header = f"{'case':<{width}}" + "".join(
-            f"{f'VL{v}':>11}" for v in vls)
-        lines = [f"# campaign: {self.campaign} ({mode})", header,
-                 "-" * (width + 11 * len(vls))]
-        for n in names:
-            row = f"{n:<{width}}"
-            for v in vls:
-                c = cell.get((n, v))
-                row += f"{c.outcome if c else '-':>11}"
-            lines.append(row)
-        lines.append("-" * (width + 11 * len(vls)))
-        counts = self.counts()
-        lines.append("  ".join(f"{k}={counts[k]}" for k in CAMPAIGN_OUTCOMES)
-                     + f"  (faults fired: {self.faults_fired})")
-        return "\n".join(lines)
-
-
-def gate_outcomes(
-    report: "CampaignReport",
-    allowed: Sequence[str] = ("pass", "recovered", "detected"),
-) -> list:
-    """Cells whose outcome is not in ``allowed`` — the CI chaos gate.
-
-    The default allows everything except ``fail``: a chaos run may
-    sail through, recover, or at least *notice* its faults, but a
-    silent corruption fails the build.  Returns the offending cells
-    (empty list = gate passed) so the caller can print them.
-    """
-    for a in allowed:
-        if a not in CAMPAIGN_OUTCOMES:
-            raise ValueError(f"unknown outcome {a!r}; known: "
-                             f"{CAMPAIGN_OUTCOMES}")
-    return [c for c in report.cells if c.outcome not in allowed]
-
-
-def _classify(campaign, error: Optional[BaseException]) -> str:
-    """String view of the shared classifier (see
-    :func:`repro.verification.outcomes.classify_cell`)."""
-    return classify_cell(campaign, error).value
-
-
-def run_campaign_suite(
-    cases: Sequence,
-    campaign_factory: Callable,
-    vls: Sequence[int] = (256, 1024),
-    resilient: bool = True,
-) -> CampaignReport:
-    """Run {case x VL} under seeded fault campaigns.
-
-    ``cases`` are campaign cases (``name``/``category`` attributes and
-    ``fn(vl_bits, campaign, resilient)``); ``campaign_factory(name,
-    vl_bits)`` builds a fresh seeded
-    :class:`~repro.resilience.inject.FaultCampaign` per cell, so every
-    cell's fault schedule is independent and reproducible.
-
-    Each invocation starts from a clean slate via
-    :func:`repro.engine.reset_all`: sticky
-    :class:`~repro.simd.resilient.ResilientBackend` degradations from
-    a previous run are reset (degradation is sticky *within* a run by
-    design, but must not leak across reruns), live comms stats and any
-    in-flight async halos from earlier distributed work are cleared
-    (so a campaign's traffic accounting starts at zero), and the
-    base policy's fallback setting is restored on exit even if a case
-    flips it.  Counters and caches are left alone — a campaign may be
-    invoked mid-benchmark and must not zero the caller's tallies.
-    """
-    from repro.engine.policy import base_policy, update_base_policy
-    from repro.engine.reset import reset_all
-
-    reset_all(counters=False, caches=False)
-    policy_before = base_policy().fallback
-    first = campaign_factory(cases[0].name, vls[0]) if cases else None
-    report = CampaignReport(
-        campaign=first.name if first is not None else "empty",
-        resilient=resilient,
-    )
-    try:
-        for case in cases:
-            for vl_bits in vls:
-                campaign = campaign_factory(case.name, vl_bits)
-                t0 = time.perf_counter()
-                error: Optional[BaseException] = None
-                try:
-                    case.fn(vl_bits, campaign, resilient)
-                except Exception as exc:  # noqa: BLE001 - classified below
-                    error = exc
-                report.cells.append(CampaignCellResult(
-                    name=case.name, category=case.category, vl_bits=vl_bits,
-                    outcome=_classify(campaign, error),
-                    seconds=time.perf_counter() - t0,
-                    fired=campaign.fired, detected=campaign.detected,
-                    recovered=campaign.recovered,
-                    detail="" if error is None else
-                    f"{type(error).__name__}: {error}",
-                ))
-    finally:
-        update_base_policy(fallback=policy_before)
     return report

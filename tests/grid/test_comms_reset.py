@@ -81,12 +81,14 @@ class TestResetAllComms:
             assert np.array_equal(out.locals[r].data, ref.locals[r].data)
 
     def test_campaign_suite_resets_comms(self):
-        """run_campaign_suite starts from a clean comms slate."""
-        from repro.verification.suite import run_campaign_suite
+        """run_cases (so every campaign run) starts from a clean comms
+        slate."""
+        from repro.scenarios.defaults import campaign_spec
+        from repro.scenarios.runner import run_cases
 
         _, dpsi = _wilson()
         dpsi.stats.messages = 123
-        run_campaign_suite([], lambda name, vl: None, vls=(256,))
+        run_cases(campaign_spec(), [])
         assert dpsi.stats.messages == 0
 
 

@@ -88,6 +88,13 @@ class TestCommittedFixture:
         assert np.isclose(plaquette(links, grid), header.plaquette,
                           atol=1e-10)
 
+    @pytest.mark.parametrize("dtype", (np.complex128, np.complex64),
+                             ids=("c128", "c64"))
+    def test_both_fixtures_load_verified(self, dtype):
+        grid = GridCartesian([2, 2, 2, 2], get_backend("generic256"),
+                             dtype=dtype)
+        load_gauge(FIXTURE[dtype], grid, verify=True)
+
     def test_resave_writes_the_same_payload_and_digests(self, tmp_path):
         grid = GridCartesian([2, 2, 2, 2], get_backend("avx512"))
         links = load_gauge(FIXTURE[np.complex128], grid)
@@ -148,10 +155,10 @@ class TestForgedFiles:
                            match=f"direction {mu} links are not unitary"):
             load_gauge(path, grid)
 
-    @pytest.mark.parametrize("offset", (1e-6, -1e-3))
+    @pytest.mark.parametrize("offset", (1e-9, 1e-6, -1e-3))
     def test_wrong_header_plaquette(self, tmp_path, grid, parts, offset):
-        """``np.isclose(atol=1e-10)`` with its default ``rtol=1e-5``
-        accepts ~2e-7 around this 2^4 plaquette of ~0.0198."""
+        """A complex128 plaquette is held to 1e-10 absolute, with no
+        relative slack: 1e-9 off already fails."""
         header, cans = parts
         header.plaquette += offset
         path = tmp_path / "forged.cfg"
@@ -167,6 +174,39 @@ class TestForgedFiles:
         with open(FIXTURE[np.complex128], "rb") as f:
             assert path.read_bytes() == f.read()
         load_gauge(path, grid)
+
+
+@pytest.mark.parametrize("backend", ("generic256", "avx512"))
+def test_complex64_round_trip_verifies(tmp_path, backend):
+    """``load_gauge(verify=True)`` accepts what ``save_gauge`` writes in
+    single precision, whose unitarity defect (~1e-7) sits above the
+    double-precision limit; a torn link still fails."""
+    from repro.grid.io import verify_limits
+    from repro.grid.su3 import max_unitarity_defect, random_su3_field
+
+    grid = GridCartesian([4, 4, 4, 8], get_backend("generic256"),
+                         dtype=np.complex64)
+    rng = np.random.default_rng(21)
+    links = [random_su3_field(grid, rng) for _ in range(4)]
+    assert max(max_unitarity_defect(u) for u in links) > 1e-7
+    path = tmp_path / "c64.cfg"
+    save_gauge(path, links, grid)
+    other = GridCartesian([4, 4, 4, 8], get_backend(backend),
+                          dtype=np.complex64)
+    got = load_gauge(path, other, verify=True)
+    for a, u in zip(got, links):
+        assert a.to_canonical().tobytes() == u.to_canonical().tobytes()
+    assert verify_limits(np.complex128) == (1e-7, 1e-10)
+    assert verify_limits(np.complex64)[0] < 1e-4
+
+    header, payload = split_file(path.read_bytes())
+    cans = directions(payload, np.complex64)
+    cans[2][7] *= np.float32(1 + 1e-3)
+    header.checksums[2] = canonical_digest(cans[2])
+    write(path, header, cans)
+    with pytest.raises(ConfigFormatError,
+                       match="direction 2 links are not unitary"):
+        load_gauge(path, other)
 
 
 #: The CI step's list: numpy's complex multiply and ``np.round`` on

@@ -1,5 +1,5 @@
 """Sticky backend degradation must not leak across campaign reruns,
-and the campaign suite must restore the process fallback policy."""
+and the scenario runner must restore the process fallback policy."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,10 @@ from repro.simd import (
     fallback_enabled,
     reset_all_degraded,
 )
+from repro.scenarios import faults
+from repro.scenarios.runner import run_cases
+from repro.scenarios.spec import Axis, ScenarioSpec
 from repro.simd.generic import GenericBackend
-from repro.verification.suite import run_campaign_suite
 
 
 class Crashy(GenericBackend):
@@ -38,34 +40,28 @@ def _degrade(rb):
     assert rb.degraded
 
 
-class _FakeCampaign:
-    def __init__(self, name):
-        self.name = name
-        self.fired = 0
-        self.detected = 0
-        self.recovered = 0
+def _noop(case, campaign, armed):
+    pass
 
 
-class _NoopCase:
-    name = "noop"
-    category = "kernel"
-
-    @staticmethod
-    def fn(vl_bits, campaign, resilient):
-        pass
+def _flip_policy(case, campaign, armed):
+    update_base_policy(fallback=not fallback_enabled())
 
 
-class _PolicyFlippingCase(_NoopCase):
-    name = "policy-flip"
-
-    @staticmethod
-    def fn(vl_bits, campaign, resilient):
-        update_base_policy(fallback=not fallback_enabled())
-
-
-def _run(case):
-    return run_campaign_suite([case], lambda name, vl: _FakeCampaign(name),
-                              vls=(256,))
+@pytest.fixture
+def run(monkeypatch):
+    """Run one fault cell whose body is ``fn`` through ``run_cases``."""
+    def go(fn):
+        monkeypatch.setitem(faults.BODIES, "probe", fn)
+        spec = ScenarioSpec(name="probe", axes=(
+            Axis("fault", ("probe",)), Axis("vl", (256,)),
+            Axis("family", ("generic",)), Axis("caches", (True,)),
+            Axis("workers", (1,)), Axis("telemetry", ("off",)),
+        ))
+        case = spec.case(fault="probe", vl=256, family="generic",
+                         caches=True, workers=1, telemetry="off")
+        return run_cases(spec, [case])
+    return go
 
 
 class TestReset:
@@ -90,18 +86,18 @@ class TestReset:
 
 
 class TestCampaignSuiteCleanSlate:
-    def test_rerun_starts_from_healthy_backends(self):
+    def test_rerun_starts_from_healthy_backends(self, run):
         rb = ResilientBackend(Crashy(fail_on_call=1))
         _degrade(rb)
-        report = _run(_NoopCase)
+        matrix = run(_noop)
         assert not rb.degraded
-        assert [c.outcome for c in report.cells] == ["pass"]
+        assert [c.status for c in matrix.cells.values()] == ["pass"]
 
-    def test_fallback_policy_restored_after_suite(self):
+    def test_fallback_policy_restored_after_suite(self, run):
         before = fallback_enabled()
         try:
-            report = _run(_PolicyFlippingCase)
+            matrix = run(_flip_policy)
             assert fallback_enabled() == before
-            assert [c.outcome for c in report.cells] == ["pass"]
+            assert [c.status for c in matrix.cells.values()] == ["pass"]
         finally:
             update_base_policy(fallback=before)

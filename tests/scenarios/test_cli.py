@@ -100,6 +100,23 @@ class TestPromote:
                          "--baseline", str(base)]) == 0
         assert "nothing to promote" in capsys.readouterr().out
 
+    def test_printed_promote_hint_parses(self, tmp_path, capsys):
+        """The differ's promote one-liner is a command this CLI's own
+        parser accepts, naming the current matrix and the baseline."""
+        base = tmp_path / "base.json"
+        cur = tmp_path / "cur.json"
+        write_matrix(base, {"a": "detected"})
+        write_matrix(cur, {"a": "pass"})
+        assert cli.main(["diff", str(base), str(cur)]) == 0
+        (hint,) = [ln for ln in capsys.readouterr().out.splitlines()
+                   if "tools/scenario.py promote" in ln]
+        argv = hint.split("tools/scenario.py", 1)[1].split()
+        argv = [str(cur) if a == "<current>" else a for a in argv]
+        args = cli.build_parser().parse_args(argv)
+        assert args.fn is cli.cmd_promote
+        assert args.matrix == str(cur)
+        assert args.baseline == cli.DEFAULT_BASELINE
+
 
 class TestList:
     def test_list_prints_keys_and_metadata(self, capsys):

@@ -1,17 +1,18 @@
 """The shared outcome vocabulary: one enum, one classifier, one
-goodness order — the campaign tables and the scenario differ cannot
-drift."""
+goodness order — the result matrix's counts and the scenario differ
+cannot drift."""
 
 import pytest
 
+from repro.scenarios.matrix import ResultMatrix
 from repro.verification.outcomes import (
     OUTCOMES,
     Outcome,
+    SilentCorruption,
     classify_cell,
     is_regression,
     outcome_rank,
 )
-from repro.verification.suite import CAMPAIGN_OUTCOMES, SilentCorruption
 
 
 class FakeCampaign:
@@ -22,9 +23,10 @@ class FakeCampaign:
 
 class TestVocabulary:
     def test_campaign_tables_speak_the_enum(self):
-        assert CAMPAIGN_OUTCOMES == tuple(o.value for o in OUTCOMES)
-        assert CAMPAIGN_OUTCOMES == ("pass", "recovered", "detected",
-                                     "fail")
+        counts = ResultMatrix(spec="x", mode="custom", seed=0).counts()
+        assert tuple(counts)[:4] == tuple(o.value for o in OUTCOMES)
+        assert tuple(o.value for o in OUTCOMES) == (
+            "pass", "recovered", "detected", "fail")
 
     def test_str_enum_round_trips_json_keys(self):
         assert Outcome.PASS == "pass"

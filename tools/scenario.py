@@ -172,7 +172,7 @@ def _add_generation_args(p: argparse.ArgumentParser) -> None:
                    help="comma-separated key substrings, ! negates")
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scenario.py", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -210,8 +210,11 @@ def main(argv=None) -> int:
     p.add_argument("--force", action="store_true",
                    help="promote even with silent-corruption cells")
     p.set_defaults(fn=cmd_promote)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     return args.fn(args)
 
 
