@@ -76,6 +76,8 @@ def main() -> None:
     spans = telemetry.drain_spans()
 
     print(f"\nrecorded {len(spans)} spans")
+    print("\n# host")
+    print(telemetry.host_table(telemetry.host_fingerprint()))
     print("\n# roofline")
     print(telemetry.roofline_table(spans))
     print("\n# convergence")

@@ -23,6 +23,17 @@ def canonical_digest(can: np.ndarray, ndigits: int = 12) -> str:
     return hashlib.sha256(rounded).hexdigest()[:16]
 
 
+def component_digest(can: np.ndarray) -> str:
+    """SHA-256 of a canonical array's real components at its own
+    precision (float32 on complex64, float64 on complex128), exactly:
+    the digest ``REPRO_GAUGE_V2`` files carry, which sees every bit the
+    file stores.  :func:`canonical_digest` reads a complex64 array's
+    re/im pairs as float64 and rounds them, so a change to a real part
+    can vanish from it."""
+    can = np.ascontiguousarray(can)
+    return hashlib.sha256(can.view(can.real.dtype)).hexdigest()[:16]
+
+
 def field_checksum(lat: Lattice, ndigits: int = 12) -> str:
     """:func:`canonical_digest` of the field's canonical array."""
     return canonical_digest(lat.to_canonical(), ndigits)

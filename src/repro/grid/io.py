@@ -21,6 +21,12 @@ verifies it before any parsing of the link data, so truncation or bit
 rot is rejected up front rather than discovered (or missed) by the
 per-link checks.  Files written before the CRC existed (no
 ``payload_crc`` header line) still load.
+
+Each direction's digest is :func:`repro.grid.checksum.component_digest`
+in ``REPRO_GAUGE_V2`` files, the ones :func:`save_gauge` writes: every
+real component at the file's precision.  ``REPRO_GAUGE_V1`` files carry
+:func:`repro.grid.checksum.canonical_digest`, which cannot see a
+complex64 file's real parts, and are read under that rule.
 """
 
 from __future__ import annotations
@@ -33,11 +39,14 @@ from typing import Optional
 import numpy as np
 
 from repro.grid.cartesian import GridCartesian
-from repro.grid.checksum import canonical_digest
+from repro.grid.checksum import canonical_digest, component_digest
 from repro.grid.lattice import Lattice
 from repro.grid.su3 import _link_checks, plaquette
 
-MAGIC = "REPRO_GAUGE_V1"
+#: The format :func:`save_gauge` writes.
+MAGIC = "REPRO_GAUGE_V2"
+#: Each readable format's per-direction digest.
+DIGESTS = {"REPRO_GAUGE_V1": canonical_digest, MAGIC: component_digest}
 
 
 class ConfigFormatError(ValueError):
@@ -54,10 +63,15 @@ class ConfigHeader:
     checksums: list
     note: str = ""
     payload_crc: Optional[int] = None
+    magic: str = MAGIC
+
+    def digest(self, can: np.ndarray) -> str:
+        """A direction's digest under this file's format."""
+        return DIGESTS[self.magic](can)
 
     def render(self) -> str:
         lines = [
-            f"BEGIN_HEADER {MAGIC}",
+            f"BEGIN_HEADER {self.magic}",
             f"dims = {' '.join(str(d) for d in self.dims)}",
             f"dtype = {self.dtype}",
             f"plaquette = {self.plaquette!r}",
@@ -76,7 +90,8 @@ class ConfigHeader:
         lines = [ln.strip() for ln in text.splitlines()]
         if not lines or not lines[0].startswith("BEGIN_HEADER"):
             raise ConfigFormatError("missing BEGIN_HEADER")
-        if MAGIC not in lines[0]:
+        magic = lines[0].split()[-1]
+        if magic not in DIGESTS:
             raise ConfigFormatError(f"not a {MAGIC} file")
         fields = {}
         for ln in lines[1:]:
@@ -96,6 +111,7 @@ class ConfigHeader:
                 note=fields.get("note", ""),
                 payload_crc=(int(fields["payload_crc"])
                              if "payload_crc" in fields else None),
+                magic=magic,
             )
         except (KeyError, ValueError) as e:
             if isinstance(e, ValueError):
@@ -148,7 +164,7 @@ def save_gauge(path, links, grid: GridCartesian, note: str = "") -> ConfigHeader
         dims=list(grid.ldims),
         dtype=str(grid.dtype),
         plaquette=plaquette(links, grid),
-        checksums=[canonical_digest(c) for c in canonical],
+        checksums=[component_digest(c) for c in canonical],
         note=note,
         payload_crc=zlib.crc32(payload),
     )
@@ -211,7 +227,7 @@ def load_gauge(path, grid: GridCartesian, verify: bool = True) -> list:
     for mu in range(grid.ndim):
         can = np.frombuffer(body, dtype=grid.dtype, count=9 * grid.lsites,
                             offset=mu * per_link).reshape(grid.lsites, 3, 3)
-        if verify and canonical_digest(can) != header.checksums[mu]:
+        if verify and header.digest(can) != header.checksums[mu]:
             raise ConfigFormatError(
                 f"checksum mismatch for direction {mu} (corrupted file?)"
             )

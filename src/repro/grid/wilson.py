@@ -36,6 +36,8 @@ from repro.grid.stencil import (
     neighbour_table, parity_neighbour_table, red_black,
 )
 from repro.grid.tensor import su3_dagger_mul_vec, su3_mul_vec
+from repro.perf import native
+from repro.perf.counters import counters
 from repro.perf.fused import adjoint, fused_dhop, fused_dhop_cb, to_working
 
 #: Spinor tensor shape: (spin, colour).
@@ -117,28 +119,30 @@ class WilsonDirac:
             self._links_t = links
         return self._links_t, self._links_adj_t
 
-    def _cb_hops(self, target: GridRedBlack) -> list:
-        """The checkerboard hop onto the half grid ``target``, in sweep
-        order: ``(sign, table, links, mu)`` per (mu, sign), where
-        ``table`` is :func:`~repro.grid.stencil.parity_neighbour_table`
-        and ``links`` the matrix the hop applies — :meth:`_full_links`'s
-        field at ``target.sites``, a contiguous ``(3, 3, N/2)`` slice.
-        Built on the first hop onto that parity, without the full-order
-        links."""
+    def _cb_hops(self, target: GridRedBlack) -> tuple:
+        """The checkerboard hop onto the half grid ``target``, stacked
+        in sweep order (mu ascending, +1 before -1): ``(tables,
+        links)``, where ``tables[k]`` is the (mu, sign)'s
+        :func:`~repro.grid.stencil.parity_neighbour_table` and
+        ``links[k]`` the matrix the hop applies —
+        :meth:`_full_links`' field at ``target.sites`` — as contiguous
+        ``(8, N/2)`` and ``(8, 3, 3, N/2)`` arrays.  Built on the first
+        hop onto that parity, without the full-order links."""
         hops = self._links_cb.get(target.parity)
         if hops is None:
-            hops = []
+            n = target.sites.size
+            tables = np.empty((2 * self.grid.ndim, n), dtype=np.int64)
+            links = np.empty((2 * self.grid.ndim, 3, 3, n),
+                             dtype=self.grid.dtype)
             for mu, u in enumerate(self.links):
                 w = to_working(u.data)
                 back = neighbour_table(self.grid, mu, -1)[target.sites]
-                hops.append((+1, parity_neighbour_table(
-                    self.grid, target.parity, mu, +1),
-                    np.take(w, target.sites, axis=-1), mu))
-                hops.append((-1, parity_neighbour_table(
-                    self.grid, target.parity, mu, -1),
-                    np.ascontiguousarray(adjoint(np.take(w, back, axis=-1))),
-                    mu))
-            self._links_cb[target.parity] = hops
+                for k, sign in ((2 * mu, +1), (2 * mu + 1, -1)):
+                    tables[k] = parity_neighbour_table(
+                        self.grid, target.parity, mu, sign)
+                np.take(w, target.sites, axis=-1, out=links[2 * mu])
+                links[2 * mu + 1] = adjoint(np.take(w, back, axis=-1))
+            hops = self._links_cb[target.parity] = (tables, links)
         return hops
 
     # ------------------------------------------------------------------
@@ -198,12 +202,15 @@ class WilsonDirac:
 
         Every neighbour of a site has the other parity, so this is
         ``dhop`` of the embedded field restricted to the target parity
-        — and bit-identical to it.  Where the fused sweep runs, the hop
-        is that sweep over half the sites (:func:`repro.perf.fused.
-        fused_dhop_cb`); otherwise (non-numpy backends, a custom
-        ``cshift_fn``, the engine off) it is exactly that reference:
+        — and bit-identical to it.  Where the fused sweep runs and the
+        compiled kernel loads, the hop is that kernel over half the
+        sites (:func:`repro.perf.fused.fused_dhop_cb`); otherwise
+        (non-numpy backends, a custom ``cshift_fn``, the engine off, no
+        compiler or an unknown contraction key — see
+        :func:`repro.perf.native.status`) it is exactly that reference:
         embed, ``dhop``, pick.  Traced as a ``dhop.cb`` span over the
-        half-volume sites.
+        half-volume sites, which names the ``kernel`` that ran and the
+        ``contraction`` key of numpy's complex multiply.
 
         ``tail(acc, b0, b1)``, if given, finishes the output in place
         with numpy operations: on the sweep block by block, as each
@@ -217,8 +224,14 @@ class WilsonDirac:
                              "this operator's grid")
         target = red_black(self.grid, "even" if psi.grid.parity == "odd"
                            else "odd")
+        plan = kernel_plan(self.grid, "dhop")
+        hop = None
+        if plan.fused and self._fused:
+            hop = native.kernel(psi.data.dtype)
+            if hop is None:
+                counters().bump("cb_reference_fallbacks")
         if not _telemetry.tracing():
-            return self._dhop_cb_impl(psi, target, tail)
+            return self._dhop_cb_impl(psi, target, tail, plan, hop)
         with _telemetry.span(
             "dhop.cb",
             sites=target.osites * target.nlanes,
@@ -226,13 +239,16 @@ class WilsonDirac:
             bytes_per_site=self.bytes_per_site(),
             backend=self.grid.backend.name,
             parity=target.parity,
+            kernel="reference" if hop is None else "native",
+            contraction=native.contraction_key(psi.data.dtype),
         ):
-            return self._dhop_cb_impl(psi, target, tail)
+            return self._dhop_cb_impl(psi, target, tail, plan, hop)
 
-    def _dhop_cb_impl(self, psi: Lattice, target, tail) -> Lattice:
-        plan = kernel_plan(self.grid, "dhop")
-        if plan.fused and self._fused:
-            return fused_dhop_cb(self, psi, target, plan=plan, tail=tail)
+    def _dhop_cb_impl(self, psi: Lattice, target, tail, plan,
+                      hop) -> Lattice:
+        if hop is not None:
+            return fused_dhop_cb(self, psi, target, hop, plan=plan,
+                                 tail=tail)
         # The reference: the full sweep of the embedded field (its
         # dispatch, not its span — the hop is traced once, above).
         out = target.pick(self._dhop_impl(psi.grid.embed(psi)))

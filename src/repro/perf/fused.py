@@ -29,16 +29,20 @@ elements.  The sweeps therefore work *tensor-major flat*:
 * Half fields *are* the working layout: a
   :class:`~repro.grid.cartesian.GridRedBlack` field is stored
   ``(4, 3, N/2)`` (split into register rows), so the even-odd
-  checkerboard hop (:func:`fused_dhop_cb`) transposes nothing.  It runs
-  in Grid's *compressor order*: the source is spin-projected once onto
-  the eight half-spinor fields, and per block and (mu, ±1) it gathers
-  6 rows, not 12, through a per-parity table, multiplies by the
-  operator's contiguous ``(3, 3, N/2)`` link slice for the target parity
-  and reconstructs straight into the output's block
-  (``WilsonDirac._cb_hops`` holds the tables and slices, built once per
-  operator and parity).
+  checkerboard hop (:func:`fused_dhop_cb`) transposes nothing.  Its
+  block body is one call of a compiled C kernel
+  (:mod:`repro.perf.native`, ``hop_cb.c``): per output site and
+  (mu, ±1) it gathers the neighbour through a per-parity table,
+  spin-projects it, multiplies by the operator's ``(3, 3, N/2)`` link
+  slice for the target parity and reconstructs into the block
+  (``WilsonDirac._cb_hops`` holds the stacked tables and slices, built
+  once per operator and parity).  The kernel states numpy's arithmetic
+  -- the contract below, with each complex product contracted the way
+  numpy's ``multiply`` contracts on the host -- so its bytes are the
+  numpy sweep's.  Where it cannot be built, ``dhop_cb`` takes its
+  reference route instead.
 
-Both orders compose the same three steps, :func:`_project`,
+The numpy sweeps compose three steps, :func:`_project`,
 :func:`_su3_halfspinor` and :func:`_reconstruct`, one implementation
 each; where the two rows of a spin pair take the same operation they
 run as one ``(2, 3, n)`` ufunc call.
@@ -54,13 +58,15 @@ product with :func:`_su3_halfspinor` on colour-matrix rows
 **Bit-identity contract.**  Every expression below reproduces the
 reference accumulation element-for-element:
 
-* the per-element accumulation order is unchanged — colour index ``b``
-  ascending inside the SU(3) multiply (after a leading ``0 +``), then
-  (mu, sign) in sweep order;
+* the per-element accumulation order is unchanged — from +0, colour
+  index ``b`` ascending inside the SU(3) multiply (after a leading
+  ``0 +``), then (mu, sign) in sweep order;
 * each fused step computes exactly the reference's IEEE operation
   (``acc + u*v``, ``x * dtype(1j)``, …) on the same dtype, since the
   numpy backends' ops are those expressions verbatim
-  (:class:`repro.simd.backend.NumpyArithmeticMixin`);
+  (:class:`repro.simd.backend.NumpyArithmeticMixin`); the C kernel
+  spells out the same operations, constants as full complex products
+  (``-1j`` keeps its ``-0.0`` real part);
 * layout, order, blocks and tiles only decide *where* an element is
   computed — the computation is elementwise in sites once the
   neighbour values are in hand, a gather is an exact copy, and so
@@ -354,57 +360,45 @@ def fused_dhop(dirac, psi: Lattice, plan=None) -> Lattice:
     return out
 
 
-def fused_dhop_cb(dirac, psi: Lattice, target, plan=None,
+def fused_dhop_cb(dirac, psi: Lattice, target, hop, plan=None,
                   tail=None) -> Lattice:
     """One checkerboard hop: ``D_h`` from the half field ``psi`` onto
     the half grid ``target`` of the other parity
-    (``WilsonDirac.dhop_cb``), in compressor order.
+    (``WilsonDirac.dhop_cb``), in compressor order, by the compiled
+    kernel ``hop`` (:func:`repro.perf.native.kernel`).
 
     Half fields are stored in the working layout, so nothing is
-    transposed.  The source is spin-projected once, onto one
-    ``(2, 3, N/2)`` half-spinor field per (mu, sign); then per block
-    and per (mu, sign) the sweep gathers 6 rows through
-    :func:`repro.grid.stencil.parity_neighbour_table`, multiplies by
-    the operator's contiguous per-parity link slice and reconstructs
-    straight into the output's block (``WilsonDirac._cb_hops`` holds
-    the tables and slices, built on the first hop onto ``target``'s
-    parity).  Projection is elementwise in sites and a gather is an
-    exact copy, so projecting before gathering gives every output site
-    the values the full sweep computes — the hop is bit-identical to
-    ``dhop`` of the embedded field, restricted to ``target``.
+    transposed.  Per block of output sites, one call of ``hop`` runs
+    every (mu, sign) in sweep order: it gathers the neighbour through
+    :func:`repro.grid.stencil.parity_neighbour_table`, spin-projects
+    it, multiplies by the operator's per-parity link and reconstructs
+    into the block (``WilsonDirac._cb_hops`` holds the stacked tables
+    and links, built on the first hop onto ``target``'s parity).  The
+    kernel computes the numpy sweep's IEEE operations in its order, so
+    the hop is bit-identical to ``dhop`` of the embedded field,
+    restricted to ``target``.
 
     ``tail(acc, b0, b1)``, if given, finishes each ``(4, 3, n)`` block
     of output sites ``b0 .. b1 - 1`` in place (the Schur operator folds
-    its diagonal algebra there).  Tiles split the output sites; they
-    read the projected fields and never write them.
+    its diagonal algebra there).  Tiles split the output sites; each
+    writes only its own.
     """
-    hops = dirac._cb_hops(target)
+    tables, links = dirac._cb_hops(target)
     tensor = psi.tensor_shape
-    src = psi.data.reshape(tensor + (-1,))
-    proj = np.empty((len(hops), 2, 3, src.shape[-1]), dtype=src.dtype)
-    for h, (sign, _table, _links, mu) in zip(proj, hops):
-        _project(src, mu, sign, h)
-    rows = proj.reshape(len(hops), 6, -1)
+    src = np.ascontiguousarray(psi.data).reshape(tensor + (-1,))
     out = Lattice(target, tensor,
-                  np.zeros(target.field_shape(tensor), dtype=src.dtype))
+                  np.empty(target.field_shape(tensor), dtype=src.dtype))
     work = out.data.reshape(tensor + (-1,))
 
-    def block(b0, b1, bufs) -> None:
-        n = b1 - b0
-        gathered, uh, prod = bufs
-        h = gathered.reshape(2, 3, n)
-        uh, prod = uh.reshape(2, 3, n), prod.reshape(2, 3, n)
-        acc = work[:, :, b0:b1]
-        for half, (sign, table, links, mu) in zip(rows, hops):
-            np.take(half, table[b0:b1], axis=1, out=gathered, mode="clip")
-            _su3_halfspinor(links[:, :, b0:b1], h, uh, prod)
-            _reconstruct(acc, uh, mu, sign, h)
+    def block(b0, b1, _bufs) -> None:
+        hop(src, tables, links, work, b0, b1)
         if tail is not None:
-            tail(acc, b0, b1)
+            tail(work[:, :, b0:b1], b0, b1)
 
-    ntiles = _run_blocks(block, work.shape[-1], plan, target.nlanes,
-                         (6, 6, 6), src.dtype)
-    _bump_stages(plan, len(hops), ntiles)
+    ntiles = _run_blocks(block, work.shape[-1], plan, target.nlanes, (),
+                         src.dtype)
+    counters().bump("native_cb_hops")
+    _bump_stages(plan, len(tables), ntiles)
     return out
 
 

@@ -1,0 +1,220 @@
+/* The checkerboard Wilson hop, one block of output sites per call.
+ *
+ * The compiled body of repro.perf.fused.fused_dhop_cb.  It computes,
+ * element by element, the IEEE operations of the numpy hop (the full
+ * sweep of repro.perf.fused, and the layered reference it matches), in
+ * the same order, so its bytes are numpy's:
+ *
+ *  - the accumulator starts from +0;
+ *  - per (mu, sign), in sweep order (mu ascending, +1 before -1), the
+ *    neighbour's spinor is projected, multiplied by the link and
+ *    reconstructed into the accumulator;
+ *  - the SU(3) multiply sums ((0 + V[a][0] h[0]) + V[a][1] h[1]) +
+ *    V[a][2] h[2], b ascending after a leading 0 +;
+ *  - the constants i and -i are full complex products with (+0, 1)
+ *    and (-0, -1), never sign flips or swaps;
+ *  - every complex product a*b is numpy's formula under the host's
+ *    contraction:  re = a.re b.re - a.im b.im,  im = a.re b.im +
+ *    a.im b.re, with FUSED_C64 / FUSED_C128 set to 1 where numpy
+ *    fuses the first product of each into an fma (re = fma(a.re, b.re,
+ *    -(a.im b.im)), im = fma(a.re, b.im, a.im b.re)) and to 0 where it
+ *    rounds both products.
+ *
+ * Build with -ffp-contract=off: the fma calls below are the only fused
+ * operations, so the contraction is the source's, not the compiler's.
+ * The one freedom left is which NaN an operation returns when two NaNs
+ * meet in it: IEEE 754 leaves that to the implementation, and the
+ * compiler may order a commutative operation's operands either way.
+ *
+ * Layouts (complex numbers as interleaved re, im pairs):
+ *  - src    (4, 3, nsrc): the source half field, row r = spin*3 + colour;
+ *  - tables (8, nout):    per hop, the source column of each output site;
+ *  - links  (8, 3, 3, nout): per hop, the matrix it applies;
+ *  - out    (4, 3, nout): written at sites b0 .. b1 - 1 only.
+ * The projection is elementwise in sites and a gather is an exact copy,
+ * so projecting each gathered neighbour gives the bits of projecting
+ * the source first (Grid's compressor order).
+ */
+#ifndef HOP_CB_BODY
+#define HOP_CB_BODY
+
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
+
+#if !defined(FUSED_C64) || !defined(FUSED_C128)
+#error "define FUSED_C64 and FUSED_C128 to the contraction of numpy's multiply"
+#endif
+
+/* Sites per sub-block.  On a 2-vCPU AVX-512 host, 128 ran the 8^4 and
+ * 16^4 hops fastest of 16 to 256, in both precisions. */
+#define SB 128
+
+#define T double
+#define FMA fma
+#define FUSED FUSED_C128
+#define HOP hop_cb_c128
+#include __FILE__
+#undef T
+#undef FMA
+#undef FUSED
+#undef HOP
+
+#define T float
+#define FMA fmaf
+#define FUSED FUSED_C64
+#define HOP hop_cb_c64
+#include __FILE__
+
+#else /* HOP_CB_BODY: one kernel, for the element type T */
+
+#if FUSED
+#define MUL_RE(ar, ai, br, bi) FMA((ar), (br), -((ai) * (bi)))
+#define MUL_IM(ar, ai, br, bi) FMA((ar), (bi), (ai) * (br))
+#else
+#define MUL_RE(ar, ai, br, bi) ((ar) * (br) - (ai) * (bi))
+#define MUL_IM(ar, ai, br, bi) ((ar) * (bi) + (ai) * (br))
+#endif
+
+/* Working rows of one sub-block, split into real and imaginary parts. */
+#define ROWS(name, k) T name##r[k][SB], name##i[k][SB]
+
+/* dst = a + (b * c) or a - (b * c) for the constant c = (cr, ci), per
+ * site: the projection's p0 +- p3 i and the like. */
+#define PM_MUL(dr, di, ar_, ai_, br_, bi_, cr, ci, plus)                  \
+    for (int j = 0; j < n; j++) {                                       \
+        T tr = MUL_RE(br_[j], bi_[j], (T)(cr), (T)(ci));                \
+        T ti = MUL_IM(br_[j], bi_[j], (T)(cr), (T)(ci));                \
+        dr[j] = (plus) ? ar_[j] + tr : ar_[j] - tr;                       \
+        di[j] = (plus) ? ai_[j] + ti : ai_[j] - ti;                       \
+    }
+
+/* dst = a + b or a - b, per site. */
+#define PM(dr, di, ar_, ai_, br_, bi_, plus)                              \
+    for (int j = 0; j < n; j++) {                                       \
+        dr[j] = (plus) ? ar_[j] + br_[j] : ar_[j] - br_[j];               \
+        di[j] = (plus) ? ai_[j] + bi_[j] : ai_[j] - bi_[j];               \
+    }
+
+void HOP(const T *src, int64_t nsrc, const int64_t *tables, const T *links,
+         T *out, int64_t nout, int64_t b0, int64_t b1)
+{
+    for (int64_t s0 = b0; s0 < b1; s0 += SB) {
+        const int n = (int)(b1 - s0 < SB ? b1 - s0 : SB);
+        ROWS(a, 12);  /* the accumulator */
+        ROWS(p, 12);  /* the gathered neighbour */
+        ROWS(h, 6);   /* its projection */
+        ROWS(w, 6);   /* the link times the projection */
+        for (int r = 0; r < 12; r++)
+            for (int j = 0; j < n; j++)
+                ar[r][j] = ai[r][j] = (T)0;
+        for (int k = 0; k < 8; k++) {
+            const int mu = k >> 1, fwd = !(k & 1);
+            const int64_t *tab = tables + k * nout + s0;
+            for (int r = 0; r < 12; r++) {
+                /* One load per complex number, then split the pairs. */
+                const T *row = src + 2 * r * nsrc;
+                T pair[2 * SB];
+                for (int j = 0; j < n; j++)
+                    memcpy(pair + 2 * j, row + 2 * tab[j], 2 * sizeof(T));
+                for (int j = 0; j < n; j++) {
+                    pr[r][j] = pair[2 * j];
+                    pi[r][j] = pair[2 * j + 1];
+                }
+            }
+            /* h = the two independent spin rows of (1 +- gamma_mu) p */
+            for (int c = 0; c < 3; c++) {
+                T *h0r = hr[c], *h0i = hi[c], *h1r = hr[3 + c], *h1i = hi[3 + c];
+                const T *p0r = pr[c], *p0i = pi[c], *p1r = pr[3 + c],
+                        *p1i = pi[3 + c], *p2r = pr[6 + c], *p2i = pi[6 + c],
+                        *p3r = pr[9 + c], *p3i = pi[9 + c];
+                switch (mu) {
+                case 0: /* h0 = p0 +- p3 i ; h1 = p1 +- p2 i */
+                    PM_MUL(h0r, h0i, p0r, p0i, p3r, p3i, 0.0, 1.0, fwd)
+                    PM_MUL(h1r, h1i, p1r, p1i, p2r, p2i, 0.0, 1.0, fwd)
+                    break;
+                case 1: /* h0 = p0 -+ p3 ; h1 = p1 +- p2 */
+                    PM(h0r, h0i, p0r, p0i, p3r, p3i, !fwd)
+                    PM(h1r, h1i, p1r, p1i, p2r, p2i, fwd)
+                    break;
+                case 2: /* h0 = p0 +- p2 i ; h1 = p1 +- p3 (-i) */
+                    PM_MUL(h0r, h0i, p0r, p0i, p2r, p2i, 0.0, 1.0, fwd)
+                    PM_MUL(h1r, h1i, p1r, p1i, p3r, p3i, -0.0, -1.0, fwd)
+                    break;
+                default: /* h0 = p0 +- p2 ; h1 = p1 +- p3 */
+                    PM(h0r, h0i, p0r, p0i, p2r, p2i, fwd)
+                    PM(h1r, h1i, p1r, p1i, p3r, p3i, fwd)
+                }
+            }
+            /* w[s][a] = ((0 + V[a][0] h[s][0]) + V[a][1] h[s][1])
+             *           + V[a][2] h[s][2] */
+            const T *V = links + 2 * (int64_t)k * 9 * nout;
+            for (int a = 0; a < 3; a++)
+                for (int s = 0; s < 2; s++) {
+                    T *outr = wr[3 * s + a], *outi = wi[3 * s + a];
+                    for (int b = 0; b < 3; b++) {
+                        const T *v = V + 2 * ((3 * a + b) * nout + s0);
+                        const T *xr = hr[3 * s + b], *xi = hi[3 * s + b];
+                        for (int j = 0; j < n; j++) {
+                            T tr = MUL_RE(v[2 * j], v[2 * j + 1], xr[j], xi[j]);
+                            T ti = MUL_IM(v[2 * j], v[2 * j + 1], xr[j], xi[j]);
+                            outr[j] = (b == 0 ? (T)0 : outr[j]) + tr;
+                            outi[j] = (b == 0 ? (T)0 : outi[j]) + ti;
+                        }
+                    }
+                }
+            /* acc += the spinor rebuilt from w */
+            for (int c = 0; c < 3; c++) {
+                T *a0r = ar[c], *a0i = ai[c], *a1r = ar[3 + c], *a1i = ai[3 + c],
+                  *a2r = ar[6 + c], *a2i = ai[6 + c], *a3r = ar[9 + c],
+                  *a3i = ai[9 + c];
+                const T *w0r = wr[c], *w0i = wi[c], *w1r = wr[3 + c],
+                        *w1i = wi[3 + c];
+                PM(a0r, a0i, a0r, a0i, w0r, w0i, 1)
+                PM(a1r, a1i, a1r, a1i, w1r, w1i, 1)
+                switch (mu) {
+                case 0: /* acc2 += w1 f ; acc3 += w0 f, f = -i on +mu, +i on -mu */
+                    if (fwd) {
+                        PM_MUL(a2r, a2i, a2r, a2i, w1r, w1i, -0.0, -1.0, 1)
+                        PM_MUL(a3r, a3i, a3r, a3i, w0r, w0i, -0.0, -1.0, 1)
+                    } else {
+                        PM_MUL(a2r, a2i, a2r, a2i, w1r, w1i, 0.0, 1.0, 1)
+                        PM_MUL(a3r, a3i, a3r, a3i, w0r, w0i, 0.0, 1.0, 1)
+                    }
+                    break;
+                case 1: /* acc2 +- w1 ; acc3 -+ w0 */
+                    PM(a2r, a2i, a2r, a2i, w1r, w1i, fwd)
+                    PM(a3r, a3i, a3r, a3i, w0r, w0i, !fwd)
+                    break;
+                case 2: /* acc2 += w0 (-+i) ; acc3 += w1 (+-i) */
+                    if (fwd) {
+                        PM_MUL(a2r, a2i, a2r, a2i, w0r, w0i, -0.0, -1.0, 1)
+                        PM_MUL(a3r, a3i, a3r, a3i, w1r, w1i, 0.0, 1.0, 1)
+                    } else {
+                        PM_MUL(a2r, a2i, a2r, a2i, w0r, w0i, 0.0, 1.0, 1)
+                        PM_MUL(a3r, a3i, a3r, a3i, w1r, w1i, -0.0, -1.0, 1)
+                    }
+                    break;
+                default: /* acc2 +- w0 ; acc3 +- w1 */
+                    PM(a2r, a2i, a2r, a2i, w0r, w0i, fwd)
+                    PM(a3r, a3i, a3r, a3i, w1r, w1i, fwd)
+                }
+            }
+        }
+        for (int r = 0; r < 12; r++) {
+            T *o = out + 2 * (r * nout + s0);
+            for (int j = 0; j < n; j++) {
+                o[2 * j] = ar[r][j];
+                o[2 * j + 1] = ai[r][j];
+            }
+        }
+    }
+}
+
+#undef MUL_RE
+#undef MUL_IM
+#undef ROWS
+#undef PM_MUL
+#undef PM
+
+#endif /* HOP_CB_BODY */

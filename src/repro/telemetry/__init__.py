@@ -62,6 +62,8 @@ from repro.telemetry.reports import (
     convergence_attrs,
     convergence_from_spans,
     convergence_table,
+    host_fingerprint,
+    host_table,
     imbalance_from_spans,
     imbalance_summary,
     imbalance_table,
@@ -91,6 +93,7 @@ __all__ = [
     "spans_to_jsonl", "write_chrome_trace", "write_jsonl",
     "write_prometheus",
     "convergence_attrs", "convergence_from_spans", "convergence_table",
+    "host_fingerprint", "host_table",
     "imbalance_from_spans", "imbalance_summary", "imbalance_table",
     "roofline_from_spans", "roofline_table", "traced_solver",
     "FlightRecorder", "format_postmortem", "postmortem_bundle",

@@ -108,6 +108,52 @@ def traced_solver(label: str):
     return deco
 
 
+def host_fingerprint() -> dict:
+    """The host a trace's rates were measured on: Python, numpy, the
+    machine, the CPUs the process may run on, and per complex dtype the
+    checkerboard hop's arithmetic (:func:`repro.perf.native.status`):
+    the ``kernel`` that runs (``native``/``reference``, with the
+    ``reason`` where it is the reference), the contraction ``key`` of
+    numpy's complex multiply, the SIMD ``target`` numpy dispatches it
+    to, and the ``compiler`` and ``flags`` of the compiled hop.
+    Loads the compiled hop if no hop has yet."""
+    import os
+    import platform
+
+    import numpy as np
+
+    from repro.perf import native
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not Linux
+        cpus = os.cpu_count() or 1
+    hop = {}
+    for dtype in (np.complex64, np.complex128):
+        state = native.status(dtype)
+        hop[np.dtype(dtype).name] = {k: state[k] for k in (
+            "kernel", "reason", "key", "target", "compiler", "flags")}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "cpus": cpus,
+        "hop": hop,
+    }
+
+
+def host_table(host: dict) -> str:
+    """:func:`host_fingerprint` as aligned plain text."""
+    lines = [f"python {host['python']}, numpy {host['numpy']}, "
+             f"{host['machine']}, {host['cpus']} CPU(s)"]
+    rows = [[dtype, h["kernel"], h["key"], h["target"], h["compiler"],
+             h["flags"] if h["kernel"] == "native" else h["reason"]]
+            for dtype, h in host["hop"].items()]
+    lines.append(_table(["dhop.cb", "kernel", "key", "numpy target",
+                         "compiler", "flags / reason"], rows))
+    return "\n".join(lines)
+
+
 def roofline_from_spans(spans: Iterable[Span]) -> List[dict]:
     """Aggregate operator spans into one roofline row per
     (operator span name, backend).

@@ -21,9 +21,10 @@ import numpy as np
 import pytest
 
 from repro.grid.cartesian import GridCartesian
-from repro.grid.checksum import canonical_digest, field_checksum
-from repro.grid.io import ConfigFormatError, ConfigHeader, load_gauge, \
-    save_gauge
+from repro.grid.checksum import canonical_digest, component_digest, \
+    field_checksum
+from repro.grid.io import MAGIC, ConfigFormatError, ConfigHeader, \
+    load_gauge, save_gauge
 from repro.grid.su3 import plaquette
 from repro.simd import get_backend
 
@@ -96,12 +97,17 @@ class TestCommittedFixture:
         load_gauge(FIXTURE[dtype], grid, verify=True)
 
     def test_resave_writes_the_same_payload_and_digests(self, tmp_path):
+        """A V1 file re-saved is a V2 file with the same payload and
+        CRC, whose digests are the payload's component digests."""
         grid = GridCartesian([2, 2, 2, 2], get_backend("avx512"))
         links = load_gauge(FIXTURE[np.complex128], grid)
         with open(FIXTURE[np.complex128], "rb") as f:
             header, payload = split_file(f.read())
+        assert header.magic == "REPRO_GAUGE_V1"
         new = save_gauge(tmp_path / "again.cfg", links, grid)
-        assert new.checksums == header.checksums
+        assert new.magic == MAGIC == "REPRO_GAUGE_V2"
+        assert new.checksums == [component_digest(c) for c in
+                                 directions(payload, np.complex128)]
         assert new.payload_crc == header.payload_crc
         assert split_file((tmp_path / "again.cfg").read_bytes())[1] \
             == payload
@@ -202,11 +208,34 @@ def test_complex64_round_trip_verifies(tmp_path, backend):
     header, payload = split_file(path.read_bytes())
     cans = directions(payload, np.complex64)
     cans[2][7] *= np.float32(1 + 1e-3)
-    header.checksums[2] = canonical_digest(cans[2])
+    header.checksums[2] = header.digest(cans[2])
     write(path, header, cans)
     with pytest.raises(ConfigFormatError,
                        match="direction 2 links are not unitary"):
         load_gauge(path, other)
+
+
+def test_complex64_real_part_change_fails_its_digest(tmp_path):
+    """A V2 digest covers a complex64 file's real parts: one real part
+    moved by 1e-3 (unitarity and plaquette checks off the hook: verify
+    stops at the digest), with the CRC recomputed, is a checksum
+    mismatch.  The V1 digest of the same change does not move."""
+    from repro.grid.su3 import random_su3_field
+
+    grid = GridCartesian([4, 4, 4, 8], get_backend("generic256"),
+                         dtype=np.complex64)
+    rng = np.random.default_rng(21)
+    path = tmp_path / "c64.cfg"
+    save_gauge(path, [random_su3_field(grid, rng) for _ in range(4)], grid)
+    header, payload = split_file(path.read_bytes())
+    cans = directions(payload, np.complex64)
+    before = canonical_digest(cans[1])
+    cans[1][5, 0, 2] += np.float32(1e-3)
+    assert canonical_digest(cans[1]) == before
+    write(path, header, cans)
+    with pytest.raises(ConfigFormatError,
+                       match="checksum mismatch for direction 1 "):
+        load_gauge(path, grid)
 
 
 #: The CI step's list: numpy's complex multiply and ``np.round`` on

@@ -168,9 +168,9 @@ class TestCheckerboardHop:
             assert counters().tiles_dispatched == 2
 
     def test_builds_one_slice_pair_per_parity(self):
-        """The first hop onto a parity builds its hop list — the parity
-        tables and the full-order links at that parity's sites as
-        contiguous slices — without building the full-order links;
+        """The first hop onto a parity builds its stacked hop arrays —
+        the parity tables and the full-order links at that parity's
+        sites, in sweep order — without building the full-order links;
         later hops build nothing."""
         dirac, psi = _operator("generic256", (4, 4, 4, 8))
         halves = [red_black(dirac.grid, p).pick(psi) for p in ("odd", "even")]
@@ -179,27 +179,25 @@ class TestCheckerboardHop:
         assert sorted(dirac._links_cb) == ["even", "odd"]
         assert dirac._links_t is None and dirac._links_adj_t is None
         before = dict(vars(dirac))
-        lists = {p: [a for hop in hops for a in hop]
-                 for p, hops in dirac._links_cb.items()}
+        arrays = {p: list(hops) for p, hops in dirac._links_cb.items()}
         for half in halves:
             dirac.dhop_cb(half)
         assert vars(dirac).keys() == before.keys()
         assert all(vars(dirac)[k] is v for k, v in before.items())
-        for p, items in lists.items():
-            again = [a for hop in dirac._links_cb[p] for a in hop]
-            assert all(a is b for a, b in zip(again, items))
+        for p, items in arrays.items():
+            assert all(a is b for a, b in zip(dirac._links_cb[p], items))
         links, adj = dirac._full_links()
-        for p, hops in dirac._links_cb.items():
+        for p, (tables, stacked) in dirac._links_cb.items():
             sites = red_black(dirac.grid, p).sites
-            assert [(mu, sign) for sign, _t, _l, mu in hops] == \
-                [(mu, sign) for mu in range(4) for sign in (+1, -1)]
-            for sign, table, got, mu in hops:
-                assert table is parity_neighbour_table(dirac.grid, p, mu,
-                                                       sign)
+            assert tables.shape == (8, sites.size)
+            assert stacked.shape == (8, 3, 3, sites.size)
+            assert tables.flags.c_contiguous and stacked.flags.c_contiguous
+            order = [(mu, sign) for mu in range(4) for sign in (+1, -1)]
+            for k, (mu, sign) in enumerate(order):
+                assert np.array_equal(tables[k], parity_neighbour_table(
+                    dirac.grid, p, mu, sign))
                 full = (links if sign > 0 else adj)[mu]
-                assert got.shape == (3, 3, sites.size)
-                assert got.flags.c_contiguous
-                _assert_bytes_equal(got, np.take(full, sites, axis=-1))
+                _assert_bytes_equal(stacked[k], np.take(full, sites, axis=-1))
 
 
 class TestHalfFields:

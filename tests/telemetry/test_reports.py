@@ -2,6 +2,8 @@
 numbers, convergence rows with parent-resolved operator names and
 windowed FT events, and the ``traced_solver`` wrapper."""
 
+import numpy as np
+
 import repro.engine as engine
 import repro.telemetry as telemetry
 from repro.grid.cartesian import GridCartesian
@@ -12,6 +14,7 @@ from repro.grid.random import random_gauge, random_spinor
 from repro.grid.solver import conjugate_gradient
 from repro.grid.stencil import red_black
 from repro.grid.wilson import WilsonDirac
+from repro.perf import native
 from repro.simd import get_backend
 from repro.telemetry.reports import (
     OPERATOR_SPAN_NAMES,
@@ -111,7 +114,29 @@ class TestRooflineMath:
             assert len(spans) == 1
             assert {"flops_per_site", "bytes_per_site"} <= set(spans[0].attrs)
             emitted.add(spans[0].name)
+            if spans[0].name == "dhop.cb":
+                assert spans[0].attrs["kernel"] in ("native", "reference")
+                assert spans[0].attrs["contraction"] == \
+                    native.contraction_key(grid.dtype)
         assert emitted == set(OPERATOR_SPAN_NAMES)
+
+
+class TestHostFingerprint:
+    def test_records_the_hops_arithmetic(self):
+        """Per complex dtype: the kernel that runs, numpy's contraction
+        key and multiply target, the compiler and the flags."""
+        host = telemetry.host_fingerprint()
+        assert host["cpus"] >= 1
+        assert set(host["hop"]) == {"complex64", "complex128"}
+        for name, hop in host["hop"].items():
+            state = native.status(np.dtype(name))
+            assert hop["key"] == native.contraction_key(np.dtype(name))
+            assert hop["target"] == native.multiply_target(np.dtype(name))
+            assert hop["kernel"] == state["kernel"]
+            assert hop["compiler"] == state["compiler"]
+            assert hop["flags"] == state["flags"]
+        text = telemetry.host_table(host)
+        assert "complex64" in text and host["numpy"] in text
 
 
 class TestConvergenceReport:
