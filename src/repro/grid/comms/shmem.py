@@ -22,15 +22,18 @@ The parent drives every sweep as one synchronous command round:
    into the array's slab slots — all sends precede all receives and
    each mailbox is written exactly once per command, so the round is
    deadlock-free by construction;
-3. each worker runs the single-rank block sweep
-   (:func:`repro.perf.fused.sweep_blocks`) over its extended array
-   through the rank-local ``rank_halo`` tables and writes its ``out``
-   shard;
+3. each worker runs the block sweep over its extended array through
+   the rank-local ``rank_halo`` tables and writes its ``out`` shard in
+   place: the compiled kernel (:func:`repro.perf.fused.native_sweep`)
+   where it loads in the worker, the numpy body
+   (:func:`repro.perf.fused.sweep_blocks`) where it does not;
 4. workers reply with their local :class:`~repro.grid.comms.lattice.
-   CommsStats` and how long they blocked on halo arrival; the parent
-   merges stats, feeds the PR 5 halo-wait histograms, and only then
-   may start the next command — which is what guarantees every mailbox
-   is empty again at the start of each round.
+   CommsStats`, how long they blocked on halo arrival and which sweep
+   ran; the parent merges stats, counts the sweeps
+   (``native_sweeps``/``native_fallbacks``), feeds the PR 5 halo-wait
+   histograms, and only then may start the next command — which is
+   what guarantees every mailbox is empty again at the start of each
+   round.
 
 The transport declines (``run_dhop`` returns ``None``) when the plan
 is not fused — the engine is off or the backend is not fused-safe — or
@@ -76,6 +79,7 @@ from repro.engine.policy import scope as _engine_scope
 from repro.grid.comms.faults import adapt_fault_hook
 from repro.grid.comms.transport import Transport
 from repro.grid.comms.wire import exchange_field
+from repro.perf.counters import counters
 from repro.telemetry import flightrec as _telemetry_flightrec
 from repro.telemetry import merge as _telemetry_merge
 from repro.telemetry import metrics as _telemetry_metrics
@@ -114,10 +118,15 @@ def _attach(cache: dict, name: str):
 
 
 def _worker_halo(cache: dict, cmd: dict):
-    """The (memoized) local grid and
-    :class:`~repro.grid.stencil.RankHalo` for a command's geometry,
-    derived once per geometry from the same
-    :meth:`DistributedLattice.cshift` the parent's tables come from."""
+    """The (memoized) local grid, :class:`~repro.grid.stencil.RankHalo`
+    and rank-local tables for a command's geometry, derived once per
+    geometry from the same :meth:`DistributedLattice.cshift` the
+    parent's tables come from.
+
+    Every rank has the same local geometry, so the stacked tables are
+    one rank's offset by ``r * width``: rank 0's stretch, copied
+    contiguous with its largest entry, indexes any rank's own extended
+    array."""
     key = (cmd["gdims"], cmd["mpi_layout"], cmd["simd_layout"],
            cmd["backend"], cmd["dtype"])
     hit = cache.get(key)
@@ -133,7 +142,9 @@ def _worker_halo(cache: dict, cmd: dict):
                                   simd_layout=list(cmd["simd_layout"]),
                                   dtype=np.dtype(cmd["dtype"]),
                                   transport="in-process")
-        hit = cache[key] = (dist.grids[0], rank_halo(dist))
+        halo = rank_halo(dist)
+        local = np.ascontiguousarray(halo.tables[:, :halo.sites])
+        hit = cache[key] = (dist.grids[0], halo, local, int(local.max()))
     return hit
 
 
@@ -146,12 +157,15 @@ def _worker_dhop(rank: int, cmd: dict, sems: dict, seg_cache: dict,
     collector = (RankCollector(rank)
                  if cmd.get("telemetry") == "trace" else None)
     from repro.grid.comms.lattice import CommsStats
-    from repro.perf.fused import from_working, sweep_blocks
+    from repro.perf import native
+    from repro.perf.fused import (
+        from_working, native_sweep, sweep_blocks, sweep_order,
+    )
 
-    grid, halo = _worker_halo(geom_cache, cmd)
+    grid, halo, tables, top = _worker_halo(geom_cache, cmd)
     dtype = grid.dtype
     ndim, nl, n = grid.ndim, grid.nlanes, halo.sites
-    keys = [(mu, sign) for mu in range(ndim) for sign in (+1, -1)]
+    keys = sweep_order(ndim)
 
     def view(name, shp):
         return np.ndarray(shp, dtype=dtype,
@@ -159,7 +173,7 @@ def _worker_dhop(rank: int, cmd: dict, sems: dict, seg_cache: dict,
 
     shape = (grid.osites, 4, 3, nl)
     out = view(cmd["out_seg"], shape)
-    links = view(cmd["link_seg"], (ndim, 2, 3, 3, n))
+    links = view(cmd["link_seg"], (2 * ndim, 3, 3, n))
     # The extended working array: my shard, then one slab per (mu, ±1).
     ext = np.empty((12, halo.width), dtype=dtype)
     shard = ext[:, :n].reshape(4, 3, grid.osites, nl)
@@ -209,19 +223,22 @@ def _worker_dhop(rank: int, cmd: dict, sems: dict, seg_cache: dict,
         # only in the next command round anyway.
         empty.release()
 
-    def store(acc, b0, b1) -> None:
-        from_working(acc, out[b0 // nl:b1 // nl])
-
-    # Every rank has the same local geometry, so the stacked tables
-    # are one rank's offset by ``r * width``: rank 0's stretch indexes
-    # any rank's own extended array.
-    hops = [(sign, halo.tables[(mu, sign)][:n],
-             links[mu, 0 if sign > 0 else 1], mu) for mu, sign in keys]
+    hop = native.kernel(dtype)
     t0 = time.perf_counter()
-    sweep_blocks(hops, ext, n, store, None, unit=nl)
+    if hop is not None:
+        native_sweep(hop, ext, halo.width, tables, top, links, out, nl, nl,
+                     None)
+    else:
+        def store(acc, b0, b1) -> None:
+            from_working(acc, out[b0 // nl:b1 // nl])
+
+        hops = [(sign, tables[k], links[k], mu)
+                for k, (mu, sign) in enumerate(keys)]
+        sweep_blocks(hops, ext, n, store, None, unit=nl)
     if collector is not None:
         collector.record("rank.sweep", t0, time.perf_counter())
     return {"ok": True, "stats": stats, "wait_seconds": waited,
+            "native": hop is not None,
             "telemetry": None if collector is None
             else collector.payload()}
 
@@ -331,24 +348,24 @@ class _RankRuntime:
         return seg.name
 
     def _load_links(self, op) -> list:
-        """Upload each rank's stretch of the operator's working-layout
-        links and adjoint back-links, ``(ndim, 2, 3, 3, N)`` per rank.
-        They are static per operator: re-upload only when a different
-        (or reborn) operator arrives.  Returns the segment names."""
+        """Upload each rank's stretch of the operator's stacked
+        working-layout links, ``(2 ndim, 3, 3, N)`` per rank in sweep
+        order.  They are static per operator: re-upload only when a
+        different (or reborn) operator arrives.  Returns the segment
+        names."""
         import weakref
 
         owner = self._link_owner
         roles = [("links", r) for r in range(self.nranks)]
         if owner is None or owner[0] != id(op) or owner[1]() is not op:
-            n = op._links_t[0].shape[-1] // self.nranks
-            dtype = op._links_t[0].dtype
+            links = op._sweep_links
+            n = links.shape[-1] // self.nranks
             for r, role in enumerate(roles):
-                seg = self._segment(role, 18 * self.ndim * n * dtype.itemsize)
-                v = np.ndarray((self.ndim, 2, 3, 3, n), dtype=dtype,
-                               buffer=seg.buf)
-                for mu in range(self.ndim):
-                    v[mu, 0] = op._links_t[mu][..., r * n:(r + 1) * n]
-                    v[mu, 1] = op._links_adj_t[mu][..., r * n:(r + 1) * n]
+                seg = self._segment(role, links.itemsize * links.size
+                                    // self.nranks)
+                np.ndarray(links.shape[:-1] + (n,), dtype=links.dtype,
+                           buffer=seg.buf)[...] = \
+                    links[..., r * n:(r + 1) * n]
             self._link_owner = (id(op), weakref.ref(op))
         return [self.segments[role].name for role in roles]
 
@@ -438,6 +455,8 @@ class _RankRuntime:
             )
         for rep in replies:
             psi.stats.merge(rep["stats"])
+            counters().bump("native_sweeps" if rep["native"]
+                            else "native_fallbacks")
         round_index = self.rounds
         self.rounds += 1
         self._observe(psi, replies, send_times, round_index)

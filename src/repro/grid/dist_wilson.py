@@ -11,7 +11,8 @@ Routes, resolved by the engine's :class:`~repro.engine.plan.KernelPlan`:
 * **Block sweep** (the default on numpy-semantics backends) —
   :func:`halo_dhop`: every halo is exchanged in order, then one block
   sweep covers each rank's shard and the face slabs it received.  The
-  operator holds its links and adjoint back-links in the tensor-major
+  operator holds its links and adjoint back-links as one contiguous
+  ``(8, 3, 3, nranks * N)`` array in sweep order, in the tensor-major
   working layout, stacked by rank.
 * **Lane-major reference** — ordered exchange through
   :meth:`DistributedLattice.cshift`, then the layered ops per rank.
@@ -19,10 +20,13 @@ Routes, resolved by the engine's :class:`~repro.engine.plan.KernelPlan`:
   processes (:mod:`repro.grid.comms.shmem`).
 
 **The ordered halo sweep.**  Each rank's sites are swept by the
-single-rank block sweep (:func:`repro.perf.fused.sweep_blocks`, the
-same body) over the rank's *extended* working array: its own shard in
-the tensor-major layout ``(12, N)``, followed by one received slab per
-(mu, ±1).  Every neighbour read goes through the flat tables of
+single-rank hop's body -- the compiled kernel
+(:func:`repro.perf.fused.native_sweep`), or the numpy block body
+(:func:`repro.perf.fused.sweep_blocks`) where it cannot load -- over
+the rank's *extended* working array: its own shard in the tensor-major
+layout ``(12, N)``, followed by one received slab per (mu, ±1); the
+results land lane-major, in place.  Every neighbour read goes through
+the flat tables of
 :func:`repro.grid.stencil.rank_halo`, which point either into the
 shard or into a slab — Grid's stencil design, where the kernel reads
 each neighbour through a table into the local field or the comms
@@ -57,22 +61,29 @@ from repro.grid.lattice import Lattice
 from repro.grid.stencil import rank_halo
 from repro.grid.tensor import su3_dagger_mul_vec, su3_mul_vec
 from repro.grid.wilson import SPINOR
-from repro.perf.fused import adjoint, from_working, sweep_blocks, to_working
+from repro.perf import native
+from repro.perf.fused import (
+    adjoint, from_working, native_sweep, sweep_blocks, sweep_order, to_working,
+)
 from repro.telemetry import trace as _telemetry
 
 
-def halo_dhop(op, psi, kplan):
+def halo_dhop(op, psi, kplan, hop=None):
     """Apply ``op``'s hopping term: exchange every face slab in order,
     then one block sweep over every rank's shard and received slabs.
 
-    ``op`` is a :class:`DistributedWilson` holding tensor-major links;
-    ``psi`` a spinor field; ``kplan`` the resolved
+    ``op`` is a :class:`DistributedWilson` holding stacked working-layout
+    links; ``psi`` a spinor field; ``kplan`` the resolved
     :class:`~repro.engine.plan.KernelPlan`, whose tile split and stage
-    counters the sweep uses.
+    counters the sweep uses; ``hop`` the compiled kernel
+    (:func:`repro.perf.native.kernel`), or ``None`` for the numpy block
+    body.  Either writes every rank's hop straight into one lane-major
+    array; each rank's result is its stretch of it.
     """
     halo = rank_halo(psi)
     nranks = psi.ranks.nranks
     n, width = halo.sites, halo.width
+    grid = psi.grids[0]
     dtype = psi.locals[0].data.dtype
     stacked = np.empty((12, nranks * width), dtype=dtype)
     ext = [stacked[:, r * width:(r + 1) * width] for r in range(nranks)]
@@ -95,21 +106,25 @@ def halo_dhop(op, psi, kplan):
                         psi, r if sign > 0 else sender, mu, slab))
                 ext[r][:, halo.slots[key]] = slab
     kplan.stages.bump("exchange", 2 * op.ndim)
-    hops = [(sign, halo.tables[(mu, sign)], links[mu], mu)
-            for mu in range(op.ndim)
-            for sign, links in ((+1, op._links_t), (-1, op._links_adj_t))]
-    # The result in the working layout, rank r at columns r * n onwards.
-    result = np.empty((12, nranks * n), dtype=dtype)
+    # Every rank's hop, lane-major, rank r at outer sites r * osites on.
+    nl = grid.nlanes
+    result = np.empty((nranks * grid.osites,) + psi.locals[0].data.shape[1:],
+                      dtype=dtype)
+    if hop is not None:
+        native_sweep(hop, stacked, nranks * width, halo.tables, halo.top,
+                     op._sweep_links, result, nl, nl, kplan)
+    else:
+        def store(acc, b0, b1) -> None:
+            from_working(acc, result[b0 // nl:b1 // nl])
 
-    def store(acc, b0, b1) -> None:
-        result[:, b0:b1] = acc.reshape(12, -1)
-
-    sweep_blocks(hops, stacked, nranks * n, store, kplan)
+        hops = [(sign, halo.tables[k], op._sweep_links[k], mu)
+                for k, (mu, sign) in enumerate(sweep_order(op.ndim))]
+        sweep_blocks(hops, stacked, nranks * n, store, kplan, unit=nl)
     out = psi.clone_empty()
     for r, lat in enumerate(psi.locals):
-        hop = Lattice(lat.grid, lat.tensor_shape, np.empty_like(lat.data))
-        from_working(result[:, r * n:(r + 1) * n], hop.data)
-        out.locals.append(hop)
+        out.locals.append(Lattice(lat.grid, lat.tensor_shape,
+                                  result[r * grid.osites:
+                                         (r + 1) * grid.osites]))
     return out
 
 
@@ -135,23 +150,30 @@ class DistributedWilson:
             raise ValueError("need one gauge field per direction")
         # Backward links gathered once across ranks (they are static),
         # at full precision even where fermion halos go out as fp16.
-        # Where the block sweep can run, each rank keeps its links and
-        # the adjoint back-links in the tensor-major working layout,
-        # and the lane-major back-links are rebuilt from those only if
+        # Where the block sweep can run, the operator keeps one
+        # contiguous (8, 3, 3, nranks * N) array in sweep order -- each
+        # U_mu, then the adjoint back-link, in the tensor-major working
+        # layout with the ranks side by side along the site axis (rank
+        # r's flat site f at r * N + f), as the block sweep stacks them
+        # -- and the lane-major back-links are rebuilt from it only if
         # the engine-off reference loop asks for them.
         back = [self.links[mu].uncompressed().cshift(mu, -1)
                 for mu in range(self.ndim)]
-        self._links_t = self._links_adj_t = None
+        self._sweep_links = None
         self._links_back_lm = back
         if fused_safe_backend(self.links[0].grids[0].backend):
-            # Ranks side by side along the site axis (rank r's flat
-            # site f at r * N + f), as the block sweep stacks them.
-            self._links_t = [np.concatenate(
-                [to_working(lat.data) for lat in u.locals], axis=-1)
-                for u in self.links]
-            self._links_adj_t = [np.ascontiguousarray(adjoint(np.concatenate(
-                [to_working(lat.data) for lat in b.locals], axis=-1)))
-                for b in back]
+            grid = self.links[0].grids[0]
+            n = grid.osites * grid.nlanes
+            links = np.empty((2 * self.ndim, 3, 3, self.ranks.nranks * n),
+                             dtype=grid.dtype)
+            for mu in range(self.ndim):
+                for r, (u, b) in enumerate(zip(self.links[mu].locals,
+                                               back[mu].locals)):
+                    sl = slice(r * n, (r + 1) * n)
+                    links[2 * mu, ..., sl] = to_working(u.data)
+                    np.conj(to_working(b.data).swapaxes(0, 1),
+                            out=links[2 * mu + 1, ..., sl])
+            self._sweep_links = links
             self._links_back_lm = None
 
     @property
@@ -162,12 +184,12 @@ class DistributedWilson:
         Only the lane-major reference loop of :meth:`dhop` (engine off,
         or a backend that is not fused-safe) reads them; the block
         sweep, in process or in the shared-memory rank workers, reads
-        the working-layout adjoints instead."""
+        the stacked working-layout adjoints instead."""
         if self._links_back_lm is None:
             back = []
             for mu, u in enumerate(self.links):
                 lat = u.clone_empty()
-                v = adjoint(self._links_adj_t[mu])
+                v = adjoint(self._sweep_links[2 * mu + 1])
                 n = v.shape[-1] // len(u.grids)
                 for r, grid in enumerate(u.grids):
                     shard = Lattice(grid, (3, 3))
@@ -196,18 +218,24 @@ class DistributedWilson:
         Dispatch is resolved once by the execution engine (every rank
         shares one backend object, so one :class:`~repro.engine.plan.
         KernelPlan` covers the whole sweep): block sweep vs lane-major
-        reference.  Every route is bit-identical on a pristine or
+        reference, and on the block sweep the compiled kernel where it
+        loads (:func:`repro.perf.native.kernel`), the numpy body where
+        it does not.  Every route is bit-identical on a pristine or
         checksummed wire; with fp16 halos the reference route rounds
         different sites (see DESIGN.md §9).
 
         With telemetry tracing on, the sweep is wrapped in a span
-        carrying the flop/byte metadata the roofline report consumes
-        (the timer observes an unchanged body, so results stay
-        bit-identical).
+        carrying the flop/byte metadata the roofline report consumes,
+        the ``kernel`` (``native``/``reference``) and the
+        ``contraction`` key of numpy's complex multiply (the timer
+        observes an unchanged body, so results stay bit-identical).
         """
+        self._check(psi)
+        grid = psi.grids[0]
+        plan = kernel_plan(grid, "dist-dhop")
+        hop = native.kernel(grid.dtype) if plan.fused else None
         if not _telemetry.tracing():
-            return self._dhop_impl(psi)
-        grid = self.links[0].grids[0]
+            return self._dhop_impl(psi, plan, hop)
         with _telemetry.span(
             "dhop",
             sites=grid.gsites,
@@ -215,25 +243,27 @@ class DistributedWilson:
             bytes_per_site=self.bytes_per_site(),
             backend=grid.backend.name,
             nranks=self.ranks.nranks,
+            kernel="reference" if hop is None else "native",
+            contraction=native.contraction_key(grid.dtype),
         ):
-            return self._dhop_impl(psi)
+            return self._dhop_impl(psi, plan, hop)
 
-    def _dhop_impl(self, psi: DistributedLattice) -> DistributedLattice:
-        self._check(psi)
-        plan = kernel_plan(psi.grids[0], "dist-dhop")
+    def _dhop_impl(self, psi: DistributedLattice, plan,
+                   hop) -> DistributedLattice:
         if plan.transport != "in-process":
             # A real transport backend owns the whole sweep: halo
             # traffic crosses an actual process boundary and the
-            # rank-local arithmetic runs where the shards live.  The
-            # backend may decline (None) — e.g. a geometry it cannot
-            # host — and the reference path below takes over.
+            # rank-local arithmetic runs where the shards live (each
+            # rank worker loads the kernel itself).  The backend may
+            # decline (None) — e.g. a geometry it cannot host — and the
+            # routes below take over.
             hopped = psi.transport.run_dhop(self, psi, plan)
             if hopped is not None:
                 return hopped
         if plan.fused:
             # The block sweep over each rank's shard and received
             # slabs (halo_dhop).
-            return halo_dhop(self, psi, plan)
+            return halo_dhop(self, psi, plan, hop)
         out = self._zero_like(psi)
         for mu in range(self.ndim):
             # The lane-major reference: ordered exchange through the

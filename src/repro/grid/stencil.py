@@ -249,12 +249,17 @@ class RankHalo:
     working array holds its own shard's ``sites`` flat sites, then one
     received slab per (mu, ±1) — ``width`` columns in all; the ranks'
     arrays sit side by side, rank ``r``'s at columns ``r * width``
-    onwards, so one sweep covers every rank.  Per ``(mu, sign)``:
+    onwards, so one sweep covers every rank.
 
-    * ``tables`` — for each stacked site, the stacked column of its
-      ``x + sign e_mu`` neighbour: a site of the same rank's shard, or
-      a slot of that rank's slab for this hop — never another rank's
-      columns;
+    * ``tables`` — one contiguous int64 ``(2 ndim, nranks * sites)``
+      array, a row per ``(mu, sign)`` in sweep order (mu ascending, +1
+      before -1): for each stacked site, the stacked column of its
+      ``x + sign e_mu`` neighbour — a site of the same rank's shard, or
+      a slot of that rank's slab for this hop, never another rank's
+      columns; ``top`` is its largest entry.
+
+    Per ``(mu, sign)``:
+
     * ``faces`` — the flat sites, on the *sending* rank, whose values
       fill the slab in slot order (the sender's gather);
     * ``senders`` — the sending rank, per receiving rank;
@@ -274,7 +279,8 @@ class RankHalo:
 
     sites: int
     width: int
-    tables: dict
+    tables: np.ndarray
+    top: int
     faces: dict
     senders: dict
     slots: dict
@@ -343,10 +349,12 @@ def _rank_halo(dist) -> RankHalo:
             slots[key] = slice(width, width + h)
             wired[key] = dist._dist_shift_params(mu, sign)[1] != 0
             width += h
-    offsets = np.arange(ranks.nranks)[:, None] * width
-    stacked = {k: (t + offsets).reshape(-1) for k, t in tables.items()}
-    return RankHalo(sites=n, width=width, tables=stacked, faces=faces,
-                    senders=senders, slots=slots, wired=wired)
+    offsets = np.arange(ranks.nranks, dtype=np.int64)[:, None] * width
+    stacked = np.stack([(tables[(mu, sign)] + offsets).reshape(-1)
+                        for mu in range(grid.ndim) for sign in (+1, -1)])
+    return RankHalo(sites=n, width=width, tables=stacked,
+                    top=int(stacked.max()), faces=faces, senders=senders,
+                    slots=slots, wired=wired)
 
 
 def rank_halo(dist) -> RankHalo:

@@ -37,8 +37,9 @@ from repro.grid.stencil import (
 )
 from repro.grid.tensor import su3_dagger_mul_vec, su3_mul_vec
 from repro.perf import native
-from repro.perf.counters import counters
-from repro.perf.fused import adjoint, fused_dhop, fused_dhop_cb, to_working
+from repro.perf.fused import (
+    fused_dhop, fused_dhop_cb, sweep_order, to_working,
+)
 
 #: Spinor tensor shape: (spin, colour).
 SPINOR = (4, 3)
@@ -74,17 +75,19 @@ class WilsonDirac:
         # links are static, so each route snapshots the links it reads
         # on its own first call.  The fused sweep (numpy-semantics
         # backend, the default cshift) reads them in its tensor-major
-        # working layout: the full hop the full-order links and adjoint
-        # back-links (``_full_links``), the checkerboard hop one
-        # contiguous slice per (mu, sign) and target parity, beside its
-        # gather tables (``_cb_hops``), as Grid keeps per-checkerboard
-        # gauge fields beside the full one.  The layered path reads
-        # lane-major back-links; where it is the only route (another
-        # backend or shift) they are gathered here.
+        # working layout, one contiguous (8, 3, 3, n) array per route in
+        # sweep order -- each U_mu, then the adjoint back-link: the full
+        # hop over every site (``_full_links``, beside its lane-major
+        # offset tables, ``_full_tables``), the checkerboard hop over one
+        # target parity's sites, beside its gather tables
+        # (``_cb_hops``), as Grid keeps per-checkerboard gauge fields
+        # beside the full one.  The layered path reads lane-major
+        # back-links; where it is the only route (another backend or
+        # shift) they are gathered here.
         self._fused = fused_safe_backend(self.grid.backend) \
             and self._cshift is cshift
-        self._links_t = self._links_adj_t = None
-        self._links_cb = {}  # target parity -> its checkerboard hop list
+        self._sweep_links = self._sweep_tables = None
+        self._links_cb = {}  # target parity -> its checkerboard hop arrays
         self._links_back_lm = None
         if not self._fused:
             self._links_back_lm = [self._cshift(u, mu, -1)
@@ -105,44 +108,73 @@ class WilsonDirac:
                                    for mu, u in enumerate(self.links)]
         return self._links_back_lm
 
-    def _full_links(self) -> tuple:
-        """The full hop's working-layout links: ``U_mu`` and the
-        adjoint back-links ``U_mu(x - mu)^dagger`` (the matrix the
-        backward hop applies; conjugation is exact, see
-        :func:`repro.perf.fused.adjoint`), ``(3, 3, N)`` per mu.
+    def _stack_links(self, sites=None) -> np.ndarray:
+        """The matrices the hop applies, stacked in sweep order as one
+        contiguous ``(8, 3, 3, n)`` array: ``U_mu`` for ``+mu`` and the
+        adjoint back-link ``U_mu(x - mu)^dagger`` for ``-mu`` (the
+        matrix the backward hop applies; conjugation is exact, so
+        products with it are bitwise those with ``conj(U[b, a])``), at
+        the flat ``sites`` (every site when ``None``)."""
+        n = self.grid.osites * self.grid.nlanes if sites is None \
+            else sites.size
+        links = np.empty((2 * self.grid.ndim, 3, 3, n), dtype=self.grid.dtype)
+        for mu, u in enumerate(self.links):
+            back = neighbour_table(self.grid, mu, -1)
+            if sites is None:
+                w = links[2 * mu]
+                w.reshape(3, 3, -1, self.grid.nlanes)[...] = \
+                    np.moveaxis(u.data, 0, -2)
+            else:
+                w = to_working(u.data)
+                back = back[sites]
+                np.take(w, sites, axis=-1, out=links[2 * mu])
+            np.conj(np.take(w, back, axis=-1).swapaxes(0, 1),
+                    out=links[2 * mu + 1])
+        return links
+
+    def _full_links(self) -> np.ndarray:
+        """The full hop's links, ``(8, 3, 3, N)`` in sweep order over the
+        flat sites ``osite * nlanes + lane`` (:meth:`_stack_links`).
         Built on first use."""
-        if self._links_t is None:
-            links = [to_working(u.data) for u in self.links]
-            self._links_adj_t = [np.ascontiguousarray(adjoint(
-                np.take(w, neighbour_table(self.grid, mu, -1), axis=-1)))
-                for mu, w in enumerate(links)]
-            self._links_t = links
-        return self._links_t, self._links_adj_t
+        if self._sweep_links is None:
+            self._sweep_links = self._stack_links()
+        return self._sweep_links
+
+    def _full_tables(self) -> tuple:
+        """The compiled full hop's gather tables and their largest
+        entry: ``(tables, top)``, where ``tables[k, f]`` is the offset,
+        in the lane-major ``(osites, 4, 3, nlanes)`` field, of row 0 of
+        flat site ``f``'s neighbour in hop ``k`` (sweep order) --
+        :func:`~repro.grid.stencil.neighbour_table`'s site ``t`` at
+        ``(t // nlanes) * 12 * nlanes + t % nlanes``.  Built on the
+        first compiled full hop."""
+        if self._sweep_tables is None:
+            nl = self.grid.nlanes
+            tables = np.empty((2 * self.grid.ndim, self.grid.osites * nl),
+                              dtype=np.int64)
+            for k, (mu, sign) in enumerate(sweep_order(self.grid.ndim)):
+                site, lane = np.divmod(neighbour_table(self.grid, mu, sign),
+                                       nl)
+                np.add(site * (12 * nl), lane, out=tables[k])
+            self._sweep_tables = (tables, int(tables.max()))
+        return self._sweep_tables
 
     def _cb_hops(self, target: GridRedBlack) -> tuple:
-        """The checkerboard hop onto the half grid ``target``, stacked
-        in sweep order (mu ascending, +1 before -1): ``(tables,
-        links)``, where ``tables[k]`` is the (mu, sign)'s
-        :func:`~repro.grid.stencil.parity_neighbour_table` and
-        ``links[k]`` the matrix the hop applies —
-        :meth:`_full_links`' field at ``target.sites`` — as contiguous
-        ``(8, N/2)`` and ``(8, 3, 3, N/2)`` arrays.  Built on the first
-        hop onto that parity, without the full-order links."""
+        """The checkerboard hop onto the half grid ``target``:
+        ``(tables, top, links)``, where ``tables[k]`` is hop ``k``'s
+        :func:`~repro.grid.stencil.parity_neighbour_table` (sweep order:
+        mu ascending, +1 before -1), ``top`` its largest entry and
+        ``links[k]`` the matrix the hop applies at ``target.sites``
+        (:meth:`_stack_links`), as contiguous ``(8, N/2)`` and
+        ``(8, 3, 3, N/2)`` arrays.  Built on the first hop onto that
+        parity, without the full-order links."""
         hops = self._links_cb.get(target.parity)
         if hops is None:
-            n = target.sites.size
-            tables = np.empty((2 * self.grid.ndim, n), dtype=np.int64)
-            links = np.empty((2 * self.grid.ndim, 3, 3, n),
-                             dtype=self.grid.dtype)
-            for mu, u in enumerate(self.links):
-                w = to_working(u.data)
-                back = neighbour_table(self.grid, mu, -1)[target.sites]
-                for k, sign in ((2 * mu, +1), (2 * mu + 1, -1)):
-                    tables[k] = parity_neighbour_table(
-                        self.grid, target.parity, mu, sign)
-                np.take(w, target.sites, axis=-1, out=links[2 * mu])
-                links[2 * mu + 1] = adjoint(np.take(w, back, axis=-1))
-            hops = self._links_cb[target.parity] = (tables, links)
+            tables = np.stack([parity_neighbour_table(
+                self.grid, target.parity, mu, sign).astype(np.int64)
+                for mu, sign in sweep_order(self.grid.ndim)])
+            hops = self._links_cb[target.parity] = (
+                tables, int(tables.max()), self._stack_links(target.sites))
         return hops
 
     # ------------------------------------------------------------------
@@ -152,31 +184,45 @@ class WilsonDirac:
         Dispatch is resolved by the execution engine: the grid's
         :class:`~repro.engine.plan.KernelPlan` (cached per policy)
         decides between the fused, cache-blocked sweep and the
-        layered reference.  Both routes are bit-identical.
+        layered reference, and the fused sweep runs the compiled kernel
+        where it loads (:func:`repro.perf.native.kernel`) and the numpy
+        block body where it does not.  Every route is bit-identical.
 
         With telemetry tracing on, the sweep is wrapped in a span
-        carrying the flop/byte metadata the roofline report consumes;
-        the span *observes* the call (one timer around an unchanged
-        body), so results are bit-identical with tracing on or off.
+        carrying the flop/byte metadata the roofline report consumes,
+        the ``kernel`` that ran (``native``/``reference``) and the
+        ``contraction`` key of numpy's complex multiply; the span
+        *observes* the call (one timer around an unchanged body), so
+        results are bit-identical with tracing on or off.
         """
+        self._check(psi)
+        plan = kernel_plan(self.grid, "dhop")
+        hop = self._kernel(plan)
         if not _telemetry.tracing():
-            return self._dhop_impl(psi)
+            return self._dhop_impl(psi, plan, hop)
         with _telemetry.span(
             "dhop",
             sites=self.grid.gsites,
             flops_per_site=self.flops_per_site(),
             bytes_per_site=self.bytes_per_site(),
             backend=self.grid.backend.name,
+            kernel="reference" if hop is None else "native",
+            contraction=native.contraction_key(self.grid.dtype),
         ):
-            return self._dhop_impl(psi)
+            return self._dhop_impl(psi, plan, hop)
 
-    def _dhop_impl(self, psi: Lattice) -> Lattice:
-        self._check(psi)
-        plan = kernel_plan(self.grid, "dhop")
+    def _kernel(self, plan):
+        """The compiled hop where the fused sweep runs and the kernel
+        loads, else ``None``."""
+        if plan.fused and self._fused:
+            return native.kernel(self.grid.dtype)
+        return None
+
+    def _dhop_impl(self, psi: Lattice, plan, hop) -> Lattice:
         if plan.fused and self._fused:
             # Fused, cache-blocked engine sweep — bit-identical to the
             # layered path below (see repro.perf.fused for the argument).
-            return fused_dhop(self, psi, plan=plan)
+            return fused_dhop(self, psi, hop=hop, plan=plan)
         plan.stages.bump("layered_sweeps")
         be = self.grid.backend
         out = Lattice(self.grid, psi.tensor_shape)
@@ -202,15 +248,16 @@ class WilsonDirac:
 
         Every neighbour of a site has the other parity, so this is
         ``dhop`` of the embedded field restricted to the target parity
-        — and bit-identical to it.  Where the fused sweep runs and the
-        compiled kernel loads, the hop is that kernel over half the
-        sites (:func:`repro.perf.fused.fused_dhop_cb`); otherwise
-        (non-numpy backends, a custom ``cshift_fn``, the engine off, no
-        compiler or an unknown contraction key — see
-        :func:`repro.perf.native.status`) it is exactly that reference:
-        embed, ``dhop``, pick.  Traced as a ``dhop.cb`` span over the
-        half-volume sites, which names the ``kernel`` that ran and the
-        ``contraction`` key of numpy's complex multiply.
+        — and bit-identical to it.  Where the fused sweep runs, the hop
+        sweeps half the sites (:func:`repro.perf.fused.fused_dhop_cb`):
+        by the compiled kernel where it loads, by the numpy block body
+        where it does not (no compiler or an unknown contraction key —
+        see :func:`repro.perf.native.status`).  Elsewhere (non-numpy
+        backends, a custom ``cshift_fn``, the engine off) it is exactly
+        that reference: embed, ``dhop``, pick.  Traced as a ``dhop.cb``
+        span over the half-volume sites, which names the ``kernel``
+        that ran and the ``contraction`` key of numpy's complex
+        multiply.
 
         ``tail(acc, b0, b1)``, if given, finishes the output in place
         with numpy operations: on the sweep block by block, as each
@@ -225,11 +272,7 @@ class WilsonDirac:
         target = red_black(self.grid, "even" if psi.grid.parity == "odd"
                            else "odd")
         plan = kernel_plan(self.grid, "dhop")
-        hop = None
-        if plan.fused and self._fused:
-            hop = native.kernel(psi.data.dtype)
-            if hop is None:
-                counters().bump("cb_reference_fallbacks")
+        hop = self._kernel(plan)
         if not _telemetry.tracing():
             return self._dhop_cb_impl(psi, target, tail, plan, hop)
         with _telemetry.span(
@@ -240,18 +283,18 @@ class WilsonDirac:
             backend=self.grid.backend.name,
             parity=target.parity,
             kernel="reference" if hop is None else "native",
-            contraction=native.contraction_key(psi.data.dtype),
+            contraction=native.contraction_key(self.grid.dtype),
         ):
             return self._dhop_cb_impl(psi, target, tail, plan, hop)
 
     def _dhop_cb_impl(self, psi: Lattice, target, tail, plan,
                       hop) -> Lattice:
-        if hop is not None:
-            return fused_dhop_cb(self, psi, target, hop, plan=plan,
+        if plan.fused and self._fused:
+            return fused_dhop_cb(self, psi, target, hop=hop, plan=plan,
                                  tail=tail)
-        # The reference: the full sweep of the embedded field (its
+        # The reference: the layered sweep of the embedded field (its
         # dispatch, not its span — the hop is traced once, above).
-        out = target.pick(self._dhop_impl(psi.grid.embed(psi)))
+        out = target.pick(self._dhop_impl(psi.grid.embed(psi), plan, None))
         if tail is not None:
             work = out.data.reshape(SPINOR + (-1,))
             tail(work, 0, work.shape[-1])

@@ -30,10 +30,11 @@ from repro.telemetry.metrics import registry
 #: * ``fused_dhop_calls`` — Wilson-Dslash sweeps taken by the fused
 #:   engine path; ``tiles_dispatched`` — block-sweep tiles executed
 #:   (one per sweep when running serial).
-#: * ``native_cb_hops`` — checkerboard hops run by the compiled kernel
-#:   (:mod:`repro.perf.native`); ``cb_reference_fallbacks`` — hops the
-#:   engine would have fused that took the reference route because the
-#:   kernel is unavailable.
+#: * ``native_sweeps`` — fused Wilson sweeps (full, checkerboard and
+#:   distributed hops, the shared-memory rank workers' included) run
+#:   by the compiled kernel (:mod:`repro.perf.native`);
+#:   ``native_fallbacks`` — fused sweeps that ran the numpy block body
+#:   because the kernel is unavailable.
 #: * ``halo_posts`` / ``halo_waits`` — halo messages posted to and
 #:   completed from the in-flight queue.
 #: * ``plan_hits`` / ``plan_misses`` — resolved
@@ -49,8 +50,8 @@ COUNTER_NAMES = (
     "nbr_table_misses",
     "fused_dhop_calls",
     "tiles_dispatched",
-    "native_cb_hops",
-    "cb_reference_fallbacks",
+    "native_sweeps",
+    "native_fallbacks",
     "halo_posts",
     "halo_waits",
     "plan_hits",

@@ -4,45 +4,59 @@ The layered reference path (``grid/wilson.py``) issues one backend
 call per tensor element — project, nine ``madd`` per half-spinor SU(3)
 multiply, reconstruct, accumulate — each validating its operands and
 materialising intermediates.  This module fuses the whole
-project/SU(3)/reconstruct chain for one (direction, sign) into a
-handful of whole-block numpy expressions.
+project/SU(3)/reconstruct chain of every (direction, sign) into one
+compiled call per block of sites, or, where the kernel cannot load,
+one (direction, sign) at a time into a handful of whole-block numpy
+expressions.
 
-**Working layout.**  Under numpy the ufunc inner loop plays the part of
-the paper's SVE vector (Fig. 1), and the lattice's lane-innermost
-``(osites, 4, 3, nlanes)`` storage hands it loops of ``nlanes`` (1–4)
-elements.  The sweeps therefore work *tensor-major flat*:
-``(4, 3, N)``, one row of ``N`` sites per spin-colour component.
+**One compiled body.**  Every fused Wilson sweep -- the full hop
+(:func:`fused_dhop`), the even-odd checkerboard hop
+(:func:`fused_dhop_cb`) and the distributed halo sweep, in process
+(:func:`repro.grid.dist_wilson.halo_dhop`) and in the shared-memory
+rank workers (:mod:`repro.grid.comms.shmem`) -- runs one call of a
+compiled C kernel per block of output sites (:func:`native_sweep`;
+:mod:`repro.perf.native`, ``hop_cb.c``).  Per output site and
+(mu, ±1), in sweep order (:func:`sweep_order`), it gathers the
+neighbour through an ``(8, n)`` table, spin-projects it, multiplies by
+the operator's link and reconstructs into the block.  Each operator
+holds its links as one contiguous ``(8, 3, 3, n)`` array in sweep
+order (``U_mu``, then the back-link ``U_mu(x - mu)`` as its adjoint),
+in the tensor-major working layout below.  The kernel reads its source
+and writes its output in either of two layouts:
 
-* The full hop (:func:`fused_dhop`) transposes ``psi`` into that
-  layout once on entry, tile by tile, and each block's accumulator
-  back once on exit; the operator snapshots its links in the same
-  layout on the sweep's first call (``WilsonDirac._full_links``: the
-  links, and the back-links as adjoints).  Every neighbour gather —
-  lane permutations at virtual-node boundaries included — is one
-  ``np.take`` through a flat index table per (mu, ±1)
-  (:func:`repro.grid.stencil.neighbour_table`, derived by cshifting
-  an index field, so it cannot disagree with ``cshift``).  Per block
-  of :data:`BLOCK_SITES` flat sites and per (mu, ±1) it gathers the 12
-  neighbour rows, then projects, multiplies and reconstructs them into
-  the accumulator while the block is still in cache
-  (gather-then-project order).
-* Half fields *are* the working layout: a
+* *lane-major* -- the lattice's own ``(osites, 4, 3, nlanes)`` storage.
+  The full hop reads ``psi.data`` in place through the operator's
+  tables of lane-major offsets (``WilsonDirac._full_tables``) and
+  writes the output lattice in place; nothing is transposed.  The
+  distributed sweep writes every rank's output this way.
+* *tensor-major flat* -- ``(4, 3, N)``, one row of ``N`` sites per
+  spin-colour component.  Half fields *are* this layout: a
   :class:`~repro.grid.cartesian.GridRedBlack` field is stored
-  ``(4, 3, N/2)`` (split into register rows), so the even-odd
-  checkerboard hop (:func:`fused_dhop_cb`) transposes nothing.  Its
-  block body is one call of a compiled C kernel
-  (:mod:`repro.perf.native`, ``hop_cb.c``): per output site and
-  (mu, ±1) it gathers the neighbour through a per-parity table,
-  spin-projects it, multiplies by the operator's ``(3, 3, N/2)`` link
-  slice for the target parity and reconstructs into the block
-  (``WilsonDirac._cb_hops`` holds the stacked tables and slices, built
-  once per operator and parity).  The kernel states numpy's arithmetic
-  -- the contract below, with each complex product contracted the way
-  numpy's ``multiply`` contracts on the host -- so its bytes are the
-  numpy sweep's.  Where it cannot be built, ``dhop_cb`` takes its
-  reference route instead.
+  ``(4, 3, N/2)`` (split into register rows), so the checkerboard hop
+  reads and writes it in place through per-parity tables
+  (``WilsonDirac._cb_hops`` holds the stacked tables and link slices,
+  built once per operator and parity).  The distributed sweep reads the
+  ranks' extended arrays this way.
 
-The numpy sweeps compose three steps, :func:`_project`,
+The kernel states numpy's arithmetic -- the contract below, with each
+complex product contracted the way numpy's ``multiply`` contracts on
+the host -- so its bytes are those of the numpy block body.
+
+**The numpy block body** (:func:`sweep_blocks`) runs where the kernel
+cannot load (no compiler, or an unknown contraction key), over the same
+tables and links.  Under numpy the ufunc inner loop plays the part of
+the paper's SVE vector (Fig. 1), and lane-major storage would hand it
+loops of ``nlanes`` (1–4) elements, so the body works tensor-major:
+the full hop transposes ``psi`` into that layout once on entry, tile
+by tile, and each block's accumulator back once on exit.  Every
+neighbour gather -- lane permutations at virtual-node boundaries
+included -- is one ``np.take`` through a flat index table per (mu, ±1)
+(:func:`repro.grid.stencil.neighbour_table`, derived by cshifting an
+index field, so it cannot disagree with ``cshift``).  Per block of
+:data:`BLOCK_SITES` flat sites and per (mu, ±1) it gathers the 12
+neighbour rows, then projects, multiplies and reconstructs them into
+the accumulator while the block is still in cache (gather-then-project
+order).  It composes three steps, :func:`_project`,
 :func:`_su3_halfspinor` and :func:`_reconstruct`, one implementation
 each; where the two rows of a spin pair take the same operation they
 run as one ``(2, 3, n)`` ufunc call.
@@ -72,12 +86,9 @@ reference accumulation element-for-element:
   neighbour values are in hand, a gather is an exact copy, and so
   projecting before or after the gather gives the same bits.
 
-The distributed operator's routes run the same blocked sweep
-(:func:`sweep_blocks`) over extended working arrays: each rank's shard
-followed by the face slabs it received, in process
-(:func:`repro.grid.dist_wilson.halo_dhop`) or in the shared-memory rank
-workers (:mod:`repro.grid.comms.shmem`), in gather-then-project order
-(:func:`_accumulate_direction`).
+The distributed operator's routes run the same sweep over extended
+working arrays: each rank's shard followed by the face slabs it
+received.
 
 The path is only taken for backends whose arithmetic is *exactly* the
 numpy mixin (``generic``/``fixed``); instruction-counting SVE backends
@@ -312,35 +323,50 @@ def _accumulate_direction(acc: np.ndarray, V: np.ndarray,
     _reconstruct(acc, uh, mu, sign, h)
 
 
-def fused_dhop(dirac, psi: Lattice, plan=None) -> Lattice:
+def fused_dhop(dirac, psi: Lattice, hop=None, plan=None) -> Lattice:
     """The engine's Wilson hopping term (``WilsonDirac.dhop``).
 
-    Transposes ``psi`` into the ``(4, 3, N)`` working layout (on the
-    sweep's tiles, every tile finishing before the sweep starts), sweeps
-    blocks of :data:`BLOCK_SITES` flat sites — per block and per
-    (mu, sign): one ``np.take`` through the memoized neighbour table,
-    then the fused accumulation against the operator's tensor-major
-    links into a block-sized accumulator, which is transposed into the
-    lane-major output as the block completes.  Blocks are whole outer
-    sites (a multiple of ``nlanes`` flat sites), so each lands in one
-    contiguous stretch of the output.  Bit-identical to the layered
-    reference, serial or tiled.
+    With the compiled kernel ``hop`` (:func:`repro.perf.native.kernel`)
+    the sweep reads ``psi.data`` and writes the output in place, in
+    their lane-major layout: per block of output sites one call of
+    ``hop`` runs every (mu, sign) in sweep order, through the
+    operator's lane-major offset tables and its stacked links
+    (``WilsonDirac._full_tables``/``_full_links``).  Nothing is
+    transposed and no working copy is made.
 
-    ``plan`` (a resolved :class:`repro.engine.plan.KernelPlan`) pins
-    the tile split to the plan's ``workers``/``tile_min_sites`` and
-    feeds its per-stage counters; without one the split falls back to
-    the current policy.  Tiles split the outer-site axis; each tile
-    allocates its own scratch, so tiles may run on concurrent workers.
+    With ``hop`` ``None`` (no compiler, or an unknown contraction key)
+    the numpy body runs instead: ``psi`` is transposed into the
+    ``(4, 3, N)`` working layout (on the sweep's tiles, every tile
+    finishing before the sweep starts), and :func:`sweep_blocks` walks
+    blocks of :data:`BLOCK_SITES` flat sites -- per block and per
+    (mu, sign): one ``np.take`` through the memoized neighbour table,
+    then the fused accumulation into a block-sized accumulator, which
+    is transposed into the lane-major output as the block completes.
+
+    Either way blocks are whole outer sites (a multiple of ``nlanes``
+    flat sites), the result is bit-identical to the layered reference,
+    serial or tiled.  ``plan`` (a resolved
+    :class:`repro.engine.plan.KernelPlan`) pins the tile split to the
+    plan's ``workers``/``tile_min_sites`` and feeds its per-stage
+    counters; without one the split falls back to the current policy.
+    Tiles split the outer-site axis and write disjoint sites, so they
+    may run on concurrent workers.
     """
     grid = dirac.grid
     counters().bump("fused_dhop_calls")
-    hops = [(sign, neighbour_table(grid, mu, sign), links[mu], mu)
-            for mu in range(grid.ndim)
-            for sign, links in zip((+1, -1), dirac._full_links())]
+    links = dirac._full_links()
     nl, n = grid.nlanes, grid.osites * grid.nlanes
     out = Lattice(grid, psi.tensor_shape,
                   np.empty(grid.field_shape(psi.tensor_shape),
                            dtype=grid.dtype))
+    if hop is not None:
+        tables, top = dirac._full_tables()
+        ntiles = native_sweep(hop, np.ascontiguousarray(psi.data), nl,
+                              tables, top, links, out.data, nl, nl, plan)
+        _bump_stages(plan, len(links), ntiles)
+        return out
+    hops = [(sign, neighbour_table(grid, mu, sign), links[k], mu)
+            for k, (mu, sign) in enumerate(sweep_order(grid.ndim))]
     flat = np.empty((12, n), dtype=psi.data.dtype)  # a gather row per (s, c)
     lanes = flat.reshape(psi.tensor_shape + (grid.osites, nl))
 
@@ -360,46 +386,87 @@ def fused_dhop(dirac, psi: Lattice, plan=None) -> Lattice:
     return out
 
 
-def fused_dhop_cb(dirac, psi: Lattice, target, hop, plan=None,
+def fused_dhop_cb(dirac, psi: Lattice, target, hop=None, plan=None,
                   tail=None) -> Lattice:
     """One checkerboard hop: ``D_h`` from the half field ``psi`` onto
     the half grid ``target`` of the other parity
-    (``WilsonDirac.dhop_cb``), in compressor order, by the compiled
-    kernel ``hop`` (:func:`repro.perf.native.kernel`).
+    (``WilsonDirac.dhop_cb``), in compressor order.
 
     Half fields are stored in the working layout, so nothing is
-    transposed.  Per block of output sites, one call of ``hop`` runs
-    every (mu, sign) in sweep order: it gathers the neighbour through
+    transposed.  Per block of output sites, one call of the compiled
+    kernel ``hop`` (:func:`repro.perf.native.kernel`) runs every
+    (mu, sign) in sweep order: it gathers the neighbour through
     :func:`repro.grid.stencil.parity_neighbour_table`, spin-projects
     it, multiplies by the operator's per-parity link and reconstructs
     into the block (``WilsonDirac._cb_hops`` holds the stacked tables
-    and links, built on the first hop onto ``target``'s parity).  The
-    kernel computes the numpy sweep's IEEE operations in its order, so
-    the hop is bit-identical to ``dhop`` of the embedded field,
-    restricted to ``target``.
+    and links, built on the first hop onto ``target``'s parity).  With
+    ``hop`` ``None`` the numpy body (:func:`sweep_blocks`) runs over the
+    same stacked tables and links, one view per hop.  Both compute the
+    numpy sweep's IEEE operations in its order, so the hop is
+    bit-identical to ``dhop`` of the embedded field, restricted to
+    ``target``.
 
     ``tail(acc, b0, b1)``, if given, finishes each ``(4, 3, n)`` block
     of output sites ``b0 .. b1 - 1`` in place (the Schur operator folds
     its diagonal algebra there).  Tiles split the output sites; each
     writes only its own.
     """
-    tables, links = dirac._cb_hops(target)
+    tables, top, links = dirac._cb_hops(target)
     tensor = psi.tensor_shape
     src = np.ascontiguousarray(psi.data).reshape(tensor + (-1,))
     out = Lattice(target, tensor,
                   np.empty(target.field_shape(tensor), dtype=src.dtype))
     work = out.data.reshape(tensor + (-1,))
+    n = work.shape[-1]
 
-    def block(b0, b1, _bufs) -> None:
-        hop(src, tables, links, work, b0, b1)
+    def finish(b0, b1) -> None:
         if tail is not None:
             tail(work[:, :, b0:b1], b0, b1)
 
-    ntiles = _run_blocks(block, work.shape[-1], plan, target.nlanes, (),
-                         src.dtype)
-    counters().bump("native_cb_hops")
+    if hop is not None:
+        ntiles = native_sweep(hop, src, src.shape[-1], tables, top, links,
+                              work, n, target.nlanes, plan, finish)
+    else:
+        def store(acc, b0, b1) -> None:
+            work[:, :, b0:b1] = acc
+            finish(b0, b1)
+
+        hops = [(sign, tables[k], links[k], mu)
+                for k, (mu, sign) in enumerate(sweep_order(dirac.grid.ndim))]
+        ntiles = sweep_blocks(hops, src.reshape(12, -1), n, store, plan,
+                              unit=target.nlanes)
     _bump_stages(plan, len(tables), ntiles)
     return out
+
+
+def sweep_order(ndim: int) -> list:
+    """The hops ``(mu, sign)`` in accumulation order: ``mu`` ascending,
+    ``+1`` before ``-1`` -- the row order of every stacked table and
+    links array."""
+    return [(mu, sign) for mu in range(ndim) for sign in (+1, -1)]
+
+
+def native_sweep(hop, src, rstride: int, tables, top: int, links, out,
+                 lanes: int, unit: int, plan, finish=None) -> int:
+    """Run the compiled kernel ``hop`` over output sites ``0 .. n - 1``
+    (``n = tables.shape[-1]``) in blocks of :data:`BLOCK_SITES`, tiled;
+    returns the number of tiles.
+
+    ``src``, ``rstride``, ``tables`` (largest entry ``top``), ``links``,
+    ``out`` and ``lanes`` are the kernel's operands (see
+    :func:`repro.perf.native.kernel`); blocks and tiles are whole
+    multiples of ``unit`` sites.  ``finish(b0, b1)``, if given, runs on
+    each block after the kernel.  Counted as one ``native_sweeps``.
+    """
+
+    def block(b0, b1, _bufs) -> None:
+        hop(src, rstride, tables, top, links, out, lanes, b0, b1)
+        if finish is not None:
+            finish(b0, b1)
+
+    ntiles = _run_blocks(block, tables.shape[-1], plan, unit, (), src.dtype)
+    counters().bump("native_sweeps")
+    return ntiles
 
 
 def _bump_stages(plan, nhops: int, ntiles: int) -> None:
@@ -461,6 +528,10 @@ def sweep_blocks(hops, flat: np.ndarray, count: int, store, plan,
     finished block's ``(4, 3, n)`` accumulator goes to
     ``store(acc, b0, b1)``.  Blocks and tiles are whole multiples of
     ``unit`` sites, and tiles store disjoint sites (:func:`_run_blocks`).
+
+    Every fused sweep runs this body only where the compiled kernel
+    cannot load (:func:`repro.perf.native.kernel` is ``None``), so each
+    call counts one ``native_fallbacks``.
     """
 
     def block(b0, b1, bufs) -> None:
@@ -477,6 +548,7 @@ def sweep_blocks(hops, flat: np.ndarray, count: int, store, plan,
                                   nbr.reshape(4, 3, n), mu, sign, scratch)
         store(acc, b0, b1)
 
+    counters().bump("native_fallbacks")
     return _run_blocks(block, count, plan, unit, (12, 12, 6, 6, 6),
                        flat.dtype)
 

@@ -1,9 +1,10 @@
-/* The checkerboard Wilson hop, one block of output sites per call.
+/* The Wilson hop, one block of output sites per call.
  *
- * The compiled body of repro.perf.fused.fused_dhop_cb.  It computes,
- * element by element, the IEEE operations of the numpy hop (the full
- * sweep of repro.perf.fused, and the layered reference it matches), in
- * the same order, so its bytes are numpy's:
+ * The compiled body of every fused Wilson sweep in repro.perf.fused:
+ * the checkerboard hop, the full hop and the distributed halo sweep.
+ * It computes, element by element, the IEEE operations of the numpy
+ * block sweep (repro.perf.fused.sweep_blocks, and the layered reference
+ * it matches), in the same order, so its bytes are numpy's:
  *
  *  - the accumulator starts from +0;
  *  - per (mu, sign), in sweep order (mu ascending, +1 before -1), the
@@ -26,11 +27,21 @@
  * meet in it: IEEE 754 leaves that to the implementation, and the
  * compiler may order a commutative operation's operands either way.
  *
- * Layouts (complex numbers as interleaved re, im pairs):
- *  - src    (4, 3, nsrc): the source half field, row r = spin*3 + colour;
- *  - tables (8, nout):    per hop, the source column of each output site;
+ * Layouts (complex numbers as interleaved re, im pairs; nout output
+ * sites):
+ *  - src:    row r = spin*3 + colour of the neighbour read through
+ *            entry t of a table starts at src + r*rstride, and the
+ *            value is at row + t.  A tensor-major (4, 3, nsrc) field
+ *            has rstride = nsrc and tables of sites; a lane-major
+ *            (osites, 4, 3, nl) field has rstride = nl and tables of
+ *            (site / nl) * 12 * nl + site % nl;
+ *  - tables (8, nout):       per hop, the source offset of each
+ *            output site;
  *  - links  (8, 3, 3, nout): per hop, the matrix it applies;
- *  - out    (4, 3, nout): written at sites b0 .. b1 - 1 only.
+ *  - out:    row r of output site f is written at
+ *            (f - f % lanes) * 12 + r * lanes + f % lanes, for sites
+ *            b0 .. b1 - 1 only: lanes = nout is the tensor-major
+ *            (4, 3, nout) layout, lanes = nl the lane-major one.
  * The projection is elementwise in sites and a gather is an exact copy,
  * so projecting each gathered neighbour gives the bits of projecting
  * the source first (Grid's compressor order).
@@ -96,8 +107,9 @@
         di[j] = (plus) ? ai_[j] + bi_[j] : ai_[j] - bi_[j];               \
     }
 
-void HOP(const T *src, int64_t nsrc, const int64_t *tables, const T *links,
-         T *out, int64_t nout, int64_t b0, int64_t b1)
+void HOP(const T *src, int64_t rstride, const int64_t *tables,
+         const T *links, T *out, int64_t nout, int64_t lanes, int64_t b0,
+         int64_t b1)
 {
     for (int64_t s0 = b0; s0 < b1; s0 += SB) {
         const int n = (int)(b1 - s0 < SB ? b1 - s0 : SB);
@@ -113,7 +125,7 @@ void HOP(const T *src, int64_t nsrc, const int64_t *tables, const T *links,
             const int64_t *tab = tables + k * nout + s0;
             for (int r = 0; r < 12; r++) {
                 /* One load per complex number, then split the pairs. */
-                const T *row = src + 2 * r * nsrc;
+                const T *row = src + 2 * r * rstride;
                 T pair[2 * SB];
                 for (int j = 0; j < n; j++)
                     memcpy(pair + 2 * j, row + 2 * tab[j], 2 * sizeof(T));
@@ -201,12 +213,18 @@ void HOP(const T *src, int64_t nsrc, const int64_t *tables, const T *links,
                 }
             }
         }
-        for (int r = 0; r < 12; r++) {
-            T *o = out + 2 * (r * nout + s0);
-            for (int j = 0; j < n; j++) {
-                o[2 * j] = ar[r][j];
-                o[2 * j + 1] = ai[r][j];
-            }
+        /* Store in runs of sites that share an outer site: one
+         * division per run, each row a contiguous stretch. */
+        for (int j = 0; j < n;) {
+            const int64_t lane = (s0 + j) % lanes;
+            const int m = (int)(lanes - lane < n - j ? lanes - lane : n - j);
+            T *o = out + 2 * ((s0 + j - lane) * 12 + lane);
+            for (int r = 0; r < 12; r++, o += 2 * lanes)
+                for (int i = 0; i < m; i++) {
+                    o[2 * i] = ar[r][j + i];
+                    o[2 * i + 1] = ai[r][j + i];
+                }
+            j += m;
         }
     }
 }

@@ -1,10 +1,13 @@
-"""The compiled checkerboard hop: build, load and call ``hop_cb.c``.
+"""The compiled Wilson hop: build, load and call ``hop_cb.c``.
 
-:func:`repro.perf.fused.fused_dhop_cb` runs one call of the C kernel
-per block of output sites.  The kernel computes numpy's IEEE operations
-in numpy's order (see the contract at the top of ``hop_cb.c``), so its
-bytes are those of the numpy sweep it replaced -- provided it contracts
-a complex product the way numpy's ``multiply`` does on this host.
+Every fused Wilson sweep of :mod:`repro.perf.fused` -- the
+checkerboard hop, the full hop and the distributed halo sweep, in
+process and in the shared-memory rank workers -- runs one call of the
+C kernel per block of output sites.  The kernel computes numpy's IEEE
+operations in numpy's order (see the contract at the top of
+``hop_cb.c``), so its bytes are those of the numpy block sweep
+(:func:`repro.perf.fused.sweep_blocks`) -- provided it contracts a
+complex product the way numpy's ``multiply`` does on this host.
 
 **The contraction key.**  numpy computes ``a * b`` on complex operands
 as ``re = a.re b.re - a.im b.im``, ``im = a.re b.im + a.im b.re``; its
@@ -23,12 +26,14 @@ checkout: each builder writes a temporary file and ``os.replace``-s it
 into place, so concurrent builders all load a whole library.  The file
 ends with a SHA-256 of the library; a cached file whose digest does not
 match is rebuilt, never loaded.  The library is loaded once per
-process, on the first checkerboard hop.
+process, on the first hop that asks for it.
 
 **The other route.**  With no compiler, a failed build or a key that is
-neither ``fma`` nor ``unfused``, :func:`kernel` returns ``None`` and the
-hop takes its reference route (embed, full hop, pick), which is
-bit-identical; :func:`status` says why.
+neither ``fma`` nor ``unfused``, :func:`kernel` returns ``None`` and
+each sweep runs the numpy block body (:func:`repro.perf.fused.
+sweep_blocks`) over the same tables and links, which is bit-identical;
+the ``native_fallbacks`` counter counts those sweeps and :func:`status`
+says why.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ ENTRY = {
 TRAILER = b"repro-hop-cb-sha256"
 
 _ARGTYPES = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
-_ARGTYPES += [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64]
+_ARGTYPES += [ctypes.c_void_p] + [ctypes.c_int64] * 4
 
 _LOCK = threading.Lock()
 #: The process's one load attempt: ``kernels`` (dtype -> bound entry
@@ -278,30 +283,34 @@ def _load() -> dict:
 
 def _bind(fn, dtype: np.dtype):
     """The Python face of one entry point (see :func:`kernel`): checks
-    each operand's dtype, shape and contiguity before passing its
-    pointer.  The tables' entries are in range by construction
-    (:func:`repro.grid.stencil.parity_neighbour_table`)."""
+    each operand's dtype, shape and contiguity, and that ``src`` holds
+    every element the tables address, before passing its pointer."""
     fn.restype, fn.argtypes = None, _ARGTYPES
 
-    def hop(src, tables, links, out, b0: int, b1: int) -> None:
-        n = out.shape[-1]
+    def hop(src, rstride: int, tables, top: int, links, out, lanes: int,
+            b0: int, b1: int) -> None:
+        n = tables.shape[-1]
         if not (
             src.dtype == links.dtype == out.dtype == dtype
             and tables.dtype == np.int64
-            and src.shape[:-1] == out.shape[:-1] == (4, 3)
             and tables.shape == (8, n)
             and links.shape == (8, 3, 3, n)
+            and out.size == 12 * n
             and all(a.flags.c_contiguous for a in (src, tables, links, out))
+            and 0 < rstride and 0 <= top
+            and top + 11 * rstride < src.size
+            and 0 < lanes and n % lanes == 0
             and 0 <= b0 <= b1 <= n
         ):
-            raise ValueError("operands do not fit the checkerboard hop kernel")
+            raise ValueError("operands do not fit the Wilson hop kernel")
         fn(
             src.ctypes.data,
-            src.shape[-1],
+            rstride,
             tables.ctypes.data,
             links.ctypes.data,
             out.ctypes.data,
             n,
+            lanes,
             b0,
             b1,
         )
@@ -317,22 +326,26 @@ def _state() -> dict:
 
 
 def kernel(dtype):
-    """The compiled hop for ``dtype``, or ``None`` where the reference
-    route must run (:func:`status` says why).  Builds or loads the
+    """The compiled hop for ``dtype``, or ``None`` where the numpy
+    sweep must run (:func:`status` says why).  Builds or loads the
     library on the first call in the process.
 
-    The kernel is ``hop(src, tables, links, out, b0, b1)``: from the
-    source half field ``src`` (``(4, 3, n)``) through the ``(8, n)``
-    gather ``tables`` and ``(8, 3, 3, n)`` ``links`` of one target
-    parity, it writes output sites ``b0 .. b1 - 1`` of ``out``
-    (``(4, 3, n)``); all four arrays are C-contiguous.  It holds no
+    The kernel is ``hop(src, rstride, tables, top, links, out, lanes,
+    b0, b1)``: through the ``(8, n)`` int64 ``tables`` (whose largest
+    entry is ``top``, computed when they were built) and the
+    ``(8, 3, 3, n)`` ``links`` it writes output sites ``b0 .. b1 - 1``
+    of ``out`` (``12 n`` elements), reading row ``r`` of the neighbour
+    at table entry ``t`` from ``src.flat[r * rstride + t]``; ``lanes``
+    picks the output layout (``n`` for tensor-major ``(4, 3, n)``, the
+    grid's ``nlanes`` for lane-major ``(osites, 4, 3, nlanes)``; see
+    ``hop_cb.c``).  All four arrays are C-contiguous.  It holds no
     lock, so tiles may call it concurrently on disjoint sites; ctypes
     releases the GIL for the call."""
     return _state()["kernels"].get(np.dtype(dtype))
 
 
 def status(dtype=np.complex128) -> dict:
-    """Which kernel the checkerboard hop of ``dtype`` runs, and why:
+    """Which kernel the Wilson hops of ``dtype`` run, and why:
     ``kernel`` (``native``/``reference``), ``reason`` (empty when
     native), the contraction ``key``, numpy's multiply ``target``, the
     ``compiler``, the ``flags`` and the library ``path``."""

@@ -111,7 +111,7 @@ def traced_solver(label: str):
 def host_fingerprint() -> dict:
     """The host a trace's rates were measured on: Python, numpy, the
     machine, the CPUs the process may run on, and per complex dtype the
-    checkerboard hop's arithmetic (:func:`repro.perf.native.status`):
+    fused Wilson hops' arithmetic (:func:`repro.perf.native.status`):
     the ``kernel`` that runs (``native``/``reference``, with the
     ``reason`` where it is the reference), the contraction ``key`` of
     numpy's complex multiply, the SIMD ``target`` numpy dispatches it

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import repro.engine as engine
+import repro.telemetry as telemetry
 import repro.grid.dist_wilson as dist_wilson
 from repro.engine.plan import kernel_plan
 from repro.grid.cartesian import GridCartesian
@@ -19,6 +20,7 @@ from repro.grid.random import random_gauge, random_spinor
 from repro.grid.solver import solve_wilson_cgne
 from repro.grid.stencil import rank_halo
 from repro.grid.wilson import WilsonDirac
+from repro.perf import native
 from repro.perf.counters import counters, reset_counters
 from repro.resilience.inject import CommsFault, CommsFaultInjector, \
     FaultCampaign
@@ -91,39 +93,64 @@ class TestWireImageIsTheAccountedSlab:
         assert sum(hook.sizes) == dpsi.stats.bytes_sent - b0
 
 
+def _numpy_sweep(monkeypatch) -> None:
+    """Run the numpy block body, as on a host where the compiled
+    kernel cannot load."""
+    monkeypatch.setattr(native, "kernel", lambda dtype: None)
+
+
 class TestShardIsolation:
     """Poison every other rank's columns once the halos are posted: a
     rank that reads only its own shard and its received slabs still
     gets the exact answer, on a checksummed wire with or without fp16
-    compression."""
+    compression, through the compiled kernel and the numpy body."""
 
-    @pytest.mark.parametrize("mpi", [(2, 1, 1, 1), (2, 2, 1, 1),
-                                     (4, 1, 1, 1)])
-    @pytest.mark.parametrize("compress", [True, False])
-    def test_other_ranks_poisoned_after_post(self, monkeypatch, mpi,
-                                             compress):
+    MPI = [(2, 1, 1, 1), (2, 2, 1, 1), (4, 1, 1, 1)]
+
+    @staticmethod
+    def _check(monkeypatch, mpi, compress, name):
+        """Poison at ``dist_wilson.<name>``, the sweep the route
+        dispatches to, and count that it ran."""
         _w, _psi, op, dpsi = _setup(mpi=mpi, checksum_halos=True,
                                     compress_halos=compress)
         want = [lat.data.copy() for lat in op.dhop(dpsi).locals]
         halo = rank_halo(dpsi)
-        sweep_blocks = dist_wilson.sweep_blocks
+        sweep = getattr(dist_wilson, name)
         for r in range(dpsi.ranks.nranks):
             shards = [lat.data.copy() for lat in dpsi.locals]
 
-            def poisoned(hops, flat, *args, r=r, **kwargs):
+            def poisoned(*args, r=r, **kwargs):
+                flat = args[1]  # both sweeps' source array
                 for s in range(dpsi.ranks.nranks):
                     if s != r:
                         flat[:, s * halo.width:(s + 1) * halo.width] = \
                             np.nan
                         dpsi.locals[s].data[...] = np.nan
-                return sweep_blocks(hops, flat, *args, **kwargs)
+                return sweep(*args, **kwargs)
 
-            monkeypatch.setattr(dist_wilson, "sweep_blocks", poisoned)
+            monkeypatch.setattr(dist_wilson, name, poisoned)
+            reset_counters()
             got = op.dhop(dpsi).locals[r].data
-            monkeypatch.setattr(dist_wilson, "sweep_blocks", sweep_blocks)
+            native_sweeps = int(name == "native_sweep")
+            assert (counters().native_sweeps, counters().native_fallbacks) \
+                == (native_sweeps, 1 - native_sweeps)
+            monkeypatch.setattr(dist_wilson, name, sweep)
             for lat, shard in zip(dpsi.locals, shards):
                 lat.data[...] = shard
             _assert_bytes_equal(got, want[r])
+
+    @pytest.mark.parametrize("mpi", MPI)
+    @pytest.mark.parametrize("compress", [True, False])
+    def test_other_ranks_poisoned_after_post(self, monkeypatch, mpi,
+                                             compress):
+        self._check(monkeypatch, mpi, compress, "native_sweep")
+
+    @pytest.mark.parametrize("mpi", MPI)
+    @pytest.mark.parametrize("compress", [True, False])
+    def test_numpy_body_poisoned_after_post(self, monkeypatch, mpi,
+                                           compress):
+        _numpy_sweep(monkeypatch)
+        self._check(monkeypatch, mpi, compress, "sweep_blocks")
 
 
 LAYOUTS = [
@@ -155,7 +182,10 @@ class TestBitIdentity:
     def test_rank_layouts(self, dims, mpi):
         w, psi, op, dpsi = _setup(mpi=mpi, dims=dims)
         m0 = dpsi.stats.messages
+        reset_counters()
         got = op.dhop(dpsi).gather()
+        assert (counters().native_sweeps, counters().native_fallbacks) \
+            == (1, 0)
         sweep_messages = dpsi.stats.messages - m0
         _assert_bytes_equal(got, w.dhop(psi).to_canonical())
         with engine.scope(enabled=False):
@@ -163,6 +193,38 @@ class TestBitIdentity:
         _assert_bytes_equal(got, layered)
         # Same messages as the layered route's distributed cshift.
         assert dpsi.stats.messages - m0 == 2 * sweep_messages
+
+    @pytest.mark.parametrize("dims, mpi", LAYOUTS)
+    def test_numpy_body_matches_the_kernel(self, dims, mpi, monkeypatch):
+        """Where the kernel cannot load, the numpy block body runs over
+        the same tables and stacked links, to the same bytes."""
+        _w, _psi, op, dpsi = _setup(mpi=mpi, dims=dims)
+        want = op.dhop(dpsi).gather()
+        _numpy_sweep(monkeypatch)
+        reset_counters()
+        _assert_bytes_equal(op.dhop(dpsi).gather(), want)
+        assert (counters().native_sweeps, counters().native_fallbacks) \
+            == (0, 1)
+
+    @pytest.mark.parametrize("route", ["native", "numpy"])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_shmem_rank_workers(self, dtype, route, monkeypatch):
+        """The shared-memory rank workers sweep their own shards -- by
+        the compiled kernel, or by the numpy body where it cannot load
+        (the workers fork from this process, so they inherit the
+        patch) -- to the single-rank hop's bytes; the parent counts one
+        sweep per rank."""
+        w, psi, op, dpsi = _setup(mpi=(2, 1, 1, 1), dtype=dtype)
+        want = w.dhop(psi).to_canonical()
+        if route == "numpy":
+            _numpy_sweep(monkeypatch)
+        reset_counters()
+        with engine.scope(transport="shmem"):
+            got = op.dhop(dpsi).gather()
+        native_sweeps = 2 if route == "native" else 0
+        assert (counters().native_sweeps, counters().native_fallbacks) \
+            == (native_sweeps, 2 - native_sweeps)
+        _assert_bytes_equal(got, want)
 
     @pytest.mark.parametrize("mpi", [(2, 1, 1, 1), (2, 2, 1, 1)])
     @pytest.mark.parametrize("wire", ["pristine", "checksum", "fp16"])
@@ -258,7 +320,12 @@ class TestTablesAndLinks:
             for key, slot in halo.slots.items():
                 stacked[:, r * width + slot.start:r * width + slot.stop] = \
                     flat[halo.senders[key][r]][:, halo.faces[key]]
-        for (mu, sign), table in halo.tables.items():
+        assert halo.tables.dtype == np.int64
+        assert halo.tables.shape == (8, nranks * n)
+        assert halo.tables.flags.c_contiguous
+        assert halo.top == halo.tables.max()
+        order = [(mu, sign) for mu in range(4) for sign in (+1, -1)]
+        for (mu, sign), table in zip(order, halo.tables):
             shifted = dpsi.cshift(mu, sign)
             for r, lat in enumerate(shifted.locals):
                 want = lat.data.reshape(lat.grid.osites, 12, -1) \
@@ -297,6 +364,19 @@ class TestAccounting:
         dpsi.stats.reset()
         op.dhop(dpsi)
         assert dpsi.stats.messages == 16
+
+    def test_span_names_kernel_and_contraction(self, monkeypatch):
+        _w, _psi, op, dpsi = _setup()
+        with engine.scope(telemetry="trace"):
+            op.dhop(dpsi)
+            _numpy_sweep(monkeypatch)
+            op.dhop(dpsi)
+        spans = [s for s in telemetry.drain_spans() if s.name == "dhop"]
+        assert [s.attrs["kernel"] for s in spans] == ["native", "reference"]
+        for span in spans:
+            assert span.attrs["nranks"] == 2
+            assert span.attrs["contraction"] == native.contraction_key(
+                np.complex128)
 
     def test_counters_and_plan_cache(self):
         # Setup exchanges the gauge links' backward shifts through

@@ -252,7 +252,7 @@ class TestSchurTwin:
         # The twin only hops between parities: it holds the two
         # parities' hop lists and no full-order working links.
         dirac32 = twin[0].dirac
-        assert dirac32._links_t is None and dirac32._links_adj_t is None
+        assert dirac32._sweep_links is None
         assert sorted(dirac32._links_cb) == ["even", "odd"]
 
     def test_two_full_mixed_solves_build_one_twin(self, monkeypatch):

@@ -177,7 +177,7 @@ class TestCheckerboardHop:
         for half in halves:
             dirac.dhop_cb(half)
         assert sorted(dirac._links_cb) == ["even", "odd"]
-        assert dirac._links_t is None and dirac._links_adj_t is None
+        assert dirac._sweep_links is None
         before = dict(vars(dirac))
         arrays = {p: list(hops) for p, hops in dirac._links_cb.items()}
         for half in halves:
@@ -186,18 +186,20 @@ class TestCheckerboardHop:
         assert all(vars(dirac)[k] is v for k, v in before.items())
         for p, items in arrays.items():
             assert all(a is b for a, b in zip(dirac._links_cb[p], items))
-        links, adj = dirac._full_links()
-        for p, (tables, stacked) in dirac._links_cb.items():
+        full = dirac._full_links()
+        assert full.shape == (8, 3, 3, dirac.grid.lsites)
+        for p, (tables, top, stacked) in dirac._links_cb.items():
             sites = red_black(dirac.grid, p).sites
             assert tables.shape == (8, sites.size)
+            assert tables.dtype == np.int64 and top == tables.max()
             assert stacked.shape == (8, 3, 3, sites.size)
             assert tables.flags.c_contiguous and stacked.flags.c_contiguous
             order = [(mu, sign) for mu in range(4) for sign in (+1, -1)]
             for k, (mu, sign) in enumerate(order):
                 assert np.array_equal(tables[k], parity_neighbour_table(
                     dirac.grid, p, mu, sign))
-                full = (links if sign > 0 else adj)[mu]
-                _assert_bytes_equal(stacked[k], np.take(full, sites, axis=-1))
+                _assert_bytes_equal(stacked[k],
+                                    np.take(full[k], sites, axis=-1))
 
 
 class TestHalfFields:

@@ -1,12 +1,16 @@
-"""The compiled checkerboard hop (``repro.perf.native``, ``hop_cb.c``).
+"""The compiled Wilson hop (``repro.perf.native``, ``hop_cb.c``).
 
-``WilsonDirac.dhop_cb`` runs the C kernel where it loads and its
-reference route (embed, full ``dhop``, pick) where it does not.  The
-two must agree byte for byte (``tobytes()``), for both parities, both
-precisions and every ``generic`` width, serial and tiled, under
-whichever numpy dispatch the process runs: the kernel is built with the
-contraction :func:`repro.perf.native.contraction_key` probes, so under
-host dispatch these tests exercise the ``fma`` build and under numpy's
+Every fused Wilson sweep runs the C kernel where it loads and the numpy
+block body (``repro.perf.fused.sweep_blocks``) where it does not: the
+checkerboard hop ``WilsonDirac.dhop_cb`` on half fields, the full hop
+``WilsonDirac.dhop`` reading and writing lane-major fields in place.
+The kernel must equal the numpy body byte for byte (``tobytes()``) and
+the layered reference wherever the layered path gives NaNs the same
+bits -- for both parities, both precisions and every ``generic`` width,
+serial and tiled, under whichever numpy dispatch the process runs: the
+kernel is built with the contraction
+:func:`repro.perf.native.contraction_key` probes, so under host
+dispatch these tests exercise the ``fma`` build and under numpy's
 baseline dispatch the ``unfused`` one.
 
 The kernel's contract is also pinned to the Wilson-Dslash IR
@@ -41,6 +45,8 @@ from repro.simd import get_backend
 from repro.vectorizer import wilson_ir
 
 BACKENDS = ("generic128", "generic256", "generic512")
+#: Every width: the full hop writes lane-major runs of 1 to 16 lanes.
+ALL_BACKENDS = BACKENDS + ("generic1024",)
 DTYPES = (np.complex128, np.complex64)
 #: Gaussian; a point source (its exact zeros make every signed zero of
 #: the hop count); ±0 and subnormals on a third of the components; ±inf
@@ -95,22 +101,58 @@ def _operator(backend, dims, dtype=np.complex128, source="gaussian"):
         _source(grid, source)
 
 
-def _native_hop(dirac, half, **scope):
+def _counted(call, sweeps: int, fallbacks: int, **scope):
+    """``call()`` under ``scope``, which must run ``sweeps`` compiled
+    sweeps and ``fallbacks`` numpy ones."""
     reset_counters()
     with engine.scope(**scope), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        out = dirac.dhop_cb(half)
-    assert counters().native_cb_hops == 1
-    assert counters().cb_reference_fallbacks == 0
+        out = call()
+    assert (counters().native_sweeps, counters().native_fallbacks) \
+        == (sweeps, fallbacks)
     return out
 
 
-def _reference(dirac, half):
-    target = "even" if half.grid.parity == "odd" else "odd"
-    with warnings.catch_warnings():
+def _native_hop(dirac, half, **scope):
+    return _counted(lambda: dirac.dhop_cb(half), 1, 0, **scope)
+
+
+def _native_full(dirac, psi, **scope):
+    return _counted(lambda: dirac.dhop(psi), 1, 0, **scope).data
+
+
+def _numpy_body(call):
+    """``call()`` where the kernel does not load: every fused sweep
+    runs the numpy block body."""
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(native, "kernel", lambda dtype: None)
         warnings.simplefilter("ignore", RuntimeWarning)
-        return red_black(dirac.grid, target).pick(
-            dirac.dhop(half.grid.embed(half)))
+        return call()
+
+
+def _reference(dirac, half):
+    """The full hop of the embedded field by the numpy block body,
+    restricted to the other parity."""
+    target = "even" if half.grid.parity == "odd" else "odd"
+    return red_black(dirac.grid, target).pick(
+        _numpy_body(lambda: dirac.dhop(half.grid.embed(half))))
+
+
+def _layered(dirac, psi) -> np.ndarray:
+    with engine.scope(enabled=False), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return dirac.dhop(psi).data
+
+
+def _assert_matches_layered(got: np.ndarray, want: np.ndarray) -> None:
+    """Byte for byte, except the sign bits and payloads of NaNs: the
+    numpy body's ``out=`` contraction order has always given propagated
+    NaNs a different sign bit from the layered path
+    (``tests/perf/test_tensor_major_dhop.py``)."""
+    g, w = (a.view(a.real.dtype) for a in (got, want))
+    assert np.array_equal(np.isnan(g), np.isnan(w))
+    keep = ~np.isnan(w)
+    assert g[keep].tobytes() == w[keep].tobytes()
 
 
 def _halves(dirac, psi):
@@ -194,9 +236,7 @@ class TestBytes:
         dirac, psi = _operator("generic256", (4, 4, 4, 8))
         schur = SchurWilson(dirac)
         half = schur.project(psi, "odd")
-        reset_counters()
-        got = schur.schur(half)
-        assert counters().native_cb_hops == 2
+        got = _counted(lambda: schur.schur(half), 2, 0)
         with engine.scope(enabled=False):
             want = schur.schur(half)
         assert got.data.tobytes() == want.data.tobytes()
@@ -215,7 +255,7 @@ class TestIR:
         scalar = "c64" if dtype == np.complex64 else "c128"
         half = red_black(dirac.grid, "odd").pick(psi)
         target = red_black(dirac.grid, "even")
-        tables, links = dirac._cb_hops(target)
+        tables, _top, links = dirac._cb_hops(target)
         src = np.moveaxis(half.data.reshape(4, 3, -1), -1, 0)
         acc = np.zeros((tables.shape[1], 4, 3), dtype=dtype)
         for k in range(8):
@@ -241,21 +281,100 @@ class TestIR:
             np.moveaxis(acc, 0, -1)).tobytes()
 
 
+class TestFullHop:
+    """``dhop`` by the kernel, reading ``psi.data`` and writing the
+    output in their lane-major layout."""
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("dtype", DTYPES, ids=("c128", "c64"))
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_matches_layered_and_numpy_body(self, backend, dtype, source):
+        dirac, psi = _operator(backend, (4, 4, 4, 8), dtype, source)
+        got = _native_full(dirac, psi)
+        _assert_matches_layered(got, _layered(dirac, psi))
+        want = _numpy_body(lambda: dirac.dhop(psi)).data
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("dtype", DTYPES, ids=("c128", "c64"))
+    def test_multi_block_field(self, dtype, workers):
+        dirac, psi = _operator("generic256", (16, 8, 8, 16), dtype)
+        assert dirac.grid.lsites >= 4 * fused.BLOCK_SITES
+        got = _native_full(dirac, psi, workers=workers, tile_min_sites=16)
+        assert counters().tiles_dispatched == workers
+        assert got.tobytes() == _layered(dirac, psi).tobytes()
+
+    @pytest.mark.parametrize("block", (1, 7, 100))
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_ragged_blocks(self, block, workers, monkeypatch):
+        dirac, psi = _operator("generic512", (4, 2, 6, 4), source="point")
+        want = _layered(dirac, psi)
+        monkeypatch.setattr(fused, "BLOCK_SITES", block)
+        got = _native_full(dirac, psi, workers=workers, tile_min_sites=16)
+        assert got.tobytes() == want.tobytes()
+
+    def test_nan_collisions_differ_in_payload_only(self):
+        """As for the checkerboard hop: only where two NaNs meet may
+        the kernel and the numpy body return different NaNs."""
+        dirac, psi = _operator("generic256", (4, 4, 4, 8))
+        flat = psi.data.reshape(-1)
+        rng = np.random.default_rng(9)
+        nan = complex(np.nan, 1.0)
+        for i, k in enumerate(rng.choice(flat.size, 60, replace=False)):
+            flat[k] = (nan, -nan, complex(np.inf, 0))[i % 3]
+        got = _native_full(dirac, psi)
+        want = _numpy_body(lambda: dirac.dhop(psi)).data
+        assert np.isnan(want).any()
+        _assert_matches_layered(got, want)
+
+    def test_builds_tables_once_and_no_working_copy(self, monkeypatch):
+        """The operator builds its lane-major tables on the first
+        compiled hop; no hop transposes ``psi`` or stores through the
+        working layout."""
+        dirac, psi = _operator("generic256", (4, 4, 4, 8))
+        assert dirac._sweep_tables is None
+        dirac.dhop(psi)
+        tables, top = dirac._sweep_tables
+        assert tables.dtype == np.int64 and tables.shape == (8, psi.data.size
+                                                             // 12)
+        assert top == tables.max()
+        for name in ("from_working", "sweep_blocks", "neighbour_table"):
+            monkeypatch.setattr(fused, name, None)
+        bodies = []
+        run_tiles = fused.run_tiles
+        monkeypatch.setattr(fused, "run_tiles", lambda body, *a: bodies.append(
+            body.__name__) or run_tiles(body, *a))
+        got = _native_full(dirac, psi)
+        assert bodies == ["body"]  # the block loop, no entry transpose
+        assert dirac._sweep_tables[0] is tables
+        assert got.tobytes() == _layered(dirac, psi).tobytes()
+
+
 class TestReferenceRoute:
+    """Where the kernel cannot load (``native.status()`` reads
+    ``reference``), every fused sweep runs the numpy block body over the
+    same tables and links: the checkerboard hop directly on the half
+    field, never embed, full hop, pick."""
+
     def _check_fallback(self, reason: str):
         dirac, psi = _operator("generic256", (4, 4, 4, 8), source="point")
         half = red_black(dirac.grid, "odd").pick(psi)
-        reset_counters()
-        with engine.scope(telemetry="trace"):
-            got = dirac.dhop_cb(half)
-        assert counters().native_cb_hops == 0
-        assert counters().cb_reference_fallbacks == 1
+        embeds = []
+        embed = type(half.grid).embed
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(type(half.grid), "embed",
+                       lambda g, x: embeds.append(x) or embed(g, x))
+            got = _counted(lambda: dirac.dhop_cb(half), 0, 1,
+                           telemetry="trace")
+        assert embeds == [] and counters().fused_dhop_calls == 0
         (span,) = [s for s in telemetry.drain_spans() if s.name == "dhop.cb"]
         assert span.attrs["kernel"] == "reference"
         state = native.status()
         assert state["kernel"] == "reference"
         assert reason in state["reason"]
         assert got.data.tobytes() == _reference(dirac, half).data.tobytes()
+        full = _counted(lambda: dirac.dhop(psi), 0, 1)
+        assert full.data.tobytes() == _layered(dirac, psi).tobytes()
 
     def test_no_compiler(self, fresh_native, monkeypatch):
         monkeypatch.setattr(native, "find_compiler", lambda: None)
@@ -266,14 +385,31 @@ class TestReferenceRoute:
         monkeypatch.setattr(native, "contraction_key", lambda dtype: "unknown")
         self._check_fallback("neither fma nor unfused")
 
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("dtype", DTYPES, ids=("c128", "c64"))
+    def test_half_hop_bytes(self, dtype, workers):
+        dirac, psi = _operator("generic256", (4, 4, 4, 8), dtype, "zeros")
+        for half in _halves(dirac, psi):
+            want = _native_hop(dirac, half)
+            got = _numpy_body(lambda: _counted(
+                lambda: dirac.dhop_cb(half), 0, 1, workers=workers,
+                tile_min_sites=16))
+            assert got.data.tobytes() == want.data.tobytes()
+
+    def test_schur_tail_fold(self):
+        dirac, psi = _operator("generic256", (4, 4, 4, 8))
+        schur = SchurWilson(dirac)
+        half = schur.project(psi, "odd")
+        got = _numpy_body(lambda: _counted(lambda: schur.schur(half), 0, 2))
+        with engine.scope(enabled=False):
+            want = schur.schur(half)
+        assert got.data.tobytes() == want.data.tobytes()
+
     def test_engine_off_is_not_a_fallback(self):
         dirac, psi = _operator("generic256", (4, 4, 4, 8))
         half = red_black(dirac.grid, "odd").pick(psi)
-        reset_counters()
-        with engine.scope(enabled=False):
-            dirac.dhop_cb(half)
-        assert counters().native_cb_hops == 0
-        assert counters().cb_reference_fallbacks == 0
+        _counted(lambda: dirac.dhop_cb(half), 0, 0, enabled=False)
+        _counted(lambda: dirac.dhop(psi), 0, 0, enabled=False)
 
 
 def test_span_names_kernel_and_contraction():
@@ -281,9 +417,16 @@ def test_span_names_kernel_and_contraction():
     half = red_black(dirac.grid, "odd").pick(psi)
     with engine.scope(telemetry="trace"):
         dirac.dhop_cb(half)
-    (span,) = [s for s in telemetry.drain_spans() if s.name == "dhop.cb"]
-    assert span.attrs["kernel"] == "native"
-    assert span.attrs["contraction"] == native.contraction_key(np.complex64)
+        dirac.dhop(psi)
+        with engine.scope(enabled=False):
+            dirac.dhop(psi)
+    spans = [s for s in telemetry.drain_spans()
+             if s.name in ("dhop.cb", "dhop")]
+    assert [(s.name, s.attrs["kernel"]) for s in spans] == [
+        ("dhop.cb", "native"), ("dhop", "native"), ("dhop", "reference")]
+    for span in spans:
+        assert span.attrs["contraction"] == native.contraction_key(
+            np.complex64)
 
 
 # -- the probe -----------------------------------------------------------------
@@ -399,14 +542,21 @@ def test_damaged_library_is_rebuilt(monkeypatch, tmp_path, damage):
 def test_kernel_rejects_operands_that_do_not_fit():
     dirac, psi = _operator("generic256", (4, 4, 4, 4))
     src = red_black(dirac.grid, "odd").pick(psi).data.reshape(4, 3, -1)
-    tables, links = dirac._cb_hops(red_black(dirac.grid, "even"))
+    tables, top, links = dirac._cb_hops(red_black(dirac.grid, "even"))
+    n = src.shape[-1]
     hop = native.kernel(np.complex128)
-    fits = dict(src=src, tables=tables, links=links,
-                out=np.empty_like(src), b0=0, b1=src.shape[-1])
+    fits = dict(src=src, rstride=n, tables=tables, top=top, links=links,
+                out=np.empty_like(src), lanes=n, b0=0, b1=n)
     hop(**fits)
     for bad in (dict(out=np.empty(src.shape, np.complex64)),
                 dict(tables=tables.astype(np.int32)),
                 dict(src=np.asfortranarray(src)),
-                dict(b1=src.shape[-1] + 1)):
+                dict(b1=n + 1),
+                dict(lanes=3),
+                dict(out=np.empty((4, 3, n - 1), np.complex128)),
+                # a source too short for its tables
+                dict(src=src[:, :, :top].copy(), rstride=top),
+                dict(src=src.reshape(-1)[:-1].copy()),
+                dict(rstride=n + 1)):
         with pytest.raises(ValueError, match="do not fit"):
             hop(**dict(fits, **bad))

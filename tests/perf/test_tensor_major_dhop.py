@@ -1,9 +1,12 @@
 """The tensor-major, cache-blocked single-rank dhop sweep.
 
-``WilsonDirac.dhop``'s default route (:func:`repro.perf.fused.
-fused_dhop`) works on a ``(4, 3, osites * nlanes)`` copy of the field,
-gathers neighbours through flat index tables and sweeps blocks of
-``BLOCK_SITES`` flat sites.  None of that may change a bit: every
+Where the compiled kernel cannot load, ``WilsonDirac.dhop``'s fused
+route (:func:`repro.perf.fused.fused_dhop`) runs the numpy block body:
+it works on a ``(4, 3, osites * nlanes)`` copy of the field, gathers
+neighbours through flat index tables and sweeps blocks of
+``BLOCK_SITES`` flat sites.  Every test here runs that body (the kernel
+is patched out; ``tests/perf/test_native_hop.py`` pins the kernel to
+it).  None of that may change a bit: every
 comparison here is on raw bytes (float views, so signed zeros and NaN
 payloads count), against the engine-off layered path, the Dslash IR
 (:mod:`repro.vectorizer.wilson_ir`) evaluated with numpy, and the
@@ -26,7 +29,7 @@ from repro.grid.propagator import point_source
 from repro.grid.random import random_gauge, random_spinor
 from repro.grid.stencil import neighbour_table
 from repro.grid.wilson import WilsonDirac
-from repro.perf import fused
+from repro.perf import fused, native
 from repro.perf.counters import counters, reset_counters
 from repro.simd import get_backend
 from repro.vectorizer import wilson_ir
@@ -36,8 +39,9 @@ DTYPES = (np.complex128, np.complex64)
 
 
 @pytest.fixture(autouse=True)
-def _clean_engine_state():
+def _clean_engine_state(monkeypatch):
     engine.reset_all()
+    monkeypatch.setattr(native, "kernel", lambda dtype: None)
     yield
     engine.reset_all()
 

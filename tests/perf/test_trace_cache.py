@@ -8,6 +8,7 @@ import pytest
 import repro.perf as perf
 import repro.perf.trace_cache as trace_cache_mod
 from repro.bench.workloads import dslash_setup
+from repro.perf import native
 from repro.perf.counters import counters, reset_counters
 from repro.perf.trace_cache import (cached_run_kernel, cached_vectorize,
                                     kernel_signature, trace_cache)
@@ -140,9 +141,14 @@ class TestDisabled:
 
 
 class TestDslashSweepHitRate:
-    def test_repeated_sweep_runs_entirely_from_plan_cache(self):
+    def test_repeated_sweep_runs_entirely_from_plan_cache(self,
+                                                          monkeypatch):
         """After one cold sweep, repeated Wilson-Dslash applications
-        must hit the flat neighbour-table cache on every gather."""
+        of the numpy block body (the route where the compiled kernel
+        cannot load; the kernel gathers through the operator's own
+        tables) must hit the flat neighbour-table cache on every
+        gather."""
+        monkeypatch.setattr(native, "kernel", lambda dtype: None)
         setup = dslash_setup("generic256", dims=(4, 4, 4, 4))
         setup.run()  # cold: builds the tables
         reset_counters()
