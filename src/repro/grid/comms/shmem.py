@@ -159,7 +159,7 @@ def _worker_dhop(rank: int, cmd: dict, sems: dict, seg_cache: dict,
     from repro.grid.comms.lattice import CommsStats
     from repro.perf import native
     from repro.perf.fused import (
-        from_working, native_sweep, sweep_blocks, sweep_order,
+        from_working, native_sweep, stored_links, sweep_blocks, sweep_order,
     )
 
     grid, halo, tables, top = _worker_halo(geom_cache, cmd)
@@ -225,6 +225,7 @@ def _worker_dhop(rank: int, cmd: dict, sems: dict, seg_cache: dict,
 
     hop = native.kernel(dtype)
     t0 = time.perf_counter()
+    links = stored_links(links)
     if hop is not None:
         native_sweep(hop, ext, halo.width, tables, top, links, out, nl, nl,
                      None)
@@ -232,9 +233,8 @@ def _worker_dhop(rank: int, cmd: dict, sems: dict, seg_cache: dict,
         def store(acc, b0, b1) -> None:
             from_working(acc, out[b0 // nl:b1 // nl])
 
-        hops = [(sign, tables[k], links[k], mu)
-                for k, (mu, sign) in enumerate(keys)]
-        sweep_blocks(hops, ext, n, store, None, unit=nl)
+        hops = [(sign, tables[k], mu) for k, (mu, sign) in enumerate(keys)]
+        sweep_blocks(hops, ext, links, n, store, None, unit=nl)
     if collector is not None:
         collector.record("rank.sweep", t0, time.perf_counter())
     return {"ok": True, "stats": stats, "wait_seconds": waited,

@@ -63,7 +63,8 @@ from repro.grid.tensor import su3_dagger_mul_vec, su3_mul_vec
 from repro.grid.wilson import SPINOR
 from repro.perf import native
 from repro.perf.fused import (
-    adjoint, from_working, native_sweep, sweep_blocks, sweep_order, to_working,
+    adjoint, from_working, native_sweep, stored_links, sweep_blocks,
+    sweep_order, to_working,
 )
 from repro.telemetry import trace as _telemetry
 
@@ -110,16 +111,17 @@ def halo_dhop(op, psi, kplan, hop=None):
     nl = grid.nlanes
     result = np.empty((nranks * grid.osites,) + psi.locals[0].data.shape[1:],
                       dtype=dtype)
+    links = op._sweep_fields
     if hop is not None:
         native_sweep(hop, stacked, nranks * width, halo.tables, halo.top,
-                     op._sweep_links, result, nl, nl, kplan)
+                     links, result, nl, nl, kplan)
     else:
         def store(acc, b0, b1) -> None:
             from_working(acc, result[b0 // nl:b1 // nl])
 
-        hops = [(sign, halo.tables[k], op._sweep_links[k], mu)
+        hops = [(sign, halo.tables[k], mu)
                 for k, (mu, sign) in enumerate(sweep_order(op.ndim))]
-        sweep_blocks(hops, stacked, nranks * n, store, kplan, unit=nl)
+        sweep_blocks(hops, stacked, links, nranks * n, store, kplan, unit=nl)
     out = psi.clone_empty()
     for r, lat in enumerate(psi.locals):
         out.locals.append(Lattice(lat.grid, lat.tensor_shape,
@@ -159,7 +161,7 @@ class DistributedWilson:
         # the engine-off reference loop asks for them.
         back = [self.links[mu].uncompressed().cshift(mu, -1)
                 for mu in range(self.ndim)]
-        self._sweep_links = None
+        self._sweep_links = self._sweep_fields = None
         self._links_back_lm = back
         if fused_safe_backend(self.links[0].grids[0].backend):
             grid = self.links[0].grids[0]
@@ -174,6 +176,7 @@ class DistributedWilson:
                     np.conj(to_working(b.data).swapaxes(0, 1),
                             out=links[2 * mu + 1, ..., sl])
             self._sweep_links = links
+            self._sweep_fields = stored_links(links)  # the kernel's operand
             self._links_back_lm = None
 
     @property

@@ -33,12 +33,13 @@ from repro.grid.cartesian import GridCartesian, GridRedBlack
 from repro.grid.cshift import cshift
 from repro.grid.lattice import Lattice
 from repro.grid.stencil import (
-    neighbour_table, parity_neighbour_table, red_black,
+    _neighbour_table, neighbour_table, parity_neighbour_table, red_black,
 )
 from repro.grid.tensor import su3_dagger_mul_vec, su3_mul_vec
 from repro.perf import native
 from repro.perf.fused import (
-    fused_dhop, fused_dhop_cb, sweep_order, to_working,
+    fused_dhop, fused_dhop_cb, gather_links, inplace_links, stored_links,
+    sweep_order,
 )
 
 #: Spinor tensor shape: (spin, colour).
@@ -71,22 +72,22 @@ class WilsonDirac:
         self.grid: GridCartesian = links[0].grid
         self.mass = float(mass)
         self._cshift = cshift_fn if cshift_fn is not None else cshift
-        # U_mu(x - mu) gathered to x, needed for the backward hop.  The
-        # links are static, so each route snapshots the links it reads
-        # on its own first call.  The fused sweep (numpy-semantics
-        # backend, the default cshift) reads them in its tensor-major
-        # working layout, one contiguous (8, 3, 3, n) array per route in
-        # sweep order -- each U_mu, then the adjoint back-link: the full
-        # hop over every site (``_full_links``, beside its lane-major
-        # offset tables, ``_full_tables``), the checkerboard hop over one
-        # target parity's sites, beside its gather tables
-        # (``_cb_hops``), as Grid keeps per-checkerboard gauge fields
-        # beside the full one.  The layered path reads lane-major
-        # back-links; where it is the only route (another backend or
-        # shift) they are gathered here.
+        # U_mu(x - mu), needed for the backward hop.  The fused sweep
+        # (numpy-semantics backend, the default cshift) never copies the
+        # whole gauge field: the full hop reads each U_mu in place, at
+        # the output site for +mu and at the neighbour, conjugate-
+        # transposed as it loads, for -mu, through its lane-major
+        # offset tables (``_full_hop``).  The checkerboard hop keeps
+        # compact per-parity arrays beside its gather tables
+        # (``_cb_hops``): one contiguous (8, 3, 3, N/2) array per target
+        # parity in sweep order -- each U_mu, then the adjoint back-link
+        # -- as Grid keeps per-checkerboard gauge fields beside the
+        # full one.  The layered path reads lane-major back-links; where
+        # it is the only route (another backend or shift) they are
+        # gathered here.
         self._fused = fused_safe_backend(self.grid.backend) \
             and self._cshift is cshift
-        self._sweep_links = self._sweep_tables = None
+        self._sweep_tables = None
         self._links_cb = {}  # target parity -> its checkerboard hop arrays
         self._links_back_lm = None
         if not self._fused:
@@ -108,55 +109,45 @@ class WilsonDirac:
                                    for mu, u in enumerate(self.links)]
         return self._links_back_lm
 
-    def _stack_links(self, sites=None) -> np.ndarray:
-        """The matrices the hop applies, stacked in sweep order as one
-        contiguous ``(8, 3, 3, n)`` array: ``U_mu`` for ``+mu`` and the
-        adjoint back-link ``U_mu(x - mu)^dagger`` for ``-mu`` (the
-        matrix the backward hop applies; conjugation is exact, so
-        products with it are bitwise those with ``conj(U[b, a])``), at
-        the flat ``sites`` (every site when ``None``)."""
-        n = self.grid.osites * self.grid.nlanes if sites is None \
-            else sites.size
-        links = np.empty((2 * self.grid.ndim, 3, 3, n), dtype=self.grid.dtype)
+    def _stack_links(self, sites: np.ndarray) -> np.ndarray:
+        """The matrices the hop applies at the flat ``sites``, stacked
+        in sweep order as one contiguous ``(8, 3, 3, n)`` array:
+        ``U_mu`` for ``+mu`` and the adjoint back-link ``U_mu(x -
+        mu)^dagger`` for ``-mu`` (the matrix the backward hop applies;
+        conjugation is exact, so products with it are bitwise those
+        with ``conj(U[b, a])``)."""
+        links = np.empty((2 * self.grid.ndim, 3, 3, sites.size),
+                         dtype=self.grid.dtype)
         for mu, u in enumerate(self.links):
-            back = neighbour_table(self.grid, mu, -1)
-            if sites is None:
-                w = links[2 * mu]
-                w.reshape(3, 3, -1, self.grid.nlanes)[...] = \
-                    np.moveaxis(u.data, 0, -2)
-            else:
-                w = to_working(u.data)
-                back = back[sites]
-                np.take(w, sites, axis=-1, out=links[2 * mu])
-            np.conj(np.take(w, back, axis=-1).swapaxes(0, 1),
+            back = neighbour_table(self.grid, mu, -1)[sites]
+            gather_links(u.data, sites, out=links[2 * mu])
+            np.conj(gather_links(u.data, back).swapaxes(0, 1),
                     out=links[2 * mu + 1])
         return links
 
-    def _full_links(self) -> np.ndarray:
-        """The full hop's links, ``(8, 3, 3, N)`` in sweep order over the
-        flat sites ``osite * nlanes + lane`` (:meth:`_stack_links`).
-        Built on first use."""
-        if self._sweep_links is None:
-            self._sweep_links = self._stack_links()
-        return self._sweep_links
-
-    def _full_tables(self) -> tuple:
-        """The compiled full hop's gather tables and their largest
-        entry: ``(tables, top)``, where ``tables[k, f]`` is the offset,
+    def _full_hop(self) -> tuple:
+        """The compiled full hop's operands: ``(tables, top, links)``,
+        the gather tables, their largest entry and the in-place link
+        operand (:func:`~repro.perf.fused.inplace_links`, the lane-major
+        ``U_mu`` themselves), where ``tables[k, f]`` is the offset,
         in the lane-major ``(osites, 4, 3, nlanes)`` field, of row 0 of
         flat site ``f``'s neighbour in hop ``k`` (sweep order) --
         :func:`~repro.grid.stencil.neighbour_table`'s site ``t`` at
-        ``(t // nlanes) * 12 * nlanes + t % nlanes``.  Built on the
-        first compiled full hop."""
+        ``(t // nlanes) * 12 * nlanes + t % nlanes``.  The kernel reads
+        a back-link at the same neighbour, so these are the only tables
+        the hop needs.  Built on the first compiled full hop, straight
+        from the stencil's derivation: the flat per-direction tables
+        are not kept in the grid's memo beside them."""
         if self._sweep_tables is None:
             nl = self.grid.nlanes
             tables = np.empty((2 * self.grid.ndim, self.grid.osites * nl),
                               dtype=np.int64)
             for k, (mu, sign) in enumerate(sweep_order(self.grid.ndim)):
-                site, lane = np.divmod(neighbour_table(self.grid, mu, sign),
-                                       nl)
+                site, lane = np.divmod(
+                    _neighbour_table(self.grid, mu, sign), nl)
                 np.add(site * (12 * nl), lane, out=tables[k])
-            self._sweep_tables = (tables, int(tables.max()))
+            self._sweep_tables = (tables, int(tables.max()),
+                                  inplace_links(self.links))
         return self._sweep_tables
 
     def _cb_hops(self, target: GridRedBlack) -> tuple:
@@ -164,17 +155,19 @@ class WilsonDirac:
         ``(tables, top, links)``, where ``tables[k]`` is hop ``k``'s
         :func:`~repro.grid.stencil.parity_neighbour_table` (sweep order:
         mu ascending, +1 before -1), ``top`` its largest entry and
-        ``links[k]`` the matrix the hop applies at ``target.sites``
-        (:meth:`_stack_links`), as contiguous ``(8, N/2)`` and
-        ``(8, 3, 3, N/2)`` arrays.  Built on the first hop onto that
-        parity, without the full-order links."""
+        ``links.fields[k]`` the matrix the hop applies at
+        ``target.sites`` (:meth:`_stack_links`, as a
+        :func:`~repro.perf.fused.stored_links` operand), as contiguous
+        ``(8, N/2)`` and ``(8, 3, 3, N/2)`` arrays.  Built on the first
+        hop onto that parity."""
         hops = self._links_cb.get(target.parity)
         if hops is None:
             tables = np.stack([parity_neighbour_table(
                 self.grid, target.parity, mu, sign).astype(np.int64)
                 for mu, sign in sweep_order(self.grid.ndim)])
             hops = self._links_cb[target.parity] = (
-                tables, int(tables.max()), self._stack_links(target.sites))
+                tables, int(tables.max()),
+                stored_links(self._stack_links(target.sites)))
         return hops
 
     # ------------------------------------------------------------------

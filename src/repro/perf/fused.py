@@ -18,17 +18,22 @@ compiled C kernel per block of output sites (:func:`native_sweep`;
 :mod:`repro.perf.native`, ``hop_cb.c``).  Per output site and
 (mu, ±1), in sweep order (:func:`sweep_order`), it gathers the
 neighbour through an ``(8, n)`` table, spin-projects it, multiplies by
-the operator's link and reconstructs into the block.  Each operator
-holds its links as one contiguous ``(8, 3, 3, n)`` array in sweep
-order (``U_mu``, then the back-link ``U_mu(x - mu)`` as its adjoint),
-in the tensor-major working layout below.  The kernel reads its source
-and writes its output in either of two layouts:
+the link and reconstructs into the block.  Every sweep hands the
+kernel its links by one addressing rule (``hop_cb.c``), as a *link
+operand*: the full hop reads the operator's lane-major ``U_mu`` in
+place, at the output site for ``+mu`` and at the neighbour,
+conjugate-transposed as it loads, for ``-mu`` (:func:`inplace_links`);
+the checkerboard and distributed sweeps pass compact contiguous
+``(8, 3, 3, n)`` arrays in sweep order (``U_mu``, then the back-link
+``U_mu(x - mu)`` stored as its adjoint) in the tensor-major working
+layout below (:func:`stored_links`).  The kernel reads its source and
+writes its output in either of two layouts:
 
 * *lane-major* -- the lattice's own ``(osites, 4, 3, nlanes)`` storage.
-  The full hop reads ``psi.data`` in place through the operator's
-  tables of lane-major offsets (``WilsonDirac._full_tables``) and
-  writes the output lattice in place; nothing is transposed.  The
-  distributed sweep writes every rank's output this way.
+  The full hop reads ``psi.data`` and the links in place through the
+  operator's tables of lane-major offsets (``WilsonDirac._full_hop``)
+  and writes the output lattice in place; nothing is transposed or
+  copied.  The distributed sweep writes every rank's output this way.
 * *tensor-major flat* -- ``(4, 3, N)``, one row of ``N`` sites per
   spin-colour component.  Half fields *are* this layout: a
   :class:`~repro.grid.cartesian.GridRedBlack` field is stored
@@ -44,8 +49,9 @@ the host -- so its bytes are those of the numpy block body.
 
 **The numpy block body** (:func:`sweep_blocks`) runs where the kernel
 cannot load (no compiler, or an unknown contraction key), over the same
-tables and links.  Under numpy the ufunc inner loop plays the part of
-the paper's SVE vector (Fig. 1), and lane-major storage would hand it
+tables and link operand, building each block's matrices as it goes
+(:func:`_block_links`).  Under numpy the ufunc inner loop plays the part
+of the paper's SVE vector (Fig. 1), and lane-major storage would hand it
 loops of ``nlanes`` (1–4) elements, so the body works tensor-major:
 the full hop transposes ``psi`` into that layout once on entry, tile
 by tile, and each block's accumulator back once on exit.  Every
@@ -104,6 +110,7 @@ import numpy as np
 
 from repro.engine.policy import current_policy
 from repro.perf.counters import counters
+from repro.perf.native import LinkFields
 from repro.perf.parallel import run_tiles, tiles_for
 
 #: Flat sites per sweep block.  Picked by measurement on a 2-core
@@ -326,13 +333,17 @@ def _accumulate_direction(acc: np.ndarray, V: np.ndarray,
 def fused_dhop(dirac, psi: Lattice, hop=None, plan=None) -> Lattice:
     """The engine's Wilson hopping term (``WilsonDirac.dhop``).
 
+    Both routes read the gauge field in place: ``U_mu`` at the output
+    site for ``+mu``, and ``U_mu`` at the neighbour, conjugate-
+    transposed as it is loaded, for ``-mu`` (:func:`inplace_links`), so
+    no copy of the links is made.
+
     With the compiled kernel ``hop`` (:func:`repro.perf.native.kernel`)
     the sweep reads ``psi.data`` and writes the output in place, in
     their lane-major layout: per block of output sites one call of
     ``hop`` runs every (mu, sign) in sweep order, through the
-    operator's lane-major offset tables and its stacked links
-    (``WilsonDirac._full_tables``/``_full_links``).  Nothing is
-    transposed and no working copy is made.
+    operator's lane-major offset tables (``WilsonDirac._full_hop``).
+    Nothing is transposed and no working copy is made.
 
     With ``hop`` ``None`` (no compiler, or an unknown contraction key)
     the numpy body runs instead: ``psi`` is transposed into the
@@ -340,8 +351,9 @@ def fused_dhop(dirac, psi: Lattice, hop=None, plan=None) -> Lattice:
     finishing before the sweep starts), and :func:`sweep_blocks` walks
     blocks of :data:`BLOCK_SITES` flat sites -- per block and per
     (mu, sign): one ``np.take`` through the memoized neighbour table,
-    then the fused accumulation into a block-sized accumulator, which
-    is transposed into the lane-major output as the block completes.
+    the block's matrices gathered from the links, then the fused
+    accumulation into a block-sized accumulator, which is transposed
+    into the lane-major output as the block completes.
 
     Either way blocks are whole outer sites (a multiple of ``nlanes``
     flat sites), the result is bit-identical to the layered reference,
@@ -354,19 +366,18 @@ def fused_dhop(dirac, psi: Lattice, hop=None, plan=None) -> Lattice:
     """
     grid = dirac.grid
     counters().bump("fused_dhop_calls")
-    links = dirac._full_links()
     nl, n = grid.nlanes, grid.osites * grid.nlanes
     out = Lattice(grid, psi.tensor_shape,
                   np.empty(grid.field_shape(psi.tensor_shape),
                            dtype=grid.dtype))
     if hop is not None:
-        tables, top = dirac._full_tables()
+        tables, top, links = dirac._full_hop()
         ntiles = native_sweep(hop, np.ascontiguousarray(psi.data), nl,
                               tables, top, links, out.data, nl, nl, plan)
-        _bump_stages(plan, len(links), ntiles)
+        _bump_stages(plan, len(tables), ntiles)
         return out
-    hops = [(sign, neighbour_table(grid, mu, sign), links[k], mu)
-            for k, (mu, sign) in enumerate(sweep_order(grid.ndim))]
+    hops = [(sign, neighbour_table(grid, mu, sign), mu)
+            for mu, sign in sweep_order(grid.ndim)]
     flat = np.empty((12, n), dtype=psi.data.dtype)  # a gather row per (s, c)
     lanes = flat.reshape(psi.tensor_shape + (grid.osites, nl))
 
@@ -381,7 +392,8 @@ def fused_dhop(dirac, psi: Lattice, hop=None, plan=None) -> Lattice:
     # pure function of the plan and the size) and is complete before
     # the sweep reads any neighbour.
     run_tiles(transpose, *_split(plan, n, nl))
-    ntiles = sweep_blocks(hops, flat, n, store, plan, unit=nl)
+    ntiles = sweep_blocks(hops, flat, inplace_links(dirac.links), n, store,
+                          plan, unit=nl)
     _bump_stages(plan, len(hops), ntiles)
     return out
 
@@ -431,10 +443,10 @@ def fused_dhop_cb(dirac, psi: Lattice, target, hop=None, plan=None,
             work[:, :, b0:b1] = acc
             finish(b0, b1)
 
-        hops = [(sign, tables[k], links[k], mu)
+        hops = [(sign, tables[k], mu)
                 for k, (mu, sign) in enumerate(sweep_order(dirac.grid.ndim))]
-        ntiles = sweep_blocks(hops, src.reshape(12, -1), n, store, plan,
-                              unit=target.nlanes)
+        ntiles = sweep_blocks(hops, src.reshape(12, -1), links, n, store,
+                              plan, unit=target.nlanes)
     _bump_stages(plan, len(tables), ntiles)
     return out
 
@@ -446,21 +458,41 @@ def sweep_order(ndim: int) -> list:
     return [(mu, sign) for mu in range(ndim) for sign in (+1, -1)]
 
 
+def stored_links(links: np.ndarray) -> LinkFields:
+    """The link operand of a sweep whose every matrix, adjoint
+    back-links included, is stored per output site in one contiguous
+    ``(8, 3, 3, n)`` array in sweep order (the checkerboard hop's
+    per-parity arrays, the distributed sweeps' per-rank ones)."""
+    return LinkFields(links, links.shape[-1], back=False)
+
+
+def inplace_links(fields) -> LinkFields:
+    """The link operand of a sweep that reads the operator's lane-major
+    gauge field in place: each ``U_mu`` (a :class:`Lattice`) serves
+    hop ``(mu, +1)`` at the output site and hop ``(mu, -1)`` at the
+    neighbour, conjugate-transposed on load."""
+    return LinkFields([u.data for u in fields for _sign in (+1, -1)],
+                      fields[0].grid.nlanes, back=True)
+
+
 def native_sweep(hop, src, rstride: int, tables, top: int, links, out,
                  lanes: int, unit: int, plan, finish=None) -> int:
     """Run the compiled kernel ``hop`` over output sites ``0 .. n - 1``
     (``n = tables.shape[-1]``) in blocks of :data:`BLOCK_SITES`, tiled;
     returns the number of tiles.
 
-    ``src``, ``rstride``, ``tables`` (largest entry ``top``), ``links``,
-    ``out`` and ``lanes`` are the kernel's operands (see
-    :func:`repro.perf.native.kernel`); blocks and tiles are whole
-    multiples of ``unit`` sites.  ``finish(b0, b1)``, if given, runs on
-    each block after the kernel.  Counted as one ``native_sweeps``.
+    ``src``, ``rstride``, ``tables`` (largest entry ``top``),
+    ``links`` (:func:`stored_links`, :func:`inplace_links`), ``out``
+    and ``lanes`` are the kernel's operands (see
+    :func:`repro.perf.native.kernel`), checked once per sweep; blocks
+    and tiles are whole multiples of ``unit`` sites.  ``finish(b0,
+    b1)``, if given, runs on each block after the kernel.  Counted as
+    one ``native_sweeps``.
     """
+    run = hop(src, rstride, tables, top, links, out, lanes)
 
     def block(b0, b1, _bufs) -> None:
-        hop(src, rstride, tables, top, links, out, lanes, b0, b1)
+        run(b0, b1)
         if finish is not None:
             finish(b0, b1)
 
@@ -515,19 +547,56 @@ def _run_blocks(block, count: int, plan, unit: int, rows: tuple,
     return len(tiles)
 
 
-def sweep_blocks(hops, flat: np.ndarray, count: int, store, plan,
+def gather_links(u: np.ndarray, sites: np.ndarray, out=None) -> np.ndarray:
+    """The ``(3, 3, n)`` matrices of the lane-major colour-matrix field
+    ``u`` (``(osites, 3, 3, nlanes)``) at the flat ``sites``, read in
+    place: element ``(a, b)`` of site ``s`` is at ``(s // nlanes) * 9
+    nlanes + (3a + b) nlanes + s % nlanes``."""
+    nl = u.shape[-1]
+    site, lane = np.divmod(sites, nl)
+    rows = (site * (9 * nl) + lane) + np.arange(0, 9 * nl, nl)[:, None]
+    if out is not None:
+        out = out.reshape(9, -1)
+    return np.take(u.reshape(-1), rows, out=out).reshape(3, 3, -1)
+
+
+def _block_links(links, k: int, nbr: np.ndarray, b0: int, b1: int,
+                 buf: np.ndarray) -> np.ndarray:
+    """Hop ``k``'s ``(3, 3, n)`` matrices at output sites ``b0 .. b1 -
+    1``, addressed by the kernel's rule (``hop_cb.c``) from the link
+    operand ``links``: at the output site, as stored, or -- for a
+    ``(mu, -1)`` hop where ``links.back`` -- ``U_mu`` at the block's
+    flat neighbour sites ``nbr``, conjugate-transposed.  Written into
+    ``buf`` where they are not one run of the field."""
+    ll = links.llanes
+    u = links.fields[k].reshape(-1, 3, 3, ll)
+    n = b1 - b0
+    if links.back and k % 2:
+        return np.conj(gather_links(u, nbr).swapaxes(0, 1), out=buf)
+    o, lane = divmod(b0, ll)
+    if lane + n <= ll:  # one run: a view
+        return u[o, :, :, lane:lane + n]
+    # Blocks are whole runs here (``unit`` is the lanes).
+    buf.reshape(3, 3, -1, ll)[...] = np.moveaxis(u[o:b1 // ll], 0, -2)
+    return buf
+
+
+def sweep_blocks(hops, flat: np.ndarray, links, count: int, store, plan,
                  unit: int = 1) -> int:
     """The blocked, tiled sweep over output sites ``0 .. count - 1`` in
     gather-then-project order; returns the number of tiles.
 
-    ``hops`` lists ``(sign, table, links, mu)`` in accumulation order:
+    ``hops`` lists ``(sign, table, mu)`` in accumulation order:
     ``table`` maps output sites to columns of ``flat``, the ``(12, M)``
-    working-layout source, and ``links[..., i]`` is output site ``i``'s
-    link.  Per block and hop the sweep gathers the 12 neighbour rows
-    and accumulates them with :func:`_accumulate_direction`; each
-    finished block's ``(4, 3, n)`` accumulator goes to
-    ``store(acc, b0, b1)``.  Blocks and tiles are whole multiples of
-    ``unit`` sites, and tiles store disjoint sites (:func:`_run_blocks`).
+    working-layout source.  ``links`` is the kernel's link operand
+    (:func:`stored_links`, :func:`inplace_links`); where it reads
+    back-links at the neighbour, ``table`` is also the neighbour's flat
+    site in the link field.  Per block and hop the sweep gathers the 12
+    neighbour rows and the block's matrices (:func:`_block_links`) and
+    accumulates them with :func:`_accumulate_direction`; each finished
+    block's ``(4, 3, n)`` accumulator goes to ``store(acc, b0, b1)``.
+    Blocks and tiles are whole multiples of ``unit`` sites, and tiles
+    store disjoint sites (:func:`_run_blocks`).
 
     Every fused sweep runs this body only where the compiled kernel
     cannot load (:func:`repro.perf.native.kernel` is ``None``), so each
@@ -536,20 +605,22 @@ def sweep_blocks(hops, flat: np.ndarray, count: int, store, plan,
 
     def block(b0, b1, bufs) -> None:
         n = b1 - b0
-        acc, nbr, *scratch = bufs
+        acc, nbr, vbuf, *scratch = bufs
         acc = acc.reshape(4, 3, n)
         acc[...] = 0
+        vbuf = vbuf.reshape(3, 3, n)
         scratch = [b.reshape(2, 3, n) for b in scratch]
-        for sign, table, links, mu in hops:
+        for k, (sign, table, mu) in enumerate(hops):
             # Indices are in range by construction: "clip" skips
             # numpy's buffered bounds-checked copy.
             np.take(flat, table[b0:b1], axis=1, out=nbr, mode="clip")
-            _accumulate_direction(acc, links[:, :, b0:b1],
-                                  nbr.reshape(4, 3, n), mu, sign, scratch)
+            V = _block_links(links, k, table[b0:b1], b0, b1, vbuf)
+            _accumulate_direction(acc, V, nbr.reshape(4, 3, n), mu, sign,
+                                  scratch)
         store(acc, b0, b1)
 
     counters().bump("native_fallbacks")
-    return _run_blocks(block, count, plan, unit, (12, 12, 6, 6, 6),
+    return _run_blocks(block, count, plan, unit, (12, 12, 9, 6, 6, 6),
                        flat.dtype)
 
 

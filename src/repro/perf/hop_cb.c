@@ -37,11 +37,34 @@
  *            (site / nl) * 12 * nl + site % nl;
  *  - tables (8, nout):       per hop, the source offset of each
  *            output site;
- *  - links  (8, 3, 3, nout): per hop, the matrix it applies;
  *  - out:    row r of output site f is written at
  *            (f - f % lanes) * 12 + r * lanes + f % lanes, for sites
  *            b0 .. b1 - 1 only: lanes = nout is the tensor-major
  *            (4, 3, nout) layout, lanes = nl the lane-major one.
+ *
+ * Links, one addressing rule.  Hop k reads the colour-matrix field
+ * links[k], whose element (a, b) at link site s sits, like out's rows,
+ * at (s - s % L) * 9 + (3a + b) * L + s % L with L = llanes: a
+ * lane-major (osites, 3, 3, nl) field has L = nl (the operator's own
+ * U_mu, read in place), a tensor-major (3, 3, M) one L = M.
+ *  - Hop (mu, +1) applies links[k] at the output site, as stored.
+ *  - Hop (mu, -1) does the same where back = 0: the caller stores the
+ *    adjoint back-link per output site (the compact per-parity and
+ *    per-rank arrays).  Where back = 1 it applies U_mu(x - mu)^dagger,
+ *    reading U_mu = links[k] at the neighbour site: the table entry
+ *    t = q * 12 L + r (r < L, rstride = L) of the neighbour's spinor
+ *    names its matrix at q * 9 L + r, and the load conjugate-transposes
+ *    it, V[a][b] = conj(U[b][a]).  Negating the imaginary part is exact
+ *    -- a sign-bit flip, NaNs included -- so V has the bits of numpy's
+ *    np.conj(U).swapaxes(0, 1), and every product with it the bits of
+ *    the reference's.
+ * A sub-block whose sites lie in one run of L (all of it where L >=
+ * nout) reads its matrices where they are stored; one that crosses
+ * runs copies each run's rows into a sub-block buffer first, the way
+ * the store writes them, and neighbour-site back-links are copied
+ * there site by site.  Either way no whole-lattice copy of the links
+ * is made.
+ *
  * The projection is elementwise in sites and a gather is an exact copy,
  * so projecting each gathered neighbour gives the bits of projecting
  * the source first (Grid's compressor order).
@@ -108,15 +131,18 @@
     }
 
 void HOP(const T *src, int64_t rstride, const int64_t *tables,
-         const T *links, T *out, int64_t nout, int64_t lanes, int64_t b0,
-         int64_t b1)
+         const T *const *links, int64_t llanes, int64_t back, T *out,
+         int64_t nout, int64_t lanes, int64_t b0, int64_t b1)
 {
+    /* log2 of the link lanes where they are a power of two, else -1 */
+    const int sh = (llanes & (llanes - 1)) == 0 ? __builtin_ctzll(llanes) : -1;
     for (int64_t s0 = b0; s0 < b1; s0 += SB) {
         const int n = (int)(b1 - s0 < SB ? b1 - s0 : SB);
         ROWS(a, 12);  /* the accumulator */
         ROWS(p, 12);  /* the gathered neighbour */
         ROWS(h, 6);   /* its projection */
         ROWS(w, 6);   /* the link times the projection */
+        T vbuf[9][2 * SB];  /* a sub-block's matrices, where gathered */
         for (int r = 0; r < 12; r++)
             for (int j = 0; j < n; j++)
                 ar[r][j] = ai[r][j] = (T)0;
@@ -158,14 +184,80 @@ void HOP(const T *src, int64_t rstride, const int64_t *tables,
                     PM(h1r, h1i, p1r, p1i, p3r, p3i, fwd)
                 }
             }
+            /* The sub-block's matrices: element (a, b) of site s0 + j
+             * at V + 2 * ((3a + b) * vs + j). */
+            const T *V = &vbuf[0][0];
+            int64_t vs = SB;
+            if (back && !fwd) {
+                /* U_mu at the neighbour, conjugate-transposed. */
+                const T *U = links[k];
+                for (int j = 0; j < n; j++) {
+                    /* q = t / (12 L): for L = 2^sh a shift and a division
+                     * by the constant 12, which compiles to a multiply. */
+                    const int64_t t = tab[j];
+                    const int64_t q = sh >= 0 ? (t >> sh) / 12
+                                              : t / (12 * llanes);
+                    const T *u = U + 2 * (t - 3 * llanes * q);
+                    for (int a = 0; a < 3; a++)
+                        for (int b = 0; b < 3; b++) {
+                            const T *e = u + 2 * (3 * b + a) * llanes;
+                            vbuf[3 * a + b][2 * j] = e[0];
+                            vbuf[3 * a + b][2 * j + 1] = -e[1];
+                        }
+                }
+            } else if (s0 % llanes + n <= llanes) {
+                /* One run: read the matrices where they are stored. */
+                const int64_t lane = s0 % llanes;
+                V = links[k] + 2 * ((s0 - lane) * 9 + lane);
+                vs = llanes;
+            } else {
+                /* Runs of sites that share an outer site, as stored;
+                 * whole runs of a power-of-two L (the full hop's) are
+                 * copied with L known to the compiler. */
+                const int64_t lane0 = s0 % llanes;
+                const T *u0 = links[k] + 2 * ((s0 - lane0) * 9 + lane0);
+#define COPY_RUNS(LL)                                                     \
+    for (int o = 0; o < n / (LL); o++)                                  \
+        for (int e = 0; e < 9; e++)                                     \
+            for (int i = 0; i < 2 * (LL); i++)                          \
+                vbuf[e][2 * (LL) * o + i] =                             \
+                    u0[18 * (LL) * o + 2 * (LL) * e + i];
+                const int whole = lane0 == 0 && n % llanes == 0;
+                if (whole && llanes == 1) {
+                    COPY_RUNS(1)
+                } else if (whole && llanes == 2) {
+                    COPY_RUNS(2)
+                } else if (whole && llanes == 4) {
+                    COPY_RUNS(4)
+                } else if (whole && llanes == 8) {
+                    COPY_RUNS(8)
+                } else if (whole && llanes == 16) {
+                    COPY_RUNS(16)
+                } else {
+                    for (int j = 0; j < n;) {
+                        const int64_t lane = (s0 + j) % llanes;
+                        const int m = (int)(llanes - lane < n - j
+                                            ? llanes - lane : n - j);
+                        const T *u =
+                            links[k] + 2 * ((s0 + j - lane) * 9 + lane);
+                        for (int i = 0; i < m; i++)
+                            for (int e = 0; e < 9; e++) {
+                                vbuf[e][2 * (j + i)] = u[2 * (e * llanes + i)];
+                                vbuf[e][2 * (j + i) + 1] =
+                                    u[2 * (e * llanes + i) + 1];
+                            }
+                        j += m;
+                    }
+                }
+#undef COPY_RUNS
+            }
             /* w[s][a] = ((0 + V[a][0] h[s][0]) + V[a][1] h[s][1])
              *           + V[a][2] h[s][2] */
-            const T *V = links + 2 * (int64_t)k * 9 * nout;
             for (int a = 0; a < 3; a++)
                 for (int s = 0; s < 2; s++) {
                     T *outr = wr[3 * s + a], *outi = wi[3 * s + a];
                     for (int b = 0; b < 3; b++) {
-                        const T *v = V + 2 * ((3 * a + b) * nout + s0);
+                        const T *v = V + 2 * (3 * a + b) * vs;
                         const T *xr = hr[3 * s + b], *xi = hi[3 * s + b];
                         for (int j = 0; j < n; j++) {
                             T tr = MUL_RE(v[2 * j], v[2 * j + 1], xr[j], xi[j]);

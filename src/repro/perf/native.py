@@ -77,8 +77,11 @@ ENTRY = {
 #: The library's trailer: this tag, then the SHA-256 of what precedes it.
 TRAILER = b"repro-hop-cb-sha256"
 
-_ARGTYPES = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
-_ARGTYPES += [ctypes.c_void_p] + [ctypes.c_int64] * 4
+#: Hops per sweep: (mu, +-1) for the four directions.
+NHOPS = 8
+_ARGTYPES = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+             ctypes.POINTER(ctypes.c_void_p), ctypes.c_int64, ctypes.c_int64,
+             ctypes.c_void_p] + [ctypes.c_int64] * 4
 
 _LOCK = threading.Lock()
 #: The process's one load attempt: ``kernels`` (dtype -> bound entry
@@ -281,41 +284,84 @@ def _load() -> dict:
     return state
 
 
+class LinkFields:
+    """The kernel's link operand: the per-hop colour-matrix fields
+    ``fields`` (hop ``k`` in sweep order reads ``fields[k]``), laid out
+    in ``llanes`` lanes, and ``back``: whether each ``(mu, -1)`` hop
+    reads ``U_mu`` at the neighbour, conjugate-transposed as it loads,
+    or -- ``False`` -- its stored adjoint at the output site (see
+    ``hop_cb.c``).
+
+    The fields' dtype, count and contiguity are checked, and their
+    pointers taken, once, here: an operator's links are static, so it
+    makes one and the kernel's per-sweep check is a few comparisons.
+    It holds the fields, so the pointers stay valid while it lives."""
+
+    def __init__(self, fields, llanes: int, back: bool) -> None:
+        self.fields = tuple(fields)
+        self.llanes = int(llanes)
+        self.back = bool(back)
+        dtypes = {u.dtype for u in self.fields}
+        if (len(self.fields) != NHOPS or len(dtypes) != 1
+                or self.llanes <= 0
+                or not all(u.flags.c_contiguous for u in self.fields)):
+            raise ValueError("link fields do not fit the Wilson hop kernel")
+        (self.dtype,) = dtypes
+        self.pointers = (ctypes.c_void_p * NHOPS)(
+            *(u.ctypes.data for u in self.fields))
+        sizes = [u.size for u in self.fields]
+        #: Elements of the smallest field read at the output site, and
+        #: (where ``back``) of the smallest read at the neighbour.
+        self.site_size = min(sizes[0::2] if self.back else sizes)
+        self.nbr_size = min(sizes[1::2]) if self.back else 0
+
+    def fit(self, dtype, n: int, top: int, rstride: int) -> bool:
+        """Whether the fields hold every matrix a sweep over ``n`` output
+        sites addresses through tables whose largest entry is ``top``,
+        on a source of row stride ``rstride``."""
+        ll = self.llanes
+        return (self.dtype == dtype and n % ll == 0
+                and self.site_size >= 9 * n
+                # The neighbour at entry t = q * 12 L + r reads q * 9 L + r.
+                and (not self.back or (rstride == ll and self.nbr_size
+                                       >= (top // (12 * ll) + 1) * 9 * ll)))
+
+
 def _bind(fn, dtype: np.dtype):
     """The Python face of one entry point (see :func:`kernel`): checks
-    each operand's dtype, shape and contiguity, and that ``src`` holds
-    every element the tables address, before passing its pointer."""
+    each operand's dtype, shape and contiguity, and that ``src`` and the
+    link fields hold every element the tables address, before binding
+    their pointers to the calls over a sweep's blocks."""
     fn.restype, fn.argtypes = None, _ARGTYPES
 
-    def hop(src, rstride: int, tables, top: int, links, out, lanes: int,
-            b0: int, b1: int) -> None:
+    def bind(src, rstride: int, tables, top: int, links: LinkFields, out,
+             lanes: int):
         n = tables.shape[-1]
         if not (
-            src.dtype == links.dtype == out.dtype == dtype
+            src.dtype == out.dtype == dtype
             and tables.dtype == np.int64
-            and tables.shape == (8, n)
-            and links.shape == (8, 3, 3, n)
+            and tables.shape == (NHOPS, n)
             and out.size == 12 * n
-            and all(a.flags.c_contiguous for a in (src, tables, links, out))
+            and all(a.flags.c_contiguous for a in (src, tables, out))
             and 0 < rstride and 0 <= top
             and top + 11 * rstride < src.size
             and 0 < lanes and n % lanes == 0
-            and 0 <= b0 <= b1 <= n
+            and links.fit(dtype, n, top, rstride)
         ):
             raise ValueError("operands do not fit the Wilson hop kernel")
-        fn(
-            src.ctypes.data,
-            rstride,
-            tables.ctypes.data,
-            links.ctypes.data,
-            out.ctypes.data,
-            n,
-            lanes,
-            b0,
-            b1,
-        )
+        args = (src.ctypes.data, rstride, tables.ctypes.data, links.pointers,
+                links.llanes, int(links.back), out.ctypes.data, n, lanes)
 
-    return hop
+        def run(b0: int, b1: int) -> None:
+            if not 0 <= b0 <= b1 <= n:
+                raise ValueError("operands do not fit the Wilson hop kernel")
+            fn(*args, b0, b1)
+
+        # The pointers are only valid while the arrays live.
+        run.operands = (src, tables, links, out)
+        return run
+
+    return bind
 
 
 def _state() -> dict:
@@ -330,17 +376,22 @@ def kernel(dtype):
     sweep must run (:func:`status` says why).  Builds or loads the
     library on the first call in the process.
 
-    The kernel is ``hop(src, rstride, tables, top, links, out, lanes,
-    b0, b1)``: through the ``(8, n)`` int64 ``tables`` (whose largest
-    entry is ``top``, computed when they were built) and the
-    ``(8, 3, 3, n)`` ``links`` it writes output sites ``b0 .. b1 - 1``
-    of ``out`` (``12 n`` elements), reading row ``r`` of the neighbour
-    at table entry ``t`` from ``src.flat[r * rstride + t]``; ``lanes``
-    picks the output layout (``n`` for tensor-major ``(4, 3, n)``, the
-    grid's ``nlanes`` for lane-major ``(osites, 4, 3, nlanes)``; see
-    ``hop_cb.c``).  All four arrays are C-contiguous.  It holds no
-    lock, so tiles may call it concurrently on disjoint sites; ctypes
-    releases the GIL for the call."""
+    The kernel is ``hop(src, rstride, tables, top, links, out, lanes)``,
+    which checks the operands once and returns ``run(b0, b1)``: through
+    the ``(8, n)`` int64 ``tables`` (whose largest entry is ``top``,
+    computed when they were built) and the :class:`LinkFields`
+    ``links``, each call writes output sites
+    ``b0 .. b1 - 1`` of ``out`` (``12 n`` elements), reading row ``r``
+    of the neighbour at table entry ``t`` from ``src.flat[r * rstride +
+    t]``; ``lanes`` picks the output layout
+    (``n`` for tensor-major ``(4, 3, n)``, the grid's ``nlanes`` for
+    lane-major ``(osites, 4, 3, nlanes)``).  The link fields are laid
+    out by the same rule in their own lanes; where their back-links are
+    read at the neighbour, the source shares those lanes
+    (``rstride == links.llanes``); see ``hop_cb.c``.  All arrays are
+    C-contiguous.  ``run`` holds no lock, so tiles may
+    call it concurrently on disjoint sites; ctypes releases the GIL for
+    the call."""
     return _state()["kernels"].get(np.dtype(dtype))
 
 

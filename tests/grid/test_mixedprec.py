@@ -250,9 +250,9 @@ class TestSchurTwin:
         assert res.converged
         assert single_precision_twin(schur) is twin
         # The twin only hops between parities: it holds the two
-        # parities' hop lists and no full-order working links.
+        # parities' hop lists and no full hop's tables.
         dirac32 = twin[0].dirac
-        assert dirac32._sweep_links is None
+        assert dirac32._sweep_tables is None
         assert sorted(dirac32._links_cb) == ["even", "odd"]
 
     def test_two_full_mixed_solves_build_one_twin(self, monkeypatch):

@@ -18,6 +18,7 @@ import pytest
 import repro.engine as engine
 import repro.telemetry as telemetry
 from repro.grid.cartesian import GridCartesian, GridRedBlack
+from repro.grid.cshift import cshift
 from repro.grid.evenodd import SchurWilson
 from repro.grid.lattice import Lattice
 from repro.grid.propagator import point_source
@@ -169,15 +170,17 @@ class TestCheckerboardHop:
 
     def test_builds_one_slice_pair_per_parity(self):
         """The first hop onto a parity builds its stacked hop arrays —
-        the parity tables and the full-order links at that parity's
-        sites, in sweep order — without building the full-order links;
-        later hops build nothing."""
+        the parity tables and the links at that parity's sites, in sweep
+        order — and no other copy of the links; later hops build
+        nothing."""
         dirac, psi = _operator("generic256", (4, 4, 4, 8))
         halves = [red_black(dirac.grid, p).pick(psi) for p in ("odd", "even")]
         for half in halves:
             dirac.dhop_cb(half)
         assert sorted(dirac._links_cb) == ["even", "odd"]
-        assert dirac._sweep_links is None
+        assert [k for k, v in vars(dirac).items()
+                if isinstance(v, np.ndarray)] == []
+        assert dirac._sweep_tables is dirac._links_back_lm is None
         before = dict(vars(dirac))
         arrays = {p: list(hops) for p, hops in dirac._links_cb.items()}
         for half in halves:
@@ -186,14 +189,20 @@ class TestCheckerboardHop:
         assert all(vars(dirac)[k] is v for k, v in before.items())
         for p, items in arrays.items():
             assert all(a is b for a, b in zip(dirac._links_cb[p], items))
-        full = dirac._full_links()
-        assert full.shape == (8, 3, 3, dirac.grid.lsites)
-        for p, (tables, top, stacked) in dirac._links_cb.items():
+        # U_mu, then the adjoint of the cshift-gathered back-link.
+        full = []
+        for mu, u in enumerate(dirac.links):
+            full.append(fused.to_working(u.data))
+            full.append(fused.adjoint(fused.to_working(
+                cshift(u, mu, -1).data)))
+        for p, (tables, top, links) in dirac._links_cb.items():
             sites = red_black(dirac.grid, p).sites
+            stacked = links.fields[0].base
             assert tables.shape == (8, sites.size)
             assert tables.dtype == np.int64 and top == tables.max()
             assert stacked.shape == (8, 3, 3, sites.size)
             assert tables.flags.c_contiguous and stacked.flags.c_contiguous
+            assert not links.back and links.llanes == sites.size
             order = [(mu, sign) for mu in range(4) for sign in (+1, -1)]
             for k, (mu, sign) in enumerate(order):
                 assert np.array_equal(tables[k], parity_neighbour_table(

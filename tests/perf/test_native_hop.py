@@ -256,6 +256,7 @@ class TestIR:
         half = red_black(dirac.grid, "odd").pick(psi)
         target = red_black(dirac.grid, "even")
         tables, _top, links = dirac._cb_hops(target)
+        links = links.fields
         src = np.moveaxis(half.data.reshape(4, 3, -1), -1, 0)
         acc = np.zeros((tables.shape[1], 4, 3), dtype=dtype)
         for k in range(8):
@@ -307,11 +308,17 @@ class TestFullHop:
     @pytest.mark.parametrize("block", (1, 7, 100))
     @pytest.mark.parametrize("workers", (1, 2))
     def test_ragged_blocks(self, block, workers, monkeypatch):
-        dirac, psi = _operator("generic512", (4, 2, 6, 4), source="point")
-        want = _layered(dirac, psi)
-        monkeypatch.setattr(fused, "BLOCK_SITES", block)
-        got = _native_full(dirac, psi, workers=workers, tile_min_sites=16)
-        assert got.tobytes() == want.tobytes()
+        """Every width (1 to 16 lanes, so runs of links of every
+        length) and both precisions."""
+        for backend in ALL_BACKENDS:
+            for dtype in DTYPES:
+                dirac, psi = _operator(backend, (4, 2, 6, 4), dtype, "point")
+                want = _layered(dirac, psi)
+                with monkeypatch.context() as mp:
+                    mp.setattr(fused, "BLOCK_SITES", block)
+                    got = _native_full(dirac, psi, workers=workers,
+                                       tile_min_sites=16)
+                assert got.tobytes() == want.tobytes(), (backend, dtype)
 
     def test_nan_collisions_differ_in_payload_only(self):
         """As for the checkerboard hop: only where two NaNs meet may
@@ -334,7 +341,7 @@ class TestFullHop:
         dirac, psi = _operator("generic256", (4, 4, 4, 8))
         assert dirac._sweep_tables is None
         dirac.dhop(psi)
-        tables, top = dirac._sweep_tables
+        tables, top, _links = dirac._sweep_tables
         assert tables.dtype == np.int64 and tables.shape == (8, psi.data.size
                                                              // 12)
         assert top == tables.max()
@@ -348,6 +355,149 @@ class TestFullHop:
         assert bodies == ["body"]  # the block loop, no entry transpose
         assert dirac._sweep_tables[0] is tables
         assert got.tobytes() == _layered(dirac, psi).tobytes()
+
+
+def _special_links(dirac, seed: int) -> None:
+    """Put ±0, subnormals, ±inf and NaNs of either sign into the real
+    and imaginary parts of a few links of every direction, in place."""
+    rng = np.random.default_rng(seed)
+    real = dirac.grid.dtype.type(0).real.dtype.type
+    tiny = np.finfo(real).smallest_subnormal
+    nan = np.float64(np.nan)
+    values = (0.0, -0.0, tiny, -3 * tiny, np.inf, -np.inf, nan, -nan)
+    for u in dirac.links:
+        parts = u.data.view(real).reshape(-1)
+        for i, k in enumerate(rng.choice(parts.size, 48, replace=False)):
+            parts[k] = real(values[i % len(values)])
+
+
+def _stored_snapshot(dirac) -> np.ndarray:
+    """The full hop's matrices as the kernel applied them before it read
+    the links in place: ``(8, 3, 3, N)`` in sweep order, each ``U_mu``,
+    then ``np.conj`` of the back-link gathered by ``cshift``, swapped."""
+    from repro.grid.cshift import cshift
+
+    stacked = []
+    for mu, u in enumerate(dirac.links):
+        back = fused.to_working(cshift(u, mu, -1).data)
+        stacked += [fused.to_working(u.data),
+                    np.conj(back).swapaxes(0, 1)]
+    return np.ascontiguousarray(np.stack(stacked))
+
+
+def _held_arrays(obj) -> list:
+    """Every ndarray ``obj``'s attributes hold, directly or inside
+    dicts, lists, tuples and link operands."""
+    found, todo = [], list(vars(obj).values())
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, dict):
+            todo.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            todo.extend(item)
+        elif isinstance(item, native.LinkFields):
+            todo.extend(vars(item).values())
+    return found
+
+
+class TestInPlaceLinks:
+    """The full hop reads ``U_mu`` in place: at the output site for
+    ``+mu``, at the neighbour and conjugate-transposed as it loads for
+    ``-mu``.  No copy of the gauge field is made or kept."""
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=("c128", "c64"))
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_conj_on_load_is_np_conj(self, backend, dtype):
+        """Special values in forward and back-link positions: the same
+        kernel over an ``np.conj`` snapshot of the links gives the same
+        bytes, NaN payloads included (the operands and operations are
+        the same); the numpy body agrees but where two NaNs meet."""
+        dirac, psi = _operator(backend, (4, 4, 4, 8), dtype, "zeros")
+        _special_links(dirac, seed=3)
+        got = _native_full(dirac, psi)
+        nl = dirac.grid.nlanes
+        tables, top, _links = dirac._full_hop()
+        snapshot = np.empty_like(got)
+        hop = native.kernel(dtype)
+        hop(psi.data, nl, tables, top, fused.stored_links(
+            _stored_snapshot(dirac)), snapshot, nl)(0, tables.shape[-1])
+        assert np.isnan(got.view(got.real.dtype)).any()
+        assert got.tobytes() == snapshot.tobytes()
+        _assert_matches_layered(got, _numpy_body(lambda: dirac.dhop(psi)).data)
+        _assert_matches_layered(got, _layered(dirac, psi))
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=("c128", "c64"))
+    def test_numpy_body_reads_links_in_place(self, dtype):
+        """The no-compiler full hop builds each block's matrices as it
+        goes and equals the layered reference byte for byte, also with
+        signed zeros and subnormals in the links."""
+        dirac, psi = _operator("generic512", (4, 4, 4, 8), dtype, "point")
+        for u in dirac.links:
+            parts = u.data.view(u.data.real.dtype).reshape(-1)
+            parts[::7] = -0.0
+            parts[3::11] = np.finfo(parts.dtype).smallest_subnormal
+        with engine.scope(workers=2, tile_min_sites=16):
+            got = _numpy_body(lambda: _counted(lambda: dirac.dhop(psi), 0, 1))
+        assert got.data.tobytes() == _layered(dirac, psi).tobytes()
+
+    @pytest.mark.parametrize("kernel", ("native", "reference"))
+    def test_no_whole_lattice_copy(self, kernel):
+        """After full and checkerboard hops the operator holds no
+        complex array but its own links and the per-parity checkerboard
+        arrays, on either route."""
+        dirac, psi = _operator("generic256", (4, 4, 4, 8))
+
+        def hops():
+            dirac.dhop(psi)
+            for half in _halves(dirac, psi):
+                dirac.dhop_cb(half)
+
+        if kernel == "native":
+            hops()
+        else:
+            _numpy_body(hops)
+        held = [a for a in _held_arrays(dirac) if np.iscomplexobj(a)]
+        own = {id(u.data) for u in dirac.links}
+        cb = {id(links.fields[0].base): links.fields[0].base
+              for _tables, _top, links in dirac._links_cb.values()}
+        assert len(cb) == 2 and held
+        for a in held:
+            assert id(a) in own or id(a.base) in cb
+        for stacked in cb.values():
+            assert stacked.shape == (8, 3, 3, dirac.grid.lsites // 2)
+
+    def test_first_hop_allocates_less_than_a_gauge_field(self):
+        """The first compiled hop of a fresh 8^4 operator -- tables,
+        output and all -- allocates less than one gauge field, so a
+        link snapshot cannot come back unnoticed."""
+        import tracemalloc
+
+        # The process's one-off costs first: the library and its probe.
+        _native_full(*_operator("generic256", (4, 4, 4, 4)))
+        dirac, psi = _operator("generic256", (8, 8, 8, 8))
+        gauge = sum(u.data.nbytes for u in dirac.links)
+        tracemalloc.start()
+        try:
+            _native_full(dirac, psi)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < gauge
+
+    def test_tables_bypass_the_neighbour_memo(self):
+        """The compiled full hop builds its offset tables straight from
+        the stencil's derivation: no (mu, -1) table lands in the grid's
+        memo, and tables plus memo stay within 96 bytes a site (6 MiB
+        at 16^4)."""
+        dirac, psi = _operator("generic256", (8, 8, 8, 8))
+        _native_full(dirac, psi)
+        memo = dirac.grid.__dict__.get("_nbr_tables", {})
+        assert not [key for key in memo if key[1] == -1]
+        tables, _top, _links = dirac._full_hop()
+        spent = tables.nbytes + sum(t.nbytes for t in memo.values())
+        assert spent <= 96 * dirac.grid.lsites
 
 
 class TestReferenceRoute:
@@ -546,17 +696,57 @@ def test_kernel_rejects_operands_that_do_not_fit():
     n = src.shape[-1]
     hop = native.kernel(np.complex128)
     fits = dict(src=src, rstride=n, tables=tables, top=top, links=links,
-                out=np.empty_like(src), lanes=n, b0=0, b1=n)
-    hop(**fits)
+                out=np.empty_like(src), lanes=n)
+    fields = links.fields
+    run = hop(**fits)
+    run(0, n)
+    for b0, b1 in ((0, n + 1), (-1, n), (2, 1)):
+        with pytest.raises(ValueError, match="do not fit"):
+            run(b0, b1)
     for bad in (dict(out=np.empty(src.shape, np.complex64)),
                 dict(tables=tables.astype(np.int32)),
                 dict(src=np.asfortranarray(src)),
-                dict(b1=n + 1),
                 dict(lanes=3),
                 dict(out=np.empty((4, 3, n - 1), np.complex128)),
                 # a source too short for its tables
                 dict(src=src[:, :, :top].copy(), rstride=top),
                 dict(src=src.reshape(-1)[:-1].copy()),
-                dict(rstride=n + 1)):
+                dict(rstride=n + 1),
+                # link fields too short, of the wrong dtype, or laid out
+                # in lanes that do not divide the output sites
+                dict(links=native.LinkFields(
+                    fields[:-1] + (fields[-1][:, :, :-1].copy(),), n, False)),
+                dict(links=native.LinkFields(
+                    [u.astype(np.complex64) for u in fields], n, False)),
+                dict(links=native.LinkFields(fields, n + 1, False)),
+                # back-links read at the neighbour need the source's
+                # layout
+                dict(links=native.LinkFields(fields, n // 2, True))):
+        with pytest.raises(ValueError, match="do not fit"):
+            hop(**dict(fits, **bad))
+    # Too few fields, not contiguous, or of mixed dtypes: no operand.
+    for bad in (fields[:-1], [np.asfortranarray(u) for u in fields],
+                fields[:-1] + (fields[-1].astype(np.complex64),)):
+        with pytest.raises(ValueError, match="do not fit"):
+            native.LinkFields(bad, n, False)
+
+
+def test_kernel_rejects_links_too_short_for_the_back_links():
+    """In place, a ``(mu, -1)`` field must hold the matrix of the
+    largest table entry's site, and every field the output sites."""
+    dirac, psi = _operator("generic256", (4, 4, 4, 4))
+    tables, top, links = dirac._full_hop()
+    assert links.back
+    nl = links.llanes
+    hop = native.kernel(np.complex128)
+    fits = dict(src=psi.data, rstride=nl, tables=tables, top=top,
+                links=links, out=np.empty_like(psi.data), lanes=nl)
+    hop(**fits)(0, 1)
+    # One outer site short: the last site's matrices are missing.
+    short = [u[:-1].copy() for u in links.fields]
+    back_short = [u if k % 2 == 0 else short[k]
+                  for k, u in enumerate(links.fields)]
+    for bad in (short, back_short):
+        bad = dict(links=native.LinkFields(bad, nl, True))
         with pytest.raises(ValueError, match="do not fit"):
             hop(**dict(fits, **bad))
