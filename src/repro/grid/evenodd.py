@@ -31,32 +31,12 @@ sweeps compound.
 
 from __future__ import annotations
 
-from functools import partial
-
-import numpy as np
-
 from repro.engine.plan import fused_safe_backend
 from repro.grid.lattice import Lattice
 from repro.grid.solver import SolverResult
 from repro.grid.stencil import red_black
 from repro.grid.wilson import SPINOR, WilsonDirac
-
-
-def _minus_half(acc, b0, b1) -> None:
-    """The off-diagonal blocks' ``* (-1/2)`` on one block of a hop's
-    output, in place: ``Lattice.__mul__``'s own operation."""
-    np.multiply(acc, acc.dtype.type(-0.5), out=acc)
-
-
-def _schur_diagonal(diag: float, psi, acc, b0, b1) -> None:
-    """``(psi * diag) - (hop * (-1/2)) * (1/diag)`` on one block of the
-    Schur operator's second hop, in place: the Lattice expression of
-    :meth:`SchurWilson.schur`, operation for operation.  ``psi`` is the
-    source half field in the working layout ``(4, 3, N/2)``."""
-    t = acc.dtype.type
-    _minus_half(acc, b0, b1)
-    np.multiply(acc, t(1.0 / diag), out=acc)
-    np.subtract(psi[:, :, b0:b1] * t(diag), acc, out=acc)
+from repro.perf.native import STORE_BLOCK, STORE_SCHUR
 
 
 class SchurWilson:
@@ -78,10 +58,11 @@ class SchurWilson:
     over it shares them.
 
     Where the backend's arithmetic is plain numpy, the scalar algebra
-    of the off-diagonal blocks and of ``S`` folds into the hops' block
-    stores (:meth:`repro.grid.wilson.WilsonDirac.dhop_cb`'s ``tail``):
-    the same IEEE operations in the same order, with no whole-field
-    temporaries.  Other backends run it as Lattice algebra.
+    of the off-diagonal blocks and of ``S`` runs in the hops' stores
+    (:meth:`repro.grid.wilson.WilsonDirac.dhop_cb`, compiled in
+    ``hop_cb.c``): the Lattice algebra's IEEE operations in its order,
+    with no whole-field temporaries, so ``S`` is two sweeps and nothing
+    else.  Other backends run it as Lattice algebra.
     """
 
     def __init__(self, dirac: WilsonDirac) -> None:
@@ -113,7 +94,7 @@ class SchurWilson:
         """The off-diagonal block action: ``-(1/2) D_h psi``, from one
         parity's half field onto the other's."""
         if self._fold:
-            return self.dirac.dhop_cb(psi, tail=_minus_half)
+            return self.dirac.dhop_cb(psi, STORE_BLOCK)
         return self.dirac.dhop_cb(psi) * (-0.5)
 
     # ------------------------------------------------------------------
@@ -123,9 +104,7 @@ class SchurWilson:
         """``S psi_o = (4+m) psi_o - Moe Mee^-1 Meo psi_o``."""
         meo = self._hop(psi_o)
         if self._fold:
-            work = psi_o.data.reshape(SPINOR + (-1,))
-            return self.dirac.dhop_cb(
-                meo, tail=partial(_schur_diagonal, self.diag, work))
+            return self.dirac.dhop_cb(meo, STORE_SCHUR, psi_o, self.diag)
         moe = self._hop(meo)
         return psi_o * self.diag - moe * (1.0 / self.diag)
 

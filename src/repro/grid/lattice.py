@@ -8,6 +8,14 @@ checkerboard fields are stored tensor-major instead
 shape.  All arithmetic routes
 through the grid's SIMD backend, the machine-specific layer the paper
 ports.
+
+Arithmetic wraps the backend's result as a field as it stands
+(:meth:`Lattice.wrap`), skipping the constructor's shape check and
+``asarray`` cast.  That is safe because the operands are fields, whose
+data the constructor already checked (and ``_check_compatible`` pairs
+them), and every backend operation returns a new array of its field
+operand's shape and dtype (a scalar is cast to that dtype first), so
+the check could only repeat itself.
 """
 
 from __future__ import annotations
@@ -39,6 +47,17 @@ class Lattice:
                 )
             self.data = data
 
+    @classmethod
+    def wrap(cls, grid: GridCartesian, tensor_shape: tuple,
+             data: np.ndarray) -> "Lattice":
+        """A field over ``data`` as it stands, without the
+        constructor's shape check and ``asarray`` cast: for arrays made
+        from fields already checked, in their grid's shape and dtype,
+        with ``tensor_shape`` a tuple of ints."""
+        lat = cls.__new__(cls)
+        lat.grid, lat.tensor_shape, lat.data = grid, tensor_shape, data
+        return lat
+
     # ------------------------------------------------------------------
     # Constructors / copies
     # ------------------------------------------------------------------
@@ -46,7 +65,7 @@ class Lattice:
         return Lattice(self.grid, self.tensor_shape)
 
     def copy(self) -> "Lattice":
-        return Lattice(self.grid, self.tensor_shape, self.data.copy())
+        return Lattice.wrap(self.grid, self.tensor_shape, self.data.copy())
 
     @property
     def backend(self):
@@ -69,21 +88,21 @@ class Lattice:
 
     def __add__(self, other: "Lattice") -> "Lattice":
         self._check_compatible(other)
-        return Lattice(self.grid, self.tensor_shape,
-                       self.backend.add(self.data, other.data))
+        return Lattice.wrap(self.grid, self.tensor_shape,
+                            self.backend.add(self.data, other.data))
 
     def __sub__(self, other: "Lattice") -> "Lattice":
         self._check_compatible(other)
-        return Lattice(self.grid, self.tensor_shape,
-                       self.backend.sub(self.data, other.data))
+        return Lattice.wrap(self.grid, self.tensor_shape,
+                            self.backend.sub(self.data, other.data))
 
     def __neg__(self) -> "Lattice":
-        return Lattice(self.grid, self.tensor_shape,
-                       self.backend.neg(self.data))
+        return Lattice.wrap(self.grid, self.tensor_shape,
+                            self.backend.neg(self.data))
 
     def __mul__(self, scalar) -> "Lattice":
-        return Lattice(self.grid, self.tensor_shape,
-                       self.backend.scale(self.data, scalar))
+        return Lattice.wrap(self.grid, self.tensor_shape,
+                            self.backend.scale(self.data, scalar))
 
     __rmul__ = __mul__
 
@@ -93,8 +112,8 @@ class Lattice:
         return self + x * a
 
     def conj(self) -> "Lattice":
-        return Lattice(self.grid, self.tensor_shape,
-                       self.backend.conj(self.data))
+        return Lattice.wrap(self.grid, self.tensor_shape,
+                            self.backend.conj(self.data))
 
     # ------------------------------------------------------------------
     # Reductions

@@ -38,8 +38,8 @@ from repro.grid.stencil import (
 from repro.grid.tensor import su3_dagger_mul_vec, su3_mul_vec
 from repro.perf import native
 from repro.perf.fused import (
-    fused_dhop, fused_dhop_cb, gather_links, inplace_links, stored_links,
-    sweep_order,
+    Sweep, fused_dhop, fused_dhop_cb, gather_links, inplace_links,
+    store_block, stored_links, sweep_order,
 )
 
 #: Spinor tensor shape: (spin, colour).
@@ -125,10 +125,10 @@ class WilsonDirac:
                     out=links[2 * mu + 1])
         return links
 
-    def _full_hop(self) -> tuple:
-        """The compiled full hop's operands: ``(tables, top, links)``,
-        the gather tables, their largest entry and the in-place link
-        operand (:func:`~repro.perf.fused.inplace_links`, the lane-major
+    def _full_hop(self) -> Sweep:
+        """The compiled full hop's :class:`~repro.perf.fused.Sweep`:
+        gather tables and the in-place link operand
+        (:func:`~repro.perf.fused.inplace_links`, the lane-major
         ``U_mu`` themselves), where ``tables[k, f]`` is the offset,
         in the lane-major ``(osites, 4, 3, nlanes)`` field, of row 0 of
         flat site ``f``'s neighbour in hop ``k`` (sweep order) --
@@ -140,34 +140,38 @@ class WilsonDirac:
         are not kept in the grid's memo beside them."""
         if self._sweep_tables is None:
             nl = self.grid.nlanes
-            tables = np.empty((2 * self.grid.ndim, self.grid.osites * nl),
-                              dtype=np.int64)
+            n = self.grid.osites * nl
+            tables = np.empty((2 * self.grid.ndim, n), dtype=np.int64)
             for k, (mu, sign) in enumerate(sweep_order(self.grid.ndim)):
                 site, lane = np.divmod(
                     _neighbour_table(self.grid, mu, sign), nl)
                 np.add(site * (12 * nl), lane, out=tables[k])
-            self._sweep_tables = (tables, int(tables.max()),
-                                  inplace_links(self.links))
+            self._sweep_tables = Sweep(
+                tables, tables.max(), inplace_links(self.links),
+                rstride=nl, lanes=nl, unit=nl, src_size=12 * n)
         return self._sweep_tables
 
-    def _cb_hops(self, target: GridRedBlack) -> tuple:
-        """The checkerboard hop onto the half grid ``target``:
-        ``(tables, top, links)``, where ``tables[k]`` is hop ``k``'s
-        :func:`~repro.grid.stencil.parity_neighbour_table` (sweep order:
-        mu ascending, +1 before -1), ``top`` its largest entry and
-        ``links.fields[k]`` the matrix the hop applies at
-        ``target.sites`` (:meth:`_stack_links`, as a
-        :func:`~repro.perf.fused.stored_links` operand), as contiguous
-        ``(8, N/2)`` and ``(8, 3, 3, N/2)`` arrays.  Built on the first
-        hop onto that parity."""
+    def _cb_hops(self, target: GridRedBlack) -> Sweep:
+        """The checkerboard hop onto the half grid ``target``, as a
+        :class:`~repro.perf.fused.Sweep` over contiguous ``(8, N/2)``
+        tables and ``(8, 3, 3, N/2)`` links: ``tables[k]`` is hop
+        ``k``'s :func:`~repro.grid.stencil.parity_neighbour_table`
+        (sweep order: mu ascending, +1 before -1) and ``links.fields[k]``
+        the matrix the hop applies at ``target.sites``
+        (:meth:`_stack_links`, as a
+        :func:`~repro.perf.fused.stored_links` operand).  Source and
+        output are tensor-major half fields of ``N/2`` sites.  Built on
+        the first hop onto that parity; the kernel binds it once."""
         hops = self._links_cb.get(target.parity)
         if hops is None:
             tables = np.stack([parity_neighbour_table(
                 self.grid, target.parity, mu, sign).astype(np.int64)
                 for mu, sign in sweep_order(self.grid.ndim)])
-            hops = self._links_cb[target.parity] = (
-                tables, int(tables.max()),
-                stored_links(self._stack_links(target.sites)))
+            n = tables.shape[-1]
+            hops = self._links_cb[target.parity] = Sweep(
+                tables, tables.max(),
+                stored_links(self._stack_links(target.sites)),
+                rstride=n, lanes=n, unit=target.nlanes, src_size=12 * n)
         return hops
 
     # ------------------------------------------------------------------
@@ -234,7 +238,8 @@ class WilsonDirac:
             out.data[...] = be.add(acc, full)
         return out
 
-    def dhop_cb(self, psi: Lattice, tail=None) -> Lattice:
+    def dhop_cb(self, psi: Lattice, store: int = native.STORE_HOP,
+                x: Lattice = None, diag: float = 1.0) -> Lattice:
         """One checkerboard hop: ``D_h`` applied to the half field
         ``psi`` (one parity, see :class:`repro.grid.cartesian.
         GridRedBlack`), returned as the other parity's half field.
@@ -252,22 +257,39 @@ class WilsonDirac:
         that ran and the ``contraction`` key of numpy's complex
         multiply.
 
-        ``tail(acc, b0, b1)``, if given, finishes the output in place
-        with numpy operations: on the sweep block by block, as each
-        ``(4, 3, n)`` block of sites ``b0 .. b1 - 1`` completes; on the
-        reference route once, over all sites.
+        ``store`` picks what the sweep writes (``hop_cb.c``'s store):
+        ``D_h psi`` itself (``STORE_HOP``), the even-odd matrix's
+        off-diagonal block ``D_h psi * (-1/2)`` (``STORE_BLOCK``), or
+        the Schur operator ``(x * diag) - ((D_h psi * (-1/2)) *
+        (1/diag))`` (``STORE_SCHUR``), whose source ``x`` is a half
+        field of the target parity.  Each step is the Lattice algebra's
+        numpy operation in its order, so the result is byte for byte
+        that expression over the plain hop, computed in the sweep's
+        store with no whole-field temporary; on the reference route the
+        same steps run once over all sites
+        (:func:`repro.perf.fused.store_block`).  An ``x`` or ``store``
+        that does not fit raises the kernel's ``ValueError``.
         """
-        if not isinstance(psi.grid, GridRedBlack) \
-                or psi.grid.full.odims != self.grid.odims \
+        grid = psi.grid
+        if not isinstance(grid, GridRedBlack) \
+                or grid.full.odims != self.grid.odims \
                 or psi.tensor_shape != SPINOR:
             raise ValueError("dhop_cb acts on half-volume spinors of "
                              "this operator's grid")
-        target = red_black(self.grid, "even" if psi.grid.parity == "odd"
+        target = red_black(self.grid, "even" if grid.parity == "odd"
                            else "odd")
+        schur = store == native.STORE_SCHUR
+        if store not in native.STORES or (x is not None) != schur \
+                or schur and not (isinstance(x.grid, GridRedBlack)
+                                  and x.grid.parity == target.parity
+                                  and x.grid.full.odims == self.grid.odims
+                                  and x.tensor_shape == SPINOR):
+            raise ValueError(native.MISFIT)
         plan = kernel_plan(self.grid, "dhop")
         hop = self._kernel(plan)
         if not _telemetry.tracing():
-            return self._dhop_cb_impl(psi, target, tail, plan, hop)
+            return self._dhop_cb_impl(psi, target, plan, hop, store, x,
+                                      diag)
         with _telemetry.span(
             "dhop.cb",
             sites=target.osites * target.nlanes,
@@ -278,19 +300,20 @@ class WilsonDirac:
             kernel="reference" if hop is None else "native",
             contraction=native.contraction_key(self.grid.dtype),
         ):
-            return self._dhop_cb_impl(psi, target, tail, plan, hop)
+            return self._dhop_cb_impl(psi, target, plan, hop, store, x,
+                                      diag)
 
-    def _dhop_cb_impl(self, psi: Lattice, target, tail, plan,
-                      hop) -> Lattice:
+    def _dhop_cb_impl(self, psi: Lattice, target, plan, hop, store, x,
+                      diag) -> Lattice:
         if plan.fused and self._fused:
             return fused_dhop_cb(self, psi, target, hop=hop, plan=plan,
-                                 tail=tail)
+                                 store=store, x=x, diag=diag)
         # The reference: the layered sweep of the embedded field (its
         # dispatch, not its span — the hop is traced once, above).
         out = target.pick(self._dhop_impl(psi.grid.embed(psi), plan, None))
-        if tail is not None:
-            work = out.data.reshape(SPINOR + (-1,))
-            tail(work, 0, work.shape[-1])
+        work = out.data.reshape(SPINOR + (-1,))
+        store_block(store, work, work, None if x is None
+                    else x.data.reshape(work.shape), diag)
         return out
 
     def apply(self, psi: Lattice) -> Lattice:

@@ -14,11 +14,13 @@ expressions.
 (:func:`fused_dhop_cb`) and the distributed halo sweep, in process
 (:func:`repro.grid.dist_wilson.halo_dhop`) and in the shared-memory
 rank workers (:mod:`repro.grid.comms.shmem`) -- runs one call of a
-compiled C kernel per block of output sites (:func:`native_sweep`;
-:mod:`repro.perf.native`, ``hop_cb.c``).  Per output site and
-(mu, ±1), in sweep order (:func:`sweep_order`), it gathers the
-neighbour through an ``(8, n)`` table, spin-projects it, multiplies by
-the link and reconstructs into the block.  Every sweep hands the
+compiled C kernel per block of output sites (:meth:`Sweep.run`;
+:mod:`repro.perf.native`, ``hop_cb.c``).  An operator keeps one
+:class:`Sweep` per route, whose tables and links the kernel checks
+once and binds; each call checks only its source and output.  Per
+output site and (mu, ±1), in sweep order (:func:`sweep_order`), it
+gathers the neighbour through an ``(8, n)`` table, spin-projects it,
+multiplies by the link and reconstructs into the block.  Every sweep hands the
 kernel its links by one addressing rule (``hop_cb.c``), as a *link
 operand*: the full hop reads the operator's lane-major ``U_mu`` in
 place, at the output site for ``+mu`` and at the neighbour,
@@ -45,7 +47,13 @@ writes its output in either of two layouts:
 
 The kernel states numpy's arithmetic -- the contract below, with each
 complex product contracted the way numpy's ``multiply`` contracts on
-the host -- so its bytes are those of the numpy block body.
+the host -- so its bytes are those of the numpy block body.  Its store
+also states the even-odd blocks' scalar algebra (:func:`store_block`):
+the checkerboard hop writes ``D_h psi``, the off-diagonal block
+``D_h psi * (-1/2)`` or the Schur operator ``x * d - (D_h psi *
+(-1/2)) * (1/d)``, the Lattice expressions' IEEE operations in their
+order, so :class:`repro.grid.evenodd.SchurWilson` is two sweeps and no
+whole-field algebra.
 
 **The numpy block body** (:func:`sweep_blocks`) runs where the kernel
 cannot load (no compiler, or an unknown contraction key), over the same
@@ -110,7 +118,7 @@ import numpy as np
 
 from repro.engine.policy import current_policy
 from repro.perf.counters import counters
-from repro.perf.native import LinkFields
+from repro.perf.native import NHOPS, STORE_HOP, STORE_SCHUR, LinkFields
 from repro.perf.parallel import run_tiles, tiles_for
 
 #: Flat sites per sweep block.  Picked by measurement on a 2-core
@@ -371,10 +379,9 @@ def fused_dhop(dirac, psi: Lattice, hop=None, plan=None) -> Lattice:
                   np.empty(grid.field_shape(psi.tensor_shape),
                            dtype=grid.dtype))
     if hop is not None:
-        tables, top, links = dirac._full_hop()
-        ntiles = native_sweep(hop, np.ascontiguousarray(psi.data), nl,
-                              tables, top, links, out.data, nl, nl, plan)
-        _bump_stages(plan, len(tables), ntiles)
+        ntiles = dirac._full_hop().run(hop, np.ascontiguousarray(psi.data),
+                                       out.data, plan)
+        _bump_stages(plan, NHOPS, ntiles)
         return out
     hops = [(sign, neighbour_table(grid, mu, sign), mu)
             for mu, sign in sweep_order(grid.ndim)]
@@ -399,56 +406,70 @@ def fused_dhop(dirac, psi: Lattice, hop=None, plan=None) -> Lattice:
 
 
 def fused_dhop_cb(dirac, psi: Lattice, target, hop=None, plan=None,
-                  tail=None) -> Lattice:
+                  store: int = STORE_HOP, x: Lattice = None,
+                  diag: float = 1.0) -> Lattice:
     """One checkerboard hop: ``D_h`` from the half field ``psi`` onto
     the half grid ``target`` of the other parity
-    (``WilsonDirac.dhop_cb``), in compressor order.
+    (``WilsonDirac.dhop_cb``), in compressor order, written through the
+    kernel's store ``store`` (:data:`~repro.perf.native.STORE_HOP`,
+    ``STORE_BLOCK`` or ``STORE_SCHUR``, whose source ``x`` is a half
+    field on ``target`` and whose diagonal is ``diag``).
 
     Half fields are stored in the working layout, so nothing is
-    transposed.  Per block of output sites, one call of the compiled
-    kernel ``hop`` (:func:`repro.perf.native.kernel`) runs every
-    (mu, sign) in sweep order: it gathers the neighbour through
-    :func:`repro.grid.stencil.parity_neighbour_table`, spin-projects
-    it, multiplies by the operator's per-parity link and reconstructs
-    into the block (``WilsonDirac._cb_hops`` holds the stacked tables
-    and links, built on the first hop onto ``target``'s parity).  With
+    transposed.  The operator's :class:`Sweep` onto ``target``'s parity
+    (``WilsonDirac._cb_hops``, built and bound once) holds the stacked
+    :func:`repro.grid.stencil.parity_neighbour_table` tables and
+    per-parity links.  Per block of output sites, one call of the
+    compiled kernel ``hop`` (:func:`repro.perf.native.kernel`) runs
+    every (mu, sign) in sweep order -- gather, spin-project, multiply by
+    the link, reconstruct into the block -- and stores the block.  With
     ``hop`` ``None`` the numpy body (:func:`sweep_blocks`) runs over the
-    same stacked tables and links, one view per hop.  Both compute the
-    numpy sweep's IEEE operations in its order, so the hop is
-    bit-identical to ``dhop`` of the embedded field, restricted to
-    ``target``.
-
-    ``tail(acc, b0, b1)``, if given, finishes each ``(4, 3, n)`` block
-    of output sites ``b0 .. b1 - 1`` in place (the Schur operator folds
-    its diagonal algebra there).  Tiles split the output sites; each
-    writes only its own.
+    same tables and links and stores each block by :func:`store_block`.
+    Both compute the numpy sweep's IEEE operations in its order, so the
+    ``STORE_HOP`` hop is bit-identical to ``dhop`` of the embedded
+    field, restricted to ``target``, and the others to the numpy
+    expressions of :func:`store_block` applied to it.  Tiles split the
+    output sites; each writes only its own.
     """
-    tables, top, links = dirac._cb_hops(target)
-    tensor = psi.tensor_shape
-    src = np.ascontiguousarray(psi.data).reshape(tensor + (-1,))
-    out = Lattice(target, tensor,
-                  np.empty(target.field_shape(tensor), dtype=src.dtype))
-    work = out.data.reshape(tensor + (-1,))
-    n = work.shape[-1]
-
-    def finish(b0, b1) -> None:
-        if tail is not None:
-            tail(work[:, :, b0:b1], b0, b1)
-
+    sweep = dirac._cb_hops(target)
+    src = np.ascontiguousarray(psi.data)
+    xs = None if x is None else np.ascontiguousarray(x.data)
+    out = np.empty(target.field_shape(psi.tensor_shape), dtype=src.dtype)
     if hop is not None:
-        ntiles = native_sweep(hop, src, src.shape[-1], tables, top, links,
-                              work, n, target.nlanes, plan, finish)
+        ntiles = sweep.run(hop, src, out, plan, store, xs, diag)
     else:
-        def store(acc, b0, b1) -> None:
-            work[:, :, b0:b1] = acc
-            finish(b0, b1)
+        work = out.reshape(src.shape[:2] + (-1,))
+        xw = None if xs is None else xs.reshape(work.shape)
 
-        hops = [(sign, tables[k], mu)
+        def block(acc, b0, b1) -> None:
+            store_block(store, acc, work[:, :, b0:b1],
+                        None if xw is None else xw[:, :, b0:b1], diag)
+
+        hops = [(sign, sweep.tables[k], mu)
                 for k, (mu, sign) in enumerate(sweep_order(dirac.grid.ndim))]
-        ntiles = sweep_blocks(hops, src.reshape(12, -1), links, n, store,
-                              plan, unit=target.nlanes)
-    _bump_stages(plan, len(tables), ntiles)
-    return out
+        ntiles = sweep_blocks(hops, src.reshape(12, -1), sweep.links,
+                              sweep.n, block, plan, unit=target.nlanes)
+    _bump_stages(plan, NHOPS, ntiles)
+    return Lattice.wrap(target, psi.tensor_shape, out)
+
+
+def store_block(store: int, acc: np.ndarray, out: np.ndarray, x, diag: float
+                ) -> None:
+    """The kernel's store (``hop_cb.c``) in numpy: write into ``out``
+    what ``store`` names for the ``(4, 3, n)`` accumulated hop ``acc``
+    (overwritten), with ``x`` the Schur source at ``out``'s sites.
+    Each step is the Lattice algebra's numpy operation -- a product with
+    the scalar ``dtype(c)`` (``Lattice.__mul__``), a subtraction -- in
+    the kernel's order: ``acc * (-1/2)``, then ``* (1/diag)`` and
+    ``(x * diag) - acc``."""
+    t = acc.dtype.type
+    if store != STORE_HOP:
+        np.multiply(acc, t(-0.5), out=acc)
+    if store == STORE_SCHUR:
+        np.multiply(acc, t(1.0 / diag), out=acc)
+        np.subtract(x * t(diag), acc, out=out)
+    elif out is not acc:
+        out[...] = acc
 
 
 def sweep_order(ndim: int) -> list:
@@ -475,30 +496,62 @@ def inplace_links(fields) -> LinkFields:
                       fields[0].grid.nlanes, back=True)
 
 
+class Sweep:
+    """One fused Wilson sweep's static operands: the ``(8, n)`` int64
+    ``tables`` (largest entry ``top``), the link operand ``links``
+    (:func:`stored_links`, :func:`inplace_links`), the source's row
+    stride ``rstride`` and size ``src_size``, the output ``lanes`` and
+    the tile ``unit`` (see :func:`repro.perf.native.kernel`).  An
+    operator keeps one per route it sweeps (``WilsonDirac._full_hop``,
+    ``WilsonDirac._cb_hops``), so the kernel checks these once
+    (:meth:`bound`) and each sweep checks only its source, output and
+    Schur source."""
+
+    def __init__(self, tables, top: int, links, rstride: int, lanes: int,
+                 unit: int, src_size: int) -> None:
+        self.tables, self.top, self.links = tables, int(top), links
+        self.rstride, self.lanes, self.unit = rstride, lanes, unit
+        self.src_size = src_size
+        self.n = tables.shape[-1]
+        self._bound = (None, None)  # (kernel, its binding)
+
+    def bound(self, hop):
+        """The kernel ``hop`` bound to these operands (once per kernel:
+        a test may swap the kernel)."""
+        kernel, bound = self._bound
+        if kernel is not hop:
+            bound = hop(self.tables, self.top, self.links, self.rstride,
+                        self.lanes, self.src_size)
+            self._bound = (hop, bound)
+        return bound
+
+    def run(self, hop, src, out, plan, store: int = STORE_HOP, x=None,
+            diag: float = 1.0) -> int:
+        """Run the compiled kernel ``hop`` over every output site, in
+        blocks of :data:`BLOCK_SITES`, tiled as ``plan`` says (whole
+        multiples of ``unit`` sites), storing through ``store``; returns
+        the number of tiles.  Counted as one ``native_sweeps``."""
+        run = self.bound(hop)(src, out, store, x, diag)
+        tiles, workers, step = _tiling(plan, self.n, self.unit)
+        counters().bump("tiles_dispatched", len(tiles))
+
+        def body(sl) -> None:
+            for b0 in range(sl.start, sl.stop, step):
+                run(b0, min(b0 + step, sl.stop))
+
+        run_tiles(body, tiles, workers)
+        counters().bump("native_sweeps")
+        return len(tiles)
+
+
 def native_sweep(hop, src, rstride: int, tables, top: int, links, out,
-                 lanes: int, unit: int, plan, finish=None) -> int:
-    """Run the compiled kernel ``hop`` over output sites ``0 .. n - 1``
-    (``n = tables.shape[-1]``) in blocks of :data:`BLOCK_SITES`, tiled;
-    returns the number of tiles.
-
-    ``src``, ``rstride``, ``tables`` (largest entry ``top``),
-    ``links`` (:func:`stored_links`, :func:`inplace_links`), ``out``
-    and ``lanes`` are the kernel's operands (see
-    :func:`repro.perf.native.kernel`), checked once per sweep; blocks
-    and tiles are whole multiples of ``unit`` sites.  ``finish(b0,
-    b1)``, if given, runs on each block after the kernel.  Counted as
-    one ``native_sweeps``.
-    """
-    run = hop(src, rstride, tables, top, links, out, lanes)
-
-    def block(b0, b1, _bufs) -> None:
-        run(b0, b1)
-        if finish is not None:
-            finish(b0, b1)
-
-    ntiles = _run_blocks(block, tables.shape[-1], plan, unit, (), src.dtype)
-    counters().bump("native_sweeps")
-    return ntiles
+                 lanes: int, unit: int, plan) -> int:
+    """One :meth:`Sweep.run` of the compiled kernel ``hop`` over
+    operands bound for this call alone (the distributed sweeps, whose
+    source is a fresh extended array each time); returns the number of
+    tiles."""
+    return Sweep(tables, top, links, rstride, lanes, unit,
+                 src.size).run(hop, src, out, plan)
 
 
 def _bump_stages(plan, nhops: int, ntiles: int) -> None:
@@ -517,6 +570,13 @@ def _split(plan, count: int, unit: int) -> tuple:
             shape.workers)
 
 
+def _tiling(plan, count: int, unit: int) -> tuple:
+    """``(tiles, workers, step)``: :func:`_split`'s tiles and pool
+    width, and the block length, a whole multiple of ``unit`` sites."""
+    return _split(plan, count, unit) + (
+        max(unit, BLOCK_SITES - BLOCK_SITES % unit),)
+
+
 def _run_blocks(block, count: int, plan, unit: int, rows: tuple,
                 dtype) -> int:
     """Run ``block(b0, b1, bufs)`` over output sites ``0 .. count - 1``
@@ -529,9 +589,8 @@ def _run_blocks(block, count: int, plan, unit: int, rows: tuple,
     workers as long as ``block`` writes only its own sites.  ``plan``
     pins the tile split (see :func:`fused_dhop`).
     """
-    tiles, workers = _split(plan, count, unit)
+    tiles, workers, step = _tiling(plan, count, unit)
     counters().bump("tiles_dispatched", len(tiles))
-    step = max(unit, BLOCK_SITES - BLOCK_SITES % unit)
 
     def body(sl) -> None:
         lo, hi = sl.start, sl.stop

@@ -1,8 +1,9 @@
 /* The Wilson hop, one block of output sites per call.
  *
  * The compiled body of every fused Wilson sweep in repro.perf.fused:
- * the checkerboard hop, the full hop and the distributed halo sweep.
- * It computes, element by element, the IEEE operations of the numpy
+ * the checkerboard hop, the full hop and the distributed halo sweep,
+ * and, in its store (below), the even-odd blocks' and the Schur
+ * operator's scalar algebra.  It computes, element by element, the IEEE operations of the numpy
  * block sweep (repro.perf.fused.sweep_blocks, and the layered reference
  * it matches), in the same order, so its bytes are numpy's:
  *
@@ -40,7 +41,26 @@
  *  - out:    row r of output site f is written at
  *            (f - f % lanes) * 12 + r * lanes + f % lanes, for sites
  *            b0 .. b1 - 1 only: lanes = nout is the tensor-major
- *            (4, 3, nout) layout, lanes = nl the lane-major one.
+ *            (4, 3, nout) layout, lanes = nl the lane-major one;
+ *  - psi:    the Schur source, read (store = 2 only) at out's offsets.
+ *
+ * The store.  After the last (mu, sign), store (repro.perf.native's
+ * STORE_HOP, STORE_BLOCK, STORE_SCHUR) picks what is written for a
+ * site's accumulated hop a, by these steps in this order:
+ *  - store = 0, the hopping term D_h:  out = a;
+ *  - store = 1, the even-odd matrix's off-diagonal block:
+ *      1. a = a * (-1/2);   2. out = a;
+ *  - store = 2, the Schur operator:
+ *      1. a = a * (-1/2);   2. a = a * rd;   3. out = (psi * d) - a;
+ *    with d = (T)diag and rd = (T)rdiag, where rdiag is the caller's
+ *    double 1.0 / diag: each rounded to T, as numpy rounds a Python
+ *    float to the array's type.
+ * Each product with a constant c is the full complex product with
+ * (c, +0) under the contraction above -- numpy's array-times-scalar
+ * multiply (Lattice.__mul__), operand for operand -- and step 3 is a
+ * complex subtraction, part by part.  So store = 1 writes the bytes of
+ * the Lattice expression (D_h src) * (-1/2), and store = 2 those of
+ * psi * d - ((D_h src) * (-1/2)) * (1/d).
  *
  * Links, one addressing rule.  Hop k reads the colour-matrix field
  * links[k], whose element (a, b) at link site s sits, like out's rows,
@@ -132,8 +152,10 @@
 
 void HOP(const T *src, int64_t rstride, const int64_t *tables,
          const T *const *links, int64_t llanes, int64_t back, T *out,
-         int64_t nout, int64_t lanes, int64_t b0, int64_t b1)
+         int64_t nout, int64_t lanes, const T *psi, double diag,
+         double rdiag, int64_t store, int64_t b0, int64_t b1)
 {
+    const T half = (T)-0.5, d = (T)diag, rd = (T)rdiag;
     /* log2 of the link lanes where they are a power of two, else -1 */
     const int sh = (llanes & (llanes - 1)) == 0 ? __builtin_ctzll(llanes) : -1;
     for (int64_t s0 = b0; s0 < b1; s0 += SB) {
@@ -305,17 +327,41 @@ void HOP(const T *src, int64_t rstride, const int64_t *tables,
                 }
             }
         }
+        /* The store's steps 1 and 2: a * (-1/2), then (store = 2) a * rd. */
+        for (int step = 0; step < store; step++) {
+            const T c = step == 0 ? half : rd;
+            for (int r = 0; r < 12; r++)
+                for (int j = 0; j < n; j++) {
+                    const T tr = MUL_RE(ar[r][j], ai[r][j], c, (T)0);
+                    const T ti = MUL_IM(ar[r][j], ai[r][j], c, (T)0);
+                    ar[r][j] = tr;
+                    ai[r][j] = ti;
+                }
+        }
         /* Store in runs of sites that share an outer site: one
          * division per run, each row a contiguous stretch. */
         for (int j = 0; j < n;) {
             const int64_t lane = (s0 + j) % lanes;
             const int m = (int)(lanes - lane < n - j ? lanes - lane : n - j);
-            T *o = out + 2 * ((s0 + j - lane) * 12 + lane);
-            for (int r = 0; r < 12; r++, o += 2 * lanes)
-                for (int i = 0; i < m; i++) {
-                    o[2 * i] = ar[r][j + i];
-                    o[2 * i + 1] = ai[r][j + i];
-                }
+            const int64_t at = 2 * ((s0 + j - lane) * 12 + lane);
+            T *o = out + at;
+            if (store == 2) {
+                /* step 3: (psi * d) - a */
+                const T *x = psi + at;
+                for (int r = 0; r < 12; r++, o += 2 * lanes, x += 2 * lanes)
+                    for (int i = 0; i < m; i++) {
+                        const T xr = MUL_RE(x[2 * i], x[2 * i + 1], d, (T)0);
+                        const T xi = MUL_IM(x[2 * i], x[2 * i + 1], d, (T)0);
+                        o[2 * i] = xr - ar[r][j + i];
+                        o[2 * i + 1] = xi - ai[r][j + i];
+                    }
+            } else {
+                for (int r = 0; r < 12; r++, o += 2 * lanes)
+                    for (int i = 0; i < m; i++) {
+                        o[2 * i] = ar[r][j + i];
+                        o[2 * i + 1] = ai[r][j + i];
+                    }
+            }
             j += m;
         }
     }

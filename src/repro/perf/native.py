@@ -79,9 +79,18 @@ TRAILER = b"repro-hop-cb-sha256"
 
 #: Hops per sweep: (mu, +-1) for the four directions.
 NHOPS = 8
+#: What the kernel's store writes for a site's accumulated hop ``a``
+#: (``hop_cb.c``): ``a`` itself (``D_h``), the even-odd matrix's
+#: off-diagonal block ``a * (-1/2)``, or the Schur operator
+#: ``(psi * d) - ((a * (-1/2)) * (1/d))``.
+STORE_HOP, STORE_BLOCK, STORE_SCHUR = STORES = (0, 1, 2)
+#: The one error every operand check raises.
+MISFIT = "operands do not fit the Wilson hop kernel"
 _ARGTYPES = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
              ctypes.POINTER(ctypes.c_void_p), ctypes.c_int64, ctypes.c_int64,
-             ctypes.c_void_p] + [ctypes.c_int64] * 4
+             ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+             ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
+             ctypes.c_int64, ctypes.c_int64, ctypes.c_int64]
 
 _LOCK = threading.Lock()
 #: The process's one load attempt: ``kernels`` (dtype -> bound entry
@@ -327,48 +336,97 @@ class LinkFields:
                                        >= (top // (12 * ll) + 1) * 9 * ll)))
 
 
-def _bind(fn, dtype: np.dtype):
-    """The Python face of one entry point (see :func:`kernel`): checks
-    each operand's dtype, shape and contiguity, and that ``src`` and the
-    link fields hold every element the tables address, before binding
-    their pointers to the calls over a sweep's blocks."""
-    fn.restype, fn.argtypes = None, _ARGTYPES
+class BoundHop:
+    """The kernel bound to one sweep's static operands (see
+    :func:`kernel`): the ``(8, n)`` int64 ``tables`` (largest entry
+    ``top``), the :class:`LinkFields` ``links``, the source's row stride
+    ``rstride`` and size ``src_size`` and the output ``lanes``, checked
+    once, here, with their pointers taken.  An operator binds each of
+    its sweeps once.
 
-    def bind(src, rstride: int, tables, top: int, links: LinkFields, out,
-             lanes: int):
+    ``bound(src, out, store=STORE_HOP, psi=None, diag=1.0)`` checks
+    what changes per call -- ``src`` (``src_size`` elements), ``out``
+    (``12 n``, writeable) and, for :data:`STORE_SCHUR` only, ``psi``
+    (``12 n``, read at ``out``'s offsets): dtype, size and contiguity --
+    and returns ``run(b0, b1)``, which writes output sites ``b0 .. b1 -
+    1`` through the store ``store`` with the Schur diagonal ``diag``.
+    It holds the operands, so the pointers stay valid while it lives."""
+
+    def __init__(self, fn, dtype, tables, top: int, links: LinkFields,
+                 rstride: int, lanes: int, src_size: int) -> None:
         n = tables.shape[-1]
         if not (
-            src.dtype == out.dtype == dtype
-            and tables.dtype == np.int64
+            tables.dtype == np.int64
             and tables.shape == (NHOPS, n)
-            and out.size == 12 * n
-            and all(a.flags.c_contiguous for a in (src, tables, out))
+            and tables.flags.c_contiguous
             and 0 < rstride and 0 <= top
-            and top + 11 * rstride < src.size
+            and top + 11 * rstride < src_size
             and 0 < lanes and n % lanes == 0
             and links.fit(dtype, n, top, rstride)
         ):
-            raise ValueError("operands do not fit the Wilson hop kernel")
-        args = (src.ctypes.data, rstride, tables.ctypes.data, links.pointers,
-                links.llanes, int(links.back), out.ctypes.data, n, lanes)
+            raise ValueError(MISFIT)
+        self.n, self.dtype, self.src_size = n, dtype, src_size
+        self._fn = fn
+        self._static = (rstride, tables.ctypes.data, links.pointers,
+                        links.llanes, int(links.back))
+        self._lanes = lanes
+        self.operands = (tables, links)
+
+    def __call__(self, src, out, store: int = STORE_HOP, psi=None,
+                 diag: float = 1.0):
+        n, dtype = self.n, self.dtype
+        schur = store == STORE_SCHUR
+        if not (
+            src.dtype == dtype and out.dtype == dtype
+            and src.size == self.src_size and out.size == 12 * n
+            and src.flags.c_contiguous and out.flags.c_contiguous
+            and out.flags.writeable and store in STORES and diag != 0
+            and (psi is not None) == schur
+            and (psi is None or (psi.dtype == dtype and psi.size == 12 * n
+                                 and psi.flags.c_contiguous))
+        ):
+            raise ValueError(MISFIT)
+        fn = self._fn
+        args = (_address(src), *self._static, _address(out), n, self._lanes,
+                _address(psi) if schur else None, diag, 1.0 / diag, store)
 
         def run(b0: int, b1: int) -> None:
             if not 0 <= b0 <= b1 <= n:
-                raise ValueError("operands do not fit the Wilson hop kernel")
+                raise ValueError(MISFIT)
             fn(*args, b0, b1)
 
         # The pointers are only valid while the arrays live.
-        run.operands = (src, tables, links, out)
+        run.operands = (src, out, psi, self)
         return run
+
+
+def _address(a: np.ndarray) -> int:
+    """The address of the C-contiguous, non-empty ``a``'s first element:
+    through the buffer protocol where ``a`` is writeable (a third of the
+    cost of ``a.ctypes.data``, which a read-only array takes)."""
+    if a.flags.writeable:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    return a.ctypes.data
+
+
+def _bind(fn, dtype: np.dtype):
+    """The Python face of one entry point (see :func:`kernel`)."""
+    fn.restype, fn.argtypes = None, _ARGTYPES
+
+    def bind(tables, top: int, links: LinkFields, rstride: int, lanes: int,
+             src_size: int) -> BoundHop:
+        return BoundHop(fn, dtype, tables, top, links, rstride, lanes,
+                        src_size)
 
     return bind
 
 
 def _state() -> dict:
-    with _LOCK:
-        if not _STATE:
-            _STATE.update(_load())
-        return _STATE
+    if not _STATE:  # filled once, by one ``update`` under the lock
+        with _LOCK:
+            if not _STATE:
+                _STATE.update(_load())
+    return _STATE
 
 
 def kernel(dtype):
@@ -376,22 +434,25 @@ def kernel(dtype):
     sweep must run (:func:`status` says why).  Builds or loads the
     library on the first call in the process.
 
-    The kernel is ``hop(src, rstride, tables, top, links, out, lanes)``,
-    which checks the operands once and returns ``run(b0, b1)``: through
-    the ``(8, n)`` int64 ``tables`` (whose largest entry is ``top``,
+    The kernel is ``hop(tables, top, links, rstride, lanes, src_size)``,
+    which checks a sweep's static operands once and returns their
+    :class:`BoundHop`; ``bound(src, out, store, psi, diag)`` checks the
+    per-call operands and returns ``run(b0, b1)``.  Through the
+    ``(8, n)`` int64 ``tables`` (whose largest entry is ``top``,
     computed when they were built) and the :class:`LinkFields`
-    ``links``, each call writes output sites
-    ``b0 .. b1 - 1`` of ``out`` (``12 n`` elements), reading row ``r``
-    of the neighbour at table entry ``t`` from ``src.flat[r * rstride +
-    t]``; ``lanes`` picks the output layout
-    (``n`` for tensor-major ``(4, 3, n)``, the grid's ``nlanes`` for
-    lane-major ``(osites, 4, 3, nlanes)``).  The link fields are laid
-    out by the same rule in their own lanes; where their back-links are
-    read at the neighbour, the source shares those lanes
-    (``rstride == links.llanes``); see ``hop_cb.c``.  All arrays are
-    C-contiguous.  ``run`` holds no lock, so tiles may
-    call it concurrently on disjoint sites; ctypes releases the GIL for
-    the call."""
+    ``links``, each ``run`` writes output sites ``b0 .. b1 - 1`` of
+    ``out`` (``12 n`` elements), reading row ``r`` of the neighbour at
+    table entry ``t`` from ``src.flat[r * rstride + t]`` (``src`` holds
+    ``src_size`` elements); ``lanes`` picks the output layout (``n``
+    for tensor-major ``(4, 3, n)``, the grid's ``nlanes`` for lane-major
+    ``(osites, 4, 3, nlanes)``), and ``store`` what is written
+    (:data:`STORE_HOP`, :data:`STORE_BLOCK`, :data:`STORE_SCHUR`).  The
+    link fields are laid out by the same rule in their own lanes; where
+    their back-links are read at the neighbour, the source shares those
+    lanes (``rstride == links.llanes``); see ``hop_cb.c``.  All arrays
+    are C-contiguous, and every check raises ``ValueError(MISFIT)``.
+    ``run`` holds no lock, so tiles may call it concurrently on disjoint
+    sites; ctypes releases the GIL for the call."""
     return _state()["kernels"].get(np.dtype(dtype))
 
 

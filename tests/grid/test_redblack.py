@@ -182,20 +182,24 @@ class TestCheckerboardHop:
                 if isinstance(v, np.ndarray)] == []
         assert dirac._sweep_tables is dirac._links_back_lm is None
         before = dict(vars(dirac))
-        arrays = {p: list(hops) for p, hops in dirac._links_cb.items()}
+        sweeps = dict(dirac._links_cb)
+        arrays = {p: (s.tables, s.links) for p, s in sweeps.items()}
         for half in halves:
             dirac.dhop_cb(half)
         assert vars(dirac).keys() == before.keys()
         assert all(vars(dirac)[k] is v for k, v in before.items())
-        for p, items in arrays.items():
-            assert all(a is b for a, b in zip(dirac._links_cb[p], items))
+        for p, (tables, links) in arrays.items():
+            sweep = dirac._links_cb[p]
+            assert sweep is sweeps[p]
+            assert sweep.tables is tables and sweep.links is links
         # U_mu, then the adjoint of the cshift-gathered back-link.
         full = []
         for mu, u in enumerate(dirac.links):
             full.append(fused.to_working(u.data))
             full.append(fused.adjoint(fused.to_working(
                 cshift(u, mu, -1).data)))
-        for p, (tables, top, links) in dirac._links_cb.items():
+        for p, sweep in dirac._links_cb.items():
+            tables, top, links = sweep.tables, sweep.top, sweep.links
             sites = red_black(dirac.grid, p).sites
             stacked = links.fields[0].base
             assert tables.shape == (8, sites.size)
@@ -292,9 +296,9 @@ class TestSchurOnHalfFields:
                              _sourced(BACKENDS, DTYPES))
     def test_folded_algebra_matches_lattice_algebra(self, backend, dtype,
                                                     source):
-        """``schur`` and ``schur_dagger`` fold the diagonal algebra into
-        the hops' block stores: byte for byte the Lattice expressions
-        over the engine-off hop."""
+        """``schur`` and ``schur_dagger`` run the diagonal algebra in
+        the hops' stores: byte for byte the Lattice expressions over the
+        engine-off hop, in four half-hop sweeps and no full one."""
         dirac, psi = _operator(backend, (4, 4, 4, 8), dtype, source=source)
         schur = SchurWilson(dirac)
         o = schur.project(psi, "odd")
@@ -316,7 +320,9 @@ class TestSchurOnHalfFields:
         reset_counters()
         got, got_dag = schur.schur(o), schur.schur_dagger(o)
         assert counters().fused_dhop_calls == 0
-        assert counters().tiles_dispatched == 4  # four fused half hops
+        # four fused half hops, one tile each
+        assert counters().native_sweeps + counters().native_fallbacks == 4
+        assert counters().tiles_dispatched == 4
         _assert_bytes_equal(got.data, want.data)
         _assert_bytes_equal(got_dag.data, want_dag.data)
 

@@ -230,9 +230,9 @@ class TestBytes:
             assert tiled.data.tobytes() == serial.data.tobytes()
 
     def test_schur_tail_fold(self):
-        """The Schur operator folds its diagonal algebra into each
-        block; the folded hop equals the reference route with the tail
-        applied once, over all sites."""
+        """The Schur operator's diagonal algebra runs in the kernel's
+        store, block by block; the result equals the reference route
+        with the same steps applied once, over all sites."""
         dirac, psi = _operator("generic256", (4, 4, 4, 8))
         schur = SchurWilson(dirac)
         half = schur.project(psi, "odd")
@@ -255,8 +255,8 @@ class TestIR:
         scalar = "c64" if dtype == np.complex64 else "c128"
         half = red_black(dirac.grid, "odd").pick(psi)
         target = red_black(dirac.grid, "even")
-        tables, _top, links = dirac._cb_hops(target)
-        links = links.fields
+        sweep = dirac._cb_hops(target)
+        tables, links = sweep.tables, sweep.links.fields
         src = np.moveaxis(half.data.reshape(4, 3, -1), -1, 0)
         acc = np.zeros((tables.shape[1], 4, 3), dtype=dtype)
         for k in range(8):
@@ -341,7 +341,7 @@ class TestFullHop:
         dirac, psi = _operator("generic256", (4, 4, 4, 8))
         assert dirac._sweep_tables is None
         dirac.dhop(psi)
-        tables, top, _links = dirac._sweep_tables
+        tables, top = dirac._sweep_tables.tables, dirac._sweep_tables.top
         assert tables.dtype == np.int64 and tables.shape == (8, psi.data.size
                                                              // 12)
         assert top == tables.max()
@@ -353,7 +353,7 @@ class TestFullHop:
             body.__name__) or run_tiles(body, *a))
         got = _native_full(dirac, psi)
         assert bodies == ["body"]  # the block loop, no entry transpose
-        assert dirac._sweep_tables[0] is tables
+        assert dirac._sweep_tables.tables is tables
         assert got.tobytes() == _layered(dirac, psi).tobytes()
 
 
@@ -397,7 +397,8 @@ def _held_arrays(obj) -> list:
             todo.extend(item.values())
         elif isinstance(item, (list, tuple)):
             todo.extend(item)
-        elif isinstance(item, native.LinkFields):
+        elif isinstance(item, (native.LinkFields, native.BoundHop,
+                               fused.Sweep)):
             todo.extend(vars(item).values())
     return found
 
@@ -418,11 +419,12 @@ class TestInPlaceLinks:
         _special_links(dirac, seed=3)
         got = _native_full(dirac, psi)
         nl = dirac.grid.nlanes
-        tables, top, _links = dirac._full_hop()
+        sweep = dirac._full_hop()
         snapshot = np.empty_like(got)
         hop = native.kernel(dtype)
-        hop(psi.data, nl, tables, top, fused.stored_links(
-            _stored_snapshot(dirac)), snapshot, nl)(0, tables.shape[-1])
+        hop(sweep.tables, sweep.top, fused.stored_links(
+            _stored_snapshot(dirac)), nl, nl, psi.data.size)(
+            psi.data, snapshot)(0, sweep.n)
         assert np.isnan(got.view(got.real.dtype)).any()
         assert got.tobytes() == snapshot.tobytes()
         _assert_matches_layered(got, _numpy_body(lambda: dirac.dhop(psi)).data)
@@ -460,8 +462,8 @@ class TestInPlaceLinks:
             _numpy_body(hops)
         held = [a for a in _held_arrays(dirac) if np.iscomplexobj(a)]
         own = {id(u.data) for u in dirac.links}
-        cb = {id(links.fields[0].base): links.fields[0].base
-              for _tables, _top, links in dirac._links_cb.values()}
+        cb = {id(sweep.links.fields[0].base): sweep.links.fields[0].base
+              for sweep in dirac._links_cb.values()}
         assert len(cb) == 2 and held
         for a in held:
             assert id(a) in own or id(a.base) in cb
@@ -495,7 +497,7 @@ class TestInPlaceLinks:
         _native_full(dirac, psi)
         memo = dirac.grid.__dict__.get("_nbr_tables", {})
         assert not [key for key in memo if key[1] == -1]
-        tables, _top, _links = dirac._full_hop()
+        tables = dirac._full_hop().tables
         spent = tables.nbytes + sum(t.nbytes for t in memo.values())
         assert spent <= 96 * dirac.grid.lsites
 
@@ -692,25 +694,31 @@ def test_damaged_library_is_rebuilt(monkeypatch, tmp_path, damage):
 def test_kernel_rejects_operands_that_do_not_fit():
     dirac, psi = _operator("generic256", (4, 4, 4, 4))
     src = red_black(dirac.grid, "odd").pick(psi).data.reshape(4, 3, -1)
-    tables, top, links = dirac._cb_hops(red_black(dirac.grid, "even"))
+    sweep = dirac._cb_hops(red_black(dirac.grid, "even"))
+    tables, top, links = sweep.tables, sweep.top, sweep.links
     n = src.shape[-1]
     hop = native.kernel(np.complex128)
-    fits = dict(src=src, rstride=n, tables=tables, top=top, links=links,
-                out=np.empty_like(src), lanes=n)
-    fields = links.fields
-    run = hop(**fits)
+    fits = dict(tables=tables, top=top, links=links, rstride=n, lanes=n,
+                src_size=src.size)
+    bound = hop(**fits)
+    run = bound(src, np.empty_like(src))
     run(0, n)
     for b0, b1 in ((0, n + 1), (-1, n), (2, 1)):
         with pytest.raises(ValueError, match="do not fit"):
             run(b0, b1)
+    # Per call: the source and output.
     for bad in (dict(out=np.empty(src.shape, np.complex64)),
-                dict(tables=tables.astype(np.int32)),
                 dict(src=np.asfortranarray(src)),
-                dict(lanes=3),
                 dict(out=np.empty((4, 3, n - 1), np.complex128)),
+                dict(src=src.reshape(-1)[:-1].copy())):
+        call = dict(dict(src=src, out=np.empty_like(src)), **bad)
+        with pytest.raises(ValueError, match="do not fit"):
+            bound(**call)
+    fields = links.fields
+    for bad in (dict(tables=tables.astype(np.int32)),
+                dict(lanes=3),
                 # a source too short for its tables
-                dict(src=src[:, :, :top].copy(), rstride=top),
-                dict(src=src.reshape(-1)[:-1].copy()),
+                dict(rstride=top, src_size=12 * top),
                 dict(rstride=n + 1),
                 # link fields too short, of the wrong dtype, or laid out
                 # in lanes that do not divide the output sites
@@ -731,17 +739,80 @@ def test_kernel_rejects_operands_that_do_not_fit():
             native.LinkFields(bad, n, False)
 
 
+def _misfit():
+    """The kernel's one rejection."""
+    return pytest.raises(ValueError, match=f"^{native.MISFIT}$")
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=("c128", "c64"))
+def test_bound_sweep_rejects_fields_that_do_not_fit(dtype):
+    """A checkerboard sweep's binding checks its tables and links once;
+    each call checks the source, the output and the Schur source, and
+    every misfit raises the kernel's one ``ValueError``."""
+    dirac, psi = _operator("generic256", (4, 4, 4, 8), dtype)
+    schur = SchurWilson(dirac)
+    odd, even = schur.project(psi, "odd"), schur.project(psi, "even")
+    sweep = dirac._cb_hops(red_black(dirac.grid, "even"))
+    bound = sweep.bound(native.kernel(dtype))
+    assert sweep.bound(native.kernel(dtype)) is bound  # bound once
+    other = np.complex64 if dtype == np.complex128 else np.complex128
+    src = odd.data
+    fits = dict(src=src, out=np.empty_like(src), store=native.STORE_SCHUR,
+                psi=even.data, diag=schur.diag)
+    bound(**fits)(0, sweep.n)
+    half = src.shape
+    frozen = np.empty_like(src)
+    frozen.setflags(write=False)
+    for bad in (
+        # the source, the output and the Schur source: dtype, shape,
+        # contiguity
+        *({k: np.empty(half, other)} for k in ("src", "out", "psi")),
+        *({k: np.empty((4, 3, sweep.n - 8), dtype)}
+          for k in ("src", "out", "psi")),
+        *({k: np.asfortranarray(np.empty(half, dtype))}
+          for k in ("src", "out", "psi")),
+        # a read-only output; a Schur source sized for the whole
+        # lattice, not one parity
+        dict(out=frozen),
+        dict(psi=psi.data),
+        # a Schur source where the store reads none, none where it
+        # reads one, a store that is not one, a zero diagonal
+        dict(store=native.STORE_HOP), dict(psi=None), dict(store=3),
+        dict(diag=0.0),
+    ):
+        with _misfit():
+            bound(**dict(fits, **bad))
+    # A sweep bound to one operator's tables, given another geometry's
+    # half fields.
+    small, small_psi = _operator("generic256", (4, 4, 4, 4), dtype)
+    small_half = red_black(small.grid, "odd").pick(small_psi).data
+    for bad in (dict(src=small_half), dict(out=np.empty_like(small_half)),
+                dict(psi=small_half)):
+        with _misfit():
+            bound(**dict(fits, **bad))
+    # Through the operator: a Schur source of the wrong parity, or of
+    # another geometry, or a store that is not one.
+    for x in (odd, red_black(small.grid, "even").pick(small_psi)):
+        with _misfit():
+            dirac.dhop_cb(odd, native.STORE_SCHUR, x, schur.diag)
+    for store, x in ((native.STORE_BLOCK, even), (native.STORE_SCHUR, None),
+                     (7, None)):
+        with _misfit():
+            dirac.dhop_cb(odd, store, x, schur.diag)
+
+
 def test_kernel_rejects_links_too_short_for_the_back_links():
     """In place, a ``(mu, -1)`` field must hold the matrix of the
     largest table entry's site, and every field the output sites."""
     dirac, psi = _operator("generic256", (4, 4, 4, 4))
-    tables, top, links = dirac._full_hop()
+    sweep = dirac._full_hop()
+    links = sweep.links
     assert links.back
     nl = links.llanes
     hop = native.kernel(np.complex128)
-    fits = dict(src=psi.data, rstride=nl, tables=tables, top=top,
-                links=links, out=np.empty_like(psi.data), lanes=nl)
-    hop(**fits)(0, 1)
+    fits = dict(tables=sweep.tables, top=sweep.top, links=links, rstride=nl,
+                lanes=nl, src_size=psi.data.size)
+    hop(**fits)(psi.data, np.empty_like(psi.data))(0, 1)
     # One outer site short: the last site's matrices are missing.
     short = [u[:-1].copy() for u in links.fields]
     back_short = [u if k % 2 == 0 else short[k]
