@@ -30,12 +30,11 @@ the engine back.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from dataclasses import dataclass, field
 
 from repro.engine.policy import ExecutionPolicy, current_policy
-from repro.perf.counters import counters
+from repro.perf.counters import LOCK as _COUNTERS_LOCK, counters
 from repro.telemetry.metrics import registry as telemetry_registry
 from repro.simd.fixed import FixedWidthBackend
 from repro.simd.generic import GenericBackend
@@ -92,24 +91,40 @@ class StageCounters:
     per (grid, kind, policy) instead of hooking every kernel — and
     with telemetry metrics on, each bump is mirrored into the global
     registry as ``plan.stage.<name>`` so stage activity survives plan
-    eviction and lands in the Prometheus export.
+    eviction and lands in the Prometheus export.  Every plan's tallies
+    share the engine counters' one lock, so a compiled sweep books its
+    counters and stages in one acquisition
+    (:meth:`repro.perf.counters.PerfCounters.bump_sweep`).
     """
 
     __slots__ = ("_lock", "_stages")
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        self._lock = _COUNTERS_LOCK
         self._stages: dict = {}
 
     def bump(self, stage: str, n: int = 1) -> None:
         with self._lock:
-            self._stages[stage] = self._stages.get(stage, 0) + n
+            self.add(stage, n)
+        self.mirror((stage, n))
+
+    def add(self, stage: str, n: int) -> None:
+        """``bump`` for a caller that holds the lock, without the
+        registry mirror (:meth:`mirror`)."""
+        self._stages[stage] = self._stages.get(stage, 0) + n
+
+    @staticmethod
+    def mirror(*counts) -> None:
+        """Feed ``(stage, n)`` pairs to the registry's
+        ``plan.stage.<name>`` counters where telemetry metrics are on."""
         if current_policy().metrics_active:
-            inst = _STAGE_INSTRUMENTS.get(stage)
-            if inst is None:
-                inst = telemetry_registry().counter(f"plan.stage.{stage}")
-                _STAGE_INSTRUMENTS[stage] = inst
-            inst.inc(n)
+            for stage, n in counts:
+                inst = _STAGE_INSTRUMENTS.get(stage)
+                if inst is None:
+                    inst = telemetry_registry().counter(
+                        f"plan.stage.{stage}")
+                    _STAGE_INSTRUMENTS[stage] = inst
+                inst.inc(n)
 
     def as_dict(self) -> dict:
         with self._lock:
@@ -201,14 +216,22 @@ def kernel_plan(grid, kind: str = "dhop",
     if store is None:
         store = grid.__dict__.setdefault("_kernel_plans", {})
         register_plan_host(grid)
+    # The last plan of ``kind`` and the policy object it was asked under:
+    # a sweep that asks again under the same object skips hashing it.
+    last = store.get(kind)
+    if last is not None and last[0] is policy:
+        counters().bump("plan_hits")
+        return last[1]
     key = (kind, policy)
     plan = store.get(key)
     if plan is not None:
         counters().bump("plan_hits")
+        store[kind] = (policy, plan)
         return plan
     counters().bump("plan_misses")
     plan = _resolve(kind, backend, policy)
     store[key] = plan
+    store[kind] = (policy, plan)
     return plan
 
 

@@ -290,6 +290,13 @@ class GridRedBlack:
         innermost and split into rows of ``nlanes``."""
         return tuple(tensor_shape) + (self.osites, self.nlanes)
 
+    def site_offsets(self, rows: int) -> np.ndarray:
+        """Where each of this parity's sites starts in a lane-major full
+        field of ``rows`` tensor elements per site: row ``r`` of half
+        site ``k`` is element ``offsets[k] + r * nlanes`` of the full
+        field's flat data (int64, one per half site)."""
+        return self._osite * (rows * self.nlanes) + self._lane
+
     def pick(self, field):
         """This parity's sites of a full-grid field, as a half field."""
         from repro.grid.lattice import Lattice

@@ -26,12 +26,17 @@ red-black grids of :class:`repro.grid.cartesian.GridRedBlack` (Grid's
 ``GridRedBlackCartesian``): each off-diagonal block is one
 checkerboard hop (:meth:`repro.grid.wilson.WilsonDirac.dhop_cb`) that
 sweeps only the sites it writes, so halved iterations and halved
-sweeps compound.
+sweeps compound.  Around the solve, :meth:`SchurWilson.solve`'s tails
+-- the parity picks, the right-hand side, the back-substitution with
+the even residual, the odd residual and the embed -- are steps of
+:func:`repro.grid.krylov.algebra`: a compiled pass each where the fused
+hop runs, the Lattice expressions elsewhere.
 """
 
 from __future__ import annotations
 
 from repro.engine.plan import fused_safe_backend
+from repro.grid.krylov import algebra
 from repro.grid.lattice import Lattice
 from repro.grid.solver import SolverResult
 from repro.grid.stencil import red_black
@@ -170,10 +175,11 @@ class SchurWilson:
             single_precision_twin,
         )
 
-        b_e = self.project(b, "even")
-        b_o = self.project(b, "odd")
+        alg = algebra(b)
+        b_e = alg.pick(b, red_black(self.grid, "even"))
+        b_o = alg.pick(b, red_black(self.grid, "odd"))
         # RHS of the Schur system: b_o - Moe Mee^-1 b_e.
-        rhs = b_o - self._hop(b_e) * (1.0 / self.diag)
+        rhs = alg.sub_scaled(b_o, self._hop(b_e), 1.0 / self.diag)
         if has_single_twin(self):
             inner_tol = max(tol ** 0.5, INNER_TOL_FLOOR)
             # The probe runs here, before the solve, so its span and
@@ -186,16 +192,16 @@ class SchurWilson:
             inner = solve_fermion(self, rhs, method="cg", tol=tol,
                                   max_iter=max_iter)
         psi_o = inner.x
-        # Back-substitution: psi_e = Mee^-1 (b_e - Meo psi_o).
-        hop_o = self.dirac.dhop_cb(psi_o)
-        psi_e = (b_e - hop_o * (-0.5)) * (1.0 / self.diag)
-        # The true residual of M psi = b, parity by parity: each block
-        # is M's own expression, (4+m) psi_p - 1/2 D_h psi, on the
-        # half fields — no full-lattice sweep or field needed.
-        r_e = b_e - (psi_e * self.diag - hop_o * 0.5)
-        r_o = b_o - (psi_o * self.diag - self.dirac.dhop_cb(psi_e) * 0.5)
-        true_res = ((r_e.norm2() + r_o.norm2()) / b.norm2()) ** 0.5
-        psi = psi_o.grid.embed(psi_o, out=self.embed(psi_e))
+        # Back-substitution: psi_e = Mee^-1 (b_e - Meo psi_o), and the
+        # true residual of M psi = b, parity by parity: each block is
+        # M's own expression, (4+m) psi_p - 1/2 D_h psi, on the half
+        # fields — no full-lattice sweep or field needed.
+        psi_e, re2 = alg.schur_back(b_e, self.dirac.dhop_cb(psi_o),
+                                    self.diag)
+        ro2 = alg.schur_residual(b_o, psi_o, self.dirac.dhop_cb(psi_e),
+                                 self.diag)
+        true_res = ((re2 + ro2) / alg.norm2(b)) ** 0.5
+        psi = alg.embed(psi_e, psi_o)
         return SolverResult(
             x=psi,
             converged=inner.converged and true_res < 10 * tol,

@@ -25,6 +25,13 @@ does not pay — on a thermalised configuration past the critical mass it
 took 9–28x CGNE's iterations — CGNE is kept.  Which of the two runs is
 measured, not configured: one probe solve per twin
 (:func:`inner_method`).
+
+The outer step's double-precision algebra -- the trial iterate ``x +
+to_double(d)``, the true residual ``b - op x`` with its norm, and the
+residual's cast back -- runs through :func:`repro.grid.krylov.algebra`:
+compiled passes where the fused hop runs (the Schur twin's
+:class:`Relayout` conversions included), the Lattice expressions
+elsewhere, with the same bytes.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import numpy as np
 from repro.grid.cartesian import GridCartesian, GridRedBlack
 from repro.grid.coordinates import indices_of
 from repro.grid.evenodd import SchurWilson
+from repro.grid.krylov import algebra
 from repro.grid.lattice import Lattice
 from repro.grid.solver import bicgstab, conjugate_gradient
 from repro.grid.stencil import red_black, single_precision_grid
@@ -128,14 +136,21 @@ def _half_site_order(rb: GridRedBlack) -> np.ndarray:
     return indices_of(coor[rb.sites], full.ldims)
 
 
-def _relayout(half: Lattice, target: GridRedBlack,
-              take: np.ndarray) -> Lattice:
-    """``half``'s sites ``take`` as a half field on ``target``, in
-    ``target``'s precision: a permutation of the site axis and a cast."""
-    tensor = half.tensor_shape
-    sites = half.data.reshape(tensor + (-1,))
-    vals = np.take(sites, take, axis=-1).astype(target.dtype)
-    return Lattice(target, tensor, vals.reshape(target.field_shape(tensor)))
+class Relayout:
+    """A half field's sites ``take`` as a half field on ``target``, in
+    ``target``'s precision: a permutation of the site axis and a cast.
+    The Krylov algebra reads ``take`` and ``target`` to run it as a pass
+    (:meth:`repro.grid.krylov.NativeAlgebra.convert`)."""
+
+    def __init__(self, target: GridRedBlack, take: np.ndarray) -> None:
+        self.target, self.take = target, take
+
+    def __call__(self, half: Lattice) -> Lattice:
+        tensor = half.tensor_shape
+        sites = half.data.reshape(tensor + (-1,))
+        vals = np.take(sites, self.take, axis=-1).astype(self.target.dtype)
+        return Lattice(self.target, tensor,
+                       vals.reshape(self.target.field_shape(tensor)))
 
 
 def _half_converters(grid64: GridCartesian, grid32: GridCartesian):
@@ -151,8 +166,7 @@ def _half_converters(grid64: GridCartesian, grid32: GridCartesian):
     where[_half_site_order(rb64)] = np.arange(grid64.lsites // 2)
     take32 = where[_half_site_order(rb32)]
     take64 = np.argsort(take32)
-    return (partial(_relayout, target=rb32, take=take32),
-            partial(_relayout, target=rb64, take=take64))
+    return Relayout(rb32, take32), Relayout(rb64, take64)
 
 
 def has_single_twin(op) -> bool:
@@ -305,8 +319,9 @@ def defect_correction(op, b: Lattice, tol: float, inner_tol: float,
     with the inner solves' (:meth:`~repro.resilience.guard.Ledger.
     absorb`).
     """
+    alg = algebra(b)
     x = b.new_like()
-    bnorm = b.norm2() ** 0.5
+    bnorm = alg.norm2(b) ** 0.5
     ledger = None if guard is None else guard.ledger()
     done = MixedPrecisionResult if ledger is None \
         else partial(ledger.result, MixedPrecisionResult)
@@ -328,13 +343,14 @@ def defect_correction(op, b: Lattice, tol: float, inner_tol: float,
             else min(max_inner, max_iter - inner_total)
         if budget <= 0:
             break
-        d32, spent, inner = _inner_step(op32, to_single(r), inner_tol,
-                                        budget, method, cap, inner_solve)
+        d32, spent, inner = _inner_step(op32, alg.convert(r, to_single),
+                                        inner_tol, budget, method, cap,
+                                        inner_solve)
         inner_total += spent
-        x_trial = x + to_double(d32)
+        x_trial = alg.add_converted(x, d32, to_double)
         # True residual, double precision.
-        r_trial = b - op.apply(x_trial)
-        rel = r_trial.norm2() ** 0.5 / bnorm
+        r_trial, rr = alg.sub_norm(b, op.apply(x_trial))
+        rel = rr ** 0.5 / bnorm
         if ledger is None:
             verdict = "keep"
         else:

@@ -16,6 +16,8 @@ facade over those instruments.
 
 from __future__ import annotations
 
+import threading
+
 from repro.telemetry.metrics import registry
 
 #: Every engine counter, in declaration order.
@@ -61,12 +63,19 @@ COUNTER_NAMES = (
 #: Registry key prefix for the engine counters.
 PREFIX = "perf."
 
+#: The one lock of every engine counter and of every kernel plan's
+#: stage tallies (:class:`repro.engine.plan.StageCounters`), so a
+#: sweep's tallies are one acquisition (:meth:`PerfCounters.
+#: bump_sweep`).
+LOCK = threading.Lock()
+
 #: The backing instruments, created eagerly so a snapshot taken before
 #: any engine activity already shows every counter at zero, and so
 #: ``bump`` is one dict lookup + one atomic increment (no registry
 #: lock on the hot path).
 _PERF = {
-    name: registry().counter(PREFIX + name, help="engine perf counter")
+    name: registry().counter(PREFIX + name, help="engine perf counter",
+                             lock=LOCK)
     for name in COUNTER_NAMES
 }
 
@@ -86,6 +95,20 @@ class PerfCounters:
         if inst is None:
             raise AttributeError(f"unknown perf counter {name!r}")
         inst.inc(n)
+
+    def bump_sweep(self, ntiles: int, stages=None, nhops: int = 0) -> None:
+        """One compiled sweep's tallies under :data:`LOCK`: ``ntiles``
+        ``tiles_dispatched`` and one ``native_sweeps``, and, where
+        ``stages`` (a plan's stage tallies) is given, its ``gather``
+        (``nhops``) and ``compute`` (``ntiles``) stages."""
+        with LOCK:
+            _PERF["tiles_dispatched"].add(ntiles)
+            _PERF["native_sweeps"].add(1)
+            if stages is not None:
+                stages.add("gather", nhops)
+                stages.add("compute", ntiles)
+        if stages is not None:
+            stages.mirror(("gather", nhops), ("compute", ntiles))
 
     def __getattr__(self, name: str) -> int:
         inst = _PERF.get(name)

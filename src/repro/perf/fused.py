@@ -379,9 +379,8 @@ def fused_dhop(dirac, psi: Lattice, hop=None, plan=None) -> Lattice:
                   np.empty(grid.field_shape(psi.tensor_shape),
                            dtype=grid.dtype))
     if hop is not None:
-        ntiles = dirac._full_hop().run(hop, np.ascontiguousarray(psi.data),
-                                       out.data, plan)
-        _bump_stages(plan, NHOPS, ntiles)
+        dirac._full_hop().run(hop, np.ascontiguousarray(psi.data), out.data,
+                              plan)
         return out
     hops = [(sign, neighbour_table(grid, mu, sign), mu)
             for mu, sign in sweep_order(grid.ndim)]
@@ -436,7 +435,7 @@ def fused_dhop_cb(dirac, psi: Lattice, target, hop=None, plan=None,
     xs = None if x is None else np.ascontiguousarray(x.data)
     out = np.empty(target.field_shape(psi.tensor_shape), dtype=src.dtype)
     if hop is not None:
-        ntiles = sweep.run(hop, src, out, plan, store, xs, diag)
+        sweep.run(hop, src, out, plan, store, xs, diag)
     else:
         work = out.reshape(src.shape[:2] + (-1,))
         xw = None if xs is None else xs.reshape(work.shape)
@@ -449,7 +448,7 @@ def fused_dhop_cb(dirac, psi: Lattice, target, hop=None, plan=None,
                 for k, (mu, sign) in enumerate(sweep_order(dirac.grid.ndim))]
         ntiles = sweep_blocks(hops, src.reshape(12, -1), sweep.links,
                               sweep.n, block, plan, unit=target.nlanes)
-    _bump_stages(plan, NHOPS, ntiles)
+        _bump_stages(plan, NHOPS, ntiles)
     return Lattice.wrap(target, psi.tensor_shape, out)
 
 
@@ -514,6 +513,7 @@ class Sweep:
         self.src_size = src_size
         self.n = tables.shape[-1]
         self._bound = (None, None)  # (kernel, its binding)
+        self._tiles = (None, None)  # (plan, its tiling)
 
     def bound(self, hop):
         """The kernel ``hop`` bound to these operands (once per kernel:
@@ -526,21 +526,28 @@ class Sweep:
         return bound
 
     def run(self, hop, src, out, plan, store: int = STORE_HOP, x=None,
-            diag: float = 1.0) -> int:
+            diag: float = 1.0, stages: bool = True) -> int:
         """Run the compiled kernel ``hop`` over every output site, in
         blocks of :data:`BLOCK_SITES`, tiled as ``plan`` says (whole
         multiples of ``unit`` sites), storing through ``store``; returns
-        the number of tiles.  Counted as one ``native_sweeps``."""
+        the number of tiles.  Counted as one ``native_sweeps``, with
+        the plan's ``gather`` and ``compute`` stages where ``stages``.
+        The tiling of the last plan is kept: a plan is frozen, so it
+        tiles this sweep the same way each time."""
         run = self.bound(hop)(src, out, store, x, diag)
-        tiles, workers, step = _tiling(plan, self.n, self.unit)
-        counters().bump("tiles_dispatched", len(tiles))
+        cached, tiling = self._tiles
+        if plan is None or cached is not plan:
+            tiling = _tiling(plan, self.n, self.unit)
+            self._tiles = (plan, tiling)
+        tiles, workers, step = tiling
 
         def body(sl) -> None:
             for b0 in range(sl.start, sl.stop, step):
                 run(b0, min(b0 + step, sl.stop))
 
         run_tiles(body, tiles, workers)
-        counters().bump("native_sweeps")
+        counters().bump_sweep(len(tiles), plan.stages if stages and plan
+                              else None, NHOPS)
         return len(tiles)
 
 
@@ -551,7 +558,7 @@ def native_sweep(hop, src, rstride: int, tables, top: int, links, out,
     source is a fresh extended array each time); returns the number of
     tiles."""
     return Sweep(tables, top, links, rstride, lanes, unit,
-                 src.size).run(hop, src, out, plan)
+                 src.size).run(hop, src, out, plan, stages=False)
 
 
 def _bump_stages(plan, nhops: int, ntiles: int) -> None:

@@ -22,8 +22,13 @@
  *    -(a.im b.im)), im = fma(a.re, b.im, a.im b.re)) and to 0 where it
  *    rounds both products.
  *
- * Build with -ffp-contract=off: the fma calls below are the only fused
- * operations, so the contraction is the source's, not the compiler's.
+ * Build with -ffp-contract=off, and form every product on rows split
+ * into real and imaginary parts, never on interleaved (re, im) pairs:
+ * gcc's SLP vectorizer turns an interleaved ar*br - ai*bi into
+ * vfmaddsub even under -ffp-contract=off.  Then the fma calls below are
+ * the only fused operations, so the contraction is the source's, not
+ * the compiler's (tests/perf/test_krylov_passes.py disassembles an
+ * unfused build to check).
  * The one freedom left is which NaN an operation returns when two NaNs
  * meet in it: IEEE 754 leaves that to the implementation, and the
  * compiler may order a commutative operation's operands either way.
@@ -346,22 +351,27 @@ void HOP(const T *src, int64_t rstride, const int64_t *tables,
             const int64_t at = 2 * ((s0 + j - lane) * 12 + lane);
             T *o = out + at;
             if (store == 2) {
-                /* step 3: (psi * d) - a */
+                /* step 3: a = (psi * d) - a, psi's rows split first */
                 const T *x = psi + at;
-                for (int r = 0; r < 12; r++, o += 2 * lanes, x += 2 * lanes)
+                for (int r = 0; r < 12; r++, x += 2 * lanes) {
+                    T qr[SB], qi[SB];
                     for (int i = 0; i < m; i++) {
-                        const T xr = MUL_RE(x[2 * i], x[2 * i + 1], d, (T)0);
-                        const T xi = MUL_IM(x[2 * i], x[2 * i + 1], d, (T)0);
-                        o[2 * i] = xr - ar[r][j + i];
-                        o[2 * i + 1] = xi - ai[r][j + i];
+                        qr[i] = x[2 * i];
+                        qi[i] = x[2 * i + 1];
                     }
-            } else {
-                for (int r = 0; r < 12; r++, o += 2 * lanes)
                     for (int i = 0; i < m; i++) {
-                        o[2 * i] = ar[r][j + i];
-                        o[2 * i + 1] = ai[r][j + i];
+                        const T tr = MUL_RE(qr[i], qi[i], d, (T)0);
+                        const T ti = MUL_IM(qr[i], qi[i], d, (T)0);
+                        ar[r][j + i] = tr - ar[r][j + i];
+                        ai[r][j + i] = ti - ai[r][j + i];
                     }
+                }
             }
+            for (int r = 0; r < 12; r++, o += 2 * lanes)
+                for (int i = 0; i < m; i++) {
+                    o[2 * i] = ar[r][j + i];
+                    o[2 * i + 1] = ai[r][j + i];
+                }
             j += m;
         }
     }

@@ -1,4 +1,5 @@
-"""The compiled Wilson hop: build, load and call ``hop_cb.c``.
+"""The native library: build, load and call the compiled Wilson hop
+(``hop_cb.c``) and the Krylov passes (``krylov.c``).
 
 Every fused Wilson sweep of :mod:`repro.perf.fused` -- the
 checkerboard hop, the full hop and the distributed halo sweep, in
@@ -18,11 +19,13 @@ fused and unfused products differ, through a contiguous and a
 scalar-broadcast call, and names what numpy did.  The key picks the
 ``FUSED_C64``/``FUSED_C128`` macros the kernel is built with; the
 source states its contraction with explicit ``fma`` calls under
-``-ffp-contract=off``, so the compiler never decides the bits.
+``-ffp-contract=off`` and forms every product on split real/imaginary
+rows (gcc's SLP vectorizer contracts interleaved complex products
+even under that flag), so the compiler never decides the bits.
 
-**The build.**  The host ``gcc`` compiles the source once per (source,
-flags, compiler version, CPU, key) into :data:`BUILD_DIR`, in the
-checkout: each builder writes a temporary file and ``os.replace``-s it
+**The build.**  The host ``gcc`` compiles the sources (:data:`SOURCES`)
+into one library once per (sources, flags, compiler version, CPU, key)
+into :data:`BUILD_DIR`, in the checkout: each builder writes a temporary file and ``os.replace``-s it
 into place, so concurrent builders all load a whole library.  The file
 ends with a SHA-256 of the library; a cached file whose digest does not
 match is rebuilt, never loaded.  The library is loaded once per
@@ -34,6 +37,13 @@ each sweep runs the numpy block body (:func:`repro.perf.fused.
 sweep_blocks`) over the same tables and links, which is bit-identical;
 the ``native_fallbacks`` counter counts those sweeps and :func:`status`
 says why.
+
+**The Krylov passes.**  The same library holds the solvers' vector
+algebra (``krylov.c``), one fused pass per step, under the same
+contraction key and numpy's pairwise summation order; :func:`passes`
+returns them bound (:class:`Passes`) where the hop loads, and
+:mod:`repro.grid.krylov` runs the Lattice expressions where they do
+not.
 """
 
 from __future__ import annotations
@@ -50,6 +60,8 @@ import numpy as np
 
 #: The kernel's source, shipped with the package.
 SOURCE = Path(__file__).with_name("hop_cb.c")
+#: Every source of the library: the hop and the Krylov passes.
+SOURCES = (SOURCE, SOURCE.with_name("krylov.c"))
 
 
 def _build_dir() -> Path:
@@ -94,7 +106,8 @@ _ARGTYPES = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
 
 _LOCK = threading.Lock()
 #: The process's one load attempt: ``kernels`` (dtype -> bound entry
-#: point; empty where the reference route runs), ``reason`` (why not, or
+#: point; empty where the reference route runs), ``passes`` (dtype ->
+#: :class:`Passes`, for the same dtypes), ``reason`` (why not, or
 #: ``""``), the contraction ``keys``, ``flags``, ``compiler`` and ``path``.
 _STATE: dict = {}
 
@@ -238,7 +251,7 @@ def _compile(cc: str, flags: tuple, path: Path) -> str:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [cc, *flags, "-o", tmp, str(SOURCE), "-lm"],
+            [cc, *flags, "-o", tmp, *map(str, SOURCES), "-lm"],
             capture_output=True,
             text=True,
             timeout=BUILD_TIMEOUT,
@@ -272,7 +285,7 @@ def _load() -> dict:
         return state
     try:
         state["compiler"] = version = compiler_version(cc)
-        digest = hashlib.sha256(SOURCE.read_bytes())
+        digest = hashlib.sha256(b"".join(p.read_bytes() for p in SOURCES))
         for part in (" ".join(flags), version, _cpu_identity()):
             digest.update(b"\0" + part.encode())
         path = BUILD_DIR / f"hop_cb-{digest.hexdigest()[:24]}.so"
@@ -290,6 +303,7 @@ def _load() -> dict:
         for dt, name in ENTRY.items()
         if keys[dt] != "unknown"
     }
+    state["passes"] = {dt: Passes(lib, dt) for dt in state["kernels"]}
     return state
 
 
@@ -421,6 +435,149 @@ def _bind(fn, dtype: np.dtype):
     return bind
 
 
+#: The Krylov passes of ``krylov.c``, in its order; what each computes
+#: is stated there and, as a Lattice expression, in
+#: :mod:`repro.grid.krylov`.
+(OP_DOT, OP_NORM, OP_DOT2, OP_AXPY, OP_SUBMUL, OP_SUBMUL_NORM, OP_SUB_NORM,
+ OP_BICG_DIR, OP_BICG_UPD, OP_CG_UPD, OP_SCHUR_BACK, OP_SCHUR_RES) = range(12)
+#: Per pass: (operands, outputs, sums).
+PASS_SHAPES = ((2, 0, 2), (1, 0, 1), (2, 0, 4), (2, 1, 0), (2, 1, 0),
+               (2, 1, 1), (2, 1, 1), (3, 1, 0), (5, 2, 3), (4, 2, 1),
+               (2, 1, 1), (3, 0, 1))
+#: The one error every pass's operand check raises.
+PASS_MISFIT = "operands do not fit the Krylov pass"
+_P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+_SUMS = ctypes.c_double * 4
+
+
+class Passes:
+    """The Krylov passes of ``krylov.c`` for one complex ``dtype``.
+
+    :meth:`run` runs one fused pass over C-contiguous arrays of
+    ``dtype`` and one size and returns fresh outputs and the pass's
+    sums; :meth:`pick` and :meth:`embed` move a half field's sites from
+    and to a lane-major full field, and (complex128 only)
+    :meth:`relayout_add` and :meth:`relayout_single` are the
+    mixed-precision solve's conversions.  Every operand is checked
+    (dtype, size, contiguity) before its pointer is taken; a misfit
+    raises ``ValueError(PASS_MISFIT)``."""
+
+    def __init__(self, lib, dtype) -> None:
+        self.dtype = dt = np.dtype(dtype)
+        sfx = "c64" if dt == np.complex64 else "c128"
+        #: The entry points bound here.
+        self.entries = tuple(f"{name}_{sfx}"
+                             for name in ("krylov", "pick", "embed"))
+        self._pass, self._pick, self._embed = (
+            _entry(lib, name, argtypes) for name, argtypes in zip(
+                self.entries, ([_I, _I] + [_P] * 7 + [_D] * 4 + [_P],
+                               [_P, _P, _I, _I, _I, _P],
+                               [_P, _P, _I, _I, _I, _P])))
+        if dt == np.complex128:
+            self.entries += ("relayout_add_c128", "relayout_c64")
+            self._relayout_add = _entry(lib, "relayout_add_c128",
+                                        [_P, _P, _P, _I, _I, _P])
+            self._relayout = _entry(lib, "relayout_c64",
+                                    [_P, _P, _I, _I, _P])
+
+    def _fits(self, a, size: int) -> bool:
+        return (a.dtype == self.dtype and a.size == size
+                and a.flags.c_contiguous)
+
+    def run(self, op: int, operands, k0: complex = 0j, k1: complex = 0j):
+        """``(outputs, sums)`` of pass ``op`` over ``operands`` with the
+        constants ``k0``, ``k1`` (each rounded to ``dtype`` by the
+        pass): the outputs fresh arrays shaped like ``operands[0]``,
+        the sums Python floats."""
+        nin, nout, nsum = PASS_SHAPES[op]
+        first = operands[0]
+        n, dtype = first.size, self.dtype
+        if len(operands) != nin or not n:
+            raise ValueError(PASS_MISFIT)
+        ptrs = [None] * 7
+        for i, a in enumerate(operands):
+            if not (a.dtype == dtype and a.size == n
+                    and a.flags.c_contiguous):
+                raise ValueError(PASS_MISFIT)
+            ptrs[i] = _address(a)
+        outs = []
+        for i in range(nout):
+            out = np.empty(first.shape, dtype)
+            outs.append(out)
+            ptrs[5 + i] = _address(out)
+        sums = _SUMS()
+        self._pass(op, n, *ptrs, k0.real, k0.imag, k1.real, k1.imag, sums)
+        return outs, sums[:nsum]
+
+    def _check_table(self, table, nl: int, nh: int, rows: int) -> None:
+        if not (table.dtype == np.int64 and table.size == nh
+                and table.flags.c_contiguous and 0 < nl and 0 < rows):
+            raise ValueError(PASS_MISFIT)
+
+    def pick(self, full, base, nl: int, rows: int):
+        """The half field ``(rows, nh)`` of the sites whose first row sits
+        at ``base`` (``nh`` int64 offsets) in the lane-major ``full``
+        field of ``nl`` lanes: row ``r`` of site ``k`` is
+        ``full.flat[base[k] + r * nl]``.  ``base`` must address within
+        ``full``; its builder (:mod:`repro.grid.krylov`) sees to that."""
+        nh = base.size
+        self._check_table(base, nl, nh, rows)
+        if not self._fits(full, 2 * rows * nh):
+            raise ValueError(PASS_MISFIT)
+        half = np.empty(rows * nh, self.dtype)
+        self._pick(_address(full), base.ctypes.data, nl, rows, nh,
+                   _address(half))
+        return half
+
+    def embed(self, halves, bases, nl: int, rows: int, size: int):
+        """A fresh lane-major full field of ``size`` elements holding
+        each half field of ``halves`` at its ``bases`` (as
+        :meth:`pick` reads them); the bases must cover every site."""
+        full = np.empty(size, self.dtype)
+        for half, base in zip(halves, bases):
+            nh = base.size
+            self._check_table(base, nl, nh, rows)
+            if not self._fits(half, rows * nh) or size != 2 * rows * nh:
+                raise ValueError(PASS_MISFIT)
+            self._embed(_address(half), base.ctypes.data, nl, rows, nh,
+                        _address(full))
+        return full
+
+    def relayout_add(self, x, d, take):
+        """``x + d[..., take].astype(complex128)``: ``x`` a complex128
+        field whose last axes are ``n`` sites, ``d`` its complex64 twin
+        in the site order ``take`` permutes."""
+        n = take.size
+        if not (self._fits(x, x.size) and d.dtype == np.complex64
+                and d.size == x.size and d.flags.c_contiguous
+                and take.dtype == np.int64 and take.flags.c_contiguous
+                and n and x.size % n == 0):
+            raise ValueError(PASS_MISFIT)
+        out = np.empty(x.shape, self.dtype)
+        self._relayout_add(_address(x), _address(d), take.ctypes.data,
+                           x.size // n, n, _address(out))
+        return out
+
+    def relayout_single(self, x, take, shape):
+        """``x[..., take].astype(complex64)``, shaped ``shape``."""
+        n = take.size
+        if not (self._fits(x, x.size) and take.dtype == np.int64
+                and take.flags.c_contiguous and n and x.size % n == 0):
+            raise ValueError(PASS_MISFIT)
+        out = np.empty(shape, np.complex64)
+        if out.size != x.size:
+            raise ValueError(PASS_MISFIT)
+        self._relayout(_address(x), take.ctypes.data, x.size // n, n,
+                       _address(out))
+        return out
+
+
+def _entry(lib, name: str, argtypes: list):
+    fn = getattr(lib, name)
+    fn.restype, fn.argtypes = None, argtypes
+    return fn
+
+
 def _state() -> dict:
     if not _STATE:  # filled once, by one ``update`` under the lock
         with _LOCK:
@@ -456,14 +613,24 @@ def kernel(dtype):
     return _state()["kernels"].get(np.dtype(dtype))
 
 
+def passes(dtype):
+    """The Krylov passes for ``dtype`` (:class:`Passes`), or ``None``
+    where the library does not load for it (:func:`status` says why):
+    they load with the hop, under the same contraction key."""
+    return _state().get("passes", {}).get(np.dtype(dtype))
+
+
 def status(dtype=np.complex128) -> dict:
     """Which kernel the Wilson hops of ``dtype`` run, and why:
     ``kernel`` (``native``/``reference``), ``reason`` (empty when
     native), the contraction ``key``, numpy's multiply ``target``, the
-    ``compiler``, the ``flags`` and the library ``path``."""
+    ``compiler``, the ``flags``, the library ``path`` and the Krylov
+    ``passes``' entry points (empty where the Lattice expressions
+    run)."""
     dtype = np.dtype(dtype)
     state = _state()
     native = dtype in state["kernels"]
+    bound = state.get("passes", {}).get(dtype)
     reason = state["reason"]
     if not native and not reason:
         reason = f"contraction key of {dtype} is {state['keys'].get(dtype)!r}"
@@ -475,4 +642,5 @@ def status(dtype=np.complex128) -> dict:
         "compiler": state.get("compiler", find_compiler() or "none"),
         "flags": " ".join(state["flags"]),
         "path": state.get("path", ""),
+        "passes": " ".join(bound.entries) if bound else "",
     }

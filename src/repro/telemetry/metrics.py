@@ -48,15 +48,20 @@ class Counter:
 
     __slots__ = ("name", "help", "_lock", "_value")
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str, help: str = "", lock=None) -> None:
         self.name = name
         self.help = help
-        self._lock = threading.Lock()
+        self._lock = threading.Lock() if lock is None else lock
         self._value = 0
 
     def inc(self, n: int = 1) -> None:
         with self._lock:
             self._value += n
+
+    def add(self, n: int) -> None:
+        """``inc`` for a caller that holds the counter's lock (one shared
+        by several counters, given at creation)."""
+        self._value += n
 
     @property
     def value(self):
@@ -185,8 +190,10 @@ class MetricsRegistry:
                 )
             return inst
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(name, Counter, help=help)
+    def counter(self, name: str, help: str = "", lock=None) -> Counter:
+        """The counter ``name``; one created here takes ``lock`` (default:
+        its own)."""
+        return self._get_or_create(name, Counter, help=help, lock=lock)
 
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get_or_create(name, Gauge, help=help)
