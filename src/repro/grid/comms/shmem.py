@@ -22,23 +22,26 @@ The parent drives every sweep as one synchronous command round:
    into the array's slab slots — all sends precede all receives and
    each mailbox is written exactly once per command, so the round is
    deadlock-free by construction;
-3. each worker runs the block sweep over its extended array through
-   the rank-local ``rank_halo`` tables and writes its ``out`` shard in
-   place: the compiled kernel (:func:`repro.perf.fused.native_sweep`)
-   where it loads in the worker, the numpy body
-   (:func:`repro.perf.fused.sweep_blocks`) where it does not;
+3. each worker runs the compiled block sweep
+   (:func:`repro.perf.fused.native_sweep`) over its extended array
+   through the rank-local ``rank_halo`` tables and writes its ``out``
+   shard in place;
 4. workers reply with their local :class:`~repro.grid.comms.lattice.
-   CommsStats`, how long they blocked on halo arrival and which sweep
-   ran; the parent merges stats, counts the sweeps
-   (``native_sweeps``/``native_fallbacks``), feeds the PR 5 halo-wait
-   histograms, and only then may start the next command — which is
-   what guarantees every mailbox is empty again at the start of each
-   round.
+   CommsStats` and how long they blocked on halo arrival; the parent
+   merges stats, counts one ``native_sweeps`` per rank, feeds the
+   halo-wait histograms, and only then may start the next command —
+   which is what guarantees every mailbox is empty again at the start
+   of each round.
 
 The transport declines (``run_dhop`` returns ``None``) when the plan
-is not fused — the engine is off or the backend is not fused-safe — or
-when a worker could not rebuild the backend; the caller's lane-major
-reference then runs in process.
+is not fused — the engine is off or the backend is not fused-safe —
+when a worker could not rebuild the backend, or when the compiled
+kernel does not load in the parent (no compiler, an unknown
+contraction key); the caller's lane-major reference then runs in
+process.  A worker whose own kernel does not load exchanges its slabs
+(so no rank waits on it), sweeps nothing and replies ``ok: False``
+with :func:`repro.perf.native.status`'s reason; the round then fails,
+naming the rank.
 
 Bit-identity
 ------------
@@ -79,6 +82,7 @@ from repro.engine.policy import scope as _engine_scope
 from repro.grid.comms.faults import adapt_fault_hook
 from repro.grid.comms.transport import Transport
 from repro.grid.comms.wire import exchange_field
+from repro.perf import native
 from repro.perf.counters import counters
 from repro.telemetry import flightrec as _telemetry_flightrec
 from repro.telemetry import merge as _telemetry_merge
@@ -157,10 +161,7 @@ def _worker_dhop(rank: int, cmd: dict, sems: dict, seg_cache: dict,
     collector = (RankCollector(rank)
                  if cmd.get("telemetry") == "trace" else None)
     from repro.grid.comms.lattice import CommsStats
-    from repro.perf import native
-    from repro.perf.fused import (
-        from_working, native_sweep, stored_links, sweep_blocks, sweep_order,
-    )
+    from repro.perf.fused import native_sweep, stored_links, sweep_order
 
     grid, halo, tables, top = _worker_halo(geom_cache, cmd)
     dtype = grid.dtype
@@ -223,22 +224,18 @@ def _worker_dhop(rank: int, cmd: dict, sems: dict, seg_cache: dict,
         # only in the next command round anyway.
         empty.release()
 
+    # A rank without the kernel still posts and receives its slabs, so
+    # no other rank waits on it, and then fails the round unswept.
     hop = native.kernel(dtype)
+    if hop is None:
+        return {"ok": False, "error": "no compiled Wilson hop in this "
+                f"rank: {native.status(dtype)['reason']}"}
     t0 = time.perf_counter()
-    links = stored_links(links)
-    if hop is not None:
-        native_sweep(hop, ext, halo.width, tables, top, links, out, nl, nl,
-                     None)
-    else:
-        def store(acc, b0, b1) -> None:
-            from_working(acc, out[b0 // nl:b1 // nl])
-
-        hops = [(sign, tables[k], mu) for k, (mu, sign) in enumerate(keys)]
-        sweep_blocks(hops, ext, links, n, store, None, unit=nl)
+    native_sweep(hop, ext, halo.width, tables, top, stored_links(links), out,
+                 nl, nl, None)
     if collector is not None:
         collector.record("rank.sweep", t0, time.perf_counter())
     return {"ok": True, "stats": stats, "wait_seconds": waited,
-            "native": hop is not None,
             "telemetry": None if collector is None
             else collector.payload()}
 
@@ -455,8 +452,7 @@ class _RankRuntime:
             )
         for rep in replies:
             psi.stats.merge(rep["stats"])
-            counters().bump("native_sweeps" if rep["native"]
-                            else "native_fallbacks")
+        counters().bump("native_sweeps", self.nranks)
         round_index = self.rounds
         self.rounds += 1
         self._observe(psi, replies, send_times, round_index)
@@ -600,11 +596,13 @@ class SharedMemoryTransport(Transport):
     def run_dhop(self, op, psi, plan):
         g0 = psi.grids[0]
         backend = g0.backend
-        if not (plan.fused and _reconstructible(backend)):
-            # Workers run the block sweep, which needs a fused-safe
-            # backend they can rebuild by registry key (not a resilient
-            # wrapper or test double): otherwise decline, and the
-            # caller's lane-major reference takes over.
+        if not (plan.fused and _reconstructible(backend)
+                and native.kernel(g0.dtype) is not None):
+            # Workers run the compiled block sweep, which needs the
+            # kernel and a fused-safe backend they can rebuild by
+            # registry key (not a resilient wrapper or test double):
+            # otherwise decline, and the caller's lane-major reference
+            # takes over, with no runtime started.
             return None
         runtime = runtime_for(psi.ranks.nranks, g0.ndim)
         if not _telemetry_trace.tracing():

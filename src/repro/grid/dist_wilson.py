@@ -8,21 +8,21 @@ the single-rank :class:`repro.grid.wilson.WilsonDirac`.
 
 Routes, resolved by the engine's :class:`~repro.engine.plan.KernelPlan`:
 
-* **Block sweep** (the default on numpy-semantics backends) —
-  :func:`halo_dhop`: every halo is exchanged in order, then one block
-  sweep covers each rank's shard and the face slabs it received.  The
-  operator holds its links and adjoint back-links as one contiguous
-  ``(8, 3, 3, nranks * N)`` array in sweep order, in the tensor-major
-  working layout, stacked by rank.
+* **Block sweep** (the default on numpy-semantics backends where the
+  compiled kernel loads) — :func:`halo_dhop`: every halo is exchanged
+  in order, then one block sweep covers each rank's shard and the face
+  slabs it received.  The operator holds its links and adjoint
+  back-links as one contiguous ``(8, 3, 3, nranks * N)`` array in
+  sweep order, in the tensor-major working layout, stacked by rank.
 * **Lane-major reference** — ordered exchange through
-  :meth:`DistributedLattice.cshift`, then the layered ops per rank.
+  :meth:`DistributedLattice.cshift`, then the layered ops per rank:
+  the engine off, another backend, or no kernel (no C compiler).
 * **Shared-memory ranks** — a transport that runs the sweep in rank
-  processes (:mod:`repro.grid.comms.shmem`).
+  processes (:mod:`repro.grid.comms.shmem`), where the kernel loads.
 
 **The ordered halo sweep.**  Each rank's sites are swept by the
-single-rank hop's body -- the compiled kernel
-(:func:`repro.perf.fused.native_sweep`), or the numpy block body
-(:func:`repro.perf.fused.sweep_blocks`) where it cannot load -- over
+single-rank hop's compiled kernel
+(:func:`repro.perf.fused.native_sweep`) over
 the rank's *extended* working array: its own shard in the tensor-major
 layout ``(12, N)``, followed by one received slab per (mu, ±1); the
 results land lane-major, in place.  Every neighbour read goes through
@@ -44,7 +44,9 @@ slab the message is accounted as.  Messages go out in a fixed order
 before the next is posted, so seeded fault schedules keyed on message
 ordinals hit the same halo on every run.  A gather is an exact copy, so
 on a pristine or checksummed wire the sweep is bit-identical to the
-single-rank ``WilsonDirac.dhop`` and to the layered reference.
+single-rank ``WilsonDirac.dhop`` and to the layered reference.  With
+fp16 halos the reference rounds different sites (DESIGN.md §9), so a
+host without the kernel computes other bytes on that wire.
 """
 
 from __future__ import annotations
@@ -63,13 +65,12 @@ from repro.grid.tensor import su3_dagger_mul_vec, su3_mul_vec
 from repro.grid.wilson import SPINOR
 from repro.perf import native
 from repro.perf.fused import (
-    adjoint, from_working, native_sweep, stored_links, sweep_blocks,
-    sweep_order, to_working,
+    adjoint, from_working, native_sweep, stored_links, to_working,
 )
 from repro.telemetry import trace as _telemetry
 
 
-def halo_dhop(op, psi, kplan, hop=None):
+def halo_dhop(op, psi, kplan, hop):
     """Apply ``op``'s hopping term: exchange every face slab in order,
     then one block sweep over every rank's shard and received slabs.
 
@@ -77,9 +78,9 @@ def halo_dhop(op, psi, kplan, hop=None):
     links; ``psi`` a spinor field; ``kplan`` the resolved
     :class:`~repro.engine.plan.KernelPlan`, whose tile split and stage
     counters the sweep uses; ``hop`` the compiled kernel
-    (:func:`repro.perf.native.kernel`), or ``None`` for the numpy block
-    body.  Either writes every rank's hop straight into one lane-major
-    array; each rank's result is its stretch of it.
+    (:func:`repro.perf.native.kernel`).  It writes every rank's hop
+    straight into one lane-major array; each rank's result is its
+    stretch of it.
     """
     halo = rank_halo(psi)
     nranks = psi.ranks.nranks
@@ -111,17 +112,8 @@ def halo_dhop(op, psi, kplan, hop=None):
     nl = grid.nlanes
     result = np.empty((nranks * grid.osites,) + psi.locals[0].data.shape[1:],
                       dtype=dtype)
-    links = op._sweep_fields
-    if hop is not None:
-        native_sweep(hop, stacked, nranks * width, halo.tables, halo.top,
-                     links, result, nl, nl, kplan)
-    else:
-        def store(acc, b0, b1) -> None:
-            from_working(acc, result[b0 // nl:b1 // nl])
-
-        hops = [(sign, halo.tables[k], mu)
-                for k, (mu, sign) in enumerate(sweep_order(op.ndim))]
-        sweep_blocks(hops, stacked, links, nranks * n, store, kplan, unit=nl)
+    native_sweep(hop, stacked, nranks * width, halo.tables, halo.top,
+                 op._sweep_fields, result, nl, nl, kplan)
     out = psi.clone_empty()
     for r, lat in enumerate(psi.locals):
         out.locals.append(Lattice(lat.grid, lat.tensor_shape,
@@ -158,7 +150,8 @@ class DistributedWilson:
         # layout with the ranks side by side along the site axis (rank
         # r's flat site f at r * N + f), as the block sweep stacks them
         # -- and the lane-major back-links are rebuilt from it only if
-        # the engine-off reference loop asks for them.
+        # the reference loop asks for them (the engine off, or no
+        # kernel).
         back = [self.links[mu].uncompressed().cshift(mu, -1)
                 for mu in range(self.ndim)]
         self._sweep_links = self._sweep_fields = None
@@ -185,9 +178,9 @@ class DistributedWilson:
         :class:`DistributedLattice` per mu.
 
         Only the lane-major reference loop of :meth:`dhop` (engine off,
-        or a backend that is not fused-safe) reads them; the block
-        sweep, in process or in the shared-memory rank workers, reads
-        the stacked working-layout adjoints instead."""
+        a backend that is not fused-safe, or no compiled kernel) reads
+        them; the block sweep, in process or in the shared-memory rank
+        workers, reads the stacked working-layout adjoints instead."""
         if self._links_back_lm is None:
             back = []
             for mu, u in enumerate(self.links):
@@ -220,10 +213,10 @@ class DistributedWilson:
 
         Dispatch is resolved once by the execution engine (every rank
         shares one backend object, so one :class:`~repro.engine.plan.
-        KernelPlan` covers the whole sweep): block sweep vs lane-major
-        reference, and on the block sweep the compiled kernel where it
-        loads (:func:`repro.perf.native.kernel`), the numpy body where
-        it does not.  Every route is bit-identical on a pristine or
+        KernelPlan` covers the whole sweep): the block sweep where the
+        plan is fused and the compiled kernel loads
+        (:func:`repro.perf.native.kernel`), the lane-major reference
+        otherwise.  Every route is bit-identical on a pristine or
         checksummed wire; with fp16 halos the reference route rounds
         different sites (see DESIGN.md §9).
 
@@ -258,15 +251,16 @@ class DistributedWilson:
             # traffic crosses an actual process boundary and the
             # rank-local arithmetic runs where the shards live (each
             # rank worker loads the kernel itself).  The backend may
-            # decline (None) — e.g. a geometry it cannot host — and the
-            # routes below take over.
+            # decline (None) — e.g. a geometry it cannot host, or no
+            # kernel — and the routes below take over.
             hopped = psi.transport.run_dhop(self, psi, plan)
             if hopped is not None:
                 return hopped
-        if plan.fused:
+        if hop is not None:
             # The block sweep over each rank's shard and received
             # slabs (halo_dhop).
             return halo_dhop(self, psi, plan, hop)
+        plan.stages.bump("layered_sweeps")
         out = self._zero_like(psi)
         for mu in range(self.ndim):
             # The lane-major reference: ordered exchange through the

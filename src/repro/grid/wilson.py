@@ -13,6 +13,12 @@ each direction gathers the neighbour field (a circular shift that
 lane-permutes at virtual-node boundaries), spin-projects to a
 half-spinor, applies the SU(3) link, and reconstructs.
 
+Two routes compute it, byte for byte alike: the compiled hop
+(:mod:`repro.perf.fused`, ``perf/hop_cb.c``) where the engine's plan
+is fused and the kernel loads, and otherwise the layered loop of
+:meth:`WilsonDirac._dhop_impl` -- one backend call per tensor element
+-- which is also the only route without a C compiler.
+
 The full Wilson operator used by the solvers is
 ``M = (4 + m) - (1/2) D_h`` with bare mass ``m``; it satisfies
 gamma5-hermiticity, ``gamma_5 M gamma_5 = M^dagger``, which the test
@@ -84,7 +90,8 @@ class WilsonDirac:
         # -- as Grid keeps per-checkerboard gauge fields beside the
         # full one.  The layered path reads lane-major back-links; where
         # it is the only route (another backend or shift) they are
-        # gathered here.
+        # gathered here, and where the kernel does not load on the
+        # first layered hop (``_links_back``).
         self._fused = fused_safe_backend(self.grid.backend) \
             and self._cshift is cshift
         self._sweep_tables = None
@@ -178,12 +185,11 @@ class WilsonDirac:
     def dhop(self, psi: Lattice) -> Lattice:
         """Apply the hopping term ``D_h`` of Eq. (1).
 
-        Dispatch is resolved by the execution engine: the grid's
-        :class:`~repro.engine.plan.KernelPlan` (cached per policy)
-        decides between the fused, cache-blocked sweep and the
-        layered reference, and the fused sweep runs the compiled kernel
-        where it loads (:func:`repro.perf.native.kernel`) and the numpy
-        block body where it does not.  Every route is bit-identical.
+        One decision picks the route (:meth:`_kernel`): the compiled,
+        cache-blocked sweep where the grid's
+        :class:`~repro.engine.plan.KernelPlan` (cached per policy) is
+        fused and the kernel loads (:func:`repro.perf.native.kernel`),
+        the layered reference otherwise.  Both give the same bytes.
 
         With telemetry tracing on, the sweep is wrapped in a span
         carrying the flop/byte metadata the roofline report consumes,
@@ -210,16 +216,17 @@ class WilsonDirac:
 
     def _kernel(self, plan):
         """The compiled hop where the fused sweep runs and the kernel
-        loads, else ``None``."""
+        loads, else ``None``: the one decision between the kernel and
+        the layered reference, for ``dhop`` and ``dhop_cb`` alike."""
         if plan.fused and self._fused:
             return native.kernel(self.grid.dtype)
         return None
 
     def _dhop_impl(self, psi: Lattice, plan, hop) -> Lattice:
-        if plan.fused and self._fused:
-            # Fused, cache-blocked engine sweep — bit-identical to the
-            # layered path below (see repro.perf.fused for the argument).
-            return fused_dhop(self, psi, hop=hop, plan=plan)
+        if hop is not None:
+            # The compiled sweep — bit-identical to the layered path
+            # below (see repro.perf.fused for the argument).
+            return fused_dhop(self, psi, hop, plan)
         plan.stages.bump("layered_sweeps")
         be = self.grid.backend
         out = Lattice(self.grid, psi.tensor_shape)
@@ -246,13 +253,13 @@ class WilsonDirac:
 
         Every neighbour of a site has the other parity, so this is
         ``dhop`` of the embedded field restricted to the target parity
-        — and bit-identical to it.  Where the fused sweep runs, the hop
-        sweeps half the sites (:func:`repro.perf.fused.fused_dhop_cb`):
-        by the compiled kernel where it loads, by the numpy block body
-        where it does not (no compiler or an unknown contraction key —
-        see :func:`repro.perf.native.status`).  Elsewhere (non-numpy
-        backends, a custom ``cshift_fn``, the engine off) it is exactly
-        that reference: embed, ``dhop``, pick.  Traced as a ``dhop.cb``
+        — and bit-identical to it.  Where the compiled kernel runs
+        (:meth:`_kernel`), the hop sweeps half the sites
+        (:func:`repro.perf.fused.fused_dhop_cb`).  Elsewhere (no
+        compiler or an unknown contraction key — see
+        :func:`repro.perf.native.status` — non-numpy backends, a custom
+        ``cshift_fn``, the engine off) it is exactly that reference:
+        embed, layered ``dhop``, pick.  Traced as a ``dhop.cb``
         span over the half-volume sites, which names the ``kernel``
         that ran and the ``contraction`` key of numpy's complex
         multiply.
@@ -305,9 +312,9 @@ class WilsonDirac:
 
     def _dhop_cb_impl(self, psi: Lattice, target, plan, hop, store, x,
                       diag) -> Lattice:
-        if plan.fused and self._fused:
-            return fused_dhop_cb(self, psi, target, hop=hop, plan=plan,
-                                 store=store, x=x, diag=diag)
+        if hop is not None:
+            return fused_dhop_cb(self, psi, target, hop, plan, store, x,
+                                 diag)
         # The reference: the layered sweep of the embedded field (its
         # dispatch, not its span — the hop is traced once, above).
         out = target.pick(self._dhop_impl(psi.grid.embed(psi), plan, None))

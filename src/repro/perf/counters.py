@@ -28,15 +28,19 @@ from repro.telemetry.metrics import registry
 #:   plans for lattice neighbour shifts.
 #: * ``nbr_table_hits`` / ``nbr_table_misses`` — cached flat neighbour
 #:   index tables (:func:`repro.grid.stencil.neighbour_table`) the
-#:   fused single-rank sweep gathers through.
+#:   checkerboard hop's tables and links and the plaquette are built
+#:   from.
 #: * ``fused_dhop_calls`` — Wilson-Dslash sweeps taken by the fused
 #:   engine path; ``tiles_dispatched`` — block-sweep tiles executed
 #:   (one per sweep when running serial).
 #: * ``native_sweeps`` — fused Wilson sweeps (full, checkerboard and
 #:   distributed hops, the shared-memory rank workers' included) run
 #:   by the compiled kernel (:mod:`repro.perf.native`);
-#:   ``native_fallbacks`` — fused sweeps that ran the numpy block body
-#:   because the kernel is unavailable.
+#:   ``native_fallbacks`` — Krylov algebra picks
+#:   (:func:`repro.grid.krylov.algebra`) that ran the Lattice
+#:   expressions because the library is unavailable.  A hop without
+#:   the kernel counts none: it shows as its plan's ``layered_sweeps``
+#:   stage.
 #: * ``halo_posts`` / ``halo_waits`` — halo messages posted to and
 #:   completed from the in-flight queue.
 #: * ``plan_hits`` / ``plan_misses`` — resolved

@@ -5,9 +5,7 @@ call per tensor element — project, nine ``madd`` per half-spinor SU(3)
 multiply, reconstruct, accumulate — each validating its operands and
 materialising intermediates.  This module fuses the whole
 project/SU(3)/reconstruct chain of every (direction, sign) into one
-compiled call per block of sites, or, where the kernel cannot load,
-one (direction, sign) at a time into a handful of whole-block numpy
-expressions.
+compiled call per block of sites.
 
 **One compiled body.**  Every fused Wilson sweep -- the full hop
 (:func:`fused_dhop`), the even-odd checkerboard hop
@@ -47,7 +45,7 @@ writes its output in either of two layouts:
 
 The kernel states numpy's arithmetic -- the contract below, with each
 complex product contracted the way numpy's ``multiply`` contracts on
-the host -- so its bytes are those of the numpy block body.  Its store
+the host -- so its bytes are those of the layered reference.  Its store
 also states the even-odd blocks' scalar algebra (:func:`store_block`):
 the checkerboard hop writes ``D_h psi``, the off-diagonal block
 ``D_h psi * (-1/2)`` or the Schur operator ``x * d - (D_h psi *
@@ -55,36 +53,27 @@ the checkerboard hop writes ``D_h psi``, the off-diagonal block
 order, so :class:`repro.grid.evenodd.SchurWilson` is two sweeps and no
 whole-field algebra.
 
-**The numpy block body** (:func:`sweep_blocks`) runs where the kernel
-cannot load (no compiler, or an unknown contraction key), over the same
-tables and link operand, building each block's matrices as it goes
-(:func:`_block_links`).  Under numpy the ufunc inner loop plays the part
-of the paper's SVE vector (Fig. 1), and lane-major storage would hand it
-loops of ``nlanes`` (1–4) elements, so the body works tensor-major:
-the full hop transposes ``psi`` into that layout once on entry, tile
-by tile, and each block's accumulator back once on exit.  Every
-neighbour gather -- lane permutations at virtual-node boundaries
-included -- is one ``np.take`` through a flat index table per (mu, ±1)
-(:func:`repro.grid.stencil.neighbour_table`, derived by cshifting an
-index field, so it cannot disagree with ``cshift``).  Per block of
-:data:`BLOCK_SITES` flat sites and per (mu, ±1) it gathers the 12
-neighbour rows, then projects, multiplies and reconstructs them into
-the accumulator while the block is still in cache (gather-then-project
-order).  It composes three steps, :func:`_project`,
-:func:`_su3_halfspinor` and :func:`_reconstruct`, one implementation
-each; where the two rows of a spin pair take the same operation they
-run as one ``(2, 3, n)`` ufunc call.
+**Where the kernel cannot load.**  The kernel is the only fused body.
+Where it cannot load (no compiler, or an unknown contraction key:
+:func:`repro.perf.native.status` says why) ``WilsonDirac`` and
+``DistributedWilson`` run their layered reference loops instead --
+the checkerboard hop as embed, layered ``dhop``, pick and
+:func:`store_block` -- which give the same bytes, more slowly (a NaN
+may carry another sign or payload, never sit elsewhere).
 
-The same row kernel serves the gauge field's plaquette, under the
-same rule (:func:`repro.engine.plan.takes_fused_path`):
+The gauge field's plaquette has a numpy row kernel of its own, taken
+under the same rule (:func:`repro.engine.plan.takes_fused_path`):
 :func:`loop_traces` sweeps the closed loops of
 ``repro.grid.su3.plaquette`` in blocks, gathering shifted links
-through the same neighbour tables, and forms each colour-matrix
-product with :func:`_su3_halfspinor` on colour-matrix rows
-(:func:`colour_mm_rows`).
+through :func:`repro.grid.stencil.neighbour_table`, and forms each
+colour-matrix product with :func:`_su3_halfspinor` on colour-matrix
+rows (:func:`colour_mm_rows`).  Under numpy the ufunc inner loop plays
+the part of the paper's SVE vector (Fig. 1), so these products work on
+the tensor-major layout (:func:`to_working`), one long loop per
+component.
 
-**Bit-identity contract.**  Every expression below reproduces the
-reference accumulation element-for-element:
+**Bit-identity contract.**  The kernel reproduces the reference
+accumulation element-for-element:
 
 * the per-element accumulation order is unchanged — from +0, colour
   index ``b`` ascending inside the SU(3) multiply (after a leading
@@ -92,9 +81,9 @@ reference accumulation element-for-element:
 * each fused step computes exactly the reference's IEEE operation
   (``acc + u*v``, ``x * dtype(1j)``, …) on the same dtype, since the
   numpy backends' ops are those expressions verbatim
-  (:class:`repro.simd.backend.NumpyArithmeticMixin`); the C kernel
-  spells out the same operations, constants as full complex products
-  (``-1j`` keeps its ``-0.0`` real part);
+  (:class:`repro.simd.backend.NumpyArithmeticMixin`); the kernel
+  spells them out, constants as full complex products (``-1j`` keeps
+  its ``-0.0`` real part);
 * layout, order, blocks and tiles only decide *where* an element is
   computed — the computation is elementwise in sites once the
   neighbour values are in hand, a gather is an exact copy, and so
@@ -112,8 +101,6 @@ and resilient proxies keep the layered path, which is also what
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from repro.engine.policy import current_policy
@@ -121,12 +108,13 @@ from repro.perf.counters import counters
 from repro.perf.native import NHOPS, STORE_HOP, STORE_SCHUR, LinkFields
 from repro.perf.parallel import run_tiles, tiles_for
 
-#: Flat sites per sweep block.  Picked by measurement on a 2-core
-#: x86-64 host (2 MB L2, numpy 2.4, ``generic256``, complex128): at
-#: 16^4, 4096 ran at 1.4–1.5 us/site against 1.6–1.8 for 1024, 2048
-#: and 8192; at 4^3x8 and 8^4 every size from 1024 to 8192 was within
-#: noise.  A block then touches ~4 MB (accumulator, neighbour, three
-#: half-spinor buffers and the block's stretch of two link fields).
+#: Flat sites per sweep block: the stretch one kernel call covers
+#: (:meth:`Sweep.run`) and :func:`loop_traces`'s block.  Picked by
+#: measurement on a 2-core x86-64 host (2 MB L2, numpy 2.4,
+#: ``generic256``, complex128) for the numpy sweep body the kernel
+#: replaced: at 16^4, 4096 ran at 1.4–1.5 us/site against 1.6–1.8 for
+#: 1024, 2048 and 8192; at 4^3x8 and 8^4 every size from 1024 to 8192
+#: was within noise.
 BLOCK_SITES = 4096
 
 
@@ -149,41 +137,6 @@ def adjoint(U: np.ndarray) -> np.ndarray:
     with ``V`` are bitwise those with ``conj(U[b, a])``; it runs on the
     whole (contiguous) array and the transpose is a view."""
     return np.conj(U).swapaxes(0, 1)
-
-
-@functools.lru_cache(maxsize=None)
-def _spin_pair(dtype: np.dtype, a: complex, b: complex) -> np.ndarray:
-    """The ``(2, 1, 1)`` factor ``[a, b]``: one ufunc call scales the
-    two rows of a spin pair by ``a`` and ``b``, through the same
-    broadcast (stride-0) operand a scalar factor takes."""
-    f = np.array([a, b], dtype=dtype).reshape(2, 1, 1)
-    f.setflags(write=False)
-    return f
-
-
-def _project(p: np.ndarray, mu: int, sign: int, h: np.ndarray) -> None:
-    """``h`` = the two independent spin rows of
-    ``(1 + sign gamma_mu) p``: :func:`repro.grid.gamma.project` with the
-    mixin ops inlined.  ``p`` is ``(4, 3, n)`` and ``h`` ``(2, 3, n)``;
-    where both rows take the same operation they run as one call."""
-    op = np.add if sign > 0 else np.subtract
-    if mu == 0:
-        # h0 = p0 ± p3*i ; h1 = p1 ± p2*i
-        np.multiply(p[3:1:-1], p.dtype.type(1j), out=h)
-        op(p[0:2], h, out=h)
-    elif mu == 1:
-        # h0 = p0 ∓ p3 ; h1 = p1 ± p2
-        (np.subtract if sign > 0 else np.add)(p[0], p[3], out=h[0])
-        op(p[1], p[2], out=h[1])
-    elif mu == 2:
-        # h0 = p0 ± p2*i ; h1 = p1 ± p3*(-i)
-        np.multiply(p[2:4], _spin_pair(p.dtype, 1j, -1j), out=h)
-        op(p[0:2], h, out=h)
-    elif mu == 3:
-        # h0 = p0 ± p2 ; h1 = p1 ± p3
-        op(p[0:2], p[2:4], out=h)
-    else:
-        raise ValueError(f"no direction {mu}")
 
 
 def _su3_halfspinor(V: np.ndarray, h: np.ndarray, out: np.ndarray,
@@ -277,95 +230,22 @@ def loop_traces(loops, nlanes: int) -> list:
     return traces
 
 
-def _reconstruct(acc: np.ndarray, uh: np.ndarray, mu: int, sign: int,
-                 t: np.ndarray) -> None:
-    """Add the spinor rebuilt from the half spinor ``uh`` into ``acc``
-    in place: :func:`repro.grid.gamma.reconstruct` and the accumulate,
-    with the mixin ops inlined.  ``acc`` is ``(4, 3, n)``, ``uh`` and
-    the scratch ``t`` ``(2, 3, n)``; rows that take the same operation
-    run as one call."""
-    np.add(acc[0:2], uh, out=acc[0:2])
-    lower = acc[2:4]
-    if mu == 0:
-        # acc2 += u1 * f ; acc3 += u0 * f   (f = -i on +mu, +i on -mu)
-        np.multiply(uh[::-1], uh.dtype.type(-1j if sign > 0 else 1j),
-                    out=t)
-        np.add(lower, t, out=lower)
-    elif mu == 1:
-        # acc2 ± u1, acc3 ∓ u0 (x + (-y) == x - y exactly in IEEE-754)
-        u0, u1 = uh
-        a2, a3 = lower
-        if sign > 0:
-            np.add(a2, u1, out=a2)
-            np.subtract(a3, u0, out=a3)
-        else:
-            np.subtract(a2, u1, out=a2)
-            np.add(a3, u0, out=a3)
-    elif mu == 2:
-        # acc2 += u0 * (∓i) ; acc3 += u1 * (±i)
-        f = _spin_pair(uh.dtype, -1j, 1j) if sign > 0 \
-            else _spin_pair(uh.dtype, 1j, -1j)
-        np.multiply(uh, f, out=t)
-        np.add(lower, t, out=lower)
-    else:  # mu == 3: acc2 ± u0, acc3 ± u1
-        (np.add if sign > 0 else np.subtract)(lower, uh, out=lower)
+def fused_dhop(dirac, psi: Lattice, hop, plan=None) -> Lattice:
+    """The engine's Wilson hopping term (``WilsonDirac.dhop``) by the
+    compiled kernel ``hop`` (:func:`repro.perf.native.kernel`).
 
-
-def _accumulate_direction(acc: np.ndarray, V: np.ndarray,
-                          nbr: np.ndarray, mu: int, sign: int,
-                          scratch=None) -> None:
-    """Add one hopping-term direction into ``acc`` in place, in
-    gather-then-project order.
-
-    ``acc``/``nbr`` are working-layout spinor fields ``(4, 3, n)`` and
-    ``V`` a ``(3, 3, n)`` colour-matrix field: the matrix the hop
-    applies, the link ``U_mu(x)`` for ``sign=+1``, the :func:`adjoint`
-    back-link ``U_mu(x - mu)^dagger`` for ``sign=-1``.  ``scratch`` is
-    three ``(2, 3, n)`` arrays (half-spinor, SU(3) result, product),
-    allocated when not given.
-
-    :func:`_project` -> :func:`_su3_halfspinor` -> :func:`_reconstruct`
-    for direction ``mu`` with projector sign ``sign``; the half-spinor
-    buffer is dead after the SU(3) multiply and serves as the
-    reconstruct's scratch.
-    """
-    if scratch is None:
-        scratch = [np.empty((2,) + nbr.shape[1:], dtype=nbr.dtype)
-                   for _ in range(3)]
-    h, uh, prod = scratch
-    _project(nbr, mu, sign, h)
-    _su3_halfspinor(V, h, uh, prod)
-    _reconstruct(acc, uh, mu, sign, h)
-
-
-def fused_dhop(dirac, psi: Lattice, hop=None, plan=None) -> Lattice:
-    """The engine's Wilson hopping term (``WilsonDirac.dhop``).
-
-    Both routes read the gauge field in place: ``U_mu`` at the output
-    site for ``+mu``, and ``U_mu`` at the neighbour, conjugate-
-    transposed as it is loaded, for ``-mu`` (:func:`inplace_links`), so
-    no copy of the links is made.
-
-    With the compiled kernel ``hop`` (:func:`repro.perf.native.kernel`)
-    the sweep reads ``psi.data`` and writes the output in place, in
+    The sweep reads ``psi.data`` and writes the output in place, in
     their lane-major layout: per block of output sites one call of
     ``hop`` runs every (mu, sign) in sweep order, through the
     operator's lane-major offset tables (``WilsonDirac._full_hop``).
-    Nothing is transposed and no working copy is made.
+    It reads the gauge field in place: ``U_mu`` at the output site for
+    ``+mu``, and ``U_mu`` at the neighbour, conjugate-transposed as it
+    is loaded, for ``-mu`` (:func:`inplace_links`).  Nothing is
+    transposed and no copy of the field or the links is made.
 
-    With ``hop`` ``None`` (no compiler, or an unknown contraction key)
-    the numpy body runs instead: ``psi`` is transposed into the
-    ``(4, 3, N)`` working layout (on the sweep's tiles, every tile
-    finishing before the sweep starts), and :func:`sweep_blocks` walks
-    blocks of :data:`BLOCK_SITES` flat sites -- per block and per
-    (mu, sign): one ``np.take`` through the memoized neighbour table,
-    the block's matrices gathered from the links, then the fused
-    accumulation into a block-sized accumulator, which is transposed
-    into the lane-major output as the block completes.
-
-    Either way blocks are whole outer sites (a multiple of ``nlanes``
-    flat sites), the result is bit-identical to the layered reference,
-    serial or tiled.  ``plan`` (a resolved
+    Blocks are whole outer sites (a multiple of ``nlanes`` flat sites)
+    and the result is bit-identical to the layered reference, serial
+    or tiled.  ``plan`` (a resolved
     :class:`repro.engine.plan.KernelPlan`) pins the tile split to the
     plan's ``workers``/``tile_min_sites`` and feeds its per-stage
     counters; without one the split falls back to the current policy.
@@ -374,43 +254,22 @@ def fused_dhop(dirac, psi: Lattice, hop=None, plan=None) -> Lattice:
     """
     grid = dirac.grid
     counters().bump("fused_dhop_calls")
-    nl, n = grid.nlanes, grid.osites * grid.nlanes
     out = Lattice(grid, psi.tensor_shape,
                   np.empty(grid.field_shape(psi.tensor_shape),
                            dtype=grid.dtype))
-    if hop is not None:
-        dirac._full_hop().run(hop, np.ascontiguousarray(psi.data), out.data,
-                              plan)
-        return out
-    hops = [(sign, neighbour_table(grid, mu, sign), mu)
-            for mu, sign in sweep_order(grid.ndim)]
-    flat = np.empty((12, n), dtype=psi.data.dtype)  # a gather row per (s, c)
-    lanes = flat.reshape(psi.tensor_shape + (grid.osites, nl))
-
-    def transpose(sl) -> None:
-        o = slice(sl.start // nl, sl.stop // nl)
-        lanes[:, :, o] = np.moveaxis(psi.data[o], 0, -2)
-
-    def store(acc, b0, b1) -> None:
-        from_working(acc, out.data[b0 // nl:b1 // nl])
-
-    # The entry transpose runs on the sweep's tiles (the split is a
-    # pure function of the plan and the size) and is complete before
-    # the sweep reads any neighbour.
-    run_tiles(transpose, *_split(plan, n, nl))
-    ntiles = sweep_blocks(hops, flat, inplace_links(dirac.links), n, store,
-                          plan, unit=nl)
-    _bump_stages(plan, len(hops), ntiles)
+    dirac._full_hop().run(hop, np.ascontiguousarray(psi.data), out.data,
+                          plan)
     return out
 
 
-def fused_dhop_cb(dirac, psi: Lattice, target, hop=None, plan=None,
+def fused_dhop_cb(dirac, psi: Lattice, target, hop, plan=None,
                   store: int = STORE_HOP, x: Lattice = None,
                   diag: float = 1.0) -> Lattice:
     """One checkerboard hop: ``D_h`` from the half field ``psi`` onto
     the half grid ``target`` of the other parity
-    (``WilsonDirac.dhop_cb``), in compressor order, written through the
-    kernel's store ``store`` (:data:`~repro.perf.native.STORE_HOP`,
+    (``WilsonDirac.dhop_cb``), in compressor order, by the compiled
+    kernel ``hop`` (:func:`repro.perf.native.kernel`), written through
+    its store ``store`` (:data:`~repro.perf.native.STORE_HOP`,
     ``STORE_BLOCK`` or ``STORE_SCHUR``, whose source ``x`` is a half
     field on ``target`` and whose diagonal is ``diag``).
 
@@ -418,44 +277,27 @@ def fused_dhop_cb(dirac, psi: Lattice, target, hop=None, plan=None,
     transposed.  The operator's :class:`Sweep` onto ``target``'s parity
     (``WilsonDirac._cb_hops``, built and bound once) holds the stacked
     :func:`repro.grid.stencil.parity_neighbour_table` tables and
-    per-parity links.  Per block of output sites, one call of the
-    compiled kernel ``hop`` (:func:`repro.perf.native.kernel`) runs
-    every (mu, sign) in sweep order -- gather, spin-project, multiply by
-    the link, reconstruct into the block -- and stores the block.  With
-    ``hop`` ``None`` the numpy body (:func:`sweep_blocks`) runs over the
-    same tables and links and stores each block by :func:`store_block`.
-    Both compute the numpy sweep's IEEE operations in its order, so the
-    ``STORE_HOP`` hop is bit-identical to ``dhop`` of the embedded
-    field, restricted to ``target``, and the others to the numpy
-    expressions of :func:`store_block` applied to it.  Tiles split the
-    output sites; each writes only its own.
+    per-parity links.  Per block of output sites, one call of ``hop``
+    runs every (mu, sign) in sweep order -- gather, spin-project,
+    multiply by the link, reconstruct into the block -- and stores the
+    block.  The ``STORE_HOP`` hop is bit-identical to ``dhop`` of the
+    embedded field, restricted to ``target``, and the others to the
+    numpy expressions of :func:`store_block` applied to it.  Tiles
+    split the output sites; each writes only its own.
     """
     sweep = dirac._cb_hops(target)
     src = np.ascontiguousarray(psi.data)
     xs = None if x is None else np.ascontiguousarray(x.data)
     out = np.empty(target.field_shape(psi.tensor_shape), dtype=src.dtype)
-    if hop is not None:
-        sweep.run(hop, src, out, plan, store, xs, diag)
-    else:
-        work = out.reshape(src.shape[:2] + (-1,))
-        xw = None if xs is None else xs.reshape(work.shape)
-
-        def block(acc, b0, b1) -> None:
-            store_block(store, acc, work[:, :, b0:b1],
-                        None if xw is None else xw[:, :, b0:b1], diag)
-
-        hops = [(sign, sweep.tables[k], mu)
-                for k, (mu, sign) in enumerate(sweep_order(dirac.grid.ndim))]
-        ntiles = sweep_blocks(hops, src.reshape(12, -1), sweep.links,
-                              sweep.n, block, plan, unit=target.nlanes)
-        _bump_stages(plan, NHOPS, ntiles)
+    sweep.run(hop, src, out, plan, store, xs, diag)
     return Lattice.wrap(target, psi.tensor_shape, out)
 
 
 def store_block(store: int, acc: np.ndarray, out: np.ndarray, x, diag: float
                 ) -> None:
-    """The kernel's store (``hop_cb.c``) in numpy: write into ``out``
-    what ``store`` names for the ``(4, 3, n)`` accumulated hop ``acc``
+    """The kernel's store (``hop_cb.c``) in numpy, for the reference
+    route of ``WilsonDirac.dhop_cb``: write into ``out`` what ``store``
+    names for the ``(4, 3, n)`` accumulated hop ``acc``
     (overwritten), with ``x`` the Schur source at ``out``'s sites.
     Each step is the Lattice algebra's numpy operation -- a product with
     the scalar ``dtype(c)`` (``Lattice.__mul__``), a subtraction -- in
@@ -561,56 +403,15 @@ def native_sweep(hop, src, rstride: int, tables, top: int, links, out,
                  src.size).run(hop, src, out, plan, stages=False)
 
 
-def _bump_stages(plan, nhops: int, ntiles: int) -> None:
-    if plan is not None:
-        plan.stages.bump("gather", nhops)
-        plan.stages.bump("compute", ntiles)
-
-
-def _split(plan, count: int, unit: int) -> tuple:
-    """``(tiles, workers)`` for a sweep over ``count`` sites: the
+def _tiling(plan, count: int, unit: int) -> tuple:
+    """``(tiles, workers, step)`` for a sweep over ``count`` sites: the
     :func:`~repro.perf.parallel.tiles_for` split and the pool width,
-    from ``plan`` when given, else from the current policy — resolved
-    on the calling thread, so no tile reads the policy."""
+    from ``plan`` when given, else from the current policy (resolved on
+    the calling thread, so no tile reads the policy), and the block
+    length, a whole multiple of ``unit`` sites."""
     shape = current_policy() if plan is None else plan
     return (tiles_for(count, shape.workers, shape.tile_min_sites, unit),
-            shape.workers)
-
-
-def _tiling(plan, count: int, unit: int) -> tuple:
-    """``(tiles, workers, step)``: :func:`_split`'s tiles and pool
-    width, and the block length, a whole multiple of ``unit`` sites."""
-    return _split(plan, count, unit) + (
-        max(unit, BLOCK_SITES - BLOCK_SITES % unit),)
-
-
-def _run_blocks(block, count: int, plan, unit: int, rows: tuple,
-                dtype) -> int:
-    """Run ``block(b0, b1, bufs)`` over output sites ``0 .. count - 1``
-    in blocks of :data:`BLOCK_SITES`, tiled; returns the number of
-    tiles.
-
-    Blocks and tiles are whole multiples of ``unit`` sites.  ``bufs``
-    is one ``(r, b1 - b0)`` scratch array per entry ``r`` of ``rows``;
-    each tile allocates its own, so tiles may run on concurrent
-    workers as long as ``block`` writes only its own sites.  ``plan``
-    pins the tile split (see :func:`fused_dhop`).
-    """
-    tiles, workers, step = _tiling(plan, count, unit)
-    counters().bump("tiles_dispatched", len(tiles))
-
-    def body(sl) -> None:
-        lo, hi = sl.start, sl.stop
-        size = min(step, hi - lo)
-        bufs = [np.empty(r * size, dtype=dtype) for r in rows]
-        for b0 in range(lo, hi, step):
-            b1 = min(b0 + step, hi)
-            n = b1 - b0
-            block(b0, b1, [b[:r * n].reshape(r, n)
-                           for b, r in zip(bufs, rows)])
-
-    run_tiles(body, tiles, workers)
-    return len(tiles)
+            shape.workers, max(unit, BLOCK_SITES - BLOCK_SITES % unit))
 
 
 def gather_links(u: np.ndarray, sites: np.ndarray, out=None) -> np.ndarray:
@@ -626,72 +427,7 @@ def gather_links(u: np.ndarray, sites: np.ndarray, out=None) -> np.ndarray:
     return np.take(u.reshape(-1), rows, out=out).reshape(3, 3, -1)
 
 
-def _block_links(links, k: int, nbr: np.ndarray, b0: int, b1: int,
-                 buf: np.ndarray) -> np.ndarray:
-    """Hop ``k``'s ``(3, 3, n)`` matrices at output sites ``b0 .. b1 -
-    1``, addressed by the kernel's rule (``hop_cb.c``) from the link
-    operand ``links``: at the output site, as stored, or -- for a
-    ``(mu, -1)`` hop where ``links.back`` -- ``U_mu`` at the block's
-    flat neighbour sites ``nbr``, conjugate-transposed.  Written into
-    ``buf`` where they are not one run of the field."""
-    ll = links.llanes
-    u = links.fields[k].reshape(-1, 3, 3, ll)
-    n = b1 - b0
-    if links.back and k % 2:
-        return np.conj(gather_links(u, nbr).swapaxes(0, 1), out=buf)
-    o, lane = divmod(b0, ll)
-    if lane + n <= ll:  # one run: a view
-        return u[o, :, :, lane:lane + n]
-    # Blocks are whole runs here (``unit`` is the lanes).
-    buf.reshape(3, 3, -1, ll)[...] = np.moveaxis(u[o:b1 // ll], 0, -2)
-    return buf
-
-
-def sweep_blocks(hops, flat: np.ndarray, links, count: int, store, plan,
-                 unit: int = 1) -> int:
-    """The blocked, tiled sweep over output sites ``0 .. count - 1`` in
-    gather-then-project order; returns the number of tiles.
-
-    ``hops`` lists ``(sign, table, mu)`` in accumulation order:
-    ``table`` maps output sites to columns of ``flat``, the ``(12, M)``
-    working-layout source.  ``links`` is the kernel's link operand
-    (:func:`stored_links`, :func:`inplace_links`); where it reads
-    back-links at the neighbour, ``table`` is also the neighbour's flat
-    site in the link field.  Per block and hop the sweep gathers the 12
-    neighbour rows and the block's matrices (:func:`_block_links`) and
-    accumulates them with :func:`_accumulate_direction`; each finished
-    block's ``(4, 3, n)`` accumulator goes to ``store(acc, b0, b1)``.
-    Blocks and tiles are whole multiples of ``unit`` sites, and tiles
-    store disjoint sites (:func:`_run_blocks`).
-
-    Every fused sweep runs this body only where the compiled kernel
-    cannot load (:func:`repro.perf.native.kernel` is ``None``), so each
-    call counts one ``native_fallbacks``.
-    """
-
-    def block(b0, b1, bufs) -> None:
-        n = b1 - b0
-        acc, nbr, vbuf, *scratch = bufs
-        acc = acc.reshape(4, 3, n)
-        acc[...] = 0
-        vbuf = vbuf.reshape(3, 3, n)
-        scratch = [b.reshape(2, 3, n) for b in scratch]
-        for k, (sign, table, mu) in enumerate(hops):
-            # Indices are in range by construction: "clip" skips
-            # numpy's buffered bounds-checked copy.
-            np.take(flat, table[b0:b1], axis=1, out=nbr, mode="clip")
-            V = _block_links(links, k, table[b0:b1], b0, b1, vbuf)
-            _accumulate_direction(acc, V, nbr.reshape(4, 3, n), mu, sign,
-                                  scratch)
-        store(acc, b0, b1)
-
-    counters().bump("native_fallbacks")
-    return _run_blocks(block, count, plan, unit, (12, 12, 9, 6, 6, 6),
-                       flat.dtype)
-
-
 # ``repro.grid``'s package init imports ``grid/wilson.py``, which
 # imports the sweeps above: importing the grid's names last lets either
 # package be imported first.
 from repro.grid.lattice import Lattice  # noqa: E402
-from repro.grid.stencil import neighbour_table  # noqa: E402

@@ -3,9 +3,10 @@
  * The compiled body of every fused Wilson sweep in repro.perf.fused:
  * the checkerboard hop, the full hop and the distributed halo sweep,
  * and, in its store (below), the even-odd blocks' and the Schur
- * operator's scalar algebra.  It computes, element by element, the IEEE operations of the numpy
- * block sweep (repro.perf.fused.sweep_blocks, and the layered reference
- * it matches), in the same order, so its bytes are numpy's:
+ * operator's scalar algebra.  It computes, element by element, the
+ * IEEE operations of the layered reference (WilsonDirac's layered
+ * dhop, the route taken where this kernel does not load), in the same
+ * order, so its bytes are numpy's:
  *
  *  - the accumulator starts from +0;
  *  - per (mu, sign), in sweep order (mu ascending, +1 before -1), the

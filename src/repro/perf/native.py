@@ -5,10 +5,10 @@ Every fused Wilson sweep of :mod:`repro.perf.fused` -- the
 checkerboard hop, the full hop and the distributed halo sweep, in
 process and in the shared-memory rank workers -- runs one call of the
 C kernel per block of output sites.  The kernel computes numpy's IEEE
-operations in numpy's order (see the contract at the top of
-``hop_cb.c``), so its bytes are those of the numpy block sweep
-(:func:`repro.perf.fused.sweep_blocks`) -- provided it contracts a
-complex product the way numpy's ``multiply`` does on this host.
+operations in the layered reference's order (see the contract at the
+top of ``hop_cb.c``), so its bytes are those of the layered
+``WilsonDirac.dhop`` -- provided it contracts a complex product the
+way numpy's ``multiply`` does on this host.
 
 **The contraction key.**  numpy computes ``a * b`` on complex operands
 as ``re = a.re b.re - a.im b.im``, ``im = a.re b.im + a.im b.re``; its
@@ -33,10 +33,11 @@ process, on the first hop that asks for it.
 
 **The other route.**  With no compiler, a failed build or a key that is
 neither ``fma`` nor ``unfused``, :func:`kernel` returns ``None`` and
-each sweep runs the numpy block body (:func:`repro.perf.fused.
-sweep_blocks`) over the same tables and links, which is bit-identical;
-the ``native_fallbacks`` counter counts those sweeps and :func:`status`
-says why.
+every Wilson hop runs its layered reference loop instead
+(``WilsonDirac``, ``DistributedWilson``; the shared-memory transport
+declines), which gives the same bytes more slowly; each such hop
+counts one ``layered_sweeps`` stage of its plan, its span reads
+``kernel="reference"`` and :func:`status` says why.
 
 **The Krylov passes.**  The same library holds the solvers' vector
 algebra (``krylov.c``), one fused pass per step, under the same
@@ -587,8 +588,8 @@ def _state() -> dict:
 
 
 def kernel(dtype):
-    """The compiled hop for ``dtype``, or ``None`` where the numpy
-    sweep must run (:func:`status` says why).  Builds or loads the
+    """The compiled hop for ``dtype``, or ``None`` where the layered
+    reference must run (:func:`status` says why).  Builds or loads the
     library on the first call in the process.
 
     The kernel is ``hop(tables, top, links, rstride, lanes, src_size)``,

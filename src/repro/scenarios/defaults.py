@@ -9,7 +9,7 @@ as machine-checked metadata:
 * **Constraints** prune combinations that cannot exist (a comms fault
   needs a rank-decomposed lattice; the emulated ACLE family runs the
   plain Wilson hot path only, where the engine takes the layered path:
-  the fused body inlines plain-numpy semantics the emulated backends
+  the compiled hop states plain-numpy semantics the emulated backends
   do not share).
 * **Skip rules** keep known exclusions visible: emulated SVE cells
   beyond the paper's validated 128/256/512 appear in every matrix as
@@ -99,7 +99,7 @@ def default_spec() -> ScenarioSpec:
                     "emulated ACLE cells pin the canonical knob "
                     "setting: the family axis probes VL bit-identity "
                     "(the engine runs the layered path on emulated "
-                    "backends: the fused body inlines plain-numpy "
+                    "backends: the compiled hop states plain-numpy "
                     "semantics)"
                 ),
                 forbids=lambda c: (c["family"] == "sve-acle"

@@ -1,16 +1,20 @@
 """The Wilson-Dslash hot path expressed in the vectorizer's scalar IR.
 
-The fused sweep (:mod:`repro.perf.fused`) hand-inlines the
-project/SU(3)/reconstruct chain as numpy calls; this module states the
-*same arithmetic* as :mod:`repro.vectorizer.ir` expression trees — one
-:class:`Statement` per output component, fully unrolled over colour
-and spin.  :func:`evaluate` runs every statement through the
+The compiled hop (``perf/hop_cb.c``, run by :mod:`repro.perf.fused`)
+spells out the project/SU(3)/reconstruct chain in C; this module states
+the *same arithmetic* as :mod:`repro.vectorizer.ir` expression trees —
+one :class:`Statement` per output component, fully unrolled over
+colour and spin.  :func:`evaluate` runs every statement through the
 IEEE-exact simplifier (:mod:`repro.vectorizer.passes`) and evaluates
-the canonical tree with :func:`repro.vectorizer.ir.reference_eval`;
-per direction the result equals the production body,
-:func:`repro.perf.fused._accumulate_direction` on working-layout
-``(4, 3, n)`` arrays (with the :func:`~repro.perf.fused.adjoint`
-back-link on the backward hop), byte for byte, so a lowering of these
+the canonical tree with :func:`repro.vectorizer.ir.reference_eval`.
+Per direction the result equals the layered reference's ops
+(:func:`repro.grid.gamma.project`,
+:func:`repro.grid.tensor.su3_mul_vec` /
+:func:`~repro.grid.tensor.su3_dagger_mul_vec`,
+:func:`repro.grid.gamma.reconstruct` on a ``generic`` backend) byte
+for byte but for the sign and payload of a NaN, and the whole
+checkerboard hop, evaluated in compressor order, equals the compiled
+kernel byte for byte, NaN payloads included; so a lowering of these
 statements to SVE has a numpy oracle that is pinned to the production
 sweep.
 
@@ -236,10 +240,11 @@ def direction_statements(mu: int, sign: int, links: str, psi: str,
 def hop_statements(mu: int, scalar_type: str = "c128") -> list:
     """Both hops of direction ``mu`` (+1 then -1) over the arrays
     ``u_fwd``/``psi_fwd`` and ``u_bwd``/``psi_bwd`` (the back-link
-    ``U_mu(x - mu)``, not its adjoint) — the statement form of
-    :func:`repro.perf.fused._accumulate_direction` applied with
-    ``u_fwd`` at ``sign=+1``, then with ``adjoint(u_bwd)`` at
-    ``sign=-1``."""
+    ``U_mu(x - mu)``, not its adjoint) — the statement form of the
+    layered hop's direction ``mu``: project, ``su3_mul_vec`` with
+    ``u_fwd`` and reconstruct at ``sign=+1``, then project,
+    ``su3_dagger_mul_vec`` with ``u_bwd`` and reconstruct at
+    ``sign=-1``, each accumulated in that order."""
     return (direction_statements(mu, +1, "u_fwd", "psi_fwd", scalar_type)
             + direction_statements(mu, -1, "u_bwd", "psi_bwd",
                                    scalar_type))

@@ -4,7 +4,12 @@ Each rank sweeps its own shard plus the face slabs it received, and
 each halo message carries exactly the slab it is accounted as.  Every
 comparison is on raw bytes (float views and sign bits), against the
 engine-off layered sweep and the single-rank ``WilsonDirac.dhop``.
+Where the compiled kernel cannot load, the operator runs its lane-major
+reference loop instead, to the same bytes on a pristine or checksummed
+wire, and the shared-memory transport declines.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -14,7 +19,7 @@ import repro.telemetry as telemetry
 import repro.grid.dist_wilson as dist_wilson
 from repro.engine.plan import kernel_plan
 from repro.grid.cartesian import GridCartesian
-from repro.grid.comms import DistributedLattice
+from repro.grid.comms import DistributedLattice, shmem
 from repro.grid.dist_wilson import DistributedWilson
 from repro.grid.random import random_gauge, random_spinor
 from repro.grid.solver import solve_wilson_cgne
@@ -93,17 +98,25 @@ class TestWireImageIsTheAccountedSlab:
         assert sum(hook.sizes) == dpsi.stats.bytes_sent - b0
 
 
-def _numpy_sweep(monkeypatch) -> None:
-    """Run the numpy block body, as on a host where the compiled
-    kernel cannot load."""
+def _no_kernel(monkeypatch) -> None:
+    """Hop as on a host where the compiled kernel cannot load."""
     monkeypatch.setattr(native, "kernel", lambda dtype: None)
+
+
+def _layered_sweeps(grid, call):
+    """``call()``'s result and the ``layered_sweeps`` it adds to
+    ``grid``'s distributed hop plan."""
+    stages = kernel_plan(grid, "dist-dhop").stages
+    before = stages.as_dict().get("layered_sweeps", 0)
+    out = call()
+    return out, stages.as_dict().get("layered_sweeps", 0) - before
 
 
 class TestShardIsolation:
     """Poison every other rank's columns once the halos are posted: a
     rank that reads only its own shard and its received slabs still
     gets the exact answer, on a checksummed wire with or without fp16
-    compression, through the compiled kernel and the numpy body."""
+    compression, through the compiled kernel and the reference loop."""
 
     MPI = [(2, 1, 1, 1), (2, 2, 1, 1), (4, 1, 1, 1)]
 
@@ -149,8 +162,34 @@ class TestShardIsolation:
     @pytest.mark.parametrize("compress", [True, False])
     def test_numpy_body_poisoned_after_post(self, monkeypatch, mpi,
                                            compress):
-        _numpy_sweep(monkeypatch)
-        self._check(monkeypatch, mpi, compress, "sweep_blocks")
+        """Without the kernel: the reference loop's rank ``r`` reads
+        only its own shard of each shifted field, so poisoning the
+        other ranks' shards as each exchange completes leaves it the
+        kernel's bytes.  The fp16 wire gets a source it carries
+        losslessly: the reference rounds other sites than the kernel's
+        slab route (DESIGN §9)."""
+        _w, _psi, op, dpsi = _setup(mpi=mpi, checksum_halos=True,
+                                    compress_halos=compress,
+                                    fp16_exact=compress)
+        want = [lat.data.copy() for lat in op.dhop(dpsi).locals]
+        _no_kernel(monkeypatch)
+        shift = type(dpsi).cshift
+        for r in range(dpsi.ranks.nranks):
+
+            def poisoned(field, *args, r=r, **kwargs):
+                out = shift(field, *args, **kwargs)
+                for s, lat in enumerate(out.locals):
+                    if s != r:
+                        lat.data[...] = np.nan
+                return out
+
+            monkeypatch.setattr(type(dpsi), "cshift", poisoned)
+            reset_counters()
+            got, layered = _layered_sweeps(
+                dpsi.grids[0], lambda: op.dhop(dpsi).locals[r].data)
+            monkeypatch.setattr(type(dpsi), "cshift", shift)
+            assert (counters().native_sweeps, layered) == (0, 1)
+            _assert_bytes_equal(got, want[r])
 
 
 LAYOUTS = [
@@ -196,35 +235,64 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("dims, mpi", LAYOUTS)
     def test_numpy_body_matches_the_kernel(self, dims, mpi, monkeypatch):
-        """Where the kernel cannot load, the numpy block body runs over
-        the same tables and stacked links, to the same bytes."""
+        """Where the kernel cannot load, the lane-major reference loop
+        runs, to the same bytes, counted as the plan's
+        ``layered_sweeps`` and no compiled sweep."""
         _w, _psi, op, dpsi = _setup(mpi=mpi, dims=dims)
         want = op.dhop(dpsi).gather()
-        _numpy_sweep(monkeypatch)
+        _no_kernel(monkeypatch)
         reset_counters()
-        _assert_bytes_equal(op.dhop(dpsi).gather(), want)
-        assert (counters().native_sweeps, counters().native_fallbacks) \
-            == (0, 1)
+        got, layered = _layered_sweeps(dpsi.grids[0],
+                                       lambda: op.dhop(dpsi).gather())
+        _assert_bytes_equal(got, want)
+        assert (counters().native_sweeps, counters().native_fallbacks,
+                layered) == (0, 0, 1)
 
     @pytest.mark.parametrize("route", ["native", "numpy"])
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     def test_shmem_rank_workers(self, dtype, route, monkeypatch):
-        """The shared-memory rank workers sweep their own shards -- by
-        the compiled kernel, or by the numpy body where it cannot load
-        (the workers fork from this process, so they inherit the
-        patch) -- to the single-rank hop's bytes; the parent counts one
-        sweep per rank."""
+        """The shared-memory rank workers sweep their own shards by the
+        compiled kernel to the single-rank hop's bytes, and the parent
+        counts one sweep per rank.  Where the kernel does not load in
+        the parent (route "numpy"), the transport declines before
+        starting a runtime and the in-process reference gives the same
+        bytes."""
         w, psi, op, dpsi = _setup(mpi=(2, 1, 1, 1), dtype=dtype)
         want = w.dhop(psi).to_canonical()
         if route == "numpy":
-            _numpy_sweep(monkeypatch)
+            _no_kernel(monkeypatch)
         reset_counters()
         with engine.scope(transport="shmem"):
             got = op.dhop(dpsi).gather()
         native_sweeps = 2 if route == "native" else 0
         assert (counters().native_sweeps, counters().native_fallbacks) \
-            == (native_sweeps, 2 - native_sweeps)
+            == (native_sweeps, 0)
+        assert bool(shmem._RUNTIMES) == (route == "native")
         _assert_bytes_equal(got, want)
+
+    def test_shmem_rank_without_kernel_fails_the_round(self, monkeypatch):
+        """A rank worker whose own kernel does not load exchanges its
+        slabs, sweeps nothing and fails the round loudly, naming the
+        rank and the reason (the workers fork from this process, so
+        they inherit the patch)."""
+        _w, _psi, op, dpsi = _setup(mpi=(2, 1, 1, 1))
+        parent, kernel = os.getpid(), native.kernel
+
+        def rank_kernel(dtype):
+            if os.getpid() != parent:
+                monkeypatch.setattr(native, "_STATE", {
+                    "kernels": {}, "reason": "no kernel in these ranks",
+                    "keys": {}, "flags": ()})
+            return kernel(dtype)
+
+        monkeypatch.setattr(native, "kernel", rank_kernel)
+        reset_counters()
+        with engine.scope(transport="shmem"), pytest.raises(
+                RuntimeError, match="rank 0 sweep failed:\n"
+                "no compiled Wilson hop in this rank: no kernel in these "
+                "ranks"):
+            op.dhop(dpsi)
+        assert counters().native_sweeps == 0
 
     @pytest.mark.parametrize("mpi", [(2, 1, 1, 1), (2, 2, 1, 1)])
     @pytest.mark.parametrize("wire", ["pristine", "checksum", "fp16"])
@@ -369,7 +437,7 @@ class TestAccounting:
         _w, _psi, op, dpsi = _setup()
         with engine.scope(telemetry="trace"):
             op.dhop(dpsi)
-            _numpy_sweep(monkeypatch)
+            _no_kernel(monkeypatch)
             op.dhop(dpsi)
         spans = [s for s in telemetry.drain_spans() if s.name == "dhop"]
         assert [s.attrs["kernel"] for s in spans] == ["native", "reference"]

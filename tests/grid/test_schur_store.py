@@ -14,7 +14,8 @@ element byte for byte.
 
 Observability must not notice the fold: one Schur application counts
 and traces as the two ``dhop_cb`` calls it replaces.  Where the kernel
-cannot load, the numpy block body stores the same steps.
+cannot load, the reference route (embed, layered hop, pick) stores the
+same steps (``fused.store_block``) to the same bytes.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import repro.engine as engine
 import repro.telemetry as telemetry
 from repro.engine.plan import kernel_plan
 from repro.grid.cartesian import GridCartesian
+from repro.grid import wilson
 from repro.grid.evenodd import SchurWilson
 from repro.grid.random import random_gauge, random_spinor
 from repro.grid.wilson import WilsonDirac
@@ -177,25 +179,28 @@ def test_traced_as_two_checkerboard_hops():
 @pytest.mark.parametrize("special", (False, True), ids=("gaussian", "special"))
 @pytest.mark.parametrize("dtype", DTYPES, ids=("c128", "c64"))
 def test_numpy_body_stores_the_same_steps(monkeypatch, dtype, special):
-    """With the kernel unavailable the Schur application runs the numpy
-    block body twice, storing the same steps: the native route's bytes,
-    counted as fallbacks."""
+    """With the kernel unavailable the Schur application runs the
+    reference route twice -- embed, layered hop, pick -- and stores the
+    same steps over all sites: the native route's bytes (NaNs as NaNs
+    on special values), counted as two ``layered_sweeps`` and no
+    compiled sweep."""
     dirac, psi = _operator(dtype, special)
     schur = SchurWilson(dirac)
     x = schur.project(psi, "odd")
     native_bytes = schur.apply(x)
-    bodies = []
-    sweep_blocks = fused.sweep_blocks
-    monkeypatch.setattr(fused, "sweep_blocks", lambda *a, **k: bodies.append(
-        a[3]) or sweep_blocks(*a, **k))
+    stores = []
+    store_block = wilson.store_block
+    monkeypatch.setattr(wilson, "store_block", lambda *a: stores.append(
+        a[0]) or store_block(*a))
     monkeypatch.setattr(native, "_STATE", {
         "kernels": {}, "reason": "no kernel in this test", "keys": {},
         "flags": ()})
     assert native.status(dtype)["kernel"] == "reference"
-    reset_counters()
+    got = _sweep_counts(dirac.grid, lambda: schur.apply(x))
+    assert got[:3] == (0, 0, 0)
+    assert {k: n for k, n in got[3].items() if n} == {"layered_sweeps": 2}
+    assert stores == [native.STORE_BLOCK, native.STORE_SCHUR]
     got = schur.apply(x)
-    assert (counters().native_sweeps, counters().native_fallbacks) == (0, 2)
-    assert bodies == [dirac.grid.gsites // 2] * 2
     if special:
         _assert_same(got.data, native_bytes.data)
     else:

@@ -35,7 +35,7 @@ from repro.grid.dist_wilson import DistributedWilson, distribute_gauge
 from repro.grid.evenodd import SchurWilson
 from repro.grid.lattice import Lattice
 from repro.grid.mixedprec import single_precision_twin
-from repro.grid.propagator import point_source
+from repro.grid.propagator import pion_correlator, point_source
 from repro.grid.random import global_gaussian_spinor, random_gauge, \
     random_spinor
 from repro.grid.solver import bicgstab, conjugate_gradient
@@ -308,11 +308,24 @@ def _no_library(monkeypatch):
 
 
 def test_reference_route_writes_the_same_bytes(dirac, monkeypatch):
-    """Without the library the solvers run the Lattice expressions (and
-    the hops the numpy body): the same bytes, counted as fallbacks."""
+    """Without the library the solvers run the Lattice expressions and
+    every hop its layered reference: the same bytes -- BiCGSTAB, CG,
+    the Schur solve, the full hop, each checkerboard store, a 2x1x1x1
+    distributed hop on a checksummed wire and a 4^3 x 8 pion
+    correlator -- with the algebra's picks counted as fallbacks."""
     b = point_source(dirac.grid, (0, 0, 0, 0), 1, 2)
     rhs = dirac.apply_dagger(b)
     schur = SchurWilson(dirac)
+    odd, even = schur.project(b, "odd"), schur.project(b, "even")
+    dims, mpi = [4, 4, 4, 4], [2, 1, 1, 1]
+    dist = DistributedWilson(distribute_gauge(
+        dirac.links, dims, dirac.grid.backend, mpi, checksum_halos=True),
+        mass=0.3)
+    dpsi = DistributedLattice(dims, dirac.grid.backend, mpi, (4, 3),
+                              checksum_halos=True).scatter(
+        global_gaussian_spinor(dims, 7).reshape(-1, 4, 3))
+    pion = WilsonDirac(random_gauge(GridCartesian(
+        [4, 4, 4, 8], get_backend("generic256")), seed=11), mass=0.3)
     runs = []
     for patched in (False, True):
         if patched:
@@ -321,12 +334,20 @@ def test_reference_route_writes_the_same_bytes(dirac, monkeypatch):
             assert (status["kernel"], status["passes"]) == ("reference", "")
             assert "no library" in status["reason"]
         reset_counters()
-        runs.append([bicgstab(dirac.mdag_m, rhs, tol=1e-9).x,
-                     conjugate_gradient(dirac.mdag_m, rhs, tol=1e-9).x,
-                     schur.solve(b, tol=1e-9).x])
+        runs.append([bicgstab(dirac.mdag_m, rhs, tol=1e-9).x.data,
+                     conjugate_gradient(dirac.mdag_m, rhs, tol=1e-9).x.data,
+                     schur.solve(b, tol=1e-9).x.data,
+                     dirac.apply(b).data,
+                     dirac.dhop_cb(odd, native.STORE_HOP).data,
+                     dirac.dhop_cb(odd, native.STORE_BLOCK).data,
+                     dirac.dhop_cb(odd, native.STORE_SCHUR, even,
+                                   schur.diag).data,
+                     dist.dhop(dpsi).gather(),
+                     pion_correlator(pion)])
         assert (counters().native_fallbacks > 0) == patched
+        assert (counters().native_sweeps > 0) != patched
     for native_x, reference_x in zip(*runs):
-        assert native_x.data.tobytes() == reference_x.data.tobytes()
+        assert native_x.tobytes() == reference_x.tobytes()
 
 
 #: The 2x2x1x1 distributed CG below, hashed before the Krylov passes

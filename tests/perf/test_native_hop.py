@@ -1,21 +1,22 @@
 """The compiled Wilson hop (``repro.perf.native``, ``hop_cb.c``).
 
-Every fused Wilson sweep runs the C kernel where it loads and the numpy
-block body (``repro.perf.fused.sweep_blocks``) where it does not: the
+Every fused Wilson sweep runs the C kernel where it loads -- the
 checkerboard hop ``WilsonDirac.dhop_cb`` on half fields, the full hop
-``WilsonDirac.dhop`` reading and writing lane-major fields in place.
-The kernel must equal the numpy body byte for byte (``tobytes()``) and
-the layered reference wherever the layered path gives NaNs the same
-bits -- for both parities, both precisions and every ``generic`` width,
-serial and tiled, under whichever numpy dispatch the process runs: the
+``WilsonDirac.dhop`` reading and writing lane-major fields in place --
+and the layered reference where it does not.  The kernel must equal the
+layered reference byte for byte (``tobytes()``) wherever the layered
+path gives NaNs the same bits, and in NaN positions everywhere -- for
+both parities, both precisions and every ``generic`` width, serial and
+tiled, under whichever numpy dispatch the process runs: the
 kernel is built with the contraction
 :func:`repro.perf.native.contraction_key` probes, so under host
 dispatch these tests exercise the ``fma`` build and under numpy's
 baseline dispatch the ``unfused`` one.
 
 The kernel's contract is also pinned to the Wilson-Dslash IR
-(:mod:`repro.vectorizer.wilson_ir`) evaluated in compressor order, and
-the probe is pinned on hand-built products.
+(:mod:`repro.vectorizer.wilson_ir`) evaluated in compressor order, byte
+for byte on special values too, and the probe is pinned on hand-built
+products.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import pytest
 
 import repro.engine as engine
 import repro.telemetry as telemetry
+from repro.engine.plan import kernel_plan
 from repro.grid.cartesian import GridCartesian
 from repro.grid.evenodd import SchurWilson
 from repro.grid.lattice import Lattice
@@ -60,15 +62,6 @@ def _clean_engine_state():
     engine.reset_all()
     yield
     engine.reset_all()
-
-
-@pytest.fixture
-def fresh_native(monkeypatch, tmp_path):
-    """A process state with no library loaded, building into
-    ``tmp_path``."""
-    monkeypatch.setattr(native, "_STATE", {})
-    monkeypatch.setattr(native, "BUILD_DIR", tmp_path)
-    return tmp_path
 
 
 def _source(grid, kind: str) -> Lattice:
@@ -101,29 +94,29 @@ def _operator(backend, dims, dtype=np.complex128, source="gaussian"):
         _source(grid, source)
 
 
-def _counted(call, sweeps: int, fallbacks: int, **scope):
+def _counted(call, sweeps: int, **scope):
     """``call()`` under ``scope``, which must run ``sweeps`` compiled
-    sweeps and ``fallbacks`` numpy ones."""
+    sweeps (a hop never counts a fallback)."""
     reset_counters()
     with engine.scope(**scope), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         out = call()
     assert (counters().native_sweeps, counters().native_fallbacks) \
-        == (sweeps, fallbacks)
+        == (sweeps, 0)
     return out
 
 
 def _native_hop(dirac, half, **scope):
-    return _counted(lambda: dirac.dhop_cb(half), 1, 0, **scope)
+    return _counted(lambda: dirac.dhop_cb(half), 1, **scope)
 
 
 def _native_full(dirac, psi, **scope):
-    return _counted(lambda: dirac.dhop(psi), 1, 0, **scope).data
+    return _counted(lambda: dirac.dhop(psi), 1, **scope).data
 
 
-def _numpy_body(call):
-    """``call()`` where the kernel does not load: every fused sweep
-    runs the numpy block body."""
+def _no_kernel(call):
+    """``call()`` where the kernel does not load: every hop runs the
+    layered reference."""
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         mp.setattr(native, "kernel", lambda dtype: None)
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -131,11 +124,12 @@ def _numpy_body(call):
 
 
 def _reference(dirac, half):
-    """The full hop of the embedded field by the numpy block body,
-    restricted to the other parity."""
+    """The layered full hop of the embedded field, restricted to the
+    other parity."""
     target = "even" if half.grid.parity == "odd" else "odd"
+    full = _layered(dirac, half.grid.embed(half))
     return red_black(dirac.grid, target).pick(
-        _numpy_body(lambda: dirac.dhop(half.grid.embed(half))))
+        Lattice(dirac.grid, half.tensor_shape, full))
 
 
 def _layered(dirac, psi) -> np.ndarray:
@@ -146,9 +140,9 @@ def _layered(dirac, psi) -> np.ndarray:
 
 def _assert_matches_layered(got: np.ndarray, want: np.ndarray) -> None:
     """Byte for byte, except the sign bits and payloads of NaNs: the
-    numpy body's ``out=`` contraction order has always given propagated
-    NaNs a different sign bit from the layered path
-    (``tests/perf/test_tensor_major_dhop.py``)."""
+    kernel subtracts where the layered path negates and adds, which
+    gives propagated NaNs another sign bit, and where two NaNs meet
+    either may come out (``tests/perf/test_tensor_major_dhop.py``)."""
     g, w = (a.view(a.real.dtype) for a in (got, want))
     assert np.array_equal(np.isnan(g), np.isnan(w))
     keep = ~np.isnan(w)
@@ -178,13 +172,13 @@ class TestBytes:
         dirac, psi = _operator(backend, (4, 4, 4, 8), dtype, source)
         for half in _halves(dirac, psi):
             got = _native_hop(dirac, half)
-            assert got.data.tobytes() == _reference(dirac, half).data.tobytes()
+            _assert_matches_layered(got.data, _reference(dirac, half).data)
 
     def test_nan_collisions_differ_in_payload_only(self):
         """Where two NaNs meet in one operation, IEEE 754 leaves open
         which one's sign and payload the result carries; numpy's loops
         and the compiled kernel may keep different ones.  Every other
-        bit agrees, and NaN is where numpy has NaN."""
+        bit agrees, and NaN is where the layered reference has NaN."""
         dirac, psi = _operator("generic256", (4, 4, 4, 8))
         flat = psi.data.reshape(-1)
         rng = np.random.default_rng(9)
@@ -236,7 +230,7 @@ class TestBytes:
         dirac, psi = _operator("generic256", (4, 4, 4, 8))
         schur = SchurWilson(dirac)
         half = schur.project(psi, "odd")
-        got = _counted(lambda: schur.schur(half), 2, 0)
+        got = _counted(lambda: schur.schur(half), 2)
         with engine.scope(enabled=False):
             want = schur.schur(half)
         assert got.data.tobytes() == want.data.tobytes()
@@ -246,10 +240,12 @@ class TestIR:
     """The kernel against :func:`repro.vectorizer.wilson_ir.evaluate` in
     compressor order: project the source, gather the half spinors,
     multiply and reconstruct-accumulate, per (mu, sign) in sweep
-    order."""
+    order.  Byte for byte, NaN payloads included: on these sources no
+    two NaNs meet in one operation."""
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("dtype", DTYPES, ids=("c128", "c64"))
-    @pytest.mark.parametrize("source", ("gaussian", "point"))
+    @pytest.mark.parametrize("source", SOURCES)
     def test_matches_ir_in_compressor_order(self, dtype, source):
         dirac, psi = _operator("generic256", (4, 4, 4, 4), dtype, source)
         scalar = "c64" if dtype == np.complex64 else "c128"
@@ -290,11 +286,14 @@ class TestFullHop:
     @pytest.mark.parametrize("dtype", DTYPES, ids=("c128", "c64"))
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_matches_layered_and_numpy_body(self, backend, dtype, source):
+        """The layered reference, which is also the route without a
+        kernel; byte for byte where no NaN arises."""
         dirac, psi = _operator(backend, (4, 4, 4, 8), dtype, source)
         got = _native_full(dirac, psi)
-        _assert_matches_layered(got, _layered(dirac, psi))
-        want = _numpy_body(lambda: dirac.dhop(psi)).data
-        assert got.tobytes() == want.tobytes()
+        want = _layered(dirac, psi)
+        _assert_matches_layered(got, want)
+        if source not in ("inf", "nan"):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("workers", (1, 2))
     @pytest.mark.parametrize("dtype", DTYPES, ids=("c128", "c64"))
@@ -321,8 +320,8 @@ class TestFullHop:
                 assert got.tobytes() == want.tobytes(), (backend, dtype)
 
     def test_nan_collisions_differ_in_payload_only(self):
-        """As for the checkerboard hop: only where two NaNs meet may
-        the kernel and the numpy body return different NaNs."""
+        """As for the checkerboard hop: NaNs sit where the layered
+        reference has them, and every other byte agrees."""
         dirac, psi = _operator("generic256", (4, 4, 4, 8))
         flat = psi.data.reshape(-1)
         rng = np.random.default_rng(9)
@@ -330,7 +329,7 @@ class TestFullHop:
         for i, k in enumerate(rng.choice(flat.size, 60, replace=False)):
             flat[k] = (nan, -nan, complex(np.inf, 0))[i % 3]
         got = _native_full(dirac, psi)
-        want = _numpy_body(lambda: dirac.dhop(psi)).data
+        want = _layered(dirac, psi)
         assert np.isnan(want).any()
         _assert_matches_layered(got, want)
 
@@ -345,7 +344,7 @@ class TestFullHop:
         assert tables.dtype == np.int64 and tables.shape == (8, psi.data.size
                                                              // 12)
         assert top == tables.max()
-        for name in ("from_working", "sweep_blocks", "neighbour_table"):
+        for name in ("from_working", "to_working", "gather_links"):
             monkeypatch.setattr(fused, name, None)
         bodies = []
         run_tiles = fused.run_tiles
@@ -414,7 +413,8 @@ class TestInPlaceLinks:
         """Special values in forward and back-link positions: the same
         kernel over an ``np.conj`` snapshot of the links gives the same
         bytes, NaN payloads included (the operands and operations are
-        the same); the numpy body agrees but where two NaNs meet."""
+        the same); the layered reference agrees but for NaN signs and
+        payloads."""
         dirac, psi = _operator(backend, (4, 4, 4, 8), dtype, "zeros")
         _special_links(dirac, seed=3)
         got = _native_full(dirac, psi)
@@ -427,39 +427,38 @@ class TestInPlaceLinks:
             psi.data, snapshot)(0, sweep.n)
         assert np.isnan(got.view(got.real.dtype)).any()
         assert got.tobytes() == snapshot.tobytes()
-        _assert_matches_layered(got, _numpy_body(lambda: dirac.dhop(psi)).data)
         _assert_matches_layered(got, _layered(dirac, psi))
 
     @pytest.mark.parametrize("dtype", DTYPES, ids=("c128", "c64"))
     def test_numpy_body_reads_links_in_place(self, dtype):
-        """The no-compiler full hop builds each block's matrices as it
-        goes and equals the layered reference byte for byte, also with
-        signed zeros and subnormals in the links."""
+        """The links the kernel reads in place, with signed zeros and
+        subnormals among them, give the bytes of the route without a
+        kernel -- the layered reference, counted as its plan's
+        ``layered_sweeps`` -- serial and tiled."""
         dirac, psi = _operator("generic512", (4, 4, 4, 8), dtype, "point")
         for u in dirac.links:
             parts = u.data.view(u.data.real.dtype).reshape(-1)
             parts[::7] = -0.0
             parts[3::11] = np.finfo(parts.dtype).smallest_subnormal
-        with engine.scope(workers=2, tile_min_sites=16):
-            got = _numpy_body(lambda: _counted(lambda: dirac.dhop(psi), 0, 1))
-        assert got.data.tobytes() == _layered(dirac, psi).tobytes()
+        scope = dict(workers=2, tile_min_sites=16)
+        want = _native_full(dirac, psi, **scope)
+        with engine.scope(**scope):
+            stages = kernel_plan(dirac.grid, "dhop").stages
+            got = _no_kernel(lambda: _counted(lambda: dirac.dhop(psi), 0))
+            assert stages.as_dict()["layered_sweeps"] == 1
+        assert got.data.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("kernel", ("native", "reference"))
-    def test_no_whole_lattice_copy(self, kernel):
-        """After full and checkerboard hops the operator holds no
-        complex array but its own links and the per-parity checkerboard
-        arrays, on either route."""
+    def test_no_whole_lattice_copy(self):
+        """After compiled full and checkerboard hops the operator holds
+        no complex array but its own links and the per-parity
+        checkerboard arrays.  (The reference route, without a kernel,
+        holds the lane-major back-links ``WilsonDirac._links_back`` as
+        well: its layered loop reads ``U_mu(x - mu)`` through them.)"""
         dirac, psi = _operator("generic256", (4, 4, 4, 8))
-
-        def hops():
-            dirac.dhop(psi)
-            for half in _halves(dirac, psi):
-                dirac.dhop_cb(half)
-
-        if kernel == "native":
-            hops()
-        else:
-            _numpy_body(hops)
+        dirac.dhop(psi)
+        for half in _halves(dirac, psi):
+            dirac.dhop_cb(half)
+        assert dirac._links_back_lm is None
         held = [a for a in _held_arrays(dirac) if np.iscomplexobj(a)]
         own = {id(u.data) for u in dirac.links}
         cb = {id(sweep.links.fields[0].base): sweep.links.fields[0].base
@@ -504,38 +503,49 @@ class TestInPlaceLinks:
 
 class TestReferenceRoute:
     """Where the kernel cannot load (``native.status()`` reads
-    ``reference``), every fused sweep runs the numpy block body over the
-    same tables and links: the checkerboard hop directly on the half
-    field, never embed, full hop, pick."""
+    ``reference``), every hop runs the layered reference: the full hop
+    its layered loop, the checkerboard hop embed, layered ``dhop``,
+    pick and store.  Each counts its plan's ``layered_sweeps`` and no
+    compiled sweep or fallback, its span reads ``kernel="reference"``,
+    and its bytes are the kernel's."""
 
-    def _check_fallback(self, reason: str):
+    def _check_fallback(self, monkeypatch, name: str, value, reason: str):
+        """Hop without the kernel once ``native.<name>`` is ``value``
+        and the library is loaded afresh (nothing is built)."""
         dirac, psi = _operator("generic256", (4, 4, 4, 8), source="point")
         half = red_black(dirac.grid, "odd").pick(psi)
+        want_half = _native_hop(dirac, half)
+        want_full = _native_full(dirac, psi)
+        engine.reset_all()
+        monkeypatch.setattr(native, "_STATE", {})
+        monkeypatch.setattr(native, name, value)
         embeds = []
         embed = type(half.grid).embed
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(type(half.grid), "embed",
                        lambda g, x: embeds.append(x) or embed(g, x))
-            got = _counted(lambda: dirac.dhop_cb(half), 0, 1,
-                           telemetry="trace")
-        assert embeds == [] and counters().fused_dhop_calls == 0
+            got = _counted(lambda: dirac.dhop_cb(half), 0, telemetry="trace")
+        assert len(embeds) == 1 and counters().fused_dhop_calls == 0
         (span,) = [s for s in telemetry.drain_spans() if s.name == "dhop.cb"]
         assert span.attrs["kernel"] == "reference"
         state = native.status()
         assert state["kernel"] == "reference"
         assert reason in state["reason"]
-        assert got.data.tobytes() == _reference(dirac, half).data.tobytes()
-        full = _counted(lambda: dirac.dhop(psi), 0, 1)
-        assert full.data.tobytes() == _layered(dirac, psi).tobytes()
+        assert got.data.tobytes() == want_half.data.tobytes()
+        stages = kernel_plan(dirac.grid, "dhop").stages
+        full = _counted(lambda: dirac.dhop(psi), 0)
+        assert full.data.tobytes() == want_full.tobytes()
+        assert stages.as_dict() == {"layered_sweeps": 1}
 
-    def test_no_compiler(self, fresh_native, monkeypatch):
-        monkeypatch.setattr(native, "find_compiler", lambda: None)
-        self._check_fallback("no C compiler")
+    def test_no_compiler(self, monkeypatch):
+        self._check_fallback(monkeypatch, "find_compiler", lambda: None,
+                             "no C compiler")
         assert native.status()["compiler"] == "none"
 
-    def test_unknown_contraction_key(self, fresh_native, monkeypatch):
-        monkeypatch.setattr(native, "contraction_key", lambda dtype: "unknown")
-        self._check_fallback("neither fma nor unfused")
+    def test_unknown_contraction_key(self, monkeypatch):
+        self._check_fallback(monkeypatch, "contraction_key",
+                             lambda dtype: "unknown",
+                             "neither fma nor unfused")
 
     @pytest.mark.parametrize("workers", (1, 2))
     @pytest.mark.parametrize("dtype", DTYPES, ids=("c128", "c64"))
@@ -543,8 +553,8 @@ class TestReferenceRoute:
         dirac, psi = _operator("generic256", (4, 4, 4, 8), dtype, "zeros")
         for half in _halves(dirac, psi):
             want = _native_hop(dirac, half)
-            got = _numpy_body(lambda: _counted(
-                lambda: dirac.dhop_cb(half), 0, 1, workers=workers,
+            got = _no_kernel(lambda: _counted(
+                lambda: dirac.dhop_cb(half), 0, workers=workers,
                 tile_min_sites=16))
             assert got.data.tobytes() == want.data.tobytes()
 
@@ -552,16 +562,15 @@ class TestReferenceRoute:
         dirac, psi = _operator("generic256", (4, 4, 4, 8))
         schur = SchurWilson(dirac)
         half = schur.project(psi, "odd")
-        got = _numpy_body(lambda: _counted(lambda: schur.schur(half), 0, 2))
-        with engine.scope(enabled=False):
-            want = schur.schur(half)
+        got = _no_kernel(lambda: _counted(lambda: schur.schur(half), 0))
+        want = _counted(lambda: schur.schur(half), 2)
         assert got.data.tobytes() == want.data.tobytes()
 
     def test_engine_off_is_not_a_fallback(self):
         dirac, psi = _operator("generic256", (4, 4, 4, 8))
         half = red_black(dirac.grid, "odd").pick(psi)
-        _counted(lambda: dirac.dhop_cb(half), 0, 0, enabled=False)
-        _counted(lambda: dirac.dhop(psi), 0, 0, enabled=False)
+        _counted(lambda: dirac.dhop_cb(half), 0, enabled=False)
+        _counted(lambda: dirac.dhop(psi), 0, enabled=False)
 
 
 def test_span_names_kernel_and_contraction():

@@ -1,16 +1,15 @@
-"""The tensor-major, cache-blocked single-rank dhop sweep.
+"""The single-rank dhop sweep, pinned to its references.
 
-Where the compiled kernel cannot load, ``WilsonDirac.dhop``'s fused
-route (:func:`repro.perf.fused.fused_dhop`) runs the numpy block body:
-it works on a ``(4, 3, osites * nlanes)`` copy of the field, gathers
-neighbours through flat index tables and sweeps blocks of
-``BLOCK_SITES`` flat sites.  Every test here runs that body (the kernel
-is patched out; ``tests/perf/test_native_hop.py`` pins the kernel to
-it).  None of that may change a bit: every
+``WilsonDirac.dhop``'s fused route (:func:`repro.perf.fused.fused_dhop`)
+is one compiled body (``perf/hop_cb.c``): it reads the lane-major field
+in place through the operator's flat neighbour tables and sweeps blocks
+of ``BLOCK_SITES`` flat sites.  None of that may change a bit: every
 comparison here is on raw bytes (float views, so signed zeros and NaN
 payloads count), against the engine-off layered path, the Dslash IR
-(:mod:`repro.vectorizer.wilson_ir`) evaluated with numpy, and the
-canonical-array oracle.
+(:mod:`repro.vectorizer.wilson_ir`) evaluated with numpy in the
+tensor-major layout, and the canonical-array oracle.  The kernel's own
+cases -- every width, the checkerboard hop, bindings and the build --
+are in ``tests/perf/test_native_hop.py``.
 """
 
 import itertools
@@ -28,8 +27,9 @@ from repro.grid.lattice import Lattice
 from repro.grid.propagator import point_source
 from repro.grid.random import random_gauge, random_spinor
 from repro.grid.stencil import neighbour_table
+from repro.grid.su3 import plaquette
 from repro.grid.wilson import WilsonDirac
-from repro.perf import fused, native
+from repro.perf import fused
 from repro.perf.counters import counters, reset_counters
 from repro.simd import get_backend
 from repro.vectorizer import wilson_ir
@@ -39,9 +39,8 @@ DTYPES = (np.complex128, np.complex64)
 
 
 @pytest.fixture(autouse=True)
-def _clean_engine_state(monkeypatch):
+def _clean_engine_state():
     engine.reset_all()
-    monkeypatch.setattr(native, "kernel", lambda dtype: None)
     yield
     engine.reset_all()
 
@@ -89,10 +88,10 @@ def _layered(dirac, psi) -> np.ndarray:
 
 
 def _ir(dirac, psi) -> np.ndarray:
-    """The Dslash IR, evaluated on the sweep's tensor-major copies so
-    each component is one contiguous loop, as in the sweep: numpy's
-    strided and contiguous complex loops can give the NaN of an
-    invalid operation (inf - inf) different sign bits."""
+    """The Dslash IR, evaluated on tensor-major copies so each
+    component is one contiguous loop: numpy's strided and contiguous
+    complex loops can give the NaN of an invalid operation (inf - inf)
+    different sign bits."""
     grid = dirac.grid
     st = "c64" if grid.dtype == np.complex64 else "c128"
 
@@ -115,7 +114,8 @@ def _ir(dirac, psi) -> np.ndarray:
 def _default(dirac, psi) -> np.ndarray:
     reset_counters()
     out = dirac.dhop(psi).data
-    assert counters().fused_dhop_calls == 1  # the sweep under test ran
+    # the compiled sweep under test ran
+    assert (counters().fused_dhop_calls, counters().native_sweeps) == (1, 1)
     return out
 
 
@@ -153,13 +153,6 @@ class TestBitIdentity:
         got = _default(dirac, psi)
         _assert_bytes_equal(got, _layered(dirac, psi))
         _assert_matches_oracle(dirac, psi, got)
-
-    @pytest.mark.parametrize("block", (1, 7, 100))
-    def test_block_size_never_changes_a_bit(self, block, monkeypatch):
-        dirac, psi = _operator("generic512", (4, 2, 6, 4))
-        want = _default(dirac, psi)
-        monkeypatch.setattr(fused, "BLOCK_SITES", block)
-        _assert_bytes_equal(_default(dirac, psi), want)
 
     @pytest.mark.parametrize("workers", (2, 4))  # 4: more than cores
     @pytest.mark.parametrize("block", (None, 50))
@@ -209,9 +202,12 @@ class TestSpecialValues:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_nan_matches_ir_exactly_and_layered_in_value(self, backend,
                                                          dtype):
-        # The fused body's out= contraction order has always given
-        # propagated NaNs a different sign bit from the layered path;
-        # the sweep keeps it, and the IR states that order exactly.
+        # Where two NaNs meet in one operation the kernel may return
+        # either one (``hop_cb.c``'s one freedom), so against the IR
+        # and the layered path alike NaNs must sit where theirs do and
+        # every other byte must agree.  On a field whose NaNs never
+        # meet, the kernel equals the IR byte for byte, payloads
+        # included (``test_native_hop.py::TestIR``, source "nan").
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             dirac, psi = _operator(backend, (4, 4, 4, 4), dtype,
@@ -220,13 +216,14 @@ class TestSpecialValues:
             psi.data[2, 2, 2, 0] = complex(np.nan, 1.0)
             psi.data[0, 3, 1, 0] = complex(-0.0, np.nan)
             got = _default(dirac, psi)
-            ref = _layered(dirac, psi)
-            _assert_bytes_equal(got, _ir(dirac, psi))
-        g, r = _floats(got), _floats(ref)
-        nans = np.isnan(r)
-        assert nans.any()
-        assert np.array_equal(nans, np.isnan(g))
-        assert g[~nans].tobytes() == r[~nans].tobytes()
+            refs = (_ir(dirac, psi), _layered(dirac, psi))
+        g = _floats(got)
+        for ref in refs:
+            r = _floats(ref)
+            nans = np.isnan(r)
+            assert nans.any()
+            assert np.array_equal(nans, np.isnan(g))
+            assert g[~nans].tobytes() == r[~nans].tobytes()
 
 
 class TestNeighbourTable:
@@ -242,13 +239,17 @@ class TestNeighbourTable:
                 assert got.tobytes() == want.reshape(12, -1).tobytes()
 
     def test_memoized_per_grid_and_counted(self):
+        """The plaquette gathers through the memo: a warm plaquette
+        builds no table and hits each +mu table once, and the compiled
+        full hop, which holds its own tables, reads none."""
         dirac, psi = _operator("generic256", (4, 4, 4, 4))
-        dirac.dhop(psi)  # cold: builds the +mu tables
+        plaquette(dirac.links, dirac.grid)  # cold: builds the +mu tables
         reset_counters()
+        plaquette(dirac.links, dirac.grid)
         dirac.dhop(psi)
         c = counters()
         assert c.nbr_table_misses == 0
-        assert c.nbr_table_hits == 2 * dirac.grid.ndim
+        assert c.nbr_table_hits == dirac.grid.ndim
 
     def test_custom_shift_keeps_the_layered_path(self):
         grid = GridCartesian([4, 4, 4, 4], get_backend("generic256"))

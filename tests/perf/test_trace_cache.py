@@ -144,20 +144,19 @@ class TestDslashSweepHitRate:
     def test_repeated_sweep_runs_entirely_from_plan_cache(self,
                                                           monkeypatch):
         """After one cold sweep, repeated Wilson-Dslash applications
-        of the numpy block body (the route where the compiled kernel
+        of the layered reference (the route where the compiled kernel
         cannot load; the kernel gathers through the operator's own
-        tables) must hit the flat neighbour-table cache on every
-        gather."""
+        tables) must hit the cshift plan cache on every gather."""
         monkeypatch.setattr(native, "kernel", lambda dtype: None)
         setup = dslash_setup("generic256", dims=(4, 4, 4, 4))
-        setup.run()  # cold: builds the tables
+        setup.run()  # cold: builds the plans
         reset_counters()
         for _ in range(3):
             setup.run()
         c = counters()
-        assert c.nbr_table_misses == 0
-        assert c.nbr_table_hits > 0
-        assert c.fused_dhop_calls == 3
+        assert c.cshift_plan_misses == 0
+        assert c.cshift_plan_hits == 3 * 2 * setup.grid.ndim
+        assert c.fused_dhop_calls == 0
 
 
 class TestPinnedKernelSweep:

@@ -1,14 +1,17 @@
-"""The Wilson-Dslash IR, pinned to the production body.
+"""The Wilson-Dslash IR, pinned to the layered reference.
 
 Every statement of :mod:`repro.vectorizer.wilson_ir` is simplified by
 :func:`repro.vectorizer.passes.simplify` and evaluated with
 :func:`repro.vectorizer.ir.reference_eval`; per direction the result
-must equal the production body, :func:`repro.perf.fused.
-_accumulate_direction` on working-layout ``(4, 3, n)`` arrays (with
-``adjoint(u_b)`` on the backward hop), byte for byte, NaN payloads and
-signed zeros included.  The whole-sweep comparison, on
-every ``generic`` width, lives with the sweep's own tests
-(``tests/perf/test_tensor_major_dhop.py``).
+must equal the layered reference's ops -- :func:`repro.grid.gamma.
+project`, :func:`repro.grid.tensor.su3_mul_vec` (``su3_dagger_mul_vec``
+on the backward hop) and :func:`repro.grid.gamma.reconstruct` on a
+``generic`` backend -- byte for byte, signed zeros included, except
+that a NaN may carry another sign and payload (never sit elsewhere):
+the layered ops negate where the IR subtracts.  The compiled kernel is
+pinned to the IR byte for byte, NaN payloads included, over a whole
+checkerboard hop in compressor order
+(``tests/perf/test_native_hop.py::TestIR``).
 """
 
 import warnings
@@ -16,17 +19,14 @@ import warnings
 import numpy as np
 import pytest
 
-import repro.grid  # noqa: F401 - loads before repro.perf.fused, which imports it
-from repro.perf.fused import (
-    _accumulate_direction,
-    _project,
-    _reconstruct,
-    _su3_halfspinor,
-    adjoint,
-)
+from repro.grid import gamma as g
+from repro.grid.tensor import su3_dagger_mul_vec, su3_mul_vec
+from repro.perf.fused import to_working
+from repro.simd import get_backend
 from repro.vectorizer import ir, passes, wilson_ir
 
 DTYPES = (np.complex128, np.complex64)
+BACKEND = get_backend("generic256")
 
 
 def _scalar_type(dtype) -> str:
@@ -44,10 +44,36 @@ def _plant(spinor: np.ndarray, links: np.ndarray) -> None:
     links[0, 2, 27] = complex(-np.inf, -0.0)
 
 
+def _lanes(x: np.ndarray) -> np.ndarray:
+    """The working-layout ``(*tensor, n)`` array in the lane-major
+    ``(n / L, *tensor, L)`` layout the backend's ops take."""
+    nl = BACKEND.clanes(x.dtype)
+    return np.moveaxis(x.reshape(x.shape[:-1] + (-1, nl)), -2, 0)
+
+
+def _direction(acc, u, p, mu, sign) -> np.ndarray:
+    """``acc`` plus one layered hop: project ``p``, multiply by ``u``
+    (its adjoint on the backward hop), reconstruct; lane-major."""
+    h = g.project(BACKEND, p, mu, sign)
+    mul = su3_mul_vec if sign > 0 else su3_dagger_mul_vec
+    return BACKEND.add(acc, g.reconstruct(BACKEND, mul(BACKEND, u, h), mu,
+                                          sign))
+
+
 def _hop(acc, u_f, u_b, p_f, p_b, mu) -> None:
-    """Both hops of direction ``mu`` through the production body."""
-    _accumulate_direction(acc, u_f, p_f, mu, +1)
-    _accumulate_direction(acc, adjoint(u_b), p_b, mu, -1)
+    """Both hops of direction ``mu`` through the layered ops, as
+    ``WilsonDirac``'s layered loop runs them, into ``acc`` in place."""
+    out = _direction(_lanes(acc), _lanes(u_f), _lanes(p_f), mu, +1)
+    acc[...] = to_working(_direction(out, _lanes(u_b), _lanes(p_b), mu, -1))
+
+
+def _assert_matches_layered(got: np.ndarray, want: np.ndarray) -> None:
+    """Byte for byte but for the sign and payload of a NaN."""
+    gf, wf = (a.view(a.real.dtype) for a in (got, want))
+    nans = np.isnan(wf)
+    assert nans.any()
+    assert np.array_equal(np.isnan(gf), nans)
+    assert gf[~nans].tobytes() == wf[~nans].tobytes()
 
 
 def _sites_first(x: np.ndarray) -> np.ndarray:
@@ -112,16 +138,14 @@ class TestPerDirection:
                     ("u_bwd", u_b), ("psi_bwd", p_b))})
 
         assert got.dtype == dtype
-        assert np.isnan(got).any()
-        assert got.tobytes() == want.tobytes()
-
+        _assert_matches_layered(got, want)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("mu", range(4))
     def test_compressor_order_matches_ir(self, mu, dtype):
         """The checkerboard hop's order — project the whole source,
-        gather the 6 half-spinor rows, SU(3), reconstruct — against the
-        IR on the gathered spinors, byte for byte."""
+        gather the 6 half-spinor rows, SU(3), reconstruct — by the
+        layered ops, against the IR on the gathered spinors."""
         rng = np.random.default_rng(200 + mu)
         n = 96
 
@@ -138,15 +162,14 @@ class TestPerDirection:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            want = acc.copy()
-            h, uh, prod = (np.empty((2, 3, n), dtype) for _ in range(3))
-            for sign, u in ((+1, u_f), (-1, adjoint(u_b))):
-                proj = np.empty((2, 3, n), dtype)
-                _project(psi, mu, sign, proj)
-                np.take(proj.reshape(6, n), tables[sign], axis=1,
-                        out=h.reshape(6, n), mode="clip")
-                _su3_halfspinor(u, h, uh, prod)
-                _reconstruct(want, uh, mu, sign, h)
+            want = _lanes(acc.copy())
+            for sign, u in ((+1, u_f), (-1, u_b)):
+                proj = to_working(g.project(BACKEND, _lanes(psi), mu, sign))
+                h = _lanes(np.ascontiguousarray(proj[..., tables[sign]]))
+                mul = su3_mul_vec if sign > 0 else su3_dagger_mul_vec
+                want = BACKEND.add(want, g.reconstruct(
+                    BACKEND, mul(BACKEND, _lanes(u), h), mu, sign))
+            want = to_working(want)
             got = acc.copy()
             wilson_ir.evaluate(wilson_ir.hop_statements(
                 mu, _scalar_type(dtype)), _sites_first(got),
@@ -156,13 +179,12 @@ class TestPerDirection:
                 psi_bwd=_sites_first(np.ascontiguousarray(
                     psi[..., tables[-1]])))
 
-        assert np.isnan(got).any()
-        assert got.tobytes() == want.tobytes()
+        _assert_matches_layered(got, want)
 
     def test_special_values_complex64(self):
         # Forward and backward operands alias one field and the
         # accumulator starts at zero: -0.0 and a NaN+inf element must
-        # come through exactly as the fused body produces them.
+        # come through as the layered ops produce them.
         rng = np.random.default_rng(9)
         n = 64
         shape = (4, 3, n)
@@ -184,5 +206,4 @@ class TestPerDirection:
                                _sites_first(got), u_fwd=us, psi_fwd=ps,
                                u_bwd=us, psi_bwd=ps)
 
-        assert np.isnan(got).any()
-        assert got.tobytes() == want.tobytes()
+        _assert_matches_layered(got, want)
